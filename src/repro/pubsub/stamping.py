@@ -35,25 +35,24 @@ def backfill_stamp(
         seq: per-sensor sequence number.
     """
     schema = metadata.schema
-    if stamp is not None:
-        full = SttStamp(
-            time=stamp.time,
-            location=stamp.location,
-            temporal_granularity=stamp.temporal_granularity,
-            spatial_granularity=stamp.spatial_granularity,
-            themes=stamp.themes or schema.themes,
+    # The advertised schema and a sensor-made stamp already hold typed
+    # granularities and themes, so nothing is coerced per reading.
+    if stamp is None:
+        full = SttStamp.typed(
+            now,
+            metadata.location,
+            schema.temporal_granularity,
+            schema.spatial_granularity,
+            schema.themes,
         )
+    elif stamp.themes:
+        full = stamp
     else:
-        full = SttStamp(
-            time=now,
-            location=metadata.location,
-            temporal_granularity=schema.temporal_granularity,
-            spatial_granularity=schema.spatial_granularity,
-            themes=schema.themes,
+        full = SttStamp.typed(
+            stamp.time,
+            stamp.location,
+            stamp.temporal_granularity,
+            stamp.spatial_granularity,
+            schema.themes,
         )
-    return SensorTuple(
-        payload=payload,
-        stamp=full,
-        source=metadata.sensor_id,
-        seq=seq,
-    )
+    return SensorTuple.from_owned(dict(payload), full, metadata.sensor_id, seq)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.errors import DeploymentError, LifecycleError, PlacementError
@@ -700,11 +701,13 @@ class Executor:
                     f"sink {service.name!r} needs a warehouse, but the "
                     f"executor was built without one"
                 )
+            # Bound once, at deploy time: the sink calls the loader
+            # directly, with no forwarding frame per row.
+            load = self.warehouse.load
             value_attribute = config.get("value_attribute")
-            return CallbackSink(
-                lambda t, va=value_attribute: self.warehouse.load(t, value_attribute=va),
-                name=f"warehouse:{service.name}",
-            )
+            if value_attribute is not None:
+                load = partial(load, value_attribute=value_attribute)
+            return CallbackSink(load, name=f"warehouse:{service.name}")
         if service.kind == "visualization":
             if self.sticker is None:
                 raise DeploymentError(

@@ -4,18 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import StreamLoaderError
+from repro.errors import GranularityError, StreamLoaderError
 from repro.streams.tuple import SensorTuple
-from repro.stt.spatial import grid_cell_for, representative_point
+from repro.stt.granularity import SpatialGranularity, spatial_granularity
+from repro.stt.spatial import cell_index, representative_point
 from repro.stt.thematic import Theme
 
-
-@dataclass(frozen=True)
-class _BinKey:
-    bucket: int
-    row: int
-    col: int
-    theme: str
+#: Stands in for the theme tuple of an untagged reading.
+_UNTAGGED = (None,)
 
 
 @dataclass
@@ -42,46 +38,69 @@ class StickerFeed:
 
     Args:
         bucket_seconds: temporal bin width.
-        cell_granularity: spatial bin granularity (a gridded level).
+        cell_granularity: spatial bin granularity (a gridded level, by
+            name or object); resolved once, here.
     """
 
     def __init__(
-        self, bucket_seconds: float = 3600.0, cell_granularity: str = "district"
+        self,
+        bucket_seconds: float = 3600.0,
+        cell_granularity: "str | SpatialGranularity" = "district",
     ) -> None:
         if bucket_seconds <= 0:
             raise StreamLoaderError(
                 f"bucket_seconds must be positive: {bucket_seconds}"
             )
+        granularity = spatial_granularity(cell_granularity)
+        if granularity.cell_meters <= 0:
+            raise GranularityError(
+                f"a Sticker feed bins by grid cell, which "
+                f"{granularity.name!r} does not define"
+            )
         self.bucket_seconds = bucket_seconds
-        self.cell_granularity = cell_granularity
-        self._bins: dict[_BinKey, TrendPoint] = {}
+        self.cell_granularity = granularity
+        #: (bucket, row, col, theme path) -> bin.
+        self._bins: dict[tuple[int, int, int, str], TrendPoint] = {}
         self.pushed = 0
 
     def push(self, tuple_: SensorTuple) -> None:
         """Accumulate one processed tuple into its bins (one per theme)."""
         self.pushed += 1
-        bucket = int(tuple_.stamp.time // self.bucket_seconds)
-        point = representative_point(tuple_.stamp.location)
-        cell = grid_cell_for(point, self.cell_granularity)
-        themes = [theme.path for theme in tuple_.stamp.themes] or ["(untagged)"]
-        for theme in themes:
-            key = _BinKey(bucket=bucket, row=cell.row, col=cell.col, theme=theme)
-            bin_ = self._bins.get(key)
+        stamp = tuple_.stamp
+        bucket = int(stamp.time // self.bucket_seconds)
+        point = representative_point(stamp.location)
+        row, col = cell_index(point.lat, point.lon, self.cell_granularity)
+        bins = self._bins
+        for theme in stamp.themes or _UNTAGGED:
+            path = "(untagged)" if theme is None else theme.path
+            key = (bucket, row, col, path)
+            bin_ = bins.get(key)
             if bin_ is None:
-                bin_ = TrendPoint(
+                bin_ = bins[key] = TrendPoint(
                     bucket_start=bucket * self.bucket_seconds,
-                    row=cell.row,
-                    col=cell.col,
-                    theme=theme,
+                    row=row,
+                    col=col,
+                    theme=path,
                 )
-                self._bins[key] = bin_
             bin_.count += 1
+            sums = bin_.numeric_sums
+            counts = bin_.numeric_counts
             for name, value in tuple_.payload.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    bin_.numeric_sums[name] = (
-                        bin_.numeric_sums.get(name, 0.0) + float(value)
-                    )
-                    bin_.numeric_counts[name] = bin_.numeric_counts.get(name, 0) + 1
+                # Numeric means int or float but not bool; exact types
+                # are settled without an isinstance walk.
+                kind = type(value)
+                if kind is float:
+                    pass
+                elif kind is int or (
+                    kind is not str
+                    and kind is not bool
+                    and isinstance(value, (int, float))
+                ):
+                    value = float(value)
+                else:
+                    continue
+                sums[name] = sums.get(name, 0.0) + value
+                counts[name] = counts.get(name, 0) + 1
 
     # -- queries ------------------------------------------------------------
 

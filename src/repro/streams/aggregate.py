@@ -46,7 +46,7 @@ from repro.streams.base import BlockingOperator
 from repro.streams.tuple import SensorTuple
 from repro.streams.windows import TupleCache
 from repro.stt.event import SttStamp
-from repro.stt.granularity import common_temporal, temporal_granularity
+from repro.stt.granularity import temporal_granularity
 from repro.stt.spatial import Box, representative_point
 
 
@@ -140,6 +140,7 @@ class AggregationOperator(BlockingOperator):
         self.group_by = group_by
         self.window = float(window) if window is not None else None
         self.incremental = incremental
+        self._covering = _covering_granularity(self.interval)
         self._groups: dict[object, _GroupAccumulator] = {}
         self.cache = TupleCache(
             max_tuples=max_cache,
@@ -366,22 +367,7 @@ class AggregationOperator(BlockingOperator):
                 location = representative_point(first.stamp.location)
             else:
                 location = Box(south=south, west=west, north=north, east=east)
-        out_gran = common_temporal(
-            first.stamp.temporal_granularity, _covering_granularity(self.interval)
-        )
-        stamp = SttStamp(
-            time=now,
-            location=location,
-            temporal_granularity=out_gran,
-            spatial_granularity=first.stamp.spatial_granularity,
-            themes=first.stamp.themes,
-        )
-        out = SensorTuple(
-            payload=payload,
-            stamp=stamp,
-            source=f"{self.name}({first.source})",
-            seq=self.stats.timer_firings * 1000 + seq_offset,
-        )
+        out = self._output(payload, first, location, now, seq_offset)
         if self._partial_log is not None:
             # Dirty slices were resolved above, so these are the exact
             # [count, sum, min, max] this emission was computed from.
@@ -460,26 +446,36 @@ class AggregationOperator(BlockingOperator):
             else:  # MAX
                 payload[out_key] = float(array.max())
 
-        first = window[0]
-        out_gran = common_temporal(
-            first.stamp.temporal_granularity, _covering_granularity(self.interval)
-        )
-        stamp = SttStamp(
-            time=now,
-            location=_bounding_location(window),
-            temporal_granularity=out_gran,
-            spatial_granularity=first.stamp.spatial_granularity,
-            themes=first.stamp.themes,
-        )
-        out = SensorTuple(
-            payload=payload,
-            stamp=stamp,
-            source=f"{self.name}({first.source})",
-            seq=self.stats.timer_firings * 1000 + seq_offset,
+        out = self._output(
+            payload, window[0], _bounding_location(window), now, seq_offset
         )
         if self.lineage is not None:
             self.lineage.record(out, window, self.name, now)
         return out
+
+    def _output(
+        self, payload: dict, first: SensorTuple, location, now: float,
+        seq_offset: int,
+    ) -> SensorTuple:
+        """The emitted tuple of one group: ``payload`` (owned) stamped at
+        the window end, at a temporal granularity covering the interval,
+        with the first member's spatial granularity and themes."""
+        first_stamp = first.stamp
+        gran = first_stamp.temporal_granularity
+        covering = self._covering
+        stamp = SttStamp.typed(
+            now,
+            location,
+            covering if covering.is_coarser_than(gran) else gran,
+            first_stamp.spatial_granularity,
+            first_stamp.themes,
+        )
+        return SensorTuple.from_owned(
+            payload,
+            stamp,
+            f"{self.name}({first.source})",
+            self.stats.timer_firings * 1000 + seq_offset,
+        )
 
     def reset(self) -> None:
         super().reset()

@@ -38,7 +38,6 @@ from repro.streams.base import BlockingOperator
 from repro.streams.tuple import SensorTuple
 from repro.streams.windows import TupleCache
 from repro.stt.event import SttStamp
-from repro.stt.granularity import common_spatial, common_temporal
 from repro.stt.spatial import Box, representative_point
 
 
@@ -247,10 +246,11 @@ class JoinOperator(BlockingOperator):
         payload = merge_payloads(
             lt.values(), rt.values(), self.left_prefix, self.right_prefix
         )
-        l_point = representative_point(lt.stamp.location)
-        r_point = representative_point(rt.stamp.location)
+        l_stamp, r_stamp = lt.stamp, rt.stamp
+        l_point = representative_point(l_stamp.location)
+        r_point = representative_point(r_stamp.location)
         if l_point == r_point:
-            location = lt.stamp.location
+            location = l_stamp.location
         else:
             location = Box(
                 south=min(l_point.lat, r_point.lat),
@@ -258,25 +258,19 @@ class JoinOperator(BlockingOperator):
                 north=max(l_point.lat, r_point.lat),
                 east=max(l_point.lon, r_point.lon),
             )
-        themes = lt.stamp.themes + tuple(
-            t for t in rt.stamp.themes if t not in lt.stamp.themes
+        l_themes = l_stamp.themes
+        # The coarser granularity of each pair (the left one on a tie).
+        l_time, r_time = l_stamp.temporal_granularity, r_stamp.temporal_granularity
+        l_space, r_space = l_stamp.spatial_granularity, r_stamp.spatial_granularity
+        stamp = SttStamp.typed(
+            max(l_stamp.time, r_stamp.time),
+            location,
+            r_time if r_time.is_coarser_than(l_time) else l_time,
+            r_space if r_space.is_coarser_than(l_space) else l_space,
+            l_themes + tuple(t for t in r_stamp.themes if t not in l_themes),
         )
-        stamp = SttStamp(
-            time=max(lt.stamp.time, rt.stamp.time),
-            location=location,
-            temporal_granularity=common_temporal(
-                lt.stamp.temporal_granularity, rt.stamp.temporal_granularity
-            ),
-            spatial_granularity=common_spatial(
-                lt.stamp.spatial_granularity, rt.stamp.spatial_granularity
-            ),
-            themes=themes,
-        )
-        out = SensorTuple(
-            payload=payload,
-            stamp=stamp,
-            source=f"{self.name}({lt.source}⋈{rt.source})",
-            seq=seq,
+        out = SensorTuple.from_owned(
+            payload, stamp, f"{self.name}({lt.source}⋈{rt.source})", seq
         )
         if self._pair_log is not None:
             self._pair_log.append((lt, rt))

@@ -68,8 +68,8 @@ class SensorTuple:
     # the data plane; ``dataclasses.replace`` re-enters the generated
     # ``__init__`` and ``__post_init__`` (re-wrapping the payload it just
     # unwrapped), which costs several times a direct field assembly.
+    @staticmethod
     def _clone(
-        self,
         payload: Mapping[str, object],
         stamp: SttStamp,
         source: str,
@@ -84,6 +84,15 @@ class SensorTuple:
         set_(clone, "seq", seq)
         set_(clone, "trace", trace)
         return clone
+
+    @classmethod
+    def from_owned(
+        cls, payload: "dict[str, object]", stamp: SttStamp, source: str, seq: int
+    ) -> "SensorTuple":
+        """A new tuple around a dict the caller just built and transfers
+        ownership of — the constructor minus its defensive copy.  The
+        caller must not mutate ``payload`` afterwards."""
+        return cls._clone(MappingProxyType(payload), stamp, source, seq, None)
 
     def _clone_same_payload(self, stamp, source, trace) -> "SensorTuple":
         clone = self._clone(self.payload, stamp, source, self.seq, trace)
@@ -237,6 +246,12 @@ class TupleBatch:
         return cls(tuples=tuples, source=tuples[0].source if tuples else "")
 
 
+#: Wire size of a value by its exact type.  Every source tuple and every
+#: fused-chain output is sized, so the common types skip the ``isinstance``
+#: ladder below, which remains for ``str`` and for subclasses.
+_FIXED_SIZES = {bool: 1, int: 8, float: 8, type(None): 16}
+
+
 def estimate_size_bytes(tuple_: SensorTuple) -> int:
     """Approximate wire size of a tuple, for link traffic accounting.
 
@@ -252,16 +267,18 @@ def estimate_size_bytes(tuple_: SensorTuple) -> int:
     if cached is not None:
         return cached
     size = 48  # envelope: stamp, source, seq
+    fixed_sizes = _FIXED_SIZES
     for name, value in tuple_.payload.items():
         size += len(name)
-        if isinstance(value, bool):
-            size += 1
-        elif isinstance(value, int):
-            size += 8
-        elif isinstance(value, float):
-            size += 8
+        fixed = fixed_sizes.get(type(value))
+        if fixed is not None:
+            size += fixed
         elif isinstance(value, str):
             size += len(value.encode("utf-8"))
+        elif isinstance(value, bool):
+            size += 1
+        elif isinstance(value, (int, float)):
+            size += 8
         else:
             size += 16
     object.__setattr__(tuple_, "_wire_size", size)

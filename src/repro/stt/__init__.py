@@ -19,7 +19,14 @@ from repro.stt.granularity import (
     common_spatial,
 )
 from repro.stt.temporal import Instant, Interval, Granule, align_instant
-from repro.stt.spatial import Point, Box, GridCell, SpatialObject, grid_cell_for
+from repro.stt.spatial import (
+    Point,
+    Box,
+    GridCell,
+    SpatialObject,
+    cell_index,
+    grid_cell_for,
+)
 from repro.stt.thematic import Theme, ThemeTaxonomy, DEFAULT_TAXONOMY
 from repro.stt.units import Unit, UnitRegistry, DEFAULT_UNITS, convert
 from repro.stt.geo import CoordinateSystem, to_web_mercator, from_web_mercator, haversine_m
@@ -42,6 +49,7 @@ __all__ = [
     "Box",
     "GridCell",
     "SpatialObject",
+    "cell_index",
     "grid_cell_for",
     "Theme",
     "ThemeTaxonomy",

@@ -61,6 +61,33 @@ class SttStamp:
         )
         object.__setattr__(self, "themes", themes)
 
+    @classmethod
+    def typed(
+        cls,
+        time: float,
+        location: SpatialObject,
+        temporal_granularity: TemporalGranularity,
+        spatial_granularity: SpatialGranularity,
+        themes: tuple[Theme, ...],
+    ) -> "SttStamp":
+        """Assemble a stamp from fields that are already typed.
+
+        The constructor resolves granularity names and theme strings on
+        every call; stamp back-fill and the blocking operators build one
+        stamp per tuple from granularity objects and ``Theme`` tuples
+        they already hold (an advertised schema's, another stamp's), so
+        they skip the coercion.  Equal to ``SttStamp(...)`` for such
+        inputs; names and strings must go through the constructor.
+        """
+        stamp = cls.__new__(cls)
+        set_ = object.__setattr__
+        set_(stamp, "time", time)
+        set_(stamp, "location", location)
+        set_(stamp, "temporal_granularity", temporal_granularity)
+        set_(stamp, "spatial_granularity", spatial_granularity)
+        set_(stamp, "themes", themes)
+        return stamp
+
     @property
     def instant(self) -> Instant:
         return Instant(self.time, self.temporal_granularity)

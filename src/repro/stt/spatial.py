@@ -137,8 +137,16 @@ class GridCell:
 SpatialObject = Point | Box | GridCell
 
 
-def grid_cell_for(point: Point, granularity: "str | SpatialGranularity") -> GridCell:
-    """The granularity grid cell containing ``point``.
+def cell_index(
+    lat: float, lon: float, granularity: SpatialGranularity
+) -> tuple[int, int]:
+    """``(row, col)`` of the granularity grid cell containing a valid lat/lon.
+
+    The one implementation of cell assignment: :func:`grid_cell_for`, the
+    Sticker feed and the warehouse's space dimension all call it, so a
+    reading lands in the same cell whichever sink it reaches.  It is plain
+    float arithmetic — no ``GridCell``/``Box`` is built — because sinks
+    call it once per tuple.
 
     The grid uses equal *degree* spacing derived from the granularity's
     nominal cell edge at the equator — a deliberate simplification (the STT
@@ -146,26 +154,33 @@ def grid_cell_for(point: Point, granularity: "str | SpatialGranularity") -> Grid
     grid; the library only needs *consistent* cell assignment, and a uniform
     grid gives identical cells for identical inputs).
     """
-    gran = spatial_granularity(granularity)
-    if gran.cell_meters <= 0:
+    meters = granularity.cell_meters
+    if meters <= 0:
         raise GranularityError("cannot snap to grid at the 'point' granularity")
-    d = gran.cell_meters / METERS_PER_DEG_LAT
-    row = int((point.lat + 90.0) // d)
-    col = int((point.lon + 180.0) // d)
-    cell = GridCell(gran, row, col)
-    # Floating-point boundary cases: nudge so the cell always contains the
-    # point (bounds are computed with slightly different arithmetic).
-    bounds = cell.bounds()
-    if point.lat < bounds.south:
-        cell = GridCell(gran, row - 1, col)
-    elif point.lat > bounds.north:
-        cell = GridCell(gran, row + 1, col)
-    bounds = cell.bounds()
-    if point.lon < bounds.west:
-        cell = GridCell(gran, cell.row, col - 1)
-    elif point.lon > bounds.east:
-        cell = GridCell(gran, cell.row, col + 1)
-    return cell
+    d = meters / METERS_PER_DEG_LAT
+    row = int((lat + 90.0) // d)
+    col = int((lon + 180.0) // d)
+    # Floating-point boundary cases: the floor division and the grid lines
+    # of GridCell.bounds (``-90 + k*d``) round differently, so nudge until
+    # the cell's bounds contain the point.  For a valid lat/lon the clamps
+    # bounds() applies at the poles and the antimeridian never change the
+    # outcome of these comparisons.
+    if lat < -90.0 + row * d:
+        row -= 1
+    elif lat > -90.0 + (row + 1) * d:
+        row += 1
+    if lon < -180.0 + col * d:
+        col -= 1
+    elif lon > -180.0 + (col + 1) * d:
+        col += 1
+    return row, col
+
+
+def grid_cell_for(point: Point, granularity: "str | SpatialGranularity") -> GridCell:
+    """The granularity grid cell containing ``point`` (see :func:`cell_index`)."""
+    gran = spatial_granularity(granularity)
+    row, col = cell_index(point.lat, point.lon, gran)
+    return GridCell(gran, row, col)
 
 
 def coarsen(

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from repro.errors import WarehouseError
 from repro.stt.granularity import (
+    SpatialGranularity,
+    TemporalGranularity,
     spatial_granularity,
     temporal_granularity,
 )
@@ -19,7 +21,7 @@ from repro.stt.spatial import (
     GridCell,
     Point,
     SpatialObject,
-    grid_cell_for,
+    cell_index,
     representative_point,
 )
 from repro.stt.temporal import align_instant
@@ -27,7 +29,12 @@ from repro.stt.thematic import Theme
 
 
 class _Interning:
-    """Member -> surrogate key interning shared by all dimensions."""
+    """Member -> surrogate key interning shared by all dimensions.
+
+    ``_keys`` is looked up by a member's plain hashable *identity* — the
+    member itself for themes and sources, a tuple of its fields for time
+    and space granules, so the per-row hit path builds no member object.
+    """
 
     def __init__(self) -> None:
         self._keys: dict[object, int] = {}
@@ -36,9 +43,12 @@ class _Interning:
     def intern(self, member: object) -> int:
         key = self._keys.get(member)
         if key is None:
-            key = len(self._members)
-            self._keys[member] = key
-            self._members.append(member)
+            key = self._add(member, member)
+        return key
+
+    def _add(self, identity: object, member: object) -> int:
+        key = self._keys[identity] = len(self._members)
+        self._members.append(member)
         return key
 
     def member(self, key: int) -> object:
@@ -62,9 +72,15 @@ class TimeMember:
 class TimeDimension(_Interning):
     """Granule members along the temporal granularity chain."""
 
-    def key_for(self, time: float, granularity: "str") -> int:
+    def key_for(
+        self, time: float, granularity: "str | TemporalGranularity"
+    ) -> int:
         gran = temporal_granularity(granularity)
-        return self.intern(TimeMember(gran.name, align_instant(time, gran)))
+        identity = (gran.name, align_instant(time, gran))
+        key = self._keys.get(identity)
+        if key is None:
+            key = self._add(identity, TimeMember(*identity))
+        return key
 
     def member(self, key: int) -> TimeMember:  # narrowed return type
         return super().member(key)  # type: ignore[return-value]
@@ -79,6 +95,9 @@ class SpaceMember:
     col: int
 
 
+_BLOCK = spatial_granularity("block")
+
+
 class SpaceDimension(_Interning):
     """Cell members along the spatial granularity chain.
 
@@ -86,13 +105,19 @@ class SpaceDimension(_Interning):
     (``block``) so every fact lands in some cell.
     """
 
-    def key_for(self, location: SpatialObject, granularity: "str") -> int:
+    def key_for(
+        self, location: SpatialObject, granularity: "str | SpatialGranularity"
+    ) -> int:
         gran = spatial_granularity(granularity)
         if gran.cell_meters <= 0:
-            gran = spatial_granularity("block")
+            gran = _BLOCK
         point = representative_point(location)
-        cell = grid_cell_for(point, gran)
-        return self.intern(SpaceMember(cell.granularity.name, cell.row, cell.col))
+        row, col = cell_index(point.lat, point.lon, gran)
+        identity = (gran.name, row, col)
+        key = self._keys.get(identity)
+        if key is None:
+            key = self._add(identity, SpaceMember(*identity))
+        return key
 
     def member(self, key: int) -> SpaceMember:
         return super().member(key)  # type: ignore[return-value]

@@ -46,43 +46,51 @@ class EventWarehouse:
         With ``value_attribute``, only that attribute becomes a measure
         (the sink's projection); otherwise every numeric attribute does.
         """
-        measures: dict[str, float] = {}
-        attributes: dict[str, object] = {}
-        for name, value in tuple_.payload.items():
-            if value_attribute is not None and name != value_attribute:
-                attributes[name] = value
-                continue
-            if isinstance(value, bool):
-                attributes[name] = value
-            elif isinstance(value, (int, float)):
-                measures[name] = float(value)
-            elif value is None:
-                continue
-            else:
-                attributes[name] = value
-        if value_attribute is not None and value_attribute not in measures:
-            self.rejected += 1
-            return None
-        if not measures and not attributes:
-            self.rejected += 1
-            return None
+        payload = tuple_.payload
+        if value_attribute is not None:
+            # The sink's projection: one measure, everything else kept
+            # verbatim as attributes.
+            value = payload.get(value_attribute)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                self.rejected += 1
+                return None
+            measures = {value_attribute: float(value)}
+            attributes = dict(payload)
+            del attributes[value_attribute]
+        else:
+            measures = {}
+            attributes = {}
+            for name, value in payload.items():
+                # Exact types first; the isinstance ladder is for
+                # subclasses (numpy floats) and everything else.
+                kind = type(value)
+                if kind is float:
+                    measures[name] = value
+                elif kind is str:
+                    attributes[name] = value
+                elif kind is int:
+                    measures[name] = float(value)
+                elif isinstance(value, bool):
+                    attributes[name] = value
+                elif isinstance(value, (int, float)):
+                    measures[name] = float(value)
+                elif value is not None:
+                    attributes[name] = value
+            if not measures and not attributes:
+                self.rejected += 1
+                return None
 
         stamp = tuple_.stamp
-        fact = EventFact(
-            fact_id=len(self.facts),
-            time_key=self.time_dim.key_for(
-                stamp.time, stamp.temporal_granularity.name
-            ),
-            space_key=self.space_dim.key_for(
-                stamp.location, stamp.spatial_granularity.name
-            ),
-            source_key=self.source_dim.key_for(tuple_.source),
-            theme_keys=tuple(
-                self.theme_dim.key_for(theme) for theme in stamp.themes
-            ),
-            measures=measures,
-            attributes=attributes,
-            event_time=stamp.time,
+        time = stamp.time
+        fact = EventFact(  # positionally, in field order: one call per row
+            len(self.facts),
+            self.time_dim.key_for(time, stamp.temporal_granularity),
+            self.space_dim.key_for(stamp.location, stamp.spatial_granularity),
+            self.source_dim.key_for(tuple_.source),
+            tuple(map(self.theme_dim.key_for, stamp.themes)),
+            measures,
+            attributes,
+            time,
         )
         self.facts.append(fact)
         self.loaded += 1

@@ -13,7 +13,7 @@ from repro.runtime.backends import live_backends
 from repro.schema.schema import StreamSchema
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from repro.stt.spatial import Box, GridCell, Point
 
 
 def pytest_addoption(parser):
@@ -134,6 +134,71 @@ def make_tuple():
         )
 
     return factory
+
+
+@pytest.fixture
+def mixed_stream() -> "list[SensorTuple]":
+    """A stream exercising every branch a sink's per-tuple path has.
+
+    Point, Box and GridCell locations; one, several and no themes; bool,
+    None, str, int, float and float-subclass payload values; readings with
+    and without the ``reading`` attribute, an all-None and an empty
+    payload; and one moving sensor that reports 10^4 distinct locations.
+    """
+    import numpy as np
+
+    locations = [
+        Point(34.69, 135.50),
+        Point(90.0, 180.0),
+        Point(-90.0, -180.0),
+        Box(south=34.5, west=135.2, north=34.9, east=135.8),
+        GridCell("city", 693, 1756),
+    ]
+    theme_sets = [
+        ("weather/rain",),
+        ("weather/rain", "disaster/flood"),
+        (),
+        ("social/twitter",),
+    ]
+    payloads = [
+        {"reading": 2.5, "station": "umeda", "ok": True},
+        {"reading": 3, "note": None, "station": "namba"},
+        {"reading": np.float64(1.25), "retweets": 7},
+        {"reading": True, "level": 0.5},
+        {"reading": "n/a", "level": 4},
+        {"reading": None, "station": "tenma"},
+        {"text": "heavy rain", "user": "u1"},
+        {"only": None},
+        {},
+    ]
+    granularities = [("second", "point"), ("hour", "city"), ("month", "district")]
+    stream = []
+    for i in range(len(locations) * len(theme_sets) * len(payloads)):
+        temporal, spatial = granularities[i % len(granularities)]
+        stream.append(SensorTuple(
+            payload=payloads[i % len(payloads)],
+            stamp=SttStamp(
+                time=i * 977.0,
+                location=locations[i % len(locations)],
+                temporal_granularity=temporal,
+                spatial_granularity=spatial,
+                themes=theme_sets[i % len(theme_sets)],
+            ),
+            source=f"sensor-{i % 7}" if i % 11 else "",
+            seq=i,
+        ))
+    for i in range(10_000):
+        stream.append(SensorTuple(
+            payload={"reading": i * 0.125, "station": "bus-12"},
+            stamp=SttStamp(
+                time=500_000.0 + i,
+                location=Point(34.0 + i * 1e-4, 135.0 + i * 2e-4),
+                themes=("mobility/traffic",),
+            ),
+            source="bus-12",
+            seq=i,
+        ))
+    return stream
 
 
 @pytest.fixture

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from repro.stt.geo import LocalGrid, from_web_mercator, haversine_m, to_web_mercator
 from repro.stt.granularity import (
+    SPATIAL_GRANULARITIES,
     TEMPORAL_GRANULARITIES,
     common_temporal,
     temporal_granularity,
 )
-from repro.stt.spatial import Point, grid_cell_for
+from repro.stt.spatial import (
+    METERS_PER_DEG_LAT,
+    GridCell,
+    Point,
+    cell_index,
+    grid_cell_for,
+)
 from repro.stt.temporal import align_instant, granule_index
 from repro.stt.units import DEFAULT_UNITS
 
@@ -61,7 +68,62 @@ class TestTemporalAlignment:
         assert top.name in [temporal_granularity(g).name for g in grans]
 
 
+GRIDDED = [g for g in SPATIAL_GRANULARITIES.values() if g.cell_meters > 0]
+
+
+@st.composite
+def grid_points(draw):
+    """A gridded granularity and a valid lat/lon: anywhere on the globe,
+    a pole / the antimeridian, or exactly on one of the grid's lines."""
+    gran = draw(st.sampled_from(GRIDDED))
+    d = gran.cell_meters / METERS_PER_DEG_LAT
+
+    def axis(low, high):
+        on_line = st.integers(0, int((high - low) / d)).map(
+            lambda k: min(high, low + k * d)
+        )
+        return st.one_of(
+            st.floats(min_value=low, max_value=high, allow_nan=False),
+            st.sampled_from([low, high, 0.0]),
+            on_line,
+        )
+
+    return gran, draw(axis(-90.0, 90.0)), draw(axis(-180.0, 180.0))
+
+
+def _reference_cell(lat, lon, gran):
+    """Cell assignment the slow way: floor, then move to the neighbour
+    whose ``bounds()`` contain the point."""
+    d = gran.cell_meters / METERS_PER_DEG_LAT
+    row, col = int((lat + 90.0) // d), int((lon + 180.0) // d)
+    bounds = GridCell(gran, row, col).bounds()
+    if lat < bounds.south:
+        row -= 1
+    elif lat > bounds.north:
+        row += 1
+    if lon < bounds.west:
+        col -= 1
+    elif lon > bounds.east:
+        col += 1
+    return row, col
+
+
 class TestSpatialGrid:
+    @settings(max_examples=500)
+    @given(grid_points())
+    def test_cell_index_contains_point_and_is_the_only_assignment(self, drawn):
+        gran, lat, lon = drawn
+        row, col = cell_index(lat, lon, gran)
+        point = Point(lat, lon)
+        assert GridCell(gran, row, col).bounds().contains(point)
+        cell = grid_cell_for(point, gran)
+        assert (cell.row, cell.col) == (row, col)
+        assert _reference_cell(lat, lon, gran) == (row, col)
+
+    def test_cell_index_pinned(self):
+        district = SPATIAL_GRANULARITIES["district"]
+        assert cell_index(34.6, 135.4, district) == (13870, 35110)
+
     @given(lats, lons)
     def test_cell_contains_point(self, lat, lon):
         point = Point(lat, lon)

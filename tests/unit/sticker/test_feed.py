@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.errors import StreamLoaderError
+from repro.errors import GranularityError, StreamLoaderError
 from repro.sticker.feed import StickerFeed
+from repro.stt.spatial import grid_cell_for, representative_point
 
 
 class TestBinning:
@@ -45,6 +46,50 @@ class TestBinning:
     def test_invalid_bucket_raises(self):
         with pytest.raises(StreamLoaderError):
             StickerFeed(bucket_seconds=0.0)
+
+    @pytest.mark.parametrize("name", ["point", "nonsense"])
+    def test_unusable_cell_granularity_raises_at_construction(self, name):
+        with pytest.raises(GranularityError):
+            StickerFeed(cell_granularity=name)
+
+
+def _reference_bins(stream, bucket_seconds, cell_granularity):
+    """What the feed must hold, computed the obvious way."""
+    bins = {}
+    for tuple_ in stream:
+        bucket = int(tuple_.stamp.time // bucket_seconds)
+        cell = grid_cell_for(
+            representative_point(tuple_.stamp.location), cell_granularity
+        )
+        themes = [theme.path for theme in tuple_.stamp.themes] or ["(untagged)"]
+        for theme in themes:
+            key = (bucket * bucket_seconds, cell.row, cell.col, theme)
+            count, sums, counts = bins.get(key, (0, {}, {}))
+            for name, value in tuple_.payload.items():
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    sums[name] = sums.get(name, 0.0) + float(value)
+                    counts[name] = counts.get(name, 0) + 1
+            bins[key] = (count + 1, sums, counts)
+    return bins
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("granularity", ["district", "city"])
+    def test_mixed_stream_bins_equal_reference(self, mixed_stream, granularity):
+        feed = StickerFeed(bucket_seconds=1800.0, cell_granularity=granularity)
+        for tuple_ in mixed_stream:
+            feed.push(tuple_)
+        got = {
+            (b.bucket_start, b.row, b.col, b.theme):
+                (b.count, b.numeric_sums, b.numeric_counts)
+            for b in feed.bins()
+        }
+        assert feed.pushed == len(mixed_stream)
+        assert got == _reference_bins(mixed_stream, 1800.0, granularity)
+        assert all(
+            type(total) is float
+            for _, sums, _ in got.values() for total in sums.values()
+        )
 
 
 class TestSeries:

@@ -80,6 +80,39 @@ class TestSizeEstimate:
         empty = SensorTuple(payload={}, stamp=SttStamp(0.0, Point(0, 0)))
         assert estimate_size_bytes(empty) >= 48
 
+    def test_size_by_value_type_including_subclasses(self):
+        import numpy as np
+
+        class Label(str):
+            pass
+
+        class Count(int):
+            pass
+
+        sizes = [  # (value, bytes beyond the 1-byte name)
+            (True, 1), (7, 8), (2.5, 8), ("héllo", 6), (None, 16), ((1, 2), 16),
+            (np.float64(2.5), 8), (np.int64(7), 16), (Label("abc"), 3),
+            (Count(7), 8),
+        ]
+        for value, expected in sizes:
+            tuple_ = SensorTuple(
+                payload={"v": value}, stamp=SttStamp(0.0, Point(0, 0))
+            )
+            assert estimate_size_bytes(tuple_) == 48 + 1 + expected, value
+
+
+class TestFromOwned:
+    def test_equals_constructor_and_owns_the_dict(self, make_tuple):
+        stamp = make_tuple(0).stamp
+        payload = {"temperature": 21.0, "station": "umeda"}
+        built = SensorTuple(payload=payload, stamp=stamp, source="s", seq=4)
+        owned = SensorTuple.from_owned(payload, stamp, "s", 4)
+        assert owned == built and owned.trace is None
+        assert owned.stamp is stamp
+        with pytest.raises(TypeError):
+            owned.payload["temperature"] = 0.0
+        assert estimate_size_bytes(owned) == estimate_size_bytes(built)
+
 
 class TestBatchSizeMemo:
     def test_batch_size_is_memoized_on_the_envelope(self, make_tuple):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import GranularityError
 from repro.stt.event import Event, SttStamp
+from repro.stt.granularity import spatial_granularity, temporal_granularity
 from repro.stt.spatial import GridCell, Point
+from repro.stt.thematic import Theme
 
 
 @pytest.fixture
@@ -33,6 +35,21 @@ class TestSttStamp:
 
     def test_string_themes_coerced(self, stamp):
         assert stamp.themes[0].path == "weather/rain"
+
+    def test_typed_path_equals_constructor_for_typed_inputs(self):
+        hour = temporal_granularity("hour")
+        city = spatial_granularity("city")
+        themes = (Theme("weather/rain"), Theme("disaster/flood"))
+        for location in (Point(34.69, 135.50), GridCell(city, 693, 1756)):
+            built = SttStamp(3725.0, location, hour, city, themes)
+            typed = SttStamp.typed(3725.0, location, hour, city, themes)
+            assert typed == built and hash(typed) == hash(built)
+            assert repr(typed) == repr(built)
+            assert typed.temporal_granularity is hour
+            assert typed.themes is themes
+            assert typed.coarsened(temporal="day") == built.coarsened(temporal="day")
+            with pytest.raises(AttributeError):
+                typed.time = 0.0  # still frozen
 
     def test_has_theme_matches_super_and_sub(self, stamp):
         assert stamp.has_theme("weather")

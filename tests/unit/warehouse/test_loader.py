@@ -1,5 +1,10 @@
 """Unit tests for the warehouse loader."""
 
+import pytest
+
+from repro.stt.spatial import grid_cell_for, representative_point
+from repro.stt.temporal import align_instant
+from repro.warehouse.dimensions import SpaceMember, TimeMember
 from repro.warehouse.loader import EventWarehouse
 
 
@@ -62,3 +67,82 @@ class TestLoad:
         warehouse = EventWarehouse()
         fact = warehouse.load(make_tuple(0, time=3725.5))
         assert fact.event_time == 3725.5
+
+
+class _ReferenceWarehouse:
+    """The load path written the obvious way: build each dimension member,
+    intern it in first-seen order, append the fact as a plain tuple."""
+
+    def __init__(self):
+        #: dimension -> {member: key}, keys dense in first-seen order.
+        self.members = {"time": {}, "space": {}, "source": {}, "theme": {}}
+        self.facts = []
+        self.rejected = 0
+
+    def _key(self, dimension, member):
+        members = self.members[dimension]
+        return members.setdefault(member, len(members))
+
+    def load(self, tuple_, value_attribute):
+        measures, attributes = {}, {}
+        for name, value in tuple_.payload.items():
+            if value_attribute is not None and name != value_attribute:
+                attributes[name] = value
+            elif isinstance(value, bool):
+                attributes[name] = value
+            elif isinstance(value, (int, float)):
+                measures[name] = float(value)
+            elif value is not None:
+                attributes[name] = value
+        if value_attribute is not None and value_attribute not in measures:
+            self.rejected += 1
+            return
+        if not measures and not attributes:
+            self.rejected += 1
+            return
+        stamp = tuple_.stamp
+        spatial = stamp.spatial_granularity
+        if spatial.cell_meters <= 0:
+            spatial = "block"
+        cell = grid_cell_for(representative_point(stamp.location), spatial)
+        temporal = stamp.temporal_granularity
+        self.facts.append((
+            len(self.facts),
+            self._key("time", TimeMember(
+                temporal.name, align_instant(stamp.time, temporal))),
+            self._key("space", SpaceMember(
+                cell.granularity.name, cell.row, cell.col)),
+            self._key("source", tuple_.source or "(unknown)"),
+            tuple(self._key("theme", theme.path) for theme in stamp.themes),
+            measures,
+            attributes,
+            stamp.time,
+        ))
+
+
+class TestReferenceEquivalence:
+    @pytest.mark.parametrize("value_attribute", [None, "reading"])
+    def test_mixed_stream_equals_reference(self, mixed_stream, value_attribute):
+        warehouse = EventWarehouse()
+        reference = _ReferenceWarehouse()
+        for tuple_ in mixed_stream:
+            warehouse.load(tuple_, value_attribute=value_attribute)
+            reference.load(tuple_, value_attribute)
+        assert warehouse.rejected == reference.rejected > 0
+        assert warehouse.loaded == len(reference.facts)
+        got = [
+            (f.fact_id, f.time_key, f.space_key, f.source_key, f.theme_keys,
+             f.measures, f.attributes, f.event_time)
+            for f in warehouse.facts
+        ]
+        assert got == reference.facts
+        assert all(
+            type(v) is float for f in warehouse.facts for v in f.measures.values()
+        )
+        for name, dim in (("time", warehouse.time_dim),
+                          ("space", warehouse.space_dim),
+                          ("source", warehouse.source_dim),
+                          ("theme", warehouse.theme_dim)):
+            assert [dim.member(k) for k in range(len(dim))] == list(
+                reference.members[name]
+            )
