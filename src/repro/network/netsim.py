@@ -299,8 +299,8 @@ class NetworkSimulator:
         The seam between routing (shared by every backend: route lookup,
         QoS admission, link accounting, stats) and delivery.  Here the
         message becomes a clock event that fires :meth:`_deliver` after
-        ``delay``; the asyncio backend overrides this to land the message
-        in the target node's bounded queue at the same virtual instant.
+        ``delay`` — on the asyncio backend too, whose processes sit behind
+        mailboxes that ``on_delivery`` submits to.
         """
         self.clock.schedule(
             delay, lambda: self._deliver(message, on_delivery, on_drop)

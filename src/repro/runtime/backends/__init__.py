@@ -39,8 +39,8 @@ def backend_from_name(
 ) -> ExecutionBackend:
     """Construct a backend by CLI name (``sim`` or ``async``).
 
-    ``kwargs`` (``time_scale``, ``max_wall``, capacities) only apply to
-    the async backend; the simulator takes none.
+    ``kwargs`` (``time_scale``, ``max_wall``, ``mailbox_capacity``) only
+    apply to the async backend; the simulator takes none.
     """
     if name == "sim":
         return SimBackend(topology=topology)

@@ -1,12 +1,14 @@
 """The asyncio backend: wall-clock execution with the sim as its oracle.
 
 Every :class:`~repro.runtime.process.OperatorProcess` becomes an asyncio
-task draining a bounded mailbox; every network message crosses a bounded
-per-node queue drained by that node's pump task.  Full queues suspend the
-producing coroutine (``await queue.put``), so backpressure propagates
-upstream instead of dropping tuples.  Node death cancels the hosted
-tasks; the heartbeat detector, checkpoint restore and shard-merge
-punctuation all run unchanged on top.
+task draining a bounded mailbox — the only queue on the data path.  A
+network delivery is the simulator's own clock event, so
+``NetworkSimulator._deliver`` (node-down drop, stats, tracer) runs
+unchanged at the message's logical instant and hands the payload to the
+target process's mailbox.  A full mailbox suspends the posting coroutine,
+so backpressure propagates upstream instead of dropping tuples.  Node
+death cancels the hosted tasks; the heartbeat detector, checkpoint
+restore and shard-merge punctuation all run unchanged on top.
 
 **Epoch-barrier execution.**  Timers and message deliveries keep their
 *logical* instants: the clock is the same deadline heap as the simulator
@@ -15,26 +17,28 @@ and the driver advances one deadline ("epoch") at a time —
 
 1. optionally sleep on the wall clock until the epoch is due
    (``time_scale`` virtual seconds per wall second; ``None`` free-runs),
-2. fire every callback scheduled at exactly that instant, in the
-   simulator's (time, sequence) order,
-3. flush the deliveries those callbacks staged into the bounded queues,
-4. **drain**: await quiescence (every queue empty, every task idle)
-   before the next epoch may begin.
+2. fire every callback scheduled at exactly that instant — timers and
+   deliveries alike — in the simulator's (time, sequence) order,
+3. post what those callbacks submitted into the process mailboxes
+   (one task wake per process, however many messages it got),
+4. **barrier**: wait until nothing is in flight (every mailbox empty,
+   every task parked) before the next epoch may begin — an epoch that
+   submitted nothing skips 3 and 4 and never touches the event loop.
 
-Inside an epoch, deliveries and operator work run concurrently across
-tasks in whatever order the event loop schedules them — that is the
-genuinely asynchronous (and nondeterministic) part.  Across epochs,
-``clock.now`` reports logical deadlines, so emission stamps, window
-contents, flush instants, retry backoff times and QoS drop decisions are
-identical to the simulator's.  The parity suite exploits exactly this
-split: sink *multisets* match the sim byte for byte while sink *order*
-may not.
+Inside an epoch, the woken processes run concurrently in whatever order
+the event loop schedules them — that is the genuinely asynchronous (and
+nondeterministic) part.  Across epochs, ``clock.now`` reports logical
+deadlines, so emission stamps, window contents, flush instants, retry
+backoff times and QoS drop decisions are identical to the simulator's.
+The parity suite exploits exactly this split: sink *multisets* match the
+sim byte for byte while sink *order* may not.
 
-Known caveat (documented in DESIGN.md §17): a timer scheduled at the
-same float instant as a *local* (zero-delay) delivery runs before it
-here, whereas the simulator interleaves both by sequence number.  None
-of the shipped scenarios create that shape; the parity suite would catch
-one that did.
+Known caveat (DESIGN.md §17): deliveries fire in sequence order with
+same-instant timers, but a *process* handles a delivered message only
+after all of that instant's callbacks ran (the simulator handles it
+inline), so a flush timer at the same float instant as a delivery runs
+before the process sees the message.  No shipped scenario creates that
+shape; the parity suite would catch one that did.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ import asyncio
 import heapq
 import time as _wall
 import weakref
-from typing import Callable
+from collections import deque
 
 from repro.errors import SimulationError
-from repro.network.netsim import Message, NetworkSimulator
+from repro.network.netsim import NetworkSimulator
 from repro.network.qos import QosPolicy
 from repro.network.simclock import SimClock
 from repro.network.topology import Topology
@@ -143,14 +147,14 @@ class AsyncClock(SimClock):
 
 
 class AsyncTransport(NetworkSimulator):
-    """The NetworkSimulator protocol over the backend's bounded queues.
+    """The NetworkSimulator protocol in front of the backend's mailboxes.
 
-    Routing, QoS admission, link accounting, traffic stats, tracing and
-    every drop reason are inherited from the simulator; only
-    :meth:`_schedule_delivery` differs — the message lands in the target
-    node's bounded queue at its logical delivery instant and the node's
-    pump task delivers it, dropping it with the simulator's exact reason
-    string if the node died in flight.  Processes, the broker and the
+    Everything is inherited from the simulator — routing, QoS admission,
+    link accounting, traffic stats, tracing, every drop reason, and the
+    delivery itself: a message is a clock event that fires ``_deliver``
+    at its logical instant.  The only difference sits behind
+    ``on_delivery``: a hosted process's ``receive`` submits to its
+    mailbox instead of running inline.  Processes, the broker and the
     monitor run against this object unmodified.
     """
 
@@ -166,17 +170,16 @@ class AsyncTransport(NetworkSimulator):
         super().__init__(topology=topology, clock=clock, default_qos=default_qos)
         self._backend = backend
 
-    def _schedule_delivery(
-        self,
-        message: Message,
-        delay: float,
-        on_delivery: Callable[[object], None],
-        on_drop: "Callable[[Message, str], None] | None",
-    ) -> None:
-        self.clock.schedule(
-            delay,
-            lambda: self._backend._stage_link(message, on_delivery, on_drop),
-        )
+    def backend_health(self) -> dict:
+        """Queue health for ``Monitor.report()`` (async backend only)."""
+        backend = self._backend
+        return {
+            "backpressure_stalls": backend.backpressure_stalls,
+            "mailbox_high_water": {
+                host.process.process_id: host.high_water
+                for host in backend._hosts.values()
+            },
+        }
 
     # -- process-host hooks (duck-typed by OperatorProcess) ------------------
 
@@ -193,10 +196,10 @@ class AsyncTransport(NetworkSimulator):
     def kill_node(self, node_id: str) -> None:
         """Fail the node *and* cancel the tasks of processes hosted on it.
 
-        The node's pump keeps running: messages already queued (or still
-        in flight) reach ``_deliver`` and are dropped there with the
-        simulator's "target node ... is down" reason, so the broker's
-        retry/dead-letter path behaves identically on both backends.
+        Messages still in flight reach ``_deliver`` at their instant and
+        are dropped there with the simulator's "target node ... is down"
+        reason, so the broker's retry/dead-letter path behaves
+        identically on both backends.
         """
         super().kill_node(node_id)
         self._backend._cancel_node_hosts(node_id)
@@ -209,36 +212,43 @@ class AsyncTransport(NetworkSimulator):
 class _ProcessHost:
     """One hosted process: a bounded mailbox drained by one asyncio task."""
 
-    __slots__ = ("backend", "process", "inbox", "task", "alive",
-                 "receive", "receive_batch")
+    __slots__ = ("backend", "process", "inbox", "parked", "room", "task",
+                 "alive", "high_water", "receive", "receive_batch")
 
-    def __init__(self, backend: "AsyncBackend", process, capacity: int) -> None:
+    def __init__(self, backend: "AsyncBackend", process) -> None:
         self.backend = backend
         self.process = process
-        self.inbox: "asyncio.Queue" = asyncio.Queue(maxsize=capacity)
+        self.inbox: deque = deque()
+        #: The future the task sleeps on while its mailbox is empty.
+        self.parked: "asyncio.Future | None" = None
+        #: Futures of posters waiting for room in a full mailbox.
+        self.room: "deque[asyncio.Future]" = deque()
         self.task: "asyncio.Task | None" = None
         self.alive = False
+        #: Deepest the mailbox has been (``Monitor.report()``).
+        self.high_water = 0
         # Original bound methods; the instance attributes installed by
         # host_process shadow them so wiring closures (which look the
-        # method up late) enqueue into the mailbox instead.
+        # method up late) submit to the mailbox instead.
         self.receive = process.receive
         self.receive_batch = process.receive_batch
 
+    def grant_room(self) -> None:
+        """Wake the longest-waiting poster (skipping cancelled ones)."""
+        room = self.room
+        while room:
+            waiter = room.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+
     def submit(self, tuple_, port: int = 0) -> None:
-        self.backend._stage_mail(self, (False, tuple_, port))
+        if self.alive:  # else its node died; the simulator loses these too
+            self.backend._staged_mail.append((self, (False, tuple_, port)))
 
     def submit_batch(self, batch, port: int = 0) -> None:
-        self.backend._stage_mail(self, (True, batch, port))
-
-
-class _NodePump:
-    """One network node's bounded link queue and its pump task."""
-
-    __slots__ = ("queue", "task")
-
-    def __init__(self, capacity: int) -> None:
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=capacity)
-        self.task: "asyncio.Task | None" = None
+        if self.alive:
+            self.backend._staged_mail.append((self, (True, batch, port)))
 
 
 class AsyncBackend(ExecutionBackend):
@@ -251,8 +261,7 @@ class AsyncBackend(ExecutionBackend):
             free-runs — epochs fire as fast as quiescence allows; a
             positive value paces each epoch against the wall clock
             (``time_scale=60`` runs a virtual minute per real second).
-        link_capacity: bound of each per-node network queue.
-        mailbox_capacity: bound of each hosted process's mailbox.
+        mailbox_capacity: bound of each hosted process's mailbox (>= 1).
         max_wall: optional wall-clock budget (seconds) per ``run_until``
             call; exceeding it raises instead of hanging — the test
             plane's no-hang guarantee.
@@ -266,14 +275,16 @@ class AsyncBackend(ExecutionBackend):
         default_qos: "QosPolicy | None" = None,
         *,
         time_scale: "float | None" = None,
-        link_capacity: int = 256,
         mailbox_capacity: int = 256,
         max_wall: "float | None" = None,
     ) -> None:
         if time_scale is not None and time_scale <= 0:
             time_scale = None  # 0 / negative: free-run (the CLI default)
+        if mailbox_capacity < 1:
+            raise SimulationError(
+                f"mailbox_capacity must be at least 1, got {mailbox_capacity}"
+            )
         self.time_scale = time_scale
-        self.link_capacity = link_capacity
         self.mailbox_capacity = mailbox_capacity
         self.max_wall = max_wall
         self.clock = AsyncClock()
@@ -283,21 +294,19 @@ class AsyncBackend(ExecutionBackend):
         )
         self.topology = self.transport.topology
         self.closed = False
-        #: Times a producer found its target queue full and had to wait —
+        #: Times a poster found its target mailbox full and had to wait —
         #: the observable proof that backpressure stalls instead of drops.
         self.backpressure_stalls = 0
         self._loop = asyncio.new_event_loop()
-        self._pumps: dict[str, _NodePump] = {}
         self._hosts: dict[int, _ProcessHost] = {}
-        #: Deliveries whose logical instant arrived this epoch, awaiting
-        #: their queue put (staged by clock callbacks, flushed by the
-        #: driver so the put can suspend on a full queue).
-        self._staged_links: list = []
-        #: Mailbox submissions staged by patched ``receive`` calls inside
-        #: a synchronous dispatch; the enclosing coroutine awaits them.
+        #: Mailbox submissions made by shadowed ``receive`` calls inside a
+        #: synchronous dispatch (an epoch's callbacks, or a process
+        #: handling a message); the enclosing coroutine posts them.
         self._staged_mail: list = []
+        #: Messages posted to a mailbox and not yet fully handled.
         self._inflight = 0
-        self._quiet: "asyncio.Event | None" = None
+        #: The epoch barrier: set when ``_inflight`` returns to zero.
+        self._quiet: "asyncio.Future | None" = None
         self._reap: "list[asyncio.Task]" = []
         self._wall_base: "float | None" = None
         self._logical_base = 0.0
@@ -309,14 +318,14 @@ class AsyncBackend(ExecutionBackend):
         """Give ``process`` a mailbox and an asyncio task.
 
         ``process.receive`` / ``receive_batch`` are shadowed by instance
-        attributes that enqueue into the mailbox; the task dispatches via
+        attributes that submit to the mailbox; the task dispatches via
         the original bound methods, so liveness checks, work accounting
         and forwarding are untouched.
         """
         key = id(process)
         if key in self._hosts:
             return
-        host = _ProcessHost(self, process, self.mailbox_capacity)
+        host = _ProcessHost(self, process)
         self._hosts[key] = host
         process.receive = host.submit
         process.receive_batch = host.submit_batch
@@ -324,6 +333,7 @@ class AsyncBackend(ExecutionBackend):
 
     def _start_host(self, host: _ProcessHost) -> None:
         host.alive = True
+        host.parked = None  # a killed task leaves its cancelled future here
         host.task = self._loop.create_task(self._host_loop(host))
 
     def _ensure_hosted(self, process) -> None:
@@ -351,9 +361,12 @@ class AsyncBackend(ExecutionBackend):
         # Mailbox tuples die with the task: they were delivered but not
         # yet processed — the same post-delivery loss the checkpoint
         # recovery bound documents for the simulator.
-        while not host.inbox.empty():
-            host.inbox.get_nowait()
-            self._dec()
+        lost = len(host.inbox)
+        host.inbox.clear()
+        self._handled(lost)
+        # Posters waiting for room wake, see the host dead and skip.
+        while host.room:
+            host.grant_room()
 
     def _cancel_node_hosts(self, node_id: str) -> None:
         for host in self._hosts.values():
@@ -365,110 +378,78 @@ class AsyncBackend(ExecutionBackend):
             if host.process.node_id == node_id and not host.alive:
                 self._start_host(host)
 
-    # -- staging / quiescence accounting -------------------------------------
+    # -- mailboxes / quiescence accounting -----------------------------------
 
-    def _stage_link(self, message, on_delivery, on_drop) -> None:
-        self._staged_links.append((message, on_delivery, on_drop))
-
-    def _stage_mail(self, host: _ProcessHost, item) -> None:
-        if not host.alive:
-            return  # its node died; the simulator loses these tuples too
-        self._staged_mail.append((host, item))
-
-    def _dec(self) -> None:
-        self._inflight -= 1
-        if self._inflight == 0 and self._quiet is not None:
-            self._quiet.set()
-
-    async def _put(self, queue: "asyncio.Queue", item) -> None:
-        """Bounded put, counted in flight from before the (possible) wait.
-
-        Counting first means the drain barrier can never observe zero
-        while a put is suspended on a full queue.
-        """
-        if queue.full():
-            self.backpressure_stalls += 1
-        self._inflight += 1
-        try:
-            await queue.put(item)
-        except asyncio.CancelledError:
-            self._dec()
-            raise
+    def _handled(self, count: int = 1) -> None:
+        """``count`` posted messages left flight; release the barrier at 0."""
+        self._inflight -= count
+        quiet = self._quiet
+        if quiet is not None and self._inflight == 0:
+            self._quiet = None
+            quiet.set_result(None)
 
     async def _flush_mail(self) -> None:
-        staged = self._staged_mail
-        if not staged:
-            return
-        self._staged_mail = []
+        """Post everything staged so far, waiting wherever a mailbox is full.
+
+        The staged list is swapped out first, so this coroutine owns its
+        unposted tail: while it waits for room, the process it waits on
+        stages and posts its *own* output, never this coroutine's
+        remainder (which would make it wait on its own mailbox).
+        """
+        staged, self._staged_mail = self._staged_mail, []
+        capacity = self.mailbox_capacity
         for host, item in staged:
-            await self._put(host.inbox, item)
-
-    async def _flush_staged(self) -> None:
-        while self._staged_links or self._staged_mail:
-            links = self._staged_links
-            if links:
-                self._staged_links = []
-                for message, on_delivery, on_drop in links:
-                    pump = self._node_pump(message.target)
-                    await self._put(pump.queue, (message, on_delivery, on_drop))
-            await self._flush_mail()
-
-    async def _drain(self) -> None:
-        while self._inflight > 0:
-            self._quiet = asyncio.Event()
-            if self._inflight > 0:
-                await self._quiet.wait()
-        self._quiet = None
-
-    # -- the tasks -----------------------------------------------------------
-
-    def _node_pump(self, node_id: str) -> _NodePump:
-        pump = self._pumps.get(node_id)
-        if pump is None:
-            pump = self._pumps[node_id] = _NodePump(self.link_capacity)
-            pump.task = self._loop.create_task(self._pump_loop(pump))
-        return pump
-
-    async def _pump_loop(self, pump: _NodePump) -> None:
-        queue = pump.queue
-        transport = self.transport
-        while True:
-            message, on_delivery, on_drop = await queue.get()
-            try:
-                # Inherited delivery: liveness drop, stats, tracer, then
-                # the callback — which may stage mailbox submissions that
-                # this coroutine awaits (real backpressure) right after.
-                transport._deliver(message, on_delivery, on_drop)
-                await self._flush_mail()
-            finally:
-                self._dec()
+            inbox = host.inbox
+            if len(inbox) >= capacity:
+                self.backpressure_stalls += 1
+                while host.alive and len(inbox) >= capacity:
+                    waiter = self._loop.create_future()
+                    host.room.append(waiter)
+                    await waiter
+            if not host.alive:
+                continue  # died since the submit; see _ProcessHost.submit
+            inbox.append(item)
+            self._inflight += 1
+            if len(inbox) > host.high_water:
+                host.high_water = len(inbox)
+            parked = host.parked
+            if parked is not None:  # one wake, however many posts follow
+                host.parked = None
+                parked.set_result(None)
 
     async def _host_loop(self, host: _ProcessHost) -> None:
         inbox = host.inbox
+        room = host.room
         while True:
-            is_batch, payload, port = await inbox.get()
-            try:
-                if is_batch:
-                    host.receive_batch(payload, port)
-                else:
-                    host.receive(payload, port)
-                await self._flush_mail()
-            finally:
-                self._dec()
+            while inbox:
+                is_batch, payload, port = inbox.popleft()
+                if room:
+                    host.grant_room()
+                try:
+                    # Forwarding may submit to other mailboxes; that mail
+                    # is posted (real backpressure) before this message
+                    # counts as handled.
+                    if is_batch:
+                        host.receive_batch(payload, port)
+                    else:
+                        host.receive(payload, port)
+                    if self._staged_mail:
+                        await self._flush_mail()
+                finally:
+                    self._handled()
+            host.parked = parked = self._loop.create_future()
+            await parked
 
     # -- the epoch driver ----------------------------------------------------
 
-    async def _pace(self, deadline: float) -> None:
-        scale = self.time_scale
-        if scale is None:
-            return
+    def _pace_delay(self, deadline: float) -> float:
+        """Wall seconds until ``deadline`` is due under ``time_scale``."""
         if self._wall_base is None:
             self._wall_base = self._loop.time()
             self._logical_base = deadline
-        target = self._wall_base + (deadline - self._logical_base) / scale
-        delay = target - self._loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
+        target = (self._wall_base
+                  + (deadline - self._logical_base) / self.time_scale)
+        return target - self._loop.time()
 
     async def _reap_cancelled(self) -> None:
         tasks, self._reap = self._reap, []
@@ -480,26 +461,33 @@ class AsyncBackend(ExecutionBackend):
 
     async def _advance(self, until: float, max_events: int) -> int:
         clock = self.clock
+        loop = self._loop
+        paced = self.time_scale is not None
         executed = 0
-        wall_start = self._loop.time()
+        wall_start = loop.time()
         while True:
             if self._reap:
                 await self._reap_cancelled()
             deadline = clock._next_deadline()
             if deadline is None or deadline > until:
                 break
-            await self._pace(deadline)
+            if paced:
+                delay = self._pace_delay(deadline)
+                if delay > 0:
+                    await asyncio.sleep(delay)
             executed += clock._run_epoch(deadline, max_events - executed)
-            await self._flush_staged()
-            await self._drain()
+            # An epoch that only published (nothing submitted, nothing in
+            # flight) never touches the event loop.
+            if self._staged_mail:
+                await self._flush_mail()
+            if self._inflight:
+                self._quiet = quiet = loop.create_future()
+                await quiet
             if (
                 self.max_wall is not None
-                and self._loop.time() - wall_start > self.max_wall
+                and loop.time() - wall_start > self.max_wall
             ):
-                raise SimulationError(
-                    f"async run_until({until}) exceeded the "
-                    f"{self.max_wall}s wall budget at t={clock.now}"
-                )
+                raise asyncio.TimeoutError
         clock._finish(until)
         return executed
 
@@ -510,7 +498,18 @@ class AsyncBackend(ExecutionBackend):
             raise SimulationError(
                 f"cannot run backwards to {time} from {self.clock.now}"
             )
-        return self._loop.run_until_complete(self._advance(time, max_events))
+        # wait_for bounds a driver that never resumes (a wedged barrier);
+        # _advance's own check bounds one that never yields to the loop.
+        driver = asyncio.wait_for(
+            self._advance(time, max_events), self.max_wall
+        )
+        try:
+            return self._loop.run_until_complete(driver)
+        except asyncio.TimeoutError:
+            raise SimulationError(
+                f"async run_until({time}) exceeded the {self.max_wall}s "
+                f"wall budget at t={self.clock.now}"
+            ) from None
 
     # -- teardown / the flake-guard surface ----------------------------------
 
@@ -532,8 +531,6 @@ class AsyncBackend(ExecutionBackend):
                 asyncio.gather(*pending, return_exceptions=True)
             )
         self._loop.close()
-        self._pumps.clear()
         self._hosts.clear()
-        self._staged_links.clear()
         self._staged_mail.clear()
         self.closed = True

@@ -481,6 +481,10 @@ class Monitor:
                 "firing": self.alerts.firing(),
                 "transitions": len(self.alerts.history),
             }
+        # Real-backend queue health; the simulator has no queues to report.
+        health = getattr(self.netsim, "backend_health", None)
+        if health is not None:
+            report["backend_health"] = health()
         return report
 
     def render_dashboard(self) -> str:

@@ -117,9 +117,13 @@ class TestBackpressure:
     """A full bounded mailbox suspends the producer; nothing is dropped."""
 
     def test_tiny_mailbox_stalls_producer_without_drops(self):
-        stack, backend = async_stack(mailbox_capacity=1, link_capacity=1)
+        # Every 300 s the grouped AVG flushes one row per station to the
+        # single sink process in one instant: more same-instant messages
+        # than a 1-slot mailbox holds, so the poster must wait for the
+        # sink's task to make room.
+        stack, backend = async_stack(mailbox_capacity=1)
         with stack:
-            deployment = stack.executor.deploy(blocking_flow())
+            deployment = stack.executor.deploy(sharded_aggregation_flow(stack))
             stack.run_until(2.0 * 3600.0)
             assert backend.backpressure_stalls > 0
             stats = stack.netsim.stats
@@ -129,18 +133,19 @@ class TestBackpressure:
             # link (0.002 s latency) when the horizon cut the run.
             assert stats.messages_sent - stats.messages_delivered <= 10
             squeezed = [(t.source, t.stamp.time, dict(t.payload))
-                        for t in deployment.collected("out")]
+                        for t in deployment.collected("averages")]
             assert squeezed
 
         # Capacity pressure must not change the logical output: the same
-        # run with roomy queues produces the identical sink contents.
+        # run with a roomy mailbox produces the identical sink contents.
         roomy_stack, roomy = async_stack()
         with roomy_stack:
-            roomy_dep = roomy_stack.executor.deploy(blocking_flow())
+            roomy_dep = roomy_stack.executor.deploy(
+                sharded_aggregation_flow(roomy_stack))
             roomy_stack.run_until(2.0 * 3600.0)
             assert roomy.backpressure_stalls == 0
             baseline = [(t.source, t.stamp.time, dict(t.payload))
-                        for t in roomy_dep.collected("out")]
+                        for t in roomy_dep.collected("averages")]
         assert sorted(squeezed, key=repr) == sorted(baseline, key=repr)
 
     def test_default_capacity_still_counts_zero_drops(self):

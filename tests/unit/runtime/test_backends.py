@@ -117,7 +117,115 @@ class TestAsyncBackendLifecycle:
                 backend.run_until(2.0, max_events=1000)
 
 
+class _FakeProcess:
+    """The surface AsyncBackend hosts: the receive pair plus identity."""
+
+    def __init__(self, node_id="edge-1", on_receive=None):
+        self.process_id = "fake"
+        self.node_id = node_id
+        self.received = []
+        self._on_receive = on_receive
+
+    def receive(self, tuple_, port=0):
+        self.received.append(tuple_)
+        if self._on_receive is not None:
+            self._on_receive(tuple_)
+
+    def receive_batch(self, batch, port=0):
+        self.received.extend(batch)
+
+
+def _send_at(backend, process, when, count):
+    """At ``when``, send ``count`` equal-size messages edge-0 -> process;
+    they share one route, so one delivery instant."""
+    def burst():
+        for i in range(count):
+            backend.transport.send(
+                "edge-0", process.node_id, i, 10.0, process.receive)
+    backend.clock.schedule_at(when, burst)
+
+
+class TestMailbox:
+    """One bounded deque per process, one task wake per burst."""
+
+    def _backend(self, **kwargs):
+        return AsyncBackend(topology=Topology.star(leaf_count=2),
+                            max_wall=10.0, **kwargs)
+
+    def test_capacity_below_one_rejected(self):
+        # A mailbox bounded below 1 could never accept a message: the
+        # first post would stall forever.
+        for capacity in (0, -1):
+            with pytest.raises(SimulationError, match=str(capacity)):
+                AsyncBackend(mailbox_capacity=capacity)
+        assert not live_backends()
+
+    def test_same_instant_burst_costs_one_wake(self):
+        def callbacks_for(count):
+            with self._backend() as backend:
+                process = _FakeProcess()
+                backend.host_process(process)
+                backend.run_until(0.5)  # the host task starts and parks
+                _send_at(backend, process, 1.0, count)
+                scheduled = []
+                call_soon = backend._loop.call_soon
+
+                def counting(callback, *args, **kwargs):
+                    scheduled.append(callback)
+                    return call_soon(callback, *args, **kwargs)
+
+                backend._loop.call_soon = counting
+                backend.run_until(2.0)
+                assert process.received == list(range(count))
+                return len(scheduled)
+
+        assert callbacks_for(1) == callbacks_for(64)
+
+    def test_full_mailbox_poster_owns_its_unposted_tail(self):
+        # The driver posts 2 of 10 and waits for room; the process then
+        # handles a message and flushes *its* staged mail.  If it picked
+        # up the driver's remainder it would wait for room in its own
+        # mailbox and the run would wedge (here: trip the wall budget).
+        with self._backend(mailbox_capacity=2) as backend:
+            process = _FakeProcess()
+            backend.host_process(process)
+            _send_at(backend, process, 1.0, 10)
+            backend.run_until(2.0)
+            assert process.received == list(range(10))
+            assert backend.backpressure_stalls > 0
+            assert backend._hosts[id(process)].high_water == 2
+
+    def test_mail_for_a_host_that_died_mid_wait_is_skipped(self):
+        with self._backend(mailbox_capacity=1) as backend:
+            # Handling the first message kills the process's own node
+            # while the driver is suspended posting the second.
+            process = _FakeProcess(
+                on_receive=lambda _: backend.kill_node("edge-1"))
+            backend.host_process(process)
+            _send_at(backend, process, 1.0, 3)
+            backend.run_until(2.0)
+            assert process.received == [0]
+            assert not backend._hosts[id(process)].alive
+            assert backend._inflight == 0
+
+
 class TestBackendSurfacing:
+    def test_monitor_reports_mailbox_health_on_async_only(self):
+        stack = build_stack(backend="async", attach_fleet=False)
+        with stack:
+            process = _FakeProcess()
+            stack.backend.host_process(process)
+            _send_at(stack.backend, process, 1.0, 5)
+            stack.run_until(2.0)
+            health = stack.executor.monitor.report()["backend_health"]
+        assert health == {
+            "backpressure_stalls": 0,
+            "mailbox_high_water": {"fake": 5},
+        }
+        sim = build_stack(attach_fleet=False)
+        assert "backend_health" not in sim.executor.monitor.report()
+
+
     def test_monitor_report_names_the_backend(self):
         stack = build_stack(backend="async", attach_fleet=False)
         with stack:
