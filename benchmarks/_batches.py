@@ -1,14 +1,10 @@
 """Shared tuple/topology factories for the ``run_*`` benchmark runners.
 
-Mirrors ``_timing.py``: the runners (``run_batch``, ``run_fusion``,
-``run_latency``, ``run_columnar``) all feed synthetic weather readings
-through a line of simulated nodes, and each had grown its own copy of
-the tuple factory and topology builder.  The factories are parameterized
-so every runner keeps its historical workload *exactly* — BENCH_N.json
-records are regression anchors, so the payload constants must not drift:
-
-- ``run_batch`` readings: ``25.0 + (i % 7)``
-- ``run_fusion`` / ``run_latency`` / ``run_columnar``: ``15.0 + (i % 13)``
+Mirrors ``_timing.py``: the runners (``run_fusion``, ``run_latency``,
+``run_columnar``) all feed synthetic weather readings through a line of
+simulated nodes, and each had grown its own copy of the tuple factory
+and topology builder.  BENCH_N.json records are regression anchors, so
+the payload constants must not drift: readings are ``15.0 + (i % 13)``.
 """
 
 from __future__ import annotations
@@ -23,11 +19,11 @@ from repro.stt.spatial import Point
 SITE = Point(34.69, 135.50)
 
 
-def make_tuple(i: int, base: float = 15.0, modulo: int = 13) -> SensorTuple:
+def make_tuple(i: int) -> SensorTuple:
     """The canonical bench reading: a station temperature varying with
-    ``i`` over ``[base, base + modulo)``, stamped at virtual time ``i``."""
+    ``i`` over ``[15, 28)``, stamped at virtual time ``i``."""
     return SensorTuple(
-        payload={"station": "umeda", "temperature": base + (i % modulo)},
+        payload={"station": "umeda", "temperature": 15.0 + (i % 13)},
         stamp=SttStamp(time=float(i), location=SITE),
         source="bench",
         seq=i,

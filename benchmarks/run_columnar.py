@@ -21,7 +21,7 @@ under test is the execution strategy inside the process.
   (``MIN_COLUMNAR_ROWS``), so the row path must hold BENCH_8's record.
   Acceptance: within 5%.
 - ``probe_batched``     — the batch=32 dispatch workload with the SLO
-  plane installed; ``note_batch`` commits once per batch (satellite 1),
+  plane installed; the probe commits once per batch (satellite 1),
   so the probe overhead must stay <= 20% (BENCH_8 measured the
   per-tuple probe at 60%).
 
@@ -113,9 +113,9 @@ def _chain_cost(make_members, columnar: bool, iterations: int, batch: int):
     tuples = [_make_tuple(i) for i in range(iterations)]
     with _gc_controlled():
         start = time.perf_counter()
-        receive_batch = process.receive_batch
+        receive = process.receive
         for at in range(0, iterations, batch):
-            receive_batch(TupleBatch.of(tuples[at:at + batch]))
+            receive(TupleBatch.of(tuples[at:at + batch]))
         sim.clock.run()
         cost = time.perf_counter() - start
     if members[-1].stats.tuples_out != iterations:
@@ -247,7 +247,7 @@ def run(scale: int = 1, bench8: "dict | None" = None) -> dict:
                                "columnar tier (MIN_COLUMNAR_ROWS), so the "
                                "row path must hold BENCH_8's record",
             "probe_batched": "batch=32 dispatch with the SLO plane "
-                             "installed; note_batch commits once per "
+                             "installed; the probe commits once per "
                              "batch (one running-max update + one "
                              "worst-latency observe) so the overhead must "
                              f"stay <= {PROBE_OVERHEAD_BOUND_PCT}% "

@@ -130,14 +130,13 @@ def _chain_cost(fuse: bool, iterations: int, batch: int):
     tuples = [_make_tuple(i) for i in range(iterations)]
     with _gc_controlled():
         start = time.perf_counter()
+        receive = head.receive
         if batch == 1:
-            receive = head.receive
             for tuple_ in tuples:
                 receive(tuple_)
         else:
-            receive_batch = head.receive_batch
             for at in range(0, iterations, batch):
-                receive_batch(TupleBatch.of(tuples[at:at + batch]))
+                receive(TupleBatch.of(tuples[at:at + batch]))
         sim.clock.run()
         cost = time.perf_counter() - start
     if members[-1].stats.tuples_out != iterations:

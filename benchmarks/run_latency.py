@@ -128,7 +128,7 @@ def bench_probe_batched(iterations: int, batch_size: int = 32,
                         repeat: int = 8) -> dict:
     """Batched dispatch with the plane installed vs absent (ISSUE 9).
 
-    ``ProcessProbe.note_batch`` commits once per batch — one running-max
+    ``ProcessProbe.note`` commits once per message — one running-max
     update and one worst-latency histogram observe — instead of once per
     tuple, so the probe's overhead on the batched path must amortize to
     near zero (the per-tuple path above stays the worst case).
@@ -146,9 +146,9 @@ def bench_probe_batched(iterations: int, batch_size: int = 32,
         batch = TupleBatch.of(
             [_make_tuple(i) for i in range(batch_size)]
         )
-        receive_batch = process.receive_batch
+        receive = process.receive
         for _ in range(batches):
-            receive_batch(batch)
+            receive(batch)
 
     batches = max(1, iterations // batch_size)
     best = {"no_plane": float("inf"), "with_probe": float("inf")}
@@ -256,7 +256,7 @@ def run(scale: int = 1, bench7: "dict | None" = None) -> dict:
                            "probe (histogram observe + watermark max per "
                            "tuple); passes interleaved against drift",
             "probe_batched": "the batch=32 dispatch workload with the "
-                             "plane installed: note_batch commits once "
+                             "plane installed: the probe commits once "
                              "per batch (one running-max update + one "
                              "worst-latency observe), so the overhead "
                              "must amortize to near zero (ISSUE 9 "

@@ -322,6 +322,36 @@ def _cmd_sensors(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """Scenario/fleet/plan knobs shared by the run-a-dataflow commands."""
+    parser.add_argument("--cool", action="store_true",
+                        help="cool regime: the trigger must stay silent")
+    parser.add_argument("--extended", action="store_true",
+                        help="attach the full sensor roster")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--batch", type=int, default=1, metavar="N",
+                        help="micro-batch up to N tuples per source "
+                             "message (default 1: no batching)")
+    parser.add_argument("--max-delay", type=float, default=1.0, metavar="S",
+                        help="flush a partial batch after S virtual "
+                             "seconds (default 1.0)")
+    parser.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="split each partitionable blocking operator "
+                             "into N key-hashed shards (default 1: off)")
+    parser.add_argument("--rebalance", action="store_true",
+                        help="attach the elastic key-rebalance loop to "
+                             "sharded operators")
+    parser.add_argument("--split-hot-keys", action="store_true",
+                        help="allow the rebalancer to split one hot key "
+                             "across replicas (implies --rebalance)")
+    parser.add_argument("--no-fuse", action="store_true",
+                        help="disable operator fusion (each non-blocking "
+                             "operator keeps its own process)")
+    parser.add_argument("--no-columnar", action="store_true",
+                        help="disable columnar batch execution (fused "
+                             "chains keep the row-oriented batch path)")
+
+
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     """Execution-backend knobs shared by the run-a-dataflow commands."""
     parser.add_argument("--backend", choices=("sim", "async"), default="sim",
@@ -344,32 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = sub.add_parser("scenario", help="run the Section 3 scenario")
     scenario.add_argument("--hours", type=float, default=18.0,
                           help="virtual hours to simulate (default 18)")
-    scenario.add_argument("--cool", action="store_true",
-                          help="cool regime: the trigger must stay silent")
-    scenario.add_argument("--extended", action="store_true",
-                          help="attach the full sensor roster")
-    scenario.add_argument("--seed", type=int, default=7)
-    scenario.add_argument("--batch", type=int, default=1, metavar="N",
-                          help="micro-batch up to N tuples per source "
-                               "message (default 1: no batching)")
-    scenario.add_argument("--max-delay", type=float, default=1.0, metavar="S",
-                          help="flush a partial batch after S virtual "
-                               "seconds (default 1.0)")
-    scenario.add_argument("--shards", type=int, default=1, metavar="N",
-                          help="split each partitionable blocking operator "
-                               "into N key-hashed shards (default 1: off)")
-    scenario.add_argument("--rebalance", action="store_true",
-                          help="attach the elastic key-rebalance loop to "
-                               "sharded operators")
-    scenario.add_argument("--split-hot-keys", action="store_true",
-                          help="allow the rebalancer to split one hot key "
-                               "across replicas (implies --rebalance)")
-    scenario.add_argument("--no-fuse", action="store_true",
-                          help="disable operator fusion (each non-blocking "
-                               "operator keeps its own process)")
-    scenario.add_argument("--no-columnar", action="store_true",
-                          help="disable columnar batch execution (fused "
-                               "chains keep the row-oriented batch path)")
+    _add_run_args(scenario)
     _add_backend_args(scenario)
     scenario.set_defaults(func=_cmd_scenario)
 
@@ -409,28 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="virtual hours to simulate (default 15)")
     trace.add_argument("--sampling", type=float, default=1.0,
                        help="trace sampling rate in [0, 1] (default 1.0)")
-    trace.add_argument("--cool", action="store_true")
-    trace.add_argument("--extended", action="store_true")
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--batch", type=int, default=1, metavar="N",
-                       help="micro-batch up to N tuples per source message")
-    trace.add_argument("--max-delay", type=float, default=1.0, metavar="S",
-                       help="flush a partial batch after S virtual seconds")
-    trace.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="split each partitionable blocking operator "
-                            "into N key-hashed shards")
-    trace.add_argument("--rebalance", action="store_true",
-                       help="attach the elastic key-rebalance loop to "
-                            "sharded operators")
-    trace.add_argument("--split-hot-keys", action="store_true",
-                       help="allow the rebalancer to split one hot key "
-                            "across replicas (implies --rebalance)")
-    trace.add_argument("--no-fuse", action="store_true",
-                       help="disable operator fusion (each non-blocking "
-                            "operator keeps its own process)")
-    trace.add_argument("--no-columnar", action="store_true",
-                       help="disable columnar batch execution (fused "
-                            "chains keep the row-oriented batch path)")
+    _add_run_args(trace)
     _add_backend_args(trace)
     trace.set_defaults(func=_cmd_trace)
 
@@ -448,28 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trace sampling rate in [0, 1] (default 1.0)")
     metrics.add_argument("--json", action="store_true",
                          help="JSON snapshot instead of text exposition")
-    metrics.add_argument("--cool", action="store_true")
-    metrics.add_argument("--extended", action="store_true")
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--batch", type=int, default=1, metavar="N",
-                         help="micro-batch up to N tuples per source message")
-    metrics.add_argument("--max-delay", type=float, default=1.0, metavar="S",
-                         help="flush a partial batch after S virtual seconds")
-    metrics.add_argument("--shards", type=int, default=1, metavar="N",
-                         help="split each partitionable blocking operator "
-                              "into N key-hashed shards")
-    metrics.add_argument("--rebalance", action="store_true",
-                         help="attach the elastic key-rebalance loop to "
-                              "sharded operators")
-    metrics.add_argument("--split-hot-keys", action="store_true",
-                         help="allow the rebalancer to split one hot key "
-                              "across replicas (implies --rebalance)")
-    metrics.add_argument("--no-fuse", action="store_true",
-                         help="disable operator fusion (each non-blocking "
-                              "operator keeps its own process)")
-    metrics.add_argument("--no-columnar", action="store_true",
-                         help="disable columnar batch execution (fused "
-                              "chains keep the row-oriented batch path)")
+    _add_run_args(metrics)
     _add_backend_args(metrics)
     metrics.set_defaults(func=_cmd_metrics)
 
@@ -500,28 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--json", action="store_true",
                         help="print the deterministic JSON health payload "
                              "instead of the screen")
-    health.add_argument("--cool", action="store_true")
-    health.add_argument("--extended", action="store_true")
-    health.add_argument("--seed", type=int, default=7)
-    health.add_argument("--batch", type=int, default=1, metavar="N",
-                        help="micro-batch up to N tuples per source message")
-    health.add_argument("--max-delay", type=float, default=1.0, metavar="S",
-                        help="flush a partial batch after S virtual seconds")
-    health.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="split each partitionable blocking operator "
-                             "into N key-hashed shards")
-    health.add_argument("--rebalance", action="store_true",
-                        help="attach the elastic key-rebalance loop to "
-                             "sharded operators")
-    health.add_argument("--split-hot-keys", action="store_true",
-                        help="allow the rebalancer to split one hot key "
-                             "across replicas (implies --rebalance)")
-    health.add_argument("--no-fuse", action="store_true",
-                        help="disable operator fusion (each non-blocking "
-                             "operator keeps its own process)")
-    health.add_argument("--no-columnar", action="store_true",
-                        help="disable columnar batch execution (fused "
-                             "chains keep the row-oriented batch path)")
+    _add_run_args(health)
     _add_backend_args(health)
     health.set_defaults(func=_cmd_health)
     return parser

@@ -10,7 +10,7 @@ executor's operator processes communicate over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import UnreachableError
 from repro.network.qos import QosPolicy
@@ -100,6 +100,7 @@ class NetworkSimulator:
         on_delivery: Callable[[object], None],
         qos: "QosPolicy | None" = None,
         on_drop: "Callable[[Message, str], None] | None" = None,
+        units: int = 1,
     ) -> "Message | None":
         """Route a message and schedule its delivery.
 
@@ -108,184 +109,109 @@ class NetworkSimulator:
         co-located operators.  Returns the message, or None if it was
         dropped (no route, or latency budget exceeded).
 
+        ``units`` is how many tuples the payload carries (1 for a reading,
+        the length of a micro-batch).  Whatever it carries, a message is
+        routed once, charged to its links once (``size_bytes`` is the
+        caller's aggregate wire size — the simulator stays stream-agnostic)
+        and delivered by one scheduled event: that is the amortization.
+
         ``on_drop`` is a per-message loss callback invoked with
         ``(message, reason)`` whenever this particular message is dropped —
         at send time (no route, QoS budget) or at delivery time (target
-        died in flight).  Senders that guarantee redelivery (the broker's
-        retry path) hang their retry logic off it; the global
-        :attr:`on_drop` hook still fires for every loss.
+        died in flight); a batch is lost whole, so it fires once.  Senders
+        that guarantee redelivery (the broker's retry path) hang their
+        retry logic off it; the global :attr:`on_drop` hook still fires
+        for every loss.
         """
-        policy = qos or self.default_qos
         now = self.clock.now
-        tracer = self.tracer
-        ctx = getattr(payload, "trace", None) if tracer is not None else None
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.tuples_sent += 1
-        stats.bytes_sent += size_bytes
-
-        if source == target:
-            if ctx is not None:
-                span = tracer.span(
-                    ctx, "transmit", now,
-                    **{"from": source, "to": target},
-                )
-                payload = payload.with_trace(ctx.child_of(span))
-            message = Message(source, target, payload, size_bytes, now)
-            self._schedule_delivery(message, 0.0, on_delivery, on_drop)
-            return message
-
-        try:
-            # Memoized route + pre-resolved links: the per-message cost is
-            # a dict hit, not a routing-graph rebuild plus per-hop lookups.
-            info = self.topology.route_info(source, target)
-        except UnreachableError as exc:
-            self._drop(
-                Message(source, target, payload, size_bytes, now),
-                str(exc), on_drop,
-            )
-            return None
-
-        segments = policy.segments(size_bytes)
-        per_segment = size_bytes / segments
-        charge = size_bytes if size_bytes > 0.0 else 0.0
-        delay = 0.0
-        for latency, bandwidth, counters in info.hops:
-            # Segments pipeline over the path: total time is dominated by
-            # the per-hop latency plus the serialized transmission of all
-            # segments on each hop.  Counter writes go straight to the
-            # link's instance dict (same math and totals as Link.account).
-            delay += latency + segments * (per_segment / bandwidth)
-            counters["bytes_transferred"] += charge
-            counters["messages_transferred"] += 1
-        if delay > policy.max_latency:
-            self._drop(
-                Message(source, target, payload, size_bytes, now),
-                f"route latency {delay:.4f}s exceeds QoS budget "
-                f"{policy.max_latency}s",
-                on_drop,
-            )
-            return None
-        if ctx is not None:
-            span = tracer.span(
-                ctx, "transmit", now, now + delay,
-                **{"from": source, "to": target,
-                   "hops": len(info.hops), "bytes": size_bytes},
-            )
-            payload = payload.with_trace(ctx.child_of(span))
-        message = Message(source, target, payload, size_bytes, now)
-        if self.plane is not None:
-            self.plane.link_send(source, target)
-        self._schedule_delivery(message, delay, on_delivery, on_drop)
-        return message
-
-    def send_batch(
-        self,
-        source: str,
-        target: str,
-        batch: object,
-        size_bytes: float,
-        on_delivery: Callable[[object], None],
-        qos: "QosPolicy | None" = None,
-        on_drop: "Callable[[Message, str], None] | None" = None,
-    ) -> "Message | None":
-        """Route a whole micro-batch as one network message.
-
-        The batch is routed once, links are charged its aggregate payload
-        in a single pass, and one delivery event is scheduled per message —
-        the per-message framing cost is amortized over ``len(batch)``
-        tuples.  Loss semantics are all-or-nothing: a dropped batch fires
-        ``on_drop`` once with a ``units=len(batch)`` message, so retry
-        logic (the broker) can redeliver the whole run.
-
-        ``batch`` is a :class:`~repro.streams.tuple.TupleBatch`;
-        ``size_bytes`` its aggregate wire size (callers precompute it via
-        ``estimate_batch_size_bytes`` so the simulator stays stream-agnostic).
-        """
-        policy = qos or self.default_qos
-        now = self.clock.now
-        units = len(batch)  # type: ignore[arg-type]
         stats = self.stats
         stats.messages_sent += 1
         stats.tuples_sent += units
         stats.bytes_sent += size_bytes
 
-        if source == target:
-            batch = self._trace_batch_transmit(batch, source, target, now, now)
-            message = Message(source, target, batch, size_bytes, now, units)
-            self._schedule_delivery(message, 0.0, on_delivery, on_drop)
-            return message
-
-        try:
-            info = self.topology.route_info(source, target)
-        except UnreachableError as exc:
-            self._drop(
-                Message(source, target, batch, size_bytes, now, units),
-                str(exc), on_drop,
-            )
-            return None
-
-        segments = policy.segments(size_bytes)
-        per_segment = size_bytes / segments
-        charge = size_bytes if size_bytes > 0.0 else 0.0
         delay = 0.0
-        for latency, bandwidth, counters in info.hops:
-            delay += latency + segments * (per_segment / bandwidth)
-            counters["bytes_transferred"] += charge
-            counters["messages_transferred"] += 1
-        if delay > policy.max_latency:
-            self._drop(
-                Message(source, target, batch, size_bytes, now, units),
-                f"route latency {delay:.4f}s exceeds QoS budget "
-                f"{policy.max_latency}s",
-                on_drop,
+        hops = ()  # a local send crosses no link
+        if source != target:
+            try:
+                # Memoized route + pre-resolved links: the per-message cost
+                # is a dict hit, not a routing-graph rebuild plus per-hop
+                # lookups.
+                hops = self.topology.route_info(source, target).hops
+            except UnreachableError as exc:
+                self._drop(
+                    Message(source, target, payload, size_bytes, now, units),
+                    str(exc), on_drop,
+                )
+                return None
+            policy = qos or self.default_qos
+            segments = policy.segments(size_bytes)
+            per_segment = size_bytes / segments
+            charge = size_bytes if size_bytes > 0.0 else 0.0
+            for latency, bandwidth, counters in hops:
+                # Segments pipeline over the path: total time is dominated
+                # by the per-hop latency plus the serialized transmission
+                # of all segments on each hop.  Counter writes go straight
+                # to the link's instance dict (same math and totals as
+                # Link.account).
+                delay += latency + segments * (per_segment / bandwidth)
+                counters["bytes_transferred"] += charge
+                counters["messages_transferred"] += 1
+            if delay > policy.max_latency:
+                self._drop(
+                    Message(source, target, payload, size_bytes, now, units),
+                    f"route latency {delay:.4f}s exceeds QoS budget "
+                    f"{policy.max_latency}s",
+                    on_drop,
+                )
+                return None
+            if self.plane is not None:
+                self.plane.link_send(source, target)
+        if self.tracer is not None:
+            payload = self._trace_transmit(
+                payload, source, target, now, now + delay, hops, size_bytes
             )
-            return None
-        batch = self._trace_batch_transmit(
-            batch, source, target, now, now + delay,
-            hops=len(info.hops), size_bytes=size_bytes,
-        )
-        message = Message(source, target, batch, size_bytes, now, units)
-        if self.plane is not None:
-            self.plane.link_send(source, target)
+        message = Message(source, target, payload, size_bytes, now, units)
         self._schedule_delivery(message, delay, on_delivery, on_drop)
         return message
 
-    def _trace_batch_transmit(
+    def _trace_transmit(
         self,
-        batch: object,
+        payload: object,
         source: str,
         target: str,
         start: float,
         end: float,
-        hops: "int | None" = None,
-        size_bytes: "float | None" = None,
+        hops: "Sequence",
+        size_bytes: float,
     ) -> object:
-        """Record a transmit span for every traced tuple in ``batch``.
+        """Record a ``transmit`` span for every traced tuple of a message.
 
-        A :class:`TupleBatch` deliberately carries no trace of its own —
-        sampling stays per tuple, so the sampling=0 path costs one ``any``
-        scan only when a tracer is installed, and nothing at all otherwise.
-        Returns the batch rebuilt with child contexts, or unchanged when no
-        member is traced.
+        Sampling is per tuple, so a batch carries no trace of its own: its
+        traced members each get a span (tagged with the batch size) and a
+        child context.  Returns the payload re-parented onto the new
+        spans, or unchanged when nothing in it is traced — including
+        control payloads (advertisements), which have neither attribute.
         """
-        tracer = self.tracer
-        if tracer is None or not any(t.trace is not None for t in batch):  # type: ignore[attr-defined]
-            return batch
-        attrs: dict[str, object] = {"from": source, "to": target, "batch": len(batch)}  # type: ignore[arg-type]
-        if hops is not None:
-            attrs["hops"] = hops
-        if size_bytes is not None:
-            attrs["bytes"] = size_bytes
+        members = getattr(payload, "tuples", None)
+        batched = members is not None
+        if not batched:
+            members = (payload,)
+        if not any(getattr(t, "trace", None) is not None for t in members):
+            return payload
+        attrs: dict[str, object] = {"from": source, "to": target}
+        if batched:
+            attrs["batch"] = len(members)
+        if hops:
+            attrs.update(hops=len(hops), bytes=size_bytes)
         traced = []
-        for tuple_ in batch:  # type: ignore[attr-defined]
+        for tuple_ in members:
             ctx = tuple_.trace
             if ctx is not None:
-                span = tracer.span(ctx, "transmit", start, end, **attrs)
+                span = self.tracer.span(ctx, "transmit", start, end, **attrs)
                 tuple_ = tuple_.with_trace(ctx.child_of(span))
             traced.append(tuple_)
-        # Payload-preserving clone: the wire-size memo rides along.
-        return batch.with_traced(traced)  # type: ignore[attr-defined]
+        # Payload-preserving clone: a batch's wire-size memo rides along.
+        return payload.with_traced(traced) if batched else traced[0]
 
     def _schedule_delivery(
         self,
@@ -340,15 +266,14 @@ class NetworkSimulator:
                     ctx, "drop", self.clock.now, reason=reason,
                     **{"from": message.source, "to": message.target},
                 )
-            elif message.units > 1 or hasattr(message.payload, "tuples"):
-                # A dropped batch records one drop span per traced member.
-                for tuple_ in getattr(message.payload, "tuples", ()):
-                    if tuple_.trace is not None:
-                        tracer.span(
-                            tuple_.trace, "drop", self.clock.now,
-                            reason=reason, batch=message.units,
-                            **{"from": message.source, "to": message.target},
-                        )
+            # A dropped batch records one drop span per traced member.
+            for tuple_ in getattr(message.payload, "tuples", ()):
+                if tuple_.trace is not None:
+                    tracer.span(
+                        tuple_.trace, "drop", self.clock.now,
+                        reason=reason, batch=message.units,
+                        **{"from": message.source, "to": message.target},
+                    )
         if on_drop is not None:
             on_drop(message, reason)
         if self.on_drop is not None:

@@ -108,51 +108,24 @@ class ProcessProbe:
         #: Upstream process keys, set by the executor from the dataflow.
         self.upstreams: tuple[str, ...] = ()
 
-    def note(self, now: float, event_time: float) -> None:
-        """One tuple entered this process at virtual ``now``."""
-        self.hist.observe(now - event_time)
-        if event_time > self.pending:
-            self.pending = event_time
-        if self.blocking:
-            self.buffered += 1
-        else:
-            if event_time > self.committed:
-                self.committed = event_time
-            if self.e2e is not None:
-                self.e2e.observe(now - event_time)
+    def note(self, now: float, low: float, high: "float | None" = None,
+             count: int = 1) -> None:
+        """A message of ``count`` tuples entered this process at ``now``.
 
-    def note_batch(self, now: float, tuples) -> None:
-        """A whole batch entered this process at virtual ``now``.
-
-        Batch-amortized :meth:`note`: one pass finds the batch's stamp
-        extremes, then the probe commits *once* — a single running-max
-        update from the newest stamp (watermarks are running maxima, so
-        this is bit-identical to committing per tuple) and a single
-        histogram observe of the batch's *worst* stage latency (oldest
-        stamp).  Histograms therefore count batches, not tuples, on the
-        batched path; the observed value is the conservative upper bound
-        an SLO quantile cares about.  BENCH_8 put the per-tuple probe at
-        ~60% receive overhead; this is the batched path's answer.
-
-        A :class:`~repro.streams.tuple.TupleBatch` memoizes its stamp
-        extremes on the envelope, so every probe the batch crosses (and
-        every re-delivery of a fanned-out envelope) shares one scan.
+        ``low``/``high`` are its oldest and newest stamp time (one stamp
+        for a lone tuple; a batch passes its memoized ``stamp_span()``, so
+        every probe it crosses shares one scan).  The probe commits *once*
+        per message: one running-max update from the newest stamp —
+        watermarks are running maxima, so this is bit-identical to
+        committing per tuple — and one histogram observe of the *worst*
+        stage latency (oldest stamp), the conservative bound an SLO
+        quantile cares about.  Histograms therefore count messages, not
+        tuples (BENCH_8 put a per-tuple probe at ~60% receive overhead).
         """
-        count = len(tuples)
         if count == 0:
             return
-        span = getattr(tuples, "stamp_span", None)
-        if span is not None:
-            low, high = span()
-        else:  # plain sequence: scan here
-            high = _NEG_INF
-            low = None
-            for tuple_ in tuples:
-                time = tuple_.stamp.time
-                if time > high:
-                    high = time
-                if low is None or time < low:
-                    low = time
+        if high is None:
+            high = low
         self.hist.observe(now - low)
         if high > self.pending:
             self.pending = high
@@ -233,31 +206,13 @@ class LatencyPlane:
 
     # -- hot-path hooks ----------------------------------------------------
 
-    def note_publish(self, source: str, now: float, event_time: float) -> None:
-        if event_time > self.source_high:
-            self.source_high = event_time
-        hist = self._publish_hists.get(source)
-        if hist is None:
-            hist = self._publish_hists[source] = self.metrics.histogram(
-                "stage_latency_seconds", buckets=LATENCY_BUCKETS,
-                stage="publish", source=source,
-            )
-        hist.observe(now - event_time)
-
-    def note_publish_batch(self, source: str, now: float, tuples) -> None:
-        """Batch-amortized :meth:`note_publish` (same contract as
-        :meth:`ProcessProbe.note_batch`): one ``source_high`` running-max
-        update and one worst-latency observe per batch."""
-        high = _NEG_INF
-        low = None
-        for tuple_ in tuples:
-            time = tuple_.stamp.time
-            if time > high:
-                high = time
-            if low is None or time < low:
-                low = time
-        if low is None:
-            return
+    def note_publish(self, source: str, now: float, low: float,
+                     high: "float | None" = None) -> None:
+        """A message spanning stamps ``low..high`` was published (same
+        contract as :meth:`ProcessProbe.note`: one ``source_high``
+        running-max update and one worst-latency observe per message)."""
+        if high is None:
+            high = low
         if high > self.source_high:
             self.source_high = high
         hist = self._publish_hists.get(source)
@@ -269,27 +224,15 @@ class LatencyPlane:
         hist.observe(now - low)
 
     def note_deliver(self, subscription_id: str, now: float,
-                     event_time: float) -> None:
+                     low: float) -> None:
+        """A message whose oldest stamp is ``low`` reached a subscription."""
         hist = self._deliver_hists.get(subscription_id)
         if hist is None:
             hist = self._deliver_hists[subscription_id] = self.metrics.histogram(
                 "stage_latency_seconds", buckets=LATENCY_BUCKETS,
                 stage="deliver", subscription=subscription_id,
             )
-        hist.observe(now - event_time)
-
-    def note_deliver_batch(self, subscription_id: str, now: float,
-                           tuples) -> None:
-        """Batch-amortized :meth:`note_deliver`: one worst-latency
-        observe per batch."""
-        low = None
-        for tuple_ in tuples:
-            time = tuple_.stamp.time
-            if low is None or time < low:
-                low = time
-        if low is None:
-            return
-        self.note_deliver(subscription_id, now, low)
+        hist.observe(now - low)
 
     def link_send(self, source: str, target: str) -> None:
         key = (source, target)

@@ -32,8 +32,9 @@ from repro.pubsub.subscription import Subscription, SubscriptionFilter
 from repro.streams.tuple import (
     SensorTuple,
     TupleBatch,
-    estimate_batch_size_bytes,
-    estimate_size_bytes,
+    message_members,
+    message_size_bytes,
+    message_stamp_span,
 )
 
 #: Wire size of a sensor advertisement (id + type + schema summary).
@@ -373,94 +374,69 @@ class BrokerNetwork:
 
     # -- data plane ---------------------------------------------------------------
 
-    def publish_data(self, sensor_id: str, tuple_: SensorTuple) -> int:
-        """Route one reading to every matching active subscription.
+    def _publish(
+        self, sensor_id: str, payload: "SensorTuple | TupleBatch"
+    ) -> int:
+        """Route one message to every matching active subscription.
 
-        Returns the number of deliveries initiated.  Inactive (paused)
-        subscriptions generate **no** traffic and are counted as
-        suppressed — trigger-gated acquisition saves the network, not just
-        the screen.  A lost message is retried per :attr:`retry_policy`;
-        when the budget exhausts, the tuple is dead-lettered on the
-        subscription rather than silently dropped.
+        The message is a reading or a :class:`TupleBatch`: the route lookup
+        and the active check happen once per message, and each subscriber
+        gets it as one network message (a sharded consumer: one per member
+        owning some of its keys).  Returns the deliveries initiated.
+        Inactive (paused) subscriptions generate **no** traffic and are
+        counted as suppressed — trigger-gated acquisition saves the
+        network, not just the screen.  Counters are message-denominated
+        (``data_messages_*``) and tuple-denominated (``data_tuples_*``),
+        so monitoring does not under-count batched traffic.  A lost message
+        is retried per :attr:`retry_policy`; when the budget exhausts its
+        tuples are dead-lettered on the subscription, not silently dropped.
         """
         metadata = self.registry.get(sensor_id)
+        batched = type(payload) is TupleBatch
+        if batched and not payload:
+            return 0
         if self.obs is not None:
-            tuple_ = self._observe_publish(metadata, tuple_)
+            payload = self._observe_publish(metadata, payload)
         initiated = 0
         for entry in self._routes.get(sensor_id, ()):
-            if isinstance(entry, ShardRouter):
-                # Key-hashed delivery: exactly one shard owns this tuple.
-                subscription = entry.member_for(tuple_)
+            if type(entry) is not ShardRouter:
+                targets = ((entry, payload),)
+            elif batched:
+                # Split once per (router, batch); members receive their
+                # key-owned sub-batches in arrival order.
+                targets = entry.split_batch(payload)
             else:
-                subscription = entry
-            if not subscription.active:
-                subscription.suppressed += 1
-                self.data_messages_suppressed += 1
-                self.data_tuples_suppressed += 1
-                continue
-            self.data_messages_sent += 1
-            self.data_tuples_sent += 1
-            initiated += 1
-            if self.netsim is None:
-                subscription.deliver(tuple_)
-                continue
-            self._transmit(metadata, subscription, tuple_, attempt=0)
+                # Key-hashed delivery: exactly one shard owns this tuple.
+                targets = ((entry.member_for(payload), payload),)
+            for subscription, message in targets:
+                units = len(message) if batched else 1
+                if not subscription.active:
+                    subscription.suppressed += units
+                    self.data_messages_suppressed += 1
+                    self.data_tuples_suppressed += units
+                    continue
+                self.data_messages_sent += 1
+                self.data_tuples_sent += units
+                initiated += 1
+                if self.netsim is None:
+                    subscription.deliver(message)
+                else:
+                    self._transmit(metadata, subscription, message, units, 0)
         return initiated
+
+    #: Tuple-at-a-time entry point (sensors with ``max_batch`` 1): a bare
+    #: reading *is* a one-unit message, so this is the message path itself
+    #: rather than a wrapper frame around the hottest call in the broker.
+    publish_data = _publish
 
     def publish_batch(
         self, sensor_id: str, tuples: "TupleBatch | list[SensorTuple]"
     ) -> int:
-        """Route a micro-batch of readings in one fan-out pass.
-
-        Subscription matching happens once per (sensor, batch) — the route
-        list lookup and the active check are amortized over the whole run of
-        tuples — and each matching subscriber receives the batch as a single
-        network message.  Returns the number of batch deliveries initiated.
-        Counters stay tuple-denominated (``data_tuples_*``) alongside the
-        message-denominated ``data_messages_*`` so monitoring does not
-        under-count traffic when batching is on.
-        """
-        metadata = self.registry.get(sensor_id)
-        batch = tuples if isinstance(tuples, TupleBatch) else TupleBatch.of(tuples)
-        if not batch:
-            return 0
-        if self.obs is not None:
-            batch = self._observe_publish_batch(metadata, batch)
-        count = len(batch)
-        initiated = 0
-        for entry in self._routes.get(sensor_id, ()):
-            if isinstance(entry, ShardRouter):
-                # Split once per (router, batch); members receive their
-                # key-owned sub-batches in arrival order.
-                for member, sub_batch in entry.split_batch(batch):
-                    member_count = len(sub_batch)
-                    if not member.active:
-                        member.suppressed += member_count
-                        self.data_messages_suppressed += 1
-                        self.data_tuples_suppressed += member_count
-                        continue
-                    self.data_messages_sent += 1
-                    self.data_tuples_sent += member_count
-                    initiated += 1
-                    if self.netsim is None:
-                        member.deliver_batch(sub_batch)
-                        continue
-                    self._transmit_batch(metadata, member, sub_batch, attempt=0)
-                continue
-            subscription = entry
-            if not subscription.active:
-                subscription.suppressed += count
-                self.data_messages_suppressed += 1
-                self.data_tuples_suppressed += count
-                continue
-            self.data_messages_sent += 1
-            self.data_tuples_sent += count
-            initiated += 1
-            if self.netsim is None:
-                subscription.deliver_batch(batch)
-                continue
-            self._transmit_batch(metadata, subscription, batch, attempt=0)
-        return initiated
+        """Publish a run of readings as one message (none if it is empty)."""
+        return self._publish(
+            sensor_id,
+            tuples if type(tuples) is TupleBatch else TupleBatch.of(tuples),
+        )
 
     def _now(self) -> float:
         """Current virtual time (0.0 when running transport-less).
@@ -475,45 +451,13 @@ class BrokerNetwork:
         return self.netsim.clock.now if self.netsim is not None else 0.0
 
     def _observe_publish(
-        self, metadata: SensorMetadata, tuple_: SensorTuple
-    ) -> SensorTuple:
-        """Count the publication and, if sampled, open the tuple's trace."""
-        obs = self.obs
-        counter = self._published_counters.get(metadata.sensor_id)
-        if counter is None:
-            counter = self._published_counters[metadata.sensor_id] = (
-                obs.metrics.counter(
-                    "broker_tuples_published_total",
-                    "readings published through the broker overlay",
-                    source=metadata.sensor_id,
-                )
-            )
-        counter.inc()
-        plane = obs.latency
-        if plane is not None:
-            now = self._now()
-            plane.note_publish(metadata.sensor_id, now, tuple_.stamp.time)
-        tracer = obs.tracer
-        if tuple_.trace is None and tracer.enabled:
-            now = self._now()
-            ctx = tracer.start_trace(
-                "publish", now,
-                source=metadata.sensor_id,
-                node=metadata.node_id,
-                tuple=tuple_key(tuple_),
-            )
-            if ctx is not None:
-                tuple_ = tuple_.with_trace(ctx)
-        return tuple_
+        self, metadata: SensorMetadata, payload: "SensorTuple | TupleBatch"
+    ) -> "SensorTuple | TupleBatch":
+        """Count the publication and open the trace of each sampled tuple.
 
-    def _observe_publish_batch(
-        self, metadata: SensorMetadata, batch: TupleBatch
-    ) -> TupleBatch:
-        """Count the batch's tuples, record its size, open sampled traces.
-
-        Per-tuple trace sampling still applies inside a batch — the
-        error-diffusion sampler decides tuple by tuple, so sampling=0 costs
-        one ``enabled`` check per batch instead of per tuple.
+        Sampling is per tuple inside a batch too — the error-diffusion
+        sampler decides tuple by tuple, so sampling=0 costs one ``enabled``
+        check per message.
         """
         obs = self.obs
         counter = self._published_counters.get(metadata.sensor_id)
@@ -525,41 +469,47 @@ class BrokerNetwork:
                     source=metadata.sensor_id,
                 )
             )
-        count = len(batch)
-        counter.inc(count)
-        self._batch_size_histogram.observe(count)
+        members = message_members(payload)
+        batched = type(payload) is TupleBatch
+        counter.inc(len(members))
+        if batched:
+            self._batch_size_histogram.observe(len(members))
         plane = obs.latency
         if plane is not None:
-            now = self._now()
-            plane.note_publish_batch(metadata.sensor_id, now, batch)
+            low, high = message_stamp_span(payload)
+            plane.note_publish(metadata.sensor_id, self._now(), low, high)
         tracer = obs.tracer
         if not tracer.enabled:
-            return batch
+            return payload
         now = self._now()
+        tagged = {"batch": len(members)} if batched else {}
         traced = []
         changed = False
-        for tuple_ in batch:
+        for tuple_ in members:
             if tuple_.trace is None:
                 ctx = tracer.start_trace(
                     "publish", now,
                     source=metadata.sensor_id,
                     node=metadata.node_id,
                     tuple=tuple_key(tuple_),
-                    batch=count,
+                    **tagged,
                 )
                 if ctx is not None:
                     tuple_ = tuple_.with_trace(ctx)
                     changed = True
             traced.append(tuple_)
-        # Trace attachment preserves every payload, so the clone keeps the
-        # batch's wire-size memo (with_traced, not with_tuples).
-        return batch.with_traced(traced) if changed else batch
+        if not changed:
+            return payload
+        # Trace attachment preserves every payload, so a batch's clone
+        # keeps its wire-size memo (with_traced, not with_tuples).
+        return payload.with_traced(traced) if batched else traced[0]
 
     def _transmit(
         self,
         metadata: SensorMetadata,
         subscription: Subscription,
-        tuple_: SensorTuple,
+        payload: "SensorTuple | TupleBatch",
+        units: int,
         attempt: int,
     ) -> None:
         """One transmission attempt; losses re-enter via ``_on_loss``."""
@@ -573,119 +523,44 @@ class BrokerNetwork:
                 s.inflight -= 1
                 p.note_deliver(
                     str(s.subscription_id),
-                    self.netsim.clock.now, payload.stamp.time,
+                    self.netsim.clock.now, message_stamp_span(payload)[0],
                 )
                 s.deliver(payload)
 
         self.netsim.send(
             source=metadata.node_id,
             target=subscription.node_id,
-            payload=tuple_,
-            size_bytes=estimate_size_bytes(tuple_),
+            payload=payload,
+            size_bytes=message_size_bytes(payload),
             on_delivery=on_delivery,
             on_drop=lambda _message, reason: self._on_loss(
-                metadata, subscription, tuple_, attempt, reason
+                metadata, subscription, payload, units, attempt, reason
             ),
+            units=units,
         )
 
     def _on_loss(
         self,
         metadata: SensorMetadata,
         subscription: Subscription,
-        tuple_: SensorTuple,
+        payload: "SensorTuple | TupleBatch",
+        units: int,
         attempt: int,
         reason: str,
     ) -> None:
-        """A data message was lost: back off and retry, or dead-letter."""
-        obs = self.obs
-        if obs is not None and obs.latency is not None and subscription.inflight > 0:
-            subscription.inflight -= 1  # the retry re-increments on transmit
-        if attempt < self.retry_policy.max_attempts:
-            next_attempt = attempt + 1
-            subscription.retries += 1
-            self.data_messages_retried += 1
-            backoff = self.retry_policy.backoff(next_attempt)
-            if obs is not None:
-                self._retry_counter.inc()
-                if tuple_.trace is not None:
-                    now = self.netsim.clock.now
-                    obs.tracer.span(
-                        tuple_.trace, "retry", now, now + backoff,
-                        attempt=next_attempt,
-                        to=subscription.node_id,
-                        reason=reason,
-                    )
-            self.netsim.clock.schedule(
-                backoff,
-                lambda: self._transmit(metadata, subscription, tuple_, next_attempt),
-            )
-            return
-        self.data_messages_dead_lettered += 1
-        now = self.netsim.clock.now
-        if obs is not None:
-            self._dead_letter_counter.inc()
-            if tuple_.trace is not None:
-                obs.tracer.span(
-                    tuple_.trace, "dead-letter", now,
-                    subscription=subscription.subscription_id,
-                    to=subscription.node_id,
-                    reason=reason,
-                )
-        subscription.dead_letter(tuple_, reason, failed_at=now)
-        if self.on_dead_letter is not None:
-            self.on_dead_letter(subscription, tuple_, reason)
+        """A data message was lost: back off and retry, or dead-letter.
 
-    def _transmit_batch(
-        self,
-        metadata: SensorMetadata,
-        subscription: Subscription,
-        batch: TupleBatch,
-        attempt: int,
-    ) -> None:
-        """One batch transmission attempt; losses re-enter via ``_on_batch_loss``."""
-        plane = self._obs.latency if self._obs is not None else None
-        if plane is None:
-            on_delivery = subscription.deliver_batch
-        else:
-            subscription.inflight += 1
-
-            def on_delivery(payload, s=subscription, p=plane):
-                s.inflight -= 1
-                p.note_deliver_batch(
-                    str(s.subscription_id), self.netsim.clock.now, payload,
-                )
-                s.deliver_batch(payload)
-
-        self.netsim.send_batch(
-            source=metadata.node_id,
-            target=subscription.node_id,
-            batch=batch,
-            size_bytes=estimate_batch_size_bytes(batch),
-            on_delivery=on_delivery,
-            on_drop=lambda _message, reason: self._on_batch_loss(
-                metadata, subscription, batch, attempt, reason
-            ),
-        )
-
-    def _on_batch_loss(
-        self,
-        metadata: SensorMetadata,
-        subscription: Subscription,
-        batch: TupleBatch,
-        attempt: int,
-        reason: str,
-    ) -> None:
-        """A batch was lost in flight: retry it whole, or dead-letter it.
-
-        Retries redeliver the entire batch (all-or-nothing loss semantics,
-        one backoff timer per batch rather than per tuple).  On exhaustion
-        every member is dead-lettered *individually* — audit records and the
-        ``on_dead_letter`` hook stay tuple-denominated, so the monitor's
-        quorum logic and the PR 1 audit format are unchanged by batching.
+        A retry redelivers the message whole (all-or-nothing loss, one
+        backoff timer per message however many tuples it carries).  On
+        exhaustion every tuple is dead-lettered *individually* — audit
+        records and the ``on_dead_letter`` hook stay tuple-denominated, so
+        the monitor's quorum logic and the audit format are unchanged by
+        batching.
         """
         obs = self.obs
         if obs is not None and obs.latency is not None and subscription.inflight > 0:
             subscription.inflight -= 1  # the retry re-increments on transmit
+        now = self.netsim.clock.now
         if attempt < self.retry_policy.max_attempts:
             next_attempt = attempt + 1
             subscription.retries += 1
@@ -693,25 +568,26 @@ class BrokerNetwork:
             backoff = self.retry_policy.backoff(next_attempt)
             if obs is not None:
                 self._retry_counter.inc()
-                now = self.netsim.clock.now
-                for tuple_ in batch:
+                tagged = (
+                    {"batch": units} if type(payload) is TupleBatch else {}
+                )
+                for tuple_ in message_members(payload):
                     if tuple_.trace is not None:
                         obs.tracer.span(
                             tuple_.trace, "retry", now, now + backoff,
                             attempt=next_attempt,
                             to=subscription.node_id,
                             reason=reason,
-                            batch=len(batch),
+                            **tagged,
                         )
             self.netsim.clock.schedule(
                 backoff,
-                lambda: self._transmit_batch(
-                    metadata, subscription, batch, next_attempt
+                lambda: self._transmit(
+                    metadata, subscription, payload, units, next_attempt
                 ),
             )
             return
-        now = self.netsim.clock.now
-        for tuple_ in batch:
+        for tuple_ in message_members(payload):
             self.data_messages_dead_lettered += 1
             if obs is not None:
                 self._dead_letter_counter.inc()

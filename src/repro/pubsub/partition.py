@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.pubsub.subscription import Subscription
-from repro.streams.shard import partition_index
+from repro.streams.shard import shard_index, split_by_shard
 from repro.streams.tuple import SensorTuple, TupleBatch
 
 
@@ -51,30 +51,18 @@ class ShardRouter:
         return self.members[0].filter
 
     def member_for(self, tuple_: SensorTuple) -> Subscription:
-        values = tuple(tuple_.get(key) for key in self.keys)
-        if self.assignment is not None:
-            return self.members[self.assignment.index_for(values)]
-        return self.members[partition_index(values, len(self.members))]
+        return self.members[
+            shard_index(tuple_, self.keys, len(self.members), self.assignment)
+        ]
 
     def split_batch(
         self, batch: TupleBatch
     ) -> "list[tuple[Subscription, TupleBatch]]":
-        """Partition a batch into per-member sub-batches.
-
-        Arrival order is preserved inside each sub-batch, and members are
-        visited in shard order — both deterministic, so batched delivery
-        through a router stays parity-equal to tuple-at-a-time delivery.
-        """
-        count = len(self.members)
-        keys = self.keys
-        assignment = self.assignment
-        buckets: dict[int, list[SensorTuple]] = {}
-        for tuple_ in batch:
-            values = tuple(tuple_.get(key) for key in keys)
-            index = (assignment.index_for(values) if assignment is not None
-                     else partition_index(values, count))
-            buckets.setdefault(index, []).append(tuple_)
+        """Partition a batch into per-member sub-batches (arrival order
+        inside each, members in shard order)."""
+        members = self.members
         return [
-            (self.members[index], batch.with_tuples(buckets[index]))
-            for index in sorted(buckets)
+            (members[index], batch.with_tuples(bucket))
+            for index, bucket in split_by_shard(
+                batch, self.keys, len(members), self.assignment)
         ]

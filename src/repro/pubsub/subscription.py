@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.errors import PubSubError
 from repro.pubsub.registry import SensorMetadata
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.stt.spatial import Box, representative_point
 from repro.stt.thematic import Theme
 
@@ -105,8 +105,9 @@ class Subscription:
     node_id: str
     #: Optional whole-batch delivery hook.  When set, a delivered
     #: :class:`~repro.streams.tuple.TupleBatch` is handed over in one call
-    #: (the executor points this at ``OperatorProcess.receive_batch``);
-    #: when ``None``, batches are unrolled through ``callback`` per tuple.
+    #: (the executor points it, like ``callback``, at
+    #: ``OperatorProcess.receive``, which takes either payload); when
+    #: ``None``, batches are unrolled through ``callback`` per tuple.
     batch_callback: "Callable[[object], None] | None" = None
     #: The :class:`~repro.pubsub.partition.ShardRouter` this subscription
     #: is a member of, if any.  Member subscriptions never appear in the
@@ -151,31 +152,25 @@ class Subscription:
             (letter.tuple.source, letter.reason) for letter in self.dead_letters
         ]
 
-    def deliver(self, tuple_: SensorTuple) -> bool:
-        """Deliver if active; returns whether delivery happened."""
-        if not self.active:
-            self.suppressed += 1
-            return False
-        self.delivered += 1
-        self.callback(tuple_)
-        return True
-
-    def deliver_batch(self, batch: object) -> int:
-        """Deliver a whole micro-batch; returns tuples delivered.
+    def deliver(self, payload: "SensorTuple | TupleBatch") -> int:
+        """Deliver a message if active; returns tuples delivered.
 
         Counters stay tuple-denominated so pausing/resuming under batching
         reports the same suppressed/delivered totals as tuple-at-a-time
         delivery.
         """
-        count = len(batch)  # type: ignore[arg-type]
+        batched = type(payload) is TupleBatch
+        count = len(payload) if batched else 1
         if not self.active:
             self.suppressed += count
             return 0
         self.delivered += count
-        if self.batch_callback is not None:
-            self.batch_callback(batch)
+        if not batched:
+            self.callback(payload)
+        elif self.batch_callback is not None:
+            self.batch_callback(payload)
         else:
             callback = self.callback
-            for tuple_ in batch:  # type: ignore[attr-defined]
+            for tuple_ in payload:
                 callback(tuple_)
         return count

@@ -213,7 +213,7 @@ class _ProcessHost:
     """One hosted process: a bounded mailbox drained by one asyncio task."""
 
     __slots__ = ("backend", "process", "inbox", "parked", "room", "task",
-                 "alive", "high_water", "receive", "receive_batch")
+                 "alive", "high_water", "receive")
 
     def __init__(self, backend: "AsyncBackend", process) -> None:
         self.backend = backend
@@ -227,11 +227,10 @@ class _ProcessHost:
         self.alive = False
         #: Deepest the mailbox has been (``Monitor.report()``).
         self.high_water = 0
-        # Original bound methods; the instance attributes installed by
-        # host_process shadow them so wiring closures (which look the
+        # The original bound method; the instance attribute installed by
+        # host_process shadows it so wiring closures (which look the
         # method up late) submit to the mailbox instead.
         self.receive = process.receive
-        self.receive_batch = process.receive_batch
 
     def grant_room(self) -> None:
         """Wake the longest-waiting poster (skipping cancelled ones)."""
@@ -242,13 +241,9 @@ class _ProcessHost:
                 waiter.set_result(None)
                 return
 
-    def submit(self, tuple_, port: int = 0) -> None:
+    def submit(self, payload, port: int = 0) -> None:
         if self.alive:  # else its node died; the simulator loses these too
-            self.backend._staged_mail.append((self, (False, tuple_, port)))
-
-    def submit_batch(self, batch, port: int = 0) -> None:
-        if self.alive:
-            self.backend._staged_mail.append((self, (True, batch, port)))
+            self.backend._staged_mail.append((self, (payload, port)))
 
 
 class AsyncBackend(ExecutionBackend):
@@ -317,10 +312,10 @@ class AsyncBackend(ExecutionBackend):
     def host_process(self, process) -> None:
         """Give ``process`` a mailbox and an asyncio task.
 
-        ``process.receive`` / ``receive_batch`` are shadowed by instance
-        attributes that submit to the mailbox; the task dispatches via
-        the original bound methods, so liveness checks, work accounting
-        and forwarding are untouched.
+        ``process.receive`` is shadowed by an instance attribute that
+        submits to the mailbox; the task dispatches via the original
+        bound method, so liveness checks, work accounting and forwarding
+        are untouched.
         """
         key = id(process)
         if key in self._hosts:
@@ -328,7 +323,6 @@ class AsyncBackend(ExecutionBackend):
         host = _ProcessHost(self, process)
         self._hosts[key] = host
         process.receive = host.submit
-        process.receive_batch = host.submit_batch
         self._start_host(host)
 
     def _start_host(self, host: _ProcessHost) -> None:
@@ -346,11 +340,7 @@ class AsyncBackend(ExecutionBackend):
         if host is None:
             return
         self._kill_host(host)
-        for name in ("receive", "receive_batch"):
-            try:
-                delattr(process, name)
-            except AttributeError:
-                pass
+        process.__dict__.pop("receive", None)  # unshadow the method
 
     def _kill_host(self, host: _ProcessHost) -> None:
         host.alive = False
@@ -422,17 +412,14 @@ class AsyncBackend(ExecutionBackend):
         room = host.room
         while True:
             while inbox:
-                is_batch, payload, port = inbox.popleft()
+                payload, port = inbox.popleft()
                 if room:
                     host.grant_room()
                 try:
                     # Forwarding may submit to other mailboxes; that mail
                     # is posted (real backpressure) before this message
                     # counts as handled.
-                    if is_batch:
-                        host.receive_batch(payload, port)
-                    else:
-                        host.receive(payload, port)
+                    host.receive(payload, port)
                     if self._staged_mail:
                         await self._flush_mail()
                 finally:

@@ -14,9 +14,9 @@ A backend exposes:
   .SimClock` protocol).  Everything in the runtime — sensor emissions,
   window flushes, heartbeats, checkpoints, retry backoff — runs off it.
 - ``transport`` — the :class:`~repro.network.netsim.NetworkSimulator`
-  protocol (``send`` / ``send_batch`` / ``topology`` / ``stats`` /
-  ``kill_node`` / ``total_link_bytes`` ...).  Processes, the broker and
-  the monitor talk only to this surface.
+  protocol (``send`` — one entry point for a message of 1..n tuples —
+  ``topology`` / ``stats`` / ``kill_node`` / ``total_link_bytes`` ...).
+  Processes, the broker and the monitor talk only to this surface.
 - ``host_process`` — claim execution of an operator process (a no-op on
   the simulator, an asyncio task + bounded mailbox on the async backend).
 - ``run_until`` / ``close`` — drive virtual time forward and release any

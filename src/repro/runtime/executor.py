@@ -498,22 +498,12 @@ class Executor:
                         deployment, chain, placements, demands, columnar
                     )
                 continue
-            operator = self._build_runtime(service, deployment)
-            if self.obs is not None:
-                operator.lineage = self.obs.lineage
-            process = OperatorProcess(
-                process_id=f"{program.name}:{service.name}",
-                operator=operator,
-                node_id=placements[service.name].node_id,
-                netsim=self.netsim,
-                obs=self.obs,
+            self._spawn(
+                deployment, service.name,
+                self._build_runtime(service, deployment),
+                placements[service.name].node_id,
+                demands.get(service.name, 0.0),
             )
-            if operator.checkpointable:
-                process.enable_checkpoints(self.checkpoint_interval)
-            node = self.netsim.topology.node(process.node_id)
-            process.placement_demand = demands.get(service.name, 0.0)
-            node.update_demand(process.process_id, process.placement_demand)
-            deployment.processes[service.name] = process
 
         # Wire channels.
         for channel in program.channels:
@@ -523,39 +513,30 @@ class Executor:
                 == deployment.fused.get(channel.target)
             ):
                 continue  # fused-interior hop: traversed inside one process
-            qos = program.service(channel.target).qos
-            if channel.target in deployment.shard_groups:
-                # Deliveries into a sharded operator are key-partitioned
-                # across its member processes.
-                group = deployment.shard_groups[channel.target]
-                if channel.source in deployment.bindings:
-                    self._bind_source_sharded(
-                        deployment, channel.source, group, channel.port
-                    )
-                    if channel.batch > 1:
-                        deployment.batch_hints[channel.source] = max(
-                            deployment.batch_hints.get(channel.source, 1),
-                            channel.batch,
-                        )
-                else:
-                    self._outgoing_process(deployment, channel.source).add_route(
-                        group, port=channel.port, qos=qos
-                    )
-                continue
-            # A channel into a fused chain can only target its head (the
-            # planner guarantees interior members have no other feeder),
-            # and the head resolves to the chain's shared process.
-            target = deployment.process(channel.target)
-            if channel.source in deployment.bindings:
-                self._bind_source(deployment, channel.source, target, channel.port)
-                if channel.batch > 1:
-                    deployment.batch_hints[channel.source] = max(
-                        deployment.batch_hints.get(channel.source, 1),
-                        channel.batch,
-                    )
-            else:
+            # Deliveries into a sharded operator go to its group, which
+            # key-partitions them across the member processes.  A channel
+            # into a fused chain can only target its head (the planner
+            # guarantees interior members have no other feeder), and the
+            # head resolves to the chain's shared process.
+            group = deployment.shard_groups.get(channel.target)
+            target = (group if group is not None
+                      else deployment.process(channel.target))
+            if channel.source not in deployment.bindings:
                 self._outgoing_process(deployment, channel.source).add_route(
-                    target, port=channel.port, qos=qos
+                    target, port=channel.port,
+                    qos=program.service(channel.target).qos,
+                )
+                continue
+            if group is not None:
+                self._bind_source_sharded(
+                    deployment, channel.source, group, channel.port
+                )
+            else:
+                self._bind_source(deployment, channel.source, target, channel.port)
+            if channel.batch > 1:
+                deployment.batch_hints[channel.source] = max(
+                    deployment.batch_hints.get(channel.source, 1),
+                    channel.batch,
                 )
 
         if program.slos:
@@ -576,6 +557,42 @@ class Executor:
             rebalancer.start()
         self.deployments[program.name] = deployment
         return deployment
+
+    def _spawn(
+        self, deployment: Deployment, key: str, operator, node_id: str,
+        demand: float,
+    ) -> OperatorProcess:
+        """Host ``operator`` in a new process ``"<flow>:<key>"`` on
+        ``node_id``, booked with its deploy-time ``demand``, and register
+        it under ``key``."""
+        if self.obs is not None:
+            operator.lineage = self.obs.lineage
+        process_id = f"{deployment.name}:{key}"
+        process = OperatorProcess(
+            process_id=process_id,
+            operator=operator,
+            node_id=node_id,
+            netsim=self.netsim,
+            obs=self.obs,
+        )
+        if operator.checkpointable:
+            process.enable_checkpoints(self.checkpoint_interval)
+        process.placement_demand = demand
+        self.netsim.topology.node(node_id).update_demand(process_id, demand)
+        deployment.processes[key] = process
+        return process
+
+    @staticmethod
+    def _repoint_subscriptions(
+        deployment: Deployment, process: OperatorProcess, node_id: str
+    ) -> None:
+        """Subscriptions feeding a moved process follow it to ``node_id``."""
+        for binding in deployment.bindings.values():
+            for subscription in binding.subscriptions:
+                if deployment._sub_targets.get(
+                    subscription.subscription_id
+                ) is process:
+                    subscription.node_id = node_id
 
     def _install_slo_plane(self, deployment: Deployment) -> None:
         """Install the latency plane for a deployment with SLO clauses.
@@ -736,13 +753,11 @@ class Executor:
         subscription = self.broker_network.subscribe(
             node_id=target.node_id,
             filter_=filter_,
-            callback=lambda tuple_, t=target, p=port: t.receive(tuple_, port=p),
+            callback=lambda payload, t=target, p=port: t.receive(payload, port=p),
         )
-        # Micro-batches delivered to this subscription go through the
-        # process's batch path in one call instead of unrolling per tuple.
-        subscription.batch_callback = (
-            lambda batch, t=target, p=port: t.receive_batch(batch, port=p)
-        )
+        # ``receive`` takes either payload, so a delivered micro-batch is
+        # handed over in one call instead of unrolling per tuple.
+        subscription.batch_callback = subscription.callback
         if not service.params.get("active", True):
             subscription.pause()
         deployment.bindings[service_name].subscriptions.append(subscription)
@@ -787,27 +802,15 @@ class Executor:
         fused = FusedOperator(members, name=key)
         fused.columnar = columnar and columnar_eligible(program, chain)
         if self.obs is not None:
-            fused.lineage = self.obs.lineage
             fused.bind_obs(
                 self.obs.metrics,
                 [f"{program.name}:{name}" for name in chain],
             )
-        process = OperatorProcess(
-            process_id=f"{program.name}:{key}",
-            operator=fused,
-            node_id=placements[chain[0]].node_id,
-            netsim=self.netsim,
-            obs=self.obs,
-        )
-        if fused.checkpointable:
-            process.enable_checkpoints(self.checkpoint_interval)
-        node = self.netsim.topology.node(process.node_id)
-        process.placement_demand = max(
-            demands.get(name, 0.0) for name in chain
-        )
-        node.update_demand(process.process_id, process.placement_demand)
         head = placements[chain[0]]
-        deployment.processes[key] = process
+        self._spawn(
+            deployment, key, fused, head.node_id,
+            max(demands.get(name, 0.0) for name in chain),
+        )
         deployment.placements[key] = PlacementDecision(
             service=key,
             node_id=head.node_id,
@@ -896,24 +899,11 @@ class Executor:
             adapter = ShardedOperatorAdapter(
                 inner, shard_index=index, shard_count=count
             )
-            if self.obs is not None:
-                adapter.lineage = self.obs.lineage
-            process = OperatorProcess(
-                process_id=f"{program.name}:{service.name}#{index}",
-                operator=adapter,
-                node_id=decisions[index].node_id,
-                netsim=self.netsim,
-                obs=self.obs,
-            )
-            if adapter.checkpointable:
-                process.enable_checkpoints(self.checkpoint_interval)
-            node = self.netsim.topology.node(process.node_id)
-            process.placement_demand = demand
-            node.update_demand(process.process_id, demand)
             key = f"{service.name}#{index}"
-            deployment.processes[key] = process
+            members.append(self._spawn(
+                deployment, key, adapter, decisions[index].node_id, demand
+            ))
             deployment.placements[key] = decisions[index]
-            members.append(process)
 
         mode = "aggregate" if service.kind == "aggregation" else "join"
         merge = ShardMergeOperator(
@@ -921,21 +911,11 @@ class Executor:
         )
         if self.obs is not None:
             merge.bind_obs(self.obs.metrics, service.name)
-            merge.lineage = self.obs.lineage
-        merge_process = OperatorProcess(
-            process_id=f"{program.name}:{service.name}#merge",
-            operator=merge,
-            node_id=placements[service.name].node_id,
-            netsim=self.netsim,
-            obs=self.obs,
-        )
-        if merge.checkpointable:
-            merge_process.enable_checkpoints(self.checkpoint_interval)
-        node = self.netsim.topology.node(merge_process.node_id)
-        merge_process.placement_demand = demand
-        node.update_demand(merge_process.process_id, demand)
         merge_key = f"{service.name}#merge"
-        deployment.processes[merge_key] = merge_process
+        merge_process = self._spawn(
+            deployment, merge_key, merge, placements[service.name].node_id,
+            demand,
+        )
         deployment.placements[merge_key] = placements[service.name]
 
         if service.kind == "join" and len(shard.keys) >= 2:
@@ -997,11 +977,7 @@ class Executor:
 
         filter_ = _filter_from_params(service.params)
         callbacks = [
-            (lambda tuple_, m=member, p=port: m.receive(tuple_, port=p))
-            for member in group.members
-        ]
-        batch_callbacks = [
-            (lambda batch, m=member, p=port: m.receive_batch(batch, port=p))
+            (lambda payload, m=member, p=port: m.receive(payload, port=p))
             for member in group.members
         ]
         router = self.broker_network.subscribe_sharded(
@@ -1009,7 +985,7 @@ class Executor:
             filter_=filter_,
             callbacks=callbacks,
             keys=group.keys_for_port(port),
-            batch_callbacks=batch_callbacks,
+            batch_callbacks=callbacks,
             assignment=group.assignment,
         )
         active = service.params.get("active", True)
@@ -1054,13 +1030,7 @@ class Executor:
             self._chain_placements(
                 deployment, name, move.to_node, 0.0, move.reason
             )
-            # Subscriptions feeding the moved process follow it.
-            for binding in deployment.bindings.values():
-                for subscription in binding.subscriptions:
-                    if deployment._sub_targets.get(
-                        subscription.subscription_id
-                    ) is process:
-                        subscription.node_id = move.to_node
+            self._repoint_subscriptions(deployment, process, move.to_node)
             self.monitor.record_assignment(
                 move.service, move.from_node, move.to_node, move.reason
             )
@@ -1139,12 +1109,7 @@ class Executor:
             reason = f"node {origin!r} is down"
             process.move_to(decision.node_id)
             restored = process.restore_last_checkpoint()
-            for binding in deployment.bindings.values():
-                for subscription in binding.subscriptions:
-                    if deployment._sub_targets.get(
-                        subscription.subscription_id
-                    ) is process:
-                        subscription.node_id = decision.node_id
+            self._repoint_subscriptions(deployment, process, decision.node_id)
             deployment.placements[name] = PlacementDecision(
                 service=name,
                 node_id=decision.node_id,

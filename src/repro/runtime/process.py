@@ -27,7 +27,7 @@ Fault tolerance hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import DeploymentError
 from repro.network.netsim import NetworkSimulator
@@ -39,8 +39,9 @@ from repro.streams.base import Operator
 from repro.streams.tuple import (
     SensorTuple,
     TupleBatch,
-    estimate_batch_size_bytes,
-    estimate_size_bytes,
+    message_members,
+    message_size_bytes,
+    message_stamp_span,
 )
 
 
@@ -256,81 +257,80 @@ class OperatorProcess:
 
     # -- data path ------------------------------------------------------------
 
-    def receive(self, tuple_: SensorTuple, port: int = 0) -> None:
-        """Process one tuple: run the operator, forward emissions."""
+    def receive(self, payload: "SensorTuple | TupleBatch", port: int = 0) -> None:
+        """Process one message: run the operator, forward its emissions.
+
+        The message is a tuple or a micro-batch.  The per-message overhead
+        — liveness checks, work accounting, the operator call, the
+        observability hooks and the downstream sends — is paid once either
+        way; a batch's emissions are forwarded as one message per route.
+        """
         if self._stopped:
             return  # in-flight stragglers after teardown are discarded
         node = self._node
         if not node.up:
             return  # a dead node processes nothing
-        node.account_work(self.operator.cost_per_tuple)
-        obs = self.obs
-        emitted = self.operator.on_tuple(tuple_, port=port)
-        if obs is not None:
-            if self._tuples_counter is not None:
-                self._tuples_counter.inc()
-            probe = self._probe
-            if probe is not None:
-                probe.note(self.netsim.clock.now, tuple_.stamp.time)
-            ctx = tuple_.trace
-            if ctx is not None:
-                span = obs.tracer.span(
-                    ctx, self.operator.span_name, self.netsim.clock.now,
-                    node=self.node_id,
-                    operator=self.operator.name,
-                    process=self.process_id,
-                    tuple=tuple_key(tuple_),
-                )
-                if emitted:
-                    child = ctx.child_of(span)
-                    emitted = [out.with_trace(child) for out in emitted]
-        for out in emitted:
-            self._forward(out)
-
-    def receive_batch(self, batch: "TupleBatch", port: int = 0) -> None:
-        """Process a micro-batch: one dispatch, one work charge, one forward.
-
-        The per-message overhead — liveness checks, work accounting, the
-        operator call, and downstream sends — is paid once per batch
-        instead of once per tuple.  Emissions are forwarded as a single
-        batch per route.
-        """
-        if self._stopped:
-            return
-        node = self._node
-        if not node.up:
-            return
-        count = len(batch)
+        operator = self.operator
+        batched = type(payload) is TupleBatch
+        count = len(payload) if batched else 1
         if count == 0:
             return
-        self._batching = True
-        node.account_work(self.operator.cost_per_tuple * count)
+        node.account_work(operator.cost_per_tuple * count)
+        if batched:
+            self._batching = True
+            emitted = operator.on_batch(payload, port=port)
+        else:
+            emitted = operator.on_tuple(payload, port=port)
         obs = self.obs
-        emitted = self.operator.on_batch(batch, port=port)
         if obs is not None:
             if self._tuples_counter is not None:
                 self._tuples_counter.inc(count)
             probe = self._probe
             if probe is not None:
-                probe.note_batch(self.netsim.clock.now, batch)
-            if any(t.trace is not None for t in batch):
-                now = self.netsim.clock.now
-                span_name = self.operator.span_name
-                for tuple_ in batch:
-                    if tuple_.trace is not None:
-                        obs.tracer.span(
-                            tuple_.trace, span_name, now,
-                            node=self.node_id,
-                            operator=self.operator.name,
-                            process=self.process_id,
-                            tuple=tuple_key(tuple_),
-                            batch=count,
-                        )
-                # Emissions are not re-parented onto input spans: inside a
-                # batch the input->output pairing is only known to the
-                # operator, and lineage (for blocking ops) records it.
+                low, high = message_stamp_span(payload)
+                probe.note(self.netsim.clock.now, low, high, count)
+            members = message_members(payload)
+            if any(t.trace is not None for t in members):
+                emitted = self._trace_inputs(members, batched, emitted)
         if emitted:
-            self._forward_batch(emitted)
+            self._forward(emitted, batched)
+
+    def _trace_inputs(self, members, batched: bool, emitted):
+        """Record the operator span of every traced input and re-parent
+        the emissions derived from it onto that span.
+
+        A lone tuple owns all of its emissions.  Inside a batch only the
+        operator knows the pairing, so an emission is re-parented when it
+        still carries its input's context (a filter passes the tuple
+        through; transforms and the columnar materializer clone
+        provenance); blocking operators record theirs in the lineage store.
+        """
+        tracer = self.obs.tracer
+        now = self.netsim.clock.now
+        operator = self.operator
+        tagged = {"batch": len(members)} if batched else {}
+        children = {}
+        for tuple_ in members:
+            ctx = tuple_.trace
+            if ctx is not None:
+                span = tracer.span(
+                    ctx, operator.span_name, now,
+                    node=self.node_id,
+                    operator=operator.name,
+                    process=self.process_id,
+                    tuple=tuple_key(tuple_),
+                    **tagged,
+                )
+                children.setdefault(ctx, ctx.child_of(span))
+        if not emitted or not self.routes:
+            return emitted  # nothing to re-parent (and lazy rows stay lazy)
+        if not batched:
+            child = children[members[0].trace]
+            return [out.with_trace(child) for out in emitted]
+        return [
+            out.with_trace(children[out.trace]) if out.trace in children else out
+            for out in emitted
+        ]
 
     def _fire_timer(self) -> None:
         node = self._node
@@ -359,62 +359,46 @@ class OperatorProcess:
                 )
                 if ctx is not None:
                     emitted = [out.with_trace(ctx) for out in emitted]
-        if self._batching and len(emitted) > 1:
             # Once on the batched path, a multi-tuple flush travels as one
-            # message too; single emissions keep the legacy framing.
-            self._forward_batch(emitted)
-            return
-        for out in emitted:
-            self._forward(out)
+            # message too; single emissions keep the bare-tuple framing.
+            self._forward(emitted, self._batching and len(emitted) > 1)
 
-    def _forward(self, tuple_: SensorTuple) -> None:
-        for route in self.routes:
-            target = route.target
-            if isinstance(target, ShardGroup):
-                target = target.member_for(tuple_, route.port)
-            self.netsim.send(
-                source=self.node_id,
-                target=target.node_id,
-                payload=tuple_,
-                size_bytes=estimate_size_bytes(tuple_),
-                on_delivery=lambda payload, t=target, p=route.port: t.receive(
-                    payload, port=p
-                ),
-                qos=route.qos,
-            )
+    def _forward(self, emitted: "Sequence[SensorTuple]", batched: bool) -> None:
+        """Send emissions down every route.
 
-    def _forward_batch(self, emitted: "list[SensorTuple]") -> None:
-        if not self.routes:
+        Unbatched, every emission is its own message (emission-major, the
+        order the clock's tie-break preserves); batched, the run travels
+        as one message per route — per owning member where the route's
+        target is a shard group.
+        """
+        routes = self.routes
+        if not routes:
             return
-        batch: "TupleBatch | None" = None
-        size = 0
-        for route in self.routes:
-            if isinstance(route.target, ShardGroup):
-                # Per-member sub-batches; order is preserved inside each.
-                for member, sub_batch in route.target.split(emitted, route.port):
-                    self.netsim.send_batch(
-                        source=self.node_id,
+        node_id = self.node_id
+        send = self.netsim.send
+        for message in (TupleBatch.of(emitted),) if batched else emitted:
+            for route in routes:
+                target = route.target
+                port = route.port
+                if type(target) is not ShardGroup:
+                    parts = ((target, message),)
+                elif batched:
+                    # Per-member sub-batches; order is preserved inside each.
+                    parts = target.split(message, port)
+                else:
+                    parts = ((target.member_for(message, port), message),)
+                for member, part in parts:
+                    send(
+                        source=node_id,
                         target=member.node_id,
-                        batch=sub_batch,
-                        size_bytes=estimate_batch_size_bytes(sub_batch),
-                        on_delivery=lambda payload, t=member, p=route.port:
-                            t.receive_batch(payload, port=p),
+                        payload=part,
+                        size_bytes=message_size_bytes(part),
+                        on_delivery=lambda payload, t=member, p=port: t.receive(
+                            payload, port=p
+                        ),
                         qos=route.qos,
+                        units=len(part) if batched else 1,
                     )
-                continue
-            if batch is None:
-                batch = TupleBatch.of(emitted)
-                size = estimate_batch_size_bytes(batch)
-            self.netsim.send_batch(
-                source=self.node_id,
-                target=route.target.node_id,
-                batch=batch,
-                size_bytes=size,
-                on_delivery=lambda payload, r=route: r.target.receive_batch(
-                    payload, port=r.port
-                ),
-                qos=route.qos,
-            )
 
     # -- load reporting ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.streams.shard import ShardAssignment, partition_index
+from repro.streams.shard import ShardAssignment, shard_index, split_by_shard
 from repro.streams.tuple import SensorTuple, TupleBatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,27 +43,21 @@ class ShardGroup:
         return self.keys_by_port[min(port, len(self.keys_by_port) - 1)]
 
     def member_for(self, tuple_: SensorTuple, port: int = 0) -> "OperatorProcess":
-        values = tuple(tuple_.get(key) for key in self.keys_for_port(port))
-        if self.assignment is not None:
-            return self.members[self.assignment.index_for(values)]
-        return self.members[partition_index(values, len(self.members))]
+        return self.members[
+            shard_index(tuple_, self.keys_for_port(port), len(self.members),
+                        self.assignment)
+        ]
 
     def split(
         self, tuples: "Sequence[SensorTuple]", port: int = 0
     ) -> "list[tuple[OperatorProcess, TupleBatch]]":
         """Bucket a run of tuples into per-member batches, order-preserving."""
-        keys = self.keys_for_port(port)
-        count = len(self.members)
-        assignment = self.assignment
-        buckets: dict[int, list[SensorTuple]] = {}
-        for tuple_ in tuples:
-            values = tuple(tuple_.get(key) for key in keys)
-            index = (assignment.index_for(values) if assignment is not None
-                     else partition_index(values, count))
-            buckets.setdefault(index, []).append(tuple_)
+        members = self.members
         return [
-            (self.members[index], TupleBatch.of(buckets[index]))
-            for index in sorted(buckets)
+            (members[index], TupleBatch.of(bucket))
+            for index, bucket in split_by_shard(
+                tuples, self.keys_for_port(port), len(members),
+                self.assignment)
         ]
 
     def processes(self) -> "list[OperatorProcess]":

@@ -73,6 +73,33 @@ def partition_index(values: "tuple | Sequence", count: int) -> int:
     return zlib.crc32(repr(tuple(values)).encode("utf-8")) % count
 
 
+def shard_index(tuple_: SensorTuple, keys: "Sequence[str]", count: int,
+                assignment: "ShardAssignment | None" = None) -> int:
+    """The shard owning ``tuple_``: the elastic overlay's answer for its
+    key values when there is one, else their :func:`partition_index`."""
+    values = tuple(tuple_.get(key) for key in keys)
+    if assignment is not None:
+        return assignment.index_for(values)
+    return partition_index(values, count)
+
+
+def split_by_shard(
+    tuples: "Sequence[SensorTuple]", keys: "Sequence[str]", count: int,
+    assignment: "ShardAssignment | None" = None,
+) -> "list[tuple[int, list[SensorTuple]]]":
+    """Bucket a run of tuples by :func:`shard_index`: arrival order inside
+    each bucket, buckets in shard order — both deterministic, so batched
+    delivery to a sharded consumer stays parity-equal to tuple-at-a-time."""
+    buckets: dict[int, list[SensorTuple]] = {}
+    for tuple_ in tuples:
+        # shard_index, inlined: this loop runs per tuple of every batch.
+        values = tuple(tuple_.get(key) for key in keys)
+        index = (assignment.index_for(values) if assignment is not None
+                 else partition_index(values, count))
+        buckets.setdefault(index, []).append(tuple_)
+    return sorted(buckets.items())
+
+
 class ShardAssignment:
     """Mutable routing overlay consulted ahead of :func:`partition_index`.
 

@@ -310,3 +310,29 @@ def estimate_batch_size_bytes(batch: "TupleBatch | Sequence[SensorTuple]") -> in
         object.__setattr__(batch, "_wire", size)
         return size
     return BATCH_ENVELOPE_BYTES + sum(estimate_size_bytes(t) for t in batch)
+
+
+# -- data-plane messages ------------------------------------------------------
+# A message between broker, network and processes is a bare SensorTuple
+# (one unit) or a TupleBatch (``len`` units); the per-message layers handle
+# both in one body and ask the helpers below where the kinds differ.
+
+
+def message_members(payload: "SensorTuple | TupleBatch") -> "tuple[SensorTuple, ...]":
+    """The tuples a message carries, in emission order."""
+    return payload.tuples if type(payload) is TupleBatch else (payload,)
+
+
+def message_size_bytes(payload: "SensorTuple | TupleBatch") -> int:
+    """Wire size of a message; a batch costs its envelope on top."""
+    if type(payload) is TupleBatch:
+        return estimate_batch_size_bytes(payload)
+    return estimate_size_bytes(payload)
+
+
+def message_stamp_span(payload: "SensorTuple | TupleBatch") -> "tuple[float, float]":
+    """``(oldest, newest)`` stamp time of a message's tuples."""
+    if type(payload) is TupleBatch:
+        return payload.stamp_span()
+    time = payload.stamp.time
+    return time, time

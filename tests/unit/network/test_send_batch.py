@@ -35,8 +35,8 @@ class TestSendBatch:
     def test_one_message_many_tuples(self, sim):
         batch = make_batch(5)
         inbox = []
-        sim.send_batch("node-0", "node-2", batch,
-                       estimate_batch_size_bytes(batch), inbox.append)
+        sim.send("node-0", "node-2", batch,
+                 estimate_batch_size_bytes(batch), inbox.append, units=5)
         sim.clock.run()
         assert len(inbox) == 1
         assert list(inbox[0]) == list(batch)
@@ -55,7 +55,7 @@ class TestSendBatch:
     def test_links_charged_once_per_batch(self, sim):
         batch = make_batch(8)
         size = estimate_batch_size_bytes(batch)
-        sim.send_batch("node-0", "node-2", batch, size, lambda _p: None)
+        sim.send("node-0", "node-2", batch, size, lambda _p: None, units=8)
         sim.clock.run()
         for link in sim.topology.links:
             assert link.messages_transferred == 1
@@ -64,7 +64,7 @@ class TestSendBatch:
     def test_local_delivery_is_immediate_and_counted(self, sim):
         batch = make_batch(3)
         inbox = []
-        sim.send_batch("node-1", "node-1", batch, 30.0, inbox.append)
+        sim.send("node-1", "node-1", batch, 30.0, inbox.append, units=3)
         sim.clock.run()
         assert len(inbox) == 1
         assert sim.stats.tuples_delivered == 3
@@ -75,9 +75,10 @@ class TestSendBatch:
         sim.topology.node("node-2").fail()
         drops = []
         batch = make_batch(4)
-        sim.send_batch("node-0", "node-2", batch, 40.0, lambda _p: None,
-                       on_drop=lambda message, reason: drops.append(
-                           (message.units, reason)))
+        sim.send("node-0", "node-2", batch, 40.0, lambda _p: None,
+                 on_drop=lambda message, reason: drops.append(
+                     (message.units, reason)),
+                 units=4)
         sim.clock.run()
         assert len(drops) == 1
         units, reason = drops[0]
@@ -89,18 +90,19 @@ class TestSendBatch:
     def test_qos_budget_drop_fires_on_drop_once(self, sim):
         drops = []
         batch = make_batch(4)
-        sim.send_batch(
+        sim.send(
             "node-0", "node-2", batch, 40.0, lambda _p: None,
             qos=QosPolicy(max_latency=1e-9),
             on_drop=lambda message, reason: drops.append(message.units),
+            units=4,
         )
         sim.clock.run()
         assert drops == [4]
 
     def test_empty_batch_moves_zero_tuples(self, sim):
         inbox = []
-        sim.send_batch("node-0", "node-2", TupleBatch.of([]), 24.0,
-                       inbox.append)
+        sim.send("node-0", "node-2", TupleBatch.of([]), 24.0,
+                 inbox.append, units=0)
         sim.clock.run()
         assert sim.stats.messages_sent == 1
         assert sim.stats.tuples_sent == 0

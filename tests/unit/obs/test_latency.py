@@ -5,6 +5,7 @@ import pytest
 from repro.obs import Observability
 from repro.obs.latency import LatencyPlane, ProcessProbe
 from repro.obs.metrics import MetricsRegistry
+from repro.streams.tuple import TupleBatch
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ class TestProcessProbe:
         a = plane.register_process("a", blocking=False, sink=False)
         b = plane.register_process("b", blocking=False, sink=False)
         tuples = [make_tuple(i, time=float(i)) for i in range(5)]
-        a.note_batch(10.0, tuples)
+        a.note(10.0, *TupleBatch.of(tuples).stamp_span(), len(tuples))
         for tuple_ in tuples:
             b.note(10.0, tuple_.stamp.time)
         assert a.committed == b.committed == 4.0
@@ -77,7 +78,7 @@ class TestProcessProbe:
         # (BENCH_8 measured the per-tuple probe at ~60% receive overhead).
         probe = plane.register_process("a", blocking=False, sink=True)
         tuples = [make_tuple(i, time=float(i)) for i in range(5)]
-        probe.note_batch(10.0, tuples)
+        probe.note(10.0, *TupleBatch.of(tuples).stamp_span(), len(tuples))
         assert probe.hist.count == 1
         assert probe.hist.sum == pytest.approx(10.0)  # now - oldest stamp
         assert plane.e2e.count == 1
@@ -87,13 +88,13 @@ class TestProcessProbe:
         self, plane, make_tuple
     ):
         probe = plane.register_process("agg", blocking=True, sink=False)
-        probe.note_batch(10.0, [make_tuple(i, time=float(i)) for i in range(5)])
+        probe.note(10.0, 0.0, 4.0, 5)  # five tuples stamped 0.0 .. 4.0
         assert probe.buffered == 5
         assert probe.committed == float("-inf")  # commits only at flush
 
     def test_note_batch_on_empty_batch_is_a_no_op(self, plane):
         probe = plane.register_process("a", blocking=False, sink=False)
-        probe.note_batch(10.0, [])
+        probe.note(10.0, float("inf"), float("-inf"), 0)
         assert probe.hist.count == 0
         assert probe.pending == float("-inf")
 

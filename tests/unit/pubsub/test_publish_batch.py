@@ -107,7 +107,11 @@ class TestPublishBatch:
         )
         net.netsim.topology.node("edge-1").fail()
         batch = make_batch(make_tuple, 3)
+        pending = net.netsim.clock.pending
         net.publish_batch("t1", batch)
+        # Lost at send time: one backoff timer for the whole message.
+        assert net.netsim.clock.pending == pending + 1
+        assert subscription.retries == 1
         net.netsim.clock.run()
         assert abandoned == [0, 1, 2]
         assert [letter.tuple.seq for letter in subscription.dead_letters] \

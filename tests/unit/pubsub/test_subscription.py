@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PubSubError
 from repro.pubsub.subscription import Subscription, SubscriptionFilter
+from repro.streams.tuple import TupleBatch
 from repro.stt.spatial import Box
 from tests.unit.pubsub.test_registry import make_metadata
 
@@ -55,7 +56,7 @@ class TestSubscriptionDelivery:
         subscription = Subscription(
             filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
         )
-        assert subscription.deliver(make_tuple(0)) is True
+        assert subscription.deliver(make_tuple(0)) == 1
         assert subscription.delivered == 1
         assert len(seen) == 1
 
@@ -65,7 +66,7 @@ class TestSubscriptionDelivery:
             filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
         )
         subscription.pause()
-        assert subscription.deliver(make_tuple(0)) is False
+        assert subscription.deliver(make_tuple(0)) == 0
         assert subscription.suppressed == 1
         assert seen == []
 
@@ -75,7 +76,17 @@ class TestSubscriptionDelivery:
         )
         subscription.pause()
         subscription.resume()
-        assert subscription.deliver(make_tuple(0)) is True
+        assert subscription.deliver(make_tuple(0)) == 1
+
+    def test_batch_without_batch_callback_unrolls_in_order(self, make_tuple):
+        seen = []
+        subscription = Subscription(
+            filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
+        )
+        tuples = [make_tuple(seq) for seq in range(3)]
+        assert subscription.deliver(TupleBatch.of(tuples)) == 3
+        assert seen == tuples
+        assert subscription.delivered == 3
 
     def test_unique_ids(self):
         a = Subscription(filter=SubscriptionFilter(), callback=lambda t: None,

@@ -131,9 +131,6 @@ class _FakeProcess:
         if self._on_receive is not None:
             self._on_receive(tuple_)
 
-    def receive_batch(self, batch, port=0):
-        self.received.extend(batch)
-
 
 def _send_at(backend, process, when, count):
     """At ``when``, send ``count`` equal-size messages edge-0 -> process;

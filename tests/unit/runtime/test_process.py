@@ -5,10 +5,12 @@ import pytest
 from repro.errors import DeploymentError
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
+from repro.obs import Observability
 from repro.runtime.process import OperatorProcess
 from repro.streams.aggregate import AggregationOperator
 from repro.streams.filter import FilterOperator
 from repro.streams.sink import ListSink
+from repro.streams.tuple import TupleBatch
 
 
 @pytest.fixture
@@ -88,6 +90,40 @@ class TestDataPath:
         for i in range(10):
             process.receive(make_tuple(i))
         assert sim.topology.node("node-0").work_done == pytest.approx(10.0)
+
+
+class TestTracing:
+    @staticmethod
+    def span_tree(make_tuple, batched: bool) -> "list[tuple[str, str | None]]":
+        """(span, parent span) names of one traced tuple sent through
+        filter -> sink processes, alone or inside a batch of two."""
+        obs = Observability(sampling=1.0)
+        sim = NetworkSimulator(topology=Topology.line(3))
+        sim.tracer = obs.tracer
+        filter_ = OperatorProcess(
+            "f", FilterOperator("temperature > 24"), "node-0", sim, obs=obs
+        )
+        sink = OperatorProcess("k", ListSink(), "node-2", sim, obs=obs)
+        filter_.add_route(sink)
+        ctx = obs.tracer.start_trace("publish", 0.0)
+        traced = make_tuple(0, temperature=30.0).with_trace(ctx)
+        if batched:
+            filter_.receive(
+                TupleBatch.of([traced, make_tuple(1, temperature=30.0)])
+            )
+        else:
+            filter_.receive(traced)
+        sim.clock.run()
+        assert len(sink.operator.received) == (2 if batched else 1)
+        spans = obs.tracer.trace(ctx.trace_id)
+        names = {span.span_id: span.name for span in spans}
+        return [(span.name, names.get(span.parent_id)) for span in spans]
+
+    def test_span_tree_is_the_same_alone_and_inside_a_batch(self, make_tuple):
+        chain = [("publish", None), ("evaluate", "publish"),
+                 ("transmit", "evaluate"), ("sink", "transmit")]
+        assert self.span_tree(make_tuple, batched=False) == chain
+        assert self.span_tree(make_tuple, batched=True) == chain
 
 
 class TestMigration:

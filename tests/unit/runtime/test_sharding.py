@@ -130,7 +130,7 @@ class TestShardedForwarding:
         upstream = self.make_upstream(sim, group)
         from repro.streams.tuple import TupleBatch
         tuples = [make_tuple(seq, station=f"st-{seq % 3}") for seq in range(9)]
-        upstream.receive_batch(TupleBatch.of(tuples))
+        upstream.receive(TupleBatch.of(tuples))
         sim.clock.run()
         received = sorted(
             t.seq for member in group.members
