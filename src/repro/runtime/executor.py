@@ -719,20 +719,24 @@ class Executor:
                     f"executor was built without one"
                 )
             # Bound once, at deploy time: the sink calls the loader
-            # directly, with no forwarding frame per row.
+            # directly, with no forwarding frame per row, and hands it a
+            # micro-batch whole (``load`` and ``push`` take a message).
             load = self.warehouse.load
             value_attribute = config.get("value_attribute")
             if value_attribute is not None:
                 load = partial(load, value_attribute=value_attribute)
-            return CallbackSink(load, name=f"warehouse:{service.name}")
+            return CallbackSink(
+                load, name=f"warehouse:{service.name}", batch_callback=load
+            )
         if service.kind == "visualization":
             if self.sticker is None:
                 raise DeploymentError(
                     f"sink {service.name!r} needs a visualization feed, but "
                     f"the executor was built without one"
                 )
+            push = self.sticker.push
             return CallbackSink(
-                self.sticker.push, name=f"sticker:{service.name}"
+                push, name=f"sticker:{service.name}", batch_callback=push
             )
         sink = ListSink(name=f"collector:{service.name}")
         deployment.collectors[service.name] = sink

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import GranularityError, StreamLoaderError
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import UNSEEN, SensorTuple, TupleBatch, message_members
 from repro.stt.granularity import SpatialGranularity, spatial_granularity
 from repro.stt.spatial import cell_index, representative_point
 from repro.stt.thematic import Theme
@@ -63,44 +63,63 @@ class StickerFeed:
         self._bins: dict[tuple[int, int, int, str], TrendPoint] = {}
         self.pushed = 0
 
-    def push(self, tuple_: SensorTuple) -> None:
-        """Accumulate one processed tuple into its bins (one per theme)."""
-        self.pushed += 1
-        stamp = tuple_.stamp
-        bucket = int(stamp.time // self.bucket_seconds)
-        point = representative_point(stamp.location)
-        row, col = cell_index(point.lat, point.lon, self.cell_granularity)
+    def push(self, payload: "SensorTuple | TupleBatch") -> None:
+        """Accumulate a message's processed tuples into their bins (one
+        per theme).
+
+        What derives from the stamp is resolved once per run of
+        consecutive members sharing it — the cell while the location
+        object repeats, the bin list while bucket, cell and themes do (a
+        gateway's micro-batch is one run) — and each member's values are
+        still added to the sums in arrival order.
+        """
+        members = message_members(payload)
+        self.pushed += len(members)
         bins = self._bins
-        for theme in stamp.themes or _UNTAGGED:
-            path = "(untagged)" if theme is None else theme.path
-            key = (bucket, row, col, path)
-            bin_ = bins.get(key)
-            if bin_ is None:
-                bin_ = bins[key] = TrendPoint(
-                    bucket_start=bucket * self.bucket_seconds,
-                    row=row,
-                    col=col,
-                    theme=path,
-                )
-            bin_.count += 1
-            sums = bin_.numeric_sums
-            counts = bin_.numeric_counts
-            for name, value in tuple_.payload.items():
-                # Numeric means int or float but not bool; exact types
-                # are settled without an isinstance walk.
-                kind = type(value)
-                if kind is float:
-                    pass
-                elif kind is int or (
-                    kind is not str
-                    and kind is not bool
-                    and isinstance(value, (int, float))
-                ):
-                    value = float(value)
-                else:
-                    continue
-                sums[name] = sums.get(name, 0.0) + value
-                counts[name] = counts.get(name, 0) + 1
+        bucket_seconds = self.bucket_seconds
+        last_location = last_themes = last_bucket = UNSEEN
+        for tuple_ in members:
+            stamp = tuple_.stamp
+            bucket = int(stamp.time // bucket_seconds)
+            location = stamp.location
+            themes = stamp.themes
+            if (location is not last_location or themes is not last_themes
+                    or bucket != last_bucket):
+                if location is not last_location:
+                    point = representative_point(location)
+                    row, col = cell_index(
+                        point.lat, point.lon, self.cell_granularity)
+                run = []
+                for theme in themes or _UNTAGGED:
+                    path = "(untagged)" if theme is None else theme.path
+                    key = (bucket, row, col, path)
+                    bin_ = bins.get(key)
+                    if bin_ is None:
+                        bin_ = bins[key] = TrendPoint(
+                            bucket * bucket_seconds, row, col, path)
+                    run.append(bin_)
+                last_location, last_themes, last_bucket = (
+                    location, themes, bucket)
+            for bin_ in run:
+                bin_.count += 1
+                sums = bin_.numeric_sums
+                counts = bin_.numeric_counts
+                for name, value in tuple_.payload.items():
+                    # Numeric means int or float but not bool; exact types
+                    # are settled without an isinstance walk.
+                    kind = type(value)
+                    if kind is float:
+                        pass
+                    elif kind is int or (
+                        kind is not str
+                        and kind is not bool
+                        and isinstance(value, (int, float))
+                    ):
+                        value = float(value)
+                    else:
+                        continue
+                    sums[name] = sums.get(name, 0.0) + value
+                    counts[name] = counts.get(name, 0) + 1
 
     # -- queries ------------------------------------------------------------
 

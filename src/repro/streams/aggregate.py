@@ -37,13 +37,14 @@ group/attribute for rescan at flush, reproducing the reference semantics
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.errors import DataflowError
 from repro.schema.infer import AGGREGATION_FUNCTIONS
 from repro.streams.base import BlockingOperator
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import UNSEEN, SensorTuple
 from repro.streams.windows import TupleCache
 from repro.stt.event import SttStamp
 from repro.stt.granularity import temporal_granularity
@@ -153,65 +154,84 @@ class AggregationOperator(BlockingOperator):
         self._partial_log: "dict[str, dict] | None" = None
 
     def _process(self, tuple_: SensorTuple, port: int) -> list[SensorTuple]:
+        # Evict (``_on_evict`` subtracts), append, then fold in: the order
+        # the running float sums show.
         self.cache.add(tuple_)
         if self.incremental:
-            self._accumulate(tuple_)
+            self._accumulate_run((tuple_,))
         return []
 
     def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: one window append pass per batch — the cache
-        # and accumulator methods are bound once outside the loop.
-        add = self.cache.add
-        if self.incremental:
-            accumulate = self._accumulate
+        cache = self.cache
+        if self.incremental and len(tuples) > cache.room:
+            # An overflowing run evicts as it appends, from the very sums
+            # the kernel adds to: keep each member's evict-then-add order.
             for tuple_ in tuples:
-                add(tuple_)
-                accumulate(tuple_)
+                self._process(tuple_, port)
         else:
-            for tuple_ in tuples:
-                add(tuple_)
+            cache.extend(tuples)
+            if self.incremental:
+                self._accumulate_run(tuples)
         return []
 
     # -- running accumulators -------------------------------------------------
 
-    def _group_key(self, tuple_: SensorTuple) -> object:
-        return None if self.group_by is None else tuple_.get(self.group_by)
+    def _accumulate_run(self, tuples: "Iterable[SensorTuple]") -> None:
+        """Fold a run of tuples, in order, into their groups' accumulators.
 
-    def _accumulate(self, tuple_: SensorTuple) -> None:
-        key = self._group_key(tuple_)
-        acc = self._groups.get(key)
-        if acc is None:
-            acc = self._groups[key] = _GroupAccumulator(self.attributes)
-        acc.members.append(tuple_)
-        for attr in self.attributes:
-            value = tuple_.get(attr)
-            if value is None:
-                continue
-            if not isinstance(value, (int, float)):
-                # The reference path converts via numpy at flush time;
-                # punt this attribute to that path so behaviour (including
-                # conversion errors) is identical.
-                acc.rescan.add(attr)
-                continue
-            stats = acc.stats[attr]
-            fvalue = float(value)
-            stats[0] += 1
-            stats[1] += fvalue
-            if stats[2] is None or fvalue < stats[2]:
-                stats[2] = fvalue
-            if stats[3] is None or fvalue > stats[3]:
-                stats[3] = fvalue
-        point = representative_point(tuple_.stamp.location)
-        bbox = acc.bbox
-        if bbox is None:
-            acc.bbox = (point.lat, point.lon, point.lat, point.lon)
-        else:
-            acc.bbox = (
-                point.lat if point.lat < bbox[0] else bbox[0],
-                point.lon if point.lon < bbox[1] else bbox[1],
-                point.lat if point.lat > bbox[2] else bbox[2],
-                point.lon if point.lon > bbox[3] else bbox[3],
-            )
+        The one place ``stats`` and ``bbox`` grow: ingest, ``restore`` and
+        ``adopt_partition`` all replay through here, so a rebuilt
+        accumulator is bit-identical to one that saw the tuples arrive.
+        """
+        groups = self._groups
+        group_by = self.group_by
+        attributes = self.attributes
+        last_location = UNSEEN
+        for tuple_ in tuples:
+            payload = tuple_.payload
+            key = None if group_by is None else payload.get(group_by)
+            acc = groups.get(key)
+            if acc is None:
+                acc = groups[key] = _GroupAccumulator(attributes)
+            acc.members.append(tuple_)
+            for attr in attributes:
+                value = payload.get(attr)
+                if type(value) is not float:
+                    if value is None:
+                        continue
+                    if not isinstance(value, (int, float)):
+                        # The reference path converts via numpy at flush
+                        # time; punt this attribute to it so behaviour
+                        # (including conversion errors) is identical.
+                        acc.rescan.add(attr)
+                        continue
+                    value = float(value)
+                stats = acc.stats[attr]
+                stats[0] += 1
+                stats[1] += value
+                low = stats[2]
+                if low is None or value < low:
+                    stats[2] = value
+                high = stats[3]
+                if high is None or value > high:
+                    stats[3] = value
+            # A run from one sensor shares its location object.
+            location = tuple_.stamp.location
+            if location is not last_location:
+                point = representative_point(location)
+                lat, lon = point.lat, point.lon
+                last_location = location
+            bbox = acc.bbox
+            if bbox is None:
+                acc.bbox = (lat, lon, lat, lon)
+            elif (lat < bbox[0] or lon < bbox[1]
+                    or lat > bbox[2] or lon > bbox[3]):
+                acc.bbox = (
+                    lat if lat < bbox[0] else bbox[0],
+                    lon if lon < bbox[1] else bbox[1],
+                    lat if lat > bbox[2] else bbox[2],
+                    lon if lon > bbox[3] else bbox[3],
+                )
 
     def _on_evict(self, tuple_: SensorTuple) -> None:
         """Cache eviction hook: retire the tuple from its accumulator.
@@ -219,7 +239,7 @@ class AggregationOperator(BlockingOperator):
         Evictions are FIFO overall, hence FIFO within each group, so the
         departing tuple is always its group's oldest member.
         """
-        key = self._group_key(tuple_)
+        key = None if self.group_by is None else tuple_.get(self.group_by)
         acc = self._groups.get(key)
         if acc is None or not acc.members:
             return
@@ -418,8 +438,7 @@ class AggregationOperator(BlockingOperator):
         )
         self.cache.restore(merged, evicted=self.cache.evicted)
         if self.incremental:
-            for tuple_ in moved:
-                self._accumulate(tuple_)
+            self._accumulate_run(moved)
 
     def _aggregate_group(
         self, key: object, window: list[SensorTuple], now: float, seq_offset: int
@@ -495,8 +514,7 @@ class AggregationOperator(BlockingOperator):
         # window (the checkpoint format is unchanged from the rescan era).
         self._groups = {}
         if self.incremental:
-            for tuple_ in self.cache:
-                self._accumulate(tuple_)
+            self._accumulate_run(self.cache)
 
     def describe(self) -> str:
         attrs = ",".join(self.attributes)

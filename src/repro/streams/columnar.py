@@ -218,8 +218,9 @@ class ColumnarBatch:
     def to_tuples(self, selection: "Sequence[int] | None" = None) -> "list[SensorTuple]":
         """Materialize the selected rows back to :class:`SensorTuple`.
 
-        Clean batches return the original tuple objects (no allocation,
-        and per-tuple ``_wire_size`` memos survive).  Dirty batches
+        Clean batches return the original tuple objects (no
+        allocation; nothing is remembered on a tuple — its wire size is a
+        pure function of the payload).  Dirty batches
         rebuild each payload in column order and clone provenance from
         the original row.
         """

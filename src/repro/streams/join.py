@@ -122,17 +122,11 @@ class JoinOperator(BlockingOperator):
         return pairs
 
     def _process(self, tuple_: SensorTuple, port: int) -> list[SensorTuple]:
-        if port == 0:
-            self.left_cache.add(tuple_)
-        else:
-            self.right_cache.add(tuple_)
+        (self.left_cache if port == 0 else self.right_cache).add(tuple_)
         return []
 
     def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: resolve the side once per batch, not per tuple.
-        add = self.left_cache.add if port == 0 else self.right_cache.add
-        for tuple_ in tuples:
-            add(tuple_)
+        (self.left_cache if port == 0 else self.right_cache).extend(tuples)
         return []
 
     #: Key value types whose hash/equality semantics are guaranteed to

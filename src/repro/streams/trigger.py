@@ -107,10 +107,7 @@ class _TriggerBase(BlockingOperator):
         return []
 
     def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: single bound append over the window cache.
-        add = self.cache.add
-        for tuple_ in tuples:
-            add(tuple_)
+        self.cache.extend(tuples)
         return []
 
     def _flush(self, now: float) -> list[SensorTuple]:

@@ -11,8 +11,8 @@ An optional ``max_tuples`` bound protects node memory; when full, the
 oldest tuples are evicted and counted, which the monitor reports.
 
 Operators that maintain **running accumulators** over the cache register an
-``on_evict`` callback: it fires once per tuple leaving through ``add``
-overflow or ``prune``, so incremental state can be decremented without
+``on_evict`` callback: it fires once per tuple leaving through ``add`` /
+``extend`` overflow or ``prune``, so incremental state can be decremented without
 rescanning.  Bulk lifecycle operations (``drain``, ``clear``, ``restore``)
 do *not* fire it — the owning operator resets its accumulators itself on
 those paths.  Iterating the cache (``for t in cache``) walks the underlying
@@ -23,7 +23,7 @@ that must outlive subsequent mutation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.errors import StreamLoaderError
 from repro.streams.tuple import SensorTuple
@@ -52,6 +52,24 @@ class TupleCache:
             if self.on_evict is not None:
                 self.on_evict(evicted)
         self._buffer.append(tuple_)
+
+    @property
+    def room(self) -> int:
+        """Tuples that fit before the next append evicts."""
+        return self._max - len(self._buffer)
+
+    def extend(self, tuples: "Sequence[SensorTuple]") -> None:
+        """Append a run of tuples: one bulk append when there is room.
+
+        A run that would overflow ``max_tuples`` goes through :meth:`add`
+        member by member instead, so every eviction (and its ``on_evict``)
+        happens at the position in the run where repeated ``add`` puts it.
+        """
+        if len(tuples) <= self.room:
+            self._buffer.extend(tuples)
+        else:
+            for tuple_ in tuples:
+                self.add(tuple_)
 
     def drain(self) -> list[SensorTuple]:
         """Return and clear the whole cache (tumbling windows)."""

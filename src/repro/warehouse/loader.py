@@ -10,7 +10,7 @@ never raising into the stream.
 
 from __future__ import annotations
 
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import UNSEEN, SensorTuple, TupleBatch, message_members
 from repro.warehouse.dimensions import (
     SourceDimension,
     SpaceDimension,
@@ -26,6 +26,7 @@ class EventWarehouse:
 
     >>> warehouse = EventWarehouse()
     >>> warehouse.load(some_tuple)          # doctest: +SKIP
+    >>> warehouse.load(some_batch)          # doctest: +SKIP
     >>> warehouse.query().count()           # doctest: +SKIP
     """
 
@@ -39,61 +40,86 @@ class EventWarehouse:
         self.rejected = 0
 
     def load(
-        self, tuple_: SensorTuple, value_attribute: "str | None" = None
+        self,
+        payload: "SensorTuple | TupleBatch",
+        value_attribute: "str | None" = None,
     ) -> "EventFact | None":
-        """Load one tuple; returns the fact, or None if quarantined.
+        """Load a message's tuples, in order; returns the last member's
+        fact, or None if it was quarantined (a lone tuple's own outcome).
 
         With ``value_attribute``, only that attribute becomes a measure
         (the sink's projection); otherwise every numeric attribute does.
-        """
-        payload = tuple_.payload
-        if value_attribute is not None:
-            # The sink's projection: one measure, everything else kept
-            # verbatim as attributes.
-            value = payload.get(value_attribute)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self.rejected += 1
-                return None
-            measures = {value_attribute: float(value)}
-            attributes = dict(payload)
-            del attributes[value_attribute]
-        else:
-            measures = {}
-            attributes = {}
-            for name, value in payload.items():
-                # Exact types first; the isinstance ladder is for
-                # subclasses (numpy floats) and everything else.
-                kind = type(value)
-                if kind is float:
-                    measures[name] = value
-                elif kind is str:
-                    attributes[name] = value
-                elif kind is int:
-                    measures[name] = float(value)
-                elif isinstance(value, bool):
-                    attributes[name] = value
-                elif isinstance(value, (int, float)):
-                    measures[name] = float(value)
-                elif value is not None:
-                    attributes[name] = value
-            if not measures and not attributes:
-                self.rejected += 1
-                return None
 
-        stamp = tuple_.stamp
-        time = stamp.time
-        fact = EventFact(  # positionally, in field order: one call per row
-            len(self.facts),
-            self.time_dim.key_for(time, stamp.temporal_granularity),
-            self.space_dim.key_for(stamp.location, stamp.spatial_granularity),
-            self.source_dim.key_for(tuple_.source),
-            tuple(map(self.theme_dim.key_for, stamp.themes)),
-            measures,
-            attributes,
-            time,
-        )
-        self.facts.append(fact)
-        self.loaded += 1
+        Each dimension key is resolved once per run of consecutive loaded
+        members sharing what it derives from — an aggregation flush shares
+        one time granule throughout and one cell, source and theme set per
+        gateway — so dimensions still intern in first-seen order.
+        """
+        facts = self.facts
+        fact = None
+        last_time = last_temporal = last_location = last_spatial = UNSEEN
+        last_source = last_themes = UNSEEN
+        for tuple_ in message_members(payload):
+            fact = None
+            values = tuple_.payload
+            if value_attribute is not None:
+                # The sink's projection: one measure, everything else
+                # kept verbatim as attributes.
+                value = values.get(value_attribute)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    self.rejected += 1
+                    continue
+                measures = {value_attribute: float(value)}
+                attributes = dict(values)
+                del attributes[value_attribute]
+            else:
+                measures = {}
+                attributes = {}
+                for name, value in values.items():
+                    # Exact types first; the isinstance ladder is for
+                    # subclasses (numpy floats) and everything else.
+                    kind = type(value)
+                    if kind is float:
+                        measures[name] = value
+                    elif kind is str:
+                        attributes[name] = value
+                    elif kind is int:
+                        measures[name] = float(value)
+                    elif isinstance(value, bool):
+                        attributes[name] = value
+                    elif isinstance(value, (int, float)):
+                        measures[name] = float(value)
+                    elif value is not None:
+                        attributes[name] = value
+                if not measures and not attributes:
+                    self.rejected += 1
+                    continue
+
+            stamp = tuple_.stamp
+            time = stamp.time
+            temporal = stamp.temporal_granularity
+            if time != last_time or temporal is not last_temporal:
+                time_key = self.time_dim.key_for(time, temporal)
+                last_time, last_temporal = time, temporal
+            location = stamp.location
+            spatial = stamp.spatial_granularity
+            if location is not last_location or spatial is not last_spatial:
+                space_key = self.space_dim.key_for(location, spatial)
+                last_location, last_spatial = location, spatial
+            source = tuple_.source
+            if source != last_source:
+                source_key = self.source_dim.key_for(source)
+                last_source = source
+            themes = stamp.themes
+            if themes is not last_themes:
+                theme_keys = tuple(map(self.theme_dim.key_for, themes))
+                last_themes = themes
+            fact = EventFact(  # positionally, in field order: one call per row
+                len(facts), time_key, space_key, source_key, theme_keys,
+                measures, attributes, time,
+            )
+            facts.append(fact)
+            self.loaded += 1
         return fact
 
     def query(self) -> WarehouseQuery:

@@ -11,7 +11,7 @@ from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.runtime.backends import live_backends
 from repro.schema.schema import StreamSchema
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Box, GridCell, Point
 
@@ -199,6 +199,23 @@ def mixed_stream() -> "list[SensorTuple]":
             seq=i,
         ))
     return stream
+
+
+@pytest.fixture
+def feedings():
+    """``feedings(stream)``: the same stream cut into messages four ways
+    — lone tuples, TupleBatches of 7 and of 32, and one batch."""
+
+    def cut(stream: "list[SensorTuple]") -> "dict[str, list]":
+        out: "dict[str, list]" = {"lone": list(stream)}
+        for width in (7, 32, len(stream)):
+            out[f"batches-of-{width}"] = [
+                TupleBatch.of(stream[first:first + width])
+                for first in range(0, len(stream), width)
+            ]
+        return out
+
+    return cut
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ import pytest
 
 from repro.errors import GranularityError, StreamLoaderError
 from repro.sticker.feed import StickerFeed
-from repro.stt.spatial import grid_cell_for, representative_point
+from repro.streams.tuple import TupleBatch
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point, grid_cell_for, representative_point
 
 
 class TestBinning:
@@ -75,21 +77,72 @@ def _reference_bins(stream, bucket_seconds, cell_granularity):
 
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("granularity", ["district", "city"])
-    def test_mixed_stream_bins_equal_reference(self, mixed_stream, granularity):
-        feed = StickerFeed(bucket_seconds=1800.0, cell_granularity=granularity)
-        for tuple_ in mixed_stream:
-            feed.push(tuple_)
-        got = {
-            (b.bucket_start, b.row, b.col, b.theme):
-                (b.count, b.numeric_sums, b.numeric_counts)
-            for b in feed.bins()
-        }
-        assert feed.pushed == len(mixed_stream)
-        assert got == _reference_bins(mixed_stream, 1800.0, granularity)
-        assert all(
-            type(total) is float
-            for _, sums, _ in got.values() for total in sums.values()
+    def test_mixed_stream_bins_equal_reference(
+        self, mixed_stream, feedings, granularity
+    ):
+        # However the stream is cut into messages, the bins are the
+        # reference's — sums compared with ``==``: each member's values
+        # are added in arrival order, so every float is bit-identical.
+        reference = _reference_bins(mixed_stream, 1800.0, granularity)
+        for label, messages in feedings(mixed_stream).items():
+            feed = StickerFeed(
+                bucket_seconds=1800.0, cell_granularity=granularity)
+            for message in messages:
+                feed.push(message)
+            got = {
+                (b.bucket_start, b.row, b.col, b.theme):
+                    (b.count, b.numeric_sums, b.numeric_counts)
+                for b in feed.bins()
+            }
+            assert feed.pushed == len(mixed_stream), label
+            assert got == reference, label
+            # Bins are created in first-touch order too (``series`` sums
+            # across them in that order).
+            assert list(feed._bins) == list(
+                _first_touch_keys(mixed_stream, 1800.0, granularity)
+            ), label
+            assert all(
+                type(total) is float
+                for _, sums, _ in got.values() for total in sums.values()
+            ), label
+
+    def test_a_run_ends_where_any_stamp_field_changes(self, make_tuple):
+        # Consecutive members that share some stamp fields but not all:
+        # same location object with another bucket, same bucket with
+        # another location, same both with other themes.
+        first = make_tuple(0, time=10.0)
+        stamp = first.stamp
+        members = [
+            first,
+            first.with_stamp(SttStamp.typed(
+                7200.0, stamp.location, stamp.temporal_granularity,
+                stamp.spatial_granularity, stamp.themes)),
+            first.with_stamp(SttStamp.typed(
+                7200.0, Point(35.5, 136.5), stamp.temporal_granularity,
+                stamp.spatial_granularity, stamp.themes)),
+            first.with_stamp(SttStamp.typed(
+                7200.0, Point(35.5, 136.5), stamp.temporal_granularity,
+                stamp.spatial_granularity, ())),
+        ]
+        batched, lone = StickerFeed(), StickerFeed()
+        batched.push(TupleBatch.of(members))
+        for member in members:
+            lone.push(member)
+        assert len(batched.bins()) == 4
+        assert batched.bins() == lone.bins()
+
+
+def _first_touch_keys(stream, bucket_seconds, cell_granularity):
+    """Bin keys in the order the reference first touches them."""
+    keys = {}
+    for tuple_ in stream:
+        bucket = int(tuple_.stamp.time // bucket_seconds)
+        cell = grid_cell_for(
+            representative_point(tuple_.stamp.location), cell_granularity
         )
+        for theme in [t.path for t in tuple_.stamp.themes] or ["(untagged)"]:
+            keys.setdefault((bucket, cell.row, cell.col, theme))
+    return keys
 
 
 class TestSeries:

@@ -1,5 +1,6 @@
 """Unit tests for sensor tuples."""
 
+import numpy as np
 import pytest
 
 from repro.streams.tuple import (
@@ -7,6 +8,7 @@ from repro.streams.tuple import (
     TupleBatch,
     estimate_batch_size_bytes,
     estimate_size_bytes,
+    message_size_bytes,
 )
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
@@ -149,13 +151,71 @@ class TestBatchSizeMemo:
         assert estimate_batch_size_bytes(batch) == size
         assert estimate_batch_size_bytes(grown) > size
 
-    def test_payload_preserving_tuple_clones_keep_the_tuple_memo(
+    def test_payload_preserving_clones_resize_and_leave_no_tuple_memo(
         self, make_tuple
     ):
+        # The size is a pure function of the payload: nothing is
+        # remembered on the tuple (a memo there would materialise the
+        # instance dict of every fresh tuple), so clones just size equal.
         tuple_ = make_tuple(0)
         size = estimate_size_bytes(tuple_)
-        traced = tuple_.relabelled("elsewhere")
-        assert traced.__dict__.get("_wire_size") == size
+        assert "_wire_size" not in vars(tuple_)
+        for clone in (
+            tuple_.with_trace(None),
+            tuple_.with_stamp(tuple_.stamp),
+            tuple_.relabelled("elsewhere"),
+        ):
+            assert estimate_size_bytes(clone) == size
+            assert "_wire_size" not in vars(clone)
+
+
+class _Text(str):
+    """A str subclass: sized through the isinstance ladder."""
+
+
+class TestWireSizes:
+    """Literal sizes, computed before the per-tuple memo was deleted."""
+
+    @pytest.mark.parametrize("payload, size", [
+        ({}, 48),
+        ({"v": 1.5}, 57),
+        ({"v": 7}, 57),
+        ({"v": True}, 50),
+        ({"v": None}, 65),
+        ({"text": "heavy rain"}, 62),
+        ({"text": "雨"}, 55),
+        ({"text": "大阪 rain"}, 63),
+        ({"v": _Text("abc")}, 52),
+        ({"v": _Text("雨雨")}, 55),
+        ({"v": np.float64(1.25)}, 57),
+        ({"v": np.int64(3)}, 65),
+        ({"v": [1, [2, 3]]}, 65),
+        ({"reading": 2.5, "station": "umeda", "ok": True, "n": 3,
+          "note": None}, 107),
+    ], ids=[
+        "empty", "float", "int", "bool", "none", "ascii", "non-ascii",
+        "mixed-text", "str-subclass", "non-ascii-str-subclass",
+        "np.float64", "np.int64", "nested-list", "all",
+    ])
+    def test_literal_sizes(self, payload, size):
+        stamp = SttStamp(time=0.0, location=Point(0.0, 0.0))
+        tuple_ = SensorTuple(payload=payload, stamp=stamp)
+        assert estimate_size_bytes(tuple_) == size
+        assert message_size_bytes(tuple_) == size
+        assert message_size_bytes(TupleBatch.of([tuple_, tuple_])) == (
+            24 + 2 * size
+        )
+
+    def test_a_batch_is_its_envelope_plus_its_members(self, mixed_stream):
+        for width in (1, 7, 32, len(mixed_stream)):
+            for first in range(0, len(mixed_stream), width):
+                members = mixed_stream[first:first + width]
+                assert message_size_bytes(TupleBatch.of(members)) == (
+                    24 + sum(estimate_size_bytes(t) for t in members)
+                )
+                assert estimate_batch_size_bytes(members) == (
+                    24 + sum(estimate_size_bytes(t) for t in members)
+                )
 
 
 class TestStampSpanMemo:

@@ -44,6 +44,61 @@ class TestBounds:
         assert [t.seq for t in cache] == [2, 3, 4]  # oldest evicted
 
 
+class TestExtend:
+    @staticmethod
+    def _caches(max_tuples):
+        logs = ([], [])
+        return [
+            TupleCache(max_tuples=max_tuples, on_evict=log.append)
+            for log in logs
+        ], logs
+
+    def test_extend_with_room_equals_repeated_add(self, make_tuple):
+        (extended, added), (evicted_e, evicted_a) = self._caches(10)
+        resident = [make_tuple(i) for i in range(4)]
+        run = [make_tuple(i) for i in range(4, 10)]  # fills it exactly
+        for cache in (extended, added):
+            cache.extend(resident[:2])
+            for tuple_ in resident[2:]:
+                cache.add(tuple_)
+        extended.extend(run)
+        for tuple_ in run:
+            added.add(tuple_)
+        assert list(extended) == list(added) == resident + run
+        assert extended.room == added.room == 0
+        assert extended.evicted == added.evicted == 0
+        assert evicted_e == evicted_a == []
+
+    @pytest.mark.parametrize("run_length", [3, 4, 9])
+    def test_extend_past_the_bound_evicts_like_repeated_add(
+        self, make_tuple, run_length
+    ):
+        # 9 > max_tuples: the run evicts its own head.
+        (extended, added), (evicted_e, evicted_a) = self._caches(4)
+        resident = [make_tuple(i) for i in range(2)]
+        run = [make_tuple(i) for i in range(2, 2 + run_length)]
+        extended.extend(resident)
+        added.extend(resident)
+        extended.extend(run)
+        for tuple_ in run:
+            added.add(tuple_)
+        assert list(extended) == list(added) == (resident + run)[-4:]
+        assert evicted_e == evicted_a == (resident + run)[:-4]
+        assert extended.evicted == added.evicted == run_length - 2
+
+    def test_overflowing_extend_interleaves_evictions_with_appends(
+        self, make_tuple
+    ):
+        # on_evict sees the cache exactly as repeated add shows it: the
+        # evicted tuple gone, the member that displaced it not yet in.
+        seen = []
+        cache = TupleCache(
+            max_tuples=2, on_evict=lambda t: seen.append((t.seq, len(cache))))
+        cache.extend([make_tuple(i) for i in range(2)])
+        cache.extend([make_tuple(i) for i in range(2, 5)])
+        assert seen == [(0, 1), (1, 1), (2, 1)]
+
+
 class TestPrune:
     def test_prune_by_time(self, make_tuple):
         cache = TupleCache()

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.stt.spatial import grid_cell_for, representative_point
+from repro.streams.tuple import TupleBatch
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point, grid_cell_for, representative_point
 from repro.stt.temporal import align_instant
 from repro.warehouse.dimensions import SpaceMember, TimeMember
 from repro.warehouse.loader import EventWarehouse
@@ -122,27 +124,78 @@ class _ReferenceWarehouse:
 
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("value_attribute", [None, "reading"])
-    def test_mixed_stream_equals_reference(self, mixed_stream, value_attribute):
-        warehouse = EventWarehouse()
+    def test_mixed_stream_equals_reference(
+        self, mixed_stream, feedings, value_attribute
+    ):
         reference = _ReferenceWarehouse()
         for tuple_ in mixed_stream:
-            warehouse.load(tuple_, value_attribute=value_attribute)
             reference.load(tuple_, value_attribute)
-        assert warehouse.rejected == reference.rejected > 0
-        assert warehouse.loaded == len(reference.facts)
-        got = [
-            (f.fact_id, f.time_key, f.space_key, f.source_key, f.theme_keys,
-             f.measures, f.attributes, f.event_time)
-            for f in warehouse.facts
+        # However the stream is cut into messages, facts and the four
+        # dimension tables (members in first-seen order) are the
+        # reference's.
+        for label, messages in feedings(mixed_stream).items():
+            warehouse = EventWarehouse()
+            for message in messages:
+                warehouse.load(message, value_attribute=value_attribute)
+            assert warehouse.rejected == reference.rejected > 0, label
+            assert warehouse.loaded == len(reference.facts), label
+            got = [
+                (f.fact_id, f.time_key, f.space_key, f.source_key,
+                 f.theme_keys, f.measures, f.attributes, f.event_time)
+                for f in warehouse.facts
+            ]
+            assert got == reference.facts, label
+            assert all(
+                type(v) is float
+                for f in warehouse.facts for v in f.measures.values()
+            ), label
+            for name, dim in (("time", warehouse.time_dim),
+                              ("space", warehouse.space_dim),
+                              ("source", warehouse.source_dim),
+                              ("theme", warehouse.theme_dim)):
+                assert [dim.member(k) for k in range(len(dim))] == list(
+                    reference.members[name]
+                ), (label, name)
+
+    def test_a_run_ends_where_what_a_key_derives_from_changes(self, make_tuple):
+        # Consecutive members that differ in exactly one thing a
+        # dimension key derives from, the rest shared by identity.
+        first = make_tuple(0, time=10.0)
+        stamp = first.stamp
+
+        def restamped(time=stamp.time, location=stamp.location,
+                      temporal=stamp.temporal_granularity,
+                      spatial=stamp.spatial_granularity, themes=stamp.themes):
+            return first.with_stamp(SttStamp(
+                time=time, location=location, temporal_granularity=temporal,
+                spatial_granularity=spatial, themes=themes))
+
+        members = [
+            first,
+            restamped(time=7200.0),
+            restamped(temporal="hour"),
+            restamped(location=Point(35.5, 136.5)),
+            restamped(spatial="city"),
+            restamped(themes=("weather/rain",)),
+            first.relabelled("elsewhere"),
+            first,
         ]
-        assert got == reference.facts
-        assert all(
-            type(v) is float for f in warehouse.facts for v in f.measures.values()
-        )
-        for name, dim in (("time", warehouse.time_dim),
-                          ("space", warehouse.space_dim),
-                          ("source", warehouse.source_dim),
-                          ("theme", warehouse.theme_dim)):
-            assert [dim.member(k) for k in range(len(dim))] == list(
-                reference.members[name]
-            )
+        batched, lone = EventWarehouse(), EventWarehouse()
+        batched.load(TupleBatch.of(members))
+        for member in members:
+            lone.load(member)
+        assert batched.facts == lone.facts
+        assert len({f.time_key for f in batched.facts}) == 3
+        assert len({f.space_key for f in batched.facts}) == 3
+        assert len({f.source_key for f in batched.facts}) == 2
+        assert len({f.theme_keys for f in batched.facts}) == 2
+
+    def test_load_returns_the_last_members_outcome(self, make_tuple):
+        warehouse = EventWarehouse()
+        good, bad = make_tuple(0), make_tuple(1).with_payload({"only": None})
+        # A lone tuple: its fact, or None when quarantined.
+        assert warehouse.load(good) is warehouse.facts[-1]
+        assert warehouse.load(bad) is None
+        assert warehouse.load(TupleBatch.of([bad, good])) is warehouse.facts[-1]
+        assert warehouse.load(TupleBatch.of([good, bad])) is None
+        assert (warehouse.loaded, warehouse.rejected) == (3, 3)
