@@ -1,10 +1,10 @@
 """Shared tuple/topology factories for the ``run_*`` benchmark runners.
 
-Mirrors ``_timing.py``: the runners (``run_fusion``, ``run_latency``,
-``run_columnar``) all feed synthetic weather readings through a line of
-simulated nodes, and each had grown its own copy of the tuple factory
-and topology builder.  BENCH_N.json records are regression anchors, so
-the payload constants must not drift: readings are ``15.0 + (i % 13)``.
+Mirrors ``_timing.py``: the runners (``run_fusion``, ``run_latency``)
+feed synthetic weather readings through a line of simulated nodes from
+one tuple factory and one topology builder.  BENCH_N.json records are
+regression anchors, so the payload constants must not drift: readings
+are ``15.0 + (i % 13)``.
 """
 
 from __future__ import annotations

@@ -92,8 +92,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         flow = osaka_scenario_flow(stack)
         deployment = stack.executor.deploy(flow, shards=_shards_from(args),
                                            elastic=_apply_rebalance(args, stack),
-                                           fuse=not args.no_fuse,
-                                           columnar=not args.no_columnar)
+                                           fuse=not args.no_fuse)
         stack.run_until(args.hours * 3600.0)
 
     print(stack.executor.monitor.render_dashboard())
@@ -139,7 +138,6 @@ def _run_observed(args: argparse.Namespace):
             flow, shards=_shards_from(args),
             elastic=_apply_rebalance(args, stack),
             fuse=not getattr(args, "no_fuse", False),
-            columnar=not getattr(args, "no_columnar", False),
         )
         stack.run_until(args.hours * 3600.0)
     return stack, deployment
@@ -251,8 +249,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         elastic=_apply_rebalance(args, stack),
         slos=[parse_slo_expr(expr, flow.name) for expr in exprs],
     )
-    stack.executor.deploy(program, fuse=not args.no_fuse,
-                          columnar=not args.no_columnar)
+    stack.executor.deploy(program, fuse=not args.no_fuse)
     engine = stack.executor.alerts
     if args.watch:
         interval = max(args.cadence, 3600.0)
@@ -347,9 +344,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fuse", action="store_true",
                         help="disable operator fusion (each non-blocking "
                              "operator keeps its own process)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="disable columnar batch execution (fused "
-                             "chains keep the row-oriented batch path)")
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:

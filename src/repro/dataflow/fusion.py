@@ -44,30 +44,6 @@ FUSIBLE_KINDS = frozenset({
     "cull-space",
 })
 
-#: Operator kinds whose runtime classes expose a column kernel
-#: (``columnar_step``) — the whole per-tuple operator family.  Today
-#: this coincides with :data:`FUSIBLE_KINDS`; it is kept separate so a
-#: future fusible-but-row-only kind (e.g. a stateful dedup) degrades a
-#: chain to the row batch path instead of blocking fusion.
-COLUMNAR_KINDS = frozenset(FUSIBLE_KINDS)
-
-
-def columnar_eligible(program: DsnProgram, chain: "tuple[str, ...]") -> bool:
-    """Whether every member of a planned chain has a column kernel.
-
-    Chain eligibility (fusibility) is necessary but not sufficient for
-    columnar execution: the executor clears the fused operator's
-    ``columnar`` flag for chains failing this, so they keep the row
-    batch path.  Uniform-schema and batch-size checks remain runtime
-    per-batch decisions — this is the static, plan-time gate.
-    """
-    kinds = {
-        service.name: service.kind
-        for service in program.services
-        if service.role is ServiceRole.OPERATOR
-    }
-    return all(kinds.get(name) in COLUMNAR_KINDS for name in chain)
-
 
 def _fusible_services(program: DsnProgram) -> "set[str]":
     sharded = {shard.service for shard in program.shards if shard.count > 1}

@@ -41,8 +41,9 @@ view.  The fallback raises the *real* compiled-path errors, so the
 taxonomy and messages stay bit-identical; only the loop moves here.
 Every kernel carries a ``vectorized`` attribute saying which path it is.
 
-``tests/property/test_prop_columnar_parity.py`` pins column ≡ row
-equivalence end to end through deployed flows.
+``tests/oracle/test_kernel_oracle.py`` pins column kernel ≡ row kernel
+at operator level, ``tests/property/test_prop_columnar_parity.py`` end
+to end through deployed flows.
 """
 
 from __future__ import annotations

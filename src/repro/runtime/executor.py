@@ -390,7 +390,6 @@ class Executor:
         shards: "int | dict[str, int] | None" = None,
         elastic: bool = False,
         fuse: bool = True,
-        columnar: bool = True,
     ) -> Deployment:
         """Translate (if needed), place, spawn, wire, and start a dataflow.
 
@@ -407,14 +406,9 @@ class Executor:
         non-blocking operators on private single-in/single-out channels
         are hosted in one process each, eliding the interior hops.  A
         program's explicit ``fuse`` clauses pin the plan; ``fuse=False``
-        is the ``--no-fuse`` escape hatch.
-
-        ``columnar`` (default on) lets fused chains whose members all
-        carry column kernels (:func:`repro.dataflow.fusion.
-        columnar_eligible`) execute micro-batches as struct-of-arrays
-        columns with selection-vector filtering (DESIGN.md §16);
-        ``columnar=False`` is the ``--no-columnar`` escape hatch and
-        pins every chain to the row batch path.
+        is the ``--no-fuse`` escape hatch.  Whether a fused chain runs a
+        batch on its column kernels is the chain's call, per batch, from
+        what it observes (DESIGN.md §16) — not a deploy option.
         """
         if isinstance(flow_or_program, Dataflow):
             flow = flow_or_program
@@ -494,9 +488,7 @@ class Executor:
             if service.name in member_of:
                 chain = member_of[service.name]
                 if service.name == chain[0]:
-                    self._spawn_fused(
-                        deployment, chain, placements, demands, columnar
-                    )
+                    self._spawn_fused(deployment, chain, placements, demands)
                 continue
             self._spawn(
                 deployment, service.name,
@@ -775,7 +767,6 @@ class Executor:
         chain: "tuple[str, ...]",
         placements: dict[str, PlacementDecision],
         demands: dict[str, float],
-        columnar: bool = True,
     ) -> None:
         """Spawn one process hosting a whole fused non-blocking chain.
 
@@ -784,12 +775,7 @@ class Executor:
         *max* member demand (the members see the same stream, so their
         demands overlap rather than add; the summed per-tuple cost is
         carried by the fused operator's ``cost_per_tuple``).
-
-        ``columnar`` gates the chain's columnar batch pipeline; it is
-        further narrowed by the plan-time eligibility check (every
-        member's kind must carry a column kernel).
         """
-        from repro.dataflow.fusion import columnar_eligible
         from repro.streams.fused import FUSED_NAME_SEPARATOR, FusedOperator
 
         program = deployment.program
@@ -804,7 +790,6 @@ class Executor:
             members.append(operator)
         key = FUSED_NAME_SEPARATOR.join(chain)
         fused = FusedOperator(members, name=key)
-        fused.columnar = columnar and columnar_eligible(program, chain)
         if self.obs is not None:
             fused.bind_obs(
                 self.obs.metrics,

@@ -122,9 +122,7 @@ class Operator:
         """Feed a micro-batch into the given input port; returns emissions.
 
         Semantically identical to calling :meth:`on_tuple` per member, but
-        the port check and stats updates happen once per batch and
-        subclasses may override :meth:`_process_batch` with a tight loop
-        over pre-bound state (the micro-batch fast path).
+        the port check and stats updates happen once per batch.
         """
         if not (0 <= port < self.input_ports):
             raise StreamLoaderError(
@@ -188,9 +186,15 @@ class Operator:
     def _process_batch(
         self, tuples: "Sequence[SensorTuple]", port: int
     ) -> list[SensorTuple]:
-        """Default batch path: per-tuple processing with the same
+        """The one row loop: :meth:`_process` per tuple, with the same
         error-quarantine semantics as :meth:`on_tuple` (a failing tuple is
-        counted and dropped without poisoning the rest of the batch)."""
+        counted and dropped without poisoning the rest of the batch).
+
+        Override only to handle the message *as a whole* — bulk-extend a
+        cache, one callback per batch, column dispatch — never to restate
+        ``_process`` inside a ``for``; an operator's fast path for batches
+        is a column kernel (``columnar_step``), not a second row loop.
+        """
         out: list[SensorTuple] = []
         process = self._process
         errors = 0

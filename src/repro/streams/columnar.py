@@ -42,7 +42,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.streams.tuple import SensorTuple, TupleBatch
+from repro.streams.tuple import SensorTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.stt.event import SttStamp
@@ -185,9 +185,6 @@ class ColumnarBatch:
             self._stamps = stamps
         return stamps
 
-    def seq_column(self) -> "list[int]":
-        return [t.seq for t in self.originals]
-
     def set_column(self, name: str, values: list) -> None:
         """Install a freshly built full-length column under ``name``."""
         if name not in self.columns:
@@ -237,10 +234,6 @@ class ColumnarBatch:
         # __slots__, so the instance dict is the attribute store).  This
         # loop is the materialization boundary of every columnar chain.
         return _materializer(self.fields)(originals, rows, self.columns)
-
-    def to_batch(self, selection: "Sequence[int] | None" = None) -> TupleBatch:
-        """Materialize selected rows as a row-oriented envelope."""
-        return TupleBatch.of(self.to_tuples(selection))
 
 
 class LazyRows(Sequence):

@@ -29,42 +29,21 @@ class _CullBase(NonBlockingOperator):
         self.rate = rate
         self._counter = 0
 
-    def _in_region(self, tuple_: SensorTuple) -> bool:
-        raise NotImplementedError
-
     def _stamp_in_region(self, stamp) -> bool:
         raise NotImplementedError
 
     def _process(self, tuple_: SensorTuple, port: int) -> list[SensorTuple]:
-        if not self._in_region(tuple_):
+        if not self._stamp_in_region(tuple_.stamp):
             return [tuple_]
         self._counter += 1
         if self._counter % self.rate == 0:
             return [tuple_]
         return []
 
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: the down-sampling counter lives in a local for
-        # the duration of the loop and is written back once.
-        in_region = self._in_region
-        rate = self.rate
-        counter = self._counter
-        out: list[SensorTuple] = []
-        append = out.append
-        for tuple_ in tuples:
-            if not in_region(tuple_):
-                append(tuple_)
-                continue
-            counter += 1
-            if counter % rate == 0:
-                append(tuple_)
-        self._counter = counter
-        return out
-
     def columnar_step(self, col, sel):
         """Column kernel: region test over the stamp column, with the
         deterministic down-sampling counter held in a local and written
-        back once (same discipline as the row batch path)."""
+        back once."""
         stamps = col.stamp_column()
         in_region = self._stamp_in_region
         rate = self.rate
@@ -96,9 +75,6 @@ class CullTimeOperator(_CullBase):
         super().__init__(rate, name or "cull-time")
         self.window = Interval(start, end)
 
-    def _in_region(self, tuple_: SensorTuple) -> bool:
-        return self.window.contains(tuple_.stamp.time)
-
     def _stamp_in_region(self, stamp) -> bool:
         return self.window.contains(stamp.time)
 
@@ -126,9 +102,6 @@ class CullSpaceOperator(_CullBase):
         if not isinstance(corner2, Point):
             corner2 = Point(*corner2)
         self.area = Box.from_corners(corner1, corner2)
-
-    def _in_region(self, tuple_: SensorTuple) -> bool:
-        return within(tuple_.stamp.location, self.area)
 
     def _stamp_in_region(self, stamp) -> bool:
         return within(stamp.location, self.area)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.errors import ExpressionError
 from repro.expr.eval import CompiledExpression, compile_expression
 from repro.expr.vectorize import predicate_kernel
 from repro.streams.base import NonBlockingOperator
@@ -33,29 +32,12 @@ class FilterOperator(NonBlockingOperator):
             return [tuple_]
         return []
 
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: the compiled predicate is bound once and run in
-        # a tight loop; failing tuples are quarantined individually.
-        evaluate = self._predicate
-        out: list[SensorTuple] = []
-        append = out.append
-        errors = 0
-        for tuple_ in tuples:
-            try:
-                if evaluate(tuple_.payload):
-                    append(tuple_)
-            except ExpressionError:
-                errors += 1
-        if errors:
-            self.stats.errors += errors
-        return out
-
     def columnar_step(self, col, sel):
         """Column kernel: map a selection to the rows passing the condition.
 
         Returns ``(kept_rows, error_count)``; rows whose evaluation raised
         (or returned a non-boolean) are quarantined, exactly like the row
-        path's per-tuple ``except ExpressionError``.
+        loop's per-tuple ``except ExpressionError``.
         """
         kernel = self._vpredicate
         if kernel is None:

@@ -11,31 +11,33 @@ deliver.
 Member semantics are preserved exactly:
 
 - each member keeps its own :class:`~repro.streams.base.OperatorStats`
-  (the fused wrapper calls the members' ``on_tuple``/``on_batch``, which
-  are already bound to their prepared compiled expressions from
-  ``expr/compile``), so per-operator counts match an unfused run;
+  (the chain drives the members' row kernels, ``_process``, already
+  bound to their prepared compiled expressions, and does the
+  ``on_tuple`` bookkeeping itself), so per-operator counts match an
+  unfused run;
 - error quarantine stays per member — a tuple that fails inside member
   *k* is counted in member *k*'s ``stats.errors`` and dropped there,
   never reaching member *k+1*;
-- batches flow through the members' ``_process_batch`` fast paths via
-  ``on_batch``, one call per member per batch;
 - with observability bound (:meth:`FusedOperator.bind_obs`), the
   per-member ``process_tuples_total`` counters keep their *member*
   process labels, so the metrics output is indistinguishable from an
   unfused run even though only one process exists.
 
-When every member exposes a column kernel (``columnar_step``) and the
-deployment left columnar execution on, batches of at least
-``MIN_COLUMNAR_ROWS`` uniform-schema rows take the columnar pipeline
+A chain has two kernels and picks between them per message from what it
+observes, never from a switch.  The row kernel (``_process``: one tuple
+through every member, tuple-major) is the reference semantics; a batch
+that cannot go columnar is the base class's loop over it.  When every
+member exposes a column kernel (``columnar_step``), a batch of at least
+``MIN_COLUMNAR_ROWS`` uniform-schema rows takes the columnar pipeline
 instead: the batch is transposed once (cached on the envelope), each
 member narrows a selection vector over shared columns, and the chain
 emits a :class:`~repro.streams.columnar.LazyRows` view — rows
 re-materialize to :class:`SensorTuple` only when a consumer reads them
 (the hosting process forwarding to blocking/sink/sharded routes), never
 between members and never for output nobody consumes.  Per-member
-stats, counters, and
-error quarantine follow the exact ``on_batch`` accounting, which the
-columnar≡row Hypothesis suite pins end to end.
+stats, counters, and error quarantine are those of the row kernel,
+which the operator-level kernel oracle and the columnar≡lone-tuple
+Hypothesis suite pin.
 """
 
 from __future__ import annotations
@@ -90,11 +92,7 @@ class FusedOperator(NonBlockingOperator):
         #: The whole chain's work is charged to the hosting node in one
         #: ``account_work`` call, so the fused cost is the members' sum.
         self.cost_per_tuple = sum(m.cost_per_tuple for m in self.members)
-        self._batch_steps = [m.on_batch for m in self.members]
         self._member_counters: "list[object] | None" = None
-        #: Whether this chain may execute batches columnar (the executor
-        #: clears it for ``deploy(columnar=False)`` / `--no-columnar`).
-        self.columnar = True
         self._columnar_steps = [
             getattr(m, "columnar_step", None) for m in self.members
         ]
@@ -169,11 +167,7 @@ class FusedOperator(NonBlockingOperator):
     def _process_batch(
         self, tuples: "Sequence[SensorTuple]", port: int
     ) -> "Sequence[SensorTuple]":
-        if (
-            self.columnar
-            and self._columnar_capable
-            and len(tuples) >= MIN_COLUMNAR_ROWS
-        ):
+        if self._columnar_capable and len(tuples) >= MIN_COLUMNAR_ROWS:
             # The transposition is cached on the batch envelope, so other
             # subscribers' chains receiving the same batch reuse it; the
             # fork keeps this pipeline's column installs private.
@@ -184,21 +178,14 @@ class FusedOperator(NonBlockingOperator):
             )
             if col is not None:
                 return self._process_columnar(col.fork())
-            # Heterogeneous schema: fall through to the row path.
-        counters = self._member_counters
-        out: "Sequence[SensorTuple]" = tuples
-        for index, step in enumerate(self._batch_steps):
-            if counters is not None:
-                counters[index].inc(len(out))
-            out = step(out, 0)
-            if not out:
-                return []
-        return list(out)
+        # Too short, heterogeneous schema, or a member without a column
+        # kernel: the row kernel, one tuple at a time.
+        return super()._process_batch(tuples, port)
 
     def _process_columnar(self, col: ColumnarBatch) -> "Sequence[SensorTuple]":
-        # Reproduces the row batch path's per-member ``on_batch``
-        # accounting exactly: counter + tuples_in before the step,
-        # errors and tuples_out after, early exit on an empty selection.
+        # Member-major where ``_process`` is tuple-major, with the same
+        # per-member totals: counter + tuples_in before the step, errors
+        # and tuples_out after, early exit on an empty selection.
         counters = self._member_counters
         sel: "Sequence[int]" = range(col.count)
         for index, member in enumerate(self.members):

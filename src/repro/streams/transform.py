@@ -14,7 +14,7 @@ conversions are expression built-ins (``convert``, see
 
 from __future__ import annotations
 
-from repro.errors import DataflowError, ExpressionError
+from repro.errors import DataflowError, UnknownAttributeError
 from repro.expr.eval import CompiledExpression, compile_expression
 from repro.expr.vectorize import predicate_kernel, values_kernel
 from repro.streams.base import NonBlockingOperator
@@ -70,44 +70,21 @@ class TransformOperator(NonBlockingOperator):
                 self.rename.get(name, name): value for name, value in updated.items()
             }
         if self.project is not None:
-            updated = {name: updated[name] for name in self.project}
-        return [tuple_.with_owned_payload(updated)]
-
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: assignments/rename/project are bound once; each
-        # member is rewritten in a tight loop with per-tuple quarantine.
-        assign = self._assign
-        rename = self.rename
-        project = self.project
-        out: list[SensorTuple] = []
-        append = out.append
-        errors = 0
-        for tuple_ in tuples:
             try:
-                values = tuple_.payload
-                updated = dict(values)
-                for attr, evaluate in assign:
-                    updated[attr] = evaluate(values)
-                if rename:
-                    updated = {
-                        rename.get(name, name): value
-                        for name, value in updated.items()
-                    }
-                if project is not None:
-                    updated = {name: updated[name] for name in project}
-                append(tuple_.with_owned_payload(updated))
-            except ExpressionError:
-                errors += 1
-        if errors:
-            self.stats.errors += errors
-        return out
+                updated = {name: updated[name] for name in self.project}
+            except KeyError as missing:
+                # Hostile input: quarantined like any failed expression.
+                raise UnknownAttributeError(
+                    f"no attribute {missing.args[0]!r} to project"
+                ) from None
+        return [tuple_.with_owned_payload(updated)]
 
     def columnar_step(self, col, sel):
         """Column kernels: evaluate every assignment over the selection,
         then apply rename/project as whole-column dict operations.
 
-        A row failing *any* assignment is quarantined whole-row, matching
-        the row path's single ``try`` around all assignments.  Assignment
+        A row failing *any* assignment is quarantined whole-row, as the
+        row kernel does by raising out of ``_process``.  Assignment
         kernels all read the pre-image columns (installs happen after all
         evaluations), which makes the order-independence guarantee
         structural here too.
@@ -148,6 +125,9 @@ class TransformOperator(NonBlockingOperator):
         if self.rename:
             col.rename_columns(self.rename)
         if self.project is not None:
+            if any(name not in col.columns for name in self.project):
+                # Uniform schema: every remaining row lacks the attribute.
+                return [], errors + len(sel)
             col.project_columns(self.project)
         return sel, errors
 
@@ -188,33 +168,11 @@ class ValidateOperator(NonBlockingOperator):
                 return []
         return [tuple_]
 
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: the rule list is bound once; violators and
-        # evaluation failures are quarantined tuple by tuple.
-        checks = self._checks
-        out: list[SensorTuple] = []
-        append = out.append
-        errors = 0
-        for tuple_ in tuples:
-            values = tuple_.payload
-            try:
-                for check in checks:
-                    if not check(values):
-                        errors += 1
-                        break
-                else:
-                    append(tuple_)
-            except ExpressionError:
-                errors += 1
-        if errors:
-            self.stats.errors += errors
-        return out
-
     def columnar_step(self, col, sel):
         """Column kernels: narrow the selection through each rule in turn.
 
         Rule *k* only evaluates rows that passed rules *1..k-1* — the same
-        evaluation set as the row path's first-violation ``break`` — and
+        evaluation set as the row kernel's first-violation ``return`` — and
         every non-True row (violation, evaluation failure, non-boolean)
         counts as an error, matching validate's quarantine convention.
         """

@@ -7,7 +7,7 @@ computed from temperature and humidity.
 
 from __future__ import annotations
 
-from repro.errors import DataflowError, ExpressionError
+from repro.errors import DataflowError
 from repro.expr.eval import CompiledExpression, compile_expression
 from repro.expr.vectorize import values_kernel
 from repro.streams.base import NonBlockingOperator
@@ -56,31 +56,6 @@ class VirtualPropertyOperator(NonBlockingOperator):
         updated = dict(payload)
         updated[name] = value
         return [tuple_.with_owned_payload(updated)]
-
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        # Batch fast path: the prepared spec is bound once and evaluated in
-        # a tight loop; collisions and failures quarantine per tuple.
-        name = self.property_name
-        evaluate = self._evaluate
-        out: list[SensorTuple] = []
-        append = out.append
-        errors = 0
-        for tuple_ in tuples:
-            payload = tuple_.payload
-            if name in payload:
-                errors += 1
-                continue
-            try:
-                value = evaluate(payload)
-            except ExpressionError:
-                errors += 1
-                continue
-            updated = dict(payload)
-            updated[name] = value
-            append(tuple_.with_owned_payload(updated))
-        if errors:
-            self.stats.errors += errors
-        return out
 
     def columnar_step(self, col, sel):
         """Column kernel: compute the property for the selection, append

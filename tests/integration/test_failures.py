@@ -7,11 +7,13 @@ degrade gracefully when sensors lie, nodes die, and links drop.
 import pytest
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import FilterSpec, ValidateSpec
+from repro.dataflow.ops import FilterSpec, TransformSpec, ValidateSpec
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 from repro.sensors.faults import FlakySensor, MalformedPayloadSensor
 from repro.sensors.physical import temperature_sensor
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
 
 
@@ -47,6 +49,52 @@ class TestMalformedData:
         assert clean
         assert all(isinstance(t["temperature"], float) for t in clean)
         assert guard_stats.tuples_in == guard_stats.errors + len(clean)
+
+
+    def test_projecting_a_missing_attribute_never_reaches_the_clock(self):
+        """Readings that lack a projected attribute are quarantined by the
+        deployed chain — batched or lone — instead of raising through
+        ``OperatorProcess.receive`` into the clock callback."""
+        stack = build_stack(attach_fleet=False)
+        here = Point(34.69, 135.50)
+        stack.broker_network.publish(
+            temperature_sensor("dry-temp", here, "edge-0").metadata
+        )
+
+        flow = Dataflow("projected")
+        src = flow.add_source(SubscriptionFilter(sensor_ids=("dry-temp",)),
+                              node_id="src")
+        keep = flow.add_operator(FilterSpec("temperature > 0"), node_id="keep")
+        slim = flow.add_operator(
+            TransformSpec(project=("temperature", "station")), node_id="slim"
+        )
+        out = flow.add_sink("collector", node_id="out")
+        flow.connect(src, keep)
+        flow.connect(keep, slim)
+        flow.connect(slim, out)
+        deployment = stack.executor.deploy(flow)
+        assert deployment.fused_chains  # keep+slim: column kernels at b>=4
+
+        def reading(seq: int, **payload) -> SensorTuple:
+            return SensorTuple(payload={"temperature": 21.0, **payload},
+                               stamp=SttStamp(time=0.0, location=here),
+                               source="dry-temp", seq=seq)
+
+        publish = stack.broker_network
+        # A uniform batch of 8, all without ``station``: column kernel.
+        publish.publish_batch("dry-temp", [reading(i) for i in range(8)])
+        # One offender among four: heterogeneous, so the row loop.
+        publish.publish_batch("dry-temp", [
+            reading(8, station="a"), reading(9),
+            reading(10, station="a"), reading(11, station="a"),
+        ])
+        publish.publish_data("dry-temp", reading(12))
+        stack.run_until(60.0)
+
+        assert [t.seq for t in deployment.collected("out")] == [8, 10, 11]
+        fused = deployment.process("keep+slim").operator
+        assert fused.members[1].stats.errors == 10
+        assert fused.members[1].stats.tuples_in == 13
 
 
 class TestFlappingSensor:

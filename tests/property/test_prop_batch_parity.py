@@ -17,70 +17,21 @@ file pins down the pure data-plane equivalence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import (
-    CullTimeSpec,
-    FilterSpec,
-    TransformSpec,
-    VirtualPropertySpec,
-)
-from repro.dsn.scn import ScnController
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.schema.schema import StreamSchema
-from repro.sticker.feed import StickerFeed
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
-from repro.warehouse.loader import EventWarehouse
+from tests.property._pipeline import (
+    SOUND_KINDS,
+    metadata,
+    reading,
+    run_flow,
+)
 
 BATCH_SIZES = (2, 7, 32)
 
-
-def _metadata(node_id: str) -> SensorMetadata:
-    return SensorMetadata(
-        sensor_id="prop-sensor",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"temperature": "float", "humidity": "float"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id=node_id,
-    )
-
-
-def _reading(seq: int, temperature: float) -> SensorTuple:
-    return SensorTuple(
-        payload={"temperature": temperature, "humidity": 50.0 + seq % 3},
-        stamp=SttStamp(time=float(seq), location=Point(34.69, 135.50),
-                       themes=("weather/temperature",)),
-        source="prop-sensor",
-        seq=seq,
-    )
-
-
-# Each entry maps a drawn parameter to an operator spec; specs only
-# reference attributes that every pipeline stage preserves, so any chain
-# is individually sound and the whole flow deploys.
-def _spec(kind: str, param: int, index: int):
-    if kind == "filter":
-        return FilterSpec(f"temperature > {param - 16}")
-    if kind == "virtual":
-        return VirtualPropertySpec(f"v{index}", "temperature * 2")
-    if kind == "transform":
-        return TransformSpec(assignments={"humidity": "humidity + 1"})
-    return CullTimeSpec(rate=param % 4 + 1, start=0.0, end=1e9)
-
-
 operator_chains = st.lists(
-    st.tuples(st.sampled_from(["filter", "virtual", "transform", "cull"]),
-              st.integers(0, 30)),
+    st.tuples(st.sampled_from(SOUND_KINDS), st.integers(0, 30)),
     min_size=0, max_size=4,
 )
 
@@ -91,63 +42,15 @@ temperature_streams = st.lists(
 )
 
 
-def _run_flow(chain, temperatures, batch_size: int):
-    """Deploy the chain on one node and drive it at fixed virtual times.
-
-    Returns every observable the parity property compares.
-    """
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    executor = Executor(
-        netsim, network, scn=ScnController(topology),
-        warehouse=EventWarehouse(), sticker=StickerFeed(),
-    )
-    network.publish(_metadata("hub"))
-
-    flow = Dataflow("parity")
-    upstream = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    for index, (kind, param) in enumerate(chain):
-        node = flow.add_operator(_spec(kind, param, index),
-                                 node_id=f"op{index}")
-        flow.connect(upstream, node)
-        upstream = node
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(upstream, sink)
-    deployment = executor.deploy(flow)
-
-    readings = [_reading(i, t) for i, t in enumerate(temperatures)]
-    if batch_size == 1:
-        for reading in readings:
-            network.publish_data("prop-sensor", reading)
-    else:
-        for start in range(0, len(readings), batch_size):
-            network.publish_batch(
-                "prop-sensor", readings[start:start + batch_size]
-            )
-    netsim.clock.run_until(100.0)
-
-    return {
-        "collected": deployment.collected("out"),
-        "checkpoints": {
-            name: process.operator.checkpoint()
-            for name, process in sorted(deployment.processes.items())
-        },
-        "tuples_delivered": netsim.stats.tuples_sent,
-    }
-
-
 class TestBatchParity:
     @given(operator_chains, temperature_streams,
            st.sampled_from(BATCH_SIZES))
     @settings(max_examples=60, deadline=None)
     def test_batched_pipeline_is_equivalent(self, chain, temperatures,
                                             batch_size):
-        baseline = _run_flow(chain, temperatures, batch_size=1)
-        batched = _run_flow(chain, temperatures, batch_size=batch_size)
+        # The default deployment: no observability attached.
+        baseline = run_flow(chain, temperatures, 1, sampling=None)
+        batched = run_flow(chain, temperatures, batch_size, sampling=None)
 
         assert batched["collected"] == baseline["collected"]
         # Per-source order: the collected list already proves content
@@ -169,17 +72,17 @@ class TestDeadLetterParity:
         def run(batch_size: int):
             netsim = NetworkSimulator(topology=Topology.line(2))
             network = BrokerNetwork(netsim=netsim)
-            network.publish(_metadata("node-0"))
+            network.publish(metadata("node-0"))
             subscription = network.subscribe(
                 "node-1", SubscriptionFilter(sensor_type="temperature"),
                 lambda tuple_: None,
             )
             netsim.topology.node("node-1").fail()
-            readings = [_reading(i, t)
+            readings = [reading(i, t)
                         for i, t in enumerate(temperatures)]
             if batch_size == 1:
-                for reading in readings:
-                    network.publish_data("prop-sensor", reading)
+                for one in readings:
+                    network.publish_data("prop-sensor", one)
             else:
                 for start in range(0, len(readings), batch_size):
                     network.publish_batch(

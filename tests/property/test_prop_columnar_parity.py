@@ -2,16 +2,20 @@
 
 DESIGN.md's §16 promise: running a fused chain as whole-column kernels
 over a struct-of-arrays batch changes *how* member code loops, never
-*what* the flow computes or reports.  For a random columnar-eligible
-chain (length 2–5, including transform and virtual-property members
-that quarantine rows at runtime), a random reading stream (with temperatures
-that make the division assignment blow up), batch sizes {1, 16, 32}
-and either trace-sampling rate, a ``columnar=True`` deployment must
+*what* the flow computes or reports.  The reference is the paper's own
+semantics — every operator "applied on each tuple" — so the baseline is
+the same fused deployment fed the same readings one ``publish_data`` at
+a time at the same virtual instant: no batch ever forms and every member
+runs its row kernel.  For a random columnar-capable chain (length 2–5,
+including transform and virtual-property members that quarantine rows at
+runtime), a random reading stream (with temperatures that make the
+division assignment blow up), batch sizes {3, 16, 32} — below
+``MIN_COLUMNAR_ROWS`` a batch takes the row loop, so that is on the
+batched side too — and either trace-sampling rate, the batched run must
 leave every observable — sink contents *with payload item order*,
 per-source tuple order, dead-letter audit records, per-member
 ``process_tuples_total`` counters and per-member ``OperatorStats`` —
-identical to the same fused deployment with ``columnar=False``
-(the ``--no-columnar`` escape hatch).
+identical to the lone-tuple run.
 
 A second property pins the representation itself: transposing any
 uniform-schema batch and materializing it back yields the *same tuple
@@ -22,91 +26,26 @@ the operator family fail (quarantine candidates ride along untouched).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import (
-    CullTimeSpec,
-    FilterSpec,
-    TransformSpec,
-    VirtualPropertySpec,
-)
-from repro.dsn.scn import ScnController
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
-from repro.obs import Observability
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.schema.schema import StreamSchema
-from repro.sticker.feed import StickerFeed
 from repro.streams.columnar import ColumnarBatch
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
-from repro.warehouse.loader import EventWarehouse
+from tests.property._pipeline import (
+    POISON_KINDS,
+    POISON_TEMPERATURE,
+    SOUND_KINDS,
+    run_flow,
+)
 
-BATCH_SIZES = (1, 16, 32)
+BATCH_SIZES = (3, 16, 32)
 SAMPLING_RATES = (0.0, 0.5)
 
-
-def _metadata(node_id: str) -> SensorMetadata:
-    return SensorMetadata(
-        sensor_id="prop-sensor",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"temperature": "float", "humidity": "float"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id=node_id,
-    )
-
-
-def _reading(seq: int, temperature: float) -> SensorTuple:
-    return SensorTuple(
-        payload={"temperature": temperature, "humidity": 50.0 + seq % 3},
-        stamp=SttStamp(time=float(seq), location=Point(34.69, 135.50),
-                       themes=("weather/temperature",)),
-        source="prop-sensor",
-        seq=seq,
-    )
-
-
-def _spec(kind: str, param: int, index: int):
-    if kind == "filter":
-        return FilterSpec(f"temperature > {param - 16}")
-    if kind == "virtual":
-        return VirtualPropertySpec(f"v{index}", "temperature * 2")
-    if kind == "transform":
-        return TransformSpec(assignments={"humidity": "humidity + 1"})
-    if kind == "errtransform":
-        # Blows up (division by zero) exactly at temperature == 20, which
-        # the stream strategy produces on purpose: per-row quarantine must
-        # drop the same rows on both execution paths.
-        return TransformSpec(
-            assignments={"ratio": "temperature / (temperature - 20)"}
-        )
-    if kind == "errvirtual":
-        # Same poison value through the *virtual-property* kernel, so
-        # quarantine parity is pinned for both vectorized families.
-        return VirtualPropertySpec(
-            f"e{index}", "humidity / (temperature - 20)"
-        )
-    return CullTimeSpec(rate=param % 4 + 1, start=0.0, end=1e9)
-
-
-# Every drawn chain is columnar-eligible end to end, so the deployments
-# differ by exactly the execution tier under test; the error-injecting
-# kinds make sure selection vectors shrink mid-pipeline.
+# Every drawn chain has a column kernel end to end, so the two runs
+# differ by exactly the kernel under test; the error-injecting kinds
+# make sure selection vectors shrink mid-pipeline.
 columnar_chains = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["filter", "virtual", "transform", "cull",
-             "errtransform", "errvirtual"]
-        ),
-        st.integers(0, 30),
-    ),
+    st.tuples(st.sampled_from(SOUND_KINDS + POISON_KINDS),
+              st.integers(0, 30)),
     min_size=2, max_size=5,
 )
 
@@ -114,98 +53,17 @@ temperature_streams = st.lists(
     st.one_of(
         st.floats(min_value=-20.0, max_value=45.0,
                   allow_nan=False, allow_infinity=False),
-        st.just(20.0),  # the errtransform poison value
+        st.just(POISON_TEMPERATURE),
     ),
     min_size=1, max_size=64,
 )
 
 
-def _operator_stats(deployment, name: str) -> dict:
-    """A member's stats, whether it runs alone or inside a fused chain."""
-    key = deployment.fused.get(name)
-    if key is None:
-        return deployment.processes[name].operator.stats.snapshot()
-    for member in deployment.processes[key].operator.members:
-        if member.name == name:
-            return member.stats.snapshot()
-    raise AssertionError(f"{name} not found in fused process {key}")
-
-
-def _run_flow(chain, temperatures, batch_size, sampling, columnar,
-              fail_at=None):
-    """Deploy the fused chain on one node and drive it at fixed times.
-
-    Both variants fuse; only the execution tier differs.  Returns every
-    observable the parity property compares.
-    """
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    obs = Observability(sampling=sampling)
-    executor = Executor(
-        netsim, network, scn=ScnController(topology),
-        warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs,
-    )
-    network.publish(_metadata("hub"))
-
-    dead_letters: list = []
-    network.on_dead_letter = lambda subscription, tuple_, reason: (
-        dead_letters.append((subscription.node_id, tuple_.seq, reason))
-    )
-
-    flow = Dataflow("parity")
-    upstream = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    names = []
-    for index, (kind, param) in enumerate(chain):
-        name = f"op{index}"
-        flow.add_operator(_spec(kind, param, index), node_id=name)
-        flow.connect(upstream, name)
-        upstream = name
-        names.append(name)
-    flow.add_sink("collector", node_id="out")
-    flow.connect(upstream, "out")
-    deployment = executor.deploy(flow, fuse=True, columnar=columnar)
-
-    # Sanity: the chain fused, and the execution-tier switch actually
-    # landed on the fused operator (otherwise the comparison silently
-    # degenerates into columnar vs columnar).
-    assert deployment.fused_chains
-    for key in set(deployment.fused.values()):
-        assert deployment.processes[key].operator.columnar is columnar
-
-    readings = [_reading(i, t) for i, t in enumerate(temperatures)]
-    for start in range(0, len(readings), batch_size):
-        if fail_at is not None and start >= fail_at:
-            topology.node("hub").fail()
-            fail_at = None
-        if batch_size == 1:
-            network.publish_data("prop-sensor", readings[start])
-        else:
-            network.publish_batch(
-                "prop-sensor", readings[start:start + batch_size]
-            )
-    netsim.clock.run_until(200.0)
-
-    counters = {}
-    for name in names:
-        counter = obs.metrics.get(
-            "process_tuples_total", process=f"parity:{name}"
-        )
-        counters[name] = None if counter is None else counter.value
-
-    return {
-        # Payload *item order* is part of the contract: materialized
-        # dicts must be insertion-order identical to row-built ones.
-        "collected": [(t.seq, t.source, list(t.payload.items()))
-                      for t in deployment.collected("out")],
-        "member_stats": {name: _operator_stats(deployment, name)
-                         for name in names},
-        "counters": counters,
-        "dead_letters": dead_letters,
-    }
+def _collected(run) -> list:
+    # Payload *item order* is part of the contract: materialized dicts
+    # must be insertion-order identical to row-built ones.
+    return [(t.seq, t.source, list(t.payload.items()))
+            for t in run["collected"]]
 
 
 class TestColumnarParity:
@@ -214,12 +72,10 @@ class TestColumnarParity:
     @settings(max_examples=30, deadline=None)
     def test_columnar_pipeline_is_equivalent(self, chain, temperatures,
                                              batch_size, sampling):
-        baseline = _run_flow(chain, temperatures, batch_size, sampling,
-                             columnar=False)
-        columnar = _run_flow(chain, temperatures, batch_size, sampling,
-                             columnar=True)
+        baseline = run_flow(chain, temperatures, 1, sampling)
+        columnar = run_flow(chain, temperatures, batch_size, sampling)
 
-        assert columnar["collected"] == baseline["collected"]
+        assert _collected(columnar) == _collected(baseline)
         assert columnar["member_stats"] == baseline["member_stats"]
         assert columnar["counters"] == baseline["counters"]
         assert columnar["dead_letters"] == baseline["dead_letters"]
@@ -227,18 +83,18 @@ class TestColumnarParity:
 
 class TestColumnarDeadLetterParity:
     @given(columnar_chains, temperature_streams,
-           st.sampled_from((16, 32)))
+           st.sampled_from(BATCH_SIZES))
     @settings(max_examples=15, deadline=None)
     def test_dead_letter_records_match(self, chain, temperatures,
                                        batch_size):
         """Failing the hosting node mid-stream audits identically."""
-        fail_at = max(1, len(temperatures) // 2)
-        baseline = _run_flow(chain, temperatures, batch_size, 0.0,
-                             columnar=False, fail_at=fail_at)
-        columnar = _run_flow(chain, temperatures, batch_size, 0.0,
-                             columnar=True, fail_at=fail_at)
+        # On a batch boundary, so both runs lose the same readings.
+        fail_at = max(1, len(temperatures) // 2 // batch_size) * batch_size
+        baseline = run_flow(chain, temperatures, 1, fail_at=fail_at)
+        columnar = run_flow(chain, temperatures, batch_size,
+                            fail_at=fail_at)
         assert columnar["dead_letters"] == baseline["dead_letters"]
-        assert columnar["collected"] == baseline["collected"]
+        assert _collected(columnar) == _collected(baseline)
 
 
 # -- representation roundtrip ------------------------------------------------

@@ -14,73 +14,17 @@ records, per-member ``process_tuples_total`` counters and per-member
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import (
-    CullTimeSpec,
-    FilterSpec,
-    TransformSpec,
-    VirtualPropertySpec,
-)
-from repro.dsn.scn import ScnController
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
-from repro.obs import Observability
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.schema.schema import StreamSchema
-from repro.sticker.feed import StickerFeed
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
-from repro.warehouse.loader import EventWarehouse
+from tests.property._pipeline import SOUND_KINDS, run_flow
 
 BATCH_SIZES = (1, 16)
 SAMPLING_RATES = (0.0, 0.5)
-
-
-def _metadata(node_id: str) -> SensorMetadata:
-    return SensorMetadata(
-        sensor_id="prop-sensor",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"temperature": "float", "humidity": "float"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id=node_id,
-    )
-
-
-def _reading(seq: int, temperature: float) -> SensorTuple:
-    return SensorTuple(
-        payload={"temperature": temperature, "humidity": 50.0 + seq % 3},
-        stamp=SttStamp(time=float(seq), location=Point(34.69, 135.50),
-                       themes=("weather/temperature",)),
-        source="prop-sensor",
-        seq=seq,
-    )
-
-
-def _spec(kind: str, param: int, index: int):
-    if kind == "filter":
-        return FilterSpec(f"temperature > {param - 16}")
-    if kind == "virtual":
-        return VirtualPropertySpec(f"v{index}", "temperature * 2")
-    if kind == "transform":
-        return TransformSpec(assignments={"humidity": "humidity + 1"})
-    return CullTimeSpec(rate=param % 4 + 1, start=0.0, end=1e9)
-
 
 # Every drawn chain is fusible end to end (all four kinds are in
 # FUSIBLE_KINDS and the flow wires them single-in/single-out), so the
 # planner fuses the whole run and the fused/unfused deployments differ
 # by exactly the machinery under test.
 fusible_chains = st.lists(
-    st.tuples(st.sampled_from(["filter", "virtual", "transform", "cull"]),
-              st.integers(0, 30)),
+    st.tuples(st.sampled_from(SOUND_KINDS), st.integers(0, 30)),
     min_size=2, max_size=5,
 )
 
@@ -91,92 +35,9 @@ temperature_streams = st.lists(
 )
 
 
-def _operator_stats(deployment, name: str) -> dict:
-    """A member's stats, whether it runs alone or inside a fused chain."""
-    key = deployment.fused.get(name)
-    if key is None:
-        return deployment.processes[name].operator.stats.snapshot()
-    for member in deployment.processes[key].operator.members:
-        if member.name == name:
-            return member.stats.snapshot()
-    raise AssertionError(f"{name} not found in fused process {key}")
-
-
-def _run_flow(chain, temperatures, batch_size, sampling, fuse,
-              fail_at=None):
-    """Deploy the chain on one node and drive it at fixed virtual times.
-
-    ``fail_at`` optionally fails the hub after that many readings, so the
-    remaining publications exercise the dead-letter audit path.
-
-    Returns every observable the parity property compares.
-    """
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    obs = Observability(sampling=sampling)
-    executor = Executor(
-        netsim, network, scn=ScnController(topology),
-        warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs,
-    )
-    network.publish(_metadata("hub"))
-
-    dead_letters: list = []
-    network.on_dead_letter = lambda subscription, tuple_, reason: (
-        dead_letters.append((subscription.node_id, tuple_.seq, reason))
-    )
-
-    flow = Dataflow("parity")
-    upstream = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    names = []
-    for index, (kind, param) in enumerate(chain):
-        name = f"op{index}"
-        flow.add_operator(_spec(kind, param, index), node_id=name)
-        flow.connect(upstream, name)
-        upstream = name
-        names.append(name)
-    flow.add_sink("collector", node_id="out")
-    flow.connect(upstream, "out")
-    deployment = executor.deploy(flow, fuse=fuse)
-
-    if fuse:
-        # Sanity: the whole chain really did fuse (otherwise the parity
-        # comparison silently degenerates into unfused vs unfused).
-        assert len(chain) < 2 or deployment.fused_chains
-    else:
-        assert not deployment.fused_chains
-
-    readings = [_reading(i, t) for i, t in enumerate(temperatures)]
-    for start in range(0, len(readings), batch_size):
-        if fail_at is not None and start >= fail_at:
-            topology.node("hub").fail()
-            fail_at = None
-        if batch_size == 1:
-            network.publish_data("prop-sensor", readings[start])
-        else:
-            network.publish_batch(
-                "prop-sensor", readings[start:start + batch_size]
-            )
-    netsim.clock.run_until(200.0)
-
-    counters = {}
-    for name in names:
-        counter = obs.metrics.get(
-            "process_tuples_total", process=f"parity:{name}"
-        )
-        counters[name] = None if counter is None else counter.value
-
-    return {
-        "collected": [(t.seq, t.values()) for t in
-                      deployment.collected("out")],
-        "member_stats": {name: _operator_stats(deployment, name)
-                         for name in names},
-        "counters": counters,
-        "dead_letters": dead_letters,
-    }
+def _collected(run) -> list:
+    """Sink contents in arrival order, without the (sampled) traces."""
+    return [(t.seq, t.values()) for t in run["collected"]]
 
 
 class TestFusionParity:
@@ -185,12 +46,12 @@ class TestFusionParity:
     @settings(max_examples=40, deadline=None)
     def test_fused_pipeline_is_equivalent(self, chain, temperatures,
                                           batch_size, sampling):
-        baseline = _run_flow(chain, temperatures, batch_size, sampling,
-                             fuse=False)
-        fused = _run_flow(chain, temperatures, batch_size, sampling,
-                          fuse=True)
+        baseline = run_flow(chain, temperatures, batch_size, sampling,
+                            fuse=False)
+        fused = run_flow(chain, temperatures, batch_size, sampling,
+                         fuse=True)
 
-        assert fused["collected"] == baseline["collected"]
+        assert _collected(fused) == _collected(baseline)
         assert fused["member_stats"] == baseline["member_stats"]
         assert fused["counters"] == baseline["counters"]
         # No member counter silently vanished into an "a+b" label.
@@ -208,9 +69,9 @@ class TestFusionDeadLetterParity:
                                        batch_size):
         """Failing the hosting node mid-stream audits identically."""
         fail_at = max(1, len(temperatures) // 2)
-        baseline = _run_flow(chain, temperatures, batch_size, 0.0,
-                             fuse=False, fail_at=fail_at)
-        fused = _run_flow(chain, temperatures, batch_size, 0.0,
-                          fuse=True, fail_at=fail_at)
+        baseline = run_flow(chain, temperatures, batch_size, 0.0,
+                            fuse=False, fail_at=fail_at)
+        fused = run_flow(chain, temperatures, batch_size, 0.0,
+                         fuse=True, fail_at=fail_at)
         assert fused["dead_letters"] == baseline["dead_letters"]
-        assert fused["collected"] == baseline["collected"]
+        assert _collected(fused) == _collected(baseline)

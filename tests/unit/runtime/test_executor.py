@@ -62,6 +62,10 @@ class TestDeploy:
         with pytest.raises(DeploymentError, match="warehouse"):
             bare.deploy(flow)
 
+    def test_kernel_choice_is_not_a_deploy_option(self, stack):
+        with pytest.raises(TypeError, match="columnar"):
+            stack.executor.deploy(simple_flow(), columnar=False)
+
     def test_collected_unknown_sink_raises(self, stack):
         deployment = stack.executor.deploy(simple_flow())
         with pytest.raises(DeploymentError):

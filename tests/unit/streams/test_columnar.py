@@ -110,7 +110,6 @@ class TestColumnarBatch:
         stamps = col.stamp_column()
         assert stamps is col.stamp_column()
         assert [s.time for s in stamps] == [0.0, 1.0, 2.0]
-        assert col.seq_column() == [0, 1, 2]
 
     def test_materializer_handles_exotic_field_names(self):
         ts = [
@@ -245,19 +244,11 @@ class TestFusedColumnarGate:
         assert isinstance(out, list)
         assert len(out) == 5
 
-    def test_no_columnar_switch_forces_the_row_path(self):
-        fused = self._chain()
-        fused.columnar = False
-        out = fused.on_batch(TupleBatch.of(_tuples(6)), 0)
-        assert isinstance(out, list)
-        assert len(out) == 5
-
     def test_columnar_and_row_paths_agree_bytewise(self):
         batch = TupleBatch.of(_tuples(8))
         fused_col, fused_row = self._chain(), self._chain()
-        fused_row.columnar = False
         col_out = list(fused_col.on_batch(batch, 0))
-        row_out = fused_row.on_batch(batch, 0)
+        row_out = [out for t in batch for out in fused_row.on_tuple(t)]
         assert [list(t.payload.items()) for t in col_out] == [
             list(t.payload.items()) for t in row_out
         ]

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import DataflowError
+from repro.streams.filter import FilterOperator
+from repro.streams.fused import FusedOperator
 from repro.streams.transform import TransformOperator, ValidateOperator
+from repro.streams.tuple import TupleBatch
 
 
 class TestAssignments:
@@ -60,6 +63,54 @@ class TestRenameProject:
     def test_empty_transform_raises(self):
         with pytest.raises(DataflowError):
             TransformOperator()
+
+
+class TestProjectMissingAttribute:
+    """Hostile input: a tuple lacking a projected attribute is quarantined
+    — one error, that tuple dropped — on every entry point, never a
+    ``KeyError`` out of the operator."""
+
+    @staticmethod
+    def _dry(tuple_):
+        """The same reading with ``humidity`` missing (keys keep order)."""
+        payload = dict(tuple_.payload)
+        del payload["humidity"]
+        return tuple_.with_payload(payload)
+
+    def test_lone_tuple(self, make_tuple):
+        op = TransformOperator(project=["temperature", "humidity"])
+        assert op.on_tuple(self._dry(make_tuple(0))) == []
+        assert op.stats.snapshot()["errors"] == 1
+        assert len(op.on_tuple(make_tuple(1))) == 1
+
+    def test_row_loop_drops_only_the_offender(self, make_tuple):
+        op = TransformOperator(project=["temperature", "humidity"])
+        batch = [make_tuple(seq) for seq in range(4)]
+        batch[2] = self._dry(batch[2])
+        out = op.on_batch(batch)
+        assert [t.seq for t in out] == [0, 1, 3]
+        assert op.stats.errors == 1
+
+    def test_column_kernel_drops_the_uniform_batch(self, make_tuple):
+        project = TransformOperator(
+            # Rows 0 and 4 already fail the assignment: each row is
+            # still one error, whichever step rejects it first.
+            assignments={"ratio": "1 / (temperature - 20)"},
+            project=["ratio", "humidity"],
+        )
+        fused = FusedOperator(
+            [FilterOperator("temperature > 0", name="keep"), project]
+        )
+        batch = TupleBatch.of([
+            self._dry(make_tuple(seq, temperature=20.0 + seq % 4))
+            for seq in range(8)
+        ])
+        assert batch.columnar() is not None  # uniform: the column kernels
+        assert list(fused.on_batch(batch)) == []
+        assert project.stats.snapshot() == {
+            "tuples_in": 8, "tuples_out": 0, "errors": 8,
+            "timer_firings": 0, "controls_issued": 0,
+        }
 
 
 class TestValidate:

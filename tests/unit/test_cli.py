@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
 from repro.dataflow.serialize import dataflow_to_dict
@@ -92,6 +92,12 @@ class TestScenario:
         assert main(["scenario", "--hours", "6", "--cool"]) == 0
         out = capsys.readouterr().out
         assert "trigger never fired" in out
+
+    def test_kernel_choice_is_not_a_flag(self, capsys):
+        # How a fused chain executes a batch is picked from the batch.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scenario", "--no-columnar"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestHealth:
