@@ -72,16 +72,17 @@ class TestIncrementalAggregation:
         benchmark(lambda: op.on_timer(1e9))
 
 
-def _join_cycle(hash_join: bool, size: int = 100):
+def _join_cycle(reference: bool, size: int = 100):
     left = [_make_tuple(i, f"st-{i % 25}", float(i)) for i in range(size)]
     right = [_make_tuple(i, f"st-{i % 25}", float(i)) for i in range(size)]
     op = JoinOperator(
         interval=60.0,
         predicate="left.station == right.station",
-        hash_join=hash_join,
     )
 
     def cycle():
+        if reference:  # the nested loop, called directly on the windows
+            return op._nested_loop_flush(left, right, 60.0)
         for t in left:
             op.on_tuple(t, port=0)
         for t in right:
@@ -94,7 +95,7 @@ def _join_cycle(hash_join: bool, size: int = 100):
 @pytest.mark.benchmark(group="hotpath-join")
 class TestHashJoin:
     def test_nested_loop(self, benchmark):
-        assert benchmark(_join_cycle(hash_join=False))
+        assert benchmark(_join_cycle(reference=True))
 
-    def test_hash_join(self, benchmark):
-        assert benchmark(_join_cycle(hash_join=True))
+    def test_hash_flush(self, benchmark):
+        assert benchmark(_join_cycle(reference=False))

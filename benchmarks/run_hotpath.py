@@ -15,7 +15,8 @@ implementations, which remain available behind escape hatches:
   simulated network, uncached vs cached routing;
 - aggregation flush at several sliding-window sizes,
   ``incremental=False`` vs ``True``;
-- join flush at several window sizes, ``hash_join=False`` vs ``True``.
+- join flush at several window sizes, the nested-loop reference vs the
+  hash flush.
 
 Usage::
 
@@ -245,12 +246,10 @@ def bench_join_flush(window_sizes: "list[int]", flushes: int) -> dict:
         left = [_make_tuple(i, f"st-{i % 25}", float(i)) for i in range(size)]
         right = [_make_tuple(i, f"st-{i % 25}", float(i)) for i in range(size)]
 
-        def flush(n, hash_join=True):
-            op = JoinOperator(
-                interval=60.0,
-                predicate="left.station == right.station",
-                hash_join=hash_join,
-            )
+        op = JoinOperator(
+            interval=60.0, predicate="left.station == right.station")
+
+        def flush(n):
             for _ in range(n):
                 for t in left:
                     op.on_tuple(t, port=0)
@@ -258,8 +257,11 @@ def bench_join_flush(window_sizes: "list[int]", flushes: int) -> dict:
                     op.on_tuple(t, port=1)
                 op.on_timer(60.0)
 
-        before = _best_rate(
-            lambda n: flush(n, hash_join=False), max(flushes // 5, 1))
+        def reference(n):  # the nested loop, called directly on the windows
+            for _ in range(n):
+                op._nested_loop_flush(left, right, 60.0)
+
+        before = _best_rate(reference, max(flushes // 5, 1))
         after = _best_rate(flush, flushes)
         out[f"window_{size}"] = {
             "before_flushes_per_sec": round(before, 1),

@@ -28,7 +28,7 @@ cannot be decremented, so an eviction that removes the current extremum
 marks the accumulator dirty and the next flush recomputes just that piece
 from the group's members — amortized O(1) per tuple.  ``incremental=False``
 restores the original rescan-every-flush behaviour (:meth:`_aggregate_group`
-is kept verbatim as that reference path, and the parity oracle for tests).
+is that reference path, and the parity oracle for tests).
 Non-numeric attribute values can't be accumulated; they flag the
 group/attribute for rescan at flush, reproducing the reference semantics
 (including its errors) for that slice only.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from repro.streams.tuple import UNSEEN, SensorTuple
 from repro.streams.windows import TupleCache
 from repro.stt.event import SttStamp
 from repro.stt.granularity import temporal_granularity
-from repro.stt.spatial import Box, representative_point
+from repro.stt.spatial import Box, Point, representative_point
 
 
 def _covering_granularity(interval: float):
@@ -93,6 +94,30 @@ class _GroupAccumulator:
         #: (south, west, north, east) over members' representative points.
         self.bbox: "tuple[float, float, float, float] | None" = None
         self.bbox_dirty = False
+
+    def refresh_extrema(self) -> None:
+        """Recompute the min/max an eviction left stale, from the members."""
+        for attr in self.dirty - self.rescan:
+            values = [
+                float(v) for t in self.members
+                if (v := t.get(attr)) is not None
+            ]
+            stats = self.stats[attr]
+            stats[2] = min(values) if values else None
+            stats[3] = max(values) if values else None
+        self.dirty.clear()
+
+    def refresh_bbox(self):
+        """Rescan the members' bounding location and restart the running
+        box from it; returns the location."""
+        location = _bounding_location(list(self.members))
+        if isinstance(location, Box):
+            self.bbox = (location.south, location.west,
+                         location.north, location.east)
+        else:
+            self.bbox = (location.lat, location.lon, location.lat, location.lon)
+        self.bbox_dirty = False
+        return location
 
 
 class AggregationOperator(BlockingOperator):
@@ -291,115 +316,98 @@ class AggregationOperator(BlockingOperator):
         return out
 
     def _flush_incremental(self, now: float) -> list[SensorTuple]:
+        """Emit every group from its running accumulators, in one pass.
+
+        Mirrors :meth:`_aggregate_group` per group (payload, nulls, stamp,
+        label, seq), rescanning members only for dirty/rescan slices.  What
+        a group takes from the operator or the flush is resolved once;
+        ``str(key)`` once per group, for the sort and the partial log; the
+        granule per run of first members sharing a granularity object; the
+        label per first-member source.  A clean accumulator allocates no
+        set, and a ``Point`` location is its own representative point.
+        """
         if self.window is not None:
             # Sliding: evictions flow through _on_evict and keep the
             # accumulators current.
             self.cache.prune(before=now - self.window)
         if not self._groups:
             return []
-        out = [
-            self._emit_group(key, acc, now, seq_offset)
-            for seq_offset, (key, acc) in enumerate(
-                sorted(self._groups.items(), key=lambda item: str(item[0]))
-            )
-        ]
+        ordered = sorted(
+            [(str(key), key, acc) for key, acc in self._groups.items()],
+            key=itemgetter(0),
+        )
+        function, group_by, name = self.function, self.group_by, self.name
+        columns = [(attr, f"{function.lower()}_{attr}") for attr in self.attributes]
+        # The function's index into [count, sum, min, max]; 4 is AVG's quotient.
+        slot = ("COUNT", "SUM", "MIN", "MAX", "AVG").index(function)
+        covering, partial_log, lineage = self._covering, self._partial_log, self.lineage
+        typed, owned = SttStamp.typed, SensorTuple.from_owned
+        last_gran = UNSEEN
+        labels: dict[str, str] = {}
+        out: list[SensorTuple] = []
+        for seq, (okey, key, acc) in enumerate(
+                ordered, self.stats.timer_firings * 1000):
+            members = acc.members
+            if acc.dirty:
+                acc.refresh_extrema()
+            payload: dict[str, object] = {} if group_by is None else {group_by: key}
+            rescan = acc.rescan
+            for attr, out_name in columns:
+                if attr in rescan:
+                    # Reference computation for attributes the accumulators
+                    # could not track (non-numeric values).
+                    payload[out_name] = self._scan_value(attr, members)
+                    continue
+                stats = acc.stats[attr]
+                count = stats[0]
+                if slot == 0:
+                    payload[out_name] = count
+                elif count == 0:
+                    payload[out_name] = None
+                elif slot == 4:
+                    payload[out_name] = stats[1] / count
+                else:
+                    payload[out_name] = stats[slot]
+            first = members[0]
+            first_stamp = first.stamp
+            bbox = acc.bbox
+            if acc.bbox_dirty or bbox is None:
+                location = acc.refresh_bbox()
+            elif bbox[0] == bbox[2] and bbox[1] == bbox[3]:
+                location = first_stamp.location
+                if type(location) is not Point:
+                    location = representative_point(location)
+            else:
+                location = Box(
+                    south=bbox[0], west=bbox[1], north=bbox[2], east=bbox[3])
+            gran = first_stamp.temporal_granularity
+            if gran is not last_gran:
+                granule = covering if covering.is_coarser_than(gran) else gran
+                last_gran = gran
+            source = first.source
+            label = labels.get(source)
+            if label is None:
+                label = labels[source] = f"{name}({source})"
+            emitted = owned(payload, typed(
+                now, location, granule,
+                first_stamp.spatial_granularity, first_stamp.themes), label, seq)
+            out.append(emitted)
+            if partial_log is not None:
+                # Dirty slices were resolved above, so these are the exact
+                # [count, sum, min, max] this emission was computed from.
+                partial_log[okey] = {
+                    "stats": {
+                        attr: list(acc.stats[attr]) for attr in self.attributes
+                    },
+                    "first": (first_stamp.time, source, first.seq),
+                    "bbox": acc.bbox,
+                }
+            if lineage is not None:
+                lineage.record(emitted, list(members), name, now)
         if self.window is None:
             # Tumbling: the window is consumed wholesale.
             self.cache.clear()
             self._groups = {}
-        return out
-
-    def _emit_group(
-        self, key: object, acc: _GroupAccumulator, now: float, seq_offset: int
-    ) -> SensorTuple:
-        """Emit one group's tuple from its running accumulators.
-
-        Mirrors :meth:`_aggregate_group` (payload keys, null handling,
-        stamp construction) without rescanning members except for
-        dirty/rescan slices.
-        """
-        members = acc.members
-        for attr in acc.dirty - acc.rescan:
-            values = [
-                float(v) for t in members
-                if (v := t.get(attr)) is not None
-            ]
-            stats = acc.stats[attr]
-            stats[2] = min(values) if values else None
-            stats[3] = max(values) if values else None
-        acc.dirty.clear()
-
-        payload: dict[str, object] = {}
-        if self.group_by is not None:
-            payload[self.group_by] = key
-        for attr in self.attributes:
-            if attr in acc.rescan:
-                # Reference computation for attributes the accumulators
-                # could not track (non-numeric values).
-                values = [t.get(attr) for t in members if t.get(attr) is not None]
-                if self.function == "COUNT":
-                    payload[f"count_{attr}"] = len(values)
-                    continue
-                out_key = f"{self.function.lower()}_{attr}"
-                if not values:
-                    payload[out_key] = None
-                    continue
-                array = np.asarray(values, dtype=float)
-                if self.function == "AVG":
-                    payload[out_key] = float(array.mean())
-                elif self.function == "SUM":
-                    payload[out_key] = float(array.sum())
-                elif self.function == "MIN":
-                    payload[out_key] = float(array.min())
-                else:
-                    payload[out_key] = float(array.max())
-                continue
-            count, total, low, high = acc.stats[attr]
-            if self.function == "COUNT":
-                payload[f"count_{attr}"] = count
-                continue
-            out_key = f"{self.function.lower()}_{attr}"
-            if count == 0:
-                payload[out_key] = None
-            elif self.function == "AVG":
-                payload[out_key] = total / count
-            elif self.function == "SUM":
-                payload[out_key] = total
-            elif self.function == "MIN":
-                payload[out_key] = low
-            else:  # MAX
-                payload[out_key] = high
-
-        first = members[0]
-        if acc.bbox_dirty or acc.bbox is None:
-            location = _bounding_location(list(members))
-            point = representative_point(first.stamp.location)
-            # Refresh the running box from the rescan.
-            if isinstance(location, Box):
-                acc.bbox = (location.south, location.west,
-                            location.north, location.east)
-            else:
-                acc.bbox = (point.lat, point.lon, point.lat, point.lon)
-            acc.bbox_dirty = False
-        else:
-            south, west, north, east = acc.bbox
-            if south == north and west == east:
-                location = representative_point(first.stamp.location)
-            else:
-                location = Box(south=south, west=west, north=north, east=east)
-        out = self._output(payload, first, location, now, seq_offset)
-        if self._partial_log is not None:
-            # Dirty slices were resolved above, so these are the exact
-            # [count, sum, min, max] this emission was computed from.
-            self._partial_log[str(key)] = {
-                "stats": {
-                    attr: list(acc.stats[attr]) for attr in self.attributes
-                },
-                "first": (first.stamp.time, first.source, first.seq),
-                "bbox": acc.bbox,
-            }
-        if self.lineage is not None:
-            self.lineage.record(out, list(members), self.name, now)
         return out
 
     def extract_partition(self, value: object) -> "list[SensorTuple]":
@@ -440,61 +448,53 @@ class AggregationOperator(BlockingOperator):
         if self.incremental:
             self._accumulate_run(moved)
 
+    def _scan_value(self, attr: str, window: "Iterable[SensorTuple]") -> object:
+        """The function over one attribute's non-null values, from scratch."""
+        values = [t.get(attr) for t in window if t.get(attr) is not None]
+        if self.function == "COUNT":
+            return len(values)
+        if not values:
+            return None
+        array = np.asarray(values, dtype=float)
+        if self.function == "AVG":
+            return float(array.mean())
+        if self.function == "SUM":
+            return float(array.sum())
+        if self.function == "MIN":
+            return float(array.min())
+        return float(array.max())
+
     def _aggregate_group(
         self, key: object, window: list[SensorTuple], now: float, seq_offset: int
     ) -> SensorTuple:
+        """Reference emission of one group, from its members alone: stamped
+        at the window end, at a temporal granularity covering the interval,
+        with the first member's spatial granularity and themes."""
         payload: dict[str, object] = {}
         if self.group_by is not None:
             payload[self.group_by] = key
         for attr in self.attributes:
-            values = [t.get(attr) for t in window if t.get(attr) is not None]
-            if self.function == "COUNT":
-                payload[f"count_{attr}"] = len(values)
-                continue
-            out_key = f"{self.function.lower()}_{attr}"
-            if not values:
-                payload[out_key] = None
-                continue
-            array = np.asarray(values, dtype=float)
-            if self.function == "AVG":
-                payload[out_key] = float(array.mean())
-            elif self.function == "SUM":
-                payload[out_key] = float(array.sum())
-            elif self.function == "MIN":
-                payload[out_key] = float(array.min())
-            else:  # MAX
-                payload[out_key] = float(array.max())
-
-        out = self._output(
-            payload, window[0], _bounding_location(window), now, seq_offset
-        )
-        if self.lineage is not None:
-            self.lineage.record(out, window, self.name, now)
-        return out
-
-    def _output(
-        self, payload: dict, first: SensorTuple, location, now: float,
-        seq_offset: int,
-    ) -> SensorTuple:
-        """The emitted tuple of one group: ``payload`` (owned) stamped at
-        the window end, at a temporal granularity covering the interval,
-        with the first member's spatial granularity and themes."""
+            payload[f"{self.function.lower()}_{attr}"] = self._scan_value(attr, window)
+        first = window[0]
         first_stamp = first.stamp
         gran = first_stamp.temporal_granularity
         covering = self._covering
         stamp = SttStamp.typed(
             now,
-            location,
+            _bounding_location(window),
             covering if covering.is_coarser_than(gran) else gran,
             first_stamp.spatial_granularity,
             first_stamp.themes,
         )
-        return SensorTuple.from_owned(
+        out = SensorTuple.from_owned(
             payload,
             stamp,
             f"{self.name}({first.source})",
             self.stats.timer_firings * 1000 + seq_offset,
         )
+        if self.lineage is not None:
+            self.lineage.record(out, window, self.name, now)
+        return out
 
     def reset(self) -> None:
         super().reset()

@@ -26,8 +26,8 @@ def make_tuple(i, **payload):
     )
 
 
-def run_flush(predicate, left, right, hash_join=True):
-    op = JoinOperator(interval=60.0, predicate=predicate, hash_join=hash_join)
+def run_flush(predicate, left, right):
+    op = JoinOperator(interval=60.0, predicate=predicate)
     for t in left:
         op.on_tuple(t, port=0)
     for t in right:
@@ -35,10 +35,16 @@ def run_flush(predicate, left, right, hash_join=True):
     return op.on_timer(60.0), op
 
 
+def run_nested(predicate, left, right):
+    """The reference: the nested loop called directly on the windows."""
+    op = JoinOperator(interval=60.0, predicate=predicate)
+    return op._nested_loop_flush(list(left), list(right), 60.0), op
+
+
 def assert_same_output(predicate, left, right):
     """Hash and nested-loop flushes agree on tuples, order, and errors."""
-    hashed, hash_op = run_flush(predicate, left, right, hash_join=True)
-    nested, nested_op = run_flush(predicate, left, right, hash_join=False)
+    hashed, hash_op = run_flush(predicate, left, right)
+    nested, nested_op = run_nested(predicate, left, right)
     assert [(t.payload, t.seq, t.source) for t in hashed] == [
         (t.payload, t.seq, t.source) for t in nested
     ]
@@ -128,9 +134,12 @@ class TestFallback:
         right = [make_tuple(0, k=1)]
         assert_same_output("left.k == right.k", left, right)
 
-    def test_hash_join_disabled_uses_nested_loop(self):
+    def test_constructor_rejects_hash_join(self):
+        # The fast path has no off switch; the reference is called directly.
+        with pytest.raises(TypeError):
+            JoinOperator(
+                interval=60.0, predicate="left.k == right.k", hash_join=False)
         left = [make_tuple(i, k=i % 2) for i in range(4)]
         right = [make_tuple(i, k=i % 2) for i in range(4)]
-        out, op = run_flush("left.k == right.k", left, right, hash_join=False)
-        assert op.hash_join is False
+        out, _ = run_nested("left.k == right.k", left, right)
         assert len(out) == 8
