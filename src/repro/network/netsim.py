@@ -10,7 +10,7 @@ executor's operator processes communicate over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import UnreachableError
 from repro.network.qos import QosPolicy
@@ -18,8 +18,7 @@ from repro.network.simclock import SimClock
 from repro.network.topology import Topology
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """An in-flight network message."""
 
     source: str
@@ -228,9 +227,7 @@ class NetworkSimulator:
         ``delay`` — on the asyncio backend too, whose processes sit behind
         mailboxes that ``on_delivery`` submits to.
         """
-        self.clock.schedule(
-            delay, lambda: self._deliver(message, on_delivery, on_drop)
-        )
+        self.clock.schedule(delay, self._deliver, message, on_delivery, on_drop)
 
     def _deliver(
         self,

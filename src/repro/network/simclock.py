@@ -24,6 +24,9 @@ class ScheduledEvent:
     time: float
     sequence: int
     callback: Callable = field(compare=False)
+    #: Positional arguments the run loop passes to ``callback`` — a
+    #: scheduler of bound methods needs no closure per event.
+    args: tuple = field(default=(), compare=False)
     cancelled: bool = field(default=False, compare=False)
     #: Set when the event is popped for execution — a late cancel() (e.g. a
     #: periodic's cancel fired from inside its own callback) must not count
@@ -90,26 +93,26 @@ class SimClock:
             heapq.heapify(self._heap)
             self._cancelled = 0
 
-    def schedule(self, delay: float, callback: Callable) -> ScheduledEvent:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable, *args) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at (delay >= 0 implies time >= now): one less
         # frame on the simulator's hottest call.
         time = self._now + delay
         sequence = next(self._sequence)
-        event = ScheduledEvent(time, sequence, callback, owner=self)
+        event = ScheduledEvent(time, sequence, callback, args, owner=self)
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
-    def schedule_at(self, time: float, callback: Callable) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute virtual time ``time``."""
+    def schedule_at(self, time: float, callback: Callable, *args) -> ScheduledEvent:
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
         sequence = next(self._sequence)
-        event = ScheduledEvent(time, sequence, callback, owner=self)
+        event = ScheduledEvent(time, sequence, callback, args, owner=self)
         heapq.heappush(self._heap, (time, sequence, event))
         return event
 
@@ -154,7 +157,7 @@ class SimClock:
                 continue
             event.done = True
             self._now = event_time
-            event.callback()
+            event.callback(*event.args)
             return True
         return False
 
@@ -184,7 +187,7 @@ class SimClock:
                     continue
                 event.done = True
                 self._now = event_time
-                event.callback()
+                event.callback(*event.args)
                 executed += 1
                 if executed >= max_events:
                     raise SimulationError(
@@ -213,7 +216,7 @@ class SimClock:
                     continue
                 event.done = True
                 self._now = event_time
-                event.callback()
+                event.callback(*event.args)
                 executed += 1
                 if executed >= max_events:
                     raise SimulationError(

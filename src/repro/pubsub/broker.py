@@ -528,15 +528,16 @@ class BrokerNetwork:
                 s.deliver(payload)
 
         self.netsim.send(
-            source=metadata.node_id,
-            target=subscription.node_id,
-            payload=payload,
-            size_bytes=message_size_bytes(payload),
-            on_delivery=on_delivery,
-            on_drop=lambda _message, reason: self._on_loss(
+            metadata.node_id,
+            subscription.node_id,
+            payload,
+            message_size_bytes(payload),
+            on_delivery,
+            None,
+            lambda _message, reason: self._on_loss(
                 metadata, subscription, payload, units, attempt, reason
             ),
-            units=units,
+            units,
         )
 
     def _on_loss(
@@ -581,10 +582,8 @@ class BrokerNetwork:
                             **tagged,
                         )
             self.netsim.clock.schedule(
-                backoff,
-                lambda: self._transmit(
-                    metadata, subscription, payload, units, next_attempt
-                ),
+                backoff, self._transmit,
+                metadata, subscription, payload, units, next_attempt,
             )
             return
         for tuple_ in message_members(payload):

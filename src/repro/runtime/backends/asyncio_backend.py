@@ -133,7 +133,7 @@ class AsyncClock(SimClock):
                 self._cancelled -= 1
                 continue
             event.done = True
-            event.callback()
+            event.callback(*event.args)
             executed += 1
             if executed >= budget:
                 raise SimulationError(
@@ -228,8 +228,8 @@ class _ProcessHost:
         #: Deepest the mailbox has been (``Monitor.report()``).
         self.high_water = 0
         # The original bound method; the instance attribute installed by
-        # host_process shadows it so wiring closures (which look the
-        # method up late) submit to the mailbox instead.
+        # host_process shadows it so routes and wiring closures (which
+        # look the method up per message) submit to the mailbox instead.
         self.receive = process.receive
 
     def grant_room(self) -> None:

@@ -58,6 +58,14 @@ class Route:
     port: int = 0
     qos: "QosPolicy | None" = None
 
+    def deliver(self, payload: "SensorTuple | TupleBatch") -> None:
+        """Hand a delivered message to the (single-process) target.
+
+        ``receive`` is looked up at delivery time: the asyncio backend
+        shadows it with a mailbox submit after routes are wired.
+        """
+        self.target.receive(payload, self.port)
+
 
 class OperatorProcess:
     """A deployed operator (or sink) running on a node.
@@ -116,10 +124,6 @@ class OperatorProcess:
         #: (virtual time, operator state) of the last snapshot, if any.
         self.last_checkpoint: "tuple[float, dict] | None" = None
         self.restores = 0
-        #: Set once this process has received a batch; downstream timer
-        #: flushes then forward as batches too, keeping the whole chain on
-        #: the amortized path without changing batch=1 behaviour at all.
-        self._batching = False
         #: Hosting node object, kept in step with ``node_id`` by
         #: :meth:`move_to` — the data path checks liveness and charges
         #: work per tuple, and a topology lookup per reading is pure
@@ -161,9 +165,8 @@ class OperatorProcess:
         if self._checkpoint_cancel is not None:
             self._checkpoint_cancel()
             self._checkpoint_cancel = None
-        node = self.netsim.topology.node(self.node_id)
-        if self.process_id in node.processes:
-            node.unregister_process(self.process_id)
+        if self.process_id in self._node.processes:
+            self._node.unregister_process(self.process_id)
         self._started = False
         self._stopped = True
         unhost = getattr(self.netsim, "unhost_process", None)
@@ -214,7 +217,7 @@ class OperatorProcess:
     def _emit_heartbeat(self) -> None:
         if self._stopped or self._heartbeat_sink is None:
             return
-        if not self.netsim.topology.node(self.node_id).up:
+        if not self._node.up:
             return  # a dead node cannot prove liveness
         self._heartbeat_sink(self.process_id, self.node_id, self.netsim.clock.now)
 
@@ -236,7 +239,7 @@ class OperatorProcess:
         """Take a snapshot immediately (no-op while the node is down)."""
         if self._stopped:
             return None
-        if not self.netsim.topology.node(self.node_id).up:
+        if not self._node.up:
             return None  # a dead node cannot persist state
         self.last_checkpoint = (self.netsim.clock.now, self.operator.checkpoint())
         return self.last_checkpoint
@@ -263,7 +266,10 @@ class OperatorProcess:
         The message is a tuple or a micro-batch.  The per-message overhead
         — liveness checks, work accounting, the operator call, the
         observability hooks and the downstream sends — is paid once either
-        way; a batch's emissions are forwarded as one message per route.
+        way.  What one call emits is born together and sent together: a
+        batch's emissions, or several emissions of a lone tuple (a shard
+        merge releasing a window on its last partial), are forwarded as
+        one message per route; a lone tuple's single emission stays bare.
         """
         if self._stopped:
             return  # in-flight stragglers after teardown are discarded
@@ -277,7 +283,6 @@ class OperatorProcess:
             return
         node.account_work(operator.cost_per_tuple * count)
         if batched:
-            self._batching = True
             emitted = operator.on_batch(payload, port=port)
         else:
             emitted = operator.on_tuple(payload, port=port)
@@ -293,7 +298,7 @@ class OperatorProcess:
             if any(t.trace is not None for t in members):
                 emitted = self._trace_inputs(members, batched, emitted)
         if emitted:
-            self._forward(emitted, batched)
+            self._forward(emitted, batched or len(emitted) > 1)
 
     def _trace_inputs(self, members, batched: bool, emitted):
         """Record the operator span of every traced input and re-parent
@@ -333,6 +338,7 @@ class OperatorProcess:
         ]
 
     def _fire_timer(self) -> None:
+        """Flush a blocking operator; the flush travels as one burst."""
         node = self._node
         if not node.up:
             return
@@ -359,17 +365,19 @@ class OperatorProcess:
                 )
                 if ctx is not None:
                     emitted = [out.with_trace(ctx) for out in emitted]
-            # Once on the batched path, a multi-tuple flush travels as one
-            # message too; single emissions keep the bare-tuple framing.
-            self._forward(emitted, self._batching and len(emitted) > 1)
+            # A multi-tuple flush is one message per route at any batch
+            # setting; a single emission keeps the bare-tuple framing.
+            self._forward(emitted, len(emitted) > 1)
 
     def _forward(self, emitted: "Sequence[SensorTuple]", batched: bool) -> None:
         """Send emissions down every route.
 
-        Unbatched, every emission is its own message (emission-major, the
-        order the clock's tie-break preserves); batched, the run travels
-        as one message per route — per owning member where the route's
-        target is a shard group.
+        ``batched`` is the caller's framing decision — everything one
+        process call emitted, when that is more than one tuple: the run
+        travels as one message per route, per owning member where the
+        route's target is a shard group.  Otherwise each emission is its
+        own bare-tuple message (emission-major, the order the clock's
+        tie-break preserves).
         """
         routes = self.routes
         if not routes:
@@ -377,28 +385,27 @@ class OperatorProcess:
         node_id = self.node_id
         send = self.netsim.send
         for message in (TupleBatch.of(emitted),) if batched else emitted:
+            units = len(message) if batched else 1
+            size = None  # sized once, however many routes carry it whole
             for route in routes:
                 target = route.target
-                port = route.port
                 if type(target) is not ShardGroup:
-                    parts = ((target, message),)
-                elif batched:
+                    if size is None:
+                        size = message_size_bytes(message)
+                    send(node_id, target.node_id, message, size,
+                         route.deliver, route.qos, None, units)
+                    continue
+                port = route.port
+                if batched:
                     # Per-member sub-batches; order is preserved inside each.
                     parts = target.split(message, port)
                 else:
                     parts = ((target.member_for(message, port), message),)
                 for member, part in parts:
-                    send(
-                        source=node_id,
-                        target=member.node_id,
-                        payload=part,
-                        size_bytes=message_size_bytes(part),
-                        on_delivery=lambda payload, t=member, p=port: t.receive(
-                            payload, port=p
-                        ),
-                        qos=route.qos,
-                        units=len(part) if batched else 1,
-                    )
+                    send(node_id, member.node_id, part,
+                         message_size_bytes(part),
+                         lambda payload, t=member, p=port: t.receive(payload, p),
+                         route.qos, None, len(part) if batched else 1)
 
     # -- load reporting ----------------------------------------------------------
 
@@ -409,7 +416,6 @@ class OperatorProcess:
         """
         rate = self.rate.observe(now, float(self.operator.stats.tuples_in))
         demand = rate * self.operator.cost_per_tuple
-        node = self.netsim.topology.node(self.node_id)
-        if self.process_id in node.processes:
-            node.update_demand(self.process_id, demand)
+        if self.process_id in self._node.processes:
+            self._node.update_demand(self.process_id, demand)
         return demand

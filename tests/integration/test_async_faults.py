@@ -24,6 +24,8 @@ from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.backends import AsyncBackend
 from repro.runtime.lifecycle import DeploymentState
 from repro.scenario import build_stack, sharded_aggregation_flow
+from repro.sensors.physical import temperature_sensor
+from repro.stt.spatial import Point
 
 #: Wall budget per run: these horizons take ~1s; 60s means wedged.
 MAX_WALL = 60.0
@@ -52,6 +54,15 @@ def async_stack(leaf_count: int = 4, **kwargs):
         **kwargs
     )
     return build_stack(hot=True, seed=11, backend=backend), backend
+
+
+def attach_burst_stations(stack) -> None:
+    """Three extra temperature stations that publish in lock-step: same
+    node, same period, same wire size (equal-length ids)."""
+    for name in ("a", "b", "c"):
+        temperature_sensor(
+            f"burst-temp-{name}", Point(34.70, 135.50), "edge-3", seed=11,
+        ).attach(stack.broker_network, stack.clock)
 
 
 class TestTaskCancellation:
@@ -117,12 +128,15 @@ class TestBackpressure:
     """A full bounded mailbox suspends the producer; nothing is dropped."""
 
     def test_tiny_mailbox_stalls_producer_without_drops(self):
-        # Every 300 s the grouped AVG flushes one row per station to the
-        # single sink process in one instant: more same-instant messages
-        # than a 1-slot mailbox holds, so the poster must wait for the
-        # sink's task to make room.
+        # Three stations on one node report on the same instant with
+        # equal-sized readings, so their lone messages cross the same
+        # route and land on the aggregation process together: more
+        # same-instant messages than a 1-slot mailbox holds, so the
+        # poster must wait for the consumer's task to make room.  (The
+        # AVG's own flush no longer does it: one flush is one message.)
         stack, backend = async_stack(mailbox_capacity=1)
         with stack:
+            attach_burst_stations(stack)
             deployment = stack.executor.deploy(sharded_aggregation_flow(stack))
             stack.run_until(2.0 * 3600.0)
             assert backend.backpressure_stalls > 0
@@ -140,6 +154,7 @@ class TestBackpressure:
         # run with a roomy mailbox produces the identical sink contents.
         roomy_stack, roomy = async_stack()
         with roomy_stack:
+            attach_burst_stations(roomy_stack)
             roomy_dep = roomy_stack.executor.deploy(
                 sharded_aggregation_flow(roomy_stack))
             roomy_stack.run_until(2.0 * 3600.0)

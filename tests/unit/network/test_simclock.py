@@ -54,6 +54,53 @@ class TestScheduling:
         assert seen == [1.0, 2.0, 3.0]
 
 
+class TestCallbackArguments:
+    """An event carries its callback's positional arguments, so a
+    scheduler of bound methods allocates no closure per event."""
+
+    def test_schedule_passes_args(self):
+        clock = SimClock()
+        calls = []
+        event = clock.schedule(2.0, lambda a, b: calls.append((a, b)), "a", 7)
+        assert event.args == ("a", 7)
+        clock.run()
+        assert calls == [("a", 7)]
+
+    def test_schedule_at_passes_args(self):
+        clock = SimClock()
+        calls = []
+        clock.schedule_at(4.0, calls.append, "x")
+        clock.run_until(5.0)
+        assert calls == ["x"]
+
+    def test_step_passes_args(self):
+        clock = SimClock()
+        calls = []
+        clock.schedule(1.0, calls.append, 1)
+        assert clock.step()
+        assert calls == [1]
+
+    def test_args_do_not_take_part_in_the_tie_break(self):
+        # Same instant, unorderable and descending arguments: insertion
+        # order still decides, and nothing compares the arguments.
+        clock = SimClock()
+        order = []
+        clock.schedule(1.0, order.append, {"z": 1})
+        clock.schedule(1.0, order.append, {"a": 0})
+        clock.schedule(1.0, order.append, 3)
+        clock.run()
+        assert order == [{"z": 1}, {"a": 0}, 3]
+
+    def test_cancel_skips_an_event_with_args(self):
+        clock = SimClock()
+        calls = []
+        clock.schedule(1.0, calls.append, "dropped").cancel()
+        clock.schedule(2.0, calls.append, "kept")
+        assert clock.pending == 1
+        clock.run()
+        assert calls == ["kept"]
+
+
 class TestCancellation:
     def test_cancelled_events_skipped(self):
         clock = SimClock()

@@ -14,7 +14,10 @@ from repro.runtime.backends import (
     backend_from_name,
     live_backends,
 )
+from repro.runtime.process import OperatorProcess
 from repro.scenario import build_stack
+from repro.streams.filter import FilterOperator
+from repro.streams.sink import ListSink
 
 
 class TestBackendRegistry:
@@ -106,6 +109,14 @@ class TestAsyncBackendLifecycle:
             first = backend.clock.wall_now
             assert first >= 0.0
             assert backend.clock.wall_now >= first
+
+    def test_epochs_pass_scheduled_args(self):
+        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+            calls = []
+            backend.clock.schedule(1.0, lambda a, b: calls.append((a, b)), 1, 2)
+            backend.clock.schedule_at(1.0, calls.append, "same instant")
+            backend.run_until(2.0)
+            assert calls == [(1, 2), "same instant"]
 
     def test_zero_delay_cascade_guard(self):
         with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
@@ -204,6 +215,30 @@ class TestMailbox:
             assert process.received == [0]
             assert not backend._hosts[id(process)].alive
             assert backend._inflight == 0
+
+
+class TestRouteLateBinding:
+    """A route resolves its target's ``receive`` and node per message."""
+
+    def test_route_wired_before_hosting_and_a_move_follows_both(
+            self, make_tuple):
+        with AsyncBackend(topology=Topology.star(leaf_count=2),
+                          max_wall=10.0) as backend:
+            netsim = backend.transport
+            source = OperatorProcess(
+                "f", FilterOperator("true"), "edge-0", netsim)
+            sink = OperatorProcess("k", ListSink(), "edge-1", netsim)
+            source.add_route(sink)       # wired first,
+            backend.host_process(sink)   # ``receive`` shadowed afterwards,
+            sink.move_to("hub")          # and the target re-homed.
+            backend.clock.schedule(1.0, source.receive, make_tuple(0))
+            backend.run_until(2.0)
+            assert len(sink.operator.received) == 1
+            # It went through the mailbox, and only as far as the hub.
+            assert backend._hosts[id(sink)].high_water == 1
+            links = backend.topology
+            assert links.link("edge-0", "hub").messages_transferred == 1
+            assert links.link("hub", "edge-1").messages_transferred == 0
 
 
 class TestBackendSurfacing:
