@@ -112,7 +112,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_observed(args: argparse.Namespace):
+def _observed_run(args: argparse.Namespace):
     """Build, deploy, and run a dataflow with observability attached.
 
     ``args.dataflow`` is either the literal ``osaka`` (the Section 3
@@ -150,7 +150,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace_for_tuple,
     )
 
-    stack, _ = _run_observed(args)
+    stack, _ = _observed_run(args)
     obs = stack.obs
     tracer = obs.tracer
     if args.tuple_id is not None:
@@ -179,7 +179,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    stack, _ = _run_observed(args)
+    stack, _ = _observed_run(args)
     registry = stack.obs.metrics
     if args.json:
         print(registry.to_json())

@@ -39,18 +39,12 @@ class RouteInfo:
 
 
 class Topology:
-    """Undirected graph of :class:`NetworkNode` connected by :class:`Link`.
+    """Undirected graph of :class:`NetworkNode` connected by :class:`Link`."""
 
-    ``cache_routes=False`` disables memoization (every call recomputes) —
-    used by benchmarks to measure the uncached baseline and by tests to
-    cross-check the cache.
-    """
-
-    def __init__(self, cache_routes: bool = True) -> None:
+    def __init__(self) -> None:
         self._graph = nx.Graph()
         self._nodes: dict[str, NetworkNode] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._cache_routes = cache_routes
         self._generation = 0
         #: (source, target) -> tuple path, or the UnreachableError message.
         self._route_cache: dict[tuple[str, str], "tuple[str, ...] | str"] = {}
@@ -181,8 +175,6 @@ class Topology:
         liveness hooks mean cached entries never describe a topology
         where either endpoint is down anyway).
         """
-        if not self._cache_routes:
-            return self.route_uncached(source, target)
         for node_id in (source, target):
             node = self.node(node_id)
             if not node.up:
@@ -222,8 +214,7 @@ class Topology:
                 for link in links
             ),
         )
-        if self._cache_routes:
-            self._info_cache[key] = info
+        self._info_cache[key] = info
         return info
 
     def path_latency(self, path: list[str]) -> float:

@@ -120,7 +120,8 @@ class ProcessProbe:
         committing per tuple — and one histogram observe of the *worst*
         stage latency (oldest stamp), the conservative bound an SLO
         quantile cares about.  Histograms therefore count messages, not
-        tuples (BENCH_8 put a per-tuple probe at ~60% receive overhead).
+        tuples: a per-tuple probe once cost ~60% of receive (recorded in
+        ``benchmarks/history/BENCH_8.json``).
         """
         if count == 0:
             return

@@ -1,10 +1,10 @@
 """Elastic sharding: the load-feedback rebalance control loop.
 
-BENCH_5's finding motivates this module: key-hashed shards scale
-near-linearly on uniform keys but collapse to ~1.25x when one hot key
-pins 80% of the traffic — the paper's SCN executor promises to "migrate
-assignments as load changes", and this is that loop, in the monitor →
-policy → executor shape (DESIGN.md §13):
+Key-hashed shards scale near-linearly on uniform keys but collapse to
+~1.25x when one hot key pins 80% of the traffic (measured once, recorded
+in ``benchmarks/history/BENCH_5.json``) — the paper's SCN executor
+promises to "migrate assignments as load changes", and this is that
+loop, in the monitor → policy → executor shape (DESIGN.md §13):
 
 - :class:`ShardLoadMonitor` samples per-shard input counters (and the
   merge stage's always-on flush-entry totals, the observable behind the

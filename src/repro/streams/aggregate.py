@@ -20,18 +20,19 @@ Two extensions beyond the paper's one-liner (both off by default):
   "mean over the last hour, every five minutes" — the same
   interval/window split the Trigger operators use.
 
-Flushes are **incremental** by default: per-group running accumulators
-(non-null count, sum, min, max, bounding box) are updated as tuples enter
-the cache and as the cache evicts them, so ``_flush`` emits from O(groups)
-state instead of rescanning the window.  Min/max (and the bounding box)
-cannot be decremented, so an eviction that removes the current extremum
-marks the accumulator dirty and the next flush recomputes just that piece
-from the group's members — amortized O(1) per tuple.  ``incremental=False``
-restores the original rescan-every-flush behaviour (:meth:`_aggregate_group`
-is that reference path, and the parity oracle for tests).
-Non-numeric attribute values can't be accumulated; they flag the
-group/attribute for rescan at flush, reproducing the reference semantics
-(including its errors) for that slice only.
+Flushes are **incremental**: per-group running accumulators (non-null
+count, sum, min, max, bounding box) are updated as tuples enter the cache
+and as the cache evicts them, so ``_flush`` emits from O(groups) state
+instead of rescanning the window.  Min/max (and the bounding box) cannot
+be decremented, so an eviction that removes the current extremum marks the
+accumulator dirty and the next flush recomputes just that piece from the
+group's members — amortized O(1) per tuple.  :meth:`_aggregate_group` is
+the rescan-every-flush reference the flush oracle compares against.
+Non-numeric and non-finite attribute values can't be accumulated (NaN
+would make MIN/MAX depend on arrival order, and a sum that took a NaN or
+an infinity in never gets it back out); they flag the group/attribute for
+rescan at flush, reproducing the reference semantics (including its
+errors) for that slice only.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class _GroupAccumulator:
     """Running state for one group: members plus per-attribute extrema.
 
     ``stats[attr]`` is ``[count, sum, min, max]`` over the attribute's
-    non-null numeric values.  ``dirty`` holds attributes whose min/max may
-    be stale after an eviction; ``rescan`` holds attributes that saw a
-    non-numeric value and fall back to the reference computation.
+    non-null finite numeric values.  ``dirty`` holds attributes whose
+    min/max may be stale after an eviction; ``rescan`` holds attributes
+    that saw a non-numeric or non-finite value and fall back to the
+    reference computation.
     """
 
     __slots__ = ("members", "stats", "dirty", "rescan", "bbox", "bbox_dirty")
@@ -141,7 +143,6 @@ class AggregationOperator(BlockingOperator):
         window: "float | None" = None,
         name: str = "",
         max_cache: int = 100_000,
-        incremental: bool = True,
     ) -> None:
         super().__init__(interval, name or "aggregation")
         fn = function.upper()
@@ -165,13 +166,9 @@ class AggregationOperator(BlockingOperator):
         self.attributes = list(attributes)
         self.group_by = group_by
         self.window = float(window) if window is not None else None
-        self.incremental = incremental
         self._covering = _covering_granularity(self.interval)
         self._groups: dict[object, _GroupAccumulator] = {}
-        self.cache = TupleCache(
-            max_tuples=max_cache,
-            on_evict=self._on_evict if incremental else None,
-        )
+        self.cache = TupleCache(max_tuples=max_cache, on_evict=self._on_evict)
         #: When set (to a dict) by a sharding adapter, every emitted
         #: group's resolved accumulators are recorded by str(group key) so
         #: a split key's replicas can ship partials to the merge's
@@ -182,21 +179,19 @@ class AggregationOperator(BlockingOperator):
         # Evict (``_on_evict`` subtracts), append, then fold in: the order
         # the running float sums show.
         self.cache.add(tuple_)
-        if self.incremental:
-            self._accumulate_run((tuple_,))
+        self._accumulate_run((tuple_,))
         return []
 
     def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
         cache = self.cache
-        if self.incremental and len(tuples) > cache.room:
+        if len(tuples) > cache.room:
             # An overflowing run evicts as it appends, from the very sums
             # the kernel adds to: keep each member's evict-then-add order.
             for tuple_ in tuples:
                 self._process(tuple_, port)
         else:
             cache.extend(tuples)
-            if self.incremental:
-                self._accumulate_run(tuples)
+            self._accumulate_run(tuples)
         return []
 
     # -- running accumulators -------------------------------------------------
@@ -231,6 +226,11 @@ class AggregationOperator(BlockingOperator):
                         acc.rescan.add(attr)
                         continue
                     value = float(value)
+                if value - value:
+                    # NaN or ±inf (``x - x`` is then NaN, which is truthy):
+                    # a running sum or extremum cannot hold it; rescan.
+                    acc.rescan.add(attr)
+                    continue
                 stats = acc.stats[attr]
                 stats[0] += 1
                 stats[1] += value
@@ -276,8 +276,10 @@ class AggregationOperator(BlockingOperator):
             value = tuple_.get(attr)
             if value is None or not isinstance(value, (int, float)):
                 continue
-            stats = acc.stats[attr]
             fvalue = float(value)
+            if fvalue - fvalue:
+                continue  # non-finite: never accumulated
+            stats = acc.stats[attr]
             stats[0] -= 1
             stats[1] -= fvalue
             # Removing an extremum invalidates min/max; recompute lazily.
@@ -290,32 +292,7 @@ class AggregationOperator(BlockingOperator):
                     or point.lat == bbox[2] or point.lon == bbox[3]):
                 acc.bbox_dirty = True
 
-    def _window_tuples(self, now: float) -> list[SensorTuple]:
-        if self.window is None:
-            return self.cache.drain()
-        self.cache.prune(before=now - self.window)
-        return self.cache.snapshot()
-
     def _flush(self, now: float) -> list[SensorTuple]:
-        if self.incremental:
-            return self._flush_incremental(now)
-        window = self._window_tuples(now)
-        if not window:
-            return []
-        if self.group_by is None:
-            groups = {None: window}
-        else:
-            groups = {}
-            for tuple_ in window:
-                groups.setdefault(tuple_.get(self.group_by), []).append(tuple_)
-        out: list[SensorTuple] = []
-        for seq_offset, (key, members) in enumerate(
-            sorted(groups.items(), key=lambda item: str(item[0]))
-        ):
-            out.append(self._aggregate_group(key, members, now, seq_offset))
-        return out
-
-    def _flush_incremental(self, now: float) -> list[SensorTuple]:
         """Emit every group from its running accumulators, in one pass.
 
         Mirrors :meth:`_aggregate_group` per group (payload, nulls, stamp,
@@ -445,8 +422,7 @@ class AggregationOperator(BlockingOperator):
             list(self.cache) + moved, key=lambda t: t.stamp.time
         )
         self.cache.restore(merged, evicted=self.cache.evicted)
-        if self.incremental:
-            self._accumulate_run(moved)
+        self._accumulate_run(moved)
 
     def _scan_value(self, attr: str, window: "Iterable[SensorTuple]") -> object:
         """The function over one attribute's non-null values, from scratch."""
@@ -511,10 +487,9 @@ class AggregationOperator(BlockingOperator):
         super().restore(state)
         self.cache.restore(state["cache"], evicted=state.get("evicted", 0))
         # Accumulators are derived state: rebuild them from the restored
-        # window (the checkpoint format is unchanged from the rescan era).
+        # window; the checkpoint holds only the cache.
         self._groups = {}
-        if self.incremental:
-            self._accumulate_run(self.cache)
+        self._accumulate_run(self.cache)
 
     def describe(self) -> str:
         attrs = ",".join(self.attributes)

@@ -383,7 +383,7 @@ class ShardedOperatorAdapter(Operator):
         partial_log: "dict | None" = None
         if isinstance(inner, JoinOperator):
             pair_log = inner._pair_log = []
-        elif self.split_keys and getattr(inner, "incremental", False):
+        elif self.split_keys:
             partial_log = inner._partial_log = {}
         try:
             emitted = inner.on_timer(now)
@@ -478,7 +478,7 @@ def _combine_split_entries(run: "list[tuple]") -> tuple:
 
     ``run`` is every replica's ``(order_key, tuple, partial)`` entry for
     one split key within one epoch, in shard-index order.  The fold
-    mirrors ``AggregationOperator._flush_incremental`` exactly: summed
+    mirrors ``AggregationOperator._flush`` exactly: summed
     count/sum, min/max of extrema, payload rewritten per aggregation
     function, bounding box union (degenerate boxes collapse to a point),
     and the base tuple taken from the replica holding the key's earliest

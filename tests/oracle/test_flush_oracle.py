@@ -8,7 +8,7 @@ group — ``JoinOperator._nested_loop_flush`` and
 ``AggregationOperator._aggregate_group``.  No switch selects between
 them, so the oracle needs none: hand the *same window* to both and
 everything observable must agree — payload item order, floats with
-``==``, stamps, labels, seqs, the pair and partial logs, lineage parents,
+``==`` (NaN where the other side has NaN), stamps, labels, seqs, the pair and partial logs, lineage parents,
 counted errors.
 
 The last section pins the mechanism with exact counts (DESIGN.md §9): how
@@ -19,7 +19,7 @@ derives nothing it could share.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.streams.aggregate as aggregate_module
@@ -56,8 +56,17 @@ def stamp(time, where, time_gran="second", space_gran="point", themes=0):
         spatial_granularity(space_gran), THEMES[themes])
 
 
+def _seen(value):
+    """A payload value as compared: a NaN equals nothing, so it reads as
+    its name (both sides must still produce one at the same place)."""
+    return "<nan>" if isinstance(value, float) and math.isnan(value) else value
+
+
 def observed(tuples):
-    return [(t.seq, list(t.payload.items()), t.stamp, t.source) for t in tuples]
+    return [
+        (t.seq, [(k, _seen(v)) for k, v in t.payload.items()], t.stamp, t.source)
+        for t in tuples
+    ]
 
 
 # -- join ---------------------------------------------------------------------
@@ -209,6 +218,7 @@ measures = st.one_of(
     st.booleans(),
     st.none(),
     st.sampled_from(["2.5", "-7"]),  # non-numeric type: the rescan slice
+    st.sampled_from([math.nan, math.inf, -math.inf]),  # non-finite: likewise
 )
 
 readings = st.lists(
@@ -220,6 +230,7 @@ readings = st.lists(
         "time_gran": st.sampled_from(["second", "hour"]),
         "source": st.sampled_from(["gw-0", "gw-1"]),
         "flush": st.booleans(),
+        "restore": st.booleans(),  # rebuild the accumulators before a flush
     }),
     min_size=1, max_size=60,
 )
@@ -262,8 +273,42 @@ def _expected_partial(op, members) -> dict:
     }
 
 
+def _reading(value, flush=False, restore=False) -> dict:
+    """One hand-written reading, with the fields its case ignores fixed."""
+    return {"value": value, "other": None, "station": 0, "where": 0,
+            "time_gran": "second", "source": "gw-0", "flush": flush,
+            "restore": restore}
+
+
+def _config(function, window=None, max_cache=100_000) -> dict:
+    return {"function": function, "group_by": None, "window": window,
+            "max_cache": max_cache}
+
+
+#: Eleven readings with no value: they carry the clock past a sliding
+#: window's edge so that the readings before them are evicted.
+_GAP = [_reading(None)] * 11
+
+
+@pytest.mark.filterwarnings(  # numpy's sum or mean of inf and -inf is NaN
+    "ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(drawn=readings, config=configs)
+# MIN/MAX over a NaN depend on where it arrives unless NaN takes the rescan.
+@example(drawn=[_reading(1.0), _reading(NAN), _reading(3.0)],
+         config=_config("MIN"))
+# A NaN or an infinity that enters a running sum never leaves it.
+@example(drawn=[_reading(NAN), _reading(2.0), *_GAP, _reading(4.0)],
+         config=_config("AVG", window=12.0))
+@example(drawn=[_reading(math.inf), _reading(2.0), *_GAP, _reading(4.0)],
+         config=_config("SUM", window=12.0))
+# Evicting the maximum leaves it stale until the flush recomputes it.
+@example(drawn=[_reading(v) for v in (50.0, 1.0, 2.0, 3.0)],
+         config=_config("MAX", max_cache=3))
+# Accumulators rebuilt from a checkpoint, then kept running.
+@example(drawn=[_reading(0.5), _reading(2.0, flush=True, restore=True),
+                _reading(NAN), *_GAP, _reading(4.0, restore=True)],
+         config=_config("AVG", window=12.0))
 def test_aggregate_flush_equals_the_rescan_of_its_members(drawn, config):
     kernel, reference = _aggregate_operator(config), _aggregate_operator(config)
     kernel.lineage = LineageStore()
@@ -280,6 +325,8 @@ def test_aggregate_flush_equals_the_rescan_of_its_members(drawn, config):
         if not (row["flush"] or i == len(drawn) - 1):
             continue
         now = float(i + 1)
+        if row["restore"]:
+            kernel.restore(kernel.checkpoint())
         if kernel.window is not None:
             kernel.cache.prune(before=now - kernel.window)  # as the flush will
         groups = sorted(

@@ -160,16 +160,6 @@ class TestRouteCache:
             diamond.path_latency(["a", "b", "d"])
         )
 
-    def test_cache_disabled_still_routes(self):
-        topo = Topology(cache_routes=False)
-        for name in "ab":
-            topo.add_node(name)
-        topo.add_link("a", "b")
-        assert topo.route("a", "b") == ["a", "b"]
-        topo.node("b").fail()
-        with pytest.raises(UnreachableError):
-            topo.route("a", "b")
-
     def test_uncached_is_the_oracle(self, diamond):
         diamond.route("a", "d")
         diamond.link("b", "d").latency = 1.0  # b path now slower

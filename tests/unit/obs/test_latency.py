@@ -75,7 +75,8 @@ class TestProcessProbe:
     def test_note_batch_amortizes_histogram_observes(self, plane, make_tuple):
         # The batched path records one observe per batch — the batch's
         # *worst* stage latency (oldest stamp) — instead of one per tuple
-        # (BENCH_8 measured the per-tuple probe at ~60% receive overhead).
+        # (a per-tuple probe once cost ~60% of receive, per
+        # benchmarks/history/BENCH_8.json).
         probe = plane.register_process("a", blocking=False, sink=True)
         tuples = [make_tuple(i, time=float(i)) for i in range(5)]
         probe.note(10.0, *TupleBatch.of(tuples).stamp_span(), len(tuples))

@@ -1,14 +1,14 @@
-"""Incremental aggregation accumulators vs the rescan reference path.
+"""Incremental aggregation accumulators vs the rescan reference.
 
-Satellite of the hot-path PR: ``AggregationOperator(incremental=True)``
-maintains per-group running count/sum/min/max and a running bounding box;
-these tests pin its outputs against ``incremental=False`` (the original
-rescan-every-flush implementation, kept verbatim) and pin that the
-accumulators are rebuilt faithfully across ``checkpoint()``/``restore()``.
+``AggregationOperator`` maintains per-group running count/sum/min/max and
+a running bounding box; these tests pin its flush against
+``_aggregate_group`` (the rescan-every-flush reference) over the same
+window, and pin that the accumulators are rebuilt faithfully across
+``checkpoint()``/``restore()``.  ``tests/oracle/test_flush_oracle.py``
+drives the same comparison over generated windows.
 
-AVG/SUM use approximate comparison: a running sum accumulates ~1e-15 of
-float drift relative to numpy's pairwise summation — documented behaviour,
-not a bug.
+AVG/SUM use approximate comparison: a running sum that added and
+subtracted can differ from numpy's pairwise summation in the last bits.
 """
 
 import pytest
@@ -36,19 +36,36 @@ def make_tuple(i, station="st-0", value=None, at=None, payload=None):
     )
 
 
-def pair(function, **kwargs):
-    """(incremental, rescan) operators with identical configuration."""
-    common = dict(interval=60.0, attributes=["temperature"], function=function)
-    common.update(kwargs)
-    return (
-        AggregationOperator(incremental=True, **common),
-        AggregationOperator(incremental=False, **common),
-    )
+def aggregation(function, **kwargs):
+    return AggregationOperator(
+        interval=60.0, attributes=["temperature"], function=function, **kwargs)
 
 
-def assert_outputs_match(incremental, rescan):
-    assert len(incremental) == len(rescan)
-    for inc, ref in zip(incremental, rescan):
+def flush_and_reference(op, now):
+    """Flush ``op`` at ``now``; return its output and the reference's.
+
+    The reference rescans the window the flush sees — the cache after the
+    same prune, grouped and ordered as the operator orders groups — one
+    ``_aggregate_group`` call per group.
+    """
+    if op.window is not None:
+        op.cache.prune(before=now - op.window)  # as the flush will
+    groups: dict = {}
+    for tuple_ in op.cache:
+        key = None if op.group_by is None else tuple_.get(op.group_by)
+        groups.setdefault(key, []).append(tuple_)
+    ordered = sorted(groups.items(), key=lambda item: str(item[0]))
+    out = op.on_timer(now)
+    expected = [
+        op._aggregate_group(key, members, now, offset)
+        for offset, (key, members) in enumerate(ordered)
+    ]
+    return out, expected
+
+
+def assert_outputs_match(kernel, reference):
+    assert len(kernel) == len(reference)
+    for inc, ref in zip(kernel, reference):
         assert set(inc.payload) == set(ref.payload)
         for key, ref_value in ref.payload.items():
             if isinstance(ref_value, float):
@@ -63,40 +80,32 @@ def assert_outputs_match(incremental, rescan):
 class TestFlushParity:
     @pytest.mark.parametrize("function", FUNCTIONS)
     def test_tumbling_grouped(self, function):
-        inc_op, ref_op = pair(function, group_by="station")
+        op = aggregation(function, group_by="station")
         for i in range(200):
-            tuple_ = make_tuple(i, station=f"st-{i % 4}")
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
-        assert_outputs_match(inc_op.on_timer(60.0), ref_op.on_timer(60.0))
-        # Tumbling consumed the window: the next flush is empty for both.
-        assert inc_op.on_timer(120.0) == ref_op.on_timer(120.0) == []
+            op.on_tuple(make_tuple(i, station=f"st-{i % 4}"))
+        assert_outputs_match(*flush_and_reference(op, 60.0))
+        # Tumbling consumed the window: the next flush is empty.
+        assert op.on_timer(120.0) == []
 
     @pytest.mark.parametrize("function", FUNCTIONS)
     def test_sliding_window_prunes_identically(self, function):
-        inc_op, ref_op = pair(function, window=100.0, group_by="station")
+        op = aggregation(function, window=100.0, group_by="station")
         for i in range(300):
-            tuple_ = make_tuple(i, station=f"st-{i % 3}", at=float(i))
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
+            op.on_tuple(make_tuple(i, station=f"st-{i % 3}", at=float(i)))
         for now in (300.0, 360.0):
-            assert_outputs_match(inc_op.on_timer(now), ref_op.on_timer(now))
+            assert_outputs_match(*flush_and_reference(op, now))
 
     def test_cache_overflow_evictions_tracked(self):
         # A tiny cache forces evictions through on_evict; accumulators must
         # retire the departed tuples exactly like the rescan of what's left.
-        inc_op, ref_op = pair("MIN", group_by="station", max_cache=25)
+        op = aggregation("MIN", group_by="station", max_cache=25)
         for i in range(120):
-            tuple_ = make_tuple(i, station=f"st-{i % 4}", value=float((i * 7) % 31))
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
-        assert_outputs_match(inc_op.on_timer(60.0), ref_op.on_timer(60.0))
+            op.on_tuple(
+                make_tuple(i, station=f"st-{i % 4}", value=float((i * 7) % 31)))
+        assert_outputs_match(*flush_and_reference(op, 60.0))
 
     def test_eviction_of_extremum_recomputes(self):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function="MAX",
-            incremental=True, max_cache=3,
-        )
+        op = aggregation("MAX", max_cache=3)
         for i, value in enumerate([50.0, 1.0, 2.0, 3.0]):  # 50.0 evicted
             op.on_tuple(make_tuple(i, value=value))
         [out] = op.on_timer(60.0)
@@ -104,42 +113,34 @@ class TestFlushParity:
 
     def test_null_and_non_numeric_values_fall_back(self):
         # Non-numeric values can't be accumulated; that attribute rescans
-        # at flush and must match the reference path, nulls excluded.
-        inc_op, ref_op = pair("COUNT")
+        # at flush and must match the reference, nulls excluded.
+        op = aggregation("COUNT")
         payloads = [
             {"temperature": 1.5}, {"temperature": None}, {"temperature": True},
             {"temperature": 3}, {},
         ]
         for i, payload in enumerate(payloads):
-            tuple_ = make_tuple(i, payload=dict(payload))
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
-        assert_outputs_match(inc_op.on_timer(60.0), ref_op.on_timer(60.0))
+            op.on_tuple(make_tuple(i, payload=dict(payload)))
+        assert_outputs_match(*flush_and_reference(op, 60.0))
 
     def test_all_null_group_emits_none(self):
-        inc_op, ref_op = pair("AVG")
+        op = aggregation("AVG")
         for i in range(3):
-            tuple_ = make_tuple(i, payload={"station": "st-0"})
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
-        assert_outputs_match(inc_op.on_timer(60.0), ref_op.on_timer(60.0))
+            op.on_tuple(make_tuple(i, payload={"station": "st-0"}))
+        out, expected = flush_and_reference(op, 60.0)
+        assert out[0].payload["avg_temperature"] is None
+        assert_outputs_match(out, expected)
 
 
 class TestCheckpointRestore:
     @pytest.mark.parametrize("function", ["AVG", "MIN", "COUNT"])
     def test_accumulators_survive_restore(self, function):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function=function,
-            group_by="station", window=500.0, incremental=True,
-        )
+        op = aggregation(function, group_by="station", window=500.0)
         for i in range(150):
             op.on_tuple(make_tuple(i, station=f"st-{i % 3}", at=float(i)))
         state = op.checkpoint()
 
-        restored = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function=function,
-            group_by="station", window=500.0, incremental=True,
-        )
+        restored = aggregation(function, group_by="station", window=500.0)
         restored.restore(state)
         assert set(restored._groups) == set(op._groups)
 
@@ -151,26 +152,17 @@ class TestCheckpointRestore:
         assert_outputs_match(restored.on_timer(200.0), op.on_timer(200.0))
 
     def test_restored_matches_rescan_reference(self):
-        # The rebuilt accumulators must agree with a rescan operator
-        # restored from the same checkpoint (format is shared).
-        inc_op, ref_op = pair("SUM", group_by="station", window=400.0)
+        # The rebuilt accumulators must agree with a rescan of the window
+        # restored from the same checkpoint.
+        op = aggregation("SUM", group_by="station", window=400.0)
         for i in range(100):
-            tuple_ = make_tuple(i, station=f"st-{i % 2}", at=float(i))
-            inc_op.on_tuple(tuple_)
-            ref_op.on_tuple(tuple_)
-        state = inc_op.checkpoint()
-        restored = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function="SUM",
-            group_by="station", window=400.0, incremental=True,
-        )
-        restored.restore(state)
-        assert_outputs_match(restored.on_timer(100.0), ref_op.on_timer(100.0))
+            op.on_tuple(make_tuple(i, station=f"st-{i % 2}", at=float(i)))
+        restored = aggregation("SUM", group_by="station", window=400.0)
+        restored.restore(op.checkpoint())
+        assert_outputs_match(*flush_and_reference(restored, 100.0))
 
     def test_reset_clears_accumulators(self):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function="AVG",
-            incremental=True,
-        )
+        op = aggregation("AVG")
         op.on_tuple(make_tuple(0))
         assert op._groups
         op.reset()
