@@ -13,17 +13,19 @@ restore and shard-merge punctuation all run unchanged on top.
 **Epoch-barrier execution.**  Timers and message deliveries keep their
 *logical* instants: the clock is the same deadline heap as the simulator
 (:class:`AsyncClock` inherits :class:`~repro.network.simclock.SimClock`),
-and the driver advances one deadline ("epoch") at a time —
+and time advances one deadline ("epoch") at a time —
 
 1. optionally sleep on the wall clock until the epoch is due
    (``time_scale`` virtual seconds per wall second; ``None`` free-runs),
 2. fire every callback scheduled at exactly that instant — timers and
    deliveries alike — in the simulator's (time, sequence) order,
-3. post what those callbacks submitted into the process mailboxes
-   (one task wake per process, however many messages it got),
-4. **barrier**: wait until nothing is in flight (every mailbox empty,
-   every task parked) before the next epoch may begin — an epoch that
-   submitted nothing skips 3 and 4 and never touches the event loop.
+3. post what those callbacks submitted up to the first full mailbox, one
+   task wake per process (the driver posts the rest, waiting for room),
+4. **barrier**: the next epoch waits until nothing is in flight; the host
+   task that empties it runs that epoch itself (the *relay*), so a woken
+   process costs one loop turn — the driver (``run_until``) wakes only to
+   pace, wait for room, reap, stop or raise.  An epoch that submitted
+   nothing skips 3 and 4 and never touches the event loop.
 
 Inside an epoch, the woken processes run concurrently in whatever order
 the event loop schedules them — that is the genuinely asynchronous (and
@@ -44,6 +46,7 @@ shape; the parity suite would catch one that did.
 from __future__ import annotations
 
 import asyncio
+import gc
 import heapq
 import time as _wall
 import weakref
@@ -59,11 +62,26 @@ from repro.runtime.backends.base import ExecutionBackend
 #: AsyncBackend instances not yet closed — the test plane's flake guard
 #: sweeps this set to fail any test that leaks an event loop or tasks.
 _LIVE_BACKENDS: "weakref.WeakSet[AsyncBackend]" = weakref.WeakSet()
+#: What their loops reported to the exception handler; the guard fails on it.
+_LOOP_ERRORS: "list[dict]" = []
 
 
 def live_backends() -> "list[AsyncBackend]":
     """Unclosed AsyncBackend instances (for the pytest flake guard)."""
     return [backend for backend in _LIVE_BACKENDS if not backend.closed]
+
+
+def take_loop_errors() -> "list[dict]":
+    """Drain the reports; collect first, as a dead task reports when freed."""
+    if _LIVE_BACKENDS:
+        gc.collect()
+    errors, _LOOP_ERRORS[:] = _LOOP_ERRORS[:], []
+    return errors
+
+
+def _record_loop_error(loop, context: dict) -> None:
+    _LOOP_ERRORS.append(context)
+    loop.default_exception_handler(context)
 
 
 class AsyncClock(SimClock):
@@ -293,18 +311,26 @@ class AsyncBackend(ExecutionBackend):
         #: the observable proof that backpressure stalls instead of drops.
         self.backpressure_stalls = 0
         self._loop = asyncio.new_event_loop()
+        self._loop.set_exception_handler(_record_loop_error)
         self._hosts: dict[int, _ProcessHost] = {}
         #: Mailbox submissions made by shadowed ``receive`` calls inside a
         #: synchronous dispatch (an epoch's callbacks, or a process
-        #: handling a message); the enclosing coroutine posts them.
+        #: handling a message); whoever ran that dispatch posts them.
         self._staged_mail: list = []
+        #: Mail an epoch could not post (a mailbox was full): the driver's.
+        self._tail: "list | None" = None
         #: Messages posted to a mailbox and not yet fully handled.
         self._inflight = 0
-        #: The epoch barrier: set when ``_inflight`` returns to zero.
+        #: The epoch barrier; the host that empties ``_inflight`` relays it.
         self._quiet: "asyncio.Future | None" = None
+        #: The first error of a relayed epoch or a hosted process.
+        self._failure: "Exception | None" = None
         self._reap: "list[asyncio.Task]" = []
         self._wall_base: "float | None" = None
         self._logical_base = 0.0
+        # The current run_until's horizon, event budget, events and start.
+        self._until = self._wall_start = 0.0
+        self._budget = self._executed = 0
         _LIVE_BACKENDS.add(self)
 
     # -- process hosting -----------------------------------------------------
@@ -371,33 +397,37 @@ class AsyncBackend(ExecutionBackend):
     # -- mailboxes / quiescence accounting -----------------------------------
 
     def _handled(self, count: int = 1) -> None:
-        """``count`` posted messages left flight; release the barrier at 0."""
+        """``count`` posted messages left flight; at zero, relay the barrier
+        (run the next epochs here), detached so that a ``_kill_host`` in a
+        relayed epoch cannot release it, and wake the driver for its jobs."""
         self._inflight -= count
         quiet = self._quiet
-        if quiet is not None and self._inflight == 0:
-            self._quiet = None
+        if self._inflight or quiet is None or quiet.cancelled():
+            return  # (cancelled: the driver ran out of wall budget)
+        self._quiet = None
+        try:
+            self._epochs()
+        except Exception as exc:
+            self._failure = self._failure or exc
+        if self._inflight and not (self._tail or self._reap or self._failure):
+            self._quiet = quiet  # the last host to finish relays again
+        else:
             quiet.set_result(None)
 
-    async def _flush_mail(self) -> None:
-        """Post everything staged so far, waiting wherever a mailbox is full.
-
-        The staged list is swapped out first, so this coroutine owns its
-        unposted tail: while it waits for room, the process it waits on
-        stages and posts its *own* output, never this coroutine's
-        remainder (which would make it wait on its own mailbox).
-        """
-        staged, self._staged_mail = self._staged_mail, []
+    def _post(self, staged: "list | None" = None) -> "list | None":
+        """Post ``staged`` (default: swap out ``_staged_mail``) in order up
+        to the first full mailbox; return the unposted tail.  The caller
+        owns it: a process that picked it up could wait on itself."""
+        if staged is None:
+            staged, self._staged_mail = self._staged_mail, []
         capacity = self.mailbox_capacity
-        for host, item in staged:
+        for i, (host, item) in enumerate(staged):
+            if not host.alive:
+                continue  # died since the submit; see _ProcessHost.submit
             inbox = host.inbox
             if len(inbox) >= capacity:
                 self.backpressure_stalls += 1
-                while host.alive and len(inbox) >= capacity:
-                    waiter = self._loop.create_future()
-                    host.room.append(waiter)
-                    await waiter
-            if not host.alive:
-                continue  # died since the submit; see _ProcessHost.submit
+                return staged[i:]
             inbox.append(item)
             self._inflight += 1
             if len(inbox) > host.high_water:
@@ -406,10 +436,22 @@ class AsyncBackend(ExecutionBackend):
             if parked is not None:  # one wake, however many posts follow
                 host.parked = None
                 parked.set_result(None)
+        return None
+
+    async def _post_tail(self, tail: list) -> None:
+        """Post ``tail``, waiting for room wherever a mailbox is full."""
+        while tail:
+            host = tail[0][0]
+            while host.alive and len(host.inbox) >= self.mailbox_capacity:
+                waiter = self._loop.create_future()
+                host.room.append(waiter)
+                await waiter
+            tail = self._post(tail)
 
     async def _host_loop(self, host: _ProcessHost) -> None:
         inbox = host.inbox
         room = host.room
+        me = host.task
         while True:
             while inbox:
                 payload, port = inbox.popleft()
@@ -421,13 +463,38 @@ class AsyncBackend(ExecutionBackend):
                     # counts as handled.
                     host.receive(payload, port)
                     if self._staged_mail:
-                        await self._flush_mail()
+                        tail = self._post()
+                        if tail:
+                            await self._post_tail(tail)
+                except Exception as exc:  # the sim raises it from run_until
+                    self._failure = self._failure or exc
                 finally:
                     self._handled()
+                if host.task is not me:
+                    return  # killed (and maybe revived) in an epoch it relayed
             host.parked = parked = self._loop.create_future()
             await parked
 
     # -- the epoch driver ----------------------------------------------------
+
+    def _epochs(self) -> None:
+        """The driver's and the relay's one epoch loop: run epochs until mail
+        is in flight or ``_advance`` has a job.  The tail of a post that met
+        a full mailbox (so mail is in flight) is the driver's to post."""
+        clock = self.clock
+        while not (self._inflight or self._reap or self._failure):
+            if (self.max_wall is not None
+                    and self._loop.time() - self._wall_start > self.max_wall):
+                return
+            deadline = clock._next_deadline()
+            if deadline is None or deadline > self._until:
+                return
+            if self.time_scale is not None and self._pace_delay(deadline) > 0:
+                return
+            self._executed += clock._run_epoch(
+                deadline, self._budget - self._executed)
+            if self._staged_mail:
+                self._tail = self._post()
 
     def _pace_delay(self, deadline: float) -> float:
         """Wall seconds until ``deadline`` is due under ``time_scale``."""
@@ -449,34 +516,33 @@ class AsyncBackend(ExecutionBackend):
     async def _advance(self, until: float, max_events: int) -> int:
         clock = self.clock
         loop = self._loop
-        paced = self.time_scale is not None
-        executed = 0
-        wall_start = loop.time()
+        self._until, self._budget, self._executed = until, max_events, 0
+        self._wall_start = loop.time()
         while True:
             if self._reap:
                 await self._reap_cancelled()
-            deadline = clock._next_deadline()
-            if deadline is None or deadline > until:
-                break
-            if paced:
-                delay = self._pace_delay(deadline)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-            executed += clock._run_epoch(deadline, max_events - executed)
-            # An epoch that only published (nothing submitted, nothing in
-            # flight) never touches the event loop.
-            if self._staged_mail:
-                await self._flush_mail()
+            if self._tail:
+                tail, self._tail = self._tail, None
+                await self._post_tail(tail)
             if self._inflight:
                 self._quiet = quiet = loop.create_future()
                 await quiet
-            if (
-                self.max_wall is not None
-                and loop.time() - wall_start > self.max_wall
-            ):
+                continue
+            if self._failure is not None:
+                failure, self._failure = self._failure, None
+                raise failure
+            if (self.max_wall is not None
+                    and loop.time() - self._wall_start > self.max_wall):
                 raise asyncio.TimeoutError
+            deadline = clock._next_deadline()
+            if deadline is None or deadline > until:
+                break
+            if (self.time_scale is not None
+                    and (delay := self._pace_delay(deadline)) > 0):
+                await asyncio.sleep(delay)
+            self._epochs()
         clock._finish(until)
-        return executed
+        return self._executed
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> int:
         if self.closed:
@@ -498,19 +564,13 @@ class AsyncBackend(ExecutionBackend):
                 f"wall budget at t={self.clock.now}"
             ) from None
 
-    # -- teardown / the flake-guard surface ----------------------------------
-
-    def pending_tasks(self) -> "list[asyncio.Task]":
-        """Unfinished tasks on this backend's loop (empty once closed)."""
-        if self.closed:
-            return []
-        return [t for t in asyncio.all_tasks(self._loop) if not t.done()]
+    # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
         """Cancel every task and close the event loop.  Idempotent."""
         if self.closed:
             return
-        pending = self.pending_tasks()
+        pending = asyncio.all_tasks(self._loop)  # the unfinished ones
         for task in pending:
             task.cancel()
         if pending:

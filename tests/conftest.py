@@ -10,6 +10,7 @@ from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.runtime.backends import live_backends
+from repro.runtime.backends.asyncio_backend import take_loop_errors
 from repro.schema.schema import StreamSchema
 from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.stt.event import SttStamp
@@ -62,24 +63,43 @@ def _hard_timeout(request):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(autouse=True)
-def _async_backend_flake_guard():
-    """Fail any test that leaks a live AsyncBackend (tasks, event loop).
+def backend_flake_failures() -> "list[str]":
+    """Why the current test must fail the flake guard (empty: it passes).
 
-    Leaked loops are the classic source of cross-test flakes: a pending
-    task from test A fires during test B.  The guard closes whatever
-    leaked (so the *next* test stays clean) and then fails the leaking
-    test by name.
+    Closes whatever leaked and drains the loops' error reports, so the
+    *next* test starts clean either way.
     """
-    yield
+    failures = []
     leaked = live_backends()
     if leaked:
         for backend in leaked:
             backend.close()
-        pytest.fail(
+        failures.append(
             f"test leaked {len(leaked)} unclosed AsyncBackend(s); "
             f"close the stack/backend (stack.close() or `with stack:`)"
         )
+    for context in take_loop_errors():
+        failures.append(
+            f"an event loop swallowed an error: {context.get('message')} "
+            f"({context.get('exception')!r})"
+        )
+    return failures
+
+
+@pytest.fixture(autouse=True)
+def _async_backend_flake_guard():
+    """Fail any test that leaks a live AsyncBackend (tasks, event loop) or
+    whose event loop swallowed an error.
+
+    Leaked loops are the classic source of cross-test flakes: a pending
+    task from test A fires during test B.  A swallowed error is a task
+    that died without anyone awaiting it ("Task exception was never
+    retrieved"): the run it belonged to wedges or silently loses work.
+    """
+    yield
+    failures = backend_flake_failures()
+    if failures:
+        pytest.fail("; ".join(failures))
 
 
 @pytest.fixture

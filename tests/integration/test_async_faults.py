@@ -13,6 +13,7 @@ logical timer).
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
@@ -122,6 +123,74 @@ class TestTaskCancellation:
             stack.run_until(3600.0)
             assert process.node_id == victim
             assert deployment.collected("out")
+
+
+def _stack_on(backend_name: str):
+    if backend_name == "sim":
+        return build_stack(hot=True, seed=11), None
+    return async_stack()
+
+
+class TestKillInsideARelayedEpoch:
+    """A kill scheduled from an operator's receive fires in the epoch the
+    receiving host relays, even when that host is on the dead node."""
+
+    @pytest.mark.parametrize("victim", ["work", "out"])
+    def test_run_completes_and_matches_the_simulator(self, victim):
+        outputs = {}
+        for backend_name in ("sim", "async"):
+            stack, backend = _stack_on(backend_name)
+            with stack:
+                deployment = stack.executor.deploy(blocking_flow())
+                work = deployment.process("work")
+                node = deployment.process(victim).node_id
+                armed, killed_in = [True], []
+
+                def kill():
+                    if backend is not None:
+                        killed_in.append(asyncio.current_task(backend._loop))
+                    stack.netsim.kill_node(node)
+
+                on_tuple = work.operator.on_tuple
+
+                def receive_then_kill(tuple_, port=0):
+                    if armed and stack.clock.now >= 900.0:
+                        armed.clear()
+                        stack.clock.schedule(0.0, kill)
+                    return on_tuple(tuple_, port=port)
+
+                work.operator.on_tuple = receive_then_kill
+                if backend is not None:
+                    receiver = backend._hosts[id(work)].task
+                stack.run_until(3600.0)
+                assert not armed
+                if backend is not None:
+                    assert killed_in == [receiver]  # it relayed the kill
+                outputs[backend_name] = sorted(
+                    (t.source, t.stamp.time, repr(dict(t.payload)))
+                    for t in deployment.collected("out"))
+        assert outputs["async"]
+        assert outputs["async"] == outputs["sim"]
+
+
+class TestProcessErrors:
+    """An exception escaping a hosted process raises from ``run_until`` on
+    both backends; on asyncio, left in the task, it would kill the task,
+    strand the barrier and wedge the run."""
+
+    @pytest.mark.parametrize("backend_name", ["sim", "async"])
+    def test_sink_error_raises_from_run_until(self, backend_name):
+        stack, _ = _stack_on(backend_name)
+        with stack:
+            deployment = stack.executor.deploy(blocking_flow())
+
+            def broken(tuple_, port=0):
+                raise RuntimeError("sink broke")
+
+            deployment.process("out").operator._process = broken
+            with pytest.raises(RuntimeError, match="sink broke"):
+                stack.run_until(3600.0)
+            assert stack.clock.now <= 1200.0  # the first flush raised
 
 
 class TestBackpressure:

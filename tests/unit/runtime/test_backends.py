@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import SimulationError, StreamLoaderError
@@ -215,6 +217,182 @@ class TestMailbox:
             assert process.received == [0]
             assert not backend._hosts[id(process)].alive
             assert backend._inflight == 0
+
+
+class TestRelay:
+    """The host that empties the barrier runs the next epochs itself; the
+    driver wakes only to sleep, wait for room, reap, stop or raise."""
+
+    def _backend(self, **kwargs):
+        return AsyncBackend(topology=Topology.star(leaf_count=2),
+                            max_wall=10.0, **kwargs)
+
+    @staticmethod
+    def _hosted(backend, *nodes):
+        processes = [_FakeProcess(node) for node in nodes]
+        for process in processes:
+            backend.host_process(process)
+        return processes
+
+    def test_chain_costs_one_loop_turn_per_woken_process(self):
+        # N single-message epochs, each for the process the previous one
+        # did not wake: one loop turn per woken task, and no turn for the
+        # driver between epochs (a driver-only clock pays 2N).
+        def turns(count):
+            with self._backend() as backend:
+                pair = self._hosted(backend, "edge-1", "hub")
+                backend.run_until(0.5)  # the host tasks start and park
+                for i in range(count):
+                    _send_at(backend, pair[i % 2], 1.0 + i, 1)
+                loop = backend._loop
+                run_once = loop._run_once
+                iterations = []
+
+                def counting():
+                    iterations.append(None)
+                    return run_once()
+
+                loop._run_once = counting
+                backend.run_until(1.0 + count)
+                assert sum(len(p.received) for p in pair) == count
+                return len(iterations)
+
+        chain = 20
+        assert turns(chain) - turns(0) <= chain + 2
+
+    def test_relayed_epoch_leaves_its_unposted_tail_to_the_driver(self):
+        # The relayed epoch posts one of three messages into a 1-slot
+        # mailbox.  The other two are the driver's: a host that picked
+        # them up would wait for room in its own mailbox and wedge.
+        with self._backend(mailbox_capacity=1) as backend:
+            first, second = self._hosted(backend, "edge-1", "hub")
+            _send_at(backend, first, 1.0, 1)
+            _send_at(backend, second, 2.0, 3)
+            relayed = []
+            on_epoch = backend.clock._run_epoch
+
+            def noting(deadline, budget):
+                relayed.append(asyncio.current_task(backend._loop)
+                               is backend._hosts[id(first)].task)
+                return on_epoch(deadline, budget)
+
+            backend.clock._run_epoch = noting
+            backend.run_until(3.0)
+            assert relayed[-1]  # the burst's delivery ran in a host
+            assert second.received == [0, 1, 2]
+            assert backend._hosts[id(second)].high_water == 1
+            assert backend.backpressure_stalls == 2
+
+    def test_host_revived_in_its_own_relay_hands_over_to_its_new_task(self):
+        with self._backend() as backend:
+            loop = backend._loop
+            handled_by = []
+            process = _FakeProcess("edge-1", on_receive=lambda message: (
+                handled_by.append((message, asyncio.current_task(loop)))))
+            backend.host_process(process)
+            host = backend._hosts[id(process)]
+            first_task = host.task
+            clock = backend.clock
+            clock.schedule_at(1.0, process.receive, "first")
+            # The epoch the process's own task relays kills and revives its
+            # node, then mails it: the old task must leave that to the new.
+            clock.schedule_at(2.0, backend.kill_node, "edge-1")
+            clock.schedule_at(2.0, backend.revive_node, "edge-1")
+            clock.schedule_at(2.0, process.receive, "second")
+            backend.run_until(3.0)
+            assert host.task is not first_task
+            assert handled_by == [("first", first_task), ("second", host.task)]
+
+    def test_barrier_the_driver_abandoned_is_not_relayed(self):
+        # What wait_for does to the driver when the wall budget runs out.
+        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+            process, = self._hosted(backend, "edge-1")
+            process._on_receive = lambda _: backend._quiet.cancel()
+            _send_at(backend, process, 1.0, 1)
+            later = []
+            backend.clock.schedule_at(2.0, later.append, "epoch")
+            with pytest.raises(asyncio.CancelledError):
+                backend.run_until(3.0)
+            assert later == []
+
+    def test_callback_raising_in_a_relayed_epoch_reaches_run_until(self):
+        with self._backend() as backend:
+            process, = self._hosted(backend, "edge-1")
+            ran_in = []
+
+            def boom():
+                ran_in.append(asyncio.current_task(backend._loop))
+                raise RuntimeError("boom")
+
+            _send_at(backend, process, 1.0, 1)
+            backend.clock.schedule_at(2.0, boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                backend.run_until(3.0)
+            assert process.received == [0]
+            assert ran_in == [backend._hosts[id(process)].task]
+
+    def test_zero_delay_cascade_guard_holds_in_a_relayed_epoch(self):
+        with self._backend() as backend:
+            process, = self._hosted(backend, "edge-1")
+            ran_in = set()
+
+            def reschedule():
+                ran_in.add(asyncio.current_task(backend._loop))
+                backend.clock.schedule(0.0, reschedule)
+
+            _send_at(backend, process, 1.0, 1)
+            backend.clock.schedule_at(2.0, reschedule)
+            with pytest.raises(SimulationError, match="events"):
+                backend.run_until(3.0, max_events=1000)
+            assert ran_in == {backend._hosts[id(process)].task}
+
+    def test_paced_relay_never_starts_an_epoch_before_its_wall_target(self):
+        scale = 20.0
+        with AsyncBackend(topology=Topology.star(leaf_count=3),
+                          max_wall=10.0, time_scale=scale) as backend:
+            pair = self._hosted(backend, "edge-1", "edge-2")
+            loop = backend._loop
+            hosts = {backend._hosts[id(p)] for p in pair}
+            # Two deliveries a virtual microsecond apart (the second is due
+            # on the wall as soon as the first is handled) every 0.5 virtual
+            # seconds (25 ms apart on the wall: the driver sleeps).
+            for i in range(8):
+                _send_at(backend, pair[i % 2], 1.0 + 0.5 * (i // 2)
+                         + 1e-6 * (i % 2), 1)
+            starts = []
+            run_epoch = backend.clock._run_epoch
+
+            def noting(deadline, budget):
+                starts.append((deadline, loop.time(),
+                               asyncio.current_task(loop)))
+                return run_epoch(deadline, budget)
+
+            backend.clock._run_epoch = noting
+            backend.run_until(4.0)
+            assert sum(len(p.received) for p in pair) == 8
+            for deadline, wall, _ in starts:
+                target = (backend._wall_base
+                          + (deadline - backend._logical_base) / scale)
+                assert wall >= target
+            relayed = {task for *_, task in starts} & {h.task for h in hosts}
+            assert relayed  # some epochs ran in a host, not the driver
+
+    def test_flake_guard_trips_on_an_unretrieved_task_exception(self):
+        from tests.conftest import backend_flake_failures
+
+        async def fail():
+            raise RuntimeError("nobody awaits me")
+
+        with self._backend() as backend:
+            task = backend._loop.create_task(fail())
+            backend._loop.run_until_complete(asyncio.sleep(0))
+            assert task.done()
+            del task
+        failures = backend_flake_failures()
+        assert len(failures) == 1
+        assert "never retrieved" in failures[0]
+        assert "nobody awaits me" in failures[0]
+        assert backend_flake_failures() == []  # drained: this test passes
 
 
 class TestRouteLateBinding:
