@@ -62,8 +62,8 @@ from repro.runtime.backends.base import ExecutionBackend
 #: AsyncBackend instances not yet closed — the test plane's flake guard
 #: sweeps this set to fail any test that leaks an event loop or tasks.
 _LIVE_BACKENDS: "weakref.WeakSet[AsyncBackend]" = weakref.WeakSet()
-#: What their loops reported to the exception handler; the guard fails on it.
-_LOOP_ERRORS: "list[dict]" = []
+#: Their loops' exception-handler reports, as text; the guard fails on them.
+_LOOP_ERRORS: "list[str]" = []
 
 
 def live_backends() -> "list[AsyncBackend]":
@@ -71,7 +71,7 @@ def live_backends() -> "list[AsyncBackend]":
     return [backend for backend in _LIVE_BACKENDS if not backend.closed]
 
 
-def take_loop_errors() -> "list[dict]":
+def take_loop_errors() -> "list[str]":
     """Drain the reports; collect first, as a dead task reports when freed."""
     if _LIVE_BACKENDS:
         gc.collect()
@@ -80,7 +80,8 @@ def take_loop_errors() -> "list[dict]":
 
 
 def _record_loop_error(loop, context: dict) -> None:
-    _LOOP_ERRORS.append(context)
+    _LOOP_ERRORS.append(
+        f"{context.get('message')} ({context.get('exception')!r})")
     loop.default_exception_handler(context)
 
 
@@ -317,8 +318,8 @@ class AsyncBackend(ExecutionBackend):
         #: synchronous dispatch (an epoch's callbacks, or a process
         #: handling a message); whoever ran that dispatch posts them.
         self._staged_mail: list = []
-        #: Mail an epoch could not post (a mailbox was full): the driver's.
-        self._tail: "list | None" = None
+        #: Mail an epoch could not post, and its room waiter: the driver's.
+        self._tail: "tuple | None" = None
         #: Messages posted to a mailbox and not yet fully handled.
         self._inflight = 0
         #: The epoch barrier; the host that empties ``_inflight`` relays it.
@@ -397,9 +398,9 @@ class AsyncBackend(ExecutionBackend):
     # -- mailboxes / quiescence accounting -----------------------------------
 
     def _handled(self, count: int = 1) -> None:
-        """``count`` posted messages left flight; at zero, relay the barrier
-        (run the next epochs here), detached so that a ``_kill_host`` in a
-        relayed epoch cannot release it, and wake the driver for its jobs."""
+        """``count`` posted messages left flight; at zero, relay the barrier:
+        run the next epochs here, with it detached (a ``_kill_host`` in them
+        must not release it), and wake the driver only for its jobs."""
         self._inflight -= count
         quiet = self._quiet
         if self._inflight or quiet is None or quiet.cancelled():
@@ -414,10 +415,11 @@ class AsyncBackend(ExecutionBackend):
         else:
             quiet.set_result(None)
 
-    def _post(self, staged: "list | None" = None) -> "list | None":
+    def _post(self, staged: "list | None" = None) -> "tuple | None":
         """Post ``staged`` (default: swap out ``_staged_mail``) in order up
-        to the first full mailbox; return the unposted tail.  The caller
-        owns it: a process that picked it up could wait on itself."""
+        to the first full mailbox; return the unposted tail and a waiter
+        queued there for room now, however late the caller awaits it.  The
+        caller owns both: a process that took them could wait on itself."""
         if staged is None:
             staged, self._staged_mail = self._staged_mail, []
         capacity = self.mailbox_capacity
@@ -427,7 +429,8 @@ class AsyncBackend(ExecutionBackend):
             inbox = host.inbox
             if len(inbox) >= capacity:
                 self.backpressure_stalls += 1
-                return staged[i:]
+                host.room.append(waiter := self._loop.create_future())
+                return staged[i:], waiter
             inbox.append(item)
             self._inflight += 1
             if len(inbox) > host.high_water:
@@ -438,15 +441,15 @@ class AsyncBackend(ExecutionBackend):
                 parked.set_result(None)
         return None
 
-    async def _post_tail(self, tail: list) -> None:
+    async def _post_tail(self, tail: list, waiter: asyncio.Future) -> None:
         """Post ``tail``, waiting for room wherever a mailbox is full."""
         while tail:
+            await waiter
             host = tail[0][0]
             while host.alive and len(host.inbox) >= self.mailbox_capacity:
-                waiter = self._loop.create_future()
-                host.room.append(waiter)
+                host.room.append(waiter := self._loop.create_future())
                 await waiter
-            tail = self._post(tail)
+            tail, waiter = self._post(tail) or (None, None)
 
     async def _host_loop(self, host: _ProcessHost) -> None:
         inbox = host.inbox
@@ -465,7 +468,7 @@ class AsyncBackend(ExecutionBackend):
                     if self._staged_mail:
                         tail = self._post()
                         if tail:
-                            await self._post_tail(tail)
+                            await self._post_tail(*tail)
                 except Exception as exc:  # the sim raises it from run_until
                     self._failure = self._failure or exc
                 finally:
@@ -477,24 +480,28 @@ class AsyncBackend(ExecutionBackend):
 
     # -- the epoch driver ----------------------------------------------------
 
-    def _epochs(self) -> None:
+    def _epochs(self) -> "float | None":
         """The driver's and the relay's one epoch loop: run epochs until mail
-        is in flight or ``_advance`` has a job.  The tail of a post that met
-        a full mailbox (so mail is in flight) is the driver's to post."""
+        is in flight or ``_advance`` has a job; return the wall seconds until
+        the next epoch is due (0: not waiting on the clock), or None past the
+        horizon.  The tail of a post that met a full mailbox (so mail is in
+        flight) is the driver's to post."""
         clock = self.clock
         while not (self._inflight or self._reap or self._failure):
             if (self.max_wall is not None
                     and self._loop.time() - self._wall_start > self.max_wall):
-                return
+                raise asyncio.TimeoutError
             deadline = clock._next_deadline()
             if deadline is None or deadline > self._until:
-                return
-            if self.time_scale is not None and self._pace_delay(deadline) > 0:
-                return
+                return None
+            if (self.time_scale is not None
+                    and (delay := self._pace_delay(deadline)) > 0):
+                return delay
             self._executed += clock._run_epoch(
                 deadline, self._budget - self._executed)
             if self._staged_mail:
                 self._tail = self._post()
+        return 0.0
 
     def _pace_delay(self, deadline: float) -> float:
         """Wall seconds until ``deadline`` is due under ``time_scale``."""
@@ -514,7 +521,6 @@ class AsyncBackend(ExecutionBackend):
                 pass
 
     async def _advance(self, until: float, max_events: int) -> int:
-        clock = self.clock
         loop = self._loop
         self._until, self._budget, self._executed = until, max_events, 0
         self._wall_start = loop.time()
@@ -523,7 +529,7 @@ class AsyncBackend(ExecutionBackend):
                 await self._reap_cancelled()
             if self._tail:
                 tail, self._tail = self._tail, None
-                await self._post_tail(tail)
+                await self._post_tail(*tail)
             if self._inflight:
                 self._quiet = quiet = loop.create_future()
                 await quiet
@@ -531,17 +537,11 @@ class AsyncBackend(ExecutionBackend):
             if self._failure is not None:
                 failure, self._failure = self._failure, None
                 raise failure
-            if (self.max_wall is not None
-                    and loop.time() - self._wall_start > self.max_wall):
-                raise asyncio.TimeoutError
-            deadline = clock._next_deadline()
-            if deadline is None or deadline > until:
+            if (delay := self._epochs()) is None:
                 break
-            if (self.time_scale is not None
-                    and (delay := self._pace_delay(deadline)) > 0):
+            if delay:
                 await asyncio.sleep(delay)
-            self._epochs()
-        clock._finish(until)
+        self.clock._finish(until)
         return self._executed
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> int:

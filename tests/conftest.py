@@ -78,11 +78,8 @@ def backend_flake_failures() -> "list[str]":
             f"test leaked {len(leaked)} unclosed AsyncBackend(s); "
             f"close the stack/backend (stack.close() or `with stack:`)"
         )
-    for context in take_loop_errors():
-        failures.append(
-            f"an event loop swallowed an error: {context.get('message')} "
-            f"({context.get('exception')!r})"
-        )
+    for report in take_loop_errors():
+        failures.append(f"an event loop swallowed an error: {report}")
     return failures
 
 

@@ -283,6 +283,34 @@ class TestRelay:
             assert backend._hosts[id(second)].high_water == 1
             assert backend.backpressure_stalls == 2
 
+    def test_relayed_tail_is_first_in_line_for_room(self):
+        # A relayed epoch wakes two forwarders, fills a 1-slot mailbox and
+        # leaves one message to the driver; both forwarders then wait for
+        # room there.  The driver queued when its tail was cut, as if it
+        # had run the epoch itself, so the slots go tail, first, second.
+        with self._backend(mailbox_capacity=1) as backend:
+            loop, clock = backend._loop, backend.clock
+            relay, target = self._hosted(backend, "edge-1", "hub")
+            forwarders = [
+                _FakeProcess("edge-0", on_receive=lambda _, name=name: (
+                    target.receive(name)))
+                for name in ("first", "second")
+            ]
+            for forwarder in forwarders:
+                backend.host_process(forwarder)
+            ran_in = []
+            clock.schedule_at(1.0, relay.receive, "wake")
+            clock.schedule_at(
+                2.0, lambda: ran_in.append(asyncio.current_task(loop)))
+            for process, message in ((forwarders[0], "go"),
+                                     (forwarders[1], "go"),
+                                     (target, "tail-0"), (target, "tail-1")):
+                clock.schedule_at(2.0, process.receive, message)
+            backend.run_until(3.0)
+            assert ran_in == [backend._hosts[id(relay)].task]
+            assert target.received == ["tail-0", "tail-1", "first", "second"]
+            assert backend.backpressure_stalls == 3
+
     def test_host_revived_in_its_own_relay_hands_over_to_its_new_task(self):
         with self._backend() as backend:
             loop = backend._loop
