@@ -10,7 +10,7 @@ attributable.
 import pytest
 
 from benchmarks.conftest import make_batch
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 from repro.network.simclock import SimClock
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.stamping import backfill_stamp

@@ -91,8 +91,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     with stack:
         flow = osaka_scenario_flow(stack)
         deployment = stack.executor.deploy(flow, shards=_shards_from(args),
-                                           elastic=_apply_rebalance(args, stack),
-                                           fuse=not args.no_fuse)
+                                           elastic=_apply_rebalance(args, stack))
         stack.run_until(args.hours * 3600.0)
 
     print(stack.executor.monitor.render_dashboard())
@@ -112,12 +111,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _observed_run(args: argparse.Namespace):
-    """Build, deploy, and run a dataflow with observability attached.
+def _named_flow(args: argparse.Namespace, stack):
+    """The dataflow ``args.dataflow`` names: ``osaka`` (the Section 3
+    scenario), ``stations`` (sharded per-station averages) or the path of
+    a saved canvas JSON document."""
+    if args.dataflow == "osaka":
+        return osaka_scenario_flow(stack)
+    if args.dataflow == "stations":
+        return sharded_aggregation_flow(stack)
+    return _load_canvas(args.dataflow)
 
-    ``args.dataflow`` is either the literal ``osaka`` (the Section 3
-    scenario) or a path to a saved canvas JSON document.
-    """
+
+def _observed_run(args: argparse.Namespace):
+    """Build, deploy, and run a dataflow with observability attached."""
     stack = build_stack(
         hot=not getattr(args, "cool", False),
         extended=getattr(args, "extended", False),
@@ -127,17 +133,9 @@ def _observed_run(args: argparse.Namespace):
         **_backend_from(args),
     )
     with stack:
-        name = getattr(args, "dataflow", "osaka")
-        if name == "osaka":
-            flow = osaka_scenario_flow(stack)
-        elif name == "stations":
-            flow = sharded_aggregation_flow(stack)
-        else:
-            flow = _load_canvas(name)
         deployment = stack.executor.deploy(
-            flow, shards=_shards_from(args),
+            _named_flow(args, stack), shards=_shards_from(args),
             elastic=_apply_rebalance(args, stack),
-            fuse=not getattr(args, "no_fuse", False),
         )
         stack.run_until(args.hours * 3600.0)
     return stack, deployment
@@ -221,7 +219,6 @@ def parse_slo_expr(text: str, flow: str):
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.dsn.generate import dataflow_to_dsn
     from repro.obs.render import render_health
 
     stack = build_stack(
@@ -234,32 +231,26 @@ def _cmd_health(args: argparse.Namespace) -> int:
         alert_cadence=args.cadence,
         **_backend_from(args),
     )
-    name = args.dataflow
-    if name == "osaka":
-        flow = osaka_scenario_flow(stack)
-    elif name == "stations":
-        flow = sharded_aggregation_flow(stack)
-    else:
-        flow = _load_canvas(name)
-    exprs = args.slo or list(DEFAULT_SLO_EXPRS)
-    program = dataflow_to_dsn(
-        flow,
-        stack.broker_network.registry,
-        shards=_shards_from(args),
-        elastic=_apply_rebalance(args, stack),
-        slos=[parse_slo_expr(expr, flow.name) for expr in exprs],
-    )
-    stack.executor.deploy(program, fuse=not args.no_fuse)
-    engine = stack.executor.alerts
-    if args.watch:
-        interval = max(args.cadence, 3600.0)
-
-        def show() -> None:
-            print(render_health(engine))
-            print()
-
-        stack.clock.schedule_periodic(interval, show, start_delay=interval)
     with stack:
+        flow = _named_flow(args, stack)
+        exprs = args.slo or list(DEFAULT_SLO_EXPRS)
+        program = dataflow_to_dsn(
+            flow,
+            stack.broker_network.registry,
+            shards=_shards_from(args),
+            elastic=_apply_rebalance(args, stack),
+            slos=[parse_slo_expr(expr, flow.name) for expr in exprs],
+        )
+        stack.executor.deploy(program)
+        engine = stack.executor.alerts
+        if args.watch:
+            interval = max(args.cadence, 3600.0)
+
+            def show() -> None:
+                print(render_health(engine))
+                print()
+
+            stack.clock.schedule_periodic(interval, show, start_delay=interval)
         stack.run_until(args.hours * 3600.0)
     if args.json:
         print(json.dumps(engine.health_json(), sort_keys=True, indent=2))
@@ -341,9 +332,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-hot-keys", action="store_true",
                         help="allow the rebalancer to split one hot key "
                              "across replicas (implies --rebalance)")
-    parser.add_argument("--no-fuse", action="store_true",
-                        help="disable operator fusion (each non-blocking "
-                             "operator keeps its own process)")
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:

@@ -22,8 +22,8 @@ even several channels fanning in) and the *tail* may fan out to any
 consumers — only the interior hops collapse.  Blocking operators,
 triggers, sinks, and sources never join a chain.
 
-The planner is the default-on deploy path; a DSN program may instead pin
-its chains explicitly with ``fuse "a" -> "b";`` clauses, which
+Every deployment fuses: the planner derives the chains, unless a DSN
+program pins them explicitly with ``fuse "a" -> "b";`` clauses, which
 :func:`chains_for` validates against the same link rules.
 """
 
@@ -129,16 +129,13 @@ def validate_chains(
                 )
 
 
-def chains_for(program: DsnProgram, fuse: bool = True) -> "list[tuple[str, ...]]":
-    """The chains a deployment should fuse.
+def chains_for(program: DsnProgram) -> "list[tuple[str, ...]]":
+    """The chains a deployment fuses.
 
     Explicit ``fuse`` clauses in the program pin the plan (validated
     against the link rules); otherwise the planner derives maximal
-    chains.  ``fuse=False`` (the ``--no-fuse`` escape hatch) disables
-    fusion entirely.
+    chains.
     """
-    if not fuse:
-        return []
     declared = [tuple(hint.members) for hint in program.fuses]
     if declared:
         validate_chains(program, declared)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DataflowError, SchemaError
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 from repro.schema.infer import (
     AGGREGATION_FUNCTIONS,
     aggregate_schema,

@@ -14,7 +14,6 @@ from repro.dataflow.validate import validate_dataflow
 from repro.dsn.ast import (
     DsnChannel,
     DsnControl,
-    DsnFuse,
     DsnProgram,
     DsnService,
     DsnShard,
@@ -33,7 +32,6 @@ def dataflow_to_dsn(
     max_batch: int = 32,
     shards: "int | dict[str, int] | None" = None,
     elastic: bool = False,
-    fuse: bool = False,
     slos: "list[DsnSlo] | None" = None,
 ) -> DsnProgram:
     """Translate a (consistent) dataflow into its DSN program.
@@ -62,12 +60,6 @@ def dataflow_to_dsn(
         elastic: mark every emitted shard clause ``elastic``, attaching
             the load-feedback rebalance loop at deploy time.  Ignored
             without ``shards``.
-        fuse: emit explicit ``fuse`` hints for the chains the planner
-            (:func:`repro.dataflow.fusion.plan_fusion`) would fuse,
-            pinning the plan into the rendered program.  ``False`` (the
-            default) emits no hints, so existing programs render
-            unchanged — the executor still fuses by default at deploy
-            time; the escape hatch there is ``deploy(..., fuse=False)``.
         slos: service-level objective clauses to attach verbatim.  The
             executor turns each into an alert rule and installs the
             latency plane at deploy time.  ``None`` (the default) emits no
@@ -163,13 +155,6 @@ def dataflow_to_dsn(
                     DsnShard(service=name, count=count, keys=keys,
                              elastic=elastic)
                 )
-
-    if fuse:
-        from repro.dataflow.fusion import plan_fusion
-
-        program.fuses = [
-            DsnFuse(members=chain) for chain in plan_fusion(program)
-        ]
 
     if slos:
         program.slos = list(slos)

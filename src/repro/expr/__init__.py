@@ -4,7 +4,7 @@ One small, safe language serves every textual parameter of Table 1: Filter
 conditions (``σ(s, cond)``), Join predicates, Trigger conditions, Virtual
 Property specifications (``⊎ s⟨p, spec⟩``) and Transform definitions.  The
 pipeline is classic: :mod:`lexer` → :mod:`parser` → typed :mod:`ast` →
-:mod:`eval`, with a :mod:`functions` registry providing the math, string,
+:mod:`compile`, with a :mod:`functions` registry providing the math, string,
 temporal, spatial and unit-conversion built-ins the ETL operators need.
 
 >>> from repro.expr import compile_expression
@@ -24,7 +24,7 @@ from repro.expr.ast import (
 )
 from repro.expr.lexer import Token, TokenKind, tokenize
 from repro.expr.parser import parse
-from repro.expr.eval import compile_expression, EvalContext
+from repro.expr.compile import compile_expression
 from repro.expr.functions import FunctionRegistry, DEFAULT_FUNCTIONS
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "tokenize",
     "parse",
     "compile_expression",
-    "EvalContext",
     "FunctionRegistry",
     "DEFAULT_FUNCTIONS",
 ]

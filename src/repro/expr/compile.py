@@ -1,20 +1,22 @@
-"""Compilation of condition-language ASTs to Python closures.
+"""Compilation of condition-language expressions to Python closures.
 
-The interpreter in :mod:`repro.expr.eval` walks the AST per evaluation —
-an isinstance-dispatch per node per tuple.  Non-blocking operators "are
-directly applied on each tuple", so that walk is the hottest code in the
-data plane.  This module lowers a parsed AST once into a plain Python
-function of ``(values, qualified)`` and lets CPython's bytecode do the
-per-tuple work.
+Non-blocking operators "are directly applied on each tuple", so
+expression evaluation is the hottest code in the data plane.  This module
+parses an expression once (:func:`compile_expression`) and lowers its AST
+once into a plain Python function of ``(values, qualified)``, letting
+CPython's bytecode do the per-tuple work.  The generated code is the one
+evaluator the runtime has.
 
 The lowering performs three optimisations:
 
-- **constant folding**: any subtree without attribute references is
-  evaluated once at compile time (with the reference interpreter, so
-  folding can never change semantics) and embedded as a constant; a
-  subtree whose evaluation *fails* is left dynamic so the error still
-  surfaces at evaluation time, exactly like the interpreter.  Registry
-  functions are assumed pure, which the built-in registry guarantees.
+- **constant folding**: each maximal subtree without attribute references
+  is lowered on its own, its generated code runs once at compile time,
+  and the result is embedded as a constant — so folding can never change
+  semantics.  A subtree whose code *raises* is left dynamic, and its
+  children are tried in turn, so the error still surfaces at evaluation
+  time (and only if the surrounding short-circuit logic reaches it).
+  Registry functions are assumed pure, which the built-in registry
+  guarantees.
 - **pre-resolved function lookups**: ``Call`` nodes bind the registry
   implementation at compile time instead of a name+arity lookup per call;
   unknown names/arities fall back to a runtime ``registry.call`` so the
@@ -22,35 +24,53 @@ The lowering performs three optimisations:
 - **pre-split qualified refs**: ``left.temp`` becomes two pre-bound dict
   probes instead of string handling per evaluation.
 
-The compiled closure preserves the interpreter's **error taxonomy and
-messages** bit-for-bit: the same :class:`ExpressionError` subclass with
-the same text is raised for the same input, in the same operand order.
-``tests/property/test_prop_compile_parity.py`` pins this equivalence on
-random ASTs and payloads.
+Malformed input raises an :class:`ExpressionError` subclass whose type,
+message and operand order are part of the language.  The reference for
+all of it is a plain tree-walking interpreter kept with the tests
+(``tests/oracle/interpreter.py``); ``tests/oracle/test_expr_oracle.py``
+holds the generated code to it on random ASTs and payloads.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from repro.errors import (
     EvaluationError,
     ExpressionError,
     StreamLoaderError,
+    TypeMismatchError,
     UnknownAttributeError,
     UnknownFunctionError,
 )
-from repro.expr.ast import AttributeRef, BinaryOp, Call, Literal, Node, UnaryOp
-from repro.expr.functions import FunctionRegistry
+from repro.expr.ast import (
+    AttributeRef,
+    BinaryOp,
+    Call,
+    Literal,
+    Node,
+    SchemaScope,
+    UnaryOp,
+)
+from repro.expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
+from repro.expr.parser import parse
+from repro.schema.schema import StreamSchema
+from repro.schema.types import AttributeType
 
 #: Sentinel distinguishing "attribute absent" from "attribute is None".
 _MISSING = object()
+
+#: Shared empty binding for evaluations without qualified payloads (and
+#: for running a folded subtree, which reads no payload at all).
+#: Compiled closures only read from it.
+_NO_QUALIFIED: dict = {}
 
 
 # -- runtime helpers (cold paths of the generated code) ----------------------
 #
 # The generated code only calls into these on failure; the success path is
-# pure bytecode.  Messages replicate repro.expr.eval exactly.
+# pure bytecode.
 
 
 def _missing_attr(name: str) -> None:
@@ -131,8 +151,9 @@ _DYNAMIC = object()
 class _Emitter:
     """Accumulates generated statements and the constant pool."""
 
-    def __init__(self, functions: FunctionRegistry) -> None:
+    def __init__(self, functions: FunctionRegistry, fold: bool = True) -> None:
         self.functions = functions
+        self.fold = fold
         self.lines: list[str] = []
         self.consts: dict[str, object] = {}
         #: expression string -> compile-time-known value, for guard
@@ -207,9 +228,10 @@ class _Emitter:
 
     def emit(self, node: Node, indent: int) -> str:
         """Lower ``node``; returns the expression/variable holding its value."""
-        folded = self._try_fold(node)
-        if folded is not None:
-            return folded
+        if self.fold:
+            folded = self._try_fold(node)
+            if folded is not None:
+                return folded
 
         if isinstance(node, Literal):
             return self.const(node.value)
@@ -227,18 +249,19 @@ class _Emitter:
         return out
 
     def _try_fold(self, node: Node) -> "str | None":
-        """Fold an attribute-free subtree via the reference interpreter.
+        """Fold an attribute-free subtree by running its generated code.
 
-        Only a *successful* evaluation folds; a failing subtree stays
-        dynamic so its error is raised at evaluation time (and only if the
-        surrounding short-circuit logic reaches it), like the interpreter.
+        The subtree is lowered unfolded and executed once.  Only a
+        *successful* run folds; a failing subtree stays dynamic so its
+        error is raised at evaluation time (and only if the surrounding
+        short-circuit logic reaches it).
         """
         if isinstance(node, Literal) or node.attributes():
             return None
-        from repro.expr.eval import EvalContext, _evaluate
-
         try:
-            value = _evaluate(node, EvalContext(), self.functions)
+            value = _lower(node, self.functions, fold=False)(
+                _NO_QUALIFIED, _NO_QUALIFIED
+            )
         except ExpressionError:
             return None
         return self.const(value)
@@ -270,7 +293,7 @@ class _Emitter:
             self._guard_bool(indent, operand, "not")
             self.line(indent, f"{out} = not {operand}")
         else:
-            # The interpreter treats every non-'not' unary op as negation.
+            # Every non-'not' unary op is negation.
             self._guard_number(indent, operand, "-")
             self.line(indent, f"{out} = -{operand}")
         return out
@@ -319,7 +342,7 @@ class _Emitter:
                 f"_division_by_zero({self.const(node.unparse())}, _e)",
             )
         else:
-            # Unknown operator: operands evaluate first (interpreter order).
+            # Unknown operator: operands evaluate first, then it raises.
             self.line(indent, f"_unknown_operator({op!r})")
             self.line(indent, f"{out} = None")
         return out
@@ -354,8 +377,7 @@ class _Emitter:
         left = self.emit(node.left, indent)
         out = self.temp()
         if not self._guard_bool(indent, left, op):
-            # Left always raises; the interpreter never reaches the right
-            # operand, so neither does the generated code.
+            # Left always raises, so the right operand is never reached.
             self.line(indent, f"{out} = None")
             return out
         lv = self.value_of(left)
@@ -387,8 +409,8 @@ class _Emitter:
             signature = self.functions.signature(node.name, len(node.args))
         except UnknownFunctionError:
             # Unknown name/arity: defer to the registry at evaluation time,
-            # after the arguments ran, so the error (and any argument
-            # error preceding it) matches the interpreter exactly.
+            # after the arguments ran, so any argument error precedes the
+            # registry's own.
             registry = self.const(self.functions)
             self.line(
                 indent, f"{out} = {registry}.call({node.name!r}, [{arg_list}])"
@@ -408,17 +430,10 @@ class _Emitter:
         return out
 
 
-def compile_node(
-    root: Node, functions: FunctionRegistry
+def _lower(
+    root: Node, functions: FunctionRegistry, fold: bool
 ) -> Callable[[dict, dict], object]:
-    """Lower ``root`` to a closure ``f(values, qualified) -> result``.
-
-    The closure is semantically identical to
-    ``repro.expr.eval._evaluate(root, EvalContext(values, qualified),
-    functions)`` including which :class:`ExpressionError` subclass (and
-    message) is raised on malformed input.
-    """
-    emitter = _Emitter(functions)
+    emitter = _Emitter(functions, fold)
     result = emitter.emit(root, 1)
     source = "\n".join(
         ["def _compiled(_V, _Q):"] + emitter.lines + [f"    return {result}"]
@@ -429,3 +444,136 @@ def compile_node(
     closure = env["_compiled"]
     closure.__expr_source__ = source  # introspection / debugging aid
     return closure
+
+
+def compile_node(
+    root: Node, functions: FunctionRegistry
+) -> Callable[[dict, dict], object]:
+    """Lower ``root`` to a closure ``f(values, qualified) -> result``.
+
+    ``values`` binds unqualified attribute names; ``qualified`` binds
+    qualifier -> payload for join predicates (``left.temp``).
+    """
+    return _lower(root, functions, fold=True)
+
+
+@dataclass(frozen=True)
+class CompiledExpression:
+    """A parsed, reusable expression.
+
+    Compile once at design/deploy time, evaluate per tuple.  ``source`` is
+    kept for display in the designer and inclusion in DSN programs.
+    """
+
+    source: str
+    root: Node
+    functions: FunctionRegistry = field(default=DEFAULT_FUNCTIONS, compare=False)
+    #: Lazily-built closure (:func:`compile_node`).
+    _fast: "Callable[[dict, dict], object] | None" = field(
+        default=None, compare=False, repr=False
+    )
+
+    def prepare(self) -> "CompiledExpression":
+        """Force the fast evaluator to build now (operators call this at
+        construction so the first tuple does not pay the lowering cost)."""
+        if self._fast is None:
+            object.__setattr__(self, "_fast", compile_node(self.root, self.functions))
+        return self
+
+    def evaluate(self, values: "dict | None" = None, **qualified: dict) -> object:
+        """Evaluate against a payload dict (and/or qualified payloads)."""
+        fast = self._fast
+        if fast is None:
+            fast = self.prepare()._fast
+        return fast(values if values else {}, qualified)
+
+    def evaluate_bool(self, values: "dict | None" = None, **qualified: dict) -> bool:
+        result = self.evaluate(values, **qualified)
+        if not isinstance(result, bool):
+            raise EvaluationError(
+                f"condition {self.source!r} returned non-boolean {result!r}"
+            )
+        return result
+
+    # -- hot-path entries --------------------------------------------------
+    #
+    # ``evaluate``/``evaluate_bool`` allocate a ``**qualified`` dict on
+    # every call even though per-tuple operators never pass qualified
+    # payloads.  The bound closures below are for exactly that case —
+    # operators grab one at construction and run it per tuple.
+
+    def bind(self) -> "Callable[[Mapping], object]":
+        """A single-payload evaluator: ``closure(values) -> result``.
+
+        Semantically identical to ``evaluate(values)`` — same result,
+        same :class:`ExpressionError` subclasses on malformed input.
+        """
+        fast = self.prepare()._fast
+        assert fast is not None
+
+        def run(values: "Mapping") -> object:
+            return fast(values, _NO_QUALIFIED)
+
+        return run
+
+    def bind_bool(self) -> "Callable[[Mapping], bool]":
+        """A single-payload condition: ``closure(values) -> bool``.
+
+        Semantically identical to ``evaluate_bool(values)`` including the
+        non-boolean-result error.
+        """
+        fast = self.prepare()._fast
+        assert fast is not None
+        source = self.source
+
+        def run_bool(values: "Mapping") -> bool:
+            result = fast(values, _NO_QUALIFIED)
+            if result is True or result is False:
+                return result
+            raise EvaluationError(
+                f"condition {source!r} returned non-boolean {result!r}"
+            )
+
+        return run_bool
+
+    def type_check(
+        self,
+        schema: "StreamSchema | None" = None,
+        **qualified: StreamSchema,
+    ) -> AttributeType:
+        """Static type of the expression against the given schema(s).
+
+        Raises :class:`TypeMismatchError` / :class:`UnknownAttributeError`
+        when the expression cannot run against tuples of those schemas.
+        """
+        scope = SchemaScope(default=schema, qualifiers=qualified or None)
+        return self.root.infer_type(scope)
+
+    def check_boolean(
+        self,
+        schema: "StreamSchema | None" = None,
+        **qualified: StreamSchema,
+    ) -> None:
+        """Assert the expression is a boolean condition over the schema(s)."""
+        result = self.type_check(schema, **qualified)
+        if result is not AttributeType.BOOL:
+            raise TypeMismatchError(
+                f"condition {self.source!r} has type {result.value}, expected bool"
+            )
+
+    def attributes(self) -> set[tuple[str, str]]:
+        return self.root.attributes()
+
+    def unparse(self) -> str:
+        return self.root.unparse()
+
+
+def compile_expression(
+    source: str, functions: "FunctionRegistry | None" = None
+) -> CompiledExpression:
+    """Parse ``source`` into a reusable :class:`CompiledExpression`."""
+    return CompiledExpression(
+        source=source,
+        root=parse(source),
+        functions=functions or DEFAULT_FUNCTIONS,
+    )

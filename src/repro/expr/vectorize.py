@@ -42,8 +42,8 @@ taxonomy and messages stay bit-identical; only the loop moves here.
 Every kernel carries a ``vectorized`` attribute saying which path it is.
 
 ``tests/oracle/test_kernel_oracle.py`` pins column kernel ≡ row kernel
-at operator level, ``tests/property/test_prop_columnar_parity.py`` end
-to end through deployed flows.
+at operator level, ``tests/oracle/test_flow_oracle.py`` end to end
+through deployed flows.
 """
 
 from __future__ import annotations
@@ -52,8 +52,12 @@ from typing import Callable, Sequence
 
 from repro.errors import ExpressionError
 from repro.expr.ast import AttributeRef, Node
-from repro.expr.compile import _BASE_ENV, _Emitter
-from repro.expr.eval import _NO_QUALIFIED, CompiledExpression
+from repro.expr.compile import (
+    _BASE_ENV,
+    _NO_QUALIFIED,
+    CompiledExpression,
+    _Emitter,
+)
 
 
 class _NotVectorizable(Exception):

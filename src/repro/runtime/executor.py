@@ -389,7 +389,6 @@ class Executor:
         flow_or_program: "Dataflow | DsnProgram",
         shards: "int | dict[str, int] | None" = None,
         elastic: bool = False,
-        fuse: bool = True,
     ) -> Deployment:
         """Translate (if needed), place, spawn, wire, and start a dataflow.
 
@@ -401,14 +400,14 @@ class Executor:
         already carries its ``shard`` clauses, so both are only honoured
         for :class:`Dataflow` input.
 
-        ``fuse`` (default on) runs the operator-fusion planner
+        Every deployment runs the operator-fusion planner
         (:func:`repro.dataflow.fusion.chains_for`): maximal chains of
         non-blocking operators on private single-in/single-out channels
         are hosted in one process each, eliding the interior hops.  A
-        program's explicit ``fuse`` clauses pin the plan; ``fuse=False``
-        is the ``--no-fuse`` escape hatch.  Whether a fused chain runs a
-        batch on its column kernels is the chain's call, per batch, from
-        what it observes (DESIGN.md §16) — not a deploy option.
+        program's explicit ``fuse`` clauses pin the plan.  Whether a
+        fused chain runs a batch on its column kernels is the chain's
+        call, per batch, from what it observes (DESIGN.md §16) — not a
+        deploy option either.
         """
         if isinstance(flow_or_program, Dataflow):
             flow = flow_or_program
@@ -437,7 +436,7 @@ class Executor:
         # the elided (zero-distance) interior hops.
         from repro.dataflow.fusion import chains_for
 
-        chains = chains_for(program, fuse=fuse)
+        chains = chains_for(program)
         member_of: dict[str, tuple[str, ...]] = {}
         for chain in chains:
             head = placements[chain[0]]

@@ -250,9 +250,10 @@ def fused_pipeline_flow(stack: Stack) -> Dataflow:
 
     The simplest flow that exercises operator fusion: keep -> double ->
     shift is a maximal linear chain of non-blocking operators, so the
-    planner collapses it into one ``keep+double+shift`` process by
-    default.  Deploy with ``fuse=False`` to keep one process per
-    operator; either way the sink contents are identical.
+    planner collapses it into one ``keep+double+shift`` process.  Each
+    member still reports its own stats and counters, and the sink
+    receives what the three operators applied on each tuple in turn
+    would emit (``tests/oracle/test_flow_oracle.py``).
     """
     del stack  # symmetry with osaka_scenario_flow; no fleet info needed
     from repro.dataflow.ops import TransformSpec, VirtualPropertySpec

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.expr.vectorize import predicate_kernel
 from repro.streams.base import NonBlockingOperator
 from repro.streams.tuple import SensorTuple

@@ -36,8 +36,8 @@ re-materialize to :class:`SensorTuple` only when a consumer reads them
 (the hosting process forwarding to blocking/sink/sharded routes), never
 between members and never for output nobody consumes.  Per-member
 stats, counters, and error quarantine are those of the row kernel,
-which the operator-level kernel oracle and the columnar≡lone-tuple
-Hypothesis suite pin.
+which the operator-level kernel oracle and the deployed flow oracle
+pin.
 """
 
 from __future__ import annotations

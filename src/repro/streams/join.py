@@ -45,7 +45,7 @@ from __future__ import annotations
 from repro.errors import DataflowError
 from repro.expr.ast import AttributeRef, BinaryOp, Node
 from repro.expr.compile import compile_node
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.streams.base import BlockingOperator
 from repro.streams.tuple import SensorTuple
 from repro.streams.windows import TupleCache

@@ -15,7 +15,7 @@ conversions are expression built-ins (``convert``, see
 from __future__ import annotations
 
 from repro.errors import DataflowError, UnknownAttributeError
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.expr.vectorize import predicate_kernel, values_kernel
 from repro.streams.base import NonBlockingOperator
 from repro.streams.tuple import SensorTuple

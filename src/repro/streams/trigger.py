@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Collection
 
 from repro.errors import DataflowError
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.streams.base import BlockingOperator, ControlCommand
 from repro.streams.tuple import SensorTuple
 from repro.streams.windows import TupleCache

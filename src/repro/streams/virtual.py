@@ -8,7 +8,7 @@ computed from temperature and humidity.
 from __future__ import annotations
 
 from repro.errors import DataflowError
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.expr.vectorize import values_kernel
 from repro.streams.base import NonBlockingOperator
 from repro.streams.tuple import SensorTuple

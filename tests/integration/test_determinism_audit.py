@@ -67,14 +67,13 @@ def _observables(stack, deployment, sink_names):
     }
 
 
-def _run(flow_builder, sink_names, shards, elastic=False, fuse=True):
+def _run(flow_builder, sink_names, shards, elastic=False):
     stack = build_stack(hot=True, seed=7, observability=SAMPLING,
                         batching=BATCH)
     if elastic:
         stack.executor.rebalance_config = AGGRESSIVE
     flow = flow_builder(stack)
-    deployment = stack.executor.deploy(flow, shards=shards, elastic=elastic,
-                                       fuse=fuse)
+    deployment = stack.executor.deploy(flow, shards=shards, elastic=elastic)
     apply_batch_hints(deployment, stack.fleet)
     stack.run_until(HOURS * 3600.0)
     return _observables(stack, deployment, sink_names)
@@ -128,13 +127,3 @@ class TestDeterminismAudit:
             "keep+double+shift": ("keep", "double", "shift")
         }
         assert deployment.collected("fused-out")
-
-    def test_fused_and_unfused_sinks_byte_identical(self):
-        """Fusion is a deployment detail: with every PR-5 knob engaged,
-        the fused run's sink contents equal the unfused run's exactly.
-        (The full observable dict legitimately differs — the elided hops
-        drop transmit metrics and spans.)"""
-        fused = _run(fused_pipeline_flow, ("fused-out",), None)
-        unfused = _run(fused_pipeline_flow, ("fused-out",), None, fuse=False)
-        assert fused["sinks"] == unfused["sinks"]
-        assert fused["dead_letters"] == unfused["dead_letters"]

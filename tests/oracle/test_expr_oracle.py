@@ -1,18 +1,23 @@
-"""Compiled-closure ≡ interpreter parity on random ASTs and payloads.
+"""The expression oracle: generated code ≡ tree walker on random ASTs.
 
 The central correctness property of :mod:`repro.expr.compile`: for every
-tree the parser can produce and every payload, ``evaluate`` (the lowered
-closure) and ``interpret`` (the tree walker) agree on the *outcome* —
-either the same value, or the same :class:`ExpressionError` subclass with
-the same message.  This is the contract that lets operators switch to the
-compiled path while keeping the interpreter as the oracle.
+tree the parser can produce and every payload, ``evaluate`` (the
+generated code, constant folding included) and the reference interpreter
+(:mod:`tests.oracle.interpreter`) agree on the *outcome* — either the
+same value, or the same :class:`ExpressionError` subclass with the same
+message.
 """
+
+import ast
+import pathlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import ExpressionError
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
+from tests.oracle.interpreter import interpret
 from tests.property.test_prop_expr import identifiers, trees
 
 #: Payload values spanning every type the evaluator distinguishes.
@@ -37,11 +42,17 @@ def outcome(fn, *args, **kwargs):
 
 
 class TestCompileParity:
-    @given(trees(), payloads)
+    @given(trees(), payloads, st.data())
     @settings(max_examples=300)
-    def test_random_tree_random_payload(self, tree, values):
+    def test_random_tree_random_payload(self, tree, values, data):
+        # Bind the tree's own unqualified names as well: a random payload
+        # almost never holds them, and evaluation would stop at the lookup.
+        for qualifier, name in sorted(tree.attributes()):
+            if not qualifier:
+                values[name] = data.draw(payload_values)
         expr = CompiledExpression(source=tree.unparse(), root=tree).prepare()
-        assert outcome(expr.evaluate, values) == outcome(expr.interpret, values)
+        assert (outcome(expr.evaluate, values)
+                == outcome(interpret, expr, values))
 
     @given(trees(), payloads, payloads)
     @settings(max_examples=300)
@@ -50,7 +61,7 @@ class TestCompileParity:
         expr = CompiledExpression(source=tree.unparse(), root=tree).prepare()
         kwargs = {"left": left, "right": right}
         assert (outcome(expr.evaluate, left, **kwargs)
-                == outcome(expr.interpret, left, **kwargs))
+                == outcome(interpret, expr, left, **kwargs))
 
     @given(trees(), payloads)
     @settings(max_examples=200)
@@ -60,12 +71,16 @@ class TestCompileParity:
         expr = CompiledExpression(source=tree.unparse(), root=tree).prepare()
         reparsed = compile_expression(tree.unparse()).prepare()
         assert (outcome(reparsed.evaluate, values)
-                == outcome(expr.interpret, values))
+                == outcome(interpret, expr, values))
 
-    @given(payloads)
+    @given(st.dictionaries(
+        st.sampled_from(["temperature", "humidity", "station"]),
+        payload_values,
+    ))
     @settings(max_examples=200)
     def test_representative_operator_conditions(self, values):
-        """The expression shapes operators actually install."""
+        """The expression shapes operators actually install, over payloads
+        that hold some or all of the names they read."""
         for source in (
             "temperature > 24 and humidity < 0.8",
             "(temperature * 1.8 + 32) / 2 > 30 or humidity * 100 < 45",
@@ -75,4 +90,19 @@ class TestCompileParity:
         ):
             expr = compile_expression(source).prepare()
             assert (outcome(expr.evaluate, values)
-                    == outcome(expr.interpret, values))
+                    == outcome(interpret, expr, values))
+
+
+def test_the_runtime_never_imports_the_oracle():
+    importers = []
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "tests" for name in names):
+                importers.append(path.name)
+    assert importers == []

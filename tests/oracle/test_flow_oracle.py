@@ -1,0 +1,255 @@
+"""The flow oracle: a deployed chain reports what its operators would.
+
+The paper applies each non-blocking operator "directly on each tuple".
+That is the reference here, in plain Python: fresh member operators, each
+reading pushed through ``on_tuple`` in chain order.  The system under
+test is the same chain deployed the one way every deployment runs —
+the planner fuses any run of two or more members into one process, and
+batches take the column kernels from ``MIN_COLUMNAR_ROWS`` rows up — fed
+the same readings through the broker.  No flag is turned between the
+two: for a random chain (0–5 members, including members that quarantine
+rows at runtime), reading stream, publish size, trace sampling rate and
+optional mid-stream hub failure, the deployment must report
+
+- the reference's sink contents: seq, source and payload items in order;
+- each member's ``OperatorStats`` and checkpoint;
+- each member's ``process_tuples_total`` (the tuples it received);
+- one dead-letter record per reading published after the hub failed.
+
+Everything runs on one node at one virtual instant (all delivery local,
+zero latency), so arrival order is publish order.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dataflow.graph import Dataflow
+from repro.dataflow.ops import (
+    CullTimeSpec,
+    FilterSpec,
+    TransformSpec,
+    VirtualPropertySpec,
+)
+from repro.dsn.scn import ScnController
+from repro.network.netsim import NetworkSimulator
+from repro.network.topology import Topology
+from repro.obs import Observability
+from repro.pubsub.broker import BrokerNetwork
+from repro.pubsub.registry import SensorMetadata
+from repro.pubsub.subscription import SubscriptionFilter
+from repro.runtime.executor import Executor
+from repro.schema.schema import StreamSchema
+from repro.sticker.feed import StickerFeed
+from repro.streams.fused import FUSED_NAME_SEPARATOR
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
+from repro.warehouse.loader import EventWarehouse
+
+#: Kinds whose specs only reference attributes every stage preserves.
+SOUND_KINDS = ("filter", "virtual", "transform", "cull")
+#: Kinds that quarantine rows at runtime (division by zero exactly at
+#: ``POISON_TEMPERATURE``), one per column kernel family.
+POISON_KINDS = ("errtransform", "errvirtual")
+POISON_TEMPERATURE = 20.0
+
+BATCH_SIZES = (1, 3, 16, 32)
+SAMPLING_RATES = (None, 0.0, 0.5)
+DOWN = "target node 'hub' is down"
+
+
+def spec(kind: str, param: int, index: int):
+    """Map a drawn ``(kind, param)`` at chain position ``index`` to a spec."""
+    if kind == "filter":
+        return FilterSpec(f"temperature > {param - 16}")
+    if kind == "virtual":
+        return VirtualPropertySpec(f"v{index}", "temperature * 2")
+    if kind == "transform":
+        return TransformSpec(assignments={"humidity": "humidity + 1"})
+    if kind == "errtransform":
+        return TransformSpec(
+            assignments={"ratio": "temperature / (temperature - 20)"}
+        )
+    if kind == "errvirtual":
+        return VirtualPropertySpec(
+            f"e{index}", "humidity / (temperature - 20)"
+        )
+    return CullTimeSpec(rate=param % 4 + 1, start=0.0, end=1e9)
+
+
+def reading(seq: int, temperature: float) -> SensorTuple:
+    return SensorTuple(
+        payload={"temperature": temperature, "humidity": 50.0 + seq % 3},
+        stamp=SttStamp(time=float(seq), location=Point(34.69, 135.50),
+                       themes=("weather/temperature",)),
+        source="prop-sensor",
+        seq=seq,
+    )
+
+
+def sink_view(tuples) -> list:
+    # Payload *item order* is part of the contract: rows materialized from
+    # columns must be insertion-order identical to row-built ones.
+    return [(t.seq, t.source, list(t.payload.items())) for t in tuples]
+
+
+def reference(chain, temperatures, sampling):
+    """The chain applied on each tuple: returns what ``deployed`` does."""
+    members = [spec(kind, param, index).build_operator()
+               for index, (kind, param) in enumerate(chain)]
+    out = []
+    for seq, temperature in enumerate(temperatures):
+        tuples = [reading(seq, temperature)]
+        for member in members:
+            tuples = [emitted for tuple_ in tuples
+                      for emitted in member.on_tuple(tuple_)]
+        out.extend(tuples)
+    names = [f"op{index}" for index in range(len(members))]
+    return {
+        "sink": sink_view(out),
+        "stats": {name: member.stats.snapshot()
+                  for name, member in zip(names, members)},
+        "checkpoints": {name: member.checkpoint()
+                        for name, member in zip(names, members)},
+        "counters": {
+            name: None if sampling is None else member.stats.tuples_in
+            for name, member in zip(names, members)
+        },
+    }
+
+
+def deployed(chain, temperatures, batch_size, sampling, fail_at):
+    """Deploy the chain on one node and drive it at one virtual instant.
+
+    ``batch_size`` 1 publishes every reading on its own, anything larger
+    in runs of that many.  ``sampling`` ``None`` attaches no
+    observability at all.  ``fail_at`` fails the hub before the first
+    publication starting at or after that many readings.
+    """
+    topology = Topology()
+    topology.add_node("hub")
+    netsim = NetworkSimulator(topology=topology)
+    network = BrokerNetwork(netsim=netsim)
+    obs = None if sampling is None else Observability(sampling=sampling)
+    executor = Executor(
+        netsim, network, scn=ScnController(topology),
+        warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs,
+    )
+    network.publish(SensorMetadata(
+        sensor_id="prop-sensor",
+        sensor_type="temperature",
+        schema=StreamSchema.build(
+            {"temperature": "float", "humidity": "float"},
+            themes=("weather/temperature",),
+        ),
+        frequency=1.0,
+        location=Point(34.69, 135.50),
+        node_id="hub",
+    ))
+    dead_letters: list = []
+    network.on_dead_letter = lambda subscription, tuple_, reason: (
+        dead_letters.append((subscription.node_id, tuple_.seq, reason))
+    )
+
+    flow = Dataflow("oracle")
+    upstream = flow.add_source(
+        SubscriptionFilter(sensor_type="temperature"), node_id="src"
+    )
+    names = []
+    for index, (kind, param) in enumerate(chain):
+        name = f"op{index}"
+        flow.add_operator(spec(kind, param, index), node_id=name)
+        flow.connect(upstream, name)
+        upstream = name
+        names.append(name)
+    flow.add_sink("collector", node_id="out")
+    flow.connect(upstream, "out")
+    deployment = executor.deploy(flow)
+    # The default plan hosts a chain of two or more in one process.
+    assert deployment.fused_chains == (
+        {FUSED_NAME_SEPARATOR.join(names): tuple(names)}
+        if len(names) >= 2 else {}
+    )
+
+    readings = [reading(seq, t) for seq, t in enumerate(temperatures)]
+    for start in range(0, len(readings), batch_size):
+        if fail_at is not None and start >= fail_at:
+            # Deliver what was published so far: the failure is mid-stream.
+            netsim.clock.run_until(netsim.clock.now)
+            topology.node("hub").fail()
+            fail_at = None
+        if batch_size == 1:
+            network.publish_data("prop-sensor", readings[start])
+        else:
+            network.publish_batch(
+                "prop-sensor", readings[start:start + batch_size]
+            )
+    netsim.clock.run_until(200.0)
+
+    members, counters = {}, {}
+    for name in names:
+        key = deployment.fused.get(name)
+        if key is None:
+            members[name] = deployment.processes[name].operator
+        else:
+            chain_members = deployment.processes[key].operator.members
+            members[name] = next(m for m in chain_members if m.name == name)
+        counter = None if obs is None else obs.metrics.get(
+            "process_tuples_total", process=f"oracle:{name}"
+        )
+        counters[name] = None if counter is None else counter.value
+    return {
+        "sink": sink_view(deployment.collected("out")),
+        "stats": {name: members[name].stats.snapshot() for name in names},
+        "checkpoints": {name: members[name].checkpoint() for name in names},
+        "counters": counters,
+        "dead_letters": dead_letters,
+    }
+
+
+def chains_of(kinds, min_size, max_size):
+    """Chains of ``(kind, param)`` drawn from ``kinds``."""
+    return st.lists(st.tuples(st.sampled_from(kinds), st.integers(0, 30)),
+                    min_size=min_size, max_size=max_size)
+
+
+chains = chains_of(SOUND_KINDS + POISON_KINDS, 0, 5)
+clean_temperatures = st.floats(min_value=-20.0, max_value=45.0,
+                               allow_nan=False, allow_infinity=False)
+clean_streams = st.lists(clean_temperatures, min_size=1, max_size=64)
+temperature_streams = st.lists(
+    st.one_of(clean_temperatures, st.just(POISON_TEMPERATURE)),
+    min_size=1, max_size=64,
+)
+
+
+def assert_reports_the_reference(chain, temperatures, batch_size,
+                                 sampling=None, fail=False):
+    """Deploy ``chain`` and hold everything it reports to ``reference``.
+
+    ``fail`` fails the hub before the publication that reaches half of
+    the readings.
+    """
+    fail_at = max(1, len(temperatures) // 2) if fail else None
+    actual = deployed(chain, temperatures, batch_size, sampling, fail_at)
+
+    # Readings from the first publication at or after ``fail_at`` on are
+    # published into a dead hub; the ones before went through the chain.
+    cut = len(temperatures)
+    if fail_at is not None:
+        cut = min(cut, -(-fail_at // batch_size) * batch_size)
+    expected = reference(chain, temperatures[:cut], sampling)
+    expected["dead_letters"] = [
+        ("hub", seq, DOWN) for seq in range(cut, len(temperatures))
+    ]
+    assert actual == expected
+
+
+@given(chains, temperature_streams, st.sampled_from(BATCH_SIZES),
+       st.sampled_from(SAMPLING_RATES), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_deployed_chain_reports_what_its_operators_would(
+    chain, temperatures, batch_size, sampling, fail
+):
+    assert_reports_the_reference(chain, temperatures, batch_size, sampling,
+                                 fail)

@@ -40,7 +40,7 @@ MAX_WALL_SECONDS = 120.0
 
 #: Virtual horizons per scenario: long enough for the interesting
 #: behaviour (the osaka trigger fires at ~7.9h; the stations windows
-#: close every 300s), short enough to keep the 2x16-config matrix fast.
+#: close every 300s), short enough to keep the 2x8-config matrix fast.
 HORIZONS = {"osaka": 9.0 * 3600.0, "stations": 2.0 * 3600.0}
 
 
@@ -133,7 +133,6 @@ def run_config(
     flow_name: str,
     batch: int,
     shards: int,
-    fuse: bool,
     seed: int = 7,
     hours: "float | None" = None,
 ):
@@ -160,7 +159,7 @@ def run_config(
         else:
             flow = sharded_aggregation_flow(stack)
         deployment = stack.executor.deploy(
-            flow, shards=shards if shards > 1 else None, fuse=fuse
+            flow, shards=shards if shards > 1 else None
         )
         horizon = HORIZONS[flow_name] if hours is None else hours * 3600.0
         stack.run_until(horizon)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ExpressionError
 from repro.expr.ast import AttributeRef, BinaryOp, Call, Literal, UnaryOp
-from repro.expr.eval import CompiledExpression, compile_expression
+from repro.expr.compile import CompiledExpression, compile_expression
 from repro.expr.parser import parse
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

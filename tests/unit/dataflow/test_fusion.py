@@ -1,5 +1,7 @@
 """Unit tests for the fusion planner (maximal non-blocking chains)."""
 
+import inspect
+
 import pytest
 
 from repro.dataflow.fusion import (
@@ -163,10 +165,6 @@ class TestValidateChains:
 
 
 class TestChainsFor:
-    def test_fuse_false_disables(self):
-        program, _ = _linear(["filter", "transform", "validate"])
-        assert chains_for(program, fuse=False) == []
-
     def test_planner_is_default(self):
         program, names = _linear(["filter", "transform"])
         assert chains_for(program) == [tuple(names)]
@@ -183,3 +181,6 @@ class TestChainsFor:
         program.fuses.append(DsnFuse(members=("op0", "op1")))
         with pytest.raises(DsnError, match="not a fusible hop"):
             chains_for(program)
+
+    def test_the_plan_has_no_off_switch(self):
+        assert list(inspect.signature(chains_for).parameters) == ["program"]

@@ -114,6 +114,7 @@ class TestCheck:
 
 class TestGenerate:
     def test_translator_emits_no_hints_by_default(self):
+        from repro.dataflow.fusion import plan_fusion
         from repro.dataflow.graph import Dataflow
         from repro.dataflow.ops import FilterSpec, TransformSpec
         from repro.dsn.generate import dataflow_to_dsn
@@ -135,7 +136,9 @@ class TestGenerate:
         plain = dataflow_to_dsn(flow, validate=False)
         assert plain.fuses == []
 
-        pinned = dataflow_to_dsn(flow, validate=False, fuse=True)
+        pinned = dataflow_to_dsn(flow, validate=False)
+        pinned.fuses = [DsnFuse(members=chain)
+                        for chain in plan_fusion(pinned)]
         assert [hint.members for hint in pinned.fuses] == [("f", "g")]
         # And the pinned program round-trips through the parser.
         assert parse_dsn(pinned.render()) == pinned

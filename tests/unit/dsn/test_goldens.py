@@ -16,6 +16,7 @@ import pathlib
 
 import pytest
 
+from repro.dataflow.fusion import plan_fusion
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
@@ -26,6 +27,7 @@ from repro.dataflow.ops import (
     VirtualPropertySpec,
 )
 from repro.dataflow.serialize import dataflow_from_dict
+from repro.dsn.ast import DsnFuse
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.network.topology import Topology
@@ -229,18 +231,22 @@ SHARDS = {
 #: trailing ``elastic`` keyword).
 ELASTIC = {"p6-elastic-stations"}
 
-#: golden flows translated with ``fuse=True`` (the planner's chains are
-#: pinned into explicit ``fuse`` clauses).
+#: golden flows whose planner chains are pinned into explicit ``fuse``
+#: clauses after translation.
 FUSED = {"p7-fused-pipeline"}
 
 
 @pytest.mark.parametrize("name", sorted(FLOWS))
 class TestDsnGoldens:
     def test_translation_matches_golden(self, name, registry, update_goldens):
-        text = dataflow_to_dsn(
+        program = dataflow_to_dsn(
             FLOWS[name](), registry, shards=SHARDS.get(name),
-            elastic=name in ELASTIC, fuse=name in FUSED,
-        ).render()
+            elastic=name in ELASTIC,
+        )
+        if name in FUSED:
+            program.fuses = [DsnFuse(members=chain)
+                             for chain in plan_fusion(program)]
+        text = program.render()
         path = GOLDEN_DIR / f"{name}.dsn"
         if update_goldens:
             GOLDEN_DIR.mkdir(exist_ok=True)

@@ -1,15 +1,17 @@
 """Unit tests for the AST-to-closure lowering (:mod:`repro.expr.compile`).
 
-The property suite (``tests/property/test_prop_compile_parity.py``) pins
-compiled ≡ interpreted on random trees; these tests pin the *specific*
-behaviours the lowering promises: constant folding, error taxonomy and
-messages, short-circuit order, and the compile-once contract.
+The expression oracle (``tests/oracle/test_expr_oracle.py``) pins
+generated code ≡ tree walker on random trees; these tests pin the
+*specific* behaviours the lowering promises: constant folding, error
+taxonomy and messages, short-circuit order, and the compile-once contract.
 """
 
 import pytest
 
 from repro.errors import EvaluationError, UnknownAttributeError
-from repro.expr.eval import compile_expression
+from repro.expr import compile as compile_module
+from repro.expr.compile import CompiledExpression, compile_expression
+from tests.oracle.interpreter import interpret
 
 
 def generated_source(expr) -> str:
@@ -17,11 +19,11 @@ def generated_source(expr) -> str:
 
 
 def both_raise(expr, values, exc_type, match):
-    """Both paths raise the same error type with the same message."""
+    """Generated code and oracle raise the same error and message."""
     with pytest.raises(exc_type, match=match) as compiled:
         expr.evaluate(values)
     with pytest.raises(exc_type, match=match) as interpreted:
-        expr.interpret(values)
+        interpret(expr, values)
     assert str(compiled.value) == str(interpreted.value)
 
 
@@ -36,18 +38,38 @@ class TestConstantFolding:
     def test_fully_constant_expression(self):
         expr = compile_expression("1 + 2 == 3")
         assert expr.evaluate({}) is True
-        assert expr.evaluate({}) == expr.interpret({})
+        assert expr.evaluate({}) == interpret(expr, {})
 
     def test_failing_subtree_stays_dynamic(self):
         # 1/0 cannot fold; the error must surface at evaluation time with
-        # the interpreter's message.
+        # the oracle's message.
         expr = compile_expression("1 / 0 > 0")
         both_raise(expr, {}, EvaluationError, "division by zero")
 
     def test_failing_subtree_behind_short_circuit_never_runs(self):
         expr = compile_expression("false and 1 / 0 > 0")
         assert expr.evaluate({}) is False
-        assert expr.interpret({}) is False
+        assert interpret(expr, {}) is False
+
+    def test_a_folded_constant_is_what_its_generated_code_returns(
+        self, monkeypatch
+    ):
+        # Folding runs each maximal constant subtree's own generated code
+        # once; nudging what that code returns nudges the folded constant.
+        runs = []
+        lower = compile_module._lower
+
+        def nudged(root, functions, fold):
+            closure = lower(root, functions, fold)
+            if fold:
+                return closure
+            runs.append(root.unparse())
+            return lambda values, qualified: closure(values, qualified) + 1
+
+        monkeypatch.setattr(compile_module, "_lower", nudged)
+        expr = compile_expression("temperature > 2 * 3 + 4")
+        assert "(11)" in generated_source(expr)
+        assert runs == ["((2 * 3) + 4)"]
 
     def test_folding_calls_registry_functions(self):
         expr = compile_expression("contains('umeda-north', 'umeda')")
@@ -68,7 +90,7 @@ class TestErrorParity:
         with pytest.raises(UnknownAttributeError, match="left.ghost") as c:
             expr.evaluate({}, left={"temp": 1})
         with pytest.raises(UnknownAttributeError, match="left.ghost") as i:
-            expr.interpret({}, left={"temp": 1})
+            interpret(expr, {}, left={"temp": 1})
         assert str(c.value) == str(i.value)
 
     def test_logic_needs_boolean(self):
@@ -108,7 +130,7 @@ class TestSemanticsParity:
     def test_none_comparisons_are_false(self):
         expr = compile_expression("a < 5")
         assert expr.evaluate({"a": None}) is False
-        assert expr.interpret({"a": None}) is False
+        assert interpret(expr, {"a": None}) is False
 
     def test_string_concatenation(self):
         expr = compile_expression("a + '-suffix'")
@@ -119,14 +141,14 @@ class TestSemanticsParity:
         # left short-circuits — in both paths.
         expr = compile_expression("a > 10 and ghost > 1")
         assert expr.evaluate({"a": 1}) is False
-        assert expr.interpret({"a": 1}) is False
+        assert interpret(expr, {"a": 1}) is False
         both_raise(expr, {"a": 11}, UnknownAttributeError, "ghost")
 
     def test_qualified_join_predicate(self):
         expr = compile_expression("left.v == right.v and left.k < right.k")
         kwargs = {"left": {"v": 1, "k": 2}, "right": {"v": 1, "k": 5}}
         assert expr.evaluate({}, **kwargs) is True
-        assert expr.interpret({}, **kwargs) is True
+        assert interpret(expr, {}, **kwargs) is True
 
 
 class TestCompileOnce:
@@ -147,3 +169,9 @@ class TestCompileOnce:
         source = generated_source(compile_expression("temperature > 24"))
         assert source.startswith("def _compiled(_V, _Q):")
         assert "'temperature'" in source
+
+
+class TestOneEvaluator:
+    def test_compiled_expression_has_no_interpreter(self):
+        assert not hasattr(CompiledExpression, "interpret")
+        assert not hasattr(compile_module, "EvalContext")

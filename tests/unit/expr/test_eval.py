@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError, UnknownAttributeError
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 
 
 def ev(source, values=None, **qualified):

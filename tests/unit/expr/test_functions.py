@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EvaluationError, UnknownFunctionError
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 from repro.expr.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from repro.schema.types import AttributeType
 

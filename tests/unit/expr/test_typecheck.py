@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TypeMismatchError, UnknownAttributeError
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 from repro.schema.schema import StreamSchema
 from repro.schema.types import AttributeType
 

@@ -1,9 +1,12 @@
 """Unit tests for the executor: deploy, wire, control, rebalance."""
 
+import inspect
+
 import pytest
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec, TriggerOnSpec
+from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import DeploymentError, LifecycleError
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.lifecycle import DeploymentState
@@ -65,6 +68,11 @@ class TestDeploy:
     def test_kernel_choice_is_not_a_deploy_option(self, stack):
         with pytest.raises(TypeError, match="columnar"):
             stack.executor.deploy(simple_flow(), columnar=False)
+
+    def test_fusion_is_not_a_deploy_option(self, stack):
+        # Fused or not is the plan's call (planner or explicit clauses).
+        assert "fuse" not in inspect.signature(stack.executor.deploy).parameters
+        assert "fuse" not in inspect.signature(dataflow_to_dsn).parameters
 
     def test_collected_unknown_sink_raises(self, stack):
         deployment = stack.executor.deploy(simple_flow())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.expr.eval import compile_expression
+from repro.expr.compile import compile_expression
 from repro.expr.vectorize import predicate_kernel, values_kernel
 from repro.streams.columnar import (
     MIN_COLUMNAR_ROWS,

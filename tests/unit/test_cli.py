@@ -9,6 +9,7 @@ from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
 from repro.dataflow.serialize import dataflow_to_dict
 from repro.pubsub.subscription import SubscriptionFilter
+from repro.runtime.backends import live_backends
 
 
 def canvas_document(valid=True) -> dict:
@@ -99,6 +100,14 @@ class TestScenario:
             build_parser().parse_args(["scenario", "--no-columnar"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["scenario", "trace", "metrics", "health"])
+    def test_fusion_is_not_a_flag(self, command, capsys):
+        # Every deployment takes the planner's chains (or the program's).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--no-fuse"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestHealth:
     def test_health_screen(self, capsys):
@@ -132,3 +141,16 @@ class TestHealth:
     def test_bad_slo_expression_is_an_error(self, capsys):
         assert main(["health", "stations", "--slo", "p99 latency bad"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_a_bad_slo_closes_the_async_backend(self, capsys):
+        assert main(["health", "--backend", "async",
+                     "--slo", "not a rule"]) == 1
+        assert "cannot parse SLO rule" in capsys.readouterr().err
+        assert live_backends() == []
+
+    def test_a_missing_canvas_closes_the_async_backend(self, tmp_path,
+                                                        capsys):
+        missing = str(tmp_path / "absent.json")
+        assert main(["health", missing, "--backend", "async"]) == 2
+        assert "absent.json" in capsys.readouterr().err
+        assert live_backends() == []
