@@ -70,4 +70,5 @@ def test_deployment_cost(benchmark, width):
     deployment = benchmark.pedantic(deploy_once, rounds=3, iterations=1)
     benchmark.extra_info["canvas_nodes"] = 4 * width
     benchmark.extra_info["processes"] = len(deployment.processes)
-    assert len(deployment.processes) == 3 * width
+    # Filter and enrich are fused: one process per chain plus its sink.
+    assert len(deployment.processes) == len(deployment.plan.units) == 2 * width

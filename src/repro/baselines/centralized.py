@@ -1,8 +1,8 @@
 """Centralized streaming baseline: no in-network placement.
 
 Identical runtime to StreamLoader, but the SCN is replaced with a
-controller that pins every operator and sink to one central node.  Raw
-streams therefore always cross the network to the center before any
+controller that pins every operator, sink and shard to one central node.
+Raw streams therefore always cross the network to the center before any
 filtering/culling happens — the traffic delta against workload-aware
 placement is the in-network dividend the SCN papers claim.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.dsn.ast import DsnService
 from repro.dsn.scn import PlacementDecision, ScnController
+from repro.errors import PlacementError
 from repro.network.topology import Topology
 
 
@@ -28,7 +29,19 @@ class CentralizedScnController(ScnController):
         upstream_nodes: list[str],
         demand: float,
         projected: dict[str, float],
+        avoid: "set[str] | None" = None,
+        pool: "list | None" = None,
+        reason: "str | None" = None,
     ) -> PlacementDecision:
+        """The center; while it is down or avoided, nowhere (so displaced
+        processes stay put until it recovers)."""
+        if not self.topology.node(self.center_node).up or (
+            avoid and self.center_node in avoid
+        ):
+            raise PlacementError(
+                f"center node {self.center_node!r} is unavailable; "
+                f"cannot place {service.name!r}"
+            )
         return PlacementDecision(
             service=service.name,
             node_id=self.center_node,

@@ -220,9 +220,6 @@ class DsnProgram:
             key=lambda channel: channel.port,
         )
 
-    def channels_out_of(self, name: str) -> list[DsnChannel]:
-        return [channel for channel in self.channels if channel.source == name]
-
     def check(self) -> None:
         """Structural sanity: channel/control endpoints must be declared."""
         names = {service.name for service in self.services}

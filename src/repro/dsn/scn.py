@@ -214,20 +214,18 @@ class ScnController:
     ) -> list[PlacementDecision]:
         """Place ``count`` shard replicas of one service, spread out.
 
-        Each shard gets the same scoring as :meth:`_score_nodes` but the
-        pool excludes nodes already holding an earlier shard of the same
-        service (falling back to reuse only when ``count`` exceeds the
-        number of distinct live nodes) — co-locating shards would erase
-        the parallelism sharding exists to buy.  ``demand`` is the
-        per-shard load estimate.  Raises :class:`PlacementError` when no
-        live node remains or every candidate is capacity-exhausted.
+        Each shard is scored by :meth:`_score_nodes`.  Spreading is its
+        candidate pool: nodes not already holding an earlier shard of the
+        same service (every node again only once ``count`` exceeds the
+        live nodes) — co-locating shards would erase the parallelism
+        sharding exists to buy.  Capacity is a filter on that pool.
+        ``demand`` is the per-shard load estimate and ``projected`` the
+        load already booked per node by this deployment.  Raises
+        :class:`PlacementError` when no live node remains or every
+        candidate is capacity-exhausted.
         """
         projected = dict(projected or {})
-        pool = [
-            node
-            for node in self.topology.live_nodes()
-            if not avoid or node.node_id not in avoid
-        ]
+        pool = self._live_nodes(avoid)
         if not pool:
             raise PlacementError(
                 f"no live nodes to place shards of {service_name!r}"
@@ -251,33 +249,19 @@ class ScnController:
                     f"{service_name!r}: no candidate node can absorb "
                     f"demand {demand:g}"
                 )
-            best: "tuple[float, str] | None" = None
-            for node in sorted(eligible, key=lambda n: n.node_id):
-                load = node.load + projected.get(node.node_id, 0.0) + demand
-                utilization = load / node.capacity
-                distance = 0.0
-                for upstream in upstream_nodes:
-                    try:
-                        distance += self.topology.route_latency(
-                            upstream, node.node_id
-                        )
-                    except Exception:
-                        distance += 10.0
-                score = (self.load_weight * utilization
-                         + self.distance_weight * distance)
-                if best is None or score < best[0]:
-                    best = (score, node.node_id)
-            assert best is not None
-            score, node_id = best
-            decision = PlacementDecision(
-                service=f"{service_name}#{index}",
-                node_id=node_id,
-                score=score,
+            shard = DsnService(
+                role=ServiceRole.OPERATOR, name=f"{service_name}#{index}",
+                kind="shard",
+            )
+            decision = self._score_nodes(
+                shard, upstream_nodes, demand, projected, pool=eligible,
                 reason=f"shard {index}/{count}, spread over live nodes",
             )
             decisions.append(decision)
-            used.add(node_id)
-            projected[node_id] = projected.get(node_id, 0.0) + demand
+            used.add(decision.node_id)
+            projected[decision.node_id] = (
+                projected.get(decision.node_id, 0.0) + demand
+            )
             if self.tracer is not None:
                 self.tracer.event(
                     "placement",
@@ -288,6 +272,13 @@ class ScnController:
                 )
         return decisions
 
+    def _live_nodes(self, avoid: "set[str] | None" = None) -> list:
+        return [
+            node
+            for node in self.topology.live_nodes()
+            if not avoid or node.node_id not in avoid
+        ]
+
     def _score_nodes(
         self,
         service: DsnService,
@@ -295,12 +286,16 @@ class ScnController:
         demand: float,
         projected: dict[str, float],
         avoid: "set[str] | None" = None,
+        pool: "list | None" = None,
+        reason: "str | None" = None,
     ) -> PlacementDecision:
-        candidates = [
-            node
-            for node in self.topology.live_nodes()
-            if not avoid or node.node_id not in avoid
-        ]
+        """The one placement score, for :meth:`place`,
+        :meth:`replace_service` and :meth:`place_shards`: the node of
+        ``pool`` (default: the live nodes minus ``avoid``) minimising
+        ``load_weight * utilization + distance_weight * latency`` to the
+        upstream nodes.  Raises :class:`PlacementError` on an empty pool.
+        """
+        candidates = self._live_nodes(avoid) if pool is None else pool
         if not candidates:
             raise PlacementError(f"no live nodes to place {service.name!r}")
         best: "tuple[float, str] | None" = None
@@ -324,7 +319,7 @@ class ScnController:
             service=service.name,
             node_id=node_id,
             score=score,
-            reason=(
+            reason=reason or (
                 f"min(load*{self.load_weight} + "
                 f"latency*{self.distance_weight}) over live nodes"
             ),

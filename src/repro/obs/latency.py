@@ -72,14 +72,17 @@ class ProcessProbe:
     """
 
     __slots__ = (
-        "plane", "key", "blocking", "sink", "hist", "flush_hist", "e2e",
-        "pending", "committed", "buffered", "per_epoch", "upstreams",
+        "plane", "key", "service", "blocking", "sink", "hist", "flush_hist",
+        "e2e", "pending", "committed", "buffered", "per_epoch", "upstreams",
     )
 
     def __init__(self, plane: "LatencyPlane", key: str,
-                 blocking: bool, sink: bool) -> None:
+                 blocking: bool, sink: bool,
+                 service: "str | None" = None) -> None:
         self.plane = plane
         self.key = key
+        #: Logical service (a sharded one's shards and merge share it).
+        self.service = key if service is None else service
         self.blocking = blocking
         self.sink = sink
         metrics = plane.metrics
@@ -188,11 +191,13 @@ class LatencyPlane:
 
     # -- registration (executor, deploy time) -----------------------------
 
-    def register_process(self, key: str, blocking: bool,
-                         sink: bool) -> ProcessProbe:
+    def register_process(self, key: str, blocking: bool, sink: bool,
+                         service: "str | None" = None) -> ProcessProbe:
         probe = self.probes.get(key)
         if probe is None:
-            probe = self.probes[key] = ProcessProbe(self, key, blocking, sink)
+            probe = self.probes[key] = ProcessProbe(
+                self, key, blocking, sink, service
+            )
         return probe
 
     def set_upstreams(self, key: str, upstreams) -> None:
@@ -304,17 +309,17 @@ class LatencyPlane:
     def logical_health(self) -> dict:
         """Per *logical service* watermark/saturation view.
 
-        Process keys carry deployment artifacts — shard suffixes
-        (``agg#2``, ``agg#merge``) — that vary with the shard count while
-        the conceptual dataflow does not.  Grouping by the prefix before
-        ``#`` and taking the min watermark / summed queue depth yields a
-        view that is identical across shard counts and batch sizes (the
-        alert-determinism property byte-compares it).
+        A sharded service runs as several processes, one per shard plus
+        its merge, and their number varies with the shard count while the
+        conceptual dataflow does not.  Grouping probes by the service they
+        were registered under and taking the min watermark / summed queue
+        depth yields a view that is identical across shard counts and
+        batch sizes (the alert-determinism property byte-compares it).
         """
         memo: dict = {}
         groups: dict[str, list[ProcessProbe]] = {}
-        for key, probe in self.probes.items():
-            groups.setdefault(key.split("#", 1)[0], []).append(probe)
+        for probe in self.probes.values():
+            groups.setdefault(probe.service, []).append(probe)
         out: dict[str, dict] = {}
         for name in sorted(groups):
             probes = groups[name]

@@ -442,13 +442,11 @@ class AsyncBackend(ExecutionBackend):
         return None
 
     async def _post_tail(self, tail: list, waiter: asyncio.Future) -> None:
-        """Post ``tail``, waiting for room wherever a mailbox is full."""
+        """Post ``tail``, waiting for room wherever a mailbox is full (a
+        mailbox still full when the waiter fires gets a new one from
+        ``_post``)."""
         while tail:
             await waiter
-            host = tail[0][0]
-            while host.alive and len(host.inbox) >= self.mailbox_capacity:
-                host.room.append(waiter := self._loop.create_future())
-                await waiter
             tail, waiter = self._post(tail) or (None, None)
 
     async def _host_loop(self, host: _ProcessHost) -> None:

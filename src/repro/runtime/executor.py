@@ -5,9 +5,12 @@ Deployment pipeline (Section 3 / demo part P2):
 1. validate + translate the conceptual dataflow (or accept a DSN program);
 2. SCN service discovery: bind source services to published sensors;
 3. estimate per-service load and ask the SCN for a placement;
-4. QoS admission on the sink channels;
-5. spawn one :class:`OperatorProcess` per operation/sink on its node;
-6. wire channels (process routes) and source subscriptions (pub-sub);
+4. build the physical plan (:mod:`repro.runtime.plan`): one unit per
+   process (operation, sink, fused chain, shard or shard merge) with its
+   placement, and one edge per process route or source binding;
+5. QoS admission on the sink channels, against the plan's placements;
+6. instantiate the plan: spawn each unit's :class:`OperatorProcess` on
+   its node, then add each edge's route or source subscription, in order;
 7. wire trigger control: commands pause/resume the governed sources'
    subscriptions — suppressing traffic at the source;
 8. start timers, register with the monitor, begin periodic rebalancing.
@@ -34,25 +37,28 @@ from repro.errors import DeploymentError, LifecycleError, PlacementError
 from repro.dataflow.graph import Dataflow
 from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.generate import dataflow_to_dsn
-from repro.dsn.scn import PlacementDecision, ScnController
+from repro.dsn.scn import PlacementDecision, ScnController, _filter_from_params
 from repro.network.netsim import NetworkSimulator
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import Subscription
+from repro.pubsub.subscription import Subscription, SubscriptionFilter
 from repro.runtime.backends.base import ExecutionBackend
 from repro.runtime.backends.sim import SimBackend
 from repro.runtime.lifecycle import DeploymentState
 from repro.runtime.monitor import Monitor
+from repro.runtime.plan import (
+    CHAIN, MERGE, SHARD, Edge, PhysicalPlan, ShardPlan, Unit, build_plan,
+    estimate_demands,
+)
 from repro.runtime.process import OperatorProcess
 from repro.runtime.sharding import ShardGroup
 from repro.streams.base import ControlCommand
+from repro.streams.fused import FusedOperator
+from repro.streams.shard import (
+    ShardAssignment, ShardedOperatorAdapter, ShardMergeOperator,
+)
 from repro.streams.sink import CallbackSink, ListSink
 from repro.streams.tuple import SensorTuple
-
-#: Nominal demand (cost-units/s) assumed for a service before live rates
-#: are known.
-_NOMINAL_DEMAND = 1.0
-
 
 @dataclass
 class _SourceBinding:
@@ -60,11 +66,11 @@ class _SourceBinding:
 
     service_name: str
     sensors: list[SensorMetadata]
-    subscriptions: list[Subscription] = field(default_factory=list)
     #: The source's discovery filter (re-matched as sensors come and go).
-    filter: "object | None" = None
+    filter: SubscriptionFilter
     #: Sensors matched at deploy time — the quorum reference point.
-    initial_count: int = 0
+    initial_count: int
+    subscriptions: list[Subscription] = field(default_factory=list)
 
     @property
     def sensor_ids(self) -> set[str]:
@@ -72,34 +78,29 @@ class _SourceBinding:
 
 
 class Deployment:
-    """A running dataflow: processes, bindings, placements, state."""
+    """A running dataflow: its plan, processes, bindings and state."""
 
     def __init__(
         self,
         name: str,
         program: DsnProgram,
         executor: "Executor",
+        plan: PhysicalPlan,
         flow: "Dataflow | None" = None,
     ) -> None:
         self.name = name
         self.program = program
         self.flow = flow
         self.executor = executor
+        #: The physical plan this deployment instantiates.
+        self.plan = plan
+        #: unit key -> its process, in spawn order.
         self.processes: dict[str, OperatorProcess] = {}
         #: conceptual service name -> its shard group (sharded blocking
-        #: operators only).  The member processes also appear in
-        #: :attr:`processes` under ``"<service>#<index>"`` keys and the
-        #: merge stage under ``"<service>#merge"``.
+        #: operators only); the members and merge stage are units of the
+        #: plan and appear in :attr:`processes` too.
         self.shard_groups: dict[str, ShardGroup] = {}
-        #: member service name -> the fused process key ("a+b+c") hosting
-        #: it.  Fused chains collapse a run of non-blocking services into
-        #: one process (see :mod:`repro.dataflow.fusion`); the members do
-        #: not appear in :attr:`processes` individually.
-        self.fused: dict[str, str] = {}
-        #: fused process key -> its member service names, in chain order.
-        self.fused_chains: dict[str, tuple[str, ...]] = {}
         self.bindings: dict[str, _SourceBinding] = {}
-        self.placements: dict[str, PlacementDecision] = {}
         self.collectors: dict[str, ListSink] = {}
         #: source service -> micro-batch hint (max over its channels'
         #: declared ``batch``).  The scenario layer applies these to the
@@ -110,21 +111,26 @@ class Deployment:
         self.rebalancers: dict[str, object] = {}
         self.state = DeploymentState.DESIGNED
         self._rebalance_cancel: "Callable[[], None] | None" = None
-        #: subscription id -> the process that consumes its deliveries.
-        self._sub_targets: dict[int, OperatorProcess] = {}
 
     # -- accessors ----------------------------------------------------------
 
+    @property
+    def placements(self) -> dict[str, PlacementDecision]:
+        """Where each source, service and unit runs, read off the plan (a
+        fused member or a sharded service reads the unit its output
+        leaves from)."""
+        return self.plan.placements()
+
     def process(self, service_name: str) -> OperatorProcess:
-        """The process hosting a service (a fused member resolves to the
-        chain's shared process)."""
-        key = self.fused.get(service_name, service_name)
-        try:
-            return self.processes[key]
-        except KeyError:
-            raise DeploymentError(
-                f"no process for service {service_name!r} in {self.name!r}"
-            ) from None
+        """The process hosting a service or unit (a fused member resolves
+        to the chain's shared process; a sharded service has none)."""
+        if service_name not in self.plan.groups:
+            key = self.plan.exits.get(service_name, service_name)
+            if key in self.processes:
+                return self.processes[key]
+        raise DeploymentError(
+            f"no process for service {service_name!r} in {self.name!r}"
+        )
 
     def collected(self, sink_name: str) -> list[SensorTuple]:
         """Tuples received by a collector sink."""
@@ -155,8 +161,6 @@ class Deployment:
         registry = self.executor.broker_network.registry
         starved: list[str] = []
         for binding in self.bindings.values():
-            if binding.filter is None:
-                continue
             binding.sensors = sorted(
                 (m for m in registry.all() if binding.filter.matches(m)),
                 key=lambda m: m.sensor_id,
@@ -237,6 +241,13 @@ class Deployment:
                     subscription.pause()
                 toggled += 1
         return toggled
+
+
+def _spec(service):
+    """The operator specification a DSN operator service declares."""
+    from repro.dataflow.ops import spec_from_dict
+
+    return spec_from_dict({"kind": service.kind, **service.params})
 
 
 class Executor:
@@ -348,40 +359,6 @@ class Executor:
             return 0
         return max(1, math.ceil(self.source_quorum * initial_count))
 
-    # -- demand estimation -------------------------------------------------------
-
-    def _estimate_demands(
-        self, program: DsnProgram, bindings: dict[str, list[SensorMetadata]]
-    ) -> dict[str, float]:
-        """Expected cost-units/s per service from advertised sensor rates.
-
-        Rates propagate along channels: pass-through for per-tuple
-        operators, 1/interval for aggregations, zero for triggers (control
-        only).  This is only the *initial* placement signal; live rates
-        take over at the first monitor sample.
-        """
-        rates: dict[str, float] = {}
-        demands: dict[str, float] = {}
-        for service in self.scn._topological_services(program):
-            if service.role is ServiceRole.SOURCE:
-                sensors = bindings.get(service.name, [])
-                rates[service.name] = sum(m.frequency for m in sensors)
-                continue
-            in_rate = sum(
-                rates.get(channel.source, 0.0)
-                for channel in program.channels_into(service.name)
-            )
-            if service.kind == "aggregation":
-                interval = float(service.params.get("interval", 1.0))
-                out_rate = 1.0 / interval if interval > 0 else 0.0
-            elif service.kind in ("trigger-on", "trigger-off"):
-                out_rate = 0.0
-            else:
-                out_rate = in_rate
-            rates[service.name] = out_rate
-            demands[service.name] = max(_NOMINAL_DEMAND, in_rate)
-        return demands
-
     # -- deployment --------------------------------------------------------------
 
     def deploy(
@@ -426,108 +403,38 @@ class Executor:
                     f"a deployment named {program.name!r} is already running"
                 )
 
-        deployment = Deployment(program.name, program, self, flow=flow)
         sensor_bindings = self.scn.discover(program, self.broker_network.registry)
-        demands = self._estimate_demands(program, sensor_bindings)
+        demands = estimate_demands(program, sensor_bindings, self.scn)
         placements = self.scn.place(program, sensor_bindings, demands)
+        plan = build_plan(program, sensor_bindings, placements, demands, self.scn)
+        # Admitted latencies see fused members on their chain's node: the
+        # elided interior hops are zero-distance.
+        self.scn.admit_qos(program, plan.placements())
 
-        # Fusion plan: collapse each chain's members onto the head's
-        # placement *before* QoS admission, so admitted latencies reflect
-        # the elided (zero-distance) interior hops.
-        from repro.dataflow.fusion import chains_for
-
-        chains = chains_for(program)
-        member_of: dict[str, tuple[str, ...]] = {}
-        for chain in chains:
-            head = placements[chain[0]]
-            for name in chain:
-                member_of[name] = chain
-                if name != chain[0]:
-                    placements[name] = PlacementDecision(
-                        service=name,
-                        node_id=head.node_id,
-                        score=head.score,
-                        reason=f"fused with {chain[0]}",
-                    )
-
-        self.scn.admit_qos(program, placements)
-        deployment.placements = placements
-
-        # Spawn processes for operators and sinks.
-        from repro.dsn.scn import _filter_from_params
-
-        shard_specs = {
-            shard.service: shard
-            for shard in program.shards
-            if shard.count > 1
-        }
-        for service in program.services:
-            if service.role is ServiceRole.SOURCE:
-                sensors = sensor_bindings[service.name]
-                deployment.bindings[service.name] = _SourceBinding(
-                    service_name=service.name,
-                    sensors=sensors,
-                    filter=_filter_from_params(service.params),
-                    initial_count=len(sensors),
-                )
-                continue
-            if (
-                service.role is ServiceRole.OPERATOR
-                and service.name in shard_specs
-            ):
-                self._spawn_sharded(
-                    deployment,
-                    service,
-                    shard_specs[service.name],
-                    placements,
-                    sensor_bindings,
-                    demands,
-                )
-                continue
-            if service.name in member_of:
-                chain = member_of[service.name]
-                if service.name == chain[0]:
-                    self._spawn_fused(deployment, chain, placements, demands)
-                continue
-            self._spawn(
-                deployment, service.name,
-                self._build_runtime(service, deployment),
-                placements[service.name].node_id,
-                demands.get(service.name, 0.0),
+        deployment = Deployment(program.name, program, self, plan, flow=flow)
+        for name, sensors in sensor_bindings.items():
+            deployment.bindings[name] = _SourceBinding(
+                service_name=name,
+                sensors=sensors,
+                filter=_filter_from_params(program.service(name).params),
+                initial_count=len(sensors),
             )
-
-        # Wire channels.
-        for channel in program.channels:
-            if (
-                channel.source in deployment.fused
-                and deployment.fused[channel.source]
-                == deployment.fused.get(channel.target)
-            ):
-                continue  # fused-interior hop: traversed inside one process
-            # Deliveries into a sharded operator go to its group, which
-            # key-partitions them across the member processes.  A channel
-            # into a fused chain can only target its head (the planner
-            # guarantees interior members have no other feeder), and the
-            # head resolves to the chain's shared process.
-            group = deployment.shard_groups.get(channel.target)
-            target = (group if group is not None
-                      else deployment.process(channel.target))
-            if channel.source not in deployment.bindings:
-                self._outgoing_process(deployment, channel.source).add_route(
-                    target, port=channel.port,
-                    qos=program.service(channel.target).qos,
-                )
-                continue
-            if group is not None:
-                self._bind_source_sharded(
-                    deployment, channel.source, group, channel.port
-                )
+        for unit in plan.units.values():
+            self._spawn(deployment, unit)
+        for edge in plan.edges:
+            target = (deployment.shard_groups.get(edge.consumer)
+                      or deployment.processes[edge.consumer])
+            if edge.producer in plan.sources:
+                self._bind_source(deployment, edge, target)
+                if edge.batch > 1:
+                    deployment.batch_hints[edge.producer] = max(
+                        deployment.batch_hints.get(edge.producer, 1),
+                        edge.batch,
+                    )
             else:
-                self._bind_source(deployment, channel.source, target, channel.port)
-            if channel.batch > 1:
-                deployment.batch_hints[channel.source] = max(
-                    deployment.batch_hints.get(channel.source, 1),
-                    channel.batch,
+                deployment.processes[edge.producer].add_route(
+                    target, port=edge.port,
+                    qos=program.service(plan.service_of(edge.consumer)).qos,
                 )
 
         if program.slos:
@@ -549,50 +456,119 @@ class Executor:
         self.deployments[program.name] = deployment
         return deployment
 
-    def _spawn(
-        self, deployment: Deployment, key: str, operator, node_id: str,
-        demand: float,
-    ) -> OperatorProcess:
-        """Host ``operator`` in a new process ``"<flow>:<key>"`` on
-        ``node_id``, booked with its deploy-time ``demand``, and register
-        it under ``key``."""
+    def _spawn(self, deployment: Deployment, unit: Unit) -> None:
+        """Host ``unit``'s operator in a new process ``"<flow>:<key>"`` on
+        its node, booked with its deploy-time demand; a merge unit, the
+        last of its service's units, completes the shard group."""
+        operator = self._build_operator(deployment, unit)
         if self.obs is not None:
             operator.lineage = self.obs.lineage
-        process_id = f"{deployment.name}:{key}"
+        node_id = unit.placement.node_id
+        process_id = f"{deployment.name}:{unit.key}"
         process = OperatorProcess(
-            process_id=process_id,
-            operator=operator,
-            node_id=node_id,
-            netsim=self.netsim,
-            obs=self.obs,
+            process_id, operator, node_id, self.netsim, obs=self.obs
         )
         if operator.checkpointable:
             process.enable_checkpoints(self.checkpoint_interval)
-        process.placement_demand = demand
-        self.netsim.topology.node(node_id).update_demand(process_id, demand)
-        deployment.processes[key] = process
-        return process
+        process.placement_demand = unit.demand
+        self.netsim.topology.node(node_id).update_demand(process_id, unit.demand)
+        deployment.processes[unit.key] = process
+        if unit.role == MERGE:
+            self._form_group(deployment, deployment.plan.groups[unit.service])
 
-    @staticmethod
-    def _repoint_subscriptions(
-        deployment: Deployment, process: OperatorProcess, node_id: str
-    ) -> None:
-        """Subscriptions feeding a moved process follow it to ``node_id``."""
-        for binding in deployment.bindings.values():
-            for subscription in binding.subscriptions:
-                if deployment._sub_targets.get(
-                    subscription.subscription_id
-                ) is process:
-                    subscription.node_id = node_id
+    def _build_operator(self, deployment: Deployment, unit: Unit):
+        """The runtime operator a unit's process hosts.
+
+        A fused chain is one :class:`~repro.streams.fused.FusedOperator`
+        over its members; a shard wraps a full copy of the operator in a
+        :class:`~repro.streams.shard.ShardedOperatorAdapter` (flushes
+        travel as ordered envelopes); a merge is the
+        :class:`~repro.streams.shard.ShardMergeOperator` that re-establishes
+        the unsharded per-flush order before anything flows downstream.
+        """
+        program = deployment.program
+        if unit.role == CHAIN:
+            members = []
+            for name in unit.services:
+                operator = self._build_runtime(program.service(name), deployment)
+                # Spans and describe() should carry the service names the
+                # designer knows, not the operator class names.
+                operator.name = name
+                if self.obs is not None:
+                    operator.lineage = self.obs.lineage
+                members.append(operator)
+            fused = FusedOperator(members, name=unit.key)
+            if self.obs is not None:
+                fused.bind_obs(
+                    self.obs.metrics,
+                    [f"{program.name}:{name}" for name in unit.services],
+                )
+            return fused
+        service = program.service(unit.service)
+        if unit.role in (SHARD, MERGE):
+            members = deployment.plan.groups[service.name].members
+            count = len(members)
+            if unit.role == SHARD:
+                return ShardedOperatorAdapter(
+                    _spec(service).build_operator(),
+                    shard_index=members.index(unit.key), shard_count=count,
+                )
+            mode = "aggregate" if service.kind == "aggregation" else "join"
+            merge = ShardMergeOperator(count, mode, name=f"{service.name}-merge")
+            if self.obs is not None:
+                merge.bind_obs(self.obs.metrics, service.name)
+            return merge
+        return self._build_runtime(service, deployment)
+
+    def _form_group(self, deployment: Deployment, shard: ShardPlan) -> None:
+        """Gather a sharded service's spawned units into its
+        :class:`ShardGroup`; an elastic one also gets its rebalance loop."""
+        processes = deployment.processes
+        members = [processes[key] for key in shard.members]
+        assignment = None
+        if shard.elastic:
+            assignment = ShardAssignment(len(members))
+        group = ShardGroup(
+            service=shard.service,
+            members=members,
+            keys_by_port=shard.keys_by_port,
+            merge=processes[shard.merge],
+            assignment=assignment,
+        )
+        deployment.shard_groups[shard.service] = group
+        if assignment is None:
+            return
+        from repro.runtime.rebalance import ShardRebalancer
+
+        # Stragglers of a migrated key (tuples in flight when the
+        # routing flipped) are handed to the current owner.
+        def reroute(tuple_, port, group=group):
+            group.member_for(tuple_, port).receive(tuple_, port=port)
+
+        for member in members:
+            member.operator.enable_elastic(shard.keys_by_port, reroute)
+        deployment.rebalancers[shard.service] = ShardRebalancer(
+            group,
+            assignment,
+            self.netsim,
+            shard.service,
+            interval=members[0].operator.interval,
+            config=self.rebalance_config,
+            monitor=self.monitor,
+            combine_safe=_spec(
+                deployment.program.service(shard.service)
+            ).combine_safe(),
+        )
 
     def _install_slo_plane(self, deployment: Deployment) -> None:
         """Install the latency plane for a deployment with SLO clauses.
 
         Creates the plane (idempotent per observability bundle), hooks the
         broker and network simulator, attaches a probe to every spawned
-        process, lowers the dataflow's channel graph into per-process
-        watermark upstream sets, and registers one alert rule per ``slo``
-        clause with the executor-wide engine.
+        process (reporting under its unit's logical service), takes each
+        process's watermark upstream set from the plan's edges, and
+        registers one alert rule per ``slo`` clause with the
+        executor-wide engine.
         """
         program = deployment.program
         if self.obs is None:
@@ -605,57 +581,22 @@ class Executor:
         plane = self.obs.ensure_latency()
         self.netsim.plane = plane
         plane.attach_broker(self.broker_network)
-        for process in deployment.processes.values():
+        processes = deployment.processes
+        for key, unit in deployment.plan.units.items():
+            process = processes[key]
             operator = process.operator
             process._probe = plane.register_process(
                 process.process_id,
                 blocking=operator.is_blocking,
                 sink=operator.span_name == "sink",
+                service=f"{program.name}:{unit.service}",
             )
-
-        # Watermark graph: each channel between *deployed* services adds
-        # the emitting process to the consuming process's upstream set.
         # Sources feed through the broker and have no probe (source_high
-        # covers them); shard groups fan a channel in across the members
-        # and out through the merge; fused members collapse to the chain.
-        upstreams: dict[str, set[str]] = {
-            key: set() for key in deployment.processes
-        }
-
-        def out_key(service_name: str) -> "str | None":
-            if service_name in deployment.bindings:
-                return None
-            if service_name in deployment.shard_groups:
-                return f"{service_name}#merge"
-            return deployment.fused.get(service_name, service_name)
-
-        def in_keys(service_name: str) -> list[str]:
-            group = deployment.shard_groups.get(service_name)
-            if group is not None:
-                return [
-                    f"{service_name}#{index}"
-                    for index in range(len(group.members))
-                ]
-            return [deployment.fused.get(service_name, service_name)]
-
-        for channel in program.channels:
-            up = out_key(channel.source)
-            if up is None:
-                continue
-            for down in in_keys(channel.target):
-                if down != up:
-                    upstreams[down].add(up)
-        for service_name, group in deployment.shard_groups.items():
-            merge_key = f"{service_name}#merge"
-            for index in range(len(group.members)):
-                upstreams[merge_key].add(f"{service_name}#{index}")
-        for key in deployment.processes:
+        # covers them).
+        for key, feeds in deployment.plan.upstreams().items():
             plane.set_upstreams(
-                deployment.processes[key].process_id,
-                sorted(
-                    deployment.processes[up].process_id
-                    for up in upstreams[key]
-                ),
+                processes[key].process_id,
+                sorted(processes[up].process_id for up in feeds),
             )
 
         # The elastic control loops (PR 6) can read per-shard watermark
@@ -693,11 +634,8 @@ class Executor:
 
     def _build_runtime(self, service, deployment: Deployment):
         """Instantiate the runtime operator (or sink) for a service."""
-        from repro.dataflow.ops import spec_from_dict
-
         if service.role is ServiceRole.OPERATOR:
-            spec = spec_from_dict({"kind": service.kind, **service.params})
-            operator = spec.build_operator()
+            operator = _spec(service).build_operator()
             if service.kind in ("trigger-on", "trigger-off"):
                 operator.control = deployment.apply_control
             return operator
@@ -736,255 +674,69 @@ class Executor:
     def _bind_source(
         self,
         deployment: Deployment,
-        service_name: str,
-        target: OperatorProcess,
-        port: int,
+        edge: Edge,
+        target: "OperatorProcess | ShardGroup",
     ) -> None:
-        """Subscribe the target process to the source's sensors."""
-        service = deployment.program.service(service_name)
-        from repro.dsn.scn import _filter_from_params
+        """Subscribe ``target`` to the sensors of the source ``edge`` binds.
 
+        A process gets one subscription on its node.  A shard group gets
+        one per member, on the member's node, joined into a
+        :class:`~repro.pubsub.partition.ShardRouter` so the broker hashes
+        each published tuple to exactly one member.  Each subscription is
+        recorded on the source's binding and on the unit it feeds, which
+        it follows when that unit moves.
+        """
+        service = deployment.program.service(edge.producer)
         filter_ = _filter_from_params(service.params)
-        subscription = self.broker_network.subscribe(
-            node_id=target.node_id,
-            filter_=filter_,
-            callback=lambda payload, t=target, p=port: t.receive(payload, port=p),
-        )
+        port = edge.port
+        group = isinstance(target, ShardGroup)
+        members = target.members if group else [target]
         # ``receive`` takes either payload, so a delivered micro-batch is
         # handed over in one call instead of unrolling per tuple.
-        subscription.batch_callback = subscription.callback
-        if not service.params.get("active", True):
-            subscription.pause()
-        deployment.bindings[service_name].subscriptions.append(subscription)
-        deployment._sub_targets[subscription.subscription_id] = target
-
-    # -- fused chains ------------------------------------------------------------
-
-    def _spawn_fused(
-        self,
-        deployment: Deployment,
-        chain: "tuple[str, ...]",
-        placements: dict[str, PlacementDecision],
-        demands: dict[str, float],
-    ) -> None:
-        """Spawn one process hosting a whole fused non-blocking chain.
-
-        The process is keyed and named ``"a+b+c"`` after its members,
-        placed on the chain head's node, and booked with the chain's
-        *max* member demand (the members see the same stream, so their
-        demands overlap rather than add; the summed per-tuple cost is
-        carried by the fused operator's ``cost_per_tuple``).
-        """
-        from repro.streams.fused import FUSED_NAME_SEPARATOR, FusedOperator
-
-        program = deployment.program
-        members = []
-        for name in chain:
-            operator = self._build_runtime(program.service(name), deployment)
-            # Spans and describe() should carry the service names the
-            # designer knows, not the operator class names.
-            operator.name = name
-            if self.obs is not None:
-                operator.lineage = self.obs.lineage
-            members.append(operator)
-        key = FUSED_NAME_SEPARATOR.join(chain)
-        fused = FusedOperator(members, name=key)
-        if self.obs is not None:
-            fused.bind_obs(
-                self.obs.metrics,
-                [f"{program.name}:{name}" for name in chain],
-            )
-        head = placements[chain[0]]
-        self._spawn(
-            deployment, key, fused, head.node_id,
-            max(demands.get(name, 0.0) for name in chain),
-        )
-        deployment.placements[key] = PlacementDecision(
-            service=key,
-            node_id=head.node_id,
-            score=head.score,
-            reason=head.reason,
-        )
-        deployment.fused_chains[key] = chain
-        for name in chain:
-            deployment.fused[name] = key
-
-    def _chain_placements(
-        self, deployment: Deployment, key: str, node_id: str,
-        score: float, reason: str,
-    ) -> None:
-        """Keep fused members' placement records on the chain's node.
-
-        Channels name the conceptual member services, so replacement and
-        placement lookups read the member entries; they must follow the
-        shared process wherever it moves.
-        """
-        for member in deployment.fused_chains.get(key, ()):
-            deployment.placements[member] = PlacementDecision(
-                service=member, node_id=node_id, score=score, reason=reason,
-            )
-
-    # -- sharded operators -------------------------------------------------------
-
-    def _outgoing_process(
-        self, deployment: Deployment, service_name: str
-    ) -> OperatorProcess:
-        """The process that emits a service's output downstream.
-
-        For a sharded service that is its merge stage (shards feed the
-        merge, the merge feeds the rest of the flow); for a fused member
-        the chain's shared process (only the tail has outward channels);
-        otherwise the service's own process.
-        """
-        group = deployment.shard_groups.get(service_name)
-        if group is not None:
-            assert group.merge is not None
-            return group.merge
-        return deployment.process(service_name)
-
-    def _spawn_sharded(
-        self,
-        deployment: Deployment,
-        service,
-        shard,
-        placements: dict[str, PlacementDecision],
-        sensor_bindings: dict[str, list[SensorMetadata]],
-        demands: dict[str, float],
-    ) -> None:
-        """Spawn one blocking operator as N key-partitioned shard replicas.
-
-        Each shard is a full copy of the operator wrapped in a
-        :class:`~repro.streams.shard.ShardedOperatorAdapter` (so flushes
-        travel as ordered envelopes), placed on its own node through
-        :meth:`ScnController.place_shards`.  A
-        :class:`~repro.streams.shard.ShardMergeOperator` on the service's
-        conceptual placement node re-establishes the unsharded per-flush
-        order before anything flows downstream.
-        """
-        from repro.dataflow.ops import spec_from_dict
-        from repro.streams.shard import ShardedOperatorAdapter, ShardMergeOperator
-
-        program = deployment.program
-        count = shard.count
-        #: the conceptual demand splits across the replicas.
-        demand = demands.get(service.name, 0.0) / count
-        upstream_nodes: list[str] = []
-        for channel in program.channels_into(service.name):
-            if channel.source in sensor_bindings:
-                upstream_nodes.extend(
-                    sorted({m.node_id for m in sensor_bindings[channel.source]})
-                )
-            elif channel.source in placements:
-                upstream_nodes.append(placements[channel.source].node_id)
-        decisions = self.scn.place_shards(
-            service.name, count, upstream_nodes, demand
-        )
-
-        spec = spec_from_dict({"kind": service.kind, **service.params})
-        members: list[OperatorProcess] = []
-        for index in range(count):
-            inner = spec.build_operator()
-            adapter = ShardedOperatorAdapter(
-                inner, shard_index=index, shard_count=count
-            )
-            key = f"{service.name}#{index}"
-            members.append(self._spawn(
-                deployment, key, adapter, decisions[index].node_id, demand
-            ))
-            deployment.placements[key] = decisions[index]
-
-        mode = "aggregate" if service.kind == "aggregation" else "join"
-        merge = ShardMergeOperator(
-            count, mode, name=f"{service.name}-merge"
-        )
-        if self.obs is not None:
-            merge.bind_obs(self.obs.metrics, service.name)
-        merge_key = f"{service.name}#merge"
-        merge_process = self._spawn(
-            deployment, merge_key, merge, placements[service.name].node_id,
-            demand,
-        )
-        deployment.placements[merge_key] = placements[service.name]
-
-        if service.kind == "join" and len(shard.keys) >= 2:
-            keys_by_port: tuple[tuple[str, ...], ...] = tuple(
-                (key,) for key in shard.keys
-            )
-        else:
-            keys_by_port = (tuple(shard.keys),)
-        for member in members:
-            member.add_route(merge_process, port=0, qos=service.qos)
-        assignment = None
-        if getattr(shard, "elastic", False):
-            from repro.runtime.rebalance import ShardRebalancer
-            from repro.streams.shard import ShardAssignment
-
-            assignment = ShardAssignment(count)
-        group = ShardGroup(
-            service=service.name,
-            members=members,
-            keys_by_port=keys_by_port,
-            merge=merge_process,
-            assignment=assignment,
-        )
-        deployment.shard_groups[service.name] = group
-        if assignment is not None:
-            # Stragglers of a migrated key (tuples in flight when the
-            # routing flipped) are handed to the current owner.
-            def reroute(tuple_, port, group=group):
-                group.member_for(tuple_, port).receive(tuple_, port=port)
-
-            for member in members:
-                member.operator.enable_elastic(keys_by_port, reroute)
-            deployment.rebalancers[service.name] = ShardRebalancer(
-                group,
-                assignment,
-                self.netsim,
-                service.name,
-                interval=members[0].operator.interval,
-                config=self.rebalance_config,
-                monitor=self.monitor,
-                combine_safe=spec.combine_safe(),
-            )
-
-    def _bind_source_sharded(
-        self,
-        deployment: Deployment,
-        service_name: str,
-        group: ShardGroup,
-        port: int,
-    ) -> None:
-        """Subscribe a shard group to the source's sensors.
-
-        One subscription per shard, all on the shard's own node, joined
-        into a :class:`~repro.pubsub.partition.ShardRouter` so the broker
-        hashes each published tuple to exactly one member.
-        """
-        service = deployment.program.service(service_name)
-        from repro.dsn.scn import _filter_from_params
-
-        filter_ = _filter_from_params(service.params)
         callbacks = [
             (lambda payload, m=member, p=port: m.receive(payload, port=p))
-            for member in group.members
+            for member in members
         ]
-        router = self.broker_network.subscribe_sharded(
-            node_ids=[member.node_id for member in group.members],
-            filter_=filter_,
-            callbacks=callbacks,
-            keys=group.keys_for_port(port),
-            batch_callbacks=callbacks,
-            assignment=group.assignment,
-        )
+        if group:
+            subscriptions = self.broker_network.subscribe_sharded(
+                node_ids=[member.node_id for member in members],
+                filter_=filter_,
+                callbacks=callbacks,
+                keys=target.keys_for_port(port),
+                batch_callbacks=callbacks,
+                assignment=target.assignment,
+            ).members
+            keys = deployment.plan.groups[edge.consumer].members
+        else:
+            subscription = self.broker_network.subscribe(
+                node_id=target.node_id, filter_=filter_, callback=callbacks[0],
+            )
+            subscription.batch_callback = subscription.callback
+            subscriptions, keys = [subscription], (edge.consumer,)
         active = service.params.get("active", True)
-        binding = deployment.bindings[service_name]
-        for member_sub, member in zip(router.members, group.members):
+        binding = deployment.bindings[edge.producer]
+        for key, subscription in zip(keys, subscriptions):
             if not active:
-                member_sub.pause()
-            binding.subscriptions.append(member_sub)
-            deployment._sub_targets[member_sub.subscription_id] = member
+                subscription.pause()
+            binding.subscriptions.append(subscription)
+            deployment.plan.units[key].subscriptions.append(subscription)
 
     # -- rebalancing -------------------------------------------------------------
+
+    @staticmethod
+    def _relocate(
+        deployment: Deployment, key: str, node_id: str, score: float,
+        reason: str,
+    ) -> None:
+        """Move unit ``key``'s process to ``node_id``: its placement
+        records the move and its subscriptions follow it."""
+        unit = deployment.plan.units[key]
+        deployment.processes[key].move_to(node_id)
+        unit.placement = PlacementDecision(
+            service=key, node_id=node_id, score=score, reason=reason,
+        )
+        for subscription in unit.subscriptions:
+            subscription.node_id = node_id
 
     def _rebalance(self, deployment: Deployment) -> None:
         """One SCN coordination round: migrate off overloaded/dead nodes."""
@@ -994,31 +746,18 @@ class Executor:
             return
         now = self.netsim.clock.now
         self._evacuate_dead_nodes(deployment)
-        service_demands: dict[str, float] = {}
-        current: dict[str, PlacementDecision] = {}
-        for name, process in deployment.processes.items():
-            service_demands[process.process_id] = process.sample_load(now)
-            current[process.process_id] = PlacementDecision(
-                service=process.process_id,
-                node_id=process.node_id,
-                score=0.0,
-                reason="live",
-            )
-        moves = self.scn.suggest_migrations(current, service_demands)
-        by_pid = {p.process_id: (name, p) for name, p in deployment.processes.items()}
+        processes = deployment.processes
+        moves = self.scn.suggest_migrations(
+            {p.process_id: PlacementDecision(p.process_id, p.node_id, 0.0, "live")
+             for p in processes.values()},
+            {p.process_id: p.sample_load(now) for p in processes.values()},
+        )
+        by_pid = {p.process_id: key for key, p in processes.items()}
         for move in moves:
-            name, process = by_pid[move.service]
-            process.move_to(move.to_node)
-            deployment.placements[name] = PlacementDecision(
-                service=name,
-                node_id=move.to_node,
-                score=0.0,
-                reason=move.reason,
+            self._relocate(
+                deployment, by_pid[move.service], move.to_node, 0.0,
+                move.reason,
             )
-            self._chain_placements(
-                deployment, name, move.to_node, 0.0, move.reason
-            )
-            self._repoint_subscriptions(deployment, process, move.to_node)
             self.monitor.record_assignment(
                 move.service, move.from_node, move.to_node, move.reason
             )
@@ -1053,10 +792,12 @@ class Executor:
         """Move a dead node's processes to survivors and restore state.
 
         Each displaced process is re-placed through the SCN's placement
-        scoring (load + distance to its upstream services), its blocking
-        operator restored from the last checkpoint, and its feeding
-        subscriptions re-pointed; the monitor logs each assignment change.
-        With no live node left, processes stay put until one recovers.
+        scoring (load + distance to the nodes feeding its head service),
+        its blocking operator restored from the last checkpoint, and its
+        feeding subscriptions re-pointed; the monitor logs each assignment
+        change.  A fused chain re-places as one unit (it *is* one
+        process).  With no live node left, processes stay put until one
+        recovers.
         """
         displaced = [
             (name, process)
@@ -1065,19 +806,10 @@ class Executor:
             and not self.netsim.topology.node(node_id).up
         ]
         for name, process in displaced:
-            # Shard and merge processes are keyed "<service>#<suffix>" but
-            # the program's channels name the conceptual service.
-            base = name.split("#", 1)[0]
-            # A fused process is keyed "a+b+c"; the channels feeding it
-            # name its head member, and the whole chain re-places as one
-            # unit (it *is* one process).
-            chain = deployment.fused_chains.get(base)
-            if chain is not None:
-                base = chain[0]
+            head = deployment.plan.units[name].services[0]
             upstream_nodes = [
-                deployment.placements[channel.source].node_id
-                for channel in deployment.program.channels_into(base)
-                if channel.source in deployment.placements
+                deployment.plan.placement(channel.source).node_id
+                for channel in deployment.program.channels_into(head)
             ]
             # Floor at the deploy-time estimate: a process displaced
             # before its first monitor sample reads rate 0.0, and booking
@@ -1095,18 +827,10 @@ class Executor:
                 return  # nowhere to go; keep waiting for recovery
             origin = process.node_id
             reason = f"node {origin!r} is down"
-            process.move_to(decision.node_id)
-            restored = process.restore_last_checkpoint()
-            self._repoint_subscriptions(deployment, process, decision.node_id)
-            deployment.placements[name] = PlacementDecision(
-                service=name,
-                node_id=decision.node_id,
-                score=decision.score,
-                reason=reason,
-            )
-            self._chain_placements(
+            self._relocate(
                 deployment, name, decision.node_id, decision.score, reason
             )
+            restored = process.restore_last_checkpoint()
             self.monitor.record_assignment(
                 process.process_id, origin, decision.node_id, reason
             )

@@ -40,7 +40,6 @@ def replace_operator_live(deployment, service_name: str, new_spec) -> None:
         ValidationError: if the modified dataflow would be inconsistent.
     """
     from repro.dataflow.validate import validate_dataflow
-    from repro.runtime.executor import Deployment  # circular-safe at call time
 
     if deployment.state is not DeploymentState.RUNNING:
         raise LifecycleError(

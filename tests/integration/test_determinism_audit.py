@@ -123,7 +123,9 @@ class TestDeterminismAudit:
                             batching=BATCH)
         deployment = stack.executor.deploy(fused_pipeline_flow(stack))
         stack.run_until(3600.0)
-        assert deployment.fused_chains == {
+        assert {key: unit.services
+                for key, unit in deployment.plan.units.items()
+                if unit.role == "chain"} == {
             "keep+double+shift": ("keep", "double", "shift")
         }
         assert deployment.collected("fused-out")

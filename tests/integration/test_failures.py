@@ -73,7 +73,8 @@ class TestMalformedData:
         flow.connect(keep, slim)
         flow.connect(slim, out)
         deployment = stack.executor.deploy(flow)
-        assert deployment.fused_chains  # keep+slim: column kernels at b>=4
+        # keep+slim: column kernels at b>=4
+        assert deployment.plan.units["keep+slim"].role == "chain"
 
         def reading(seq: int, **payload) -> SensorTuple:
             return SensorTuple(payload={"temperature": 21.0, **payload},

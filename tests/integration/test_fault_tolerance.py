@@ -462,7 +462,8 @@ class TestFusedFaultMatrix:
         """The fused process, evicted to its own leaf so killing it
         cannot sever the hub (the sensor's node)."""
         key = "+".join(self.CHAIN)
-        assert deployment.fused_chains == {key: self.CHAIN}
+        assert {k: unit.services for k, unit in deployment.plan.units.items()
+                if unit.role == "chain"} == {key: self.CHAIN}
         process = deployment.processes[key]
         occupied = {p.node_id for n, p in deployment.processes.items()
                     if n != key}

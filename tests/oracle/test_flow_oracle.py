@@ -166,7 +166,8 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
     flow.connect(upstream, "out")
     deployment = executor.deploy(flow)
     # The default plan hosts a chain of two or more in one process.
-    assert deployment.fused_chains == (
+    assert {key: unit.services for key, unit in deployment.plan.units.items()
+            if unit.role == "chain"} == (
         {FUSED_NAME_SEPARATOR.join(names): tuple(names)}
         if len(names) >= 2 else {}
     )
@@ -188,8 +189,8 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
 
     members, counters = {}, {}
     for name in names:
-        key = deployment.fused.get(name)
-        if key is None:
+        key = deployment.plan.exits[name]
+        if key == name:
             members[name] = deployment.processes[name].operator
         else:
             chain_members = deployment.processes[key].operator.members

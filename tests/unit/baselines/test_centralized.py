@@ -8,7 +8,7 @@ from repro.dataflow.ops import FilterSpec
 from repro.errors import UnknownNodeError
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.scenario import build_stack
+from repro.scenario import build_stack, sharded_aggregation_flow
 
 
 def flow():
@@ -48,6 +48,30 @@ class TestCentralizedController:
         stack.run_until(3600.0)
         assert stack.executor.monitor.assignment_log == []
         assert deployment.process("hot").node_id == "hub"
+
+    def test_shards_placed_on_center(self):
+        topo = Topology.star(leaf_count=3)
+        stack = build_stack(
+            topology=topo, scn=CentralizedScnController(topo, "hub")
+        )
+        deployment = stack.executor.deploy(
+            sharded_aggregation_flow(stack), shards=2
+        )
+        assert set(deployment.assignments().values()) == {"hub"}
+
+    def test_dead_center_leaves_processes_put(self):
+        topo = Topology.star(leaf_count=3)
+        stack = build_stack(
+            topology=topo, scn=CentralizedScnController(topo, "hub")
+        )
+        deployment = stack.executor.deploy(
+            sharded_aggregation_flow(stack), shards=2
+        )
+        stack.run_until(600.0)
+        stack.netsim.kill_node("hub")
+        stack.run_until(3600.0)  # the failure detector must not raise
+        assert set(deployment.assignments().values()) == {"hub"}
+        assert stack.executor.monitor.assignment_log == []
 
     def test_moves_more_bytes_than_in_network(self):
         # The headline in-network claim: filtering at the edge moves fewer

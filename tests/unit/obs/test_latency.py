@@ -180,11 +180,14 @@ class TestBackpressureGauges:
 
 class TestLogicalHealth:
     def test_shard_suffixes_group_to_one_service(self, plane):
+        # The executor registers each shard and merge under its service.
         for i in range(2):
-            probe = plane.register_process(f"agg#{i}", blocking=True, sink=False)
+            probe = plane.register_process(f"agg#{i}", blocking=True, sink=False,
+                                           service="agg")
             probe.note(10.0, 8.0 + i)
             probe.commit_flush(300.0, [])
-        merge = plane.register_process("agg#merge", blocking=False, sink=False)
+        merge = plane.register_process("agg#merge", blocking=False, sink=False,
+                                       service="agg")
         merge.note(300.0, 299.0)
         plane.note_publish("s", 310.0, 305.0)
         health = plane.logical_health()
@@ -194,14 +197,17 @@ class TestLogicalHealth:
 
     def test_queue_depth_summed_across_shards(self, plane):
         for i in range(3):
-            probe = plane.register_process(f"agg#{i}", blocking=True, sink=False)
+            probe = plane.register_process(f"agg#{i}", blocking=True, sink=False,
+                                           service="agg")
             probe.note(1.0, 0.5)
         health = plane.logical_health()
         assert health["agg"]["queue_depth"] == 3
 
     def test_cold_member_makes_group_cold(self, plane):
-        hot = plane.register_process("agg#0", blocking=False, sink=False)
-        plane.register_process("agg#1", blocking=False, sink=False)
+        hot = plane.register_process("agg#0", blocking=False, sink=False,
+                                     service="agg")
+        plane.register_process("agg#1", blocking=False, sink=False,
+                               service="agg")
         hot.note(10.0, 9.0)
         assert plane.logical_health()["agg"]["watermark"] is None
 
