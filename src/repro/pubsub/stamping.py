@@ -14,7 +14,7 @@ themes to the advertised schema's.
 from __future__ import annotations
 
 from repro.pubsub.registry import SensorMetadata
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import SensorTuple, assemble
 from repro.stt.event import SttStamp
 
 
@@ -38,21 +38,10 @@ def backfill_stamp(
     # The advertised schema and a sensor-made stamp already hold typed
     # granularities and themes, so nothing is coerced per reading.
     if stamp is None:
-        full = SttStamp.typed(
-            now,
-            metadata.location,
-            schema.temporal_granularity,
-            schema.spatial_granularity,
-            schema.themes,
-        )
-    elif stamp.themes:
-        full = stamp
-    else:
-        full = SttStamp.typed(
-            stamp.time,
-            stamp.location,
-            stamp.temporal_granularity,
-            stamp.spatial_granularity,
-            schema.themes,
-        )
-    return SensorTuple.from_owned(dict(payload), full, metadata.sensor_id, seq)
+        return assemble(
+            dict(payload), now, metadata.location, schema.temporal_granularity,
+            schema.spatial_granularity, schema.themes, metadata.sensor_id, seq)
+    return assemble(
+        dict(payload), stamp.time, stamp.location, stamp.temporal_granularity,
+        stamp.spatial_granularity, stamp.themes or schema.themes,
+        metadata.sensor_id, seq)

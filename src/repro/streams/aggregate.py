@@ -46,9 +46,8 @@ import numpy as np
 from repro.errors import DataflowError
 from repro.schema.infer import AGGREGATION_FUNCTIONS
 from repro.streams.base import BlockingOperator
-from repro.streams.tuple import UNSEEN, SensorTuple
+from repro.streams.tuple import UNSEEN, SensorTuple, assemble
 from repro.streams.windows import TupleCache
-from repro.stt.event import SttStamp
 from repro.stt.granularity import temporal_granularity
 from repro.stt.spatial import Box, Point, representative_point
 
@@ -318,7 +317,6 @@ class AggregationOperator(BlockingOperator):
         # The function's index into [count, sum, min, max]; 4 is AVG's quotient.
         slot = ("COUNT", "SUM", "MIN", "MAX", "AVG").index(function)
         covering, partial_log, lineage = self._covering, self._partial_log, self.lineage
-        typed, owned = SttStamp.typed, SensorTuple.from_owned
         last_gran = UNSEEN
         labels: dict[str, str] = {}
         out: list[SensorTuple] = []
@@ -365,9 +363,9 @@ class AggregationOperator(BlockingOperator):
             label = labels.get(source)
             if label is None:
                 label = labels[source] = f"{name}({source})"
-            emitted = owned(payload, typed(
-                now, location, granule,
-                first_stamp.spatial_granularity, first_stamp.themes), label, seq)
+            emitted = assemble(
+                payload, now, location, granule,
+                first_stamp.spatial_granularity, first_stamp.themes, label, seq)
             out.append(emitted)
             if partial_log is not None:
                 # Dirty slices were resolved above, so these are the exact
@@ -455,16 +453,13 @@ class AggregationOperator(BlockingOperator):
         first_stamp = first.stamp
         gran = first_stamp.temporal_granularity
         covering = self._covering
-        stamp = SttStamp.typed(
+        out = assemble(
+            payload,
             now,
             _bounding_location(window),
             covering if covering.is_coarser_than(gran) else gran,
             first_stamp.spatial_granularity,
             first_stamp.themes,
-        )
-        out = SensorTuple.from_owned(
-            payload,
-            stamp,
             f"{self.name}({first.source})",
             self.stats.timer_firings * 1000 + seq_offset,
         )

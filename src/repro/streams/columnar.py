@@ -81,23 +81,11 @@ def _materializer(fields: "tuple[str, ...]") -> Callable:
         "    _append = _out.append\n"
         "    for _i in _ROWS:\n"
         "        _b = _ORIGINALS[_i]\n"
-        "        _t = _new(SensorTuple)\n"
-        "        _set(_t, '__dict__', {\n"
-        f"            'payload': _proxy({{{payload}}}),\n"
-        "            'stamp': _b.stamp,\n"
-        "            'source': _b.source,\n"
-        "            'seq': _b.seq,\n"
-        "            'trace': _b.trace,\n"
-        "        })\n"
-        "        _append(_t)\n"
+        f"        _append(_clone(_proxy({{{payload}}}),\n"
+        "                       _b.stamp, _b.source, _b.seq, _b.trace))\n"
         "    return _out\n"
     )
-    env = {
-        "SensorTuple": SensorTuple,
-        "_new": SensorTuple.__new__,
-        "_set": object.__setattr__,
-        "_proxy": MappingProxyType,
-    }
+    env = {"_clone": SensorTuple._clone, "_proxy": MappingProxyType}
     exec(compile(source, "<columnar-materialize>", "exec"), env)
     kernel = env["_mkernel"]
     _MATERIALIZERS[fields] = kernel
@@ -229,10 +217,10 @@ class ColumnarBatch:
             if selection is None:
                 return list(originals)
             return [originals[i] for i in rows]
-        # One generated kernel per schema: constant-key payload literals
-        # and a single instance-dict install per row (SensorTuple has no
-        # __slots__, so the instance dict is the attribute store).  This
-        # loop is the materialization boundary of every columnar chain.
+        # One generated kernel per schema: a constant-key payload literal
+        # per row, handed with the original's provenance to the one slot
+        # assembly every tuple clone uses.  This loop is the
+        # materialization boundary of every columnar chain.
         return _materializer(self.fields)(originals, rows, self.columns)
 
 

@@ -47,7 +47,7 @@ from repro.expr.ast import AttributeRef, BinaryOp, Node
 from repro.expr.compile import compile_node
 from repro.expr.compile import CompiledExpression, compile_expression
 from repro.streams.base import BlockingOperator
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import SensorTuple, assemble
 from repro.streams.windows import TupleCache
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Box, representative_point
@@ -264,7 +264,6 @@ class JoinOperator(BlockingOperator):
         holds, residual = self._holds, self._residual
         left_prefix, right_prefix = self.left_prefix, self.right_prefix
         name, pair_log, lineage = self.name, self._pair_log, self.lineage
-        typed, owned = SttStamp.typed, SensorTuple.from_owned
         rows, plans, stamps, labels = {}, {}, {}, {}  # reused / per-flush memos
         out: list[SensorTuple] = []
         for lt, key in zip(left_window, left_keys):
@@ -298,9 +297,9 @@ class JoinOperator(BlockingOperator):
                 if label is None:
                     label = labels[sources] = f"{name}({l_source}⋈{rt.source})"
                 r_time = r_stamp.time
-                pair = owned(
+                pair = assemble(
                     dict(zip(names, (*l_payload.values(), *r_payload.values()))),
-                    typed(r_time if r_time > l_time else l_time, *composed),
+                    r_time if r_time > l_time else l_time, *composed,
                     label,
                     len(out),
                 )
@@ -315,11 +314,10 @@ class JoinOperator(BlockingOperator):
         self, lt: SensorTuple, rt: SensorTuple, now: float, seq: int
     ) -> SensorTuple:
         l_stamp, r_stamp = lt.stamp, rt.stamp
-        out = SensorTuple.from_owned(
+        out = assemble(
             merge_payloads(
                 lt.payload, rt.payload, self.left_prefix, self.right_prefix),
-            SttStamp.typed(
-                max(l_stamp.time, r_stamp.time), *compose_stamps(l_stamp, r_stamp)),
+            max(l_stamp.time, r_stamp.time), *compose_stamps(l_stamp, r_stamp),
             f"{self.name}({lt.source}⋈{rt.source})",
             seq,
         )

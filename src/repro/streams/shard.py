@@ -12,7 +12,8 @@ DSN/SCN plan fans out (DESIGN.md §12).
 Three pieces live here:
 
 - :func:`partition_index` — the partitioner contract.  CRC32 over the
-  ``repr`` of the key values, modulo the shard count: deterministic
+  ``repr`` of the key values (numbers in one canonical form, so ``==``
+  keys share a shard), modulo the shard count: deterministic
   across processes and runs (``hash()`` is salted per interpreter via
   ``PYTHONHASHSEED``, so it is exactly what this must *not* use).
 - :class:`ShardedOperatorAdapter` — wraps one shard's inner operator.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from numbers import Integral
 from typing import Sequence
 
 from repro.errors import CheckpointError, StreamLoaderError
@@ -63,14 +65,30 @@ ENTRIES_KEY = "__entries__"
 SKEW_BUCKETS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
 
 
+def _canonical(value: object) -> object:
+    """One form per ``==`` class of numbers: ``True``, ``1.0`` -> ``1``,
+    ``-0.0`` -> ``0``; non-integral floats (NaN, ±inf) stay floats."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else float(value)
+    return int(value) if isinstance(value, Integral) else value
+
+
 def partition_index(values: "tuple | Sequence", count: int) -> int:
     """Deterministic shard index for a key-value tuple.
 
-    CRC32 of ``repr(values)`` mod ``count`` — stable across interpreter
-    restarts and machines (unlike builtin ``hash``), cheap, and
-    well-mixed for the string/number keys group-by and equi-join use.
+    CRC32 of the canonical key's ``repr`` mod ``count`` — stable across
+    interpreter restarts and machines (unlike builtin ``hash``), cheap,
+    and well-mixed for the string/number keys group-by and equi-join use.
+    Keys that are ``==`` share an index, as they share a group or a join
+    bucket unsharded.
     """
-    return zlib.crc32(repr(tuple(values)).encode("utf-8")) % count
+    key = tuple(values)
+    for value in key:  # str, int and None already are canonical
+        kind = type(value)
+        if kind is not str and kind is not int and value is not None:
+            key = tuple(map(_canonical, key))
+            break
+    return zlib.crc32(repr(key).encode("utf-8")) % count
 
 
 def shard_index(tuple_: SensorTuple, keys: "Sequence[str]", count: int,

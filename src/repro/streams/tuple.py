@@ -7,7 +7,7 @@ layers can amortize their per-message framing costs over many tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
@@ -15,6 +15,9 @@ from repro.stt.event import Event, SttStamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceContext
+    from repro.stt.granularity import SpatialGranularity, TemporalGranularity
+    from repro.stt.spatial import SpatialObject
+    from repro.stt.thematic import Theme
     from repro.streams.columnar import ColumnarBatch
 
 #: Cached marker for batches that cannot be transposed (heterogeneous
@@ -22,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _NOT_COLUMNAR = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorTuple:
     """One reading flowing through a dataflow.
 
@@ -67,7 +70,7 @@ class SensorTuple:
     # The copy-with-changes methods below run per tuple per operator on
     # the data plane; ``dataclasses.replace`` re-enters the generated
     # ``__init__`` and ``__post_init__`` (re-wrapping the payload it just
-    # unwrapped), which costs several times a direct field assembly.
+    # unwrapped), which costs several times a direct slot assembly.
     @staticmethod
     def _clone(
         payload: Mapping[str, object],
@@ -76,23 +79,13 @@ class SensorTuple:
         seq: int,
         trace: "TraceContext | None",
     ) -> "SensorTuple":
-        clone = SensorTuple.__new__(SensorTuple)
-        set_ = object.__setattr__
-        set_(clone, "payload", payload)
-        set_(clone, "stamp", stamp)
-        set_(clone, "source", source)
-        set_(clone, "seq", seq)
-        set_(clone, "trace", trace)
+        clone = _new(SensorTuple)
+        _set_payload(clone, payload)
+        _set_stamp(clone, stamp)
+        _set_source(clone, source)
+        _set_seq(clone, seq)
+        _set_trace(clone, trace)
         return clone
-
-    @classmethod
-    def from_owned(
-        cls, payload: "dict[str, object]", stamp: SttStamp, source: str, seq: int
-    ) -> "SensorTuple":
-        """A new tuple around a dict the caller just built and transfers
-        ownership of — the constructor minus its defensive copy.  The
-        caller must not mutate ``payload`` afterwards."""
-        return cls._clone(MappingProxyType(payload), stamp, source, seq, None)
 
     def with_payload(self, payload: Mapping[str, object]) -> "SensorTuple":
         return self._clone(
@@ -137,6 +130,38 @@ class SensorTuple:
         else:
             value = dict(self.payload)
         return Event(value=value, stamp=self.stamp, source=self.source)
+
+
+# A frozen slotted instance is assembled through its slot descriptors:
+# each ``__set__`` stores straight into the slot, past the frozen
+# ``__setattr__`` and cheaper than ``object.__setattr__``.
+_new = object.__new__
+_set_payload, _set_stamp, _set_source, _set_seq, _set_trace = (
+    getattr(SensorTuple, f.name).__set__ for f in fields(SensorTuple))
+_set_time, _set_location, _set_temporal, _set_spatial, _set_themes = (
+    getattr(SttStamp, f.name).__set__ for f in fields(SttStamp))
+
+
+def assemble(payload: "dict[str, object]", time: float, location: SpatialObject,
+             temporal_granularity: TemporalGranularity,
+             spatial_granularity: SpatialGranularity,
+             themes: "tuple[Theme, ...]", source: str, seq: int) -> SensorTuple:
+    """A new untraced tuple and its stamp, from typed fields and a payload
+    dict the caller just built and hands over — the one way stamp
+    back-fill and the blocking flushes build a reading.
+
+    ``SensorTuple(payload, SttStamp(time, location, ...), source, seq)``
+    minus the coercions (granularity names, theme strings) and the
+    payload's defensive copy, and equal to it for such inputs.  The
+    caller must not mutate ``payload`` afterwards.
+    """
+    stamp = _new(SttStamp)
+    _set_time(stamp, time)
+    _set_location(stamp, location)
+    _set_temporal(stamp, temporal_granularity)
+    _set_spatial(stamp, spatial_granularity)
+    _set_themes(stamp, themes)
+    return SensorTuple._clone(MappingProxyType(payload), stamp, source, seq, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,10 +303,10 @@ def estimate_size_bytes(tuple_: SensorTuple) -> int:
 
     Deliberately simple and deterministic — relative sizes between
     streams are what the placement ablation measures.  A pure function of
-    the payload, recomputed per call: remembering it on the tuple meant
-    touching ``tuple_.__dict__``, which makes CPython materialise the
-    instance dict of a fresh tuple (665 ns) — dearer than sizing it again
-    (~300 ns).  The one memo is per message, on :class:`TupleBatch`.
+    the payload, recomputed per call: a tuple is sized about once per
+    message it travels in, so a per-tuple memo would cost a slot on every
+    tuple and save little.  The one memo is per message, on
+    :class:`TupleBatch`.
     """
     return _members_size_bytes((tuple_,))
 

@@ -20,13 +20,17 @@ Everything runs on one node at one virtual instant (all delivery local,
 zero latency), so arrival order is publish order.
 """
 
+import inspect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
+    AggregationSpec,
     CullTimeSpec,
     FilterSpec,
+    JoinSpec,
     TransformSpec,
     VirtualPropertySpec,
 )
@@ -40,6 +44,7 @@ from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.executor import Executor
 from repro.schema.schema import StreamSchema
 from repro.sticker.feed import StickerFeed
+from repro.streams import columnar
 from repro.streams.fused import FUSED_NAME_SEPARATOR
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
@@ -118,19 +123,12 @@ def reference(chain, temperatures, sampling):
     }
 
 
-def deployed(chain, temperatures, batch_size, sampling, fail_at):
-    """Deploy the chain on one node and drive it at one virtual instant.
-
-    ``batch_size`` 1 publishes every reading on its own, anything larger
-    in runs of that many.  ``sampling`` ``None`` attaches no
-    observability at all.  ``fail_at`` fails the hub before the first
-    publication starting at or after that many readings.
-    """
+def _stack(obs=None):
+    """One-node stack with the oracle's sensor advertised on the hub."""
     topology = Topology()
     topology.add_node("hub")
     netsim = NetworkSimulator(topology=topology)
     network = BrokerNetwork(netsim=netsim)
-    obs = None if sampling is None else Observability(sampling=sampling)
     executor = Executor(
         netsim, network, scn=ScnController(topology),
         warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs,
@@ -146,6 +144,19 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
         location=Point(34.69, 135.50),
         node_id="hub",
     ))
+    return topology, netsim, network, executor
+
+
+def deployed(chain, temperatures, batch_size, sampling, fail_at):
+    """Deploy the chain on one node and drive it at one virtual instant.
+
+    ``batch_size`` 1 publishes every reading on its own, anything larger
+    in runs of that many.  ``sampling`` ``None`` attaches no
+    observability at all.  ``fail_at`` fails the hub before the first
+    publication starting at or after that many readings.
+    """
+    obs = None if sampling is None else Observability(sampling=sampling)
+    topology, netsim, network, executor = _stack(obs)
     dead_letters: list = []
     network.on_dead_letter = lambda subscription, tuple_, reason: (
         dead_letters.append((subscription.node_id, tuple_.seq, reason))
@@ -254,3 +265,53 @@ def test_a_deployed_chain_reports_what_its_operators_would(
 ):
     assert_reports_the_reference(chain, temperatures, batch_size, sampling,
                                  fail)
+
+
+def test_no_row_reaching_a_sink_has_an_instance_dict():
+    """Rows are one slotted shape wherever they were built: published,
+    out of a fused chain's row and column kernels, out of a sharded
+    grouped aggregate's merge, and out of a join — none carries an
+    instance dict, on itself or on its stamp."""
+    _, netsim, network, executor = _stack()
+    flow = Dataflow("row-shape")
+    source = flow.add_source(
+        SubscriptionFilter(sensor_type="temperature"), node_id="src")
+    flow.add_operator(spec("virtual", 0, 0), node_id="op0")
+    flow.add_operator(spec("transform", 0, 1), node_id="op1")
+    flow.add_operator(AggregationSpec(
+        interval=7.0, attributes=("temperature",), function="AVG",
+        group_by="humidity"), node_id="agg")
+    flow.add_operator(JoinSpec(
+        interval=7.0, predicate="left.humidity == right.humidity"),
+        node_id="join")
+    for name in ("raw", "rows", "groups", "pairs"):
+        flow.add_sink("collector", node_id=name)
+    flow.connect(source, "raw")
+    flow.connect(source, "op0")
+    flow.connect("op0", "op1")
+    flow.connect("op1", "rows")
+    flow.connect("op1", "agg")
+    flow.connect("agg", "groups")
+    flow.connect("op1", "join", port=0)
+    flow.connect(source, "join", port=1)
+    flow.connect("join", "pairs")
+    deployment = executor.deploy(flow, shards={"agg": 2})
+    assert "op0" + FUSED_NAME_SEPARATOR + "op1" in deployment.plan.units
+    assert "agg" in deployment.plan.groups
+
+    readings = [reading(seq, 10.0 + seq % 7) for seq in range(40)]
+    network.publish_data("prop-sensor", readings[0])  # the row kernel
+    network.publish_batch("prop-sensor", readings[1:33])  # column kernels
+    network.publish_batch("prop-sensor", readings[33:])
+    netsim.clock.run_until(60.0)
+
+    for name in ("raw", "rows", "groups", "pairs"):
+        rows = deployment.collected(name)
+        assert rows, name
+        for row in rows:
+            assert not hasattr(row, "__dict__"), name
+            assert not hasattr(row.stamp, "__dict__"), name
+
+
+def test_the_columnar_materialiser_installs_no_instance_dict():
+    assert "__dict__" not in inspect.getsource(columnar)

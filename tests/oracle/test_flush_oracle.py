@@ -26,7 +26,7 @@ import repro.streams.aggregate as aggregate_module
 from repro.obs.lineage import LineageStore, tuple_key
 from repro.streams.aggregate import AggregationOperator
 from repro.streams.join import JoinOperator
-from repro.streams.tuple import SensorTuple
+from repro.streams.tuple import SensorTuple, assemble
 from repro.stt.event import SttStamp
 from repro.stt.granularity import spatial_granularity, temporal_granularity
 from repro.stt.spatial import Box, Point, representative_point
@@ -49,11 +49,13 @@ THEMES = tuple(
 NAN = math.nan  # one object: a dict finds it by identity
 
 
-def stamp(time, where, time_gran="second", space_gran="point", themes=0):
-    """A stamp whose fields, time aside, are objects other stamps share."""
-    return SttStamp.typed(
-        time, LOCATIONS[where], temporal_granularity(time_gran),
-        spatial_granularity(space_gran), THEMES[themes])
+def reading(payload, time, where, source, seq, time_gran="second",
+            space_gran="point", themes=0) -> SensorTuple:
+    """A tuple whose stamp fields, time aside, are objects other stamps
+    share."""
+    return assemble(
+        dict(payload), time, LOCATIONS[where], temporal_granularity(time_gran),
+        spatial_granularity(space_gran), THEMES[themes], source, seq)
 
 
 def _seen(value):
@@ -105,8 +107,12 @@ rows = st.fixed_dictionaries({
 })
 windows = st.lists(rows, min_size=1, max_size=12)
 
+#: The qualifiers the predicates address the two sides by — the default
+#: pair and another: whatever a flush memoises must key on them too.
+PREFIXES = (("left", "right"), ("l", "r"))
 
-def _join_payload(row, hostile: bool) -> dict:
+
+def _join_payload(row, hostile: bool, prefixes) -> dict:
     """Four payload schemas inside one window: the plain one, a reordered
     one with an extra attribute, one whose own names collide with the
     prefixed output names, and — like the list-valued key, only in a
@@ -115,30 +121,34 @@ def _join_payload(row, hostile: bool) -> dict:
     k, j, a, b = row["k"], row["j"], row["a"], row["b"]
     if not hostile and isinstance(k, list):
         k = "x"
+    left_k, right_k = (f"{prefix}_k" for prefix in prefixes)
     return (
         {"k": k, "j": j, "a": a, "b": b},
         {"b": b, "extra": "e", "a": a, "j": j, "k": k},
-        {"k": k, "left_k": "own", "j": j, "a": a, "b": b, "right_k": "own"},
+        {"k": k, left_k: "own", "j": j, "a": a, "b": b, right_k: "own"},
         {"j": j, "a": a, "b": b},
     )[row["shape"] if hostile else row["shape"] % 3]
 
 
-def _join_window(drawn, side: str, hostile: bool) -> "list[SensorTuple]":
+def _join_window(drawn, side: str, hostile: bool,
+                 prefixes=PREFIXES[0]) -> "list[SensorTuple]":
     return [
-        SensorTuple(
-            payload=_join_payload(row, hostile),
-            stamp=stamp(
-                float(i if side == "l" else 2 * i), row["where"],
-                row["time_gran"], row["space_gran"], row["themes"]),
-            source=f"{side}-{row['source']}",
-            seq=i,
-        )
+        reading(
+            _join_payload(row, hostile, prefixes),
+            float(i if side == "l" else 2 * i), row["where"],
+            f"{side}-{row['source']}", i,
+            row["time_gran"], row["space_gran"], row["themes"])
         for i, row in enumerate(drawn)
     ]
 
 
-def _join_operator(predicate) -> JoinOperator:
-    op = JoinOperator(interval=60.0, predicate=predicate, name="j")
+def _join_operator(predicate, prefixes=PREFIXES[0]) -> JoinOperator:
+    left_prefix, right_prefix = prefixes
+    op = JoinOperator(
+        interval=60.0, name="j",
+        predicate=predicate.replace("left.", f"{left_prefix}.").replace(
+            "right.", f"{right_prefix}."),
+        left_prefix=left_prefix, right_prefix=right_prefix)
     op._pair_log = []
     op.lineage = LineageStore()
     return op
@@ -152,8 +162,9 @@ def _candidate_errors(op: JoinOperator, left, right) -> int:
         for rt in right:
             if all(lt[l] == rt[r] for l, r in op.equi_keys):
                 try:
-                    op.predicate.evaluate_bool(
-                        None, left=dict(lt.payload), right=dict(rt.payload))
+                    op.predicate.evaluate_bool(None, **{
+                        op.left_prefix: dict(lt.payload),
+                        op.right_prefix: dict(rt.payload)})
                 except Exception:
                     errors += 1
     return errors
@@ -161,11 +172,13 @@ def _candidate_errors(op: JoinOperator, left, right) -> int:
 
 @settings(max_examples=300, deadline=None)
 @given(predicate=st.sampled_from(PREDICATES), left=windows, right=windows,
-       hostile=st.booleans())
-def test_join_flush_equals_the_nested_loop(predicate, left, right, hostile):
-    left = _join_window(left, "l", hostile)
-    right = _join_window(right, "r", hostile)
-    kernel, reference = _join_operator(predicate), _join_operator(predicate)
+       hostile=st.booleans(), prefixes=st.sampled_from(PREFIXES))
+def test_join_flush_equals_the_nested_loop(
+        predicate, left, right, hostile, prefixes):
+    left = _join_window(left, "l", hostile, prefixes)
+    right = _join_window(right, "r", hostile, prefixes)
+    kernel = _join_operator(predicate, prefixes)
+    reference = _join_operator(predicate, prefixes)
     kernel.on_batch(left, port=0)
     kernel.on_batch(right, port=1)
     out = kernel.on_timer(60.0)
@@ -314,13 +327,11 @@ def test_aggregate_flush_equals_the_rescan_of_its_members(drawn, config):
     kernel.lineage = LineageStore()
     kernel._partial_log = {}
     for i, row in enumerate(drawn):
-        kernel.on_tuple(SensorTuple(
-            payload={"temperature": row["value"], "other": row["other"],
-                     "station": row["station"]},
-            stamp=stamp(float(i), row["where"], row["time_gran"],
-                        themes=row["where"]),
-            source=row["source"],
-            seq=i,
+        kernel.on_tuple(reading(
+            {"temperature": row["value"], "other": row["other"],
+             "station": row["station"]},
+            float(i), row["where"], row["source"], i, row["time_gran"],
+            themes=row["where"],
         ))
         if not (row["flush"] or i == len(drawn) - 1):
             continue
@@ -377,12 +388,10 @@ def _harness_window(kind: str, stations) -> "list[SensorTuple]":
     out = []
     for i, station in enumerate(stations):
         source, location = gateways[(i // 32) % 16]
-        out.append(SensorTuple.from_owned(
+        out.append(assemble(
             {"v": float(i % 97), "k": station},
-            SttStamp.typed(
-                i * 0.006, location, template.temporal_granularity,
-                template.spatial_granularity, template.themes),
-            source, i))
+            i * 0.006, location, template.temporal_granularity,
+            template.spatial_granularity, template.themes, source, i))
     return out
 
 

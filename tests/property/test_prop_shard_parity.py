@@ -101,7 +101,16 @@ def _observables(deployment, sink_name):
     ]
 
 
-def _run_aggregation(stream, function, shard_count, batch_size):
+def _st_label(station) -> str:
+    return f"st-{station}"
+
+
+def _as_is(station):
+    return station
+
+
+def _run_aggregation(stream, function, shard_count, batch_size,
+                     station_of=_st_label):
     netsim, network, executor = _stack()
     network.publish(_metadata("prop-temp", "temperature", "hub"))
 
@@ -122,7 +131,7 @@ def _run_aggregation(stream, function, shard_count, batch_size):
     )
 
     tuples = [
-        _reading("prop-temp", i, value, f"st-{station}")
+        _reading("prop-temp", i, value, station_of(station))
         for i, (value, station) in enumerate(stream)
     ]
     _publish(network, "prop-temp", tuples, batch_size)
@@ -130,7 +139,8 @@ def _run_aggregation(stream, function, shard_count, batch_size):
     return deployment, _observables(deployment, "out")
 
 
-def _run_join(left_stream, right_stream, shard_count, batch_size):
+def _run_join(left_stream, right_stream, shard_count, batch_size,
+              station_of=_st_label):
     netsim, network, executor = _stack()
     network.publish(_metadata("prop-temp", "temperature", "hub"))
     network.publish(_metadata("prop-hum", "humidity", "hub"))
@@ -155,11 +165,11 @@ def _run_join(left_stream, right_stream, shard_count, batch_size):
     )
 
     left_tuples = [
-        _reading("prop-temp", i, value, f"st-{station}")
+        _reading("prop-temp", i, value, station_of(station))
         for i, (value, station) in enumerate(left_stream)
     ]
     right_tuples = [
-        _reading("prop-hum", i, value, f"st-{station}")
+        _reading("prop-hum", i, value, station_of(station))
         for i, (value, station) in enumerate(right_stream)
     ]
     _publish(network, "prop-temp", left_tuples, batch_size)
@@ -229,6 +239,32 @@ class TestJoinShardParity:
         _, sharded = _run_join(left_stream, right_stream,
                                shard_count=shard_count,
                                batch_size=batch_size)
+        assert sharded == baseline
+
+
+class TestEqualKeysShareAShard:
+    """``1``, ``1.0`` and ``True`` are one group and one join bucket to an
+    unsharded operator, and so are ``0`` and ``-0.0``: sharded, they must
+    reach one shard, or the group is emitted once per shard and the pair
+    is lost between the two ports' shards."""
+
+    def test_grouped_avg_folds_equal_keys_of_other_types(self):
+        stream = [(2.0, 1), (4.0, 1.0), (6.0, True), (8.0, 0), (10.0, -0.0)]
+        _, baseline = _run_aggregation(stream, "AVG", shard_count=1,
+                                       batch_size=1, station_of=_as_is)
+        _, sharded = _run_aggregation(stream, "AVG", shard_count=2,
+                                      batch_size=1, station_of=_as_is)
+        assert len(baseline) == 2
+        assert sharded == baseline
+
+    def test_join_pairs_equal_keys_of_other_types(self):
+        left = [(1.0, 1), (2.0, 0)]
+        right = [(3.0, 1.0), (4.0, -0.0), (5.0, True)]
+        _, baseline = _run_join(left, right, shard_count=1, batch_size=1,
+                                station_of=_as_is)
+        _, sharded = _run_join(left, right, shard_count=2, batch_size=1,
+                               station_of=_as_is)
+        assert len(baseline) == 3
         assert sharded == baseline
 
 

@@ -114,13 +114,13 @@ class TestReferenceEquivalence:
         stamp = first.stamp
         members = [
             first,
-            first.with_stamp(SttStamp.typed(
+            first.with_stamp(SttStamp(
                 7200.0, stamp.location, stamp.temporal_granularity,
                 stamp.spatial_granularity, stamp.themes)),
-            first.with_stamp(SttStamp.typed(
+            first.with_stamp(SttStamp(
                 7200.0, Point(35.5, 136.5), stamp.temporal_granularity,
                 stamp.spatial_granularity, stamp.themes)),
-            first.with_stamp(SttStamp.typed(
+            first.with_stamp(SttStamp(
                 7200.0, Point(35.5, 136.5), stamp.temporal_granularity,
                 stamp.spatial_granularity, ())),
         ]

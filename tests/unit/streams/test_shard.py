@@ -1,6 +1,10 @@
 """Unit tests for the shard adapter, merge operator, and partitioner."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CheckpointError, StreamLoaderError
 from repro.streams.aggregate import AggregationOperator
@@ -10,10 +14,16 @@ from repro.streams.shard import (
     ENTRIES_KEY,
     EPOCH_KEY,
     SHARD_KEY,
+    ShardAssignment,
     ShardMergeOperator,
     ShardedOperatorAdapter,
     partition_index,
+    shard_index,
+    split_by_shard,
 )
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
 
 
 def make_agg(**kwargs):
@@ -41,6 +51,92 @@ class TestPartitionIndex:
     def test_distinct_keys_spread(self):
         indexes = {partition_index((f"st-{i}",), 4) for i in range(64)}
         assert indexes == {0, 1, 2, 3}
+
+
+#: Key values whose ``==`` crosses types (``1 == 1.0 == True``,
+#: ``0 == -0.0 == False``), that equal nothing (NaN), and that look alike
+#: but differ (``"1"``, ``0.5``).
+SCALARS = (0, 1, 2, 0.0, -0.0, 1.0, 2.0, 0.5, True, False, None, "1", "a",
+           math.nan, math.inf, -math.inf)
+scalars = st.sampled_from(SCALARS)
+#: ``...`` leaves the key out of the payload; a list has no hash.
+key_values = st.one_of(scalars, st.just(...), st.just([1]))
+KEY_SETS = (("k",), ("k", "j"))
+
+
+def _keyed(seq: int, values: dict) -> SensorTuple:
+    return SensorTuple(
+        payload={name: v for name, v in values.items() if v is not ...},
+        stamp=SttStamp(time=float(seq), location=Point(0.0, 0.0)),
+        source="s", seq=seq)
+
+
+@st.composite
+def assignments(draw, keys):
+    """A recipe for a :class:`ShardAssignment` (or none): count, then
+    migrations and splits of drawn keys, in drawn order."""
+    if draw(st.booleans()):
+        return None
+    count = draw(st.integers(1, 4))
+    shard = st.integers(0, count - 1)
+    key = st.tuples(*[scalars] * len(keys))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("migrate"), key, shard),
+        st.tuples(st.just("split"), key,
+                  st.lists(shard, min_size=1, max_size=3))), max_size=6))
+    return count, steps
+
+
+def _build(recipe):
+    if recipe is None:
+        return None
+    count, steps = recipe
+    assignment = ShardAssignment(count)
+    for step, key, target in steps:
+        getattr(assignment, step)(key, target)
+    return assignment
+
+
+def _outcome(route):
+    """What ``route()`` returns, or the type of what it raised."""
+    try:
+        return route()
+    except TypeError as error:  # an unhashable key meets the overlay
+        return type(error)
+
+
+class TestSplitByShard:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), keys=st.sampled_from(KEY_SETS))
+    def test_buckets_are_shard_index_tuple_by_tuple(self, data, keys):
+        rows = data.draw(st.lists(
+            st.fixed_dictionaries({"k": key_values, "j": key_values}),
+            max_size=24))
+        tuples = [_keyed(seq, values) for seq, values in enumerate(rows)]
+        recipe = data.draw(assignments(keys))
+        count = recipe[0] if recipe is not None else data.draw(st.integers(1, 4))
+        batched, single = _build(recipe), _build(recipe)
+
+        def one_by_one():
+            buckets: dict = {}
+            for tuple_ in tuples:
+                index = shard_index(tuple_, keys, count, single)
+                buckets.setdefault(index, []).append(tuple_)
+            return sorted(buckets.items())
+
+        got = _outcome(lambda: split_by_shard(tuples, keys, count, batched))
+        assert got == _outcome(one_by_one)
+        if recipe is not None and got is not TypeError:
+            assert batched._rr == single._rr  # the split keys' turns
+
+    @given(a=st.tuples(scalars, scalars), b=st.tuples(scalars, scalars),
+           count=st.integers(1, 8))
+    def test_equal_keys_get_one_partition(self, a, b, count):
+        if a[0] == b[0]:
+            assert (partition_index(a[:1], count)
+                    == partition_index(b[:1], count))
+        if a == b:
+            assert partition_index(a, count) == partition_index(b, count)
 
 
 class TestShardedOperatorAdapter:

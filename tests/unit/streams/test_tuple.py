@@ -6,6 +6,7 @@ import pytest
 from repro.streams.tuple import (
     SensorTuple,
     TupleBatch,
+    assemble,
     estimate_batch_size_bytes,
     estimate_size_bytes,
     message_size_bytes,
@@ -103,14 +104,16 @@ class TestSizeEstimate:
             assert estimate_size_bytes(tuple_) == 48 + 1 + expected, value
 
 
-class TestFromOwned:
+class TestAssemble:
     def test_equals_constructor_and_owns_the_dict(self, make_tuple):
         stamp = make_tuple(0).stamp
         payload = {"temperature": 21.0, "station": "umeda"}
         built = SensorTuple(payload=payload, stamp=stamp, source="s", seq=4)
-        owned = SensorTuple.from_owned(payload, stamp, "s", 4)
+        owned = assemble(
+            payload, stamp.time, stamp.location, stamp.temporal_granularity,
+            stamp.spatial_granularity, stamp.themes, "s", 4)
         assert owned == built and owned.trace is None
-        assert owned.stamp is stamp
+        assert owned.stamp == stamp and owned.stamp.themes is stamp.themes
         with pytest.raises(TypeError):
             owned.payload["temperature"] = 0.0
         assert estimate_size_bytes(owned) == estimate_size_bytes(built)
@@ -159,14 +162,14 @@ class TestBatchSizeMemo:
         # instance dict of every fresh tuple), so clones just size equal.
         tuple_ = make_tuple(0)
         size = estimate_size_bytes(tuple_)
-        assert "_wire_size" not in vars(tuple_)
+        assert not hasattr(tuple_, "__dict__")
         for clone in (
             tuple_.with_trace(None),
             tuple_.with_stamp(tuple_.stamp),
             tuple_.relabelled("elsewhere"),
         ):
             assert estimate_size_bytes(clone) == size
-            assert "_wire_size" not in vars(clone)
+            assert not hasattr(clone, "__dict__")
 
 
 class _Text(str):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GranularityError
+from repro.streams.tuple import assemble
 from repro.stt.event import Event, SttStamp
 from repro.stt.granularity import spatial_granularity, temporal_granularity
 from repro.stt.spatial import GridCell, Point
@@ -42,7 +43,8 @@ class TestSttStamp:
         themes = (Theme("weather/rain"), Theme("disaster/flood"))
         for location in (Point(34.69, 135.50), GridCell(city, 693, 1756)):
             built = SttStamp(3725.0, location, hour, city, themes)
-            typed = SttStamp.typed(3725.0, location, hour, city, themes)
+            typed = assemble(
+                {}, 3725.0, location, hour, city, themes, "", 0).stamp
             assert typed == built and hash(typed) == hash(built)
             assert repr(typed) == repr(built)
             assert typed.temporal_granularity is hour
