@@ -69,9 +69,9 @@ def design(session: DesignerSession, stack) -> None:
     print("sample tuples surviving the torrential filter:",
           len(sample.at("torrential")))
     if sample.commands:
-        print("trigger dry-run would issue:",
-              [(c.activate, c.sensor_ids) for commands in
-               sample.commands.values() for c in commands])
+        print("trigger commands issued on the samples:",
+              [(c.issued_at, c.activate, c.sensor_ids)
+               for c in sample.commands])
 
 
 def deploy_and_monitor(session: DesignerSession, stack):

@@ -3,7 +3,8 @@
 A full reproduction of the EDBT 2016 demo paper by Mesiti et al.: the
 Table 1 stream-processing algebra over STT-stamped tuples, a distributed
 publish-subscribe sensor layer, a conceptual dataflow designer with
-consistency checks and sample debugging, translation to the DSN/SCN
+consistency checks and sample debugging on a throwaway deployment of the
+canvas, translation to the DSN/SCN
 declarative-networking layer, workload-aware execution on a simulated
 programmable network with live monitoring, and the Event Data Warehouse
 and Sticker visualization sinks.

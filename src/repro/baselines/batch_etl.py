@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.validate import validate_dataflow
+from repro.designer.preview import replay_samples
 from repro.network.netsim import NetworkSimulator
 from repro.pubsub.broker import BrokerNetwork
 from repro.streams.tuple import SensorTuple
@@ -38,10 +39,10 @@ class BatchEtlReport:
 class BatchEtlPipeline:
     """Collect raw streams centrally, then run the dataflow as a batch.
 
-    The same conceptual dataflow a streaming deployment would run is
-    executed, operator by operator, over the accumulated batch at close
-    time — so outputs are comparable tuple-for-tuple with the streaming
-    run, while the cost profile is the offline one.
+    At close time the dataflow is deployed on a throwaway simulator and
+    the batch replayed at its stamp times (:func:`replay_samples`), so
+    outputs are comparable tuple-for-tuple with the streaming run,
+    blocking operators included, while the cost profile is offline.
     """
 
     def __init__(
@@ -94,15 +95,14 @@ class BatchEtlPipeline:
 
     def close_batch(self) -> BatchEtlReport:
         """Stop collecting, run the dataflow over the batch, load results."""
-        from repro.dataflow.sample import run_sample
-
         for subscription in self._subscriptions:
             self.broker_network.unsubscribe(subscription)
         self._subscriptions.clear()
 
         close_time = self.netsim.clock.now
-        result = run_sample(
-            self.flow, self._raw, self.broker_network.registry, validate=False
+        result = replay_samples(
+            self.flow, self._raw, self.broker_network.registry,
+            self.netsim.topology,
         )
         loaded = 0
         for sink_id, sink in self.flow.sinks.items():

@@ -5,8 +5,7 @@ published sensors, operator nodes carrying declarative Table 1
 specifications, sink nodes (warehouse, visualization, collector), data
 edges and trigger control edges.  The validator propagates schemas and
 runs the consistency checks that guarantee "only dataflows that can be
-soundly translated in the DSN/SCN specification" reach deployment; the
-sampler supports the step-by-step debugging of demo part P1.
+soundly translated in the DSN/SCN specification" reach deployment.
 """
 
 from repro.dataflow.ops import (
@@ -35,7 +34,6 @@ from repro.dataflow.validate import (
     ValidationReport,
     validate_dataflow,
 )
-from repro.dataflow.sample import run_sample
 from repro.dataflow.serialize import dataflow_to_dict, dataflow_from_dict
 from repro.dataflow.render import to_dot, render_ascii
 
@@ -60,7 +58,6 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "validate_dataflow",
-    "run_sample",
     "dataflow_to_dict",
     "dataflow_from_dict",
     "to_dot",

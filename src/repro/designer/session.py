@@ -20,11 +20,13 @@ import json
 from repro.errors import DataflowError
 from repro.dataflow.graph import Dataflow, SinkKind
 from repro.dataflow.ops import OperatorSpec
-from repro.dataflow.sample import SampleResult, run_sample, sample_from_sensors
 from repro.dataflow.serialize import dataflow_from_dict, dataflow_to_dict
 from repro.dataflow.validate import ValidationReport, validate_dataflow
 from repro.designer.deploy import DeploymentHandle
 from repro.designer.palette import Palette
+from repro.designer.preview import (
+    SampleResult, replay_samples, sample_from_sensors,
+)
 from repro.dsn.ast import DsnProgram
 from repro.dsn.generate import dataflow_to_dsn
 from repro.network.qos import QosPolicy
@@ -146,14 +148,16 @@ class DesignerSession:
         """Step-by-step sample debugging (P1).
 
         Provide either ``sensors`` (source node id -> SimulatedSensor, the
-        samples are probed) or ready-made ``samples`` batches.
+        samples are probed) or ready-made ``samples`` batches, replayed
+        on a throwaway deployment (:func:`.preview.replay_samples`).
         """
         if samples is None:
             if sensors is None:
                 raise DataflowError("preview needs sensors or sample batches")
             samples = sample_from_sensors(self.flow, sensors, count=count, start=start)
-        return run_sample(
-            self.flow, samples, self.executor.broker_network.registry
+        return replay_samples(
+            self.flow, samples, self.executor.broker_network.registry,
+            self.executor.netsim.topology,
         )
 
     def render(self, fmt: str = "ascii") -> str:

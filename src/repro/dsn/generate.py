@@ -27,7 +27,6 @@ from repro.pubsub.registry import SensorRegistry
 def dataflow_to_dsn(
     flow: Dataflow,
     registry: "SensorRegistry | None" = None,
-    validate: bool = True,
     batch_delay: "float | None" = None,
     max_batch: int = 32,
     shards: "int | dict[str, int] | None" = None,
@@ -41,8 +40,6 @@ def dataflow_to_dsn(
         registry: resolves source filters during validation (and, with
             ``batch_delay``, supplies the declared sensor frequencies the
             batch hints are derived from).
-        validate: skip validation only for flows validated immediately
-            before (the designer's deploy path validates once).
         batch_delay: target per-batch latency budget in seconds.  When
             set, each channel out of a source gets a ``batch`` hint of
             roughly ``frequency x batch_delay`` tuples (the batch a source
@@ -65,8 +62,7 @@ def dataflow_to_dsn(
             latency plane at deploy time.  ``None`` (the default) emits no
             clauses, so existing programs render unchanged.
     """
-    if validate:
-        validate_dataflow(flow, registry).raise_if_invalid()
+    validate_dataflow(flow, registry).raise_if_invalid()
 
     program = DsnProgram(name=flow.name)
 

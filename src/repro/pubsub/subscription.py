@@ -140,18 +140,6 @@ class Subscription:
             del self.dead_letters[0]
         return letter
 
-    def audit_records(self) -> "list[tuple[str, str]]":
-        """The dead-letter queue as comparable ``(source, reason)`` pairs.
-
-        Timing-free projection of the audit trail: the parity suite
-        compares these across execution backends, where ``failed_at``
-        may legitimately differ in wall terms but sources and reasons
-        may not.
-        """
-        return [
-            (letter.tuple.source, letter.reason) for letter in self.dead_letters
-        ]
-
     def deliver(self, payload: "SensorTuple | TupleBatch") -> int:
         """Deliver a message if active; returns tuples delivered.
 

@@ -111,9 +111,6 @@ class Granule:
     start: float
     end: float
 
-    def as_interval(self) -> Interval:
-        return Interval(self.start, self.end)
-
     def contains(self, t: "float | Instant") -> bool:
         seconds = t.seconds if isinstance(t, Instant) else t
         return self.start <= seconds < self.end

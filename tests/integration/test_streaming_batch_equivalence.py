@@ -1,17 +1,24 @@
 """Integration property: streaming and batch produce the same results.
 
-For a dataflow of non-blocking operators, StreamLoader's on-line execution
-and the offline batch baseline are *semantically* equivalent — the same
-tuples come out, only the cost/staleness profile differs.  This is the
-correctness backbone of the A1 ablation: the configurations being compared
-really do compute the same thing.
+StreamLoader's on-line execution and the offline batch baseline are
+*semantically* equivalent — the same tuples come out, only the
+cost/staleness profile differs.  The batch replays through the deployed
+plan, so this holds for blocking operators too: an hourly window closes
+at the same instants in both.  This is the correctness backbone of the
+A1 ablation: the configurations being compared really do compute the
+same thing.
 """
 
 import pytest
 
 from repro.baselines.batch_etl import BatchEtlPipeline
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import FilterSpec, TransformSpec, VirtualPropertySpec
+from repro.dataflow.ops import (
+    AggregationSpec,
+    FilterSpec,
+    TransformSpec,
+    VirtualPropertySpec,
+)
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 
@@ -36,6 +43,22 @@ def pipeline_flow(sink_kind: str) -> Dataflow:
     flow.connect(enrich, hot)
     flow.connect(hot, shape)
     flow.connect(shape, sink)
+    return flow
+
+
+def hourly_flow(sink_kind: str) -> Dataflow:
+    flow = Dataflow(f"hourly-{sink_kind}")
+    src = flow.add_source(
+        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="src"
+    )
+    hourly = flow.add_operator(
+        AggregationSpec(interval=3600.0, attributes=("temperature",),
+                        function="AVG"),
+        node_id="hourly",
+    )
+    sink = flow.add_sink(sink_kind, node_id="out")
+    flow.connect(src, hourly)
+    flow.connect(hourly, sink)
     return flow
 
 
@@ -76,6 +99,45 @@ class TestEquivalence:
         assert shorter > 0
         assert abs(len(stream_out) - len(batch_out)) <= 2
         assert stream_out[:shorter] == batch_out[:shorter]
+
+    def test_hourly_average_streaming_equals_batch(self):
+        # The batch replays through a deployment made at its first
+        # reading's stamp, one sensor period in; the streaming flow is
+        # deployed at that instant too, ahead of the reading, so both
+        # close the same hourly windows.  The batch closes half a period
+        # before the streaming run's fifth window does: it holds exactly
+        # the readings of the five windows the streaming run flushes.
+        streaming = build_stack(hot=True, seed=11, attach_fleet=False)
+        first = streaming.sensor("osaka-temp-umeda").metadata.period
+        end = first + HOURS * 3600.0
+        deployed = []
+        streaming.clock.schedule_at(first, lambda: deployed.append(
+            streaming.executor.deploy(hourly_flow("collector"))))
+        for sensor in streaming.fleet:
+            sensor.attach(streaming.broker_network, streaming.clock)
+        streaming.run_until(end)
+        stream_out = [
+            (row.stamp.time, row["avg_temperature"])
+            for row in deployed[0].collected("out")
+        ]
+
+        batch_world = build_stack(hot=True, seed=11)
+        pipeline = BatchEtlPipeline(
+            batch_world.netsim, batch_world.broker_network,
+            hourly_flow("warehouse"), collection_node="hub",
+            warehouse=batch_world.warehouse,
+        )
+        pipeline.start_collection()
+        batch_world.run_until(end - first / 2)
+        report = pipeline.close_batch()
+        batch_out = [
+            (fact.event_time, fact.measures["avg_temperature"])
+            for fact in batch_world.warehouse.facts
+        ]
+
+        assert len(stream_out) == int(HOURS)  # one row per closed hour
+        assert report.loaded == len(batch_out)
+        assert batch_out == stream_out
 
     def test_equivalence_breaks_with_different_seeds(self):
         streaming = build_stack(hot=True, seed=11)

@@ -15,8 +15,10 @@ from repro.dataflow.ops import (
     FilterSpec,
     VirtualPropertySpec,
 )
+from repro.designer.preview import sample_from_sensors
 from repro.designer.session import DesignerSession
 from repro.scenario import build_stack
+from tests.oracle.test_flow_oracle import deployed_on_samples, sink_view
 
 
 @pytest.fixture
@@ -78,16 +80,27 @@ class TestP1Walkthrough:
 
         # 5. Step-by-step sample check, probing the real sensors at a hot
         #    afternoon hour.
-        result = session.preview(
-            sensors={
-                temp: stack.sensor("osaka-temp-umeda"),
-                hum: stack.sensor("osaka-humidity-umeda"),
-            },
-            count=6,
-            start=14 * 3600.0,
-        )
+        sensors = {
+            temp: stack.sensor("osaka-temp-umeda"),
+            hum: stack.sensor("osaka-humidity-umeda"),
+        }
+        result = session.preview(sensors=sensors, count=6, start=14 * 3600.0)
         assert len(result.at(temp)) == 6
-        assert len(result.at("combine")) == 36  # cross join preview
+        # The preview is the plan a deployment runs: the same canvas
+        # deployed untapped on a fresh stack, fed the same samples, pairs
+        # as many tuples per join window and collects the same rows.
+        fresh = build_stack(hot=True, extended=True, attach_fleet=False)
+        for sensor in stack.fleet:
+            fresh.broker_network.publish(sensor.metadata)
+        deployment = deployed_on_samples(
+            fresh.executor, session.flow,
+            sample_from_sensors(session.flow, sensors, count=6,
+                                start=14 * 3600.0),
+        )
+        assert len(result.at("combine")) == (
+            deployment.process("combine").operator.stats.tuples_out
+        )
+        assert sink_view(result.at(out)) == sink_view(deployment.collected(out))
         apparent_rows = result.at("apparent")
         assert apparent_rows
         assert all("apparent_temperature" in row for row in apparent_rows)

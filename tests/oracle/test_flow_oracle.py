@@ -18,6 +18,11 @@ optional mid-stream hub failure, the deployment must report
 
 Everything runs on one node at one virtual instant (all delivery local,
 zero latency), so arrival order is publish order.
+
+The designer's preview is held to the same plan: for a drawn chain, an
+optional blocking operator and an optional trigger-gated source, the
+rows the preview shows at each sink are the rows an untapped (fused)
+deployment of the canvas collects when fed the same samples.
 """
 
 import inspect
@@ -32,8 +37,10 @@ from repro.dataflow.ops import (
     FilterSpec,
     JoinSpec,
     TransformSpec,
+    TriggerOnSpec,
     VirtualPropertySpec,
 )
+from repro.designer.preview import replay_samples
 from repro.dsn.scn import ScnController
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
@@ -315,3 +322,117 @@ def test_no_row_reaching_a_sink_has_an_instance_dict():
 
 def test_the_columnar_materialiser_installs_no_instance_dict():
     assert "__dict__" not in inspect.getsource(columnar)
+
+
+#: Virtual seconds an oracle deployment runs past the last sample: long
+#: past every flush a preview of the canvases here waits for.
+PAST_LAST = 3 * 3600.0
+
+
+def deployed_on_samples(executor, flow, samples):
+    """``flow`` deployed as drawn on ``executor``'s fresh simulator at the
+    first sample's stamp, each sample published on its own at its stamp
+    time (a tuple listed under several sources once)."""
+    clock = executor.netsim.clock
+    network = executor.broker_network
+    readings = sorted(
+        {id(t): t for batch in samples.values() for t in batch}.values(),
+        key=lambda t: t.stamp.time,
+    )
+    clock.run_until(readings[0].stamp.time)
+    deployment = executor.deploy(flow)
+    for tuple_ in readings:
+        clock.schedule_at(
+            tuple_.stamp.time, network.publish_data, tuple_.source, tuple_
+        )
+    clock.run_until(readings[-1].stamp.time + PAST_LAST)
+    return deployment
+
+
+def previewed_flow(chain, interval, threshold):
+    """``chain`` off the oracle's source into ``out``, through a grouped
+    AVG flushing every ``interval`` s when one is given; a ``threshold``
+    adds a dormant source on the same sensor, woken by a trigger on the
+    5 s mean temperature crossing it, into ``gated-out``."""
+    flow = Dataflow("preview-oracle")
+    upstream = flow.add_source(
+        SubscriptionFilter(sensor_type="temperature"), node_id="src"
+    )
+    stages = [spec(kind, param, index)
+              for index, (kind, param) in enumerate(chain)]
+    if interval is not None:
+        stages.append(AggregationSpec(
+            interval=interval, attributes=("temperature",), function="AVG",
+            group_by="humidity"))
+    for index, stage in enumerate(stages):
+        name = f"op{index}"
+        flow.add_operator(stage, node_id=name)
+        flow.connect(upstream, name)
+        upstream = name
+    flow.add_sink("collector", node_id="out")
+    flow.connect(upstream, "out")
+    if threshold is not None:
+        flow.add_source(SubscriptionFilter.for_sensor("prop-sensor"),
+                        node_id="gated", initially_active=False)
+        flow.add_operator(TriggerOnSpec(
+            interval=5.0, condition=f"avg_temperature > {threshold}",
+            targets=("prop-sensor",)), node_id="trig")
+        flow.connect("src", "trig")
+        flow.connect_control("trig", "gated")
+        flow.add_sink("collector", node_id="gated-out")
+        flow.connect("gated", "gated-out")
+    return flow
+
+
+def assert_preview_is_the_deployment(chain, temperatures, interval,
+                                     threshold):
+    """Preview the canvas and deploy it untapped on a fresh stack; every
+    sink shows the same rows.  Returns the preview."""
+    readings = [reading(seq, t) for seq, t in enumerate(temperatures)]
+    samples = {"src": readings}
+    if threshold is not None:
+        samples["gated"] = readings
+    topology, _, network, _ = _stack()
+    preview = replay_samples(
+        previewed_flow(chain, interval, threshold), samples,
+        network.registry, topology,
+    )
+    *_, executor = _stack()
+    deployment = deployed_on_samples(
+        executor, previewed_flow(chain, interval, threshold), samples
+    )
+    # The deployment is the default plan: a run of two or more
+    # non-blocking members is one process.
+    assert any(unit.role == "chain"
+               for unit in deployment.plan.units.values()) == (
+        len(chain) >= 2
+    )
+    for sink in deployment.collectors:
+        assert sink_view(preview.at(sink)) == sink_view(
+            deployment.collected(sink)
+        ), sink
+    return preview
+
+
+@given(chains, temperature_streams,
+       st.sampled_from((None, 4.0, 16.0)),
+       st.one_of(st.none(), st.integers(-20, 45)))
+@settings(max_examples=60, deadline=None)
+def test_the_preview_shows_what_the_deployment_collects(
+    chain, temperatures, interval, threshold
+):
+    assert_preview_is_the_deployment(chain, temperatures, interval,
+                                     threshold)
+
+
+def test_a_gated_source_previews_dormant_until_its_trigger_fires():
+    """Cool readings, then hot ones: the gated source wakes at the first
+    trigger tick after the mean crosses 25, and the preview shows only
+    what reached it from then on."""
+    temperatures = [10.0] * 12 + [30.0] * 12
+    preview = assert_preview_is_the_deployment(
+        [("filter", 0), ("virtual", 0)], temperatures, 4.0, 25
+    )
+    woke = preview.commands[0]
+    assert woke.activate and woke.issued_at == 20.0
+    assert [t.seq for t in preview.at("gated-out")] == list(range(21, 24))

@@ -109,12 +109,22 @@ class TestCanvasTotality:
     @given(operator_chain())
     @settings(max_examples=50, deadline=None)
     def test_sample_run_total_on_valid_chains(self, steps):
-        """Every valid canvas also executes on samples without raising."""
-        from repro.dataflow.sample import run_sample
+        """Every valid canvas also previews on samples without raising."""
+        from repro.designer.preview import replay_samples
+        from repro.network.topology import Topology
+        from repro.pubsub.registry import SensorMetadata, SensorRegistry
         from repro.streams.tuple import SensorTuple
         from repro.stt.event import SttStamp
         from repro.stt.spatial import Point
 
+        topology = Topology()
+        topology.add_node("hub")
+        registry = SensorRegistry()
+        registry.register(SensorMetadata(
+            sensor_id="prop-sensor", sensor_type="temperature",
+            schema=base_schema(), frequency=1.0,
+            location=Point(34.69, 135.50), node_id="hub",
+        ))
         flow = Dataflow("generated")
         schema = base_schema()
         previous = flow.add_source(SubscriptionFilter(), schema=schema,
@@ -133,11 +143,12 @@ class TestCanvasTotality:
                 payload={"temperature": 20.0 + i, "humidity": 0.5,
                          "station": "s"},
                 stamp=SttStamp(time=float(i), location=Point(34.69, 135.50)),
+                source="prop-sensor",
                 seq=i,
             )
             for i in range(6)
         ]}
-        result = run_sample(flow, samples)
+        result = replay_samples(flow, samples, registry, topology)
         # Outputs at the sink conform to the inferred schema.
         for tuple_ in result.at("out"):
             assert set(tuple_.payload) <= set(schema.names)

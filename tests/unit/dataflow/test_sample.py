@@ -1,4 +1,10 @@
-"""Unit tests for sample-based step-by-step debugging."""
+"""Unit tests for sample-based step-by-step debugging.
+
+The preview deploys the canvas on a throwaway simulator and replays the
+samples at their stamp times, so every expectation here is what the
+deployed plan does: windows flush per interval and triggers gate their
+sources.
+"""
 
 import pytest
 
@@ -9,15 +15,50 @@ from repro.dataflow.ops import (
     JoinSpec,
     TriggerOnSpec,
 )
-from repro.dataflow.sample import run_sample, sample_from_sensors
+from repro.designer.preview import sample_from_sensors
+from repro.designer.session import DesignerSession
 from repro.errors import DataflowError, ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
+from repro.scenario import build_stack
 from repro.schema.schema import StreamSchema
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
 
 
 @pytest.fixture
 def schema(weather_schema) -> StreamSchema:
     return weather_schema
+
+
+@pytest.fixture
+def session() -> DesignerSession:
+    return DesignerSession(build_stack().executor, name="sampled")
+
+
+def reading(sensor_id: str, seq: int, time: float, **payload) -> SensorTuple:
+    return SensorTuple(
+        payload=payload,
+        stamp=SttStamp(time=time, location=Point(34.69, 135.50)),
+        source=sensor_id,
+        seq=seq,
+    )
+
+
+def temperatures(sensor_id: str, values, start: float = 0.0) -> list:
+    return [
+        reading(sensor_id, i, start + 60.0 * i, temperature=float(value),
+                station="umeda")
+        for i, value in enumerate(values)
+    ]
+
+
+def filtered(session: DesignerSession) -> None:
+    session.add_source("osaka-temp-umeda", node_id="src")
+    session.add_operator(FilterSpec("temperature > 24"), node_id="hot")
+    session.add_sink(node_id="k")
+    session.connect("src", "hot")
+    session.connect("hot", "k")
 
 
 def flow_with_schema(schema):
@@ -32,91 +73,126 @@ def flow_with_schema(schema):
 
 
 class TestRunSample:
-    def test_per_node_outputs(self, schema, make_tuple):
-        flow = flow_with_schema(schema)
-        samples = {"src": [make_tuple(i, temperature=20.0 + i) for i in range(10)]}
-        result = run_sample(flow, samples)
+    def test_per_node_outputs(self, session):
+        filtered(session)
+        samples = {"src": temperatures("osaka-temp-umeda", range(20, 30))}
+        result = session.preview(samples=samples)
         assert len(result.at("src")) == 10
         assert len(result.at("hot")) == 5
         assert len(result.at("k")) == 5  # sink shows what arrives
 
-    def test_blocking_operator_flushed_once(self, schema, make_tuple):
-        flow = Dataflow("agg")
-        src = flow.add_source(SubscriptionFilter(), schema=schema, node_id="src")
-        agg = flow.add_operator(
-            AggregationSpec(interval=60.0, attributes=("temperature",),
-                            function="AVG"),
-            node_id="agg",
-        )
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, agg)
-        flow.connect(agg, sink)
-        samples = {"src": [make_tuple(i, temperature=float(i)) for i in range(4)]}
-        result = run_sample(flow, samples)
-        assert len(result.at("agg")) == 1
-        assert result.at("agg")[0]["avg_temperature"] == 1.5
+    def test_chained_windows_flush_through(self, session):
+        # The hourly MAX sees the hourly AVG's row one flush later: the
+        # preview runs until both windows have closed over the samples.
+        session.add_source("osaka-temp-umeda", node_id="src")
+        for name, function, attribute in (
+            ("avg", "AVG", "temperature"), ("max", "MAX", "avg_temperature"),
+        ):
+            session.add_operator(AggregationSpec(
+                interval=3600.0, attributes=(attribute,),
+                function=function), node_id=name)
+        session.add_sink(node_id="k")
+        session.connect("src", "avg")
+        session.connect("avg", "max")
+        session.connect("max", "k")
+        samples = {"src": temperatures("osaka-temp-umeda", [20.0, 22.0])}
+        result = session.preview(samples=samples)
+        assert [row["avg_temperature"] for row in result.at("avg")] == [21.0]
+        assert [row["max_avg_temperature"] for row in result.at("k")] == [21.0]
 
-    def test_join_preview(self, schema, make_tuple):
-        flow = Dataflow("join")
-        a = flow.add_source(SubscriptionFilter(), schema=schema, node_id="a")
-        b = flow.add_source(SubscriptionFilter(), schema=schema, node_id="b")
-        join = flow.add_operator(
+    def test_join_preview(self, session):
+        session.add_source("osaka-temp-umeda", node_id="a")
+        session.add_source("osaka-temp-namba", node_id="b")
+        session.add_operator(
             JoinSpec(interval=60.0, predicate="left.station == right.station"),
             node_id="j",
         )
-        sink = flow.add_sink(node_id="k")
-        flow.connect(a, join, port=0)
-        flow.connect(b, join, port=1)
-        flow.connect(join, sink)
+        session.add_sink(node_id="k")
+        session.connect("a", "j", port=0)
+        session.connect("b", "j", port=1)
+        session.connect("j", "k")
         samples = {
-            "a": [make_tuple(0, station="umeda")],
-            "b": [make_tuple(1, station="umeda"), make_tuple(2, station="namba")],
+            "a": [reading("osaka-temp-umeda", 0, 0.0, temperature=20.0,
+                          station="umeda")],
+            "b": [
+                reading("osaka-temp-namba", 0, 1.0, temperature=21.0,
+                        station="umeda"),
+                reading("osaka-temp-namba", 1, 2.0, temperature=22.0,
+                        station="namba"),
+            ],
         }
-        result = run_sample(flow, samples)
+        result = session.preview(samples=samples)
         assert len(result.at("j")) == 1
 
-    def test_trigger_dry_run_commands(self, schema, make_tuple):
-        flow = Dataflow("trig")
-        src = flow.add_source(SubscriptionFilter(), schema=schema, node_id="src",
-                              initially_active=False)
-        temp = flow.add_source(SubscriptionFilter(), schema=schema, node_id="temp")
-        trig = flow.add_operator(
+    def test_trigger_dry_run_commands(self, session):
+        session.add_source("osaka-temp-umeda", node_id="temp")
+        session.add_source("osaka-rain-umeda", node_id="src",
+                           initially_active=False)
+        session.add_operator(
             TriggerOnSpec(interval=60.0, condition="avg_temperature > 25",
-                          targets=("rain-1",)),
+                          targets=("osaka-rain-umeda",)),
             node_id="trig",
         )
-        sink = flow.add_sink(node_id="k")
-        flow.connect(temp, trig)
-        flow.connect(src, sink)
-        flow.connect_control(trig, src)
+        session.add_sink(node_id="k")
+        session.connect("temp", "trig")
+        session.connect("src", "k")
+        session.connect_control("trig", "src")
         samples = {
-            "temp": [make_tuple(i, temperature=30.0) for i in range(3)],
-            "src": [make_tuple(9)],
+            "temp": temperatures("osaka-temp-umeda", [30.0]),
+            "src": [
+                reading("osaka-rain-umeda", seq, time, rain_rate=5.0,
+                        station="umeda")
+                for seq, time in enumerate((10.0, 100.0))
+            ],
         }
-        result = run_sample(flow, samples)
-        assert "trig" in result.commands
-        assert result.commands["trig"][0].activate is True
+        result = session.preview(samples=samples)
+        assert result.commands[0].activate is True
+        assert result.commands[0].issued_at == 60.0
+        # The source is dormant until the command: the reading at t=10
+        # is suppressed, the one at t=100 passes.
+        assert [t.stamp.time for t in result.at("src")] == [100.0]
+        assert [t.stamp.time for t in result.at("k")] == [100.0]
 
-    def test_invalid_flow_raises(self, schema, make_tuple):
-        flow = Dataflow("invalid")
-        src = flow.add_source(SubscriptionFilter(), schema=schema, node_id="src")
-        bad = flow.add_operator(FilterSpec("ghost > 1"), node_id="bad")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, bad)
-        flow.connect(bad, sink)
+    def test_invalid_flow_raises(self, session):
+        session.add_source("osaka-temp-umeda", node_id="src")
+        session.add_operator(FilterSpec("ghost > 1"), node_id="bad")
+        session.add_sink(node_id="k")
+        session.connect("src", "bad")
+        session.connect("bad", "k")
         with pytest.raises(ValidationError):
-            run_sample(flow, {"src": [make_tuple(0)]})
+            session.preview(samples={
+                "src": temperatures("osaka-temp-umeda", [20.0])
+            })
 
-    def test_missing_sample_batch_raises(self, schema):
-        flow = flow_with_schema(schema)
+    def test_dangling_operator_raises(self, session):
+        # The preview's taps would give the filter an output; the canvas
+        # as drawn has none, so it is invalid.
+        session.add_source("osaka-temp-umeda", node_id="src")
+        session.add_operator(FilterSpec("temperature > 24"), node_id="hot")
+        session.add_sink(node_id="k")
+        session.connect("src", "hot")
+        session.connect("src", "k")
+        with pytest.raises(ValidationError, match="hot"):
+            session.preview(samples={
+                "src": temperatures("osaka-temp-umeda", [20.0])
+            })
+
+    def test_missing_sample_batch_raises(self, session):
+        filtered(session)
         with pytest.raises(DataflowError, match="no sample batch"):
-            run_sample(flow, {})
+            session.preview(samples={})
+
+    def test_unregistered_sample_sensor_raises(self, session):
+        filtered(session)
+        with pytest.raises(DataflowError, match="ghost-sensor"):
+            session.preview(samples={
+                "src": temperatures("ghost-sensor", [20.0])
+            })
 
 
 class TestSampleFromSensors:
     def test_probes_requested_count(self, schema):
         from repro.sensors.physical import temperature_sensor
-        from repro.stt.spatial import Point
 
         flow = flow_with_schema(schema)
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")
@@ -127,7 +203,6 @@ class TestSampleFromSensors:
 
     def test_unknown_source_raises(self, schema):
         from repro.sensors.physical import temperature_sensor
-        from repro.stt.spatial import Point
 
         flow = flow_with_schema(schema)
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")

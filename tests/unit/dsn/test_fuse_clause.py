@@ -118,7 +118,14 @@ class TestGenerate:
         from repro.dataflow.graph import Dataflow
         from repro.dataflow.ops import FilterSpec, TransformSpec
         from repro.dsn.generate import dataflow_to_dsn
+        from repro.network.topology import Topology
+        from repro.pubsub.registry import SensorRegistry
         from repro.pubsub.subscription import SubscriptionFilter
+        from repro.sensors.osaka import osaka_fleet
+
+        registry = SensorRegistry()
+        for sensor in osaka_fleet(Topology.star(leaf_count=2)):
+            registry.register(sensor.metadata)
 
         flow = Dataflow("flow")
         flow.add_source(SubscriptionFilter(sensor_type="temperature"),
@@ -133,10 +140,10 @@ class TestGenerate:
         flow.connect("f", "g")
         flow.connect("g", "k")
 
-        plain = dataflow_to_dsn(flow, validate=False)
+        plain = dataflow_to_dsn(flow, registry)
         assert plain.fuses == []
 
-        pinned = dataflow_to_dsn(flow, validate=False)
+        pinned = dataflow_to_dsn(flow, registry)
         pinned.fuses = [DsnFuse(members=chain)
                         for chain in plan_fusion(pinned)]
         assert [hint.members for hint in pinned.fuses] == [("f", "g")]

@@ -90,11 +90,3 @@ class TestSoundnessGate:
         flow.connect(bad, sink)
         with pytest.raises(ValidationError):
             dataflow_to_dsn(flow, registry)
-
-    def test_skip_validation_for_prevalidated(self, registry):
-        flow = scenario_flow()
-        from repro.dataflow.validate import validate_dataflow
-
-        validate_dataflow(flow, registry).raise_if_invalid()
-        program = dataflow_to_dsn(flow, registry, validate=False)
-        assert program.name == "scenario"
