@@ -357,21 +357,6 @@ class BrokerNetwork:
                     matches.append(router)
         self._routes[sensor_id] = matches
 
-    def _rebuild_all_routes(self) -> None:
-        """Full O(sensors x subscriptions) route rebuild.
-
-        No longer on the subscribe/unsubscribe path — kept as the
-        reference implementation the incremental maintenance is tested
-        against (same sensors, same matches).
-        """
-        for sensor_id in list(self._routes) + [
-            m.sensor_id for m in self.registry.all() if m.sensor_id not in self._routes
-        ]:
-            if sensor_id in self.registry:
-                self._rebuild_routes_for(sensor_id)
-            else:
-                self._routes.pop(sensor_id, None)
-
     # -- data plane ---------------------------------------------------------------
 
     def _publish(

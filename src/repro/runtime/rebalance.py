@@ -6,9 +6,8 @@ in ``benchmarks/history/BENCH_5.json``) — the paper's SCN executor
 promises to "migrate assignments as load changes", and this is that
 loop, in the monitor → policy → executor shape (DESIGN.md §13):
 
-- :class:`ShardLoadMonitor` samples per-shard input counters (and the
-  merge stage's always-on flush-entry totals, the observable behind the
-  ``shard_flush_entries_total`` metric) over a sliding window of epochs;
+- :class:`ShardLoadMonitor` samples per-shard input counters over a
+  sliding window of epochs;
 - :class:`RebalancePolicy` is a *pure* decision function over those
   samples: it detects skew via a configurable imbalance ratio, requires
   the skew to persist (**hysteresis**) before acting, and enforces a
@@ -86,11 +85,8 @@ class ShardLoadMonitor:
     counter since the previous sample (one *epoch* of load).  The policy
     reads :meth:`epoch_loads` — the per-shard sums over the last
     ``window_epochs`` samples — so a single noisy epoch cannot trigger a
-    move on its own.  The merge's ``entry_totals`` (flush entries per
-    shard, the ``shard_flush_entries_total`` signal) ride along in
-    :meth:`entry_loads` for reporting: entries count *groups*, which stay
-    balanced under a single hot key, so tuple deltas are the actuating
-    signal and entry totals the corroborating one.
+    move on its own.  Tuple deltas, not flush entries, are the signal:
+    entries count *groups*, which stay balanced under a single hot key.
     """
 
     def __init__(self, group, window_epochs: int = 4,
@@ -102,7 +98,6 @@ class ShardLoadMonitor:
         self.group = group
         self.window: "deque[list[int]]" = deque(maxlen=window_epochs)
         self._last_tuples = [0] * len(group.members)
-        self._last_entries = [0] * len(group.members)
         #: Optional callable returning per-member watermark lag (seconds),
         #: wired by the executor when the latency plane is installed.  A
         #: lagging shard is preferred as donor on load ties — it is the
@@ -127,18 +122,6 @@ class ShardLoadMonitor:
             for index, load in enumerate(epoch):
                 sums[index] += load
         return sums
-
-    def entry_loads(self) -> list[int]:
-        """Delta of the merge's per-shard flush-entry totals."""
-        merge = self.group.merge
-        if merge is None:
-            return [0] * len(self.group.members)
-        totals = merge.operator.entry_totals
-        deltas = [
-            total - last for total, last in zip(totals, self._last_entries)
-        ]
-        self._last_entries = list(totals)
-        return deltas
 
     def shard_lags(self) -> list[float]:
         """Per-shard watermark lag (all zeros without a provider)."""
@@ -194,16 +177,19 @@ class RebalancePolicy:
     def observe(
         self,
         loads: "list[int] | list[float]",
+        donor: int,
         hot_keys: "list[tuple[tuple, int]]",
         combine_safe: bool = False,
         already_split: "set[tuple] | frozenset" = frozenset(),
     ) -> "RebalanceDecision | None":
         """One epoch's verdict.
 
-        ``loads`` are the windowed per-shard loads; ``hot_keys`` the
-        donor candidate's per-key loads, heaviest first (the caller reads
-        them from :meth:`ShardLoadMonitor.hot_keys` for the argmax
-        shard).  Returns None or one decision.
+        ``loads`` are the windowed per-shard loads, ``donor`` the shard
+        the caller picked to shed load (the heaviest, see
+        :meth:`ShardRebalancer.tick`) and ``hot_keys`` that shard's
+        per-key loads, heaviest first (from
+        :meth:`ShardLoadMonitor.hot_keys`).  The decision names the same
+        donor the keys were read from.  Returns None or one decision.
         """
         config = self.config
         if self._cooldown > 0:
@@ -214,7 +200,6 @@ class RebalancePolicy:
             self._streak = 0
             return None
         mean = total / len(loads)
-        donor = max(range(len(loads)), key=lambda i: (loads[i], -i))
         if loads[donor] / mean < config.imbalance_ratio:
             self._streak = 0
             return None
@@ -339,22 +324,6 @@ class RebalanceExecutor:
             )
         return at
 
-    def schedule_migration(self, values, donor: int, recipient: int,
-                           reason: str = "forced") -> float:
-        """Public hook for tests/benchmarks: force one migration at the
-        next epoch boundary, bypassing the policy."""
-        return self.schedule(RebalanceDecision(
-            kind="migrate", values=tuple(values), donor=donor,
-            recipient=recipient, reason=reason,
-        ))
-
-    def schedule_split(self, values, replicas, reason: str = "forced") -> float:
-        """Public hook: force one hot-key split at the next boundary."""
-        return self.schedule(RebalanceDecision(
-            kind="split", values=tuple(values), donor=0,
-            replicas=tuple(replicas), reason=reason,
-        ))
-
     # -- actuation ------------------------------------------------------------
 
     def _record(self, key: tuple, kind: str, from_shard: int,
@@ -467,7 +436,6 @@ class ShardRebalancer:
 
     def tick(self) -> None:
         self.load_monitor.sample()
-        self.load_monitor.entry_loads()
         loads = self.load_monitor.epoch_loads()
         if not loads:
             return
@@ -478,6 +446,7 @@ class ShardRebalancer:
         donor = max(range(len(loads)), key=lambda i: (loads[i], lags[i], -i))
         decision = self.policy.observe(
             loads,
+            donor,
             self.load_monitor.hot_keys(donor),
             combine_safe=self.combine_safe,
             already_split=self.executor.split_keys,

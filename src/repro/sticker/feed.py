@@ -152,18 +152,3 @@ class StickerFeed:
 
     def themes(self) -> list[str]:
         return sorted({bin_.theme for bin_ in self._bins.values()})
-
-    def to_json_documents(self) -> list[dict]:
-        """The wire format a map front end would consume."""
-        return [
-            {
-                "bucket_start": bin_.bucket_start,
-                "cell": [bin_.row, bin_.col],
-                "theme": bin_.theme,
-                "count": bin_.count,
-                "means": {
-                    name: bin_.mean(name) for name in sorted(bin_.numeric_counts)
-                },
-            }
-            for bin_ in self.bins()
-        ]

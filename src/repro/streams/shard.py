@@ -599,9 +599,6 @@ class ShardMergeOperator(Operator):
         self._closed_through = float("-inf")
         self._skew_histogram = None
         self._entry_counters: "list | None" = None
-        #: Always-on per-shard flush-entry totals — the rebalancer's load
-        #: signal even when no metrics registry is bound.
-        self.entry_totals: list[int] = [0] * shard_count
 
     @property
     def checkpointable(self) -> bool:
@@ -662,9 +659,6 @@ class ShardMergeOperator(Operator):
         return out
 
     def _observe_epoch(self, by_shard: dict[int, tuple]) -> None:
-        for shard, entries in by_shard.items():
-            if entries:
-                self.entry_totals[shard] += len(entries)
         if self._entry_counters is not None:
             for shard, entries in by_shard.items():
                 if entries:
@@ -683,7 +677,6 @@ class ShardMergeOperator(Operator):
         self._latest = {}
         self._epochs_closed = 0
         self._closed_through = float("-inf")
-        self.entry_totals = [0] * self.shard_count
 
     def checkpoint(self) -> dict:
         state = super().checkpoint()
@@ -693,7 +686,6 @@ class ShardMergeOperator(Operator):
         state["latest"] = dict(self._latest)
         state["epochs_closed"] = self._epochs_closed
         state["closed_through"] = self._closed_through
-        state["entry_totals"] = list(self.entry_totals)
         return state
 
     def restore(self, state: dict) -> None:
@@ -705,9 +697,6 @@ class ShardMergeOperator(Operator):
         self._latest = dict(state.get("latest", {}))
         self._epochs_closed = state.get("epochs_closed", 0)
         self._closed_through = state.get("closed_through", float("-inf"))
-        self.entry_totals = list(
-            state.get("entry_totals", [0] * self.shard_count)
-        )
 
     def describe(self) -> str:
         return f"merge of {self.shard_count} {self.mode} shards"

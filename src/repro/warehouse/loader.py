@@ -150,44 +150,5 @@ class EventWarehouse:
                 "attributes": dict(fact.attributes),
             }
 
-    def to_csv(self, path: str) -> int:
-        """Write the denormalised rows to a CSV file; returns row count.
-
-        Measures become one column each (union over all facts); themes are
-        joined with ``|``; non-scalar attributes are stringified.
-        """
-        import csv
-
-        measure_names = sorted({
-            name for fact in self.facts for name in fact.measures
-        })
-        attribute_names = sorted({
-            name for fact in self.facts for name in fact.attributes
-        })
-        header = [
-            "fact_id", "event_time", "time_granularity", "granule_start",
-            "space_granularity", "cell_row", "cell_col", "source", "themes",
-        ] + [f"m_{name}" for name in measure_names] + [
-            f"a_{name}" for name in attribute_names
-        ]
-        count = 0
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in self.iter_rows():
-                record = [
-                    row["fact_id"], row["event_time"],
-                    row["time_granularity"], row["granule_start"],
-                    row["space_granularity"], row["cell_row"],
-                    row["cell_col"], row["source"], "|".join(row["themes"]),
-                ]
-                record += [row["measures"].get(name, "")
-                           for name in measure_names]
-                record += [row["attributes"].get(name, "")
-                           for name in attribute_names]
-                writer.writerow(record)
-                count += 1
-        return count
-
     def __len__(self) -> int:
         return len(self.facts)

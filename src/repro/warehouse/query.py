@@ -143,45 +143,3 @@ class WarehouseQuery:
                       count=counts[start])
             for start in sorted(groups)
         ]
-
-    def rollup_space(
-        self, granularity: str, measure: str, agg: str = "avg"
-    ) -> list[RollupRow]:
-        """Group facts by spatial cell at ``granularity``; aggregate."""
-        from repro.stt.spatial import grid_cell_for
-
-        agg = self._check_agg(agg)
-        dim = self._warehouse.space_dim
-        groups: dict[tuple[int, int], list[float]] = {}
-        counts: dict[tuple[int, int], int] = {}
-        for fact in self._facts:
-            if measure not in fact.measures and agg != "count":
-                continue
-            cell = grid_cell_for(dim.cell(fact.space_key).center(), granularity)
-            key = (cell.row, cell.col)
-            groups.setdefault(key, []).append(fact.measures.get(measure, 0.0))
-            counts[key] = counts.get(key, 0) + 1
-        return [
-            RollupRow(group=key, value=self._aggregate(groups[key], agg),
-                      count=counts[key])
-            for key in sorted(groups)
-        ]
-
-    def rollup_theme(self, measure: str, agg: str = "avg") -> list[RollupRow]:
-        """Group facts by root theme; aggregate."""
-        agg = self._check_agg(agg)
-        dim = self._warehouse.theme_dim
-        groups: dict[str, list[float]] = {}
-        counts: dict[str, int] = {}
-        for fact in self._facts:
-            if measure not in fact.measures and agg != "count":
-                continue
-            roots = {Theme(dim.member(k)).root.path for k in fact.theme_keys}
-            for root in roots or {"(none)"}:
-                groups.setdefault(root, []).append(fact.measures.get(measure, 0.0))
-                counts[root] = counts.get(root, 0) + 1
-        return [
-            RollupRow(group=(root,), value=self._aggregate(groups[root], agg),
-                      count=counts[root])
-            for root in sorted(groups)
-        ]

@@ -1,0 +1,119 @@
+"""Small builders the suites share: a linear flow, a bare executor
+stack, a scripted sensor and its readings, an attached sensor."""
+
+from repro.dataflow.graph import Dataflow
+from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
+from repro.dsn.scn import ScnController
+from repro.network.qos import QosPolicy
+from repro.network.netsim import NetworkSimulator
+from repro.network.simclock import SimClock
+from repro.network.topology import Topology
+from repro.pubsub.broker import BrokerNetwork
+from repro.pubsub.registry import SensorMetadata
+from repro.pubsub.subscription import SubscriptionFilter
+from repro.runtime.executor import Executor
+from repro.schema.schema import StreamSchema
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
+
+SITE = Point(34.69, 135.50)
+
+
+def pipeline(name: str, *operators, sensor_type: str = "temperature",
+             match: "SubscriptionFilter | None" = None, source: str = "src",
+             sink: str = "out", sink_kind: str = "collector") -> Dataflow:
+    """``source -> operators... -> sink``; each operator is a
+    ``(node_id, spec)`` pair, and the source subscribes to ``match`` (by
+    default, every sensor of ``sensor_type``)."""
+    flow = Dataflow(name)
+    upstream = flow.add_source(
+        match or SubscriptionFilter(sensor_type=sensor_type), node_id=source)
+    for node_id, spec in operators:
+        flow.connect(upstream, flow.add_operator(spec, node_id=node_id))
+        upstream = node_id
+    flow.connect(upstream, flow.add_sink(sink_kind, node_id=sink))
+    return flow
+
+
+def sensor_metadata(sensor_id: str, sensor_type: str = "temperature",
+                    fields: "dict | None" = None, frequency: float = 1.0,
+                    node_id: str = "hub") -> SensorMetadata:
+    return SensorMetadata(
+        sensor_id=sensor_id, sensor_type=sensor_type,
+        schema=StreamSchema.build(
+            fields or {"temperature": "float", "station": "str"},
+            themes=(f"weather/{sensor_type}",)),
+        frequency=frequency, location=SITE, node_id=node_id)
+
+
+def executor_stack(topology: "Topology | None" = None, *metadata,
+                   **executor_options):
+    """``(netsim, network, executor)`` over ``topology`` (one node,
+    ``hub``, by default) with ``metadata`` published."""
+    if topology is None:
+        topology = Topology()
+        topology.add_node("hub")
+    netsim = NetworkSimulator(topology=topology)
+    network = BrokerNetwork(netsim=netsim)
+    executor = Executor(netsim, network, scn=ScnController(topology),
+                        **executor_options)
+    for sensor in metadata:
+        network.publish(sensor)
+    return netsim, network, executor
+
+
+def reading(sensor_id: str, seq: int, time: float, **payload) -> SensorTuple:
+    return SensorTuple(payload=payload, stamp=SttStamp(time=time, location=SITE),
+                       source=sensor_id, seq=seq)
+
+
+def tuples_from(values, start_seq: int = 0) -> list:
+    """Temperature readings of sensor ``gen``, one a second from
+    ``start_seq``, cycling through stations s0..s2."""
+    return [reading("gen", i, float(i), temperature=value, station=f"s{i % 3}")
+            for i, value in enumerate(values, start=start_seq)]
+
+
+def script_readings(netsim, network, sensor_id: str, end: float,
+                    payload_of, every: float = 2.0) -> None:
+    """Publish ``payload_of(seq)`` every ``every`` seconds until ``end``:
+    the same input for every run."""
+    def publish(seq: int):
+        network.publish_data(sensor_id, reading(
+            sensor_id, seq, netsim.clock.now, **payload_of(seq)))
+
+    for seq in range(int(end / every)):
+        netsim.clock.schedule(every * seq + every / 2,
+                              lambda seq=seq: publish(seq))
+
+
+def attached(sensor, node: str = "n1"):
+    """Attach ``sensor`` to a fresh in-process broker on its own clock;
+    returns the clock, the broker and what a catch-all subscriber on
+    ``node`` collects."""
+    clock, net, seen = SimClock(), BrokerNetwork(), []
+    net.subscribe(node, SubscriptionFilter(), seen.append)
+    sensor.attach(net, clock)
+    return clock, net, seen
+
+
+def dsn_chain(*operators, match: "dict | None" = None,
+              source_kind: str = "sensor-stream") -> DsnProgram:
+    """DSN program ``p``: ``src -> operators... -> k``, each operator a
+    ``(name, kind, params)`` triple, ``src`` filtering on ``match`` (by
+    default, rain sensors)."""
+    program = DsnProgram(name="p")
+    program.services.append(DsnService(
+        role=ServiceRole.SOURCE, name="src", kind=source_kind,
+        params={"filter": match or {"sensor_type": "rain"}, "active": True}))
+    for name, kind, params in operators:
+        program.services.append(DsnService(
+            role=ServiceRole.OPERATOR, name=name, kind=kind, params=params))
+    program.services.append(DsnService(
+        role=ServiceRole.SINK, name="k", kind="collector",
+        params={"config": {}}, qos=QosPolicy()))
+    names = ["src", *(name for name, _, _ in operators), "k"]
+    program.channels.extend(
+        DsnChannel(a, b, 0) for a, b in zip(names, names[1:]))
+    return program

@@ -11,10 +11,13 @@ from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.runtime.backends import live_backends
 from repro.runtime.backends.asyncio_backend import take_loop_errors
+from repro.scenario import build_stack
 from repro.schema.schema import StreamSchema
+from repro.sensors.osaka import osaka_fleet
 from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Box, GridCell, Point
+from tests.oracle.test_table1_spec import reading
 
 
 def pytest_addoption(parser):
@@ -50,9 +53,8 @@ def _hard_timeout(request):
         return
 
     def _expire(signum, frame):
-        pytest.fail(
-            f"test exceeded the --hard-timeout budget of {limit}s", pytrace=False
-        )
+        pytest.fail(f"test exceeded the --hard-timeout budget of {limit}s",
+                    pytrace=False)
 
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, limit)
@@ -106,6 +108,21 @@ def update_goldens(request) -> bool:
 
 
 @pytest.fixture
+def stack():
+    """The Osaka stack in its hot regime (the paper's scenario)."""
+    return build_stack(hot=True)
+
+
+@pytest.fixture
+def registry():
+    """The Osaka fleet's sensor registry on a two-leaf star."""
+    net = BrokerNetwork()
+    for sensor in osaka_fleet(Topology.star(leaf_count=2)):
+        net.publish(sensor.metadata)
+    return net.registry
+
+
+@pytest.fixture
 def weather_schema() -> StreamSchema:
     """The temperature/humidity schema used throughout the unit tests."""
     return StreamSchema.build(
@@ -123,34 +140,7 @@ def weather_schema() -> StreamSchema:
 @pytest.fixture
 def make_tuple():
     """Factory for weather tuples: make_tuple(i, temperature=..., ...)."""
-
-    def factory(
-        seq: int = 0,
-        temperature: float = 20.0,
-        humidity: float = 0.6,
-        station: str = "station-1",
-        time: "float | None" = None,
-        lat: float = 34.69,
-        lon: float = 135.50,
-        themes: tuple = ("weather/temperature",),
-        source: str = "sensor-1",
-    ) -> SensorTuple:
-        return SensorTuple(
-            payload={
-                "temperature": temperature,
-                "humidity": humidity,
-                "station": station,
-            },
-            stamp=SttStamp(
-                time=float(seq) if time is None else time,
-                location=Point(lat, lon),
-                themes=themes,
-            ),
-            source=source,
-            seq=seq,
-        )
-
-    return factory
+    return reading
 
 
 @pytest.fixture
@@ -171,12 +161,8 @@ def mixed_stream() -> "list[SensorTuple]":
         Box(south=34.5, west=135.2, north=34.9, east=135.8),
         GridCell("city", 693, 1756),
     ]
-    theme_sets = [
-        ("weather/rain",),
-        ("weather/rain", "disaster/flood"),
-        (),
-        ("social/twitter",),
-    ]
+    theme_sets = [("weather/rain",), ("weather/rain", "disaster/flood"), (),
+                  ("social/twitter",)]
     payloads = [
         {"reading": 2.5, "station": "umeda", "ok": True},
         {"reading": 3, "note": None, "station": "namba"},

@@ -20,13 +20,14 @@ import pytest
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec
+from repro.errors import SimulationError
 from repro.network.topology import Topology
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.backends import AsyncBackend
 from repro.runtime.lifecycle import DeploymentState
 from repro.scenario import build_stack, sharded_aggregation_flow
 from repro.sensors.physical import temperature_sensor
 from repro.stt.spatial import Point
+from tests.builders import pipeline
 
 #: Wall budget per run: these horizons take ~1s; 60s means wedged.
 MAX_WALL = 60.0
@@ -34,26 +35,14 @@ MAX_WALL = 60.0
 
 def blocking_flow() -> Dataflow:
     """temperature -> 600s AVG window -> collector (checkpointable)."""
-    flow = Dataflow("chaos")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    work = flow.add_operator(
-        AggregationSpec(interval=600.0, attributes=("temperature",),
-                        function="AVG"),
-        node_id="work",
-    )
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(temp, work)
-    flow.connect(work, out)
-    return flow
+    return pipeline("chaos", ("work", AggregationSpec(
+        interval=600.0, attributes=("temperature",), function="AVG")),
+        source="temp")
 
 
 def async_stack(leaf_count: int = 4, **kwargs):
-    backend = AsyncBackend(
-        topology=Topology.star(leaf_count=leaf_count), max_wall=MAX_WALL,
-        **kwargs
-    )
+    backend = AsyncBackend(topology=Topology.star(leaf_count=leaf_count),
+                           max_wall=MAX_WALL, **kwargs)
     return build_stack(hot=True, seed=11, backend=backend), backend
 
 
@@ -64,6 +53,11 @@ def attach_burst_stations(stack) -> None:
         temperature_sensor(
             f"burst-temp-{name}", Point(34.70, 135.50), "edge-3", seed=11,
         ).attach(stack.broker_network, stack.clock)
+
+
+def sink_rows(deployment, sink="out") -> list:
+    return [(t.source, t.stamp.time, dict(t.payload))
+            for t in deployment.collected(sink)]
 
 
 class TestTaskCancellation:
@@ -90,8 +84,7 @@ class TestTaskCancellation:
             assert restored
             # The restored snapshot predates the kill.
             snapshot_time = float(
-                restored[0].detail.split("t=")[1].split("s")[0]
-            )
+                restored[0].detail.split("t=")[1].split("s")[0])
             assert snapshot_time <= 900.0
             # The replacement process got a fresh live task.
             new_host = backend._hosts[id(process)]
@@ -203,33 +196,28 @@ class TestBackpressure:
         # same-instant messages than a 1-slot mailbox holds, so the
         # poster must wait for the consumer's task to make room.  (The
         # AVG's own flush no longer does it: one flush is one message.)
-        stack, backend = async_stack(mailbox_capacity=1)
-        with stack:
-            attach_burst_stations(stack)
-            deployment = stack.executor.deploy(sharded_aggregation_flow(stack))
-            stack.run_until(2.0 * 3600.0)
-            assert backend.backpressure_stalls > 0
-            stats = stack.netsim.stats
-            assert stats.messages_dropped == 0
-            # Everything whose delivery instant arrived was delivered;
-            # the only sent-vs-delivered gap is messages still crossing a
-            # link (0.002 s latency) when the horizon cut the run.
-            assert stats.messages_sent - stats.messages_delivered <= 10
-            squeezed = [(t.source, t.stamp.time, dict(t.payload))
-                        for t in deployment.collected("averages")]
-            assert squeezed
+        def run(**options):
+            stack, backend = async_stack(**options)
+            with stack:
+                attach_burst_stations(stack)
+                deployment = stack.executor.deploy(
+                    sharded_aggregation_flow(stack))
+                stack.run_until(2.0 * 3600.0)
+                return backend, stack.netsim.stats, sink_rows(
+                    deployment, "averages")
 
+        backend, stats, squeezed = run(mailbox_capacity=1)
+        assert backend.backpressure_stalls > 0
+        assert stats.messages_dropped == 0
+        # Everything whose delivery instant arrived was delivered; the only
+        # sent-vs-delivered gap is messages still crossing a link (0.002 s
+        # latency) when the horizon cut the run.
+        assert stats.messages_sent - stats.messages_delivered <= 10
+        assert squeezed
         # Capacity pressure must not change the logical output: the same
         # run with a roomy mailbox produces the identical sink contents.
-        roomy_stack, roomy = async_stack()
-        with roomy_stack:
-            attach_burst_stations(roomy_stack)
-            roomy_dep = roomy_stack.executor.deploy(
-                sharded_aggregation_flow(roomy_stack))
-            roomy_stack.run_until(2.0 * 3600.0)
-            assert roomy.backpressure_stalls == 0
-            baseline = [(t.source, t.stamp.time, dict(t.payload))
-                        for t in roomy_dep.collected("averages")]
+        roomy, _, baseline = run()
+        assert roomy.backpressure_stalls == 0
         assert sorted(squeezed, key=repr) == sorted(baseline, key=repr)
 
     def test_default_capacity_still_counts_zero_drops(self):
@@ -305,10 +293,7 @@ class TestPacingAndTimerSkew:
         with stack:
             deployment = stack.executor.deploy(blocking_flow())
             stack.run_until(horizon)
-            free = [
-                (t.source, t.stamp.time, dict(t.payload))
-                for t in deployment.collected("out")
-            ]
+            free = sink_rows(deployment)
 
         # 600 virtual seconds at 1200 virtual-seconds-per-wall-second:
         # at least ~0.5s of wall pacing, and the identical sink output —
@@ -320,16 +305,11 @@ class TestPacingAndTimerSkew:
             start = time.monotonic()
             stack2.run_until(horizon)
             elapsed = time.monotonic() - start
-            paced = [
-                (t.source, t.stamp.time, dict(t.payload))
-                for t in deployment2.collected("out")
-            ]
+            paced = sink_rows(deployment2)
         assert elapsed >= 0.4
         assert sorted(free, key=repr) == sorted(paced, key=repr)
 
     def test_wall_budget_trips_on_wedged_run(self):
-        from repro.errors import SimulationError
-
         backend = AsyncBackend(topology=Topology.star(leaf_count=4),
                                max_wall=0.0)
         stack = build_stack(hot=True, seed=11, backend=backend)

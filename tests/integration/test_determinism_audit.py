@@ -101,9 +101,8 @@ class TestDeterminismAudit:
         """Guard: the audited sharded run exercises the merge plane."""
         stack = build_stack(hot=True, seed=7, observability=SAMPLING,
                             batching=BATCH)
-        deployment = stack.executor.deploy(
-            sharded_aggregation_flow(stack), shards=SHARDS
-        )
+        deployment = stack.executor.deploy(sharded_aggregation_flow(stack),
+                                           shards=SHARDS)
         stack.run_until(3600.0)
         assert "station-avg" in deployment.shard_groups
         group = deployment.shard_groups["station-avg"]

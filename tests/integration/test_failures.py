@@ -4,10 +4,8 @@ Emergency management is the paper's motivating context — the system must
 degrade gracefully when sensors lie, nodes die, and links drop.
 """
 
-import pytest
-
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec, TransformSpec, ValidateSpec
+from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 from repro.sensors.faults import FlakySensor, MalformedPayloadSensor
@@ -15,6 +13,7 @@ from repro.sensors.physical import temperature_sensor
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
+from tests.builders import pipeline
 
 
 class TestMalformedData:
@@ -26,20 +25,11 @@ class TestMalformedData:
                                         corruption_rate=0.4, seed=5)
         sensor.attach(stack.broker_network, stack.clock)
 
-        flow = Dataflow("guarded")
-        src = flow.add_source(SubscriptionFilter(sensor_ids=("bad-temp",)),
-                              node_id="src")
-        guard = flow.add_operator(
-            ValidateSpec(rules=(
+        deployment = stack.executor.deploy(pipeline(
+            "guarded", ("guard", ValidateSpec(rules=(
                 "coalesce(temperature, -9999) != -9999",
                 "between(coalesce(temperature, -9999), -50, 60)",
-            )),
-            node_id="guard",
-        )
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, guard)
-        flow.connect(guard, out)
-        deployment = stack.executor.deploy(flow)
+            ))), match=SubscriptionFilter(sensor_ids=("bad-temp",))))
         stack.run_until(4 * 3600.0)
 
         guard_stats = deployment.process("guard").operator.stats
@@ -50,7 +40,6 @@ class TestMalformedData:
         assert all(isinstance(t["temperature"], float) for t in clean)
         assert guard_stats.tuples_in == guard_stats.errors + len(clean)
 
-
     def test_projecting_a_missing_attribute_never_reaches_the_clock(self):
         """Readings that lack a projected attribute are quarantined by the
         deployed chain — batched or lone — instead of raising through
@@ -58,21 +47,12 @@ class TestMalformedData:
         stack = build_stack(attach_fleet=False)
         here = Point(34.69, 135.50)
         stack.broker_network.publish(
-            temperature_sensor("dry-temp", here, "edge-0").metadata
-        )
+            temperature_sensor("dry-temp", here, "edge-0").metadata)
 
-        flow = Dataflow("projected")
-        src = flow.add_source(SubscriptionFilter(sensor_ids=("dry-temp",)),
-                              node_id="src")
-        keep = flow.add_operator(FilterSpec("temperature > 0"), node_id="keep")
-        slim = flow.add_operator(
-            TransformSpec(project=("temperature", "station")), node_id="slim"
-        )
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, keep)
-        flow.connect(keep, slim)
-        flow.connect(slim, out)
-        deployment = stack.executor.deploy(flow)
+        deployment = stack.executor.deploy(pipeline(
+            "projected", ("keep", FilterSpec("temperature > 0")),
+            ("slim", TransformSpec(project=("temperature", "station"))),
+            match=SubscriptionFilter(sensor_ids=("dry-temp",))))
         # keep+slim: column kernels at b>=4
         assert deployment.plan.units["keep+slim"].role == "chain"
 
@@ -107,15 +87,8 @@ class TestFlappingSensor:
                              up_duration=1800.0, down_duration=900.0)
         sensor.attach(stack.broker_network, stack.clock)
 
-        flow = Dataflow("flaps")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        keep = flow.add_operator(FilterSpec("temperature > -100"),
-                                 node_id="keep")
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, keep)
-        flow.connect(keep, out)
-        deployment = stack.executor.deploy(flow)
+        deployment = stack.executor.deploy(pipeline(
+            "flaps", ("keep", FilterSpec("temperature > -100"))))
         stack.run_until(3 * 5400.0)  # several up/down cycles
 
         assert sensor.outages >= 2
@@ -128,15 +101,8 @@ class TestFlappingSensor:
 class TestNodeFailure:
     def test_messages_to_dead_node_dropped_not_crashing(self):
         stack = build_stack()
-        flow = Dataflow("resilient")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        keep = flow.add_operator(FilterSpec("temperature > -100"),
-                                 node_id="keep")
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, keep)
-        flow.connect(keep, out)
-        deployment = stack.executor.deploy(flow)
+        deployment = stack.executor.deploy(pipeline(
+            "resilient", ("keep", FilterSpec("temperature > -100"))))
         stack.run_until(3600.0)
 
         victim = deployment.process("keep").node_id
@@ -153,8 +119,6 @@ class TestNodeFailure:
 
 class TestLinkFailure:
     def test_traffic_reroutes_around_dead_link(self):
-        from repro.network.topology import Topology
-
         # A ring of 4 nodes: two routes between any pair.
         topo = Topology()
         for index in range(4):
@@ -167,12 +131,8 @@ class TestLinkFailure:
                                     frequency=1.0 / 60.0)
         sensor.attach(stack.broker_network, stack.clock)
 
-        flow = Dataflow("ring")
-        src = flow.add_source(SubscriptionFilter(sensor_ids=("ring-temp",)),
-                              node_id="src")
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, out)
-        deployment = stack.executor.deploy(flow)
+        deployment = stack.executor.deploy(pipeline(
+            "ring", match=SubscriptionFilter(sensor_ids=("ring-temp",))))
         stack.run_until(1800.0)
         before = len(deployment.collected("out"))
         assert before > 0

@@ -10,46 +10,32 @@ sink's window closes back by more than one interval.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
-from repro.dsn.scn import ScnController
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.runtime.rebalance import RebalanceConfig
+from repro.runtime.rebalance import RebalanceConfig, RebalanceDecision
 from repro.scenario import build_stack
-from repro.schema.schema import StreamSchema
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from tests.builders import executor_stack, pipeline, reading, sensor_metadata
 
 
 @pytest.fixture
 def deployed():
     stack = build_stack(rebalance_interval=120.0)
-    flow = Dataflow("migratory")
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          node_id="src")
-    keep = flow.add_operator(FilterSpec("temperature > -100"), node_id="keep")
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(src, keep)
-    flow.connect(keep, out)
-    deployment = stack.executor.deploy(flow)
+    deployment = stack.executor.deploy(pipeline(
+        "migratory", ("keep", FilterSpec("temperature > -100"))))
     stack.run_until(600.0)  # establish live rates
     return stack, deployment
+
+
+def overload(stack, deployment) -> str:
+    """Saturate the node hosting ``keep`` with an external workload."""
+    origin = deployment.process("keep").node_id
+    stack.topology.node(origin).register_process("external-hog", demand=5000.0)
+    return origin
 
 
 class TestMigrationLoop:
     def test_full_cycle(self, deployed):
         stack, deployment = deployed
-        origin = deployment.process("keep").node_id
-
-        # Saturate the hosting node with an external workload.
-        stack.topology.node(origin).register_process("external-hog",
-                                                     demand=5000.0)
+        origin = overload(stack, deployment)
         stack.run_until(1800.0)
 
         # The SCN moved the process and the monitor logged it.
@@ -63,35 +49,26 @@ class TestMigrationLoop:
 
     def test_stream_survives_migration(self, deployed):
         stack, deployment = deployed
-        origin = deployment.process("keep").node_id
-        stack.topology.node(origin).register_process("external-hog",
-                                                     demand=5000.0)
+        overload(stack, deployment)
         stack.run_until(1800.0)
         count_at_move = len(deployment.collected("out"))
         stack.run_until(5400.0)
         assert len(deployment.collected("out")) > count_at_move
 
     def test_monitor_flags_suffering_node_before_move(self, deployed):
-        stack, deployment = deployed
-        origin = deployment.process("keep").node_id
-        stack.topology.node(origin).register_process("external-hog",
-                                                     demand=5000.0)
-        assert origin in stack.executor.monitor.suffering_nodes()
+        origin = overload(*deployed)
+        assert origin in deployed[0].executor.monitor.suffering_nodes()
 
     def test_placement_map_updated(self, deployed):
         stack, deployment = deployed
-        origin = deployment.process("keep").node_id
-        stack.topology.node(origin).register_process("external-hog",
-                                                     demand=5000.0)
+        overload(stack, deployment)
         stack.run_until(1800.0)
         assert deployment.placements["keep"].node_id \
             == deployment.process("keep").node_id
 
     def test_old_node_released(self, deployed):
         stack, deployment = deployed
-        origin = deployment.process("keep").node_id
-        stack.topology.node(origin).register_process("external-hog",
-                                                     demand=5000.0)
+        origin = overload(stack, deployment)
         stack.run_until(1800.0)
         assert "migratory:keep" not in stack.topology.node(origin).processes
 
@@ -106,40 +83,15 @@ class TestKeyHandoffPause:
     EPOCHS = 10
     SHARDS = 8
     FEED_EVERY = 2.0
-    SITE = Point(34.69, 135.50)
 
     def test_hot_key_handoff_holds_a_flush_one_interval_at_most(self):
         interval, shards = self.INTERVAL, self.SHARDS
-        topology = Topology()
-        topology.add_node("hub")
-        netsim = NetworkSimulator(topology=topology)
-        network = BrokerNetwork(netsim=netsim)
-        executor = Executor(
-            netsim, network, scn=ScnController(topology),
-            rebalance_config=RebalanceConfig(imbalance_ratio=float("inf")),
-        )
-        network.publish(SensorMetadata(
-            sensor_id="pause-temp",
-            sensor_type="temperature",
-            schema=StreamSchema.build(
-                {"temperature": "float", "station": "str"},
-                themes=("weather/temperature",),
-            ),
-            frequency=1.0 / self.FEED_EVERY,
-            location=self.SITE,
-            node_id="hub",
-        ))
-        flow = Dataflow("pause")
-        source = flow.add_source(
-            SubscriptionFilter(sensor_type="temperature"), node_id="src")
-        agg = flow.add_operator(
-            AggregationSpec(interval=interval, attributes=("temperature",),
-                            function="AVG", group_by="station"),
-            node_id="agg",
-        )
-        sink = flow.add_sink("collector", node_id="out")
-        flow.connect(source, agg)
-        flow.connect(agg, sink)
+        netsim, network, executor = executor_stack(
+            None, sensor_metadata("pause-temp", frequency=1 / self.FEED_EVERY),
+            rebalance_config=RebalanceConfig(imbalance_ratio=float("inf")))
+        flow = pipeline("pause", ("agg", AggregationSpec(
+            interval=interval, attributes=("temperature",), function="AVG",
+            group_by="station")))
         deployment = executor.deploy(flow, shards={"agg": shards}, elastic=True)
 
         rebalancer = deployment.rebalancers["agg"]
@@ -147,24 +99,22 @@ class TestKeyHandoffPause:
 
         def migrate():
             donor = assignment.owner_of(("st-hot",))
-            rebalancer.executor.schedule_migration(
-                ("st-hot",), donor, (donor + 1) % shards)
+            rebalancer.executor.schedule(RebalanceDecision(
+                "migrate", ("st-hot",), donor, (donor + 1) % shards))
 
         def split():
-            rebalancer.executor.schedule_split(("st-hot",), tuple(range(shards)))
+            rebalancer.executor.schedule(RebalanceDecision(
+                "split", ("st-hot",), 0, replicas=tuple(range(shards))))
 
         clock = netsim.clock
         clock.schedule_at(2.5 * interval, migrate)
         clock.schedule_at(5.5 * interval, split)
         end = self.EPOCHS * interval
         for i in range(int(end / self.FEED_EVERY)):
-            tuple_ = SensorTuple(
-                payload={"station": "st-hot" if i % 5 else f"st-{i % 7}",
-                         "temperature": 15.0 + (i % 13)},
-                stamp=SttStamp(time=i * self.FEED_EVERY, location=self.SITE),
-                source="pause-temp",
-                seq=i,
-            )
+            tuple_ = reading(
+                "pause-temp", i, i * self.FEED_EVERY,
+                station="st-hot" if i % 5 else f"st-{i % 7}",
+                temperature=15.0 + (i % 13))
             clock.schedule_at(
                 i * self.FEED_EVERY,
                 lambda t=tuple_: network.publish_data("pause-temp", t))

@@ -10,34 +10,18 @@ import pytest
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
+from tests.builders import pipeline
 
 
 def flow_a() -> Dataflow:
-    flow = Dataflow("flow-a")
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          node_id="src")
-    hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(src, hot)
-    flow.connect(hot, out)
-    return flow
+    return pipeline("flow-a", ("hot", FilterSpec("temperature > 24")))
 
 
 def flow_b() -> Dataflow:
-    flow = Dataflow("flow-b")
-    src = flow.add_source(SubscriptionFilter(sensor_type="rain"),
-                          node_id="src")
-    hourly = flow.add_operator(
-        AggregationSpec(interval=3600.0, attributes=("rain_rate",),
-                        function="MAX", group_by="station"),
-        node_id="hourly",
-    )
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(src, hourly)
-    flow.connect(hourly, out)
-    return flow
+    return pipeline("flow-b", ("hourly", AggregationSpec(
+        interval=3600.0, attributes=("rain_rate",), function="MAX",
+        group_by="station")), sensor_type="rain")
 
 
 class TestMultiDataflow:

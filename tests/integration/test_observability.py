@@ -11,17 +11,14 @@ the monitor's series.
 import pytest
 
 from repro.dataflow.ops import AggregationSpec
-from repro.obs import Observability
 from repro.obs.render import (
     render_trace,
-    render_trace_tree,
     sink_trace_ids,
     slowest_sink_traces,
     trace_for_tuple,
 )
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.dataflow.graph import Dataflow
 from repro.scenario import build_stack, osaka_scenario_flow
+from tests.builders import pipeline
 
 HOURS = 15 * 3600.0
 
@@ -36,10 +33,19 @@ def observed_stack():
     return stack, deployment
 
 
+@pytest.fixture
+def obs(observed_stack):
+    """That run's observability: tracer, lineage, metrics."""
+    return observed_stack[0].obs
+
+
+@pytest.fixture
+def tracer(obs):
+    return obs.tracer
+
+
 class TestEndToEndTracing:
-    def test_slowest_sink_trace_is_complete(self, observed_stack):
-        stack, _ = observed_stack
-        tracer = stack.obs.tracer
+    def test_slowest_sink_trace_is_complete(self, tracer):
         slowest = slowest_sink_traces(tracer, 1)
         assert len(slowest) == 1
         spans = tracer.trace(slowest[0])
@@ -54,9 +60,7 @@ class TestEndToEndTracing:
         # Hops have real virtual-clock extent.
         assert tracer.duration(slowest[0]) > 0.0
 
-    def test_rendered_tree_shows_every_hop_with_durations(self, observed_stack):
-        stack, _ = observed_stack
-        tracer = stack.obs.tracer
+    def test_rendered_tree_shows_every_hop_with_durations(self, obs, tracer):
         # The rain -> torrential filter -> warehouse path of the scenario.
         for tid in tracer.trace_ids():
             names = {s.name for s in tracer.trace(tid)}
@@ -64,7 +68,7 @@ class TestEndToEndTracing:
                 break
         else:
             pytest.fail("no trace crossed the torrential filter to a sink")
-        out = render_trace(tracer, tid, lineage=stack.obs.lineage)
+        out = render_trace(tracer, tid, lineage=obs.lineage)
         assert "publish osaka-rain" in out
         assert "transmit" in out and "->" in out
         assert "evaluate filter" in out
@@ -73,37 +77,27 @@ class TestEndToEndTracing:
         # Durations are printed per hop.
         assert "ms)" in out or "s)" in out
 
-    def test_lineage_of_passthrough_sink_tuple_is_itself(self, observed_stack):
-        stack, _ = observed_stack
-        tracer = stack.obs.tracer
+    def test_lineage_of_passthrough_sink_tuple_is_itself(self, obs, tracer):
         tid = slowest_sink_traces(tracer, 1)[0]
-        sink_span = next(
-            s for s in tracer.trace(tid) if s.name == "sink"
-        )
+        sink_span = next(s for s in tracer.trace(tid) if s.name == "sink")
         key = sink_span.attrs["tuple"]
         # The scenario's sink paths are all non-blocking, so the sink
         # tuple's identity is the source reading itself.
-        assert stack.obs.lineage.explain(key) == [key]
+        assert obs.lineage.explain(key) == [key]
 
-    def test_trace_for_tuple_finds_the_same_trace(self, observed_stack):
-        stack, _ = observed_stack
-        tracer = stack.obs.tracer
+    def test_trace_for_tuple_finds_the_same_trace(self, tracer):
         tid = slowest_sink_traces(tracer, 1)[0]
         key = next(
-            s.attrs["tuple"] for s in tracer.trace(tid) if s.name == "sink"
-        )
+            s.attrs["tuple"] for s in tracer.trace(tid) if s.name == "sink")
         assert trace_for_tuple(tracer, key) == tid
 
-    def test_every_delivered_path_is_traced(self, observed_stack):
-        stack, _ = observed_stack
+    def test_every_delivered_path_is_traced(self, tracer):
         # With sampling=1.0 every publication opens a trace.
-        tracer = stack.obs.tracer
         assert tracer.traces_started > 0
         assert len(sink_trace_ids(tracer)) > 100
 
-    def test_control_events_record_placements(self, observed_stack):
-        stack, _ = observed_stack
-        events = stack.obs.tracer.control_events()
+    def test_control_events_record_placements(self, obs):
+        events = obs.tracer.control_events()
         placed = [e for e in events if e.name == "placement"]
         # Every non-source service of the scenario got a placement event.
         services = {e.attrs["service"] for e in placed}
@@ -111,9 +105,8 @@ class TestEndToEndTracing:
 
 
 class TestMetricsIntegration:
-    def test_monitor_series_flow_into_the_registry(self, observed_stack):
-        stack, _ = observed_stack
-        snap = stack.obs.metrics.snapshot()
+    def test_monitor_series_flow_into_the_registry(self, obs):
+        snap = obs.metrics.snapshot()
         rates = {
             s["labels"]["process"]: s["value"]
             for s in snap["operation_tuples_per_second"]["series"]
@@ -122,9 +115,8 @@ class TestMetricsIntegration:
         assert snap["network_messages_delivered"]["series"][0]["value"] > 0
         assert snap["monitor_heartbeats_total"]["series"]
 
-    def test_broker_publish_counters_by_source(self, observed_stack):
-        stack, _ = observed_stack
-        snap = stack.obs.metrics.snapshot()
+    def test_broker_publish_counters_by_source(self, obs):
+        snap = obs.metrics.snapshot()
         sources = {
             s["labels"]["source"]: s["value"]
             for s in snap["broker_tuples_published_total"]["series"]
@@ -132,9 +124,8 @@ class TestMetricsIntegration:
         assert any(src.startswith("osaka-temp") for src in sources)
         assert all(count > 0 for count in sources.values())
 
-    def test_exposition_renders_without_error(self, observed_stack):
-        stack, _ = observed_stack
-        text = stack.obs.metrics.expose()
+    def test_exposition_renders_without_error(self, obs):
+        text = obs.metrics.expose()
         assert "# TYPE process_tuples_total counter" in text
         assert "operation_tuples_per_second" in text
 
@@ -183,20 +174,10 @@ class TestBlockingLineage:
         """An aggregation breaks the tuple's identity; the flush trace plus
         the lineage store together still reach the source readings."""
         stack = build_stack(hot=True, observability=True)
-        flow = Dataflow("agg-obs")
-        temp = flow.add_source(
-            SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-        )
-        hourly = flow.add_operator(
-            AggregationSpec(
-                interval=3600.0, attributes=("temperature",), function="AVG",
-            ),
-            node_id="hourly",
-        )
-        sink = flow.add_sink("collector", node_id="out")
-        flow.connect(temp, hourly)
-        flow.connect(hourly, sink)
-        deployment = stack.executor.deploy(flow)
+        deployment = stack.executor.deploy(pipeline(
+            "agg-obs", ("hourly", AggregationSpec(
+                interval=3600.0, attributes=("temperature",), function="AVG")),
+            source="temp"))
         stack.run_until(3 * 3600.0)
 
         collected = deployment.collected("out")

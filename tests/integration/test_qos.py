@@ -4,11 +4,15 @@ import pytest
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.scn import PlacementDecision, ScnController
 from repro.errors import ScnError
+from repro.network.netsim import NetworkSimulator
 from repro.network.qos import QosPolicy
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
+from repro.sensors.physical import temperature_sensor
+from repro.stt.spatial import Point
 
 
 def qos_flow(max_latency: float) -> Dataflow:
@@ -41,8 +45,6 @@ class TestQosAdmission:
         links, so the test controller pins the filter to node-0 and the
         sink to node-3 (3 hops x 50 ms).
         """
-        from repro.dsn.scn import PlacementDecision, ScnController
-
         class SpreadingScn(ScnController):
             def _score_nodes(self, service, upstream, demand, projected):
                 node = "node-3" if service.name == "out" else "node-0"
@@ -51,9 +53,6 @@ class TestQosAdmission:
         topo = Topology.line(4, latency=0.05)
         stack = build_stack(topology=topo, attach_fleet=False,
                             scn=SpreadingScn(topo))
-        from repro.sensors.physical import temperature_sensor
-        from repro.stt.spatial import Point
-
         sensor = temperature_sensor("lonely", Point(34.69, 135.50), "node-0")
         sensor.attach(stack.broker_network, stack.clock)
         return stack
@@ -79,8 +78,6 @@ class TestSegmentation:
     def test_large_payloads_segmented(self):
         # A tiny segment size multiplies transmission delay; confirm the
         # QoS segmentation parameter reaches the wire.
-        from repro.network.netsim import NetworkSimulator
-
         sim = NetworkSimulator(topology=Topology.line(2, latency=0.0,
                                                       bandwidth=1000.0))
         arrival = {}

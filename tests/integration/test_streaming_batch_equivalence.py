@@ -9,8 +9,6 @@ A1 ablation: the configurations being compared really do compute the
 same thing.
 """
 
-import pytest
-
 from repro.baselines.batch_etl import BatchEtlPipeline
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
@@ -21,51 +19,30 @@ from repro.dataflow.ops import (
 )
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
+from tests.builders import pipeline
 
 HOURS = 5.0
+UMEDA = SubscriptionFilter(sensor_ids=("osaka-temp-umeda",))
 
 
 def pipeline_flow(sink_kind: str) -> Dataflow:
-    flow = Dataflow(f"equiv-{sink_kind}")
-    src = flow.add_source(
-        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="src"
-    )
-    enrich = flow.add_operator(
-        VirtualPropertySpec("temp_f", "temperature * 1.8 + 32"),
-        node_id="enrich",
-    )
-    hot = flow.add_operator(FilterSpec("temp_f > 68"), node_id="hot")
-    shape = flow.add_operator(
-        TransformSpec(project=("temp_f", "station")), node_id="shape"
-    )
-    sink = flow.add_sink(sink_kind, node_id="out")
-    flow.connect(src, enrich)
-    flow.connect(enrich, hot)
-    flow.connect(hot, shape)
-    flow.connect(shape, sink)
-    return flow
+    return pipeline(
+        f"equiv-{sink_kind}",
+        ("enrich", VirtualPropertySpec("temp_f", "temperature * 1.8 + 32")),
+        ("hot", FilterSpec("temp_f > 68")),
+        ("shape", TransformSpec(project=("temp_f", "station"))),
+        match=UMEDA, sink_kind=sink_kind)
 
 
 def hourly_flow(sink_kind: str) -> Dataflow:
-    flow = Dataflow(f"hourly-{sink_kind}")
-    src = flow.add_source(
-        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="src"
-    )
-    hourly = flow.add_operator(
-        AggregationSpec(interval=3600.0, attributes=("temperature",),
-                        function="AVG"),
-        node_id="hourly",
-    )
-    sink = flow.add_sink(sink_kind, node_id="out")
-    flow.connect(src, hourly)
-    flow.connect(hourly, sink)
-    return flow
+    return pipeline(
+        f"hourly-{sink_kind}", ("hourly", AggregationSpec(
+            interval=3600.0, attributes=("temperature",), function="AVG")),
+        match=UMEDA, sink_kind=sink_kind)
 
 
 def canonical(payloads) -> list:
-    return sorted(
-        (round(p["temp_f"], 6), p["station"]) for p in payloads
-    )
+    return sorted((round(p["temp_f"], 6), p["station"]) for p in payloads)
 
 
 class TestEquivalence:
@@ -75,8 +52,7 @@ class TestEquivalence:
         deployment = streaming.executor.deploy(pipeline_flow("collector"))
         streaming.run_until(HOURS * 3600.0)
         stream_out = canonical(
-            dict(t.payload) for t in deployment.collected("out")
-        )
+            dict(t.payload) for t in deployment.collected("out"))
 
         # Batch run over an identically-seeded world.
         batch_world = build_stack(hot=True, seed=11)

@@ -13,6 +13,7 @@ import pytest
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
+    JoinSpec,
     VirtualPropertySpec,
 )
 from repro.designer.preview import sample_from_sensors
@@ -40,8 +41,6 @@ class TestP1Walkthrough:
 
         # 3. Apply processing operations: a join, the apparent-temperature
         #    virtual property from the paper, a filter, an aggregation.
-        from repro.dataflow.ops import JoinSpec
-
         join = session.add_operator(
             JoinSpec(interval=120.0, predicate="true",
                      left_prefix="t", right_prefix="h"),
@@ -55,9 +54,8 @@ class TestP1Walkthrough:
             ),
             node_id="apparent",
         )
-        hot = session.add_operator(
-            FilterSpec("apparent_temperature > 27"), node_id="hot"
-        )
+        hot = session.add_operator(FilterSpec("apparent_temperature > 27"),
+                                   node_id="hot")
         hourly = session.add_operator(
             AggregationSpec(interval=3600.0,
                             attributes=("apparent_temperature",),
@@ -80,10 +78,8 @@ class TestP1Walkthrough:
 
         # 5. Step-by-step sample check, probing the real sensors at a hot
         #    afternoon hour.
-        sensors = {
-            temp: stack.sensor("osaka-temp-umeda"),
-            hum: stack.sensor("osaka-humidity-umeda"),
-        }
+        sensors = {temp: stack.sensor("osaka-temp-umeda"),
+                   hum: stack.sensor("osaka-humidity-umeda")}
         result = session.preview(sensors=sensors, count=6, start=14 * 3600.0)
         assert len(result.at(temp)) == 6
         # The preview is the plan a deployment runs: the same canvas
@@ -98,8 +94,7 @@ class TestP1Walkthrough:
                                 start=14 * 3600.0),
         )
         assert len(result.at("combine")) == (
-            deployment.process("combine").operator.stats.tuples_out
-        )
+            deployment.process("combine").operator.stats.tuples_out)
         assert sink_view(result.at(out)) == sink_view(deployment.collected(out))
         apparent_rows = result.at("apparent")
         assert apparent_rows

@@ -12,13 +12,7 @@ import pytest
 from repro.designer.session import DesignerSession
 from repro.dataflow.ops import FilterSpec
 from repro.dsn.parse import parse_dsn
-from repro.scenario import build_stack
 from repro.sticker.render import render_series
-
-
-@pytest.fixture
-def stack():
-    return build_stack(hot=True)
 
 
 @pytest.fixture
@@ -69,8 +63,7 @@ class TestP2Walkthrough:
         assert values.min() > 24.0
         # And they roll up by hour like the analyst would ask.
         rows = stack.warehouse.query().rollup_time(
-            "hour", measure="temperature", agg="avg"
-        )
+            "hour", measure="temperature", agg="avg")
         assert rows
 
     def test_sticker_receives_stream(self, stack, session):

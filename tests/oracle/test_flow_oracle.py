@@ -41,15 +41,8 @@ from repro.dataflow.ops import (
     VirtualPropertySpec,
 )
 from repro.designer.preview import replay_samples
-from repro.dsn.scn import ScnController
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
 from repro.obs import Observability
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.schema.schema import StreamSchema
 from repro.sticker.feed import StickerFeed
 from repro.streams import columnar
 from repro.streams.fused import FUSED_NAME_SEPARATOR
@@ -57,6 +50,7 @@ from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
 from repro.warehouse.loader import EventWarehouse
+from tests.builders import executor_stack, pipeline, sensor_metadata
 
 #: Kinds whose specs only reference attributes every stage preserves.
 SOUND_KINDS = ("filter", "virtual", "transform", "cull")
@@ -80,12 +74,10 @@ def spec(kind: str, param: int, index: int):
         return TransformSpec(assignments={"humidity": "humidity + 1"})
     if kind == "errtransform":
         return TransformSpec(
-            assignments={"ratio": "temperature / (temperature - 20)"}
-        )
+            assignments={"ratio": "temperature / (temperature - 20)"})
     if kind == "errvirtual":
-        return VirtualPropertySpec(
-            f"e{index}", "humidity / (temperature - 20)"
-        )
+        return VirtualPropertySpec(f"e{index}",
+                                   "humidity / (temperature - 20)")
     return CullTimeSpec(rate=param % 4 + 1, start=0.0, end=1e9)
 
 
@@ -132,26 +124,11 @@ def reference(chain, temperatures, sampling):
 
 def _stack(obs=None):
     """One-node stack with the oracle's sensor advertised on the hub."""
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    executor = Executor(
-        netsim, network, scn=ScnController(topology),
-        warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs,
-    )
-    network.publish(SensorMetadata(
-        sensor_id="prop-sensor",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"temperature": "float", "humidity": "float"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id="hub",
-    ))
-    return topology, netsim, network, executor
+    netsim, network, executor = executor_stack(
+        None, sensor_metadata(
+            "prop-sensor", fields={"temperature": "float", "humidity": "float"}),
+        warehouse=EventWarehouse(), sticker=StickerFeed(), obs=obs)
+    return netsim.topology, netsim, network, executor
 
 
 def deployed(chain, temperatures, batch_size, sampling, fail_at):
@@ -166,22 +143,12 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
     topology, netsim, network, executor = _stack(obs)
     dead_letters: list = []
     network.on_dead_letter = lambda subscription, tuple_, reason: (
-        dead_letters.append((subscription.node_id, tuple_.seq, reason))
-    )
+        dead_letters.append((subscription.node_id, tuple_.seq, reason)))
 
-    flow = Dataflow("oracle")
-    upstream = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    names = []
-    for index, (kind, param) in enumerate(chain):
-        name = f"op{index}"
-        flow.add_operator(spec(kind, param, index), node_id=name)
-        flow.connect(upstream, name)
-        upstream = name
-        names.append(name)
-    flow.add_sink("collector", node_id="out")
-    flow.connect(upstream, "out")
+    names = [f"op{index}" for index in range(len(chain))]
+    flow = pipeline("oracle", *(
+        (name, spec(kind, param, index))
+        for index, (name, (kind, param)) in enumerate(zip(names, chain))))
     deployment = executor.deploy(flow)
     # The default plan hosts a chain of two or more in one process.
     assert {key: unit.services for key, unit in deployment.plan.units.items()
@@ -200,9 +167,8 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
         if batch_size == 1:
             network.publish_data("prop-sensor", readings[start])
         else:
-            network.publish_batch(
-                "prop-sensor", readings[start:start + batch_size]
-            )
+            network.publish_batch("prop-sensor",
+                                  readings[start:start + batch_size])
     netsim.clock.run_until(200.0)
 
     members, counters = {}, {}
@@ -214,8 +180,7 @@ def deployed(chain, temperatures, batch_size, sampling, fail_at):
             chain_members = deployment.processes[key].operator.members
             members[name] = next(m for m in chain_members if m.name == name)
         counter = None if obs is None else obs.metrics.get(
-            "process_tuples_total", process=f"oracle:{name}"
-        )
+            "process_tuples_total", process=f"oracle:{name}")
         counters[name] = None if counter is None else counter.value
     return {
         "sink": sink_view(deployment.collected("out")),
@@ -259,8 +224,7 @@ def assert_reports_the_reference(chain, temperatures, batch_size,
         cut = min(cut, -(-fail_at // batch_size) * batch_size)
     expected = reference(chain, temperatures[:cut], sampling)
     expected["dead_letters"] = [
-        ("hub", seq, DOWN) for seq in range(cut, len(temperatures))
-    ]
+        ("hub", seq, DOWN) for seq in range(cut, len(temperatures))]
     assert actual == expected
 
 
@@ -342,9 +306,8 @@ def deployed_on_samples(executor, flow, samples):
     clock.run_until(readings[0].stamp.time)
     deployment = executor.deploy(flow)
     for tuple_ in readings:
-        clock.schedule_at(
-            tuple_.stamp.time, network.publish_data, tuple_.source, tuple_
-        )
+        clock.schedule_at(tuple_.stamp.time, network.publish_data,
+                          tuple_.source, tuple_)
     clock.run_until(readings[-1].stamp.time + PAST_LAST)
     return deployment
 
@@ -355,9 +318,8 @@ def previewed_flow(chain, interval, threshold):
     adds a dormant source on the same sensor, woken by a trigger on the
     5 s mean temperature crossing it, into ``gated-out``."""
     flow = Dataflow("preview-oracle")
-    upstream = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
+    upstream = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
+                               node_id="src")
     stages = [spec(kind, param, index)
               for index, (kind, param) in enumerate(chain)]
     if interval is not None:
@@ -384,8 +346,7 @@ def previewed_flow(chain, interval, threshold):
     return flow
 
 
-def assert_preview_is_the_deployment(chain, temperatures, interval,
-                                     threshold):
+def assert_preview_is_the_deployment(chain, temperatures, interval, threshold):
     """Preview the canvas and deploy it untapped on a fresh stack; every
     sink shows the same rows.  Returns the preview."""
     readings = [reading(seq, t) for seq, t in enumerate(temperatures)]
@@ -393,14 +354,11 @@ def assert_preview_is_the_deployment(chain, temperatures, interval,
     if threshold is not None:
         samples["gated"] = readings
     topology, _, network, _ = _stack()
-    preview = replay_samples(
-        previewed_flow(chain, interval, threshold), samples,
-        network.registry, topology,
-    )
+    preview = replay_samples(previewed_flow(chain, interval, threshold),
+                             samples, network.registry, topology)
     *_, executor = _stack()
     deployment = deployed_on_samples(
-        executor, previewed_flow(chain, interval, threshold), samples
-    )
+        executor, previewed_flow(chain, interval, threshold), samples)
     # The deployment is the default plan: a run of two or more
     # non-blocking members is one process.
     assert any(unit.role == "chain"
@@ -409,8 +367,7 @@ def assert_preview_is_the_deployment(chain, temperatures, interval,
     )
     for sink in deployment.collectors:
         assert sink_view(preview.at(sink)) == sink_view(
-            deployment.collected(sink)
-        ), sink
+            deployment.collected(sink)), sink
     return preview
 
 
@@ -421,8 +378,7 @@ def assert_preview_is_the_deployment(chain, temperatures, interval,
 def test_the_preview_shows_what_the_deployment_collects(
     chain, temperatures, interval, threshold
 ):
-    assert_preview_is_the_deployment(chain, temperatures, interval,
-                                     threshold)
+    assert_preview_is_the_deployment(chain, temperatures, interval, threshold)
 
 
 def test_a_gated_source_previews_dormant_until_its_trigger_fires():
@@ -430,9 +386,8 @@ def test_a_gated_source_previews_dormant_until_its_trigger_fires():
     trigger tick after the mean crosses 25, and the preview shows only
     what reached it from then on."""
     temperatures = [10.0] * 12 + [30.0] * 12
-    preview = assert_preview_is_the_deployment(
-        [("filter", 0), ("virtual", 0)], temperatures, 4.0, 25
-    )
+    preview = assert_preview_is_the_deployment([("filter", 0), ("virtual", 0)],
+                                               temperatures, 4.0, 25)
     woke = preview.commands[0]
     assert woke.activate and woke.issued_at == 20.0
     assert [t.seq for t in preview.at("gated-out")] == list(range(21, 24))

@@ -34,12 +34,8 @@ from repro.stt.spatial import Box, Point, representative_point
 #: Location *objects*, shared between tuples the way a sensor's advertised
 #: position is (the kernels memoise on identity): two equal points that
 #: are different objects, a third point, and a box.
-LOCATIONS = (
-    Point(34.69, 135.50),
-    Point(34.70, 135.49),
-    Point(34.69, 135.50),
-    Box(south=34.5, west=135.2, north=34.9, east=135.8),
-)
+LOCATIONS = (Point(34.69, 135.50), Point(34.70, 135.49), Point(34.69, 135.50),
+             Box(south=34.5, west=135.2, north=34.9, east=135.8))
 #: Theme tuples, likewise shared; the last equals the first.
 THEMES = tuple(
     SttStamp(time=0.0, location=LOCATIONS[0], themes=paths).themes
@@ -89,8 +85,7 @@ PREDICATES = (
 #: nothing, itself included; a list has no hash == eq guarantee.  Repeats
 #: in a window of a dozen rows are certain, so buckets are k x m.
 keys = st.sampled_from(
-    [1, 1.0, True, 0, -0.0, False, None, "x", "1", 2, NAN, float("nan"), [1]]
-)
+    [1, 1.0, True, 0, -0.0, False, None, "x", "1", 2, NAN, float("nan"), [1]])
 numbers = st.sampled_from([0, 0.0, 1, 2.5, -3, 8, None, "7", True])
 
 rows = st.fixed_dictionaries({
@@ -177,19 +172,7 @@ def test_join_flush_equals_the_nested_loop(
         predicate, left, right, hostile, prefixes):
     left = _join_window(left, "l", hostile, prefixes)
     right = _join_window(right, "r", hostile, prefixes)
-    kernel = _join_operator(predicate, prefixes)
-    reference = _join_operator(predicate, prefixes)
-    kernel.on_batch(left, port=0)
-    kernel.on_batch(right, port=1)
-    out = kernel.on_timer(60.0)
-    expected = reference._nested_loop_flush(left, right, 60.0)
-
-    assert observed(out) == observed(expected)
-    assert kernel._pair_log == reference._pair_log
-    assert len(kernel._pair_log) == len(out)
-    for t in out:
-        key = tuple_key(t)
-        assert kernel.lineage.inputs(key) == reference.lineage.inputs(key)
+    _, kernel, reference = check_join_flush(predicate, left, right, prefixes)
 
     hashable = bool(kernel.equi_keys) and all(
         name in t and isinstance(t[name], JoinOperator._HASHABLE_KEY_TYPES)
@@ -205,6 +188,25 @@ def test_join_flush_equals_the_nested_loop(
         # Nothing before the keys can fail, and a pruned pair stops at the
         # first ``False``: the nested loop counts the same errors.
         assert kernel.stats.errors == reference.stats.errors
+
+
+def check_join_flush(predicate, left, right, prefixes=PREFIXES[0]):
+    """Flush ``left`` x ``right`` through the kernel and through the
+    nested loop: same tuples, pair log and lineage.  Returns the output
+    and both operators (their error counts are the caller's to compare)."""
+    kernel = _join_operator(predicate, prefixes)
+    reference = _join_operator(predicate, prefixes)
+    kernel.on_batch(left, port=0)
+    kernel.on_batch(right, port=1)
+    out = kernel.on_timer(60.0)
+    expected = reference._nested_loop_flush(left, right, 60.0)
+    assert observed(out) == observed(expected)
+    assert kernel._pair_log == reference._pair_log
+    assert len(kernel._pair_log) == len(out)
+    for t in out:
+        key = tuple_key(t)
+        assert kernel.lineage.inputs(key) == reference.lineage.inputs(key)
+    return out, kernel, reference
 
 
 def test_nan_keys_pair_with_nothing_not_even_themselves():
@@ -293,8 +295,8 @@ def _reading(value, flush=False, restore=False) -> dict:
             "restore": restore}
 
 
-def _config(function, window=None, max_cache=100_000) -> dict:
-    return {"function": function, "group_by": None, "window": window,
+def _config(function, window=None, max_cache=100_000, group_by=None) -> dict:
+    return {"function": function, "group_by": group_by, "window": window,
             "max_cache": max_cache}
 
 
@@ -323,6 +325,13 @@ _GAP = [_reading(None)] * 11
                 _reading(NAN), *_GAP, _reading(4.0, restore=True)],
          config=_config("AVG", window=12.0))
 def test_aggregate_flush_equals_the_rescan_of_its_members(drawn, config):
+    check_aggregate_flush(drawn, config)
+
+
+def check_aggregate_flush(drawn, config) -> None:
+    """Feed ``drawn`` readings; at every ``flush`` row (and after the
+    last), the kernel's flush equals ``_aggregate_group`` over each
+    group's members, lineage and partial-log entries included."""
     kernel, reference = _aggregate_operator(config), _aggregate_operator(config)
     kernel.lineage = LineageStore()
     kernel._partial_log = {}

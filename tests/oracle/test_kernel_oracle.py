@@ -41,8 +41,7 @@ def _operator_classes(root=Operator):
 
 def test_a_column_kernel_excludes_a_private_row_loop():
     accelerated = {
-        cls for cls in _operator_classes() if hasattr(cls, "columnar_step")
-    }
+        cls for cls in _operator_classes() if hasattr(cls, "columnar_step")}
     assert {cls.__name__ for cls in accelerated} >= {
         "FilterOperator", "ValidateOperator", "TransformOperator",
         "VirtualPropertyOperator", "CullTimeOperator", "CullSpaceOperator",
@@ -112,14 +111,15 @@ def _row(seq: int, temperature, **extra) -> SensorTuple:
     )
 
 
-def _observe(chain, rows, run: "int | None"):
-    """Feed ``rows`` through a fresh chain, ``run`` at a time.
+def _observe(members, rows, run: "int | None"):
+    """Feed ``rows`` through a fresh chain of ``members()``, ``run`` at
+    a time.
 
     ``None`` is the reference: one ``on_tuple`` per row.  Returns what the
     chain emitted, in order and with payload item order, the wrapper's
     and every member's stats, and the cull counters.
     """
-    fused = FusedOperator([BUILDERS[kind](p) for kind, p in chain])
+    fused = FusedOperator(members())
     assert fused._columnar_capable
     out: list = []
     if run is None:
@@ -132,8 +132,7 @@ def _observe(chain, rows, run: "int | None"):
             if len(batch) >= MIN_COLUMNAR_ROWS and emitted:
                 # The shape decides the kernel, nothing else does.
                 assert isinstance(emitted, LazyRows) == (
-                    batch.columnar() is not None
-                )
+                    batch.columnar() is not None)
             out.extend(emitted)
     return (
         [(t.seq, list(t.payload.items())) for t in out],
@@ -150,7 +149,9 @@ def _observe(chain, rows, run: "int | None"):
 @settings(max_examples=25, deadline=None)
 def test_every_shape_of_the_same_rows_agrees(head, head_param, tail,
                                              stream, splice):
-    chain = [(head, head_param)] + tail
+    def chain():
+        return [BUILDERS[kind](p) for kind, p in [(head, head_param)] + tail]
+
     uniform = [_row(seq, t) for seq, t in enumerate(stream)]
     reference = _observe(chain, uniform, None)
     # One uniform batch: the column kernels (from four rows up).
@@ -164,6 +165,5 @@ def test_every_shape_of_the_same_rows_agrees(head, head_param, tail,
     at = splice % (len(uniform) + 1)
     spliced = uniform[:at] + [_row(99, 21.0, v0=1.0)] + uniform[at:]
     assert TupleBatch.of(spliced).columnar() is None
-    assert _observe(chain, spliced, len(spliced)) == _observe(
-        chain, spliced, None
-    )
+    assert _observe(
+        chain, spliced, len(spliced)) == _observe(chain, spliced, None)

@@ -59,12 +59,8 @@ def canon(value):
 
 def tuple_key(tuple_):
     """Order-free identity of a sensor tuple (payload + stamp + origin)."""
-    return (
-        tuple_.source,
-        tuple_.seq,
-        round(tuple_.stamp.time, 9),
-        canon(tuple_.payload),
-    )
+    return (tuple_.source, tuple_.seq, round(tuple_.stamp.time, 9),
+            canon(tuple_.payload))
 
 
 def sink_multiset(tuples) -> Counter:
@@ -75,13 +71,9 @@ def sink_multiset(tuples) -> Counter:
 def warehouse_multiset(warehouse) -> Counter:
     """Multiset of warehoused facts, minus load-order surrogate keys."""
     return Counter(
-        (
-            round(fact.event_time, 9),
-            canon(fact.measures),
-            canon(fact.attributes),
-        )
-        for fact in warehouse.facts
-    )
+        (round(fact.event_time, 9), canon(fact.measures),
+         canon(fact.attributes))
+        for fact in warehouse.facts)
 
 
 def sticker_snapshot(sticker):
@@ -94,22 +86,16 @@ def sticker_snapshot(sticker):
     bins = {}
     for key, point in sticker._bins.items():
         bins[(point.bucket_start, point.row, point.col, point.theme)] = (
-            point.count,
-            canon(point.numeric_sums),
-            canon(point.numeric_counts),
-        )
+            point.count, canon(point.numeric_sums),
+            canon(point.numeric_counts))
     return sticker.pushed, bins
 
 
 def service_totals(deployment) -> dict:
     """Per-service tuples_in/tuples_out totals."""
-    return {
-        name: (
-            process.operator.stats.tuples_in,
-            process.operator.stats.tuples_out,
-        )
-        for name, process in deployment.processes.items()
-    }
+    return {name: (process.operator.stats.tuples_in,
+                   process.operator.stats.tuples_out)
+            for name, process in deployment.processes.items()}
 
 
 def audit_multiset(deployment) -> Counter:
@@ -118,24 +104,13 @@ def audit_multiset(deployment) -> Counter:
     for binding in deployment.bindings.values():
         for subscription in binding.subscriptions:
             for letter in subscription.dead_letters:
-                records[
-                    (
-                        letter.tuple.source,
-                        letter.reason,
-                        round(letter.failed_at, 9),
-                    )
-                ] += 1
+                records[(letter.tuple.source, letter.reason,
+                         round(letter.failed_at, 9))] += 1
     return records
 
 
-def run_config(
-    backend_name: str,
-    flow_name: str,
-    batch: int,
-    shards: int,
-    seed: int = 7,
-    hours: "float | None" = None,
-):
+def run_config(backend_name: str, flow_name: str, batch: int, shards: int,
+               seed: int = 7, hours: "float | None" = None):
     """Run one scenario configuration on one backend; return a snapshot.
 
     The async backend runs under :data:`MAX_WALL_SECONDS` so a wedged
@@ -147,20 +122,13 @@ def run_config(
         backend = AsyncBackend(topology=topology, max_wall=MAX_WALL_SECONDS)
     else:
         backend = SimBackend(topology=topology)
-    stack = build_stack(
-        hot=True,
-        seed=seed,
-        batching=batch if batch > 1 else None,
-        backend=backend,
-    )
+    stack = build_stack(hot=True, seed=seed, backend=backend,
+                        batching=batch if batch > 1 else None)
     with stack:
-        if flow_name == "osaka":
-            flow = osaka_scenario_flow(stack)
-        else:
-            flow = sharded_aggregation_flow(stack)
+        flow = (osaka_scenario_flow if flow_name == "osaka"
+                else sharded_aggregation_flow)(stack)
         deployment = stack.executor.deploy(
-            flow, shards=shards if shards > 1 else None
-        )
+            flow, shards=shards if shards > 1 else None)
         horizon = HORIZONS[flow_name] if hours is None else hours * 3600.0
         stack.run_until(horizon)
         snapshot = {

@@ -105,11 +105,8 @@ def _accumulators(op: AggregationOperator) -> dict:
 
 
 def _observable(op: AggregationOperator, emitted) -> tuple:
-    return (
-        [(t.payload, t.stamp, t.source, t.seq) for t in emitted],
-        op.checkpoint(),
-        _accumulators(op),
-    )
+    return ([(t.payload, t.stamp, t.source, t.seq) for t in emitted],
+            op.checkpoint(), _accumulators(op))
 
 
 @settings(max_examples=120, deadline=None)

@@ -30,6 +30,7 @@ from repro.scenario import build_stack
 from repro.streams.shard import ShardMergeOperator
 from repro.streams.tuple import TupleBatch
 
+from tests.builders import pipeline
 from tests.parity._compare import (
     MAX_WALL_SECONDS,
     audit_multiset,
@@ -72,25 +73,13 @@ def _aggregation_flow(function: str) -> Dataflow:
 def _chain_flow(function: str) -> Dataflow:
     """temperature -> grouped aggregate -> grouped COUNT -> sink; sharding
     the COUNT makes the first aggregate's route a shard group."""
-    flow = Dataflow("burst-chain")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src")
-    first = flow.add_operator(
-        AggregationSpec(interval=INTERVAL, attributes=("value",),
-                        function=function, group_by="station"),
-        node_id="agg",
-    )
-    second = flow.add_operator(
-        AggregationSpec(interval=INTERVAL,
-                        attributes=(f"{function.lower()}_value",),
-                        function="COUNT", group_by="station"),
-        node_id="recount",
-    )
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(source, first)
-    flow.connect(first, second)
-    flow.connect(second, sink)
-    return flow
+    return pipeline(
+        "burst-chain",
+        ("agg", AggregationSpec(interval=INTERVAL, attributes=("value",),
+                                function=function, group_by="station")),
+        ("recount", AggregationSpec(
+            interval=INTERVAL, attributes=(f"{function.lower()}_value",),
+            function="COUNT", group_by="station")))
 
 
 def _join_flow() -> Dataflow:
@@ -270,10 +259,8 @@ class TestAggregationBursts:
     def test_flush_is_one_message_per_route(self, stream, function,
                                             shard_count, backend_name):
         shards = {"agg": shard_count} if shard_count > 1 else None
-        records = _check(
-            backend_name, lambda: _aggregation_flow(function), shards,
-            {"prop-temp": ("temperature", stream)},
-        )
+        records = _check(backend_name, lambda: _aggregation_flow(function),
+                         shards, {"prop-temp": ("temperature", stream)})
         if shard_count > 1:
             # A shard flushes one envelope — a lone partial — and the
             # merge's release on the last of them is one message a route.

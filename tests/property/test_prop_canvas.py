@@ -20,8 +20,13 @@ from repro.dataflow.ops import (
     VirtualPropertySpec,
 )
 from repro.dataflow.validate import validate_dataflow
+from repro.designer.preview import replay_samples
+from repro.network.topology import Topology
+from repro.pubsub.registry import SensorMetadata, SensorRegistry
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.schema.schema import StreamSchema
+from repro.stt.spatial import Point
+from tests.builders import reading
 
 
 def base_schema() -> StreamSchema:
@@ -81,22 +86,27 @@ def _numeric_attr(schema: StreamSchema) -> str:
     raise AssertionError("chain construction kept a numeric attribute")
 
 
+def canvas(steps):
+    """The chain on a canvas, and the schema its sink should carry."""
+    flow = Dataflow("generated")
+    schema = base_schema()
+    previous = flow.add_source(SubscriptionFilter(), schema=schema,
+                               node_id="src")
+    for index, step in enumerate(steps):
+        spec = step(schema)
+        node = flow.add_operator(spec, node_id=f"op-{index}")
+        flow.connect(previous, node)
+        schema = spec.infer_schema([schema])
+        previous = node
+    flow.connect(previous, flow.add_sink(node_id="out"))
+    return flow, schema
+
+
 class TestCanvasTotality:
     @given(operator_chain())
     @settings(max_examples=100, deadline=None)
     def test_sound_chains_always_validate(self, steps):
-        flow = Dataflow("generated")
-        schema = base_schema()
-        previous = flow.add_source(SubscriptionFilter(), schema=schema,
-                                   node_id="src")
-        for index, step in enumerate(steps):
-            spec = step(schema)
-            node = flow.add_operator(spec, node_id=f"op-{index}")
-            flow.connect(previous, node)
-            schema = spec.infer_schema([schema])
-            previous = node
-        sink = flow.add_sink(node_id="out")
-        flow.connect(previous, sink)
+        flow, schema = canvas(steps)
 
         report = validate_dataflow(flow)
         assert report.is_valid, [str(issue) for issue in report.errors]
@@ -110,13 +120,6 @@ class TestCanvasTotality:
     @settings(max_examples=50, deadline=None)
     def test_sample_run_total_on_valid_chains(self, steps):
         """Every valid canvas also previews on samples without raising."""
-        from repro.designer.preview import replay_samples
-        from repro.network.topology import Topology
-        from repro.pubsub.registry import SensorMetadata, SensorRegistry
-        from repro.streams.tuple import SensorTuple
-        from repro.stt.event import SttStamp
-        from repro.stt.spatial import Point
-
         topology = Topology()
         topology.add_node("hub")
         registry = SensorRegistry()
@@ -125,27 +128,11 @@ class TestCanvasTotality:
             schema=base_schema(), frequency=1.0,
             location=Point(34.69, 135.50), node_id="hub",
         ))
-        flow = Dataflow("generated")
-        schema = base_schema()
-        previous = flow.add_source(SubscriptionFilter(), schema=schema,
-                                   node_id="src")
-        for index, step in enumerate(steps):
-            spec = step(schema)
-            node = flow.add_operator(spec, node_id=f"op-{index}")
-            flow.connect(previous, node)
-            schema = spec.infer_schema([schema])
-            previous = node
-        sink = flow.add_sink(node_id="out")
-        flow.connect(previous, sink)
+        flow, schema = canvas(steps)
 
         samples = {"src": [
-            SensorTuple(
-                payload={"temperature": 20.0 + i, "humidity": 0.5,
-                         "station": "s"},
-                stamp=SttStamp(time=float(i), location=Point(34.69, 135.50)),
-                source="prop-sensor",
-                seq=i,
-            )
+            reading("prop-sensor", i, float(i), temperature=20.0 + i,
+                    humidity=0.5, station="s")
             for i in range(6)
         ]}
         result = replay_samples(flow, samples, registry, topology)

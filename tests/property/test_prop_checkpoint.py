@@ -16,24 +16,10 @@ from hypothesis import strategies as st
 from repro.streams.aggregate import AggregationOperator
 from repro.streams.join import JoinOperator
 from repro.streams.trigger import TriggerOnOperator
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from tests.builders import tuples_from
 
 temps = st.floats(min_value=-40.0, max_value=50.0, allow_nan=False)
 batches = st.lists(temps, min_size=0, max_size=30)
-
-
-def tuples_from(values, start_seq=0):
-    return [
-        SensorTuple(
-            payload={"temperature": value, "station": f"s{i % 3}"},
-            stamp=SttStamp(time=float(i), location=Point(34.69, 135.50)),
-            source="gen",
-            seq=i,
-        )
-        for i, value in enumerate(values, start=start_seq)
-    ]
 
 
 def make_aggregate():
@@ -41,21 +27,21 @@ def make_aggregate():
                                function="SUM")
 
 
+def fed(op, values, start_seq=0, port=0):
+    for tup in tuples_from(values, start_seq):
+        op.on_tuple(tup, port=port)
+    return op
+
+
 class TestAggregateCheckpoint:
     @given(batches, batches)
     @settings(max_examples=60)
     def test_restore_round_trips(self, before, after):
-        op = make_aggregate()
-        for tup in tuples_from(before):
-            op.on_tuple(tup)
+        op = fed(make_aggregate(), before)
         state = op.checkpoint()
-        for tup in tuples_from(after, start_seq=len(before)):
-            op.on_tuple(tup)  # post-snapshot damage
+        fed(op, after, len(before))  # post-snapshot damage
         op.restore(state)
-
-        reference = make_aggregate()
-        for tup in tuples_from(before):
-            reference.on_tuple(tup)
+        reference = fed(make_aggregate(), before)
 
         restored_out = op.on_timer(1000.0)
         reference_out = reference.on_timer(1000.0)
@@ -67,30 +53,23 @@ class TestAggregateCheckpoint:
     @given(batches, batches.filter(lambda v: len(v) > 0))
     @settings(max_examples=60)
     def test_post_snapshot_tuples_are_lost(self, before, after):
-        op = make_aggregate()
-        for tup in tuples_from(before):
-            op.on_tuple(tup)
+        op = fed(make_aggregate(), before)
         state = op.checkpoint()
-        for tup in tuples_from(after, start_seq=len(before)):
-            op.on_tuple(tup)
+        fed(op, after, len(before))
         op.restore(state)
         assert len(op.cache) == len(before)
 
     @given(batches)
     @settings(max_examples=60)
     def test_checkpoint_is_non_destructive(self, values):
-        op = make_aggregate()
-        for tup in tuples_from(values):
-            op.on_tuple(tup)
+        op = fed(make_aggregate(), values)
         op.checkpoint()
         assert len(op.cache) == len(values)  # snapshotting reads, never drains
 
     @given(batches)
     @settings(max_examples=60)
     def test_restore_is_idempotent(self, values):
-        op = make_aggregate()
-        for tup in tuples_from(values):
-            op.on_tuple(tup)
+        op = fed(make_aggregate(), values)
         state = op.checkpoint()
         op.restore(state)
         op.restore(state)
@@ -102,19 +81,14 @@ class TestJoinCheckpoint:
     @settings(max_examples=30)
     def test_restore_round_trips_both_sides(self, left, right, noise):
         def feed(op, left_vals, right_vals):
-            for tup in tuples_from(left_vals):
-                op.on_tuple(tup, port=0)
-            for tup in tuples_from(right_vals):
-                op.on_tuple(tup, port=1)
+            return fed(fed(op, left_vals), right_vals, port=1)
 
-        op = JoinOperator(interval=1000.0, predicate="true")
-        feed(op, left, right)
+        op = feed(JoinOperator(interval=1000.0, predicate="true"), left, right)
         state = op.checkpoint()
         feed(op, noise, noise)
         op.restore(state)
-
-        reference = JoinOperator(interval=1000.0, predicate="true")
-        feed(reference, left, right)
+        reference = feed(JoinOperator(interval=1000.0, predicate="true"),
+                         left, right)
         assert len(op.on_timer(1000.0)) == len(reference.on_timer(1000.0))
 
 
@@ -127,18 +101,12 @@ class TestTriggerCheckpoint:
                                      condition="avg_temperature > 10",
                                      targets=["t-1"])
 
-        op = make()
-        for tup in tuples_from(before):
-            op.on_tuple(tup)
+        op = fed(make(), before)
         state = op.checkpoint()
-        for tup in tuples_from(after, start_seq=len(before)):
-            op.on_tuple(tup)
-
+        fed(op, after, len(before))
         restored = make()
         restored.restore(state)
-        reference = make()
-        for tup in tuples_from(before):
-            reference.on_tuple(tup)
+        reference = fed(make(), before)
 
         commands_restored, commands_reference = [], []
         restored.control = commands_restored.append
@@ -146,5 +114,4 @@ class TestTriggerCheckpoint:
         restored.on_timer(1000.0)
         reference.on_timer(1000.0)
         assert [c.activate for c in commands_restored] == [
-            c.activate for c in commands_reference
-        ]
+            c.activate for c in commands_reference]

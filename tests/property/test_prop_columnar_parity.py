@@ -38,15 +38,13 @@ class TestColumnarParity:
     @settings(max_examples=30, deadline=None)
     def test_columnar_pipeline_is_equivalent(self, chain, temperatures,
                                              batch_size, sampling):
-        assert_reports_the_reference(chain, temperatures, batch_size,
-                                     sampling)
+        assert_reports_the_reference(chain, temperatures, batch_size, sampling)
 
 
 class TestColumnarDeadLetterParity:
     @given(columnar_chains, temperature_streams, batch_sizes)
     @settings(max_examples=15, deadline=None)
-    def test_dead_letter_records_match(self, chain, temperatures,
-                                       batch_size):
+    def test_dead_letter_records_match(self, chain, temperatures, batch_size):
         """Failing the hosting node mid-stream audits per reading."""
         assert_reports_the_reference(chain, temperatures, batch_size,
                                      fail=True)

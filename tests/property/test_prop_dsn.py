@@ -31,9 +31,8 @@ json_values = st.recursive(
     max_leaves=6,
 )
 
-params = st.dictionaries(
-    st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True), json_values, max_size=4
-)
+params = st.dictionaries(st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True),
+                         json_values, max_size=4)
 
 qos_policies = st.one_of(
     st.none(),
@@ -81,12 +80,8 @@ def programs(draw):
         ),
         max_size=3,
     ))
-    return DsnProgram(
-        name=draw(names),
-        services=service_list,
-        channels=channels,
-        controls=controls,
-    )
+    return DsnProgram(name=draw(names), services=service_list,
+                      channels=channels, controls=controls)
 
 
 class TestDsnRoundTrip:

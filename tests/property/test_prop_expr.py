@@ -14,8 +14,7 @@ from repro.expr.compile import CompiledExpression, compile_expression
 from repro.expr.parser import parse
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
-    lambda s: s not in ("and", "or", "not", "true", "false", "null", "in")
-)
+    lambda s: s not in ("and", "or", "not", "true", "false", "null", "in"))
 
 literals = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6).map(Literal),
@@ -95,8 +94,7 @@ class TestRoundTrip:
 
         def evaluate(root):
             return CompiledExpression(
-                source=root.unparse(), root=root
-            ).evaluate(values, **qualified)
+                source=root.unparse(), root=root).evaluate(values, **qualified)
 
         try:
             expected = evaluate(tree)

@@ -26,15 +26,13 @@ class TestFusionParity:
     @settings(max_examples=40, deadline=None)
     def test_fused_pipeline_is_equivalent(self, chain, temperatures,
                                           batch_size, sampling):
-        assert_reports_the_reference(chain, temperatures, batch_size,
-                                     sampling)
+        assert_reports_the_reference(chain, temperatures, batch_size, sampling)
 
 
 class TestFusionDeadLetterParity:
     @given(fusible_chains, clean_streams, batch_sizes)
     @settings(max_examples=20, deadline=None)
-    def test_dead_letter_records_match(self, chain, temperatures,
-                                       batch_size):
+    def test_dead_letter_records_match(self, chain, temperatures, batch_size):
         """Failing the hosting node mid-stream audits per reading."""
         assert_reports_the_reference(chain, temperatures, batch_size, 0.0,
                                      fail=True)

@@ -9,36 +9,37 @@ from repro.streams.cull import CullTimeOperator
 from repro.streams.filter import FilterOperator
 from repro.streams.join import JoinOperator
 from repro.streams.transform import TransformOperator
-from repro.streams.tuple import SensorTuple
 from repro.streams.virtual import VirtualPropertyOperator
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from tests.builders import tuples_from
 
 temps = st.floats(min_value=-40.0, max_value=50.0, allow_nan=False)
 batches = st.lists(temps, min_size=0, max_size=40)
 
 
-def tuples_from(values, start_time=0.0):
-    return [
-        SensorTuple(
-            payload={"temperature": value, "station": f"s{i % 3}"},
-            stamp=SttStamp(time=start_time + i, location=Point(34.69, 135.50)),
-            source="gen",
-            seq=i,
-        )
-        for i, value in enumerate(values)
-    ]
+def through(op, stream):
+    return [t for tup in stream for t in op.on_tuple(tup)]
+
+
+def flushed(stream, function, **params):
+    """What one window of an aggregation over ``stream`` emits."""
+    op = AggregationOperator(interval=1000.0, attributes=["temperature"],
+                             function=function, **params)
+    for tup in stream:
+        op.on_tuple(tup)
+    return op.on_timer(1000.0)
+
+
+def aggregate(stream, function):
+    return flushed(stream, function)[0][f"{function.lower()}_temperature"]
 
 
 class TestFilterProperties:
     @given(batches)
     def test_partition(self, values):
         """Filter(c) + Filter(not c) exactly partitions the stream."""
-        keep = FilterOperator("temperature > 20")
-        drop = FilterOperator("not (temperature > 20)")
         stream = tuples_from(values)
-        kept = [t for tup in stream for t in keep.on_tuple(tup)]
-        dropped = [t for tup in stream for t in drop.on_tuple(tup)]
+        kept = through(FilterOperator("temperature > 20"), stream)
+        dropped = through(FilterOperator("not (temperature > 20)"), stream)
         assert len(kept) + len(dropped) == len(stream)
         assert all(t["temperature"] > 20 for t in kept)
         assert all(t["temperature"] <= 20 for t in dropped)
@@ -46,47 +47,28 @@ class TestFilterProperties:
     @given(batches)
     def test_idempotent(self, values):
         """Filtering an already-filtered stream changes nothing."""
-        first = FilterOperator("temperature > 20")
-        second = FilterOperator("temperature > 20")
-        once = [t for tup in tuples_from(values) for t in first.on_tuple(tup)]
-        twice = [t for tup in once for t in second.on_tuple(tup)]
-        assert twice == once
+        once = through(FilterOperator("temperature > 20"), tuples_from(values))
+        assert through(FilterOperator("temperature > 20"), once) == once
 
     @given(batches)
     def test_stronger_condition_subset(self, values):
-        weak = FilterOperator("temperature > 10")
-        strong = FilterOperator("temperature > 30")
         stream = tuples_from(values)
-        weak_out = {t.seq for tup in stream for t in weak.on_tuple(tup)}
-        strong_out = {t.seq for tup in stream for t in strong.on_tuple(tup)}
-        assert strong_out <= weak_out
+        weak = {t.seq for t in through(FilterOperator("temperature > 10"), stream)}
+        strong = {t.seq for t in through(FilterOperator("temperature > 30"), stream)}
+        assert strong <= weak
 
 
 class TestAggregationProperties:
     @given(batches.filter(lambda v: len(v) > 0))
     def test_matches_numpy(self, values):
         array = np.asarray(values, dtype=float)
-        expectations = {
-            "AVG": array.mean(),
-            "SUM": array.sum(),
-            "MIN": array.min(),
-            "MAX": array.max(),
-        }
-        for fn, expected in expectations.items():
-            op = AggregationOperator(interval=1000.0,
-                                     attributes=["temperature"], function=fn)
-            for tup in tuples_from(values):
-                op.on_tuple(tup)
-            out = op.on_timer(1000.0)
-            assert np.isclose(out[0][f"{fn.lower()}_temperature"], expected)
+        for fn, expected in {"AVG": array.mean(), "SUM": array.sum(),
+                             "MIN": array.min(), "MAX": array.max()}.items():
+            assert np.isclose(aggregate(tuples_from(values), fn), expected)
 
     @given(batches)
     def test_count_equals_length(self, values):
-        op = AggregationOperator(interval=1000.0, attributes=["temperature"],
-                                 function="COUNT")
-        for tup in tuples_from(values):
-            op.on_tuple(tup)
-        out = op.on_timer(1000.0)
+        out = flushed(tuples_from(values), "COUNT")
         if not values:
             assert out == []
         else:
@@ -98,90 +80,63 @@ class TestAggregationProperties:
     def test_window_permutation_invariant(self, values, rng):
         """A window flush is a function of the window's *set* of tuples:
         arrival order never changes the aggregate."""
-
-        def flush(stream, function):
-            op = AggregationOperator(interval=1000.0,
-                                     attributes=["temperature"],
-                                     function=function)
-            for tup in stream:
-                op.on_tuple(tup)
-            return op.on_timer(1000.0)[0][f"{function.lower()}_temperature"]
-
         ordered = tuples_from(values)
         shuffled = list(ordered)
         rng.shuffle(shuffled)
         for function in ("COUNT", "MIN", "MAX"):
-            assert flush(ordered, function) == flush(shuffled, function)
+            assert aggregate(ordered, function) == aggregate(shuffled, function)
         for function in ("SUM", "AVG"):  # float addition: order-tolerant
-            assert np.isclose(flush(ordered, function),
-                              flush(shuffled, function))
+            assert np.isclose(aggregate(ordered, function),
+                              aggregate(shuffled, function))
 
     @given(batches.filter(lambda v: len(v) > 0),
            st.randoms(use_true_random=False))
     @settings(max_examples=30)
     def test_grouped_window_permutation_invariant(self, values, rng):
-        def flush(stream):
-            op = AggregationOperator(interval=1000.0,
-                                     attributes=["temperature"],
-                                     function="COUNT", group_by="station")
-            for tup in stream:
-                op.on_tuple(tup)
-            return sorted(
-                (t["station"], t["count_temperature"])
-                for t in op.on_timer(1000.0)
-            )
+        def counts(stream):
+            return sorted((t["station"], t["count_temperature"])
+                          for t in flushed(stream, "COUNT", group_by="station"))
 
         ordered = tuples_from(values)
         shuffled = list(ordered)
         rng.shuffle(shuffled)
-        assert flush(ordered) == flush(shuffled)
+        assert counts(ordered) == counts(shuffled)
 
     @given(batches.filter(lambda v: len(v) >= 2))
     def test_min_le_avg_le_max(self, values):
-        results = {}
-        for fn in ("MIN", "AVG", "MAX"):
-            op = AggregationOperator(interval=1000.0,
-                                     attributes=["temperature"], function=fn)
-            for tup in tuples_from(values):
-                op.on_tuple(tup)
-            results[fn] = op.on_timer(1000.0)[0][f"{fn.lower()}_temperature"]
-        assert results["MIN"] <= results["AVG"] + 1e-9
-        assert results["AVG"] <= results["MAX"] + 1e-9
+        low, mean, high = (aggregate(tuples_from(values), fn)
+                           for fn in ("MIN", "AVG", "MAX"))
+        assert low <= mean + 1e-9
+        assert mean <= high + 1e-9
 
 
 class TestCullProperties:
     @given(batches, st.integers(min_value=1, max_value=10))
     def test_keeps_exactly_one_in_r_inside(self, values, rate):
         op = CullTimeOperator(rate=rate, start=0.0, end=1e9)
-        kept = sum(len(op.on_tuple(tup)) for tup in tuples_from(values))
-        assert kept == len(values) // rate
+        assert len(through(op, tuples_from(values))) == len(values) // rate
 
     @given(batches, st.integers(min_value=1, max_value=10))
     def test_outside_region_untouched(self, values, rate):
         op = CullTimeOperator(rate=rate, start=1e8, end=2e8)
-        kept = sum(len(op.on_tuple(tup)) for tup in tuples_from(values))
-        assert kept == len(values)
+        assert len(through(op, tuples_from(values))) == len(values)
 
 
 class TestTransformProperties:
     @given(batches)
     def test_unit_conversion_round_trip(self, values):
         to_f = TransformOperator(
-            {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"}
-        )
+            {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"})
         to_c = TransformOperator(
-            {"temperature": "convert(temperature, 'fahrenheit', 'celsius')"}
-        )
+            {"temperature": "convert(temperature, 'fahrenheit', 'celsius')"})
         for tup in tuples_from(values):
-            there = to_f.on_tuple(tup)[0]
-            back = to_c.on_tuple(there)[0]
+            back = to_c.on_tuple(to_f.on_tuple(tup)[0])[0]
             assert np.isclose(back["temperature"], tup["temperature"])
 
     @given(batches)
     def test_preserves_cardinality(self, values):
         op = TransformOperator({"temperature": "temperature + 1"})
-        outs = [op.on_tuple(tup) for tup in tuples_from(values)]
-        assert all(len(out) == 1 for out in outs)
+        assert all(len(op.on_tuple(tup)) == 1 for tup in tuples_from(values))
 
 
 class TestVirtualPropertyProperties:
@@ -195,45 +150,41 @@ class TestVirtualPropertyProperties:
                 assert out[key] == tup[key]
 
 
+def joined(predicate, events):
+    op = JoinOperator(interval=1000.0, predicate=predicate)
+    for port, tup in events:
+        op.on_tuple(tup, port=port)
+    return op.on_timer(1000.0)
+
+
+def sides(left, right):
+    return ([(0, tup) for tup in tuples_from(left)]
+            + [(1, tup) for tup in tuples_from(right)])
+
+
 class TestJoinProperties:
     @given(batches, batches)
     @settings(max_examples=30)
     def test_join_size_bounded_by_product(self, left, right):
-        op = JoinOperator(interval=1000.0, predicate="left.seqmod == right.seqmod")
-        for tup in tuples_from(left):
-            op.on_tuple(tup.with_updates(seqmod=tup.seq % 2), port=0)
-        for tup in tuples_from(right):
-            op.on_tuple(tup.with_updates(seqmod=tup.seq % 2), port=1)
-        out = op.on_timer(1000.0)
+        events = [(port, tup.with_updates(seqmod=tup.seq % 2))
+                  for port, tup in sides(left, right)]
+        out = joined("left.seqmod == right.seqmod", events)
         assert len(out) <= len(left) * len(right)
 
     @given(batches, batches)
     @settings(max_examples=30)
     def test_true_predicate_is_cross_product(self, left, right):
-        op = JoinOperator(interval=1000.0, predicate="true")
-        for tup in tuples_from(left):
-            op.on_tuple(tup, port=0)
-        for tup in tuples_from(right):
-            op.on_tuple(tup, port=1)
-        assert len(op.on_timer(1000.0)) == len(left) * len(right)
+        assert len(joined("true", sides(left, right))) == len(left) * len(right)
 
     @given(batches, batches, st.randoms(use_true_random=False))
     @settings(max_examples=30)
     def test_join_commutes_with_interleaving(self, left, right, rng):
         """The flush output is independent of arrival interleaving."""
-
         def run(events):
-            op = JoinOperator(interval=1000.0,
-                              predicate="left.station == right.station")
-            for port, tup in events:
-                op.on_tuple(tup, port=port)
-            return sorted(
-                tuple(sorted(t.values().items())) for t in op.on_timer(1000.0)
-            )
+            return sorted(tuple(sorted(t.values().items()))
+                          for t in joined("left.station == right.station", events))
 
-        ordered = [(0, tup) for tup in tuples_from(left)] + [
-            (1, tup) for tup in tuples_from(right)
-        ]
+        ordered = sides(left, right)
         shuffled = list(ordered)
         rng.shuffle(shuffled)
         assert run(ordered) == run(shuffled)

@@ -22,21 +22,10 @@ disabled (infinite imbalance ratio) so only the forced actions fire.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec
-from repro.dsn.scn import ScnController
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.runtime.rebalance import RebalanceConfig
-from repro.schema.schema import StreamSchema
+from repro.runtime.rebalance import RebalanceConfig, RebalanceDecision
 from repro.streams.shard import ShardedOperatorAdapter
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from tests.builders import executor_stack, pipeline, reading, sensor_metadata
 
 SHARD_COUNTS = (2, 4, 8)
 INTERVAL = 7.0
@@ -46,27 +35,9 @@ END = 60.0
 FORCED_ONLY = RebalanceConfig(imbalance_ratio=float("inf"))
 
 
-def _metadata() -> SensorMetadata:
-    return SensorMetadata(
-        sensor_id="prop-temp",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"value": "float", "station": "str"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id="hub",
-    )
-
-
-def _reading(seq: int, value: float, station: str) -> SensorTuple:
-    return SensorTuple(
-        payload={"value": value, "station": station},
-        stamp=SttStamp(time=float(seq) * 0.25, location=Point(34.69, 135.50)),
-        source="prop-temp",
-        seq=seq,
-    )
+def _reading(seq: int, value: float, station: str):
+    return reading("prop-temp", seq, float(seq) * 0.25, value=value,
+                   station=station)
 
 
 def _stations(stream, skewed: bool) -> list:
@@ -104,33 +75,25 @@ migrations = st.lists(
 functions = st.sampled_from(["AVG", "SUM", "MIN", "MAX", "COUNT"])
 
 
-def _flow(function: str = "AVG") -> Dataflow:
-    flow = Dataflow("rebalance-parity")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    agg = flow.add_operator(
-        AggregationSpec(interval=INTERVAL, attributes=("value",),
-                        function=function, group_by="station"),
-        node_id="agg",
-    )
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(source, agg)
-    flow.connect(agg, sink)
-    return flow
-
-
 def _deploy(shard_count: int, elastic: bool, function: str = "AVG"):
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    executor = Executor(netsim, network, scn=ScnController(topology),
-                        rebalance_config=FORCED_ONLY)
-    network.publish(_metadata())
-    deployment = executor.deploy(_flow(function), shards={"agg": shard_count},
+    netsim, network, executor = executor_stack(
+        None, sensor_metadata("prop-temp", fields={"value": "float",
+                                                   "station": "str"}),
+        rebalance_config=FORCED_ONLY)
+    flow = pipeline("rebalance-parity", ("agg", AggregationSpec(
+        interval=INTERVAL, attributes=("value",), function=function,
+        group_by="station")))
+    deployment = executor.deploy(flow, shards={"agg": shard_count},
                                  elastic=elastic)
     return netsim, network, deployment
+
+
+def _replay(netsim, network, deployment, tuples):
+    """Publish ``tuples``, run to the end; returns the observables."""
+    for tuple_ in tuples:
+        network.publish_data("prop-temp", tuple_)
+    netsim.clock.run_until(END)
+    return _observables(deployment)
 
 
 def _observables(deployment):
@@ -142,10 +105,7 @@ def _observables(deployment):
 
 def _run_static(tuples, shard_count: int):
     netsim, network, deployment = _deploy(shard_count, elastic=False)
-    for tuple_ in tuples:
-        network.publish_data("prop-temp", tuple_)
-    netsim.clock.run_until(END)
-    return deployment, _observables(deployment)
+    return deployment, _replay(netsim, network, deployment, tuples)
 
 
 def _force_migration(netsim, deployment, epoch: int, station: str,
@@ -164,7 +124,8 @@ def _force_migration(netsim, deployment, epoch: int, station: str,
     def request():
         donor = assignment.owner_of(key)
         if donor is not None and donor != recipient:
-            rebalancer.executor.schedule_migration(key, donor, recipient)
+            rebalancer.executor.schedule(
+                RebalanceDecision("migrate", key, donor, recipient))
 
     netsim.clock.schedule_at(epoch * INTERVAL - INTERVAL / 2, request)
 
@@ -174,10 +135,7 @@ def _run_elastic(tuples, shard_count: int, forced, skewed: bool):
     for epoch, station, recipient_seed in forced:
         name = "st-hot" if skewed else f"st-{station}"
         _force_migration(netsim, deployment, epoch, name, recipient_seed)
-    for tuple_ in tuples:
-        network.publish_data("prop-temp", tuple_)
-    netsim.clock.run_until(END)
-    return deployment, _observables(deployment)
+    return deployment, _replay(netsim, network, deployment, tuples)
 
 
 class TestMigrationParity:
@@ -204,10 +162,7 @@ class TestMigrationParity:
         away = (home + 1) % shard_count
         _force_migration(netsim, deployment, 1, "st-hot", away)
         _force_migration(netsim, deployment, 3, "st-hot", home)
-        for tuple_ in tuples:
-            network.publish_data("prop-temp", tuple_)
-        netsim.clock.run_until(END)
-        assert _observables(deployment) == baseline
+        assert _replay(netsim, network, deployment, tuples) == baseline
         assert assignment.owner_of(("st-hot",)) == home
 
     @given(readings, st.sampled_from((2, 4)), migrations)
@@ -249,14 +204,11 @@ class TestSplitParity:
                 rebalancer = deployment.rebalancers["agg"]
                 netsim.clock.schedule_at(
                     epoch * INTERVAL - INTERVAL / 2,
-                    lambda: rebalancer.executor.schedule_split(
-                        ("st-hot",), tuple(range(shard_count))
-                    ),
+                    lambda: rebalancer.executor.schedule(RebalanceDecision(
+                        "split", ("st-hot",), 0,
+                        replicas=tuple(range(shard_count)))),
                 )
-            for tuple_ in tuples:
-                network.publish_data("prop-temp", tuple_)
-            netsim.clock.run_until(END)
-            return _observables(deployment)
+            return _replay(netsim, network, deployment, tuples)
 
         assert run(split=True) == run(split=False)
 
@@ -272,14 +224,10 @@ class TestSplitParity:
         rebalancer = deployment.rebalancers["agg"]
         netsim.clock.schedule_at(
             epoch * INTERVAL - INTERVAL / 2,
-            lambda: rebalancer.executor.schedule_split(
-                ("st-hot",), tuple(range(shard_count))
-            ),
+            lambda: rebalancer.executor.schedule(RebalanceDecision(
+                "split", ("st-hot",), 0, replicas=tuple(range(shard_count)))),
         )
         for station in range(3):
             _force_migration(netsim, deployment, epoch + 1,
                              f"st-{station}", station + 1)
-        for tuple_ in tuples:
-            network.publish_data("prop-temp", tuple_)
-        netsim.clock.run_until(END)
-        assert _observables(deployment) == baseline
+        assert _replay(netsim, network, deployment, tuples) == baseline

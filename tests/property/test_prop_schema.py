@@ -18,9 +18,7 @@ attr_types = st.sampled_from(
 def schemas(draw, min_attrs=1, max_attrs=6):
     names = draw(st.lists(attr_names, min_size=min_attrs, max_size=max_attrs,
                           unique=True))
-    attrs = tuple(
-        Attribute(name, draw(attr_types)) for name in names
-    )
+    attrs = tuple(Attribute(name, draw(attr_types)) for name in names)
     return StreamSchema(attributes=attrs)
 
 
@@ -44,15 +42,10 @@ class TestSchemaInvariants:
 
     @given(schemas())
     def test_payload_from_schema_validates(self, schema):
-        sample_values = {
-            AttributeType.BOOL: True,
-            AttributeType.INT: 1,
-            AttributeType.FLOAT: 1.5,
-            AttributeType.STRING: "x",
-        }
+        sample_values = {AttributeType.BOOL: True, AttributeType.INT: 1,
+                         AttributeType.FLOAT: 1.5, AttributeType.STRING: "x"}
         payload = {
-            attr.name: sample_values[attr.type] for attr in schema.attributes
-        }
+            attr.name: sample_values[attr.type] for attr in schema.attributes}
         schema.validate_payload(payload)
 
 

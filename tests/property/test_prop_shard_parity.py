@@ -22,44 +22,25 @@ from hypothesis import strategies as st
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, JoinSpec
-from repro.dsn.scn import ScnController
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.executor import Executor
-from repro.schema.schema import StreamSchema
 from repro.streams.shard import ShardedOperatorAdapter, partition_index
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
-from repro.stt.spatial import Point
+from tests.builders import executor_stack, pipeline, reading, sensor_metadata
 
 SHARD_COUNTS = (1, 2, 4)
 BATCH_SIZES = (1, 16)
 
 
-def _metadata(sensor_id: str, sensor_type: str, node_id: str) -> SensorMetadata:
-    return SensorMetadata(
-        sensor_id=sensor_id,
-        sensor_type=sensor_type,
-        schema=StreamSchema.build(
-            {"value": "float", "station": "str"},
-            themes=(f"weather/{sensor_type}",),
-        ),
-        frequency=1.0,
-        location=Point(34.69, 135.50),
-        node_id=node_id,
-    )
+def _metadata(sensor_id: str, sensor_type: str, node_id: str):
+    return sensor_metadata(sensor_id, sensor_type,
+                           {"value": "float", "station": "str"}, 1.0, node_id)
 
 
-def _reading(sensor_id: str, seq: int, value: float, station: str) -> SensorTuple:
-    return SensorTuple(
-        payload={"value": value, "station": station},
-        stamp=SttStamp(time=float(seq) * 0.25, location=Point(34.69, 135.50)),
-        source=sensor_id,
-        seq=seq,
-    )
+def _reading(sensor_id: str, seq: int, value: float, station: str):
+    return reading(sensor_id, seq, float(seq) * 0.25, value=value,
+                   station=station)
 
 
 #: (value, station index) streams; station indexes draw from a small
@@ -74,15 +55,6 @@ readings = st.lists(
 )
 
 functions = st.sampled_from(["AVG", "SUM", "MIN", "MAX", "COUNT"])
-
-
-def _stack():
-    topology = Topology()
-    topology.add_node("hub")
-    netsim = NetworkSimulator(topology=topology)
-    network = BrokerNetwork(netsim=netsim)
-    executor = Executor(netsim, network, scn=ScnController(topology))
-    return netsim, network, executor
 
 
 def _publish(network, sensor_id, tuples, batch_size):
@@ -111,24 +83,13 @@ def _as_is(station):
 
 def _run_aggregation(stream, function, shard_count, batch_size,
                      station_of=_st_label):
-    netsim, network, executor = _stack()
-    network.publish(_metadata("prop-temp", "temperature", "hub"))
-
-    flow = Dataflow("shard-parity")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src"
-    )
-    agg = flow.add_operator(
-        AggregationSpec(interval=7.0, attributes=("value",),
-                        function=function, group_by="station"),
-        node_id="agg",
-    )
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(source, agg)
-    flow.connect(agg, sink)
+    netsim, network, executor = executor_stack(
+        None, _metadata("prop-temp", "temperature", "hub"))
+    flow = pipeline("shard-parity", ("agg", AggregationSpec(
+        interval=7.0, attributes=("value",), function=function,
+        group_by="station")))
     deployment = executor.deploy(
-        flow, shards={"agg": shard_count} if shard_count > 1 else None
-    )
+        flow, shards={"agg": shard_count} if shard_count > 1 else None)
 
     tuples = [
         _reading("prop-temp", i, value, station_of(station))
@@ -141,17 +102,15 @@ def _run_aggregation(stream, function, shard_count, batch_size,
 
 def _run_join(left_stream, right_stream, shard_count, batch_size,
               station_of=_st_label):
-    netsim, network, executor = _stack()
-    network.publish(_metadata("prop-temp", "temperature", "hub"))
-    network.publish(_metadata("prop-hum", "humidity", "hub"))
+    netsim, network, executor = executor_stack(
+        None, _metadata("prop-temp", "temperature", "hub"),
+        _metadata("prop-hum", "humidity", "hub"))
 
     flow = Dataflow("shard-join-parity")
-    left = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="left"
-    )
-    right = flow.add_source(
-        SubscriptionFilter(sensor_type="humidity"), node_id="right"
-    )
+    left = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
+                           node_id="left")
+    right = flow.add_source(SubscriptionFilter(sensor_type="humidity"),
+                            node_id="right")
     join = flow.add_operator(
         JoinSpec(interval=7.0, predicate="left.station == right.station"),
         node_id="join",
@@ -161,8 +120,7 @@ def _run_join(left_stream, right_stream, shard_count, batch_size,
     flow.connect(right, join, port=1)
     flow.connect(join, sink)
     deployment = executor.deploy(
-        flow, shards={"join": shard_count} if shard_count > 1 else None
-    )
+        flow, shards={"join": shard_count} if shard_count > 1 else None)
 
     left_tuples = [
         _reading("prop-temp", i, value, station_of(station))
@@ -186,9 +144,8 @@ class TestAggregationShardParity:
                                                shard_count, batch_size):
         _, baseline = _run_aggregation(stream, function,
                                        shard_count=1, batch_size=1)
-        _, sharded = _run_aggregation(stream, function,
-                                      shard_count=shard_count,
-                                      batch_size=batch_size)
+        _, sharded = _run_aggregation(
+            stream, function, shard_count=shard_count, batch_size=batch_size)
         assert sharded == baseline
 
     @given(readings, st.sampled_from((2, 4)))
@@ -197,8 +154,7 @@ class TestAggregationShardParity:
                                                            shard_count):
         """Every shard's checkpoint rebuilds an identical replica."""
         deployment, _ = _run_aggregation(stream, "SUM",
-                                         shard_count=shard_count,
-                                         batch_size=1)
+                                         shard_count=shard_count, batch_size=1)
         group = deployment.shard_groups["agg"]
         for index, member in enumerate(group.members):
             snapshot = member.operator.checkpoint()
@@ -217,8 +173,7 @@ class TestAggregationShardParity:
         """The runtime routes each tuple to the shard its key hashes to,
         so every group key accumulates on exactly one replica."""
         deployment, _ = _run_aggregation(stream, "COUNT",
-                                         shard_count=shard_count,
-                                         batch_size=1)
+                                         shard_count=shard_count, batch_size=1)
         group = deployment.shard_groups["agg"]
         expected = Counter(
             partition_index((f"st-{station}",), shard_count)
@@ -237,8 +192,7 @@ class TestJoinShardParity:
         _, baseline = _run_join(left_stream, right_stream,
                                 shard_count=1, batch_size=1)
         _, sharded = _run_join(left_stream, right_stream,
-                               shard_count=shard_count,
-                               batch_size=batch_size)
+                               shard_count=shard_count, batch_size=batch_size)
         assert sharded == baseline
 
 

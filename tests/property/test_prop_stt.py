@@ -80,8 +80,7 @@ def grid_points(draw):
 
     def axis(low, high):
         on_line = st.integers(0, int((high - low) / d)).map(
-            lambda k: min(high, low + k * d)
-        )
+            lambda k: min(high, low + k * d))
         return st.one_of(
             st.floats(min_value=low, max_value=high, allow_nan=False),
             st.sampled_from([low, high, 0.0]),

@@ -8,6 +8,10 @@ from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.stamping import backfill_stamp
 from repro.pubsub.subscription import SubscriptionFilter
+from repro.streams.tuple import SensorTuple
+from repro.stt.event import SttStamp
+from repro.stt.spatial import Point
+from repro.stt.temporal import align_instant
 from repro.warehouse.loader import EventWarehouse
 from tests.unit.pubsub.test_registry import make_metadata
 
@@ -100,10 +104,6 @@ class TestWarehouseInvariants:
     @given(temps)
     @settings(max_examples=50)
     def test_rollup_counts_partition_facts(self, values):
-        from repro.streams.tuple import SensorTuple
-        from repro.stt.event import SttStamp
-        from repro.stt.spatial import Point
-
         warehouse = EventWarehouse()
         for index, value in enumerate(values):
             warehouse.load(SensorTuple(
@@ -121,11 +121,6 @@ class TestWarehouseInvariants:
     @settings(max_examples=50)
     def test_rollup_avg_matches_direct_mean_per_granule(self, values):
         import numpy as np
-
-        from repro.streams.tuple import SensorTuple
-        from repro.stt.event import SttStamp
-        from repro.stt.spatial import Point
-        from repro.stt.temporal import align_instant
 
         warehouse = EventWarehouse()
         by_hour: dict[float, list[float]] = {}

@@ -33,20 +33,14 @@ from repro.scenario import build_stack, sharded_aggregation_flow
 def test_watermarks_never_regress(seed, shards, batch, cadence):
     stack = build_stack(seed=seed, batching=batch, latency=True)
     flow = sharded_aggregation_flow(stack)
-    program = dataflow_to_dsn(
-        flow,
-        stack.broker_network.registry,
-        shards=shards if shards > 1 else None,
-        slos=[],
-    )
+    program = dataflow_to_dsn(flow, stack.broker_network.registry,
+                              shards=shards if shards > 1 else None, slos=[])
     # No SLO clauses: install the plane exactly the way the executor
     # would, by asking for one health objective.
     from repro.dsn.ast import DsnSlo
 
     program.slos.append(
-        DsnSlo(flow=flow.name, metric="watermark_lag", op="<",
-               threshold=1e9)
-    )
+        DsnSlo(flow=flow.name, metric="watermark_lag", op="<", threshold=1e9))
     stack.executor.deploy(program)
     plane = stack.obs.latency
 
@@ -64,9 +58,7 @@ def test_watermarks_never_regress(seed, shards, batch, cadence):
                     violations.append(f"{key}: went cold after {last[key]}")
                 continue
             if key in last and mark < last[key]:
-                violations.append(
-                    f"{key}: regressed {last[key]} -> {mark}"
-                )
+                violations.append(f"{key}: regressed {last[key]} -> {mark}")
             last[key] = mark
         high = plane.source_high
         check.highs.append(high)

@@ -5,13 +5,8 @@ import pytest
 from repro.baselines.batch_etl import BatchEtlPipeline
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.errors import ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.scenario import build_stack
-
-
-@pytest.fixture
-def stack():
-    return build_stack(hot=True)
 
 
 def batch_flow() -> Dataflow:
@@ -25,13 +20,17 @@ def batch_flow() -> Dataflow:
     return flow
 
 
+def collecting(stack) -> BatchEtlPipeline:
+    """The baseline over ``batch_flow``, collecting on the hub."""
+    pipeline = BatchEtlPipeline(stack.netsim, stack.broker_network,
+                                batch_flow(), collection_node="hub")
+    pipeline.start_collection()
+    return pipeline
+
+
 class TestBatchPipeline:
     def test_collects_raw_then_loads_filtered(self, stack):
-        pipeline = BatchEtlPipeline(
-            stack.netsim, stack.broker_network, batch_flow(),
-            collection_node="hub",
-        )
-        pipeline.start_collection()
+        pipeline = collecting(stack)
         stack.run_until(14 * 3600.0)
         report = pipeline.close_batch()
         assert report.collected > 0
@@ -39,34 +38,23 @@ class TestBatchPipeline:
         assert len(pipeline.warehouse) == report.loaded
 
     def test_staleness_is_half_period_scale(self, stack):
-        pipeline = BatchEtlPipeline(
-            stack.netsim, stack.broker_network, batch_flow(),
-            collection_node="hub",
-        )
-        pipeline.start_collection()
+        pipeline = collecting(stack)
         stack.run_until(4 * 3600.0)
         report = pipeline.close_batch()
         # Uniform arrivals over 4h -> mean staleness ~2h.
         assert report.mean_staleness == pytest.approx(2 * 3600.0, rel=0.1)
 
     def test_collection_stops_at_close(self, stack):
-        pipeline = BatchEtlPipeline(
-            stack.netsim, stack.broker_network, batch_flow(),
-            collection_node="hub",
-        )
-        pipeline.start_collection()
+        pipeline = collecting(stack)
         stack.run_until(3600.0)
         report = pipeline.close_batch()
         collected = pipeline.collected
         stack.run_until(7200.0)
         # Only messages already in flight at close time may still land.
         assert pipeline.collected - collected <= len(
-            stack.broker_network.registry.by_type("temperature")
-        )
+            stack.broker_network.registry.by_type("temperature"))
 
     def test_invalid_flow_rejected(self, stack):
-        from repro.errors import ValidationError
-
         flow = batch_flow()
         flow.remove_node("dw")
         with pytest.raises(ValidationError):
@@ -76,11 +64,7 @@ class TestBatchPipeline:
     def test_ships_everything_unfiltered(self, stack):
         # The defining property: raw tuples cross the network even though
         # the dataflow would filter most of them.
-        pipeline = BatchEtlPipeline(
-            stack.netsim, stack.broker_network, batch_flow(),
-            collection_node="hub",
-        )
-        pipeline.start_collection()
+        pipeline = collecting(stack)
         stack.run_until(3 * 3600.0)  # cool morning: filter passes ~nothing
         report = pipeline.close_batch()
         assert report.collected > 100

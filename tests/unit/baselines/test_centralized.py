@@ -9,25 +9,22 @@ from repro.errors import UnknownNodeError
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack, sharded_aggregation_flow
+from tests.builders import pipeline
 
 
 def flow():
-    result = Dataflow("central")
-    src = result.add_source(SubscriptionFilter(sensor_type="temperature"),
-                            node_id="src")
-    hot = result.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    sink = result.add_sink("collector", node_id="out")
-    result.connect(src, hot)
-    result.connect(hot, sink)
-    return result
+    return pipeline("central", ("hot", FilterSpec("temperature > 24")))
 
+
+def central_stack(**options):
+    """The stack on a 3-leaf star whose controller places all on the hub."""
+    topo = Topology.star(leaf_count=3)
+    return build_stack(topology=topo, scn=CentralizedScnController(topo, "hub"),
+                       **options)
 
 class TestCentralizedController:
     def test_everything_on_center(self):
-        topo = Topology.star(leaf_count=3)
-        stack = build_stack(
-            topology=topo, scn=CentralizedScnController(topo, "hub")
-        )
+        stack = central_stack()
         deployment = stack.executor.deploy(flow())
         for name in ("hot", "out"):
             assert deployment.process(name).node_id == "hub"
@@ -50,23 +47,15 @@ class TestCentralizedController:
         assert deployment.process("hot").node_id == "hub"
 
     def test_shards_placed_on_center(self):
-        topo = Topology.star(leaf_count=3)
-        stack = build_stack(
-            topology=topo, scn=CentralizedScnController(topo, "hub")
-        )
-        deployment = stack.executor.deploy(
-            sharded_aggregation_flow(stack), shards=2
-        )
+        stack = central_stack()
+        deployment = stack.executor.deploy(sharded_aggregation_flow(stack),
+                                           shards=2)
         assert set(deployment.assignments().values()) == {"hub"}
 
     def test_dead_center_leaves_processes_put(self):
-        topo = Topology.star(leaf_count=3)
-        stack = build_stack(
-            topology=topo, scn=CentralizedScnController(topo, "hub")
-        )
-        deployment = stack.executor.deploy(
-            sharded_aggregation_flow(stack), shards=2
-        )
+        stack = central_stack()
+        deployment = stack.executor.deploy(sharded_aggregation_flow(stack),
+                                           shards=2)
         stack.run_until(600.0)
         stack.netsim.kill_node("hub")
         stack.run_until(3600.0)  # the failure detector must not raise
@@ -87,20 +76,15 @@ class TestCentralizedController:
                     SubscriptionFilter(sensor_ids=(metadata.sensor_id,)),
                     node_id=f"src-{index}",
                 )
-                hot = result.add_operator(
-                    FilterSpec("temperature > 24"), node_id=f"hot-{index}"
-                )
+                hot = result.add_operator(FilterSpec("temperature > 24"),
+                                          node_id=f"hot-{index}")
                 out = result.add_sink("collector", node_id=f"out-{index}")
                 result.connect(src, hot)
                 result.connect(hot, out)
             return result
 
-        central_topo = Topology.star(leaf_count=3)
-        central = build_stack(
-            topology=central_topo,
-            scn=CentralizedScnController(central_topo, "hub"),
-            hot=False,  # cool: the filter passes almost nothing
-        )
+        # Cool: the filter passes almost nothing.
+        central = central_stack(hot=False)
         central.executor.deploy(per_region_flow(central))
         central.run_until(6 * 3600.0)
 

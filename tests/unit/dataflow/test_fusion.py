@@ -29,22 +29,18 @@ def _program(ops, channels, shards=()):
     """
     program = DsnProgram(name="p")
     program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream")
-    )
+        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream"))
     for name, kind in ops.items():
         program.services.append(
-            DsnService(role=ServiceRole.OPERATOR, name=name, kind=kind)
-        )
+            DsnService(role=ServiceRole.OPERATOR, name=name, kind=kind))
     program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector")
-    )
+        DsnService(role=ServiceRole.SINK, name="k", kind="collector"))
     for edge in channels:
         port = edge[2] if len(edge) > 2 else 0
         program.channels.append(DsnChannel(edge[0], edge[1], port))
     for service, count in shards:
         program.shards.append(
-            DsnShard(service=service, count=count, keys=("station",))
-        )
+            DsnShard(service=service, count=count, keys=("station",)))
     return program
 
 
@@ -75,8 +71,7 @@ class TestPlanner:
         # f -> t -> AGG -> v -> c: the aggregation never joins, leaving
         # one chain on each side.
         program, _ = _linear(
-            ["filter", "transform", "aggregation", "validate", "cull-time"]
-        )
+            ["filter", "transform", "aggregation", "validate", "cull-time"])
         assert plan_fusion(program) == [("op0", "op1"), ("op3", "op4")]
 
     def test_trigger_never_joins(self):
@@ -86,33 +81,27 @@ class TestPlanner:
     def test_sharded_member_excluded(self):
         program, names = _linear(["filter", "transform", "validate"])
         program.shards.append(
-            DsnShard(service="op1", count=4, keys=("station",))
-        )
+            DsnShard(service="op1", count=4, keys=("station",)))
         # op1 runs as 4 replica processes; nothing is left to pair with.
         assert plan_fusion(program) == []
 
     def test_shard_count_one_does_not_block(self):
         program, names = _linear(["filter", "transform"])
         program.shards.append(
-            DsnShard(service="op1", count=1, keys=("station",))
-        )
+            DsnShard(service="op1", count=1, keys=("station",)))
         assert plan_fusion(program) == [tuple(names)]
 
     def test_cross_cut_subscriber_blocks_hop(self):
         # a -> b but a also feeds a second sink: eliding a -> b would
         # hide a's output stream from the tap, so the hop must stay.
-        program = _program(
-            {"a": "filter", "b": "transform"},
-            [("src", "a"), ("a", "b"), ("a", "k"), ("b", "k")],
-        )
+        program = _program({"a": "filter", "b": "transform"},
+                           [("src", "a"), ("a", "b"), ("a", "k"), ("b", "k")])
         assert plan_fusion(program) == []
 
     def test_fan_in_blocks_hop(self):
         # b has two producers; a -> b is not a private hop.
-        program = _program(
-            {"a": "filter", "b": "transform"},
-            [("src", "a"), ("src", "b"), ("a", "b")],
-        )
+        program = _program({"a": "filter", "b": "transform"},
+                           [("src", "a"), ("src", "b"), ("a", "b")])
         assert plan_fusion(program) == []
 
     def test_head_may_have_fan_in_tail_may_fan_out(self):

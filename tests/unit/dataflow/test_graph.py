@@ -18,10 +18,19 @@ def add_source(flow, node_id="", **kwargs):
                            node_id=node_id, **kwargs)
 
 
+def add_trigger(flow):
+    return flow.add_operator(
+        TriggerOnSpec(interval=60.0, condition="count > 0", targets=("s",)))
+
+
+@pytest.fixture
+def src(flow):
+    return add_source(flow)
+
+
 class TestNodes:
     def test_auto_ids_unique(self, flow):
-        a = add_source(flow)
-        b = add_source(flow)
+        a, b = add_source(flow), add_source(flow)
         assert a != b
 
     def test_explicit_id(self, flow):
@@ -32,8 +41,7 @@ class TestNodes:
         with pytest.raises(DataflowError, match="already used"):
             flow.add_operator(FilterSpec("true"), node_id="x")
 
-    def test_contains_and_node(self, flow):
-        src = add_source(flow)
+    def test_contains_and_node(self, flow, src):
         assert src in flow
         assert flow.node(src).node_id == src
         with pytest.raises(DataflowError):
@@ -49,8 +57,7 @@ class TestNodes:
 
 
 class TestDataEdges:
-    def test_connect_chain(self, flow):
-        src = add_source(flow)
+    def test_connect_chain(self, flow, src):
         op = flow.add_operator(FilterSpec("temperature > 0"))
         sink = flow.add_sink()
         flow.connect(src, op)
@@ -60,50 +67,42 @@ class TestDataEdges:
         assert flow.outputs_of(op)[0].target_id == sink
 
     def test_source_cannot_receive(self, flow):
-        a = add_source(flow)
-        b = add_source(flow)
+        a, b = add_source(flow), add_source(flow)
         with pytest.raises(PortError, match="cannot receive"):
             flow.connect(a, b)
 
-    def test_sink_has_no_output(self, flow):
-        src = add_source(flow)
+    def test_sink_has_no_output(self, flow, src):
         sink = flow.add_sink()
         flow.connect(src, sink)
         with pytest.raises(PortError, match="no output"):
             flow.connect(sink, src)
 
     def test_trigger_has_no_data_output(self, flow):
-        trig = flow.add_operator(
-            TriggerOnSpec(interval=60.0, condition="count > 0", targets=("s",))
-        )
+        trig = add_trigger(flow)
         sink = flow.add_sink()
         with pytest.raises(PortError, match="control-only"):
             flow.connect(trig, sink)
 
-    def test_port_bounds(self, flow):
-        src = add_source(flow)
+    def test_port_bounds(self, flow, src):
         op = flow.add_operator(FilterSpec("true"))
         with pytest.raises(PortError, match="ports 0..0"):
             flow.connect(src, op, port=1)
 
     def test_join_accepts_two_ports(self, flow):
-        a = add_source(flow)
-        b = add_source(flow)
+        a, b = add_source(flow), add_source(flow)
         join = flow.add_operator(JoinSpec(interval=60.0, predicate="true"))
         flow.connect(a, join, port=0)
         flow.connect(b, join, port=1)
         assert len(flow.inputs_of(join)) == 2
 
     def test_port_double_connect_raises(self, flow):
-        a = add_source(flow)
-        b = add_source(flow)
+        a, b = add_source(flow), add_source(flow)
         op = flow.add_operator(FilterSpec("true"))
         flow.connect(a, op)
         with pytest.raises(PortError, match="already connected"):
             flow.connect(b, op)
 
-    def test_disconnect(self, flow):
-        src = add_source(flow)
+    def test_disconnect(self, flow, src):
         op = flow.add_operator(FilterSpec("true"))
         flow.connect(src, op)
         flow.disconnect(src, op)
@@ -113,41 +112,31 @@ class TestDataEdges:
 
 
 class TestControlEdges:
-    def test_trigger_to_source(self, flow):
-        src = add_source(flow)
-        trig = flow.add_operator(
-            TriggerOnSpec(interval=60.0, condition="count > 0", targets=("s",))
-        )
+    def test_trigger_to_source(self, flow, src):
+        trig = add_trigger(flow)
         flow.connect_control(trig, src)
         assert flow.controlled_sources(trig) == [src]
 
-    def test_non_trigger_cannot_control(self, flow):
-        src = add_source(flow)
+    def test_non_trigger_cannot_control(self, flow, src):
         op = flow.add_operator(FilterSpec("true"))
         with pytest.raises(PortError, match="not a trigger"):
             flow.connect_control(op, src)
 
     def test_control_must_target_source(self, flow):
-        trig = flow.add_operator(
-            TriggerOnSpec(interval=60.0, condition="count > 0", targets=("s",))
-        )
+        trig = add_trigger(flow)
         op = flow.add_operator(FilterSpec("true"))
         with pytest.raises(PortError, match="must target sources"):
             flow.connect_control(trig, op)
 
-    def test_duplicate_control_edge_raises(self, flow):
-        src = add_source(flow)
-        trig = flow.add_operator(
-            TriggerOnSpec(interval=60.0, condition="count > 0", targets=("s",))
-        )
+    def test_duplicate_control_edge_raises(self, flow, src):
+        trig = add_trigger(flow)
         flow.connect_control(trig, src)
         with pytest.raises(PortError, match="exists"):
             flow.connect_control(trig, src)
 
 
 class TestEditing:
-    def test_remove_node_cleans_edges(self, flow):
-        src = add_source(flow)
+    def test_remove_node_cleans_edges(self, flow, src):
         op = flow.add_operator(FilterSpec("true"))
         sink = flow.add_sink()
         flow.connect(src, op)
@@ -160,8 +149,7 @@ class TestEditing:
         with pytest.raises(DataflowError):
             flow.remove_node("ghost")
 
-    def test_replace_operator_keeps_edges(self, flow):
-        src = add_source(flow)
+    def test_replace_operator_keeps_edges(self, flow, src):
         op = flow.add_operator(FilterSpec("temperature > 0"))
         sink = flow.add_sink()
         flow.connect(src, op)
@@ -177,8 +165,7 @@ class TestEditing:
 
 
 class TestTopology:
-    def test_topological_order(self, flow):
-        src = add_source(flow)
+    def test_topological_order(self, flow, src):
         a = flow.add_operator(FilterSpec("true"))
         b = flow.add_operator(
             AggregationSpec(interval=60.0, attributes=("temperature",),

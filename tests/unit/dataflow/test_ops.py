@@ -83,9 +83,8 @@ class TestInference:
 
     def test_cull_time_validates_interval(self, weather_schema):
         with pytest.raises(DataflowError):
-            CullTimeSpec(rate=2, start=10.0, end=0.0).infer_schema(
-                [weather_schema]
-            )
+            CullTimeSpec(
+                rate=2, start=10.0, end=0.0).infer_schema([weather_schema])
 
     def test_aggregation_output(self, weather_schema):
         spec = AggregationSpec(interval=3600.0, attributes=("temperature",),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import FilterSpec, TriggerOnSpec
+from repro.dataflow.ops import FilterSpec, JoinSpec, TriggerOnSpec
 from repro.dataflow.render import render_ascii, to_dot
 from repro.pubsub.subscription import SubscriptionFilter
 
@@ -51,8 +51,6 @@ class TestDot:
         assert 'digraph "with \\"quotes\\""' in to_dot(flow)
 
     def test_port_labels_on_joins(self):
-        from repro.dataflow.ops import JoinSpec
-
         flow = Dataflow("join-render")
         a = flow.add_source(SubscriptionFilter(), node_id="a")
         b = flow.add_source(SubscriptionFilter(), node_id="b")

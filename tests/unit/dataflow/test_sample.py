@@ -21,9 +21,11 @@ from repro.errors import DataflowError, ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 from repro.schema.schema import StreamSchema
-from repro.streams.tuple import SensorTuple
-from repro.stt.event import SttStamp
+from repro.sensors.osaka import OSAKA_AREA
+from repro.sensors.physical import temperature_sensor
+from repro.sensors.social import twitter_sensor
 from repro.stt.spatial import Point
+from tests.builders import reading
 
 
 @pytest.fixture
@@ -34,15 +36,6 @@ def schema(weather_schema) -> StreamSchema:
 @pytest.fixture
 def session() -> DesignerSession:
     return DesignerSession(build_stack().executor, name="sampled")
-
-
-def reading(sensor_id: str, seq: int, time: float, **payload) -> SensorTuple:
-    return SensorTuple(
-        payload=payload,
-        stamp=SttStamp(time=time, location=Point(34.69, 135.50)),
-        source=sensor_id,
-        seq=seq,
-    )
 
 
 def temperatures(sensor_id: str, values, start: float = 0.0) -> list:
@@ -160,9 +153,8 @@ class TestRunSample:
         session.connect("src", "bad")
         session.connect("bad", "k")
         with pytest.raises(ValidationError):
-            session.preview(samples={
-                "src": temperatures("osaka-temp-umeda", [20.0])
-            })
+            session.preview(
+                samples={"src": temperatures("osaka-temp-umeda", [20.0])})
 
     def test_dangling_operator_raises(self, session):
         # The preview's taps would give the filter an output; the canvas
@@ -173,9 +165,8 @@ class TestRunSample:
         session.connect("src", "hot")
         session.connect("src", "k")
         with pytest.raises(ValidationError, match="hot"):
-            session.preview(samples={
-                "src": temperatures("osaka-temp-umeda", [20.0])
-            })
+            session.preview(
+                samples={"src": temperatures("osaka-temp-umeda", [20.0])})
 
     def test_missing_sample_batch_raises(self, session):
         filtered(session)
@@ -185,15 +176,12 @@ class TestRunSample:
     def test_unregistered_sample_sensor_raises(self, session):
         filtered(session)
         with pytest.raises(DataflowError, match="ghost-sensor"):
-            session.preview(samples={
-                "src": temperatures("ghost-sensor", [20.0])
-            })
+            session.preview(
+                samples={"src": temperatures("ghost-sensor", [20.0])})
 
 
 class TestSampleFromSensors:
     def test_probes_requested_count(self, schema):
-        from repro.sensors.physical import temperature_sensor
-
         flow = flow_with_schema(schema)
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")
         batches = sample_from_sensors(flow, {"src": sensor}, count=5, start=0.0)
@@ -202,17 +190,12 @@ class TestSampleFromSensors:
         assert times == sorted(times)
 
     def test_unknown_source_raises(self, schema):
-        from repro.sensors.physical import temperature_sensor
-
         flow = flow_with_schema(schema)
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")
         with pytest.raises(DataflowError):
             sample_from_sensors(flow, {"ghost": sensor})
 
     def test_sparse_sensor_bounded_attempts(self, schema):
-        from repro.sensors.social import twitter_sensor
-        from repro.sensors.osaka import OSAKA_AREA
-
         flow = flow_with_schema(schema)
         sensor = twitter_sensor("tw1", OSAKA_AREA, "edge-0")
         batches = sample_from_sensors(flow, {"src": sensor}, count=3)

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import (
-    CullSpaceSpec,
-    FilterSpec,
-    JoinSpec,
-    TriggerOnSpec,
-)
+from repro.dataflow.ops import CullSpaceSpec, JoinSpec, TriggerOnSpec
 from repro.dataflow.serialize import dataflow_from_dict, dataflow_to_dict
 from repro.errors import DataflowError
 from repro.network.qos import QosPolicy

@@ -11,18 +11,22 @@ from repro.dataflow.ops import (
 )
 from repro.dataflow.validate import validate_dataflow
 from repro.errors import ValidationError
-from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.sensors.osaka import osaka_fleet
+from repro.schema.schema import StreamSchema
+from repro.stt.thematic import Theme
+from tests.builders import pipeline
 
 
-@pytest.fixture
-def registry():
-    net = BrokerNetwork()
-    for sensor in osaka_fleet(Topology.star(leaf_count=2)):
-        net.publish(sensor.metadata)
-    return net.registry
+UMEDA = SubscriptionFilter(sensor_ids=("osaka-temp-umeda",))
+
+
+def umeda(name, *operators, match=UMEDA):
+    """``src -> operators... -> k`` over one temperature sensor."""
+    return pipeline(name, *operators, match=match, sink="k")
+
+
+def issues(report, kind="errors") -> str:
+    return "\n".join(str(issue) for issue in getattr(report, kind))
 
 
 def temp_source(flow, node_id="src", **kwargs):
@@ -33,13 +37,7 @@ def temp_source(flow, node_id="src", **kwargs):
 
 
 def valid_flow(registry):
-    flow = Dataflow("valid")
-    src = temp_source(flow)
-    op = flow.add_operator(FilterSpec("temperature > 24"), node_id="f")
-    sink = flow.add_sink(node_id="k")
-    flow.connect(src, op)
-    flow.connect(op, sink)
-    return flow
+    return umeda("valid", ("f", FilterSpec("temperature > 24")))
 
 
 class TestHappyPath:
@@ -72,21 +70,20 @@ class TestStructure:
         flow.connect(b, a)
         report = validate_dataflow(flow, registry)
         assert not report.is_valid
-        assert any("cycle" in str(issue) for issue in report.errors)
+        assert "cycle" in issues(report)
 
     def test_no_sources_is_error(self, registry):
         flow = Dataflow("empty")
         flow.add_sink(node_id="k")
         report = validate_dataflow(flow, registry)
-        assert any("no sources" in str(issue) for issue in report.errors)
+        assert "no sources" in issues(report)
 
     def test_unconnected_operator_port(self, registry):
         flow = Dataflow("dangling")
         temp_source(flow)
         flow.add_operator(FilterSpec("temperature > 0"), node_id="f")
         report = validate_dataflow(flow, registry)
-        assert any("port 0 is not connected" in str(issue)
-                   for issue in report.errors)
+        assert "port 0 is not connected" in issues(report)
 
     def test_half_connected_join(self, registry):
         flow = Dataflow("half-join")
@@ -97,8 +94,7 @@ class TestStructure:
         flow.connect(src, join, port=0)
         flow.connect(join, sink)
         report = validate_dataflow(flow, registry)
-        assert any("port 1 is not connected" in str(issue)
-                   for issue in report.errors)
+        assert "port 1 is not connected" in issues(report)
 
     def test_operator_output_unused(self, registry):
         flow = Dataflow("unused")
@@ -106,15 +102,13 @@ class TestStructure:
         flow.add_operator(FilterSpec("temperature > 0"), node_id="f")
         flow.connect(src, "f")
         report = validate_dataflow(flow, registry)
-        assert any("not connected to anything" in str(issue)
-                   for issue in report.errors)
+        assert "not connected to anything" in issues(report)
 
     def test_sink_without_input(self, registry):
         flow = valid_flow(registry)
         flow.add_sink(node_id="lonely")
         report = validate_dataflow(flow, registry)
-        assert any("sink has no incoming" in str(issue)
-                   for issue in report.errors)
+        assert "sink has no incoming" in issues(report)
 
     def test_unconsumed_source_is_warning_only(self, registry):
         flow = valid_flow(registry)
@@ -122,45 +116,25 @@ class TestStructure:
                         node_id="lonely-src")
         report = validate_dataflow(flow, registry)
         assert report.is_valid
-        assert any("not consumed" in str(issue) for issue in report.warnings)
+        assert "not consumed" in issues(report, 'warnings')
 
 
 class TestSchemas:
     def test_bad_condition_attribute(self, registry):
-        flow = Dataflow("bad-attr")
-        src = temp_source(flow)
-        op = flow.add_operator(FilterSpec("rainfall > 3"), node_id="f")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, op)
-        flow.connect(op, sink)
-        report = validate_dataflow(flow, registry)
-        assert any("rainfall" in str(issue) for issue in report.errors)
+        flow = umeda("bad-attr", ("f", FilterSpec("rainfall > 3")))
+        assert "rainfall" in issues(validate_dataflow(flow, registry))
 
     def test_error_localised_to_node(self, registry):
-        flow = Dataflow("localise")
-        src = temp_source(flow)
-        good = flow.add_operator(FilterSpec("temperature > 0"), node_id="good")
-        bad = flow.add_operator(FilterSpec("ghost > 0"), node_id="bad")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, good)
-        flow.connect(good, bad)
-        flow.connect(bad, sink)
+        flow = umeda("localise", ("good", FilterSpec("temperature > 0")),
+                     ("bad", FilterSpec("ghost > 0")))
         report = validate_dataflow(flow, registry)
         assert [issue.node_id for issue in report.errors] == ["bad"]
 
     def test_downstream_of_broken_node_not_double_reported(self, registry):
-        flow = Dataflow("cascade")
-        src = temp_source(flow)
-        bad = flow.add_operator(FilterSpec("ghost > 0"), node_id="bad")
-        after = flow.add_operator(
-            AggregationSpec(interval=60.0, attributes=("temperature",),
-                            function="AVG"),
-            node_id="after",
-        )
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, bad)
-        flow.connect(bad, after)
-        flow.connect(after, sink)
+        flow = umeda("cascade", ("bad", FilterSpec("ghost > 0")),
+                     ("after", AggregationSpec(interval=60.0,
+                                               attributes=("temperature",),
+                                               function="AVG")))
         report = validate_dataflow(flow, registry)
         assert len(report.errors) == 1
         assert report.schemas["after"] is None
@@ -168,36 +142,18 @@ class TestSchemas:
 
 class TestSourceResolution:
     def test_filter_matching_nothing(self, registry):
-        flow = Dataflow("no-match")
-        src = flow.add_source(SubscriptionFilter(sensor_ids=("ghost-1",)),
-                              node_id="src")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, sink)
-        report = validate_dataflow(flow, registry)
-        assert any("matches no published sensor" in str(issue)
-                   for issue in report.errors)
+        flow = umeda("no-match", match=SubscriptionFilter(sensor_ids=("ghost-1",)))
+        assert "matches no published sensor" in issues(
+            validate_dataflow(flow, registry))
 
     def test_filter_matching_mixed_schemas(self, registry):
-        flow = Dataflow("mixed")
         # Theme 'weather' matches temperature AND rain sensors.
-        from repro.stt.thematic import Theme
-
-        src = flow.add_source(SubscriptionFilter(theme=Theme("weather")),
-                              node_id="src")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, sink)
-        report = validate_dataflow(flow, registry)
-        assert any("incompatible schemas" in str(issue)
-                   for issue in report.errors)
+        flow = umeda("mixed", match=SubscriptionFilter(theme=Theme("weather")))
+        assert "incompatible schemas" in issues(validate_dataflow(flow, registry))
 
     def test_no_registry_and_no_schema_is_error(self):
-        flow = Dataflow("no-reg")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, sink)
-        report = validate_dataflow(flow, registry=None)
-        assert any("no registry" in str(issue) for issue in report.errors)
+        flow = umeda("no-reg", match=SubscriptionFilter(sensor_type="temperature"))
+        assert "no registry" in issues(validate_dataflow(flow, registry=None))
 
 
 class TestTriggers:
@@ -229,14 +185,13 @@ class TestTriggers:
     def test_trigger_without_control_edge(self, registry):
         flow = self.make_trigger_flow(registry, connect_control=False)
         report = validate_dataflow(flow, registry)
-        assert any("no control edges" in str(issue) for issue in report.errors)
+        assert "no control edges" in issues(report)
 
     def test_trigger_on_active_source_warns(self, registry):
         flow = self.make_trigger_flow(registry, gated_active=True)
         report = validate_dataflow(flow, registry)
         assert report.is_valid
-        assert any("initially active" in str(issue)
-                   for issue in report.warnings)
+        assert "initially active" in issues(report, 'warnings')
 
     def test_target_mismatch_warns(self, registry):
         flow = Dataflow("mismatch")
@@ -255,26 +210,18 @@ class TestTriggers:
         flow.connect(rain, sink)
         flow.connect_control(trig, rain)
         report = validate_dataflow(flow, registry)
-        assert any("does not overlap" in str(issue)
-                   for issue in report.warnings)
+        assert "does not overlap" in issues(report, 'warnings')
 
 
 class TestThematicCompatibility:
     def _join_flow(self, left_theme, right_theme):
-        from repro.schema.schema import StreamSchema
-
         flow = Dataflow("thematic")
-        a = flow.add_source(
-            SubscriptionFilter(),
-            node_id="a",
-        )
+        a = flow.add_source(SubscriptionFilter(), node_id="a")
         flow.sources["a"].schema = StreamSchema.build(
-            {"x": "float"}, themes=(left_theme,) if left_theme else ()
-        )
+            {"x": "float"}, themes=(left_theme,) if left_theme else ())
         b = flow.add_source(SubscriptionFilter(), node_id="b")
         flow.sources["b"].schema = StreamSchema.build(
-            {"y": "float"}, themes=(right_theme,) if right_theme else ()
-        )
+            {"y": "float"}, themes=(right_theme,) if right_theme else ())
         join = flow.add_operator(JoinSpec(interval=60.0, predicate="true"),
                                  node_id="j")
         sink = flow.add_sink(node_id="k")
@@ -287,8 +234,7 @@ class TestThematicCompatibility:
         flow = self._join_flow("weather/rain", "mobility/traffic")
         report = validate_dataflow(flow)
         assert report.is_valid  # a warning, not an error
-        assert any("thematically unrelated" in str(issue)
-                   for issue in report.warnings)
+        assert "thematically unrelated" in issues(report, 'warnings')
 
     def test_related_themes_silent(self):
         flow = self._join_flow("weather/rain", "weather")
@@ -305,12 +251,7 @@ class TestThematicCompatibility:
 
 class TestValidationError:
     def test_raise_if_invalid_carries_issues(self, registry):
-        flow = Dataflow("broken")
-        src = temp_source(flow)
-        op = flow.add_operator(FilterSpec("ghost > 0"), node_id="f")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, op)
-        flow.connect(op, sink)
+        flow = umeda("broken", ("f", FilterSpec("ghost > 0")))
         report = validate_dataflow(flow, registry)
         with pytest.raises(ValidationError) as exc_info:
             report.raise_if_invalid()

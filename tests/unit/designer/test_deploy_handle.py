@@ -44,9 +44,8 @@ class TestReassignments:
         handle = session.deploy()
         stack.run_until(600.0)
         # A reassignment in another deployment must not leak in.
-        stack.executor.monitor.record_assignment(
-            "other-flow:x", "hub", "edge-0", "unrelated"
-        )
+        stack.executor.monitor.record_assignment("other-flow:x", "hub",
+                                                 "edge-0", "unrelated")
         victim = handle.deployment.process("hot").node_id
         stack.topology.node(victim).register_process("hog", demand=5000.0)
         stack.run_until(1800.0)

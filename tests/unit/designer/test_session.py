@@ -2,20 +2,24 @@
 
 import pytest
 
-from repro.dataflow.ops import AggregationSpec, FilterSpec, TriggerOnSpec
+from repro.dataflow.ops import AggregationSpec, FilterSpec
 from repro.designer.session import DesignerSession
 from repro.errors import DataflowError, ValidationError
-from repro.scenario import build_stack
-
-
-@pytest.fixture
-def stack():
-    return build_stack(hot=True)
 
 
 @pytest.fixture
 def session(stack) -> DesignerSession:
     return DesignerSession(stack.executor, name="session-flow")
+
+
+def drawn(session, spec, **ids):
+    """Draw ``umeda temperature -> spec -> sink``; returns the source's
+    and the operator's ids."""
+    src = session.add_source("osaka-temp-umeda")
+    op = session.add_operator(spec, node_id=ids.get("op", ""))
+    session.connect(src, op)
+    session.connect(op, session.add_sink(node_id=ids.get("sink", "")))
+    return src, op
 
 
 class TestDiscovery:
@@ -44,22 +48,12 @@ class TestCanvasEditing:
         assert session.issues() == []
 
     def test_schema_pane_shows_propagated_schema(self, session):
-        src = session.add_source("osaka-temp-umeda")
-        agg = session.add_operator(
-            AggregationSpec(interval=600.0, attributes=("temperature",),
-                            function="MAX")
-        )
-        sink = session.add_sink()
-        session.connect(src, agg)
-        session.connect(agg, sink)
+        _, agg = drawn(session, AggregationSpec(
+            interval=600.0, attributes=("temperature",), function="MAX"))
         assert "max_temperature" in session.schema_pane(agg)
 
     def test_schema_pane_for_broken_upstream(self, session):
-        src = session.add_source("osaka-temp-umeda")
-        bad = session.add_operator(FilterSpec("ghost > 1"))
-        sink = session.add_sink()
-        session.connect(src, bad)
-        session.connect(bad, sink)
+        _, bad = drawn(session, FilterSpec("ghost > 1"))
         assert "unavailable" in session.schema_pane(bad)
 
     def test_schema_pane_unknown_node(self, session):
@@ -74,14 +68,9 @@ class TestCanvasEditing:
 
 class TestPreview:
     def test_preview_with_probed_sensors(self, session, stack):
-        src = session.add_source("osaka-temp-umeda")
-        hot = session.add_operator(FilterSpec("temperature > -100"))
-        sink = session.add_sink()
-        session.connect(src, hot)
-        session.connect(hot, sink)
+        src, hot = drawn(session, FilterSpec("temperature > -100"))
         result = session.preview(
-            sensors={src: stack.sensor("osaka-temp-umeda")}, count=4
-        )
+            sensors={src: stack.sensor("osaka-temp-umeda")}, count=4)
         assert len(result.at(src)) == 4
         assert len(result.at(hot)) == 4
 
@@ -93,11 +82,7 @@ class TestPreview:
 
 class TestPersistence:
     def test_save_load_round_trip(self, session):
-        src = session.add_source("osaka-temp-umeda")
-        op = session.add_operator(FilterSpec("temperature > 24"))
-        sink = session.add_sink()
-        session.connect(src, op)
-        session.connect(op, sink)
+        drawn(session, FilterSpec("temperature > 24"))
         document = session.save()
         session.load(document)
         assert session.is_consistent
@@ -106,12 +91,8 @@ class TestPersistence:
 
 class TestTranslateDeploy:
     def build_valid(self, session):
-        src = session.add_source("osaka-temp-umeda")
-        op = session.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-        sink = session.add_sink(node_id="out")
-        session.connect(src, op)
-        session.connect(op, sink)
-        return src
+        return drawn(session, FilterSpec("temperature > 24"), op="hot",
+                     sink="out")[0]
 
     def test_translate_consistent_canvas(self, session):
         self.build_valid(session)
@@ -132,8 +113,7 @@ class TestTranslateDeploy:
         annotations = handle.annotations()
         assert annotations["hot"]["tuples_in"] > 0
         assert annotations["hot"]["node"] in stack.topology.node_ids
-        source_note = [v for k, v in annotations.items()
-                       if "sensors" in v]
+        source_note = [v for k, v in annotations.items() if "sensors" in v]
         assert source_note and source_note[0]["delivered"] > 0
 
     def test_handle_controls(self, session, stack):

@@ -12,36 +12,25 @@ from repro.dsn.ast import (
 )
 from repro.errors import DsnError
 from repro.network.qos import QosPolicy
+from tests.builders import dsn_chain
 
 
 def small_program() -> DsnProgram:
-    program = DsnProgram(name="p")
-    program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream",
-                   params={"filter": {"sensor_type": "rain"}, "active": True})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter",
-                   params={"condition": "rain_rate > 10"})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector",
-                   params={"config": {}}, qos=QosPolicy())
-    )
-    program.channels.append(DsnChannel("src", "f", 0))
-    program.channels.append(DsnChannel("f", "k", 0))
-    return program
+    return dsn_chain(("f", "filter", {"condition": "rain_rate > 10"}))
+
+
+@pytest.fixture
+def program():
+    return small_program()
 
 
 class TestModel:
-    def test_service_lookup(self):
-        program = small_program()
+    def test_service_lookup(self, program):
         assert program.service("f").kind == "filter"
         with pytest.raises(DsnError):
             program.service("ghost")
 
-    def test_services_by_role(self):
-        program = small_program()
+    def test_services_by_role(self, program):
         assert [s.name for s in program.services_by_role(ServiceRole.SOURCE)] \
             == ["src"]
 
@@ -65,22 +54,18 @@ class TestCheck:
     def test_valid_program_passes(self):
         small_program().check()
 
-    def test_duplicate_services_fail(self):
-        program = small_program()
+    def test_duplicate_services_fail(self, program):
         program.services.append(
-            DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter")
-        )
+            DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter"))
         with pytest.raises(DsnError, match="duplicate"):
             program.check()
 
-    def test_dangling_channel_fails(self):
-        program = small_program()
+    def test_dangling_channel_fails(self, program):
         program.channels.append(DsnChannel("ghost", "f", 0))
         with pytest.raises(DsnError, match="undeclared"):
             program.check()
 
-    def test_dangling_control_fails(self):
-        program = small_program()
+    def test_dangling_control_fails(self, program):
         program.controls.append(DsnControl("ghost", "src"))
         with pytest.raises(DsnError, match="undeclared"):
             program.check()
@@ -113,16 +98,12 @@ class TestRender:
         text = service.render()
         assert 'qos class "real-time" segment 512 priority 1 max_latency 0.25;' in text
 
-    def test_shard_rendered(self):
-        program = small_program()
+    def test_shard_rendered(self, program):
         program.shards.append(
-            DsnShard(service="f", count=4, keys=("station",))
-        )
+            DsnShard(service="f", count=4, keys=("station",)))
         assert 'shard "f" 4 by "station";' in program.render()
 
-    def test_elastic_shard_rendered(self):
-        program = small_program()
+    def test_elastic_shard_rendered(self, program):
         program.shards.append(
-            DsnShard(service="f", count=4, keys=("station",), elastic=True)
-        )
+            DsnShard(service="f", count=4, keys=("station",), elastic=True))
         assert 'shard "f" 4 by "station" elastic;' in program.render()

@@ -8,10 +8,10 @@ from repro.dsn.parse import parse_dsn
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.executor import Executor
 from repro.scenario import apply_batch_hints
 from repro.sensors.base import SimulatedSensor
+from tests.builders import pipeline
 from tests.unit.dsn.test_ast import small_program
 from tests.unit.pubsub.test_registry import make_metadata
 
@@ -39,15 +39,7 @@ class TestChannelSyntax:
 
 
 def _temperature_flow() -> Dataflow:
-    flow = Dataflow("hints")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    keep = flow.add_operator(FilterSpec("v > 0"), node_id="keep")
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(source, keep)
-    flow.connect(keep, sink)
-    return flow
+    return pipeline("hints", ("keep", FilterSpec("v > 0")), source="temp")
 
 
 def _registry_with(frequencies: "list[float]"):
@@ -63,15 +55,13 @@ class TestHintDerivation:
     def test_hint_is_rate_times_delay(self):
         # Two 2 Hz sensors on the filter: 4 tuples/s x 4 s budget = 16.
         program = dataflow_to_dsn(_temperature_flow(),
-                                  _registry_with([2.0, 2.0]),
-                                  batch_delay=4.0)
+                                  _registry_with([2.0, 2.0]), batch_delay=4.0)
         assert program.channels[0].batch == 16
         # Operator-to-operator channels carry no hint.
         assert program.channels[1].batch == 1
 
     def test_hint_clamped_to_max_batch(self):
-        program = dataflow_to_dsn(_temperature_flow(),
-                                  _registry_with([100.0]),
+        program = dataflow_to_dsn(_temperature_flow(), _registry_with([100.0]),
                                   batch_delay=10.0, max_batch=32)
         assert program.channels[0].batch == 32
 
@@ -82,8 +72,7 @@ class TestHintDerivation:
         assert program.channels[0].batch == 1
 
     def test_no_delay_no_hints(self):
-        program = dataflow_to_dsn(_temperature_flow(),
-                                  _registry_with([2.0]))
+        program = dataflow_to_dsn(_temperature_flow(), _registry_with([2.0]))
         assert all(channel.batch == 1 for channel in program.channels)
 
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.dataflow.fusion import plan_fusion
+from repro.dataflow.graph import Dataflow
+from repro.dataflow.ops import FilterSpec, TransformSpec
 from repro.dsn.ast import (
     DsnChannel,
     DsnFuse,
@@ -9,33 +12,22 @@ from repro.dsn.ast import (
     DsnService,
     ServiceRole,
 )
+from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.errors import DsnError, DsnParseError
-from repro.network.qos import QosPolicy
+from repro.network.topology import Topology
+from repro.pubsub.registry import SensorRegistry
+from repro.pubsub.subscription import SubscriptionFilter
+from repro.sensors.osaka import osaka_fleet
+from tests.builders import dsn_chain
 
 
-def fusible_program() -> DsnProgram:
-    """src -> f -> g -> k with a fusible operator pair."""
-    program = DsnProgram(name="p")
-    program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream",
-                   params={"filter": {"sensor_type": "rain"}, "active": True})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter",
-                   params={"condition": "rain_rate > 10"})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.OPERATOR, name="g", kind="transform",
-                   params={"assignments": {"x": "rain_rate * 2"}})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector",
-                   params={"config": {}}, qos=QosPolicy())
-    )
-    program.channels.append(DsnChannel("src", "f", 0))
-    program.channels.append(DsnChannel("f", "g", 0))
-    program.channels.append(DsnChannel("g", "k", 0))
+def fusible_program(*fuses) -> DsnProgram:
+    """src -> f -> g -> k with a fusible operator pair, and ``fuses``
+    (member tuples) declared."""
+    program = dsn_chain(("f", "filter", {"condition": "rain_rate > 10"}),
+                     ("g", "transform", {"assignments": {"x": "rain_rate * 2"}}))
+    program.fuses.extend(DsnFuse(members=members) for members in fuses)
     return program
 
 
@@ -45,21 +37,18 @@ class TestRender:
         assert "fuse" not in fusible_program().render()
 
     def test_fuse_clause_renders_chain(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "g")))
+        program = fusible_program(("f", "g"))
         assert '  fuse "f" -> "g";\n' in program.render()
 
     def test_fuse_renders_after_channels(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "g")))
+        program = fusible_program(("f", "g"))
         text = program.render()
         assert text.index("fuse ") > text.index('channel "g" -> "k"')
 
 
 class TestParse:
     def test_round_trip(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "g")))
+        program = fusible_program(("f", "g"))
         parsed = parse_dsn(program.render())
         assert parsed.fuses == [DsnFuse(members=("f", "g"))]
         assert parsed == program
@@ -76,9 +65,7 @@ class TestParse:
         assert parsed.fuses[0].members == ("f", "g", "h")
 
     def test_single_member_fuse_is_a_parse_error(self):
-        text = fusible_program().render().replace(
-            "}", '  fuse "f";\n}', 1
-        )
+        text = fusible_program().render().replace("}", '  fuse "f";\n}', 1)
         # The closing brace of the first service block is the first "}";
         # the injected statement is malformed wherever it lands.
         with pytest.raises(DsnParseError):
@@ -87,42 +74,28 @@ class TestParse:
 
 class TestCheck:
     def test_undeclared_member_rejected(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "ghost")))
+        program = fusible_program(("f", "ghost"))
         with pytest.raises(DsnError, match="undeclared"):
             program.check()
 
     def test_non_operator_member_rejected(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "k")))
+        program = fusible_program(("f", "k"))
         with pytest.raises(DsnError, match="not an operator"):
             program.check()
 
     def test_short_chain_rejected(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f",)))
+        program = fusible_program(("f",))
         with pytest.raises(DsnError, match="at least 2"):
             program.check()
 
     def test_overlapping_hints_rejected(self):
-        program = fusible_program()
-        program.fuses.append(DsnFuse(members=("f", "g")))
-        program.fuses.append(DsnFuse(members=("g", "f")))
+        program = fusible_program(("f", "g"), ("g", "f"))
         with pytest.raises(DsnError, match="more than one"):
             program.check()
 
 
 class TestGenerate:
     def test_translator_emits_no_hints_by_default(self):
-        from repro.dataflow.fusion import plan_fusion
-        from repro.dataflow.graph import Dataflow
-        from repro.dataflow.ops import FilterSpec, TransformSpec
-        from repro.dsn.generate import dataflow_to_dsn
-        from repro.network.topology import Topology
-        from repro.pubsub.registry import SensorRegistry
-        from repro.pubsub.subscription import SubscriptionFilter
-        from repro.sensors.osaka import osaka_fleet
-
         registry = SensorRegistry()
         for sensor in osaka_fleet(Topology.star(leaf_count=2)):
             registry.register(sensor.metadata)
@@ -132,9 +105,8 @@ class TestGenerate:
                               node_id="src")
         flow.add_operator(FilterSpec(condition="temperature > 24"),
                           node_id="f")
-        flow.add_operator(
-            TransformSpec(assignments={"x": "temperature * 2"}), node_id="g"
-        )
+        flow.add_operator(TransformSpec(assignments={"x": "temperature * 2"}),
+                          node_id="g")
         flow.add_sink(sink_kind="collector", node_id="k")
         flow.connect("src", "f")
         flow.connect("f", "g")

@@ -8,18 +8,8 @@ from repro.dsn.ast import ServiceRole
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.errors import ValidationError
-from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.sensors.osaka import osaka_fleet
-
-
-@pytest.fixture
-def registry():
-    net = BrokerNetwork()
-    for sensor in osaka_fleet(Topology.star(leaf_count=2)):
-        net.publish(sensor.metadata)
-    return net.registry
+from tests.builders import pipeline
 
 
 def scenario_flow():
@@ -43,50 +33,43 @@ def scenario_flow():
     return flow
 
 
-class TestTranslation:
-    def test_every_node_becomes_a_service(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
-        assert {s.name for s in program.services} == {
-            "temp", "rain", "trig", "torrential", "dw",
-        }
+@pytest.fixture
+def program(registry):
+    return dataflow_to_dsn(scenario_flow(), registry)
 
-    def test_roles_and_kinds(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
+
+class TestTranslation:
+    def test_every_node_becomes_a_service(self, program):
+        assert {s.name for s in program.services} == {"temp", "rain", "trig",
+                                                      "torrential", "dw"}
+
+    def test_roles_and_kinds(self, program):
         assert program.service("temp").role is ServiceRole.SOURCE
         assert program.service("trig").kind == "trigger-on"
         assert program.service("dw").role is ServiceRole.SINK
         assert program.service("dw").kind == "warehouse"
 
-    def test_edges_become_channels_and_controls(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
+    def test_edges_become_channels_and_controls(self, program):
         assert len(program.channels) == 3
         assert len(program.controls) == 1
         assert program.controls[0].trigger == "trig"
 
-    def test_initial_activation_in_params(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
+    def test_initial_activation_in_params(self, program):
         assert program.service("temp").params["active"] is True
         assert program.service("rain").params["active"] is False
 
-    def test_operator_params_embedded(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
+    def test_operator_params_embedded(self, program):
         trig = program.service("trig")
         assert trig.params["condition"] == "avg_temperature > 25"
         assert trig.params["window"] == 3600.0
 
-    def test_full_text_round_trip(self, registry):
-        program = dataflow_to_dsn(scenario_flow(), registry)
+    def test_full_text_round_trip(self, program):
         assert parse_dsn(program.render()).render() == program.render()
 
 
 class TestSoundnessGate:
     def test_invalid_flow_refused(self, registry):
-        flow = Dataflow("broken")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="s")
-        bad = flow.add_operator(FilterSpec("ghost > 1"), node_id="bad")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, bad)
-        flow.connect(bad, sink)
+        flow = pipeline("broken", ("bad", FilterSpec("ghost > 1")),
+                        source="s", sink="k")
         with pytest.raises(ValidationError):
             dataflow_to_dsn(flow, registry)

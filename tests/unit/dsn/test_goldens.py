@@ -34,6 +34,7 @@ from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.sensors.osaka import osaka_fleet
+from tests.builders import pipeline
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 CANVAS = pathlib.Path(__file__).parents[3] / "examples" / "canvases" \
@@ -56,8 +57,7 @@ def p1_apparent_temperature_flow() -> Dataflow:
     """The P1 walkthrough design: join, virtual property, filter, window."""
     flow = Dataflow("p1-apparent-temperature")
     temp = flow.add_source(
-        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="temp"
-    )
+        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="temp")
     hum = flow.add_source(
         SubscriptionFilter(sensor_ids=("osaka-humidity-umeda",)), node_id="hum"
     )
@@ -73,9 +73,8 @@ def p1_apparent_temperature_flow() -> Dataflow:
         ),
         node_id="apparent",
     )
-    hot = flow.add_operator(
-        FilterSpec("apparent_temperature > 27"), node_id="hot"
-    )
+    hot = flow.add_operator(FilterSpec("apparent_temperature > 27"),
+                            node_id="hot")
     hourly = flow.add_operator(
         AggregationSpec(interval=3600.0, attributes=("apparent_temperature",),
                         function="MAX"),
@@ -94,22 +93,18 @@ def p1_apparent_temperature_flow() -> Dataflow:
 def p2_torrential_rain_flow() -> Dataflow:
     """The P2 walkthrough design: trigger-gated acquisition + warehouse."""
     flow = Dataflow("p2-torrential-rain")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    rain = flow.add_source(
-        SubscriptionFilter(sensor_type="rain"), node_id="rain",
-        initially_active=False,
-    )
+    temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
+                           node_id="temp")
+    rain = flow.add_source(SubscriptionFilter(sensor_type="rain"),
+                           node_id="rain", initially_active=False)
     trigger = flow.add_operator(
         TriggerOnSpec(interval=300.0, window=3600.0,
                       condition="avg_temperature > 25",
                       targets=("osaka-rain-umeda", "osaka-rain-namba")),
         node_id="hot-hour",
     )
-    torrential = flow.add_operator(
-        FilterSpec("rain_rate > 10"), node_id="torrential"
-    )
+    torrential = flow.add_operator(FilterSpec("rain_rate > 10"),
+                                   node_id="torrential")
     warehouse = flow.add_sink("warehouse", node_id="dw")
     flow.connect(temp, trigger)
     flow.connect(rain, torrential)
@@ -122,9 +117,8 @@ def p3_fahrenheit_feed_flow() -> Dataflow:
     """The P3 walkthrough design: plug-and-play source into a unit
     transform feeding the visualization."""
     flow = Dataflow("p3-fahrenheit-feed")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
+    temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
+                           node_id="temp")
     to_f = flow.add_operator(
         TransformSpec(
             {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"}
@@ -141,12 +135,10 @@ def p5_sharded_stations_flow() -> Dataflow:
     """PR-5 scale-out design: an equi-join and a grouped aggregation,
     both split into key-hashed shard replicas via the ``shard`` clause."""
     flow = Dataflow("p5-sharded-stations")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    hum = flow.add_source(
-        SubscriptionFilter(sensor_type="humidity"), node_id="hum"
-    )
+    temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
+                           node_id="temp")
+    hum = flow.add_source(SubscriptionFilter(sensor_type="humidity"),
+                          node_id="hum")
     combine = flow.add_operator(
         JoinSpec(interval=120.0, predicate="left.station == right.station"),
         node_id="combine",
@@ -169,45 +161,20 @@ def p5_sharded_stations_flow() -> Dataflow:
 def p6_elastic_stations_flow() -> Dataflow:
     """PR-6 elastic design: a grouped aggregation sharded with the
     ``elastic`` clause, attaching the load-feedback rebalance loop."""
-    flow = Dataflow("p6-elastic-stations")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    averages = flow.add_operator(
-        AggregationSpec(interval=600.0, attributes=("temperature",),
-                        function="AVG", group_by="station"),
-        node_id="station-avg",
-    )
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(temp, averages)
-    flow.connect(averages, out)
-    return flow
+    return pipeline("p6-elastic-stations", ("station-avg", AggregationSpec(
+        interval=600.0, attributes=("temperature",), function="AVG",
+        group_by="station")), source="temp")
 
 
 def p7_fused_pipeline_flow() -> Dataflow:
     """PR-7 fusion design: a 4-op non-blocking chain pinned into one
     process via the ``fuse`` clause."""
-    flow = Dataflow("p7-fused-pipeline")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temp"
-    )
-    hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    to_f = flow.add_operator(
-        TransformSpec(
-            {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"}
-        ),
-        node_id="to-fahrenheit",
-    )
-    apparent = flow.add_operator(
-        VirtualPropertySpec("heat_flag", "temperature > 86"),
-        node_id="apparent",
-    )
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(temp, hot)
-    flow.connect(hot, to_f)
-    flow.connect(to_f, apparent)
-    flow.connect(apparent, out)
-    return flow
+    return pipeline(
+        "p7-fused-pipeline", ("hot", FilterSpec("temperature > 24")),
+        ("to-fahrenheit", TransformSpec(
+            {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"})),
+        ("apparent", VirtualPropertySpec("heat_flag", "temperature > 86")),
+        source="temp")
 
 
 FLOWS = {
@@ -222,10 +189,8 @@ FLOWS = {
 
 #: shard directives passed to the translator per golden flow; flows not
 #: listed translate shard-free (their goldens keep the historical form).
-SHARDS = {
-    "p5-sharded-stations": {"combine": 2, "station-avg": 4},
-    "p6-elastic-stations": {"station-avg": 4},
-}
+SHARDS = {"p5-sharded-stations": {"combine": 2, "station-avg": 4},
+          "p6-elastic-stations": {"station-avg": 4}}
 
 #: golden flows translated with ``elastic=True`` (shard clauses carry the
 #: trailing ``elastic`` keyword).

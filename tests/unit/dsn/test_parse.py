@@ -4,7 +4,7 @@ import pytest
 
 from repro.dsn.ast import ServiceRole
 from repro.dsn.parse import parse_dsn
-from repro.errors import DsnParseError
+from repro.errors import DsnError, DsnParseError
 from tests.unit.dsn.test_ast import small_program
 
 
@@ -80,8 +80,6 @@ class TestErrors:
             '  channel "a" -> "ghost" port 0;\n'
             "}\n"
         )
-        from repro.errors import DsnError
-
         with pytest.raises(DsnError):
             parse_dsn(text)
 
@@ -106,8 +104,7 @@ class TestShardClause:
 
     def test_elastic_shard_parsed(self):
         parsed = parse_dsn(
-            self._program_text('shard "agg" 4 by "station" elastic;')
-        )
+            self._program_text('shard "agg" 4 by "station" elastic;'))
         (shard,) = parsed.shards
         assert shard.elastic is True
 

@@ -2,20 +2,12 @@
 
 import pytest
 
+from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
 from repro.dsn.generate import dataflow_to_dsn, dsn_to_dataflow
 from repro.dsn.parse import parse_dsn
-from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
-from repro.sensors.osaka import osaka_fleet
+from repro.errors import DsnError
+from repro.scenario import build_stack
 from tests.unit.dsn.test_generate import scenario_flow
-
-
-@pytest.fixture
-def registry():
-    net = BrokerNetwork()
-    for sensor in osaka_fleet(Topology.star(leaf_count=2)):
-        net.publish(sensor.metadata)
-    return net.registry
 
 
 class TestReverseTranslation:
@@ -41,8 +33,6 @@ class TestReverseTranslation:
         assert flow.sources["temp"].initially_active
 
     def test_reconstructed_flow_is_deployable(self, registry):
-        from repro.scenario import build_stack
-
         stack = build_stack()
         program = dataflow_to_dsn(scenario_flow(), stack.broker_network.registry)
         flow = dsn_to_dataflow(program)
@@ -51,13 +41,9 @@ class TestReverseTranslation:
         assert deployment.process("trig").operator.stats.tuples_in > 0
 
     def test_invalid_program_rejected(self):
-        from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
-        from repro.errors import DsnError
-
         program = DsnProgram(name="broken")
         program.services.append(
-            DsnService(role=ServiceRole.SOURCE, name="s", params={})
-        )
+            DsnService(role=ServiceRole.SOURCE, name="s", params={}))
         program.channels.append(DsnChannel("s", "ghost", 0))
         with pytest.raises(DsnError):
             dsn_to_dataflow(program)

@@ -10,6 +10,7 @@ from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.sensors.physical import rain_sensor, temperature_sensor
 from repro.stt.spatial import Point
+from tests.builders import dsn_chain
 
 SITE = Point(34.69, 135.50)
 
@@ -28,32 +29,27 @@ def registry(topo):
 
 
 def make_program() -> DsnProgram:
-    program = DsnProgram(name="p")
-    program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src",
-                   params={"filter": {"sensor_ids": ["t1"]}, "active": True})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter",
-                   params={"condition": "temperature > 0"})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector",
-                   params={"config": {}}, qos=QosPolicy())
-    )
-    program.channels.append(DsnChannel("src", "f", 0))
-    program.channels.append(DsnChannel("f", "k", 0))
-    return program
+    return dsn_chain(("f", "filter", {"condition": "temperature > 0"}),
+                     match={"sensor_ids": ["t1"]}, source_kind="")
+
+
+def placed(scn, registry, program=None, **place_options):
+    """Discover and place ``program`` (default: ``make_program()``)."""
+    program = program or make_program()
+    return scn.place(program, scn.discover(program, registry), **place_options)
+
+
+@pytest.fixture
+def scn(topo):
+    return ScnController(topo)
 
 
 class TestDiscovery:
-    def test_resolves_sensors(self, topo, registry):
-        scn = ScnController(topo)
+    def test_resolves_sensors(self, registry, scn):
         bindings = scn.discover(make_program(), registry)
         assert [m.sensor_id for m in bindings["src"]] == ["t1"]
 
-    def test_no_match_raises(self, topo, registry):
-        scn = ScnController(topo)
+    def test_no_match_raises(self, registry, scn):
         program = make_program()
         program.services[0] = DsnService(
             role=ServiceRole.SOURCE, name="src",
@@ -65,35 +61,23 @@ class TestDiscovery:
 
 class TestPlacement:
     def test_operators_placed_near_data(self, topo, registry):
-        scn = ScnController(topo)
-        program = make_program()
-        bindings = scn.discover(program, registry)
-        placements = scn.place(program, bindings)
+        placements = placed(ScnController(topo), registry)
         # Sensor t1 is on node-0; filter should land there (distance wins).
         assert placements["f"].node_id == "node-0"
 
     def test_source_pinned_to_sensor_node(self, topo, registry):
-        scn = ScnController(topo)
-        program = make_program()
-        bindings = scn.discover(program, registry)
-        placements = scn.place(program, bindings)
+        placements = placed(ScnController(topo), registry)
         assert placements["src"].node_id == "node-0"
 
     def test_load_pushes_placement_away(self, topo, registry):
         # Saturate node-0: placement must prefer a neighbour despite distance.
         topo.node("node-0").register_process("hog", demand=950.0)
-        scn = ScnController(topo, distance_weight=1.0)
-        program = make_program()
-        bindings = scn.discover(program, registry)
-        placements = scn.place(program, bindings, demands={"f": 100.0})
+        placements = placed(ScnController(topo, distance_weight=1.0), registry, demands={"f": 100.0})
         assert placements["f"].node_id != "node-0"
 
     def test_dead_nodes_not_candidates(self, topo, registry):
         topo.node("node-0").fail()
-        scn = ScnController(topo)
-        program = make_program()
-        bindings = scn.discover(program, registry)
-        placements = scn.place(program, bindings)
+        placements = placed(ScnController(topo), registry)
         assert placements["f"].node_id != "node-0"
 
     def test_no_live_nodes_raises(self, topo, registry):
@@ -114,14 +98,10 @@ class TestPlacement:
 
 class TestQosAdmission:
     def test_within_budget_passes(self, topo, registry):
-        scn = ScnController(topo)
-        program = make_program()
-        bindings = scn.discover(program, registry)
-        placements = scn.place(program, bindings)
-        scn.admit_qos(program, placements)
+        scn, program = ScnController(topo), make_program()
+        scn.admit_qos(program, placed(scn, registry, program))
 
-    def test_over_budget_rejected(self, topo, registry):
-        scn = ScnController(topo)
+    def test_over_budget_rejected(self, registry, scn):
         program = make_program()
         program.services[2] = DsnService(
             role=ServiceRole.SINK, name="k", kind="collector",
@@ -143,8 +123,7 @@ class TestMigration:
         node = topo.node("node-0")
         node.register_process("p:heavy", demand=900.0)
         placements = {
-            "p:heavy": PlacementDecision("p:heavy", "node-0", 0.0, "live"),
-        }
+            "p:heavy": PlacementDecision("p:heavy", "node-0", 0.0, "live")}
         moves = scn.suggest_migrations(placements, {"p:heavy": 900.0})
         assert len(moves) == 1
         assert moves[0].from_node == "node-0"
@@ -170,8 +149,7 @@ class TestMigration:
         for node in topo.nodes:
             node.register_process(f"bg-{node.node_id}", demand=950.0)
         placements = {
-            "bg-node-0": PlacementDecision("bg-node-0", "node-0", 0.0, ""),
-        }
+            "bg-node-0": PlacementDecision("bg-node-0", "node-0", 0.0, "")}
         moves = scn.suggest_migrations(placements, {"bg-node-0": 950.0})
         assert moves == []
 
@@ -186,41 +164,33 @@ class TestMigration:
 class TestPlaceShards:
     """Shard placement: spread-first, pack fallback, hard failure modes."""
 
-    def test_spreads_over_distinct_nodes(self, topo):
-        scn = ScnController(topo)
+    def test_spreads_over_distinct_nodes(self, scn):
         decisions = scn.place_shards("agg", 3, ["node-0"], demand=1.0)
         assert [d.service for d in decisions] == ["agg#0", "agg#1", "agg#2"]
         nodes = [d.node_id for d in decisions]
         assert len(set(nodes)) == 3
 
-    def test_packs_when_shards_exceed_nodes(self, topo):
-        scn = ScnController(topo)
+    def test_packs_when_shards_exceed_nodes(self, scn):
         decisions = scn.place_shards("agg", 5, ["node-0"], demand=1.0)
         assert len(decisions) == 5
         # All three nodes are used before any node takes a second shard.
         assert len(set(d.node_id for d in decisions[:3])) == 3
 
-    def test_avoid_excludes_nodes(self, topo):
-        scn = ScnController(topo)
-        decisions = scn.place_shards(
-            "agg", 2, ["node-0"], demand=1.0, avoid={"node-1"}
-        )
+    def test_avoid_excludes_nodes(self, scn):
+        decisions = scn.place_shards("agg", 2, ["node-0"], demand=1.0,
+                                     avoid={"node-1"})
         assert all(d.node_id != "node-1" for d in decisions)
 
-    def test_no_live_nodes_raises(self, topo):
-        scn = ScnController(topo)
+    def test_no_live_nodes_raises(self, topo, scn):
         for node in topo.nodes:
             node.fail()
         with pytest.raises(PlacementError, match="no live nodes"):
             scn.place_shards("agg", 2, [], demand=1.0)
 
-    def test_avoiding_everything_raises(self, topo):
-        scn = ScnController(topo)
+    def test_avoiding_everything_raises(self, scn):
         with pytest.raises(PlacementError, match="no live nodes"):
-            scn.place_shards(
-                "agg", 1, [], demand=1.0,
-                avoid={"node-0", "node-1", "node-2"},
-            )
+            scn.place_shards("agg", 1, [], demand=1.0,
+                             avoid={"node-0", "node-1", "node-2"})
 
     def test_capacity_exhausted_names_the_shard(self):
         # Each node absorbs one 600-unit shard (capacity 1000); the
@@ -235,13 +205,10 @@ class TestPlaceShards:
         topo = Topology.line(2)
         scn = ScnController(topo)
         with pytest.raises(PlacementError, match="capacity exhausted"):
-            scn.place_shards(
-                "agg", 1, [], demand=600.0,
-                projected={"node-0": 500.0, "node-1": 500.0},
-            )
+            scn.place_shards("agg", 1, [], demand=600.0,
+                             projected={"node-0": 500.0, "node-1": 500.0})
 
-    def test_dead_nodes_never_chosen(self, topo):
-        scn = ScnController(topo)
+    def test_dead_nodes_never_chosen(self, topo, scn):
         topo.node("node-2").fail()
         decisions = scn.place_shards("agg", 4, ["node-0"], demand=1.0)
         assert all(d.node_id != "node-2" for d in decisions)

@@ -3,30 +3,19 @@
 import pytest
 
 from repro.cli import DEFAULT_SLO_EXPRS, parse_slo_expr
-from repro.dsn.ast import (
-    DsnChannel,
-    DsnProgram,
-    DsnService,
-    DsnSlo,
-    ServiceRole,
-)
+from repro.dsn.ast import DsnProgram, DsnSlo
 from repro.dsn.parse import parse_dsn
 from repro.errors import DsnError, DsnParseError, StreamLoaderError
-from repro.network.qos import QosPolicy
+from tests.builders import dsn_chain
 
 
 def slo_program() -> DsnProgram:
-    program = DsnProgram(name="p")
-    program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream",
-                   params={"filter": {"sensor_type": "rain"}, "active": True})
-    )
-    program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector",
-                   params={"config": {}}, qos=QosPolicy())
-    )
-    program.channels.append(DsnChannel("src", "k", 0))
-    return program
+    return dsn_chain()
+
+
+@pytest.fixture
+def program():
+    return slo_program()
 
 
 class TestRender:
@@ -34,33 +23,28 @@ class TestRender:
         # Golden stability: without rules, no slo line appears at all.
         assert "slo" not in slo_program().render()
 
-    def test_slo_clause_renders(self):
-        program = slo_program()
+    def test_slo_clause_renders(self, program):
         program.slos.append(
             DsnSlo(flow="p", metric="p99_latency", op="<", threshold=5.0,
                    window=60.0)
         )
         assert '  slo "p" p99_latency < 5 over 60;\n' in program.render()
 
-    def test_slo_renders_after_channels(self):
-        program = slo_program()
+    def test_slo_renders_after_channels(self, program):
         program.slos.append(
-            DsnSlo(flow="p", metric="watermark_lag", op="<", threshold=900.0)
-        )
+            DsnSlo(flow="p", metric="watermark_lag", op="<", threshold=900.0))
         text = program.render()
         assert text.index("slo ") > text.index('channel "src" -> "k"')
 
 
 class TestParse:
-    def test_round_trip(self):
-        program = slo_program()
+    def test_round_trip(self, program):
         program.slos.append(
             DsnSlo(flow="p", metric="p99_latency", op="<=", threshold=5.0,
                    window=60.0)
         )
         program.slos.append(
-            DsnSlo(flow="p", metric="watermark_lag", op="<", threshold=900.0)
-        )
+            DsnSlo(flow="p", metric="watermark_lag", op="<", threshold=900.0))
         assert parse_dsn(program.render()) == program
 
     def test_parse_extracts_fields(self):
@@ -80,16 +64,13 @@ class TestParse:
 
 
 class TestCheck:
-    def test_bad_comparator_rejected(self):
-        program = slo_program()
+    def test_bad_comparator_rejected(self, program):
         program.slos.append(
-            DsnSlo(flow="p", metric="p99_latency", op="!=", threshold=5.0)
-        )
+            DsnSlo(flow="p", metric="p99_latency", op="!=", threshold=5.0))
         with pytest.raises(DsnError):
             program.check()
 
-    def test_negative_window_rejected(self):
-        program = slo_program()
+    def test_negative_window_rejected(self, program):
         program.slos.append(
             DsnSlo(flow="p", metric="p99_latency", op="<", threshold=5.0,
                    window=-60.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexError
-from repro.expr.lexer import Token, TokenKind, tokenize
+from repro.expr.lexer import TokenKind, tokenize
 
 
 def kinds(source):

@@ -79,9 +79,7 @@ class TestCalls:
     def test_multiple_args(self):
         node = parse("convert(x, 'yard', 'meter')")
         assert node == Call(
-            "convert",
-            (AttributeRef("x"), Literal("yard"), Literal("meter")),
-        )
+            "convert", (AttributeRef("x"), Literal("yard"), Literal("meter")))
 
     def test_nested_calls(self):
         node = parse("max(abs(a), abs(b))")

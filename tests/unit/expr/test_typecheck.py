@@ -11,8 +11,7 @@ from repro.schema.types import AttributeType
 @pytest.fixture
 def schema():
     return StreamSchema.build(
-        {"temp": "float", "count": "int", "name": "string", "ok": "bool"}
-    )
+        {"temp": "float", "count": "int", "name": "string", "ok": "bool"})
 
 
 class TestTypes:
@@ -90,21 +89,18 @@ class TestCheckBoolean:
 class TestQualifiedScopes:
     def test_join_predicate(self, schema):
         other = StreamSchema.build({"temp": "float", "road": "string"})
-        compile_expression("left.temp > right.temp").check_boolean(
-            left=schema, right=other
-        )
+        compile_expression(
+            "left.temp > right.temp").check_boolean(left=schema, right=other)
 
     def test_unknown_qualifier(self, schema):
         with pytest.raises(UnknownAttributeError, match="unknown qualifier"):
-            compile_expression("center.temp > 1").type_check(
-                left=schema, right=schema
-            )
+            compile_expression("center.temp > 1").type_check(left=schema,
+                                                             right=schema)
 
     def test_unqualified_in_two_stream_context(self, schema):
         with pytest.raises(UnknownAttributeError, match="qualify"):
-            compile_expression("temp > 1").type_check(
-                left=schema, right=schema
-            )
+            compile_expression("temp > 1").type_check(left=schema,
+                                                      right=schema)
 
     def test_unknown_attribute_in_qualifier(self, schema):
         with pytest.raises(UnknownAttributeError, match="no attribute"):

@@ -1,20 +1,24 @@
 """Unit tests: O(1) pending count and lazy-deletion compaction."""
 
+import pytest
+
 from repro.network.simclock import SimClock
 
 
+@pytest.fixture
+def clock():
+    return SimClock()
+
+
 class TestPendingCount:
-    def test_pending_excludes_cancelled(self):
-        clock = SimClock()
-        events = [clock.schedule(float(i + 1), lambda: None)
-                  for i in range(6)]
+    def test_pending_excludes_cancelled(self, clock):
+        events = [clock.schedule(float(i + 1), lambda: None) for i in range(6)]
         assert clock.pending == 6
         events[0].cancel()
         events[2].cancel()
         assert clock.pending == 4
 
-    def test_double_cancel_counts_once(self):
-        clock = SimClock()
+    def test_double_cancel_counts_once(self, clock):
         event = clock.schedule(1.0, lambda: None)
         clock.schedule(2.0, lambda: None)
         event.cancel()
@@ -22,16 +26,13 @@ class TestPendingCount:
         event.cancel()
         assert clock.pending == 1
 
-    def test_pending_drains_to_zero(self):
-        clock = SimClock()
-        events = [clock.schedule(float(i + 1), lambda: None)
-                  for i in range(5)]
+    def test_pending_drains_to_zero(self, clock):
+        events = [clock.schedule(float(i + 1), lambda: None) for i in range(5)]
         events[3].cancel()
         clock.run()
         assert clock.pending == 0
 
-    def test_cancel_after_fire_is_a_no_op(self):
-        clock = SimClock()
+    def test_cancel_after_fire_is_a_no_op(self, clock):
         fired = clock.schedule(1.0, lambda: None)
         clock.schedule(2.0, lambda: None)
         clock.run_until(1.5)
@@ -39,10 +40,9 @@ class TestPendingCount:
         fired.cancel()
         assert clock.pending == 1
 
-    def test_cancel_own_event_from_its_callback(self):
+    def test_cancel_own_event_from_its_callback(self, clock):
         """A callback cancelling the very event that is firing (the sensor
         flusher does this when ``flush`` runs off its own timer)."""
-        clock = SimClock()
         holder = {}
         ran = []
 
@@ -58,8 +58,7 @@ class TestPendingCount:
 
 
 class TestCompaction:
-    def test_heap_compacts_when_mostly_cancelled(self):
-        clock = SimClock()
+    def test_heap_compacts_when_mostly_cancelled(self, clock):
         keep = clock.schedule(100.0, lambda: None)
         doomed = [clock.schedule(float(i + 1), lambda: None)
                   for i in range(40)]
@@ -73,8 +72,7 @@ class TestCompaction:
         keep.cancel()
         assert clock.pending == 0
 
-    def test_compaction_preserves_order(self):
-        clock = SimClock()
+    def test_compaction_preserves_order(self, clock):
         order = []
         doomed = [clock.schedule(float(i + 1), lambda: None)
                   for i in range(30)]
@@ -86,9 +84,8 @@ class TestCompaction:
         clock.run()
         assert order == ["a", "mid", "b"]
 
-    def test_compaction_during_run_keeps_future_events(self):
+    def test_compaction_during_run_keeps_future_events(self, clock):
         """run() iterates the same heap list the compactor rewrites."""
-        clock = SimClock()
         order = []
         doomed = []
 

@@ -157,8 +157,7 @@ class TestRouteCache:
         assert list(info.path) == diamond.route("a", "d")
         assert [link.latency for link in info.links] == [0.001, 0.001]
         assert diamond.route_latency("a", "d") == pytest.approx(
-            diamond.path_latency(["a", "b", "d"])
-        )
+            diamond.path_latency(["a", "b", "d"]))
 
     def test_uncached_is_the_oracle(self, diamond):
         diamond.route("a", "d")
@@ -177,9 +176,8 @@ class TestBuilders:
 
     def test_line(self):
         topo = Topology.line(node_count=4)
-        assert topo.route("node-0", "node-3") == [
-            "node-0", "node-1", "node-2", "node-3",
-        ]
+        assert topo.route("node-0", "node-3") == ["node-0", "node-1", "node-2",
+                                                  "node-3"]
 
     def test_line_single_node(self):
         topo = Topology.line(node_count=1)

@@ -27,6 +27,18 @@ def make_engine(metrics, plane=None, tracer=None, cadence=60.0):
     return engine, clock
 
 
+def depth_rule(metrics, **rule_options):
+    """A started engine with rule ``r``: gauge ``depth`` < 1.  Returns
+    the gauge, the engine and its clock; ``tracer`` goes to the engine,
+    everything else to the rule."""
+    tracer = rule_options.pop("tracer", None)
+    gauge = metrics.gauge("depth")
+    engine, clock = make_engine(metrics, tracer=tracer)
+    engine.add_rule(AlertRule(name="r", metric="depth", op="<", threshold=1.0,
+                              **rule_options))
+    return gauge, engine, clock
+
+
 class TestAlertRule:
     def test_rejects_unknown_comparator(self):
         with pytest.raises(StreamLoaderError):
@@ -111,10 +123,7 @@ class TestThresholdRules:
         assert engine.last_values()["r"] == 50.0
 
     def test_firing_gauge_tracks_state(self, metrics):
-        gauge = metrics.gauge("depth")
-        engine, clock = make_engine(metrics)
-        engine.add_rule(AlertRule(name="r", metric="depth",
-                                  op="<", threshold=1.0))
+        gauge, engine, clock = depth_rule(metrics)
         firing_gauge = metrics.get("alerts_firing", rule="r")
         assert firing_gauge.value == 0.0
         gauge.set(5.0)
@@ -127,10 +136,7 @@ class TestThresholdRules:
 
 class TestSustainedRules:
     def test_transient_breach_is_ignored(self, metrics):
-        gauge = metrics.gauge("depth")
-        engine, clock = make_engine(metrics)
-        engine.add_rule(AlertRule(name="r", metric="depth", op="<",
-                                  threshold=1.0, sustain=120.0))
+        gauge, engine, clock = depth_rule(metrics, sustain=120.0)
         gauge.set(5.0)
         clock.run_until(100.0)  # breached for one tick (70s < sustain)
         gauge.set(0.0)
@@ -138,10 +144,7 @@ class TestSustainedRules:
         assert engine.history == []
 
     def test_persistent_breach_fires_after_sustain(self, metrics):
-        gauge = metrics.gauge("depth")
-        engine, clock = make_engine(metrics)
-        engine.add_rule(AlertRule(name="r", metric="depth", op="<",
-                                  threshold=1.0, sustain=120.0))
+        gauge, engine, clock = depth_rule(metrics, sustain=120.0)
         gauge.set(5.0)
         clock.run_until(400.0)
         # breach_since=30; fires at the first tick with 120s elapsed: 150.
@@ -221,10 +224,7 @@ class TestPlaneMetrics:
 class TestHistoryAndViews:
     def test_tracer_records_transitions_as_events(self, metrics):
         tracer = Tracer(sampling=1.0)
-        gauge = metrics.gauge("depth")
-        engine, clock = make_engine(metrics, tracer=tracer)
-        engine.add_rule(AlertRule(name="r", metric="depth", op="<",
-                                  threshold=1.0, scope="flow"))
+        gauge, engine, clock = depth_rule(metrics, tracer=tracer, scope="flow")
         gauge.set(5.0)
         clock.run_until(40.0)
         events = [span for span in tracer.control_events()
@@ -246,10 +246,7 @@ class TestHistoryAndViews:
         assert snapshot["services"]["f"]["watermark"] == 10.0
 
     def test_health_json_shape(self, metrics):
-        gauge = metrics.gauge("depth")
-        engine, clock = make_engine(metrics)
-        engine.add_rule(AlertRule(name="r", metric="depth", op="<",
-                                  threshold=1.0))
+        gauge, engine, clock = depth_rule(metrics)
         gauge.set(5.0)
         clock.run_until(40.0)
         payload = engine.health_json()

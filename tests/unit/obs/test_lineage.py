@@ -61,9 +61,8 @@ class TestLineageStore:
 
 class TestOperatorRecording:
     def test_aggregation_records_window_members(self):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function="AVG",
-        )
+        op = AggregationOperator(interval=60.0, attributes=["temperature"],
+                                 function="AVG")
         store = LineageStore()
         op.lineage = store
         inputs = [make_tuple("temp-1", i, temperature=20.0 + i) for i in range(3)]
@@ -76,9 +75,8 @@ class TestOperatorRecording:
         ]
 
     def test_join_records_the_matched_pair(self):
-        op = JoinOperator(
-            interval=60.0, predicate="left.station == right.station",
-        )
+        op = JoinOperator(interval=60.0,
+                          predicate="left.station == right.station")
         store = LineageStore()
         op.lineage = store
         op.on_tuple(make_tuple("a", 1, station="umeda"), port=0)
@@ -88,8 +86,7 @@ class TestOperatorRecording:
         assert set(store.inputs(tuple_key(emitted[0]))) == {"a#1", "b#7"}
 
     def test_without_store_no_recording_happens(self):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature"], function="AVG",
-        )
+        op = AggregationOperator(interval=60.0, attributes=["temperature"],
+                                 function="AVG")
         op.on_tuple(make_tuple("temp-1", 0))
         assert op.on_timer(60.0)  # emits fine with lineage unset

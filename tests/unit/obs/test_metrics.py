@@ -13,6 +13,11 @@ from repro.obs.metrics import (
 )
 
 
+@pytest.fixture
+def reg():
+    return MetricsRegistry()
+
+
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self):
         c = Counter()
@@ -98,28 +103,24 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
+    def test_get_or_create_returns_same_instrument(self, reg):
         a = reg.counter("tuples_total", node="n0")
         b = reg.counter("tuples_total", node="n0")
         assert a is b
         other = reg.counter("tuples_total", node="n1")
         assert other is not a
 
-    def test_label_order_is_irrelevant(self):
-        reg = MetricsRegistry()
+    def test_label_order_is_irrelevant(self, reg):
         a = reg.gauge("util", node="n0", op="f")
         b = reg.gauge("util", op="f", node="n0")
         assert a is b
 
-    def test_kind_conflict_is_an_error(self):
-        reg = MetricsRegistry()
+    def test_kind_conflict_is_an_error(self, reg):
         reg.counter("x")
         with pytest.raises(StreamLoaderError):
             reg.gauge("x")
 
-    def test_exposition_format(self):
-        reg = MetricsRegistry()
+    def test_exposition_format(self, reg):
         reg.counter("tuples_total", "tuples seen", node="n0").inc(3)
         reg.gauge("util").set(0.5)
         text = reg.expose()
@@ -128,8 +129,7 @@ class TestRegistry:
         assert 'tuples_total{node="n0"} 3' in text
         assert "util 0.5" in text
 
-    def test_exposition_histogram_le_buckets(self):
-        reg = MetricsRegistry()
+    def test_exposition_histogram_le_buckets(self, reg):
         h = reg.histogram("lat", buckets=(1.0, 5.0), node="n0")
         h.observe(0.5)
         h.observe(90.0)
@@ -140,10 +140,9 @@ class TestRegistry:
         assert 'lat_sum{node="n0"} 90.5' in text
         assert 'lat_count{node="n0"} 2' in text
 
-    def test_label_values_escaped_in_exposition(self):
+    def test_label_values_escaped_in_exposition(self, reg):
         """Regression: backslashes, quotes, and newlines inside label
         values must be escaped or the exposition text is unparseable."""
-        reg = MetricsRegistry()
         reg.counter("routes_total", route='a"b\\c\nd').inc()
         text = reg.expose()
         assert 'routes_total{route="a\\"b\\\\c\\nd"} 1' in text
@@ -162,24 +161,20 @@ class TestRegistry:
         assert first.to_json() == second.to_json()
         assert list(first.snapshot()) == sorted(first.snapshot())
 
-    def test_values_view(self):
-        reg = MetricsRegistry()
+    def test_values_view(self, reg):
         reg.gauge("depth", process="b").set(2.0)
         reg.gauge("depth", process="a").set(1.0)
         reg.histogram("h").observe(0.5)
-        assert reg.values("depth") == [
-            ({"process": "a"}, 1.0), ({"process": "b"}, 2.0),
-        ]
+        assert reg.values("depth") == [({"process": "a"}, 1.0),
+                                       ({"process": "b"}, 2.0)]
         assert reg.values("h") == []  # histograms have no scalar view
         assert reg.values("missing") == []
 
-    def test_snapshot_roundtrips_through_json(self):
-        reg = MetricsRegistry()
+    def test_snapshot_roundtrips_through_json(self, reg):
         reg.counter("c", node="n0").inc()
         reg.histogram("h", buckets=(1.0,)).observe(0.5)
         snap = json.loads(reg.to_json())
         assert snap["c"]["type"] == "counter"
-        assert snap["c"]["series"][0] == {
-            "labels": {"node": "n0"}, "value": 1.0,
-        }
+        assert snap["c"]["series"][0] == {"labels": {"node": "n0"},
+                                          "value": 1.0}
         assert snap["h"]["series"][0]["count"] == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import StreamLoaderError
+from repro.obs.lineage import LineageStore
 from repro.obs.render import (
     format_duration,
     render_trace,
@@ -11,6 +12,11 @@ from repro.obs.render import (
     trace_for_tuple,
 )
 from repro.obs.trace import CONTROL_TRACE_ID, Tracer
+
+
+@pytest.fixture
+def tracer():
+    return Tracer()
 
 
 class TestSampling:
@@ -43,8 +49,7 @@ class TestSampling:
 
 
 class TestSpans:
-    def test_child_context_links_to_parent_span(self):
-        tracer = Tracer()
+    def test_child_context_links_to_parent_span(self, tracer):
         ctx = tracer.start_trace("publish", 0.0, source="s")
         span = tracer.span(ctx, "transmit", 0.0, 1.5)
         child = ctx.child_of(span)
@@ -57,20 +62,17 @@ class TestSpans:
         assert spans[1].parent_id == spans[0].span_id
         assert leaf.parent_id == span.span_id
 
-    def test_span_default_end_is_instantaneous(self):
-        tracer = Tracer()
+    def test_span_default_end_is_instantaneous(self, tracer):
         ctx = tracer.start_trace("publish", 3.0)
         span = tracer.span(ctx, "evaluate", 7.0)
         assert span.duration == 0.0
 
-    def test_duration_spans_the_whole_trace(self):
-        tracer = Tracer()
+    def test_duration_spans_the_whole_trace(self, tracer):
         ctx = tracer.start_trace("publish", 10.0)
         tracer.span(ctx, "transmit", 10.0, 12.5)
         assert tracer.duration(ctx.trace_id) == pytest.approx(2.5)
 
-    def test_find_by_name_and_attrs(self):
-        tracer = Tracer()
+    def test_find_by_name_and_attrs(self, tracer):
         ctx = tracer.start_trace("publish", 0.0, source="a")
         tracer.span(ctx, "transmit", 0.0, to="n1")
         tracer.span(ctx, "transmit", 0.0, to="n2")
@@ -97,8 +99,7 @@ class TestEviction:
 
 
 class TestControlEvents:
-    def test_events_live_in_the_control_trace(self):
-        tracer = Tracer()
+    def test_events_live_in_the_control_trace(self, tracer):
         tracer.event("placement", 5.0, service="f", node="n0")
         events = tracer.control_events()
         assert len(events) == 1
@@ -126,9 +127,8 @@ class TestRendering:
         ctx = tracer.start_trace(
             "publish", 0.0, source="rain-1", node="e0", tuple="rain-1#3"
         )
-        span = tracer.span(
-            ctx, "transmit", 0.0, 1.2, **{"from": "e0", "to": "hub"}
-        )
+        span = tracer.span(ctx, "transmit", 0.0, 1.2,
+                           **{"from": "e0", "to": "hub"})
         child = ctx.child_of(span)
         s2 = tracer.span(
             child, "evaluate", 1.2, node="hub", operator="filter",
@@ -152,15 +152,12 @@ class TestRendering:
         assert lines[2].index("evaluate") > lines[1].index("transmit")
 
     def test_render_trace_resolves_lineage(self):
-        from repro.obs.lineage import LineageStore
-
         tracer, ctx = self._traced()
         out = render_trace(tracer, ctx.trace_id, lineage=LineageStore())
         assert "rain-1#3 -> sink" in out
         assert "lineage: rain-1#3" in out
 
-    def test_slowest_and_tuple_lookup(self):
-        tracer = Tracer()
+    def test_slowest_and_tuple_lookup(self, tracer):
         fast = tracer.start_trace("publish", 0.0, tuple="a#1")
         tracer.span(fast, "transmit", 0.0, 0.1)
         tracer.span(fast, "sink", 0.1, tuple="a#1")
@@ -169,9 +166,7 @@ class TestRendering:
         tracer.span(slow, "sink", 9.0, tuple="b#1")
         sourced = tracer.start_trace("publish", 0.0, tuple="c#1")
         tracer.span(sourced, "transmit", 0.0, 99.0)  # never reaches a sink
-        assert slowest_sink_traces(tracer, 2) == [
-            slow.trace_id, fast.trace_id,
-        ]
+        assert slowest_sink_traces(tracer, 2) == [slow.trace_id, fast.trace_id]
         assert trace_for_tuple(tracer, "b#1") == slow.trace_id
         assert trace_for_tuple(tracer, "nope#0") is None
 

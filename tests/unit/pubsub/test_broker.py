@@ -5,10 +5,24 @@ import pytest
 from repro.errors import PubSubError, UnknownSensorError
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork, RetryPolicy
+from repro.pubsub.broker import Broker, BrokerNetwork, RetryPolicy
 from repro.pubsub.stamping import backfill_stamp
-from repro.pubsub.subscription import SubscriptionFilter
+from repro.pubsub.subscription import Subscription, SubscriptionFilter
 from tests.unit.pubsub.test_registry import make_metadata
+
+
+def advertise(network, sensor_id="temp-1", **fields):
+    """Publish a sensor's metadata; returns it."""
+    metadata = make_metadata(sensor_id, **fields)
+    network.publish(metadata)
+    return metadata
+
+
+def collect(network, node_id, filter_=None):
+    """Subscribe a list on ``node_id``; returns (subscription, list)."""
+    seen = []
+    return network.subscribe(node_id, filter_ or SubscriptionFilter(),
+                             seen.append), seen
 
 
 def publish_reading(network, metadata, now=0.0, seq=0, value=1.0):
@@ -16,20 +30,21 @@ def publish_reading(network, metadata, now=0.0, seq=0, value=1.0):
     return network.publish_data(metadata.sensor_id, tuple_)
 
 
+@pytest.fixture
+def net(local_broker_net):
+    return local_broker_net
+
+
 class TestPublish:
-    def test_publish_registers_and_propagates(self, local_broker_net):
-        net = local_broker_net
+    def test_publish_registers_and_propagates(self, net):
         other = net.broker("n-other")
-        metadata = make_metadata(node_id="n-home")
-        net.publish(metadata)
+        metadata = advertise(net, node_id="n-home")
         assert "temp-1" in net.registry
         assert "temp-1" in other.known_sensors
         assert net.advertisements_sent == 1
 
-    def test_unpublish_removes_routes(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
+    def test_unpublish_removes_routes(self, net):
+        metadata = advertise(net)
         net.subscribe("edge-0", SubscriptionFilter(), lambda t: None)
         net.unpublish("temp-1")
         with pytest.raises(UnknownSensorError):
@@ -49,51 +64,36 @@ class TestPublish:
 
 
 class TestSubscriptionRouting:
-    def test_existing_subscription_matches_new_sensor(self, local_broker_net):
+    def test_existing_subscription_matches_new_sensor(self, net):
         # Plug-and-play: a new sensor matching a standing filter routes
         # automatically (demo part P3).
-        net = local_broker_net
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(sensor_type="temperature"),
-                      seen.append)
-        metadata = make_metadata("late-sensor")
-        net.publish(metadata)
+        _, seen = collect(net, "n1", SubscriptionFilter(sensor_type="temperature"))
+        metadata = advertise(net, "late-sensor")
         publish_reading(net, metadata)
         assert len(seen) == 1
 
-    def test_new_subscription_matches_existing_sensor(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(sensor_type="temperature"),
-                      seen.append)
+    def test_new_subscription_matches_existing_sensor(self, net):
+        metadata = advertise(net)
+        _, seen = collect(net, "n1", SubscriptionFilter(sensor_type="temperature"))
         publish_reading(net, metadata)
         assert len(seen) == 1
 
-    def test_non_matching_filter_receives_nothing(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
+    def test_non_matching_filter_receives_nothing(self, net):
+        metadata = advertise(net)
         seen = []
         net.subscribe("n1", SubscriptionFilter(sensor_type="rain"), seen.append)
         publish_reading(net, metadata)
         assert seen == []
 
-    def test_unsubscribe_stops_delivery(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
-        seen = []
-        subscription = net.subscribe("n1", SubscriptionFilter(), seen.append)
+    def test_unsubscribe_stops_delivery(self, net):
+        metadata = advertise(net)
+        subscription, seen = collect(net, "n1")
         net.unsubscribe(subscription)
         publish_reading(net, metadata)
         assert seen == []
 
-    def test_multiple_subscribers_fan_out(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
+    def test_multiple_subscribers_fan_out(self, net):
+        metadata = advertise(net)
         counts = {"a": 0, "b": 0}
         net.subscribe("n1", SubscriptionFilter(),
                       lambda t: counts.__setitem__("a", counts["a"] + 1))
@@ -104,17 +104,15 @@ class TestSubscriptionRouting:
 
 
 class TestKnownSensorBackfill:
-    def test_late_broker_knows_existing_sensors(self, local_broker_net):
+    def test_late_broker_knows_existing_sensors(self, net):
         # A broker created after sensors were published missed their
         # advertisements; creation back-fills from the registry.
-        net = local_broker_net
         net.publish(make_metadata("temp-1"))
         net.publish(make_metadata("temp-2"))
         late = net.broker("n-late")
         assert late.known_sensors == {"temp-1", "temp-2"}
 
-    def test_backfill_excludes_unpublished(self, local_broker_net):
-        net = local_broker_net
+    def test_backfill_excludes_unpublished(self, net):
         net.publish(make_metadata("temp-1"))
         net.publish(make_metadata("temp-2"))
         net.unpublish("temp-1")
@@ -126,9 +124,6 @@ class TestKnownSensorBackfill:
 
 class TestBrokerSubscriptionStore:
     def test_subscriptions_keep_insertion_order(self):
-        from repro.pubsub.broker import Broker
-        from repro.pubsub.subscription import Subscription
-
         broker = Broker(node_id="n1")
         subs = [
             Subscription(filter=SubscriptionFilter(), callback=lambda t: None,
@@ -142,17 +137,13 @@ class TestBrokerSubscriptionStore:
         assert broker.subscriptions == subs[:2] + subs[3:]
 
     def test_remove_unknown_subscription_raises(self):
-        from repro.pubsub.broker import Broker
-        from repro.pubsub.subscription import Subscription
-
         broker = Broker(node_id="n1")
         stranger = Subscription(filter=SubscriptionFilter(),
                                 callback=lambda t: None, node_id="n1")
         with pytest.raises(PubSubError, match="not on broker"):
             broker.remove_subscription(stranger)
 
-    def test_double_unsubscribe_raises(self, local_broker_net):
-        net = local_broker_net
+    def test_double_unsubscribe_raises(self, net):
         subscription = net.subscribe("n1", SubscriptionFilter(), lambda t: None)
         net.unsubscribe(subscription)
         with pytest.raises(PubSubError, match="not on broker"):
@@ -167,8 +158,16 @@ class TestIncrementalRouteMaintenance:
             if subs
         }
 
-    def test_subscribe_matches_rebuild_all(self, local_broker_net):
-        net = local_broker_net
+    @staticmethod
+    def rebuild_all(net):
+        """The full O(sensors x subscriptions) rebuild: the reference the
+        incremental maintenance must equal."""
+        for sensor_id in [s for s in net._routes if s not in net.registry]:
+            del net._routes[sensor_id]
+        for metadata in net.registry.all():
+            net._rebuild_routes_for(metadata.sensor_id)
+
+    def test_subscribe_matches_rebuild_all(self, net):
         for i in range(3):
             net.publish(make_metadata(f"temp-{i}"))
         net.subscribe("n1", SubscriptionFilter(sensor_type="temperature"),
@@ -176,23 +175,21 @@ class TestIncrementalRouteMaintenance:
         net.subscribe("n2", SubscriptionFilter(sensor_type="rain"),
                       lambda t: None)
         incremental = self.routes_snapshot(net)
-        net._rebuild_all_routes()
+        self.rebuild_all(net)
         assert self.routes_snapshot(net) == incremental
 
-    def test_unsubscribe_matches_rebuild_all(self, local_broker_net):
-        net = local_broker_net
+    def test_unsubscribe_matches_rebuild_all(self, net):
         for i in range(3):
             net.publish(make_metadata(f"temp-{i}"))
         keep = net.subscribe("n1", SubscriptionFilter(), lambda t: None)
         drop = net.subscribe("n2", SubscriptionFilter(), lambda t: None)
         net.unsubscribe(drop)
         incremental = self.routes_snapshot(net)
-        net._rebuild_all_routes()
+        self.rebuild_all(net)
         assert self.routes_snapshot(net) == incremental
         assert all(id(keep) in subs for subs in incremental.values())
 
-    def test_interleaved_publish_subscribe_consistent(self, local_broker_net):
-        net = local_broker_net
+    def test_interleaved_publish_subscribe_consistent(self, net):
         net.publish(make_metadata("temp-0"))
         s1 = net.subscribe("n1", SubscriptionFilter(sensor_type="temperature"),
                            lambda t: None)
@@ -201,7 +198,7 @@ class TestIncrementalRouteMaintenance:
         net.unsubscribe(s1)
         net.publish(make_metadata("temp-2"))
         incremental = self.routes_snapshot(net)
-        net._rebuild_all_routes()
+        self.rebuild_all(net)
         assert self.routes_snapshot(net) == incremental
         assert all(id(s2) in subs for subs in incremental.values())
 
@@ -209,10 +206,8 @@ class TestIncrementalRouteMaintenance:
 class TestSuppression:
     def test_paused_subscription_generates_no_traffic(self, broker_net):
         net = broker_net
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        subscription = net.subscribe("hub", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        subscription, seen = collect(net, "hub")
         subscription.pause()
         sent_before = net.netsim.stats.messages_sent
         assert publish_reading(net, metadata) == 0
@@ -221,10 +216,8 @@ class TestSuppression:
 
     def test_resume_restores_traffic(self, broker_net):
         net = broker_net
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        subscription = net.subscribe("hub", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        subscription, seen = collect(net, "hub")
         subscription.pause()
         publish_reading(net, metadata, seq=0)
         subscription.resume()
@@ -236,10 +229,8 @@ class TestSuppression:
 class TestNetworkedDelivery:
     def test_delivery_crosses_simulated_links(self, broker_net):
         net = broker_net
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        net.subscribe("edge-1", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        _, seen = collect(net, "edge-1")
         publish_reading(net, metadata)
         assert seen == []  # not yet: in flight
         net.netsim.clock.run()
@@ -276,10 +267,8 @@ def retrying_net(max_attempts=3):
 class TestRetryAndDeadLetter:
     def test_transient_outage_recovered_by_retry(self):
         net = retrying_net()
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        net.subscribe("edge-1", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        _, seen = collect(net, "edge-1")
         net.netsim.kill_node("edge-1")
         publish_reading(net, metadata)
         # Back up before the retry budget exhausts (delays 1 + 2 + 4).
@@ -291,10 +280,8 @@ class TestRetryAndDeadLetter:
 
     def test_exhausted_retries_dead_letter(self):
         net = retrying_net(max_attempts=2)
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        subscription = net.subscribe("edge-1", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        subscription, seen = collect(net, "edge-1")
         letters = []
         net.on_dead_letter = lambda sub, t, reason: letters.append((sub, reason))
         net.netsim.kill_node("edge-1")
@@ -309,8 +296,7 @@ class TestRetryAndDeadLetter:
 
     def test_zero_attempt_policy_dead_letters_immediately(self):
         net = retrying_net(max_attempts=0)
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
+        metadata = advertise(net, node_id="edge-0")
         subscription = net.subscribe("edge-1", SubscriptionFilter(),
                                      lambda t: None)
         net.netsim.kill_node("edge-1")
@@ -323,10 +309,8 @@ class TestRetryAndDeadLetter:
         # A subscription re-pointed between attempts (process re-placed
         # after a node death) receives the retried tuple at its new home.
         net = retrying_net()
-        metadata = make_metadata(node_id="edge-0")
-        net.publish(metadata)
-        seen = []
-        subscription = net.subscribe("edge-1", SubscriptionFilter(), seen.append)
+        metadata = advertise(net, node_id="edge-0")
+        subscription, seen = collect(net, "edge-1")
         net.netsim.kill_node("edge-1")
         publish_reading(net, metadata)
 
@@ -338,12 +322,9 @@ class TestRetryAndDeadLetter:
         assert len(seen) == 1
         assert net.data_messages_dead_lettered == 0
 
-    def test_local_network_never_retries(self, local_broker_net):
-        net = local_broker_net
-        metadata = make_metadata()
-        net.publish(metadata)
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(), seen.append)
+    def test_local_network_never_retries(self, net):
+        metadata = advertise(net)
+        _, seen = collect(net, "n1")
         publish_reading(net, metadata)
         assert len(seen) == 1
         assert net.data_messages_retried == 0

@@ -32,8 +32,7 @@ class TestFind:
     def test_by_area(self, discovery):
         inside = discovery.find(area=OSAKA_AREA)
         nowhere = discovery.find(
-            area=Box(south=0.0, west=0.0, north=1.0, east=1.0)
-        )
+            area=Box(south=0.0, west=0.0, north=1.0, east=1.0))
         assert len(inside) > 0
         assert nowhere == []
 

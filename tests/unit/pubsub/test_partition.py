@@ -7,38 +7,22 @@ from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.partition import ShardRouter
-from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.subscription import Subscription, SubscriptionFilter
-from repro.schema.schema import StreamSchema
 from repro.streams.shard import partition_index
-from repro.streams.tuple import SensorTuple, TupleBatch
-from repro.stt.event import SttStamp
+from repro.streams.tuple import TupleBatch
 from repro.stt.spatial import Point
+from tests.builders import reading as sensor_reading, sensor_metadata
 
 SITE = Point(34.69, 135.50)
 
 
 def metadata(node_id="hub"):
-    return SensorMetadata(
-        sensor_id="part-sensor",
-        sensor_type="temperature",
-        schema=StreamSchema.build(
-            {"temperature": "float", "station": "str"},
-            themes=("weather/temperature",),
-        ),
-        frequency=1.0,
-        location=SITE,
-        node_id=node_id,
-    )
+    return sensor_metadata("part-sensor", node_id=node_id)
 
 
 def reading(seq, station):
-    return SensorTuple(
-        payload={"temperature": 20.0, "station": station},
-        stamp=SttStamp(time=float(seq), location=SITE),
-        source="part-sensor",
-        seq=seq,
-    )
+    return sensor_reading("part-sensor", seq, float(seq), temperature=20.0,
+                          station=station)
 
 
 def make_router(count=3, sink=None):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PubSubError
 from repro.pubsub.subscription import SubscriptionFilter
 from tests.unit.pubsub.test_registry import make_metadata
 
@@ -11,16 +12,22 @@ def make_batch(make_tuple, count: int, start: int = 0):
             for i in range(count)]
 
 
+TEMPERATURE = SubscriptionFilter(sensor_type="temperature")
+
+
+def temperature_net(net, home="edge-1"):
+    """``net`` with sensor ``t1`` advertised from ``home``."""
+    net.publish(make_metadata("t1", "temperature", node_id=home))
+    return net
+
+
 class TestPublishBatch:
     def test_fans_out_to_every_matching_subscriber(self, local_broker_net,
                                                    make_tuple):
-        net = local_broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-1"))
+        net = temperature_net(local_broker_net)
         seen_a, seen_b = [], []
-        net.subscribe("edge-1", SubscriptionFilter(sensor_type="temperature"),
-                      seen_a.append)
-        net.subscribe("edge-2", SubscriptionFilter(sensor_type="temperature"),
-                      seen_b.append)
+        net.subscribe("edge-1", TEMPERATURE, seen_a.append)
+        net.subscribe("edge-2", TEMPERATURE, seen_b.append)
         batch = make_batch(make_tuple, 5)
         initiated = net.publish_batch("t1", batch)
         assert initiated == 2
@@ -30,10 +37,8 @@ class TestPublishBatch:
     def test_counters_are_tuple_and_message_denominated(self,
                                                         local_broker_net,
                                                         make_tuple):
-        net = local_broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-1"))
-        net.subscribe("edge-1", SubscriptionFilter(sensor_type="temperature"),
-                      lambda _t: None)
+        net = temperature_net(local_broker_net)
+        net.subscribe("edge-1", TEMPERATURE, lambda _t: None)
         net.publish_batch("t1", make_batch(make_tuple, 7))
         assert net.data_messages_sent == 1
         assert net.data_tuples_sent == 7
@@ -41,13 +46,9 @@ class TestPublishBatch:
     def test_paused_subscription_suppresses_whole_batch(self,
                                                         local_broker_net,
                                                         make_tuple):
-        net = local_broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-1"))
+        net = temperature_net(local_broker_net)
         seen = []
-        subscription = net.subscribe(
-            "edge-1", SubscriptionFilter(sensor_type="temperature"),
-            seen.append,
-        )
+        subscription = net.subscribe("edge-1", TEMPERATURE, seen.append)
         subscription.active = False
         initiated = net.publish_batch("t1", make_batch(make_tuple, 4))
         assert initiated == 0
@@ -57,20 +58,15 @@ class TestPublishBatch:
         assert net.data_tuples_suppressed == 4
 
     def test_empty_batch_is_a_no_op(self, local_broker_net):
-        net = local_broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-1"))
+        net = temperature_net(local_broker_net)
         assert net.publish_batch("t1", []) == 0
         assert net.data_messages_sent == 0
 
     def test_batch_callback_takes_precedence(self, local_broker_net,
                                              make_tuple):
-        net = local_broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-1"))
+        net = temperature_net(local_broker_net)
         per_tuple, whole = [], []
-        subscription = net.subscribe(
-            "edge-1", SubscriptionFilter(sensor_type="temperature"),
-            per_tuple.append,
-        )
+        subscription = net.subscribe("edge-1", TEMPERATURE, per_tuple.append)
         subscription.batch_callback = whole.append
         batch = make_batch(make_tuple, 3)
         net.publish_batch("t1", batch)
@@ -81,11 +77,9 @@ class TestPublishBatch:
 
     def test_crosses_simulated_links_as_one_message(self, broker_net,
                                                     make_tuple):
-        net = broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-0"))
+        net = temperature_net(broker_net, "edge-0")
         seen = []
-        net.subscribe("edge-1", SubscriptionFilter(sensor_type="temperature"),
-                      seen.append)
+        net.subscribe("edge-1", TEMPERATURE, seen.append)
         batch = make_batch(make_tuple, 6)
         net.publish_batch("t1", batch)
         net.netsim.clock.run()
@@ -95,16 +89,14 @@ class TestPublishBatch:
 
     def test_exhausted_batch_dead_letters_every_tuple(self, broker_net,
                                                       make_tuple):
-        net = broker_net
-        net.publish(make_metadata("t1", "temperature", node_id="edge-0"))
+        net = temperature_net(broker_net, "edge-0")
         subscription = net.subscribe(
             "edge-1", SubscriptionFilter(sensor_type="temperature"),
             lambda _t: None,
         )
         abandoned = []
         net.on_dead_letter = (
-            lambda sub, tuple_, reason: abandoned.append(tuple_.seq)
-        )
+            lambda sub, tuple_, reason: abandoned.append(tuple_.seq))
         net.netsim.topology.node("edge-1").fail()
         batch = make_batch(make_tuple, 3)
         pending = net.netsim.clock.pending
@@ -121,8 +113,5 @@ class TestPublishBatch:
         assert net.data_messages_retried == net.retry_policy.max_attempts
 
     def test_unknown_sensor_raises(self, local_broker_net, make_tuple):
-        from repro.errors import PubSubError
-
         with pytest.raises(PubSubError):
-            local_broker_net.publish_batch("ghost",
-                                           make_batch(make_tuple, 1))
+            local_broker_net.publish_batch("ghost", make_batch(make_tuple, 1))

@@ -6,8 +6,14 @@ from repro.errors import PubSubError
 from repro.pubsub.subscription import Subscription, SubscriptionFilter
 from repro.streams.tuple import TupleBatch
 from repro.stt.spatial import Box
+from repro.stt.thematic import Theme
 from tests.unit.pubsub.test_registry import make_metadata
 
+
+def listening(callback) -> Subscription:
+    """A catch-all subscription on ``n1`` calling ``callback``."""
+    return Subscription(filter=SubscriptionFilter(), callback=callback,
+                        node_id="n1")
 
 class TestFilterMatching:
     def test_empty_filter_matches_everything(self):
@@ -24,8 +30,6 @@ class TestFilterMatching:
         assert filter_.matches(make_metadata(sensor_type="rain"))
 
     def test_by_theme_hierarchy(self):
-        from repro.stt.thematic import Theme
-
         filter_ = SubscriptionFilter(theme=Theme("weather"))
         assert filter_.matches(make_metadata(themes=("weather/temperature",)))
         assert not filter_.matches(make_metadata(themes=("mobility/traffic",)))
@@ -53,44 +57,33 @@ class TestFilterMatching:
 class TestSubscriptionDelivery:
     def test_active_delivers(self, make_tuple):
         seen = []
-        subscription = Subscription(
-            filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
-        )
+        subscription = listening(seen.append)
         assert subscription.deliver(make_tuple(0)) == 1
         assert subscription.delivered == 1
         assert len(seen) == 1
 
     def test_paused_suppresses(self, make_tuple):
         seen = []
-        subscription = Subscription(
-            filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
-        )
+        subscription = listening(seen.append)
         subscription.pause()
         assert subscription.deliver(make_tuple(0)) == 0
         assert subscription.suppressed == 1
         assert seen == []
 
     def test_resume(self, make_tuple):
-        subscription = Subscription(
-            filter=SubscriptionFilter(), callback=lambda t: None, node_id="n1"
-        )
+        subscription = listening(lambda t: None)
         subscription.pause()
         subscription.resume()
         assert subscription.deliver(make_tuple(0)) == 1
 
     def test_batch_without_batch_callback_unrolls_in_order(self, make_tuple):
         seen = []
-        subscription = Subscription(
-            filter=SubscriptionFilter(), callback=seen.append, node_id="n1"
-        )
+        subscription = listening(seen.append)
         tuples = [make_tuple(seq) for seq in range(3)]
         assert subscription.deliver(TupleBatch.of(tuples)) == 3
         assert seen == tuples
         assert subscription.delivered == 3
 
     def test_unique_ids(self):
-        a = Subscription(filter=SubscriptionFilter(), callback=lambda t: None,
-                         node_id="n1")
-        b = Subscription(filter=SubscriptionFilter(), callback=lambda t: None,
-                         node_id="n1")
+        a, b = listening(lambda t: None), listening(lambda t: None)
         assert a.subscription_id != b.subscription_id

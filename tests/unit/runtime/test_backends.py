@@ -22,6 +22,12 @@ from repro.streams.filter import FilterOperator
 from repro.streams.sink import ListSink
 
 
+def async_backend(**kwargs) -> AsyncBackend:
+    """An asyncio backend on a two-leaf star, wall-bounded at 10 s."""
+    return AsyncBackend(topology=Topology.star(leaf_count=2), max_wall=10.0,
+                        **kwargs)
+
+
 class TestBackendRegistry:
     def test_names_resolve(self):
         sim = backend_from_name("sim", topology=Topology.star(leaf_count=2))
@@ -68,7 +74,7 @@ class TestSimBackend:
 
 class TestAsyncBackendLifecycle:
     def test_timers_fire_at_logical_instants(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             fired = []
             backend.clock.schedule(5.0, lambda: fired.append(backend.clock.now))
             backend.clock.schedule(1.0, lambda: fired.append(backend.clock.now))
@@ -77,21 +83,21 @@ class TestAsyncBackendLifecycle:
             assert backend.clock.now == 10.0
 
     def test_clock_run_until_delegates_to_backend(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             fired = []
             backend.clock.schedule(1.0, lambda: fired.append(True))
             backend.clock.run_until(2.0)
             assert fired == [True]
 
     def test_sync_stepping_refused(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             with pytest.raises(SimulationError, match="run_until"):
                 backend.clock.run()
             with pytest.raises(SimulationError, match="run_until"):
                 backend.clock.step()
 
     def test_running_backwards_refused(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             backend.run_until(10.0)
             with pytest.raises(SimulationError, match="backwards"):
                 backend.run_until(5.0)
@@ -107,13 +113,13 @@ class TestAsyncBackendLifecycle:
             backend.run_until(1.0)
 
     def test_wall_clock_exposed(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             first = backend.clock.wall_now
             assert first >= 0.0
             assert backend.clock.wall_now >= first
 
     def test_epochs_pass_scheduled_args(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             calls = []
             backend.clock.schedule(1.0, lambda a, b: calls.append((a, b)), 1, 2)
             backend.clock.schedule_at(1.0, calls.append, "same instant")
@@ -121,7 +127,7 @@ class TestAsyncBackendLifecycle:
             assert calls == [(1, 2), "same instant"]
 
     def test_zero_delay_cascade_guard(self):
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             def reschedule():
                 backend.clock.schedule(0.0, reschedule)
 
@@ -158,10 +164,6 @@ def _send_at(backend, process, when, count):
 class TestMailbox:
     """One bounded deque per process, one task wake per burst."""
 
-    def _backend(self, **kwargs):
-        return AsyncBackend(topology=Topology.star(leaf_count=2),
-                            max_wall=10.0, **kwargs)
-
     def test_capacity_below_one_rejected(self):
         # A mailbox bounded below 1 could never accept a message: the
         # first post would stall forever.
@@ -172,7 +174,7 @@ class TestMailbox:
 
     def test_same_instant_burst_costs_one_wake(self):
         def callbacks_for(count):
-            with self._backend() as backend:
+            with async_backend() as backend:
                 process = _FakeProcess()
                 backend.host_process(process)
                 backend.run_until(0.5)  # the host task starts and parks
@@ -196,7 +198,7 @@ class TestMailbox:
         # handles a message and flushes *its* staged mail.  If it picked
         # up the driver's remainder it would wait for room in its own
         # mailbox and the run would wedge (here: trip the wall budget).
-        with self._backend(mailbox_capacity=2) as backend:
+        with async_backend(mailbox_capacity=2) as backend:
             process = _FakeProcess()
             backend.host_process(process)
             _send_at(backend, process, 1.0, 10)
@@ -206,7 +208,7 @@ class TestMailbox:
             assert backend._hosts[id(process)].high_water == 2
 
     def test_mail_for_a_host_that_died_mid_wait_is_skipped(self):
-        with self._backend(mailbox_capacity=1) as backend:
+        with async_backend(mailbox_capacity=1) as backend:
             # Handling the first message kills the process's own node
             # while the driver is suspended posting the second.
             process = _FakeProcess(
@@ -223,10 +225,6 @@ class TestRelay:
     """The host that empties the barrier runs the next epochs itself; the
     driver wakes only to sleep, wait for room, reap, stop or raise."""
 
-    def _backend(self, **kwargs):
-        return AsyncBackend(topology=Topology.star(leaf_count=2),
-                            max_wall=10.0, **kwargs)
-
     @staticmethod
     def _hosted(backend, *nodes):
         processes = [_FakeProcess(node) for node in nodes]
@@ -239,7 +237,7 @@ class TestRelay:
         # did not wake: one loop turn per woken task, and no turn for the
         # driver between epochs (a driver-only clock pays 2N).
         def turns(count):
-            with self._backend() as backend:
+            with async_backend() as backend:
                 pair = self._hosted(backend, "edge-1", "hub")
                 backend.run_until(0.5)  # the host tasks start and park
                 for i in range(count):
@@ -264,7 +262,7 @@ class TestRelay:
         # The relayed epoch posts one of three messages into a 1-slot
         # mailbox.  The other two are the driver's: a host that picked
         # them up would wait for room in its own mailbox and wedge.
-        with self._backend(mailbox_capacity=1) as backend:
+        with async_backend(mailbox_capacity=1) as backend:
             first, second = self._hosted(backend, "edge-1", "hub")
             _send_at(backend, first, 1.0, 1)
             _send_at(backend, second, 2.0, 3)
@@ -288,7 +286,7 @@ class TestRelay:
         # leaves one message to the driver; both forwarders then wait for
         # room there.  The driver queued when its tail was cut, as if it
         # had run the epoch itself, so the slots go tail, first, second.
-        with self._backend(mailbox_capacity=1) as backend:
+        with async_backend(mailbox_capacity=1) as backend:
             loop, clock = backend._loop, backend.clock
             relay, target = self._hosted(backend, "edge-1", "hub")
             forwarders = [
@@ -312,7 +310,7 @@ class TestRelay:
             assert backend.backpressure_stalls == 3
 
     def test_host_revived_in_its_own_relay_hands_over_to_its_new_task(self):
-        with self._backend() as backend:
+        with async_backend() as backend:
             loop = backend._loop
             handled_by = []
             process = _FakeProcess("edge-1", on_receive=lambda message: (
@@ -333,7 +331,7 @@ class TestRelay:
 
     def test_barrier_the_driver_abandoned_is_not_relayed(self):
         # What wait_for does to the driver when the wall budget runs out.
-        with AsyncBackend(topology=Topology.star(leaf_count=2)) as backend:
+        with async_backend() as backend:
             process, = self._hosted(backend, "edge-1")
             process._on_receive = lambda _: backend._quiet.cancel()
             _send_at(backend, process, 1.0, 1)
@@ -344,7 +342,7 @@ class TestRelay:
             assert later == []
 
     def test_callback_raising_in_a_relayed_epoch_reaches_run_until(self):
-        with self._backend() as backend:
+        with async_backend() as backend:
             process, = self._hosted(backend, "edge-1")
             ran_in = []
 
@@ -360,7 +358,7 @@ class TestRelay:
             assert ran_in == [backend._hosts[id(process)].task]
 
     def test_zero_delay_cascade_guard_holds_in_a_relayed_epoch(self):
-        with self._backend() as backend:
+        with async_backend() as backend:
             process, = self._hosted(backend, "edge-1")
             ran_in = set()
 
@@ -411,7 +409,7 @@ class TestRelay:
         async def fail():
             raise RuntimeError("nobody awaits me")
 
-        with self._backend() as backend:
+        with async_backend() as backend:
             task = backend._loop.create_task(fail())
             backend._loop.run_until_complete(asyncio.sleep(0))
             assert task.done()
@@ -428,8 +426,7 @@ class TestRouteLateBinding:
 
     def test_route_wired_before_hosting_and_a_move_follows_both(
             self, make_tuple):
-        with AsyncBackend(topology=Topology.star(leaf_count=2),
-                          max_wall=10.0) as backend:
+        with async_backend() as backend:
             netsim = backend.transport
             source = OperatorProcess(
                 "f", FilterOperator("true"), "edge-0", netsim)
@@ -456,13 +453,10 @@ class TestBackendSurfacing:
             _send_at(stack.backend, process, 1.0, 5)
             stack.run_until(2.0)
             health = stack.executor.monitor.report()["backend_health"]
-        assert health == {
-            "backpressure_stalls": 0,
-            "mailbox_high_water": {"fake": 5},
-        }
+        assert health == {"backpressure_stalls": 0,
+                          "mailbox_high_water": {"fake": 5}}
         sim = build_stack(attach_fleet=False)
         assert "backend_health" not in sim.executor.monitor.report()
-
 
     def test_monitor_report_names_the_backend(self):
         stack = build_stack(backend="async", attach_fleet=False)
@@ -480,9 +474,8 @@ class TestBackendSurfacing:
 
     def test_spans_carry_wall_stamps_only_on_async(self):
         for backend, expect_wall in (("sim", False), ("async", True)):
-            stack = build_stack(
-                backend=backend, attach_fleet=False, observability=True
-            )
+            stack = build_stack(backend=backend, attach_fleet=False,
+                                observability=True)
             with stack:
                 tracer = stack.obs.tracer
                 ctx = tracer.start_trace("publish", stack.clock.now)

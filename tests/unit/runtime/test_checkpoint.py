@@ -93,15 +93,19 @@ class TestOperatorCheckpoint:
 
 
 class TestProcessCheckpointing:
-    def make_process(self, sim, node="edge-0"):
+    def make_process(self, sim, node="edge-0", every=None):
+        """A SUM window on ``node``; started, checkpointing ``every``
+        seconds, when ``every`` is given."""
         op = AggregationOperator(interval=500.0, attributes=["temperature"],
                                  function="SUM")
-        return OperatorProcess("agg", op, node, sim)
+        process = OperatorProcess("agg", op, node, sim)
+        if every is not None:
+            process.enable_checkpoints(every)
+            process.start()
+        return process
 
     def test_periodic_snapshots_on_the_clock(self, sim, make_tuple):
-        process = self.make_process(sim)
-        process.enable_checkpoints(60.0)
-        process.start()
+        process = self.make_process(sim, every=60.0)
         sim.clock.schedule(30.0, lambda: process.receive(make_tuple(0)))
         sim.clock.run_until(130.0)
         assert process.last_checkpoint is not None
@@ -110,17 +114,13 @@ class TestProcessCheckpointing:
         assert len(state["cache"]) == 1
 
     def test_first_snapshot_taken_immediately(self, sim):
-        process = self.make_process(sim)
-        process.enable_checkpoints(600.0)
-        process.start()
+        process = self.make_process(sim, every=600.0)
         sim.clock.run_until(1.0)
         assert process.last_checkpoint is not None
         assert process.last_checkpoint[0] == 0.0
 
     def test_no_snapshot_while_node_down(self, sim):
-        process = self.make_process(sim)
-        process.enable_checkpoints(60.0)
-        process.start()
+        process = self.make_process(sim, every=60.0)
         sim.clock.run_until(1.0)
         first = process.last_checkpoint
         sim.kill_node("edge-0")
@@ -133,9 +133,7 @@ class TestProcessCheckpointing:
         assert process.restores == 0
 
     def test_restore_applies_snapshot_and_counts(self, sim, make_tuple):
-        process = self.make_process(sim)
-        process.enable_checkpoints(60.0)
-        process.start()
+        process = self.make_process(sim, every=60.0)
         sim.clock.schedule(10.0, lambda: process.receive(make_tuple(0)))
         sim.clock.run_until(70.0)
         sim.clock.schedule(80.0, lambda: process.receive(make_tuple(1)))
@@ -146,9 +144,7 @@ class TestProcessCheckpointing:
         assert len(process.operator.cache) == snapshot_len
 
     def test_stop_cancels_checkpoint_timer(self, sim):
-        process = self.make_process(sim)
-        process.enable_checkpoints(60.0)
-        process.start()
+        process = self.make_process(sim, every=60.0)
         sim.clock.run_until(1.0)
         process.stop()
         first = process.last_checkpoint

@@ -2,32 +2,31 @@
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
+from tests.builders import pipeline
 
 
 @pytest.fixture
 def deployed():
     stack = build_stack(rebalance_interval=120.0)
-    flow = Dataflow("evac")
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          node_id="src")
-    keep = flow.add_operator(FilterSpec("temperature > -100"), node_id="keep")
-    out = flow.add_sink("collector", node_id="out")
-    flow.connect(src, keep)
-    flow.connect(keep, out)
-    deployment = stack.executor.deploy(flow)
+    deployment = stack.executor.deploy(
+        pipeline("evac", ("keep", FilterSpec("temperature > -100"))))
     stack.run_until(300.0)
     return stack, deployment
+
+
+def fail_host(stack, deployment) -> str:
+    """Fail the node hosting ``keep``; returns its id."""
+    victim = deployment.process("keep").node_id
+    stack.topology.node(victim).fail()
+    return victim
 
 
 class TestEvacuation:
     def test_process_moves_off_dead_node(self, deployed):
         stack, deployment = deployed
-        victim = deployment.process("keep").node_id
-        stack.topology.node(victim).fail()
+        victim = fail_host(stack, deployment)
         stack.run_until(600.0)  # at least one coordination round
         assert deployment.process("keep").node_id != victim
         changes = [c for c in stack.executor.monitor.assignment_log
@@ -36,8 +35,7 @@ class TestEvacuation:
 
     def test_stream_recovers_after_evacuation(self, deployed):
         stack, deployment = deployed
-        victim = deployment.process("keep").node_id
-        stack.topology.node(victim).fail()
+        fail_host(stack, deployment)
         stack.run_until(900.0)
         count = len(deployment.collected("out"))
         stack.run_until(3600.0)
@@ -45,8 +43,7 @@ class TestEvacuation:
 
     def test_subscriptions_follow_evacuated_process(self, deployed):
         stack, deployment = deployed
-        victim = deployment.process("keep").node_id
-        stack.topology.node(victim).fail()
+        fail_host(stack, deployment)
         stack.run_until(600.0)
         new_node = deployment.process("keep").node_id
         for subscription in deployment.bindings["src"].subscriptions:
@@ -61,7 +58,6 @@ class TestEvacuation:
 
     def test_placement_map_records_reason(self, deployed):
         stack, deployment = deployed
-        victim = deployment.process("keep").node_id
-        stack.topology.node(victim).fail()
+        fail_host(stack, deployment)
         stack.run_until(600.0)
         assert "down" in deployment.placements["keep"].reason

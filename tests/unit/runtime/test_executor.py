@@ -5,39 +5,39 @@ import inspect
 import pytest
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import AggregationSpec, FilterSpec, TriggerOnSpec
+from repro.dataflow.ops import AggregationSpec, FilterSpec
 from repro.dsn.generate import dataflow_to_dsn
+from repro.dsn.scn import ScnController
 from repro.errors import DeploymentError, LifecycleError
+from repro.network.netsim import NetworkSimulator
+from repro.network.topology import Topology
+from repro.pubsub.broker import BrokerNetwork
+from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.subscription import SubscriptionFilter
+from repro.runtime.executor import Executor
 from repro.runtime.lifecycle import DeploymentState
-from repro.scenario import build_stack
-
-
-@pytest.fixture
-def stack():
-    return build_stack(hot=True)
+from repro.scenario import build_stack, osaka_scenario_flow
+from repro.schema.schema import StreamSchema
+from repro.stt.spatial import Point
+from tests.builders import pipeline
 
 
 def simple_flow(name="simple") -> Dataflow:
-    flow = Dataflow(name)
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          node_id="src")
-    hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(src, hot)
-    flow.connect(hot, sink)
-    return flow
+    return pipeline(name, ("hot", FilterSpec("temperature > 24")))
+
+
+@pytest.fixture
+def deployment(stack):
+    return stack.executor.deploy(simple_flow())
 
 
 class TestDeploy:
-    def test_deploy_creates_processes(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_deploy_creates_processes(self, deployment):
         assert deployment.state is DeploymentState.RUNNING
         assert set(deployment.processes) == {"hot", "out"}
         assert set(deployment.bindings) == {"src"}
 
-    def test_data_flows_to_collector(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_data_flows_to_collector(self, stack, deployment):
         stack.run_until(14 * 3600.0)  # includes a hot afternoon
         collected = deployment.collected("out")
         assert collected
@@ -48,14 +48,11 @@ class TestDeploy:
         with pytest.raises(DeploymentError, match="already running"):
             stack.executor.deploy(simple_flow())
 
-    def test_redeploy_after_teardown_allowed(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_redeploy_after_teardown_allowed(self, stack, deployment):
         deployment.teardown()
         stack.executor.deploy(simple_flow())
 
     def test_warehouse_sink_requires_warehouse(self, stack):
-        from repro.runtime.executor import Executor
-
         bare = Executor(stack.netsim, stack.broker_network)
         flow = Dataflow("needs-wh")
         src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
@@ -74,8 +71,7 @@ class TestDeploy:
         assert "fuse" not in inspect.signature(stack.executor.deploy).parameters
         assert "fuse" not in inspect.signature(dataflow_to_dsn).parameters
 
-    def test_collected_unknown_sink_raises(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_collected_unknown_sink_raises(self, deployment):
         with pytest.raises(DeploymentError):
             deployment.collected("ghost")
 
@@ -87,8 +83,7 @@ class TestDeploy:
 
 
 class TestPauseResume:
-    def test_pause_stops_traffic(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_pause_stops_traffic(self, stack, deployment):
         stack.run_until(3600.0)
         deployment.pause()
         count = len(deployment.collected("out"))
@@ -98,8 +93,7 @@ class TestPauseResume:
         assert stack.broker_network.data_messages_suppressed > suppressed_before
         assert deployment.state is DeploymentState.PAUSED
 
-    def test_resume_restores(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_resume_restores(self, stack, deployment):
         stack.run_until(11 * 3600.0)
         deployment.pause()
         stack.run_until(12 * 3600.0)
@@ -108,8 +102,7 @@ class TestPauseResume:
         stack.run_until(15 * 3600.0)  # hot hours
         assert len(deployment.collected("out")) > count
 
-    def test_illegal_transitions_raise(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_illegal_transitions_raise(self, deployment):
         with pytest.raises(LifecycleError):
             deployment.resume()
         deployment.pause()
@@ -118,29 +111,23 @@ class TestPauseResume:
 
 
 class TestTeardown:
-    def test_teardown_releases_everything(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_teardown_releases_everything(self, stack, deployment):
         stack.run_until(3600.0)
         deployment.teardown()
         assert deployment.state is DeploymentState.STOPPED
         for node in stack.topology.nodes:
-            assert not any(
-                pid.startswith("simple:") for pid in node.processes
-            )
+            assert not any(pid.startswith("simple:") for pid in node.processes)
         count = len(deployment.collected("out"))
         stack.run_until(7200.0)
         assert len(deployment.collected("out")) == count
 
-    def test_teardown_idempotent(self, stack):
-        deployment = stack.executor.deploy(simple_flow())
+    def test_teardown_idempotent(self, deployment):
         deployment.teardown()
         deployment.teardown()
 
 
 class TestTriggerControl:
     def trigger_flow(self, stack):
-        from repro.scenario import osaka_scenario_flow
-
         return osaka_scenario_flow(stack)
 
     def test_gated_sources_start_paused(self, stack):
@@ -159,8 +146,6 @@ class TestTriggerControl:
 
     def test_trigger_silent_when_cool(self):
         cool = build_stack(hot=False)
-        from repro.scenario import osaka_scenario_flow
-
         deployment = cool.executor.deploy(osaka_scenario_flow(cool))
         cool.run_until(14 * 3600.0)
         assert not cool.executor.monitor.control_log
@@ -182,8 +167,7 @@ class TestRebalance:
         assert changes[0].process_id.startswith("hotspot:")
         assert changes[0].from_node == hot_node
         assert deployment.process("hot").node_id != hot_node or any(
-            c.process_id == "hotspot:hot" for c in changes
-        )
+            c.process_id == "hotspot:hot" for c in changes)
 
     def test_stream_continues_after_migration(self):
         stack = build_stack(rebalance_interval=120.0)
@@ -212,15 +196,6 @@ class TestReplacementDemandAccounting:
     FREQUENCY = 16.0   # Hz -> conceptual demand 16, 4 cost-units per shard
 
     def _deploy(self):
-        from repro.dsn.scn import ScnController
-        from repro.network.netsim import NetworkSimulator
-        from repro.network.topology import Topology
-        from repro.pubsub.broker import BrokerNetwork
-        from repro.pubsub.registry import SensorMetadata
-        from repro.runtime.executor import Executor
-        from repro.schema.schema import StreamSchema
-        from repro.stt.spatial import Point
-
         netsim = NetworkSimulator(topology=Topology.star(leaf_count=3))
         netsim.topology.node("hub").capacity = 100.0
         for leaf in ("edge-0", "edge-1", "edge-2"):
@@ -240,18 +215,10 @@ class TestReplacementDemandAccounting:
             node_id="hub",
         ))
 
-        flow = Dataflow("demand-accounting")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        agg = flow.add_operator(
-            AggregationSpec(interval=600.0, attributes=("temperature",),
-                            function="AVG", group_by="station"),
-            node_id="agg",
-        )
-        out = flow.add_sink("collector", node_id="out")
-        flow.connect(src, agg)
-        flow.connect(agg, out)
-        deployment = executor.deploy(flow, shards={"agg": 4})
+        deployment = executor.deploy(pipeline(
+            "demand-accounting", ("agg", AggregationSpec(
+                interval=600.0, attributes=("temperature",), function="AVG",
+                group_by="station"))), shards={"agg": 4})
         return netsim, executor, deployment
 
     def test_displaced_shards_spread_instead_of_packing(self):
@@ -282,8 +249,7 @@ class TestReplacementDemandAccounting:
         for leaf in ("edge-1", "edge-2"):
             node = netsim.topology.node(leaf)
             assert node.load <= node.capacity, (
-                f"{leaf} over-booked: {node.load} > {node.capacity}"
-            )
+                f"{leaf} over-booked: {node.load} > {node.capacity}")
 
     def test_move_to_books_placement_demand_before_first_sample(self):
         netsim, _, deployment = self._deploy()

@@ -2,29 +2,16 @@
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
 from repro.errors import LifecycleError, ValidationError
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.lifecycle import replace_operator_live
-from repro.scenario import build_stack
-
-
-@pytest.fixture
-def stack():
-    return build_stack(hot=True)
+from tests.builders import pipeline
 
 
 @pytest.fixture
 def deployment(stack):
-    flow = Dataflow("live-edit")
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          node_id="src")
-    hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(src, hot)
-    flow.connect(hot, sink)
-    return stack.executor.deploy(flow)
+    return stack.executor.deploy(
+        pipeline("live-edit", ("hot", FilterSpec("temperature > 24"))))
 
 
 class TestReplaceOperator:

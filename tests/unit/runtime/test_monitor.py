@@ -29,10 +29,16 @@ def make_process(sim, name="f", node="node-0"):
     return OperatorProcess(name, FilterOperator("temperature > -100"), node, sim)
 
 
+def watched(sim, monitor):
+    """A process on node-0 that ``monitor`` watches as flow ``flow``."""
+    process = make_process(sim)
+    monitor.watch("flow", [process])
+    return process
+
+
 class TestSampling:
     def test_operation_rates_collected(self, sim, monitor, make_tuple):
-        process = make_process(sim)
-        monitor.watch("flow", [process])
+        process = watched(sim, monitor)
         monitor.start()
         for i in range(120):
             sim.clock.schedule(float(i), lambda i=i: process.receive(make_tuple(i)))
@@ -78,8 +84,7 @@ class TestEvents:
 
 class TestReport:
     def test_report_structure(self, sim, monitor):
-        process = make_process(sim)
-        monitor.watch("flow", [process])
+        watched(sim, monitor)
         monitor.start()
         sim.clock.run_until(60.0)
         report = monitor.report()
@@ -89,8 +94,7 @@ class TestReport:
         assert "network" in report
 
     def test_dashboard_renders(self, sim, monitor, make_tuple):
-        process = make_process(sim)
-        monitor.watch("flow", [process])
+        process = watched(sim, monitor)
         monitor.start()
         process.receive(make_tuple(0))
         sim.clock.run_until(60.0)
@@ -101,8 +105,7 @@ class TestReport:
         assert "reassignments" in text
 
     def test_unwatch_removes_assignments(self, sim, monitor):
-        process = make_process(sim)
-        monitor.watch("flow", [process])
+        watched(sim, monitor)
         monitor.unwatch("flow")
         assert monitor.current_assignments() == {}
 
@@ -249,8 +252,7 @@ class TestDashboardGolden:
         # The sources advance while the sink's watermark stays at 5.5, so
         # the lag rule breaches before the t=90 tick.
         sim.clock.schedule_at(
-            50.0, lambda: plane.note_publish("sensor-1", 50.0, 50.0)
-        )
+            50.0, lambda: plane.note_publish("sensor-1", 50.0, 50.0))
         sim.clock.run_until(95.0)  # SUSPECT at 40, alert fires at 90
         monitor.record_migration("flow:f", "station-1", "migrate", 0, (1,),
                                  "hot key")
@@ -285,9 +287,7 @@ class TestReportPlaneSections:
         engine.start(sim.clock)
         monitor.alerts = engine
         report = monitor.report()
-        assert report["watermarks"]["flow:f"] == {
-            "watermark": 8.0, "lag": 1.0,
-        }
+        assert report["watermarks"]["flow:f"] == {"watermark": 8.0, "lag": 1.0}
         assert report["alerts"] == {"firing": [], "transitions": 0}
 
     def test_report_omits_sections_without_plane(self, sim, monitor):

@@ -226,8 +226,7 @@ class TestShapes:
         deployment = deploy(shape)
         assert list(deployment.processes) == [row[0] for row in SHAPES[shape][1]]
         assert deployment.assignments() == {
-            key: node for key, _, _, node in SHAPES[shape][1]
-        }
+            key: node for key, _, _, node in SHAPES[shape][1]}
 
     def test_routes_and_subscriptions_follow_the_edges(self, shape):
         deployment = deploy(shape)
@@ -338,9 +337,8 @@ class TestSloShape:
             "slo:avg#merge": "slo:avg",
             "slo:out": "slo:out",
         }
-        assert list(plane.logical_health()) == [
-            "slo:avg", "slo:keep+slim", "slo:out",
-        ]
+        assert list(plane.logical_health()) == ["slo:avg", "slo:keep+slim",
+                                                "slo:out"]
 
 
 def test_only_the_plan_builds_process_keys():

@@ -65,9 +65,8 @@ class TestLifecycle:
 
 class TestDataPath:
     def test_emissions_forwarded_over_network(self, sim, make_tuple):
-        filter_ = OperatorProcess(
-            "f", FilterOperator("temperature > 24"), "node-0", sim
-        )
+        filter_ = OperatorProcess("f", FilterOperator("temperature > 24"),
+                                  "node-0", sim)
         sink = OperatorProcess("k", ListSink(), "node-2", sim)
         filter_.add_route(sink)
         filter_.start()
@@ -208,17 +207,15 @@ class TestTracing:
         obs = Observability(sampling=1.0)
         sim = NetworkSimulator(topology=Topology.line(3))
         sim.tracer = obs.tracer
-        filter_ = OperatorProcess(
-            "f", FilterOperator("temperature > 24"), "node-0", sim, obs=obs
-        )
+        filter_ = OperatorProcess("f", FilterOperator("temperature > 24"),
+                                  "node-0", sim, obs=obs)
         sink = OperatorProcess("k", ListSink(), "node-2", sim, obs=obs)
         filter_.add_route(sink)
         ctx = obs.tracer.start_trace("publish", 0.0)
         traced = make_tuple(0, temperature=30.0).with_trace(ctx)
         if batched:
             filter_.receive(
-                TupleBatch.of([traced, make_tuple(1, temperature=30.0)])
-            )
+                TupleBatch.of([traced, make_tuple(1, temperature=30.0)]))
         else:
             filter_.receive(traced)
         sim.clock.run()

@@ -13,12 +13,16 @@ import math
 import pytest
 
 from repro.errors import StreamLoaderError
+from repro.network.netsim import NetworkSimulator
+from repro.network.topology import Topology
 from repro.runtime.rebalance import (
     BOUNDARY_EPSILON,
     RebalanceConfig,
     RebalanceDecision,
+    RebalanceExecutor,
     RebalancePolicy,
     ShardLoadMonitor,
+    ShardRebalancer,
 )
 
 HOT = ("st-hot",)
@@ -37,11 +41,11 @@ def _policy(**overrides) -> RebalancePolicy:
 class TestPolicyHysteresis:
     def test_single_skewed_epoch_never_acts(self):
         policy = _policy(hysteresis=2)
-        assert policy.observe([80, 10, 10, 10], KEYS) is None
+        assert policy.observe([80, 10, 10, 10], 0, KEYS) is None
 
     def test_persistent_skew_acts_after_hysteresis(self):
         policy = _policy(hysteresis=3)
-        decisions = [policy.observe([80, 10, 10, 10], KEYS)
+        decisions = [policy.observe([80, 10, 10, 10], 0, KEYS)
                      for _ in range(3)]
         assert decisions[:2] == [None, None]
         assert decisions[2] is not None
@@ -53,15 +57,15 @@ class TestPolicyHysteresis:
         policy = _policy(hysteresis=2)
         skewed, balanced = [80, 10, 10, 10], [25, 25, 25, 25]
         for _ in range(20):
-            assert policy.observe(skewed, KEYS) is None
-            assert policy.observe(balanced, KEYS) is None
+            assert policy.observe(skewed, 0, KEYS) is None
+            assert policy.observe(balanced, 0, KEYS) is None
 
     def test_balanced_loads_reset_streak(self):
         policy = _policy(hysteresis=2)
-        assert policy.observe([80, 10, 10, 10], KEYS) is None
-        assert policy.observe([25, 25, 25, 25], KEYS) is None
+        assert policy.observe([80, 10, 10, 10], 0, KEYS) is None
+        assert policy.observe([25, 25, 25, 25], 0, KEYS) is None
         # Streak restarted: one more skewed epoch is not enough.
-        assert policy.observe([80, 10, 10, 10], KEYS) is None
+        assert policy.observe([80, 10, 10, 10], 0, KEYS) is None
 
 
 class TestPolicyCooldown:
@@ -70,7 +74,7 @@ class TestPolicyCooldown:
         ceil(E / (hysteresis + cooldown)) actions fire."""
         policy = _policy(hysteresis=2, cooldown_epochs=4)
         epochs = 30
-        decisions = [policy.observe([80, 10, 10, 10], KEYS)
+        decisions = [policy.observe([80, 10, 10, 10], 0, KEYS)
                      for _ in range(epochs)]
         acted = [d for d in decisions if d is not None]
         assert len(acted) <= math.ceil(epochs / (2 + 4))
@@ -81,9 +85,9 @@ class TestPolicyCooldown:
 
     def test_cooldown_ignores_even_extreme_skew(self):
         policy = _policy(hysteresis=1, cooldown_epochs=3)
-        assert policy.observe([80, 10, 10, 10], KEYS) is not None
+        assert policy.observe([80, 10, 10, 10], 0, KEYS) is not None
         for _ in range(3):
-            assert policy.observe([1000, 0, 0, 0], KEYS) is None
+            assert policy.observe([1000, 0, 0, 0], 0, KEYS) is None
 
 
 class TestPolicyStepChange:
@@ -93,7 +97,7 @@ class TestPolicyStepChange:
         policy = _policy(hysteresis=2, cooldown_epochs=4)
         trace = [[25, 25, 25, 25]] * 5 + [[80, 10, 10, 10]] * 2 \
             + [[25, 25, 25, 25]] * 20
-        decisions = [policy.observe(loads, KEYS) for loads in trace]
+        decisions = [policy.observe(loads, 0, KEYS) for loads in trace]
         acted = [d for d in decisions if d is not None]
         assert len(acted) == 1
         assert acted[0].kind == "migrate"
@@ -102,18 +106,18 @@ class TestPolicyStepChange:
 
     def test_zero_traffic_is_balanced(self):
         policy = _policy(hysteresis=1)
-        assert policy.observe([0, 0, 0, 0], KEYS) is None
-        assert policy.observe([], KEYS) is None
+        assert policy.observe([0, 0, 0, 0], 0, KEYS) is None
+        assert policy.observe([], 0, KEYS) is None
 
     def test_single_shard_never_acts(self):
         policy = _policy(hysteresis=1)
-        assert policy.observe([100], KEYS) is None
+        assert policy.observe([100], 0, KEYS) is None
 
 
 class TestPolicyDecisions:
     def test_movable_key_migrates_to_lightest_shard(self):
         policy = _policy(hysteresis=1)
-        decision = policy.observe([80, 30, 10, 20], KEYS)
+        decision = policy.observe([80, 30, 10, 20], 0, KEYS)
         assert decision == RebalanceDecision(
             kind="migrate", values=HOT, donor=0, recipient=2,
             reason=decision.reason,
@@ -123,7 +127,7 @@ class TestPolicyDecisions:
         """A key that *is* the donor's load cannot migrate (it would just
         move the hot spot); with splitting enabled it sprays instead."""
         policy = _policy(hysteresis=1, split_hot_keys=True)
-        decision = policy.observe([80, 10, 10, 10], [(HOT, 78)],
+        decision = policy.observe([80, 10, 10, 10], 0, [(HOT, 78)],
                                   combine_safe=True)
         assert decision is not None
         assert decision.kind == "split"
@@ -132,30 +136,29 @@ class TestPolicyDecisions:
 
     def test_split_replicas_capped_by_config_and_count(self):
         policy = _policy(hysteresis=1, split_hot_keys=True, split_replicas=2)
-        decision = policy.observe([80, 10, 10, 10], [(HOT, 78)],
+        decision = policy.observe([80, 10, 10, 10], 0, [(HOT, 78)],
                                   combine_safe=True)
         assert decision.replicas == (0, 1)
 
     def test_unsafe_operator_never_splits(self):
         """Without combine safety (joins) the indivisible key stays put."""
         policy = _policy(hysteresis=1, split_hot_keys=True)
-        assert policy.observe([80, 10, 10, 10], [(HOT, 78)],
+        assert policy.observe([80, 10, 10, 10], 0, [(HOT, 78)],
                               combine_safe=False) is None
 
     def test_split_requires_the_flag(self):
         policy = _policy(hysteresis=1, split_hot_keys=False)
-        assert policy.observe([80, 10, 10, 10], [(HOT, 78)],
+        assert policy.observe([80, 10, 10, 10], 0, [(HOT, 78)],
                               combine_safe=True) is None
 
     def test_already_split_keys_are_skipped(self):
         policy = _policy(hysteresis=1, split_hot_keys=True)
-        assert policy.observe([80, 10, 10, 10], [(HOT, 78)],
-                              combine_safe=True,
-                              already_split={HOT}) is None
+        assert policy.observe([80, 10, 10, 10], 0, [(HOT, 78)],
+                              combine_safe=True, already_split={HOT}) is None
 
     def test_no_key_data_no_action(self):
         policy = _policy(hysteresis=1)
-        assert policy.observe([80, 10, 10, 10], []) is None
+        assert policy.observe([80, 10, 10, 10], 0, []) is None
 
 
 class _Stats:
@@ -214,9 +217,7 @@ class TestLoadMonitor:
 
     def test_hot_keys_sorted_with_deterministic_ties(self):
         group = _Group(1)
-        group.members[0].operator.key_loads = {
-            ("b",): 5, ("a",): 5, ("c",): 9,
-        }
+        group.members[0].operator.key_loads = {("b",): 5, ("a",): 5, ("c",): 9}
         monitor = ShardLoadMonitor(group, window_epochs=1)
         assert monitor.hot_keys(0) == [(("c",), 9), (("a",), 5), (("b",), 5)]
 
@@ -254,19 +255,31 @@ class TestLagProvider:
                     key=lambda i: (loads[i], no_lags[i], -i))
         assert donor == 0
 
+    def test_decision_names_the_shard_its_hot_keys_came_from(self):
+        # Equal loads, shard 1 lags: shard 1 donates, so the key moved
+        # must be one shard 1 holds, and the decision must say shard 1.
+        group = _Group(3)
+        for member, total in zip(group.members, (10, 10, 0)):
+            member.operator.stats.tuples_in = total
+        group.members[1].operator.key_loads = {("x",): 6}
+        rebalancer = ShardRebalancer(
+            group, None, NetworkSimulator(topology=Topology.star(leaf_count=1)),
+            "svc", 60.0, config=RebalanceConfig(hysteresis=1))
+        rebalancer.load_monitor.lag_provider = lambda: [0.0, 5.0, 0.0]
+        decisions = []
+        rebalancer.executor.schedule = decisions.append
+        rebalancer.tick()
+        assert decisions == [RebalanceDecision(
+            kind="migrate", values=("x",), donor=1, recipient=2,
+            reason=decisions[0].reason)]
+
 
 class TestBoundaryMath:
     """next_boundary() picks the flush instant strictly after now."""
 
     def _executor(self, interval):
-        from repro.network.netsim import NetworkSimulator
-        from repro.network.topology import Topology
-        from repro.runtime.rebalance import RebalanceExecutor
-
         netsim = NetworkSimulator(topology=Topology.star(leaf_count=1))
-        return RebalanceExecutor(
-            _Group(2), None, netsim, "svc", interval,
-        )
+        return RebalanceExecutor(_Group(2), None, netsim, "svc", interval)
 
     def test_mid_epoch_rounds_up(self):
         assert self._executor(60.0).next_boundary(130.0) == 180.0

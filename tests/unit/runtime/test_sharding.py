@@ -9,6 +9,7 @@ from repro.runtime.sharding import ShardGroup
 from repro.streams.filter import FilterOperator
 from repro.streams.shard import partition_index
 from repro.streams.sink import ListSink
+from repro.streams.tuple import TupleBatch
 
 
 @pytest.fixture
@@ -24,9 +25,8 @@ def make_group(sim, count=2, keys_by_port=(("station",),), with_merge=True):
     merge = (
         OperatorProcess("merge", ListSink(), "hub", sim) if with_merge else None
     )
-    group = ShardGroup(
-        service="svc", members=members, keys_by_port=keys_by_port, merge=merge
-    )
+    group = ShardGroup(service="svc", members=members,
+                       keys_by_port=keys_by_port, merge=merge)
     for process in group.processes():
         process.start()
     return group
@@ -70,9 +70,8 @@ class TestSplit:
             assert seqs == sorted(seqs)
             for tuple_ in batch.tuples:
                 assert group.member_for(tuple_) is member
-        assert sorted(t.seq for _, b in pieces for t in b.tuples) == list(
-            range(10)
-        )
+        assert sorted(
+            t.seq for _, b in pieces for t in b.tuples) == list(range(10))
 
     def test_members_visited_in_shard_order(self, sim, make_tuple):
         group = make_group(sim, count=4)
@@ -105,8 +104,7 @@ class TestShardedForwarding:
 
     def make_upstream(self, sim, group):
         upstream = OperatorProcess(
-            "upstream", FilterOperator("temperature > 0"), "hub", sim
-        )
+            "upstream", FilterOperator("temperature > 0"), "hub", sim)
         upstream.add_route(group)
         upstream.start()
         return upstream
@@ -128,7 +126,6 @@ class TestShardedForwarding:
     def test_forward_batch_splits_per_member(self, sim, make_tuple):
         group = make_group(sim, count=2)
         upstream = self.make_upstream(sim, group)
-        from repro.streams.tuple import TupleBatch
         tuples = [make_tuple(seq, station=f"st-{seq % 3}") for seq in range(9)]
         upstream.receive(TupleBatch.of(tuples))
         sim.clock.run()

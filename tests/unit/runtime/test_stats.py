@@ -5,12 +5,22 @@ import pytest
 from repro.runtime.stats import RateEstimator, TimeSeries
 
 
+def series_of(*points) -> TimeSeries:
+    """Series ``x`` holding ``points`` ((time, value) pairs) in order."""
+    series = TimeSeries("x")
+    for time, value in points:
+        series.record(time, value)
+    return series
+
+
+@pytest.fixture
+def rate():
+    return RateEstimator()
+
+
 class TestTimeSeries:
     def test_record_and_reductions(self):
-        series = TimeSeries("x")
-        series.record(0.0, 1.0)
-        series.record(10.0, 3.0)
-        series.record(20.0, 2.0)
+        series = series_of((0.0, 1.0), (10.0, 3.0), (20.0, 2.0))
         assert series.last == 2.0
         assert series.mean() == 2.0
         assert series.maximum() == 3.0
@@ -23,8 +33,7 @@ class TestTimeSeries:
         assert series.maximum() == 0.0
 
     def test_backwards_time_raises(self):
-        series = TimeSeries("x")
-        series.record(10.0, 1.0)
+        series = series_of((10.0, 1.0))
         with pytest.raises(ValueError):
             series.record(5.0, 2.0)
 
@@ -32,9 +41,7 @@ class TestTimeSeries:
         # Two samplers can legitimately fire on the same virtual instant
         # (e.g. the monitor's sampler and the liveness checker); both
         # points are kept, in arrival order, and `last` is the newest.
-        series = TimeSeries("x")
-        series.record(10.0, 1.0)
-        series.record(10.0, 2.0)
+        series = series_of((10.0, 1.0), (10.0, 2.0))
         assert len(series) == 2
         assert series.points == [(10.0, 1.0), (10.0, 2.0)]
         assert series.last == 2.0
@@ -42,10 +49,7 @@ class TestTimeSeries:
         assert series.last == 3.0
 
     def test_record_after_equal_timestamps_continues(self):
-        series = TimeSeries("x")
-        series.record(10.0, 1.0)
-        series.record(10.0, 2.0)
-        series.record(11.0, 4.0)
+        series = series_of((10.0, 1.0), (10.0, 2.0), (11.0, 4.0))
         assert series.since(10.0) == [(10.0, 1.0), (10.0, 2.0), (11.0, 4.0)]
         with pytest.raises(ValueError):
             series.record(10.5, 5.0)
@@ -57,9 +61,7 @@ class TestTimeSeries:
         assert series.since(3.0) == [(3.0, 3.0), (4.0, 4.0)]
 
     def test_values_times(self):
-        series = TimeSeries("x")
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
+        series = series_of((1.0, 10.0), (2.0, 20.0))
         assert series.values() == [10.0, 20.0]
         assert series.times() == [1.0, 2.0]
 
@@ -72,11 +74,7 @@ class TestTimeSeries:
             assert series.since(cutoff) == linear
 
     def test_since_with_duplicate_timestamps_returns_all(self):
-        series = TimeSeries("x")
-        series.record(1.0, 1.0)
-        series.record(2.0, 2.0)
-        series.record(2.0, 3.0)
-        series.record(3.0, 4.0)
+        series = series_of((1.0, 1.0), (2.0, 2.0), (2.0, 3.0), (3.0, 4.0))
         assert series.since(2.0) == [(2.0, 2.0), (2.0, 3.0), (3.0, 4.0)]
 
     def test_max_points_caps_retention(self):
@@ -110,15 +108,11 @@ class TestWindow:
         assert series.window(15.0) == [(20.0, 20.0), (30.0, 30.0)]
 
     def test_window_covering_everything(self):
-        series = TimeSeries("x")
-        series.record(0.0, 1.0)
-        series.record(10.0, 2.0)
+        series = series_of((0.0, 1.0), (10.0, 2.0))
         assert series.window(100.0) == [(0.0, 1.0), (10.0, 2.0)]
 
     def test_zero_window_keeps_the_newest_instant(self):
-        series = TimeSeries("x")
-        series.record(0.0, 1.0)
-        series.record(10.0, 2.0)
+        series = series_of((0.0, 1.0), (10.0, 2.0))
         series.record(10.0, 3.0)  # same-instant samples both retained
         assert series.window(0.0) == [(10.0, 2.0), (10.0, 3.0)]
 
@@ -131,29 +125,24 @@ class TestWindow:
 
 
 class TestRateEstimator:
-    def test_first_observation_is_zero(self):
-        rate = RateEstimator()
+    def test_first_observation_is_zero(self, rate):
         assert rate.observe(0.0, 100.0) == 0.0
 
-    def test_rate_over_window(self):
-        rate = RateEstimator()
+    def test_rate_over_window(self, rate):
         rate.observe(0.0, 0.0)
         assert rate.observe(10.0, 50.0) == 5.0
         assert rate.observe(20.0, 150.0) == 10.0
 
-    def test_no_time_passed_keeps_rate(self):
-        rate = RateEstimator()
+    def test_no_time_passed_keeps_rate(self, rate):
         rate.observe(0.0, 0.0)
         rate.observe(10.0, 50.0)
         assert rate.observe(10.0, 60.0) == 5.0  # unchanged
 
-    def test_counter_reset_clamped_to_zero(self):
-        rate = RateEstimator()
+    def test_counter_reset_clamped_to_zero(self, rate):
         rate.observe(0.0, 100.0)
         assert rate.observe(10.0, 0.0) == 0.0  # never negative
 
-    def test_reset(self):
-        rate = RateEstimator()
+    def test_reset(self, rate):
         rate.observe(0.0, 0.0)
         rate.observe(10.0, 100.0)
         rate.reset()

@@ -80,9 +80,8 @@ class TestAggregateSchema:
         assert minutely.temporal_granularity.name == "minute"
 
     def test_multiple_attributes(self, weather_schema):
-        result = aggregate_schema(
-            weather_schema, ["temperature", "humidity"], "MAX", 60.0
-        )
+        result = aggregate_schema(weather_schema, ["temperature", "humidity"],
+                                  "MAX", 60.0)
         assert result.names == ("max_temperature", "max_humidity")
 
 

@@ -40,9 +40,8 @@ class TestBuild:
             StreamSchema.build([("a", "int"), ("a", "float")])
 
     def test_metadata(self):
-        schema = StreamSchema.build(
-            {"a": "int"}, temporal="hour", spatial="city", themes=("weather",)
-        )
+        schema = StreamSchema.build({"a": "int"}, temporal="hour",
+                                    spatial="city", themes=("weather",))
         assert schema.temporal_granularity.name == "hour"
         assert schema.spatial_granularity.name == "city"
         assert schema.themes[0].path == "weather"
@@ -65,13 +64,11 @@ class TestLookups:
 class TestPayloadValidation:
     def test_valid_payload(self, weather_schema):
         weather_schema.validate_payload(
-            {"temperature": 25.0, "humidity": 0.5, "station": "x"}
-        )
+            {"temperature": 25.0, "humidity": 0.5, "station": "x"})
 
     def test_int_accepted_for_float(self, weather_schema):
         weather_schema.validate_payload(
-            {"temperature": 25, "humidity": 0.5, "station": "x"}
-        )
+            {"temperature": 25, "humidity": 0.5, "station": "x"})
 
     def test_missing_attribute_raises(self, weather_schema):
         with pytest.raises(TypeMismatchError, match="missing"):
@@ -80,8 +77,7 @@ class TestPayloadValidation:
     def test_wrong_type_raises(self, weather_schema):
         with pytest.raises(TypeMismatchError, match="does not fit"):
             weather_schema.validate_payload(
-                {"temperature": "hot", "humidity": 0.5, "station": "x"}
-            )
+                {"temperature": "hot", "humidity": 0.5, "station": "x"})
 
     def test_extra_attribute_raises(self, weather_schema):
         with pytest.raises(TypeMismatchError, match="not in the schema"):
@@ -97,13 +93,11 @@ class TestPayloadValidation:
     def test_null_in_non_nullable_raises(self, weather_schema):
         with pytest.raises(TypeMismatchError, match="null"):
             weather_schema.validate_payload(
-                {"temperature": None, "humidity": 0.5, "station": "x"}
-            )
+                {"temperature": None, "humidity": 0.5, "station": "x"})
 
     def test_accepts_payload_boolean_form(self, weather_schema):
         assert weather_schema.accepts_payload(
-            {"temperature": 1.0, "humidity": 0.5, "station": "x"}
-        )
+            {"temperature": 1.0, "humidity": 0.5, "station": "x"})
         assert not weather_schema.accepts_payload({})
 
 

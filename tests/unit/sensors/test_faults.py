@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.network.simclock import SimClock
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.sensors.faults import FlakySensor, MalformedPayloadSensor
 from repro.sensors.physical import temperature_sensor
 from repro.stt.spatial import Point
+from tests.builders import attached
 
 SITE = Point(34.69, 135.50)
 
@@ -20,10 +18,8 @@ def make_flaky(up=600.0, down=300.0):
 
 class TestFlakySensor:
     def test_flaps_between_published_and_gone(self):
-        clock = SimClock()
-        net = BrokerNetwork()
         sensor = make_flaky(up=600.0, down=300.0)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         assert "flaky-1" in net.registry
         clock.run_until(700.0)  # past the first outage start
         assert "flaky-1" not in net.registry
@@ -32,12 +28,8 @@ class TestFlakySensor:
         assert sensor.outages == 1
 
     def test_emissions_pause_during_outage(self):
-        clock = SimClock()
-        net = BrokerNetwork()
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(), seen.append)
         sensor = make_flaky(up=600.0, down=600.0)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         clock.run_until(1200.0)
         # Up for 0..600 (readings at 60..540; the outage starts exactly at
         # t=600 before that tick's emission), down 600..1200 (none).
@@ -46,10 +38,8 @@ class TestFlakySensor:
         assert len(seen) == 9
 
     def test_stop_flapping_freezes(self):
-        clock = SimClock()
-        net = BrokerNetwork()
         sensor = make_flaky(up=600.0, down=300.0)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         sensor.stop_flapping()
         clock.run_until(5000.0)
         assert sensor.outages == 0
@@ -68,32 +58,22 @@ class TestMalformedPayloadSensor:
                                       corruption_rate=rate, seed=3)
 
     def test_corrupts_roughly_at_rate(self):
-        clock = SimClock()
-        net = BrokerNetwork()
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(), seen.append)
         sensor = self.make(rate=0.5)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         clock.run_until(6000.0)
         assert 20 <= sensor.corrupted <= 80  # ~50 of 100
 
     def test_corruptions_violate_schema(self):
-        clock = SimClock()
-        net = BrokerNetwork()
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(), seen.append)
         sensor = self.make(rate=1.0)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         clock.run_until(600.0)
         schema = sensor.metadata.schema
         assert seen
         assert all(not schema.accepts_payload(dict(t.payload)) for t in seen)
 
     def test_zero_rate_never_corrupts(self):
-        clock = SimClock()
-        net = BrokerNetwork()
         sensor = self.make(rate=0.0)
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         clock.run_until(6000.0)
         assert sensor.corrupted == 0
 

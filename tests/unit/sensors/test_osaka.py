@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.topology import Topology
-from repro.sensors.osaka import OSAKA_AREA, osaka_fleet
+from repro.sensors.osaka import osaka_fleet
 from repro.stt.spatial import representative_point
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.simclock import SimClock
-from repro.pubsub.broker import BrokerNetwork
+from repro.errors import PubSubError
 from repro.sensors.physical import (
     humidity_sensor,
     pressure_sensor,
@@ -14,6 +13,7 @@ from repro.sensors.physical import (
     wind_sensor,
 )
 from repro.stt.spatial import Point
+from tests.builders import attached
 
 SITE = Point(34.69, 135.50)
 _DAY = 86400.0
@@ -21,13 +21,7 @@ _DAY = 86400.0
 
 def collect(sensor, hours=24.0, node="edge-0"):
     """Attach a sensor to a fresh local stack and collect its output."""
-    from repro.pubsub.subscription import SubscriptionFilter
-
-    clock = SimClock()
-    net = BrokerNetwork()
-    seen = []
-    net.subscribe(node, SubscriptionFilter(), seen.append)
-    sensor.attach(net, clock)
+    clock, _, seen = attached(sensor, node)
     clock.run_until(hours * 3600.0)
     return seen
 
@@ -86,9 +80,8 @@ class TestHumidity:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_anticorrelated_with_time_of_day(self):
-        readings = collect(
-            humidity_sensor("h1", SITE, "edge-0", noise=0.0), hours=24.0
-        )
+        readings = collect(humidity_sensor("h1", SITE, "edge-0", noise=0.0),
+                           hours=24.0)
         afternoon = np.mean([r["humidity"] for r in readings
                              if 13 <= (r.stamp.time % _DAY) / 3600 <= 15])
         night = np.mean([r["humidity"] for r in readings
@@ -105,8 +98,7 @@ class TestRain:
         assert 0 < sum(wet) < len(wet)  # some rain, not constant
         # Wet readings cluster: P(wet | previous wet) > P(wet).
         wet_after_wet = sum(
-            1 for a, b in zip(wet, wet[1:]) if a and b
-        ) / max(1, sum(wet[:-1]))
+            1 for a, b in zip(wet, wet[1:]) if a and b) / max(1, sum(wet[:-1]))
         assert wet_after_wet > sum(wet) / len(wet)
 
     def test_torrential_episodes_exist(self):
@@ -139,14 +131,8 @@ class TestWindPressureSea:
 
 class TestLifecycle:
     def test_detach_stops_emission(self):
-        from repro.pubsub.subscription import SubscriptionFilter
-
-        clock = SimClock()
-        net = BrokerNetwork()
-        seen = []
-        net.subscribe("n1", SubscriptionFilter(), seen.append)
         sensor = temperature_sensor("t1", SITE, "edge-0")
-        sensor.attach(net, clock)
+        clock, net, seen = attached(sensor)
         clock.run_until(600.0)
         count = len(seen)
         sensor.detach()
@@ -155,20 +141,14 @@ class TestLifecycle:
         assert "t1" not in net.registry
 
     def test_double_attach_raises(self):
-        from repro.errors import PubSubError
-
-        clock = SimClock()
-        net = BrokerNetwork()
         sensor = temperature_sensor("t1", SITE, "edge-0")
-        sensor.attach(net, clock)
+        clock, net, _ = attached(sensor)
         with pytest.raises(PubSubError):
             sensor.attach(net, clock)
 
     def test_probe_does_not_perturb_stream(self):
-        clock = SimClock()
-        net = BrokerNetwork()
         sensor = temperature_sensor("t1", SITE, "edge-0")
-        sensor.attach(net, clock)
+        clock, _, _ = attached(sensor)
         clock.run_until(300.0)
         before = sensor.rng.bit_generator.state["state"]["state"]
         sensor.probe(1000.0)

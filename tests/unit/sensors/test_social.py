@@ -2,9 +2,6 @@
 
 import numpy as np
 
-from repro.network.simclock import SimClock
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.sensors.osaka import OSAKA_AREA
 from repro.sensors.social import (
     flight_schedule_sensor,
@@ -13,17 +10,14 @@ from repro.sensors.social import (
     twitter_sensor,
 )
 from repro.stt.spatial import Point
+from tests.builders import attached
 
 SITE = Point(34.69, 135.50)
 _DAY = 86400.0
 
 
 def collect(sensor, hours=24.0):
-    clock = SimClock()
-    net = BrokerNetwork()
-    seen = []
-    net.subscribe("n1", SubscriptionFilter(), seen.append)
-    sensor.attach(net, clock)
+    clock, _, seen = attached(sensor)
     clock.run_until(hours * 3600.0)
     return seen
 
@@ -63,9 +57,8 @@ class TestTwitter:
 class TestTraffic:
     def test_payload_shape(self):
         readings = collect(traffic_sensor("tr1", SITE, "edge-0"), hours=4.0)
-        assert set(readings[0].payload) == {
-            "road", "vehicles_per_hour", "mean_speed", "congestion",
-        }
+        assert set(readings[0].payload) == {"road", "vehicles_per_hour",
+                                            "mean_speed", "congestion"}
 
     def test_rush_hour_congestion(self):
         readings = collect(traffic_sensor("tr1", SITE, "edge-0"), hours=24.0)
@@ -95,9 +88,8 @@ class TestSchedules:
         readings = collect(train_schedule_sensor("st1", SITE, "edge-0"), hours=12.0)
         assert readings
         update = readings[0]
-        assert set(update.payload) == {
-            "service", "scheduled_time", "delay_minutes", "cancelled",
-        }
+        assert set(update.payload) == {"service", "scheduled_time",
+                                       "delay_minutes", "cancelled"}
         assert isinstance(update["cancelled"], bool)
         assert update["delay_minutes"] >= 0.0
 

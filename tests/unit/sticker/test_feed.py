@@ -11,6 +11,11 @@ from repro.stt.event import SttStamp
 from repro.stt.spatial import Point, grid_cell_for, representative_point
 
 
+@pytest.fixture
+def feed():
+    return StickerFeed()
+
+
 class TestBinning:
     def test_bins_by_time_bucket(self, make_tuple):
         feed = StickerFeed(bucket_seconds=3600.0)
@@ -21,24 +26,20 @@ class TestBinning:
         assert len(bins) == 2
         assert bins[0].count == 2 and bins[1].count == 1
 
-    def test_bins_by_theme(self, make_tuple):
-        feed = StickerFeed()
+    def test_bins_by_theme(self, make_tuple, feed):
         feed.push(make_tuple(0, themes=("weather/rain",)))
         feed.push(make_tuple(1, themes=("mobility/traffic",)))
         assert feed.themes() == ["mobility/traffic", "weather/rain"]
 
-    def test_multi_theme_tuple_lands_in_each(self, make_tuple):
-        feed = StickerFeed()
+    def test_multi_theme_tuple_lands_in_each(self, make_tuple, feed):
         feed.push(make_tuple(0, themes=("weather/rain", "disaster/flood")))
         assert len(feed.bins()) == 2
 
-    def test_untagged_bucket(self, make_tuple):
-        feed = StickerFeed()
+    def test_untagged_bucket(self, make_tuple, feed):
         feed.push(make_tuple(0, themes=()))
         assert feed.themes() == ["(untagged)"]
 
-    def test_numeric_means(self, make_tuple):
-        feed = StickerFeed()
+    def test_numeric_means(self, make_tuple, feed):
         feed.push(make_tuple(0, temperature=10.0))
         feed.push(make_tuple(1, temperature=20.0))
         bin_ = feed.bins()[0]
@@ -60,9 +61,8 @@ def _reference_bins(stream, bucket_seconds, cell_granularity):
     bins = {}
     for tuple_ in stream:
         bucket = int(tuple_.stamp.time // bucket_seconds)
-        cell = grid_cell_for(
-            representative_point(tuple_.stamp.location), cell_granularity
-        )
+        cell = grid_cell_for(representative_point(tuple_.stamp.location),
+                             cell_granularity)
         themes = [theme.path for theme in tuple_.stamp.themes] or ["(untagged)"]
         for theme in themes:
             key = (bucket * bucket_seconds, cell.row, cell.col, theme)
@@ -99,8 +99,7 @@ class TestReferenceEquivalence:
             # Bins are created in first-touch order too (``series`` sums
             # across them in that order).
             assert list(feed._bins) == list(
-                _first_touch_keys(mixed_stream, 1800.0, granularity)
-            ), label
+                _first_touch_keys(mixed_stream, 1800.0, granularity)), label
             assert all(
                 type(total) is float
                 for _, sums, _ in got.values() for total in sums.values()
@@ -137,9 +136,8 @@ def _first_touch_keys(stream, bucket_seconds, cell_granularity):
     keys = {}
     for tuple_ in stream:
         bucket = int(tuple_.stamp.time // bucket_seconds)
-        cell = grid_cell_for(
-            representative_point(tuple_.stamp.location), cell_granularity
-        )
+        cell = grid_cell_for(representative_point(tuple_.stamp.location),
+                             cell_granularity)
         for theme in [t.path for t in tuple_.stamp.themes] or ["(untagged)"]:
             keys.setdefault((bucket, cell.row, cell.col, theme))
     return keys
@@ -156,22 +154,9 @@ class TestSeries:
         assert [point.count for point in series] == [2, 1]
         assert series[0].bucket_start < series[1].bucket_start
 
-    def test_theme_matching_is_hierarchical(self, make_tuple):
-        feed = StickerFeed()
+    def test_theme_matching_is_hierarchical(self, make_tuple, feed):
         feed.push(make_tuple(0, themes=("weather/rain",)))
         assert feed.series("weather")[0].count == 1
 
-    def test_empty_series(self, make_tuple):
-        feed = StickerFeed()
+    def test_empty_series(self, make_tuple, feed):
         assert feed.series("social") == []
-
-
-class TestJsonDocuments:
-    def test_documents_shape(self, make_tuple):
-        feed = StickerFeed()
-        feed.push(make_tuple(0, temperature=25.0))
-        docs = feed.to_json_documents()
-        assert len(docs) == 1
-        doc = docs[0]
-        assert set(doc) == {"bucket_start", "cell", "theme", "count", "means"}
-        assert doc["means"]["temperature"] == 25.0

@@ -1,37 +1,20 @@
-"""Unit tests for the Aggregation operator — @t,{a..} op (s)."""
+"""Unit tests for the Aggregation operator — @t,{a..} op (s).
+
+What each window emits is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
 from repro.errors import DataflowError, StreamLoaderError
 from repro.streams.aggregate import AggregationOperator
-from repro.stt.spatial import Box
+from tests.oracle.test_table1_spec import case
 
 
 class TestWindowing:
-    def test_blocking_buffers_until_timer(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG")
-        assert op.is_blocking
-        for i in range(5):
-            assert op.on_tuple(make_tuple(i, temperature=20.0 + i)) == []
-        out = op.on_timer(60.0)
-        assert len(out) == 1
-        assert out[0]["avg_temperature"] == 22.0
-
-    def test_empty_window_emits_nothing(self):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG")
-        assert op.on_timer(60.0) == []
-
-    def test_window_tumbles(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="SUM")
-        op.on_tuple(make_tuple(0, temperature=10.0))
-        first = op.on_timer(60.0)
-        op.on_tuple(make_tuple(1, temperature=20.0))
-        second = op.on_timer(120.0)
-        assert first[0]["sum_temperature"] == 10.0
-        assert second[0]["sum_temperature"] == 20.0  # no carry-over
+    test_blocking_buffers_until_timer = case("aggregation")
+    test_empty_window_emits_nothing = case("aggregation")
+    test_window_tumbles = case("aggregation")
 
 
 class TestFunctions:
@@ -46,36 +29,10 @@ class TestFunctions:
         out = op.on_timer(60.0)
         assert out[0][f"{fn.lower()}_temperature"] == expected
 
-    def test_count(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["station"],
-                                 function="COUNT")
-        for i in range(7):
-            op.on_tuple(make_tuple(i))
-        out = op.on_timer(60.0)
-        assert out[0]["count_station"] == 7
-
-    def test_case_insensitive_function(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="avg")
-        op.on_tuple(make_tuple(0, temperature=5.0))
-        assert op.on_timer(60.0)[0]["avg_temperature"] == 5.0
-
-    def test_multiple_attributes(self, make_tuple):
-        op = AggregationOperator(
-            interval=60.0, attributes=["temperature", "humidity"], function="MAX"
-        )
-        op.on_tuple(make_tuple(0, temperature=20.0, humidity=0.5))
-        op.on_tuple(make_tuple(1, temperature=30.0, humidity=0.4))
-        out = op.on_timer(60.0)
-        assert out[0]["max_temperature"] == 30.0
-        assert out[0]["max_humidity"] == 0.5
-
-    def test_none_values_skipped(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["missing"],
-                                 function="AVG")
-        op.on_tuple(make_tuple(0))
-        out = op.on_timer(60.0)
-        assert out[0]["avg_missing"] is None
+    test_count = case("aggregation")
+    test_case_insensitive_function = case("aggregation")
+    test_multiple_attributes = case("aggregation")
+    test_none_values_skipped = case("aggregation")
 
     def test_unknown_function_raises(self):
         with pytest.raises(DataflowError):
@@ -91,46 +48,11 @@ class TestFunctions:
 
 
 class TestOutputStamp:
-    def test_stamped_at_flush_time_and_coarsened(self, make_tuple):
-        op = AggregationOperator(interval=3600.0, attributes=["temperature"],
-                                 function="AVG")
-        op.on_tuple(make_tuple(0, time=10.0))
-        out = op.on_timer(3600.0)
-        assert out[0].stamp.time == 3600.0
-        assert out[0].stamp.temporal_granularity.name == "hour"
-
-    def test_location_is_bounding_box_of_window(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG")
-        op.on_tuple(make_tuple(0, lat=34.6, lon=135.4))
-        op.on_tuple(make_tuple(1, lat=34.8, lon=135.6))
-        out = op.on_timer(60.0)
-        box = out[0].stamp.location
-        assert isinstance(box, Box)
-        assert box.south == 34.6 and box.north == 34.8
-
-    def test_single_point_stays_point(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG")
-        op.on_tuple(make_tuple(0, lat=34.6, lon=135.4))
-        out = op.on_timer(60.0)
-        from repro.stt.spatial import Point
-
-        assert out[0].stamp.location == Point(34.6, 135.4)
-
-    def test_themes_propagated(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG")
-        op.on_tuple(make_tuple(0, themes=("weather/temperature",)))
-        out = op.on_timer(60.0)
-        assert out[0].stamp.has_theme("weather")
-
-    def test_source_labels_derivation(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG", name="hourly-avg")
-        op.on_tuple(make_tuple(0, source="temp-1"))
-        out = op.on_timer(60.0)
-        assert "hourly-avg" in out[0].source and "temp-1" in out[0].source
+    test_stamped_at_flush_time_and_coarsened = case("aggregation")
+    test_location_is_bounding_box_of_window = case("aggregation")
+    test_single_point_stays_point = case("aggregation")
+    test_themes_propagated = case("aggregation")
+    test_source_labels_derivation = case("aggregation")
 
 
 class TestReset:

@@ -1,114 +1,60 @@
-"""Unit tests for grouped and sliding aggregation."""
+"""Unit tests for grouped and sliding aggregation.
+
+What the windows emit is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
-from repro.errors import DataflowError
+from repro.dataflow.ops import AggregationSpec, spec_from_dict
+from repro.errors import DataflowError, SchemaError
 from repro.streams.aggregate import AggregationOperator
+from tests.oracle.test_table1_spec import case
 
 
 class TestGroupBy:
-    def test_one_output_per_group(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="AVG", group_by="station")
-        op.on_tuple(make_tuple(0, temperature=10.0, station="umeda"))
-        op.on_tuple(make_tuple(1, temperature=20.0, station="umeda"))
-        op.on_tuple(make_tuple(2, temperature=30.0, station="namba"))
-        out = op.on_timer(60.0)
-        assert len(out) == 2
-        by_station = {t["station"]: t["avg_temperature"] for t in out}
-        assert by_station == {"namba": 30.0, "umeda": 15.0}
-
-    def test_groups_sorted_deterministically(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="COUNT", group_by="station")
-        for station in ("zebra", "alpha", "middle"):
-            op.on_tuple(make_tuple(0, station=station))
-        out = op.on_timer(60.0)
-        assert [t["station"] for t in out] == ["alpha", "middle", "zebra"]
-
-    def test_group_key_in_payload(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="MAX", group_by="station")
-        op.on_tuple(make_tuple(0, station="x"))
-        out = op.on_timer(60.0)
-        assert set(out[0].payload) == {"station", "max_temperature"}
+    test_one_output_per_group = case("aggregation")
+    test_groups_sorted_deterministically = case("aggregation")
+    test_group_key_in_payload = case("aggregation")
+    test_missing_group_key_becomes_none_group = case("aggregation")
 
     def test_group_by_aggregated_attribute_raises(self):
         with pytest.raises(DataflowError, match="cannot also be aggregated"):
             AggregationOperator(interval=60.0, attributes=["temperature"],
                                 function="AVG", group_by="temperature")
 
-    def test_missing_group_key_becomes_none_group(self, make_tuple):
-        op = AggregationOperator(interval=60.0, attributes=["temperature"],
-                                 function="COUNT", group_by="ghost")
-        op.on_tuple(make_tuple(0))
-        out = op.on_timer(60.0)
-        assert len(out) == 1
-        assert out[0]["ghost"] is None
-
 
 class TestSlidingWindow:
+    test_sliding_retains_across_flushes = case("aggregation")
+    test_sliding_evicts_beyond_lookback = case("aggregation")
+    test_tumbling_is_default = case("aggregation")
+
     def test_window_shorter_than_interval_raises(self):
         with pytest.raises(DataflowError, match="cover at least one"):
             AggregationOperator(interval=600.0, attributes=["x"],
                                 function="AVG", window=60.0)
 
-    def test_sliding_retains_across_flushes(self, make_tuple):
-        op = AggregationOperator(interval=300.0, attributes=["temperature"],
-                                 function="AVG", window=3600.0)
-        op.on_tuple(make_tuple(0, temperature=10.0, time=0.0))
-        first = op.on_timer(300.0)
-        op.on_tuple(make_tuple(1, temperature=30.0, time=400.0))
-        second = op.on_timer(600.0)
-        # Tumbling would have dropped the t=0 reading; sliding keeps it.
-        assert first[0]["avg_temperature"] == 10.0
-        assert second[0]["avg_temperature"] == 20.0
-
-    def test_sliding_evicts_beyond_lookback(self, make_tuple):
-        op = AggregationOperator(interval=300.0, attributes=["temperature"],
-                                 function="AVG", window=600.0)
-        op.on_tuple(make_tuple(0, temperature=100.0, time=0.0))
-        op.on_tuple(make_tuple(1, temperature=10.0, time=700.0))
-        out = op.on_timer(900.0)  # lookback [300, 900): t=0 evicted
-        assert out[0]["avg_temperature"] == 10.0
-
-    def test_tumbling_is_default(self, make_tuple):
-        op = AggregationOperator(interval=300.0, attributes=["temperature"],
-                                 function="COUNT")
-        op.on_tuple(make_tuple(0, time=0.0))
-        op.on_timer(300.0)
-        assert op.on_timer(600.0) == []  # drained
-
 
 class TestSpecIntegration:
     def test_spec_round_trip_with_new_fields(self):
-        from repro.dataflow.ops import AggregationSpec, spec_from_dict
-
         spec = AggregationSpec(interval=300.0, attributes=("temperature",),
                                function="AVG", group_by="station",
                                window=3600.0)
         assert spec_from_dict(spec.to_dict()) == spec
 
     def test_schema_includes_group_key(self, weather_schema):
-        from repro.dataflow.ops import AggregationSpec
-
         spec = AggregationSpec(interval=300.0, attributes=("temperature",),
                                function="AVG", group_by="station")
         schema = spec.infer_schema([weather_schema])
         assert schema.names == ("station", "avg_temperature")
 
     def test_schema_rejects_bad_group_key(self, weather_schema):
-        from repro.dataflow.ops import AggregationSpec
-        from repro.errors import SchemaError
-
         spec = AggregationSpec(interval=300.0, attributes=("temperature",),
                                function="AVG", group_by="ghost")
         with pytest.raises(SchemaError):
             spec.infer_schema([weather_schema])
 
     def test_spec_window_validation(self, weather_schema):
-        from repro.dataflow.ops import AggregationSpec
-
         spec = AggregationSpec(interval=600.0, attributes=("temperature",),
                                function="AVG", window=60.0)
         with pytest.raises(DataflowError):

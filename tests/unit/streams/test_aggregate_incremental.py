@@ -5,10 +5,8 @@ a running bounding box; these tests pin its flush against
 ``_aggregate_group`` (the rescan-every-flush reference) over the same
 window, and pin that the accumulators are rebuilt faithfully across
 ``checkpoint()``/``restore()``.  ``tests/oracle/test_flush_oracle.py``
-drives the same comparison over generated windows.
-
-AVG/SUM use approximate comparison: a running sum that added and
-subtracted can differ from numpy's pairwise summation in the last bits.
+drives the same comparison over generated windows; the cases here are
+hand-picked windows run through its check.
 """
 
 import pytest
@@ -17,16 +15,18 @@ from repro.streams.aggregate import AggregationOperator
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
+from tests.oracle.test_flush_oracle import (
+    _config,
+    _reading,
+    check_aggregate_flush,
+)
 
 FUNCTIONS = ["COUNT", "AVG", "SUM", "MIN", "MAX"]
 
 
-def make_tuple(i, station="st-0", value=None, at=None, payload=None):
+def make_tuple(i, station="st-0", at=None):
     return SensorTuple(
-        payload=payload if payload is not None else {
-            "station": station,
-            "temperature": value if value is not None else float(i % 13),
-        },
+        payload={"station": station, "temperature": float(i % 13)},
         stamp=SttStamp(
             time=float(i) if at is None else at,
             location=Point(34.5 + (i % 5) * 0.01, 135.3 + (i % 3) * 0.01),
@@ -41,95 +41,61 @@ def aggregation(function, **kwargs):
         interval=60.0, attributes=["temperature"], function=function, **kwargs)
 
 
-def flush_and_reference(op, now):
-    """Flush ``op`` at ``now``; return its output and the reference's.
-
-    The reference rescans the window the flush sees — the cache after the
-    same prune, grouped and ordered as the operator orders groups — one
-    ``_aggregate_group`` call per group.
-    """
-    if op.window is not None:
-        op.cache.prune(before=now - op.window)  # as the flush will
-    groups: dict = {}
-    for tuple_ in op.cache:
-        key = None if op.group_by is None else tuple_.get(op.group_by)
-        groups.setdefault(key, []).append(tuple_)
-    ordered = sorted(groups.items(), key=lambda item: str(item[0]))
-    out = op.on_timer(now)
-    expected = [
-        op._aggregate_group(key, members, now, offset)
-        for offset, (key, members) in enumerate(ordered)
-    ]
-    return out, expected
+def readings(values, stations=1, flush_at=()):
+    """Flush-oracle rows: ``values`` in order, station ``i % stations``."""
+    return [{**_reading(value, flush=i in flush_at), "station": i % stations}
+            for i, value in enumerate(values)]
 
 
 def assert_outputs_match(kernel, reference):
-    assert len(kernel) == len(reference)
-    for inc, ref in zip(kernel, reference):
-        assert set(inc.payload) == set(ref.payload)
-        for key, ref_value in ref.payload.items():
-            if isinstance(ref_value, float):
-                assert inc.payload[key] == pytest.approx(ref_value, abs=1e-9)
-            else:
-                assert inc.payload[key] == ref_value
-        assert inc.stamp == ref.stamp
-        assert inc.source == ref.source
-        assert inc.seq == ref.seq
+    assert [(t.seq, t.source, t.stamp, dict(t.payload)) for t in kernel] == [
+        (t.seq, t.source, t.stamp, dict(t.payload)) for t in reference]
 
 
 class TestFlushParity:
+    """The kernel against the rescan reference on hand-picked windows;
+    ``test_flush_oracle`` draws the general case."""
+
     @pytest.mark.parametrize("function", FUNCTIONS)
     def test_tumbling_grouped(self, function):
-        op = aggregation(function, group_by="station")
-        for i in range(200):
-            op.on_tuple(make_tuple(i, station=f"st-{i % 4}"))
-        assert_outputs_match(*flush_and_reference(op, 60.0))
-        # Tumbling consumed the window: the next flush is empty.
-        assert op.on_timer(120.0) == []
+        check_aggregate_flush(
+            readings([float(i % 13) for i in range(200)], stations=4,
+                     flush_at=(99,)),
+            _config(function, group_by="station"))
 
     @pytest.mark.parametrize("function", FUNCTIONS)
     def test_sliding_window_prunes_identically(self, function):
-        op = aggregation(function, window=100.0, group_by="station")
-        for i in range(300):
-            op.on_tuple(make_tuple(i, station=f"st-{i % 3}", at=float(i)))
-        for now in (300.0, 360.0):
-            assert_outputs_match(*flush_and_reference(op, now))
+        check_aggregate_flush(
+            readings([float(i % 13) for i in range(300)], stations=3,
+                     flush_at=(199,)),
+            _config(function, window=100.0, group_by="station"))
 
     def test_cache_overflow_evictions_tracked(self):
         # A tiny cache forces evictions through on_evict; accumulators must
         # retire the departed tuples exactly like the rescan of what's left.
-        op = aggregation("MIN", group_by="station", max_cache=25)
-        for i in range(120):
-            op.on_tuple(
-                make_tuple(i, station=f"st-{i % 4}", value=float((i * 7) % 31)))
-        assert_outputs_match(*flush_and_reference(op, 60.0))
+        check_aggregate_flush(
+            readings([float((i * 7) % 31) for i in range(120)], stations=4),
+            _config("MIN", max_cache=25, group_by="station"))
 
     def test_eviction_of_extremum_recomputes(self):
         op = aggregation("MAX", max_cache=3)
         for i, value in enumerate([50.0, 1.0, 2.0, 3.0]):  # 50.0 evicted
-            op.on_tuple(make_tuple(i, value=value))
+            op.on_tuple(make_tuple(i).with_owned_payload({"temperature": value}))
         [out] = op.on_timer(60.0)
         assert out.payload["max_temperature"] == 3.0
 
     def test_null_and_non_numeric_values_fall_back(self):
         # Non-numeric values can't be accumulated; that attribute rescans
         # at flush and must match the reference, nulls excluded.
-        op = aggregation("COUNT")
-        payloads = [
-            {"temperature": 1.5}, {"temperature": None}, {"temperature": True},
-            {"temperature": 3}, {},
-        ]
-        for i, payload in enumerate(payloads):
-            op.on_tuple(make_tuple(i, payload=dict(payload)))
-        assert_outputs_match(*flush_and_reference(op, 60.0))
+        check_aggregate_flush(readings([1.5, None, True, 3, "7"]),
+                              _config("COUNT"))
 
     def test_all_null_group_emits_none(self):
         op = aggregation("AVG")
         for i in range(3):
-            op.on_tuple(make_tuple(i, payload={"station": "st-0"}))
-        out, expected = flush_and_reference(op, 60.0)
-        assert out[0].payload["avg_temperature"] is None
-        assert_outputs_match(out, expected)
+            op.on_tuple(make_tuple(i).with_owned_payload({"station": "st-0"}))
+        assert op.on_timer(60.0)[0].payload["avg_temperature"] is None
+        check_aggregate_flush(readings([None] * 3), _config("AVG"))
 
 
 class TestCheckpointRestore:
@@ -154,12 +120,10 @@ class TestCheckpointRestore:
     def test_restored_matches_rescan_reference(self):
         # The rebuilt accumulators must agree with a rescan of the window
         # restored from the same checkpoint.
-        op = aggregation("SUM", group_by="station", window=400.0)
-        for i in range(100):
-            op.on_tuple(make_tuple(i, station=f"st-{i % 2}", at=float(i)))
-        restored = aggregation("SUM", group_by="station", window=400.0)
-        restored.restore(op.checkpoint())
-        assert_outputs_match(*flush_and_reference(restored, 100.0))
+        drawn = readings([float(i % 13) for i in range(100)], stations=2)
+        drawn[-1]["restore"] = True
+        check_aggregate_flush(drawn, _config("SUM", window=400.0,
+                                             group_by="station"))
 
     def test_reset_clears_accumulators(self):
         op = aggregation("AVG")

@@ -9,6 +9,7 @@ What stays here is the port check, the trigger's window and the sinks.
 
 import pytest
 
+from repro.errors import StreamLoaderError
 from repro.streams.filter import FilterOperator
 from repro.streams.sink import CallbackSink, CountingSink, ListSink
 from repro.streams.trigger import TriggerOnOperator
@@ -21,12 +22,9 @@ def batch_of(make_tuple, temps, start=0):
 
 class TestOnBatchContract:
     def test_bad_port_raises(self, make_tuple):
-        from repro.errors import StreamLoaderError
-
         with pytest.raises(StreamLoaderError):
             FilterOperator("temperature > 0").on_batch(
-                batch_of(make_tuple, [1.0]), port=1
-            )
+                batch_of(make_tuple, [1.0]), port=1)
 
 
 class TestStatefulFastPaths:

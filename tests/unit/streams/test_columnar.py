@@ -3,7 +3,11 @@
 import pytest
 
 from repro.expr.compile import compile_expression
-from repro.expr.vectorize import predicate_kernel, values_kernel
+from repro.expr.vectorize import (
+    _fallback_values,
+    predicate_kernel,
+    values_kernel,
+)
 from repro.streams.columnar import (
     MIN_COLUMNAR_ROWS,
     ColumnarBatch,
@@ -93,10 +97,8 @@ class TestColumnarBatch:
         assert fork.fields == ("station", "celsius")
         fork.project_columns(["celsius"])
         out = fork.to_tuples()
-        assert [dict(t.payload) for t in out] == [
-            {"celsius": 10.0},
-            {"celsius": 11.0},
-        ]
+        assert [dict(t.payload) for t in out] == [{"celsius": 10.0},
+                                                  {"celsius": 11.0}]
 
     def test_project_everything_away_keeps_rows_with_empty_payloads(self):
         fork = ColumnarBatch.from_tuples(_tuples(3)).fork()
@@ -154,10 +156,7 @@ class TestLazyRows:
 
 class TestVectorizedKernels:
     def _columns(self):
-        return {
-            "temperature": [10.0, 20.0, 30.0],
-            "station": ["a", "b", "c"],
-        }
+        return {"temperature": [10.0, 20.0, 30.0], "station": ["a", "b", "c"]}
 
     def test_predicate_kernel_keeps_true_rows(self):
         kernel = predicate_kernel(compile_expression("temperature > 15"))
@@ -174,8 +173,7 @@ class TestVectorizedKernels:
 
     def test_values_kernel_quarantines_failing_rows(self):
         kernel = values_kernel(
-            compile_expression("temperature / (temperature - 20)")
-        )
+            compile_expression("temperature / (temperature - 20)"))
         values, errors = kernel(self._columns(), range(3))
         assert errors == [1]
         assert values[1] is None
@@ -189,8 +187,7 @@ class TestVectorizedKernels:
         kept, errors = eager(columns, range(3))
         assert (kept, errors) == ([], 3)
         lazy = predicate_kernel(
-            compile_expression("temperature > 0 or nope > 0")
-        )
+            compile_expression("temperature > 0 or nope > 0"))
         kept, errors = lazy(columns, range(3))
         assert (kept, errors) == ([0, 1, 2], 0)
 
@@ -204,8 +201,6 @@ class TestVectorizedKernels:
 
     def test_fallback_values_kernel_matches_scalar_results(self):
         expression = compile_expression("temperature * 2")
-        from repro.expr.vectorize import _fallback_values
-
         kernel = _fallback_values(expression)
         assert kernel.vectorized is False
         values, errors = kernel(self._columns(), [0, 2])
@@ -265,8 +260,7 @@ class TestEnvelopeCache:
 
     def test_negative_result_is_cached_too(self, make_tuple):
         batch = TupleBatch.of(
-            [make_tuple(0), make_tuple(1).with_updates(extra=1)]
-        )
+            [make_tuple(0), make_tuple(1).with_updates(extra=1)])
         assert batch.columnar() is None
         assert batch._cols is not None  # the sentinel, not a retry
         assert batch.columnar() is None

@@ -1,38 +1,21 @@
-"""Unit tests for Cull Time / Cull Space — γr(s, region)."""
+"""Unit tests for Cull Time / Cull Space — γr(s, region).
+
+What they keep and cull is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
-from repro.errors import DataflowError
+from repro.errors import DataflowError, GranularityError
 from repro.streams.cull import CullSpaceOperator, CullTimeOperator
-from repro.stt.spatial import Point
+from tests.oracle.test_table1_spec import case
 
 
 class TestCullTime:
-    def test_reduces_inside_interval(self, make_tuple):
-        op = CullTimeOperator(rate=5, start=0.0, end=100.0)
-        kept = sum(
-            len(op.on_tuple(make_tuple(i, time=float(i)))) for i in range(100)
-        )
-        assert kept == 20  # 1 in 5
-
-    def test_outside_interval_passes(self, make_tuple):
-        op = CullTimeOperator(rate=5, start=0.0, end=100.0)
-        kept = sum(
-            len(op.on_tuple(make_tuple(i, time=200.0 + i))) for i in range(50)
-        )
-        assert kept == 50
-
-    def test_rate_one_keeps_all(self, make_tuple):
-        op = CullTimeOperator(rate=1, start=0.0, end=100.0)
-        kept = sum(len(op.on_tuple(make_tuple(i, time=float(i)))) for i in range(50))
-        assert kept == 50
-
-    def test_deterministic_pattern(self, make_tuple):
-        op = CullTimeOperator(rate=3, start=0.0, end=1000.0)
-        pattern = [
-            len(op.on_tuple(make_tuple(i, time=float(i)))) for i in range(9)
-        ]
-        assert pattern == [0, 0, 1, 0, 0, 1, 0, 0, 1]
+    test_reduces_inside_interval = case("cull-time")
+    test_outside_interval_passes = case("cull-time")
+    test_rate_one_keeps_all = case("cull-time")
+    test_deterministic_pattern = case("cull-time")
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_invalid_rate_raises(self, bad):
@@ -40,8 +23,6 @@ class TestCullTime:
             CullTimeOperator(rate=bad, start=0.0, end=1.0)
 
     def test_backwards_interval_raises(self):
-        from repro.errors import GranularityError
-
         with pytest.raises(GranularityError):
             CullTimeOperator(rate=2, start=10.0, end=0.0)
 
@@ -54,41 +35,13 @@ class TestCullTime:
 
 
 class TestCullSpace:
-    osaka_box = (Point(34.5, 135.3), Point(34.9, 135.7))
+    test_reduces_inside_area = case("cull-space")
+    test_outside_area_passes = case("cull-space")
+    test_mixed_traffic = case("cull-space")
 
-    def test_reduces_inside_area(self, make_tuple):
-        op = CullSpaceOperator(rate=4, corner1=self.osaka_box[0],
-                               corner2=self.osaka_box[1])
-        kept = sum(
-            len(op.on_tuple(make_tuple(i, lat=34.69, lon=135.50)))
-            for i in range(40)
-        )
-        assert kept == 10
-
-    def test_outside_area_passes(self, make_tuple):
-        op = CullSpaceOperator(rate=4, corner1=self.osaka_box[0],
-                               corner2=self.osaka_box[1])
-        kept = sum(
-            len(op.on_tuple(make_tuple(i, lat=35.68, lon=139.65)))  # Tokyo
-            for i in range(40)
-        )
-        assert kept == 40
-
-    def test_corners_accepted_as_tuples(self, make_tuple):
+    def test_corners_accepted_as_tuples(self):
         op = CullSpaceOperator(rate=2, corner1=(34.9, 135.7), corner2=(34.5, 135.3))
         assert op.area.south == 34.5  # normalised regardless of corner order
-
-    def test_mixed_traffic(self, make_tuple):
-        op = CullSpaceOperator(rate=2, corner1=self.osaka_box[0],
-                               corner2=self.osaka_box[1])
-        results = []
-        for i in range(6):
-            inside = i % 2 == 0
-            lat = 34.69 if inside else 35.68
-            lon = 135.50 if inside else 139.65
-            results.append(len(op.on_tuple(make_tuple(i, lat=lat, lon=lon))))
-        # Outside tuples always pass; inside alternate drop/keep.
-        assert results == [0, 1, 1, 1, 0, 1]
 
     def test_describe_mentions_rate(self):
         op = CullSpaceOperator(rate=7, corner1=(0.0, 0.0), corner2=(1.0, 1.0))

@@ -1,57 +1,34 @@
-"""Unit tests for the Filter operator — σ(s, cond)."""
+"""Unit tests for the Filter operator — σ(s, cond).
+
+What it keeps and drops is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines below run
+that table's rows.
+"""
 
 import pytest
 
+from repro.errors import StreamLoaderError
 from repro.streams.filter import FilterOperator
+from tests.oracle.test_table1_spec import case
 
 
 class TestFilter:
-    def test_passes_matching(self, make_tuple):
-        op = FilterOperator("temperature > 24")
-        out = op.on_tuple(make_tuple(0, temperature=26.0))
-        assert len(out) == 1
-        assert out[0]["temperature"] == 26.0
-
-    def test_drops_non_matching(self, make_tuple):
-        op = FilterOperator("temperature > 24")
-        assert op.on_tuple(make_tuple(0, temperature=20.0)) == []
-
-    def test_boundary_not_included(self, make_tuple):
-        op = FilterOperator("temperature > 24")
-        assert op.on_tuple(make_tuple(0, temperature=24.0)) == []
+    test_passes_matching = case("filter")
+    test_drops_non_matching = case("filter")
+    test_boundary_not_included = case("filter")
+    test_compound_condition = case("filter")
+    test_stats_counted = case("filter")
+    test_error_quarantine = case("filter")
 
     def test_tuple_passes_unmodified(self, make_tuple):
-        op = FilterOperator("humidity >= 0")
         tuple_ = make_tuple(0)
-        assert op.on_tuple(tuple_)[0] is tuple_
-
-    def test_compound_condition(self, make_tuple):
-        op = FilterOperator("temperature > 24 and humidity < 0.7")
-        assert op.on_tuple(make_tuple(0, temperature=26.0, humidity=0.6))
-        assert not op.on_tuple(make_tuple(0, temperature=26.0, humidity=0.9))
+        assert FilterOperator("humidity >= 0").on_tuple(tuple_)[0] is tuple_
 
     def test_is_non_blocking(self):
         op = FilterOperator("temperature > 24")
         assert not op.is_blocking
         assert op.interval is None
         assert op.on_timer(100.0) == []
-
-    def test_stats_counted(self, make_tuple):
-        op = FilterOperator("temperature > 24")
-        op.on_tuple(make_tuple(0, temperature=26.0))
-        op.on_tuple(make_tuple(1, temperature=20.0))
-        assert op.stats.tuples_in == 2
-        assert op.stats.tuples_out == 1
-
-    def test_error_quarantine(self, make_tuple):
-        # Condition references an attribute missing from the tuple.
-        op = FilterOperator("missing_attr > 1")
-        out = op.on_tuple(make_tuple(0))
-        assert out == []
-        assert op.stats.errors == 1
-        # The operator keeps working for subsequent tuples.
-        op2 = FilterOperator("temperature > 0")
-        assert op2.on_tuple(make_tuple(1))
 
     def test_describe_shows_sigma(self):
         assert "σ" in FilterOperator("temperature > 24").describe()
@@ -63,8 +40,5 @@ class TestFilter:
         assert op.stats.tuples_in == 0
 
     def test_invalid_port_raises(self, make_tuple):
-        from repro.errors import StreamLoaderError
-
-        op = FilterOperator("temperature > 24")
         with pytest.raises(StreamLoaderError, match="invalid port"):
-            op.on_tuple(make_tuple(0), port=1)
+            FilterOperator("temperature > 24").on_tuple(make_tuple(0), port=1)

@@ -20,9 +20,13 @@ def _chain():
     ])
 
 
+@pytest.fixture
+def fused():
+    return _chain()
+
+
 class TestConstruction:
-    def test_name_joins_members(self):
-        fused = _chain()
+    def test_name_joins_members(self, fused):
         assert fused.name == f"keep{FUSED_NAME_SEPARATOR}ident"
 
     def test_cost_is_member_sum(self):
@@ -30,8 +34,7 @@ class TestConstruction:
                    TransformOperator({"x": "temperature"})]
         fused = FusedOperator(members)
         assert fused.cost_per_tuple == pytest.approx(
-            sum(m.cost_per_tuple for m in members)
-        )
+            sum(m.cost_per_tuple for m in members))
 
     def test_rejects_short_chain(self):
         with pytest.raises(StreamLoaderError, match="at least 2"):
@@ -52,27 +55,23 @@ class TestConstruction:
         with pytest.raises(StreamLoaderError):
             FusedOperator([FilterOperator("temperature > 24"), join])
 
-    def test_stays_non_blocking_and_uncheckpointed(self):
-        fused = _chain()
+    def test_stays_non_blocking_and_uncheckpointed(self, fused):
         assert not fused.is_blocking
         assert not fused.checkpointable
 
 
 class TestDataPath:
-    def test_tuple_traverses_whole_chain(self, make_tuple):
-        fused = _chain()
+    def test_tuple_traverses_whole_chain(self, make_tuple, fused):
         out = fused.on_tuple(make_tuple(0, temperature=26.0))
         assert len(out) == 1
         assert out[0]["double"] == 52.0
 
-    def test_drop_short_circuits_downstream(self, make_tuple):
-        fused = _chain()
+    def test_drop_short_circuits_downstream(self, make_tuple, fused):
         assert fused.on_tuple(make_tuple(0, temperature=20.0)) == []
         # The transform never saw the dropped tuple.
         assert fused.members[1].stats.tuples_in == 0
 
-    def test_member_stats_counted_individually(self, make_tuple):
-        fused = _chain()
+    def test_member_stats_counted_individually(self, make_tuple, fused):
         fused.on_tuple(make_tuple(0, temperature=26.0))
         fused.on_tuple(make_tuple(1, temperature=20.0))  # dropped at filter
         head, tail = fused.members
@@ -114,23 +113,20 @@ class TestDataPath:
         # the batch boundary (tuples 3, 6 survive as the 3rd and 6th).
         assert len(out) == 2
 
-    def test_describe_names_members(self):
-        fused = _chain()
+    def test_describe_names_members(self, fused):
         text = fused.describe()
         assert text.startswith("fused(")
         assert "->" in text
 
 
 class TestLifecycle:
-    def test_reset_clears_members(self, make_tuple):
-        fused = _chain()
+    def test_reset_clears_members(self, make_tuple, fused):
         fused.on_tuple(make_tuple(0, temperature=26.0))
         fused.reset()
         assert fused.stats.tuples_in == 0
         assert all(m.stats.tuples_in == 0 for m in fused.members)
 
-    def test_checkpoint_roundtrip(self, make_tuple):
-        fused = _chain()
+    def test_checkpoint_roundtrip(self, make_tuple, fused):
         fused.on_tuple(make_tuple(0, temperature=26.0))
         state = fused.checkpoint()
         clone = _chain()
@@ -149,8 +145,7 @@ class TestLifecycle:
         with pytest.raises(CheckpointError, match="does not match"):
             three.restore(state)
 
-    def test_restore_rejects_plain_checkpoint(self):
-        fused = _chain()
+    def test_restore_rejects_plain_checkpoint(self, fused):
         plain = FilterOperator("temperature > 24").checkpoint()
         with pytest.raises(CheckpointError):
             fused.restore(plain)
@@ -165,8 +160,7 @@ class TestMetricsLabels:
     dashboard keyed on operator names.
     """
 
-    def test_counters_keep_member_labels(self, make_tuple):
-        fused = _chain()
+    def test_counters_keep_member_labels(self, make_tuple, fused):
         metrics = MetricsRegistry()
         fused.bind_obs(metrics, ["prog:keep", "prog:ident"])
         fused.on_tuple(make_tuple(0, temperature=26.0))
@@ -176,16 +170,14 @@ class TestMetricsLabels:
         assert head is not None and head.value == 2
         assert tail is not None and tail.value == 1
 
-    def test_no_fused_label_is_registered(self, make_tuple):
-        fused = _chain()
+    def test_no_fused_label_is_registered(self, make_tuple, fused):
         metrics = MetricsRegistry()
         fused.bind_obs(metrics, ["prog:keep", "prog:ident"])
         fused.on_batch([make_tuple(0, temperature=26.0)])
         fused_label = f"prog:keep{FUSED_NAME_SEPARATOR}ident"
         assert metrics.get("process_tuples_total", process=fused_label) is None
         assert FUSED_NAME_SEPARATOR not in metrics.expose().replace(
-            "process_tuples_total", ""
-        )
+            "process_tuples_total", "")
 
     def test_batch_counts_match_tuple_counts(self, make_tuple):
         tuples = [make_tuple(i, temperature=20.0 + i) for i in range(8)]
@@ -202,11 +194,9 @@ class TestMetricsLabels:
             tail = metrics.get("process_tuples_total", process="prog:ident")
             assert head.value == 8
             assert tail.value == sum(
-                1 for t in tuples if t["temperature"] > 24
-            )
+                1 for t in tuples if t["temperature"] > 24)
 
-    def test_bind_obs_arity_checked(self):
-        fused = _chain()
+    def test_bind_obs_arity_checked(self, fused):
         with pytest.raises(StreamLoaderError, match="process ids"):
             fused.bind_obs(MetricsRegistry(), ["prog:keep"])
 

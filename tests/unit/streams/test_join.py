@@ -1,9 +1,14 @@
-"""Unit tests for the Join operator — s1 ⋈ᵗ_pred s2."""
+"""Unit tests for the Join operator — s1 ⋈ᵗ_pred s2.
+
+Which pairs it emits is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
 from repro.errors import DataflowError
 from repro.streams.join import JoinOperator, merge_payloads
+from tests.oracle.test_table1_spec import case
 
 
 class TestMergePayloads:
@@ -17,99 +22,28 @@ class TestMergePayloads:
 
 
 class TestJoin:
+    test_cross_matching_pairs = case("join")
+    test_empty_side_emits_nothing = case("join")
+    test_window_tumbles_both_sides = case("join")
+    test_theta_predicate = case("join")
+    test_custom_prefixes = case("join")
+    test_predicate_errors_counted_not_fatal = case("join")
+
     def test_two_ports(self):
         op = JoinOperator(interval=60.0, predicate="left.a == right.a")
         assert op.input_ports == 2
-
-    def test_cross_matching_pairs(self, make_tuple):
-        op = JoinOperator(interval=60.0,
-                          predicate="left.station == right.station")
-        op.on_tuple(make_tuple(0, station="umeda"), port=0)
-        op.on_tuple(make_tuple(1, station="namba"), port=0)
-        op.on_tuple(make_tuple(2, station="umeda"), port=1)
-        op.on_tuple(make_tuple(3, station="umeda"), port=1)
-        out = op.on_timer(60.0)
-        assert len(out) == 2  # left umeda x two right umedas
-
-    def test_empty_side_emits_nothing(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0), port=0)
-        assert op.on_timer(60.0) == []
-
-    def test_window_tumbles_both_sides(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0), port=0)
-        op.on_tuple(make_tuple(1), port=1)
-        assert len(op.on_timer(60.0)) == 1
-        # Next window starts empty.
-        op.on_tuple(make_tuple(2), port=0)
-        assert op.on_timer(120.0) == []
-
-    def test_theta_predicate(self, make_tuple):
-        op = JoinOperator(interval=60.0,
-                          predicate="left.temperature > right.temperature + 2")
-        op.on_tuple(make_tuple(0, temperature=30.0), port=0)
-        op.on_tuple(make_tuple(1, temperature=29.0), port=1)
-        op.on_tuple(make_tuple(2, temperature=25.0), port=1)
-        out = op.on_timer(60.0)
-        assert len(out) == 1
-        assert out[0]["left_temperature"] == 30.0
-        assert out[0]["right_temperature"] == 25.0
-
-    def test_custom_prefixes(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="w.station == t.station",
-                          left_prefix="w", right_prefix="t")
-        op.on_tuple(make_tuple(0, station="x"), port=0)
-        op.on_tuple(make_tuple(1, station="x"), port=1)
-        out = op.on_timer(60.0)
-        assert "w_station" in out[0] and "t_station" in out[0]
 
     def test_same_prefixes_raise(self):
         with pytest.raises(DataflowError):
             JoinOperator(interval=60.0, predicate="true",
                          left_prefix="x", right_prefix="x")
 
-    def test_predicate_errors_counted_not_fatal(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="left.ghost == right.ghost")
-        op.on_tuple(make_tuple(0), port=0)
-        op.on_tuple(make_tuple(1), port=1)
-        assert op.on_timer(60.0) == []
-        assert op.stats.errors == 1
-
 
 class TestJoinStamp:
-    def test_output_time_is_later_of_pair(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0, time=10.0), port=0)
-        op.on_tuple(make_tuple(1, time=50.0), port=1)
-        out = op.on_timer(60.0)
-        assert out[0].stamp.time == 50.0
-
-    def test_themes_unioned(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0, themes=("weather/rain",)), port=0)
-        op.on_tuple(make_tuple(1, themes=("mobility/traffic",)), port=1)
-        out = op.on_timer(60.0)
-        assert out[0].stamp.has_theme("weather")
-        assert out[0].stamp.has_theme("mobility")
-
-    def test_distinct_locations_produce_box(self, make_tuple):
-        from repro.stt.spatial import Box
-
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0, lat=34.6, lon=135.4), port=0)
-        op.on_tuple(make_tuple(1, lat=34.8, lon=135.6), port=1)
-        out = op.on_timer(60.0)
-        assert isinstance(out[0].stamp.location, Box)
-
-    def test_same_location_stays(self, make_tuple):
-        op = JoinOperator(interval=60.0, predicate="true")
-        op.on_tuple(make_tuple(0), port=0)
-        op.on_tuple(make_tuple(1), port=1)
-        out = op.on_timer(60.0)
-        from repro.stt.spatial import Point
-
-        assert isinstance(out[0].stamp.location, Point)
+    test_output_time_is_later_of_pair = case("join")
+    test_themes_unioned = case("join")
+    test_distinct_locations_produce_box = case("join")
+    test_same_location_stays = case("join")
 
     def test_reset_clears_both_caches(self, make_tuple):
         op = JoinOperator(interval=60.0, predicate="true")

@@ -1,10 +1,9 @@
 """Hash-join flush vs the nested-loop reference (:mod:`repro.streams.join`).
 
-The hash path must be observationally identical to the nested loop —
-same output tuples, same left-major order, same seq numbers — whenever it
-engages, and must fall back to the nested loop whenever its hash==eq
-assumptions don't hold (missing key attributes, non-scalar key values,
-non-equi predicates).
+Hand-picked windows for the flush oracle's join check: the hash path
+equals the nested loop whenever it engages, and falls back to it whenever
+its hash==eq assumptions don't hold (missing key attributes, non-scalar
+key values, non-equi predicates).
 """
 
 import math
@@ -15,6 +14,7 @@ from repro.streams.join import JoinOperator
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
+from tests.oracle.test_flush_oracle import check_join_flush
 
 
 def make_tuple(i, **payload):
@@ -35,22 +35,11 @@ def run_flush(predicate, left, right):
     return op.on_timer(60.0), op
 
 
-def run_nested(predicate, left, right):
-    """The reference: the nested loop called directly on the windows."""
-    op = JoinOperator(interval=60.0, predicate=predicate)
-    return op._nested_loop_flush(list(left), list(right), 60.0), op
-
-
 def assert_same_output(predicate, left, right):
     """Hash and nested-loop flushes agree on tuples, order, and errors."""
-    hashed, hash_op = run_flush(predicate, left, right)
-    nested, nested_op = run_nested(predicate, left, right)
-    assert [(t.payload, t.seq, t.source) for t in hashed] == [
-        (t.payload, t.seq, t.source) for t in nested
-    ]
-    assert [t.stamp for t in hashed] == [t.stamp for t in nested]
-    assert hash_op.stats.errors == nested_op.stats.errors
-    return hashed
+    out, kernel, reference = check_join_flush(predicate, left, right)
+    assert kernel.stats.errors == reference.stats.errors
+    return out
 
 
 class TestEquiKeyExtraction:
@@ -58,17 +47,15 @@ class TestEquiKeyExtraction:
         return JoinOperator(interval=60.0, predicate=predicate).equi_keys
 
     def test_simple_equality(self):
-        assert self.extract("left.station == right.station") == [
-            ("station", "station")
-        ]
+        assert self.extract(
+            "left.station == right.station") == [("station", "station")]
 
     def test_reversed_orientation_normalized(self):
         assert self.extract("right.b == left.a") == [("a", "b")]
 
     def test_and_chain_collects_all(self):
         keys = self.extract(
-            "left.a == right.a and left.v < right.v and left.b == right.b"
-        )
+            "left.a == right.a and left.v < right.v and left.b == right.b")
         assert keys == [("a", "a"), ("b", "b")]
 
     def test_non_equi_predicates_have_no_keys(self):
@@ -141,5 +128,5 @@ class TestFallback:
                 interval=60.0, predicate="left.k == right.k", hash_join=False)
         left = [make_tuple(i, k=i % 2) for i in range(4)]
         right = [make_tuple(i, k=i % 2) for i in range(4)]
-        out, _ = run_nested("left.k == right.k", left, right)
-        assert len(out) == 8
+        op = JoinOperator(interval=60.0, predicate="left.k == right.k")
+        assert len(op._nested_loop_flush(left, right, 60.0)) == 8

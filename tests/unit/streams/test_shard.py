@@ -36,6 +36,11 @@ def adapter(index=0, count=2):
                                   shard_count=count)
 
 
+@pytest.fixture
+def merge():
+    return ShardMergeOperator(2, "aggregate")
+
+
 class TestPartitionIndex:
     def test_deterministic_across_calls(self):
         values = ("st-3", 42)
@@ -219,31 +224,26 @@ class TestShardMergeOperator:
         with pytest.raises(StreamLoaderError, match="mode"):
             ShardMergeOperator(2, "median")
 
-    def test_checkpointable_despite_non_blocking(self):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_checkpointable_despite_non_blocking(self, merge):
         assert not merge.is_blocking
         assert merge.checkpointable
 
-    def test_waits_for_every_shard(self, make_tuple):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_waits_for_every_shard(self, make_tuple, merge):
         first = self.make_envelope(0, 10.0, [("a", 1.0)], make_tuple)
         assert merge.on_tuple(first) == []
         second = self.make_envelope(1, 10.0, [("b", 2.0)], make_tuple)
         out = merge.on_tuple(second)
         assert [t.payload["station"] for t in out] == ["a", "b"]
 
-    def test_epoch_entries_sorted_across_shards(self, make_tuple):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_epoch_entries_sorted_across_shards(self, make_tuple, merge):
         merge.on_tuple(self.make_envelope(0, 10.0, [("c", 1.0)], make_tuple))
         out = merge.on_tuple(
-            self.make_envelope(1, 10.0, [("a", 2.0), ("b", 3.0)], make_tuple)
-        )
+            self.make_envelope(1, 10.0, [("a", 2.0), ("b", 3.0)], make_tuple))
         assert [t.payload["station"] for t in out] == ["a", "b", "c"]
         # Aggregate mode renumbers like the unsharded flush counter.
         assert [t.seq for t in out] == [1000, 1001, 1002]
 
-    def test_duplicate_epoch_after_restart_is_dropped(self, make_tuple):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_duplicate_epoch_after_restart_is_dropped(self, make_tuple, merge):
         first = self.make_envelope(0, 10.0, [("a", 1.0)], make_tuple)
         second = self.make_envelope(1, 10.0, [("b", 2.0)], make_tuple)
         merge.on_tuple(first)
@@ -252,8 +252,7 @@ class TestShardMergeOperator:
         assert merge.on_tuple(first) == []
         assert 10.0 not in merge._pending
 
-    def test_epochs_close_in_time_order(self, make_tuple):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_epochs_close_in_time_order(self, make_tuple, merge):
         merge.on_tuple(self.make_envelope(0, 10.0, [("a", 1.0)], make_tuple))
         merge.on_tuple(self.make_envelope(0, 20.0, [("a", 2.0)], make_tuple, seq=1))
         # Shard 1's empty punctuation for epoch 10 closes exactly epoch 10;
@@ -261,12 +260,10 @@ class TestShardMergeOperator:
         closed = merge.on_tuple(self.make_envelope(1, 10.0, [], make_tuple))
         assert [t.stamp.time for t in closed] == [10.0]
         out = merge.on_tuple(
-            self.make_envelope(1, 20.0, [("b", 1.0)], make_tuple, seq=1)
-        )
+            self.make_envelope(1, 20.0, [("b", 1.0)], make_tuple, seq=1))
         assert [t.stamp.time for t in out] == [20.0, 20.0]
 
-    def test_checkpoint_round_trip_preserves_pending(self, make_tuple):
-        merge = ShardMergeOperator(2, "aggregate")
+    def test_checkpoint_round_trip_preserves_pending(self, make_tuple, merge):
         merge.on_tuple(self.make_envelope(0, 10.0, [("a", 1.0)], make_tuple))
         snapshot = merge.checkpoint()
         fresh = ShardMergeOperator(2, "aggregate")

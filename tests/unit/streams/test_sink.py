@@ -31,7 +31,6 @@ class TestCallbackSink:
         assert sink.stats.tuples_in == 1
         assert sink.stats.tuples_out == 0
 
-
     def test_without_batch_callback_a_batch_unrolls_in_order(self, make_tuple):
         seen = []
         sink = CallbackSink(seen.append)

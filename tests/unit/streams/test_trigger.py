@@ -1,4 +1,8 @@
-"""Unit tests for Trigger On / Trigger Off — ⊕ON,t / ⊕OFF,t."""
+"""Unit tests for Trigger On / Trigger Off — ⊕ON,t / ⊕OFF,t.
+
+Which commands they issue is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.streams.trigger import (
     TriggerOnOperator,
     window_statistics,
 )
+from tests.oracle.test_table1_spec import ON, case
 
 
 class TestWindowStatistics:
@@ -31,93 +36,17 @@ class TestWindowStatistics:
 
 
 class TestTriggerOn:
-    def make(self, **kwargs):
-        defaults = dict(
-            interval=300.0,
-            window=3600.0,
-            condition="avg_temperature > 25",
-            targets=["rain-1", "tweets-1"],
-        )
-        defaults.update(kwargs)
-        return TriggerOnOperator(**defaults)
-
-    def test_emits_no_data(self, make_tuple):
-        op = self.make()
-        assert op.on_tuple(make_tuple(0, temperature=30.0)) == []
-        assert op.on_timer(300.0) == []
-
-    def test_fires_when_condition_holds(self, make_tuple):
-        op = self.make()
-        commands = []
-        op.control = commands.append
-        for i in range(12):
-            op.on_tuple(make_tuple(i, temperature=27.0, time=i * 300.0))
-        op.on_timer(3600.0)
-        assert len(commands) == 1
-        assert commands[0].activate is True
-        assert commands[0].sensor_ids == ("rain-1", "tweets-1")
-
-    def test_silent_when_condition_false(self, make_tuple):
-        op = self.make()
-        commands = []
-        op.control = commands.append
-        for i in range(12):
-            op.on_tuple(make_tuple(i, temperature=20.0, time=i * 300.0))
-        op.on_timer(3600.0)
-        assert commands == []
-
-    def test_edge_triggered_not_repeated(self, make_tuple):
-        op = self.make()
-        commands = []
-        op.control = commands.append
-        for i in range(12):
-            op.on_tuple(make_tuple(i, temperature=27.0, time=i * 300.0))
-        op.on_timer(3600.0)
-        op.on_timer(3900.0)
-        op.on_timer(4200.0)
-        assert len(commands) == 1  # persistent heat fires once
-
-    def test_rearms_after_condition_clears(self, make_tuple):
-        op = self.make(window=600.0)
-        commands = []
-        op.control = commands.append
-        op.on_tuple(make_tuple(0, temperature=27.0, time=0.0))
-        op.on_timer(300.0)           # hot -> fire
-        op.on_tuple(make_tuple(1, temperature=15.0, time=400.0))
-        op.on_timer(700.0)           # window mean now below -> re-arm
-        op.on_tuple(make_tuple(2, temperature=40.0, time=800.0))
-        op.on_timer(1000.0)          # hot again -> fire again
-        assert [c.activate for c in commands] == [True, True]
-
-    def test_sliding_window_prunes_old(self, make_tuple):
-        op = self.make(interval=300.0, window=600.0)
-        commands = []
-        op.control = commands.append
-        # Old hot reading, then cool readings; window slides past the heat.
-        op.on_tuple(make_tuple(0, temperature=40.0, time=0.0))
-        op.on_tuple(make_tuple(1, temperature=10.0, time=500.0))
-        op.on_tuple(make_tuple(2, temperature=10.0, time=900.0))
-        op.on_timer(1000.0)  # hot reading at t=0 is outside [400, 1000]
-        assert commands == []
-
-    def test_empty_window_never_fires(self):
-        op = self.make()
-        commands = []
-        op.control = commands.append
-        op.on_timer(300.0)
-        assert commands == []
-
-    def test_condition_error_counted(self, make_tuple):
-        op = self.make(condition="avg_ghost > 1")
-        commands = []
-        op.control = commands.append
-        op.on_tuple(make_tuple(0, temperature=30.0, time=0.0))
-        op.on_timer(300.0)
-        assert commands == []
-        assert op.stats.errors == 1
+    test_emits_no_data = case("trigger-on")
+    test_fires_when_condition_holds = case("trigger-on")
+    test_silent_when_condition_false = case("trigger-on")
+    test_edge_triggered_not_repeated = case("trigger-on")
+    test_rearms_after_condition_clears = case("trigger-on")
+    test_sliding_window_prunes_old = case("trigger-on")
+    test_empty_window_never_fires = case("trigger-on")
+    test_condition_error_counted = case("trigger-on")
 
     def test_reason_mentions_condition(self, make_tuple):
-        op = self.make()
+        op = TriggerOnOperator(**ON)
         commands = []
         op.control = commands.append
         op.on_tuple(make_tuple(0, temperature=30.0, time=0.0))
@@ -139,24 +68,8 @@ class TestTriggerOn:
 
 
 class TestTriggerOff:
-    def test_fires_deactivation(self, make_tuple):
-        op = TriggerOffOperator(
-            interval=300.0, condition="min_temperature < 0", targets=["rain-1"]
-        )
-        commands = []
-        op.control = commands.append
-        op.on_tuple(make_tuple(0, temperature=-3.0, time=0.0))
-        op.on_timer(300.0)
-        assert commands[0].activate is False
-
-    def test_counts_controls_in_stats(self, make_tuple):
-        op = TriggerOffOperator(
-            interval=300.0, condition="count > 0", targets=["x"]
-        )
-        op.control = lambda command: None
-        op.on_tuple(make_tuple(0, time=0.0))
-        op.on_timer(300.0)
-        assert op.stats.controls_issued == 1
+    test_fires_deactivation = case("trigger-off")
+    test_counts_controls_in_stats = case("trigger-off")
 
     def test_reset_rearms(self, make_tuple):
         op = TriggerOffOperator(interval=300.0, condition="count > 0", targets=["x"])

@@ -98,9 +98,8 @@ class TestSizeEstimate:
             (Count(7), 8),
         ]
         for value, expected in sizes:
-            tuple_ = SensorTuple(
-                payload={"v": value}, stamp=SttStamp(0.0, Point(0, 0))
-            )
+            tuple_ = SensorTuple(payload={"v": value},
+                                 stamp=SttStamp(0.0, Point(0, 0)))
             assert estimate_size_bytes(tuple_) == 48 + 1 + expected, value
 
 
@@ -205,27 +204,23 @@ class TestWireSizes:
         tuple_ = SensorTuple(payload=payload, stamp=stamp)
         assert estimate_size_bytes(tuple_) == size
         assert message_size_bytes(tuple_) == size
-        assert message_size_bytes(TupleBatch.of([tuple_, tuple_])) == (
-            24 + 2 * size
-        )
+        assert message_size_bytes(
+            TupleBatch.of([tuple_, tuple_])) == (24 + 2 * size)
 
     def test_a_batch_is_its_envelope_plus_its_members(self, mixed_stream):
         for width in (1, 7, 32, len(mixed_stream)):
             for first in range(0, len(mixed_stream), width):
                 members = mixed_stream[first:first + width]
                 assert message_size_bytes(TupleBatch.of(members)) == (
-                    24 + sum(estimate_size_bytes(t) for t in members)
-                )
+                    24 + sum(estimate_size_bytes(t) for t in members))
                 assert estimate_batch_size_bytes(members) == (
-                    24 + sum(estimate_size_bytes(t) for t in members)
-                )
+                    24 + sum(estimate_size_bytes(t) for t in members))
 
 
 class TestStampSpanMemo:
     def test_span_is_stamp_extremes(self, make_tuple):
         batch = TupleBatch.of(
-            [make_tuple(i, time=float(t)) for i, t in enumerate([5, 1, 9])]
-        )
+            [make_tuple(i, time=float(t)) for i, t in enumerate([5, 1, 9])])
         assert batch.stamp_span() == (1.0, 9.0)
 
     def test_span_is_memoized_on_the_envelope(self, make_tuple):

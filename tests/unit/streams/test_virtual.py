@@ -1,17 +1,21 @@
-"""Unit tests for the Virtual Property operator — ⊎ s⟨p, spec⟩."""
+"""Unit tests for the Virtual Property operator — ⊎ s⟨p, spec⟩.
+
+What it derives and quarantines is a table in the Table 1 spec
+(``tests/oracle/test_table1_spec.py``); the ``case`` lines run its rows.
+"""
 
 import pytest
 
 from repro.errors import DataflowError
 from repro.streams.virtual import APPARENT_TEMPERATURE_SPEC, VirtualPropertyOperator
+from tests.oracle.test_table1_spec import case
 
 
 class TestVirtualProperty:
-    def test_adds_attribute(self, make_tuple):
-        op = VirtualPropertyOperator("double", "temperature * 2")
-        out = op.on_tuple(make_tuple(0, temperature=10.0))
-        assert out[0]["double"] == 20.0
-        assert "temperature" in out[0]
+    test_adds_attribute = case("virtual")
+    test_collision_quarantined = case("virtual")
+    test_evaluation_error_quarantined = case("virtual")
+    test_string_property = case("virtual")
 
     def test_apparent_temperature_example(self, make_tuple):
         # The paper's running example: apparent temperature from
@@ -22,27 +26,9 @@ class TestVirtualProperty:
         assert humid[0]["apparent"] > dry[0]["apparent"]
         assert humid[0]["apparent"] > 32.0
 
-    def test_collision_quarantined(self, make_tuple):
-        op = VirtualPropertyOperator("temperature", "humidity * 100")
-        out = op.on_tuple(make_tuple(0))
-        assert out == []
-        assert op.stats.errors == 1
-
     def test_empty_name_raises(self):
         with pytest.raises(DataflowError):
             VirtualPropertyOperator("", "1 + 1")
 
-    def test_evaluation_error_quarantined(self, make_tuple):
-        op = VirtualPropertyOperator("bad", "sqrt(temperature - 100)")
-        out = op.on_tuple(make_tuple(0, temperature=20.0))
-        assert out == []
-        assert op.stats.errors == 1
-
-    def test_string_property(self, make_tuple):
-        op = VirtualPropertyOperator("label", "concat('st:', station)")
-        out = op.on_tuple(make_tuple(0, station="umeda"))
-        assert out[0]["label"] == "st:umeda"
-
     def test_non_blocking(self):
-        op = VirtualPropertyOperator("x", "1 + 1")
-        assert not op.is_blocking
+        assert not VirtualPropertyOperator("x", "1 + 1").is_blocking

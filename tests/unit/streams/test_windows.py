@@ -6,16 +6,19 @@ from repro.errors import StreamLoaderError
 from repro.streams.windows import TupleCache
 
 
+@pytest.fixture
+def cache():
+    return TupleCache()
+
+
 class TestBasics:
-    def test_add_and_len(self, make_tuple):
-        cache = TupleCache()
+    def test_add_and_len(self, make_tuple, cache):
         cache.add(make_tuple(0))
         cache.add(make_tuple(1))
         assert len(cache) == 2
         assert bool(cache)
 
-    def test_drain_empties(self, make_tuple):
-        cache = TupleCache()
+    def test_drain_empties(self, make_tuple, cache):
         for i in range(5):
             cache.add(make_tuple(i))
         drained = cache.drain()
@@ -23,8 +26,7 @@ class TestBasics:
         assert len(cache) == 0
         assert [t.seq for t in drained] == [0, 1, 2, 3, 4]
 
-    def test_snapshot_does_not_evict(self, make_tuple):
-        cache = TupleCache()
+    def test_snapshot_does_not_evict(self, make_tuple, cache):
         cache.add(make_tuple(0))
         assert len(cache.snapshot()) == 1
         assert len(cache) == 1
@@ -100,22 +102,19 @@ class TestExtend:
 
 
 class TestPrune:
-    def test_prune_by_time(self, make_tuple):
-        cache = TupleCache()
+    def test_prune_by_time(self, make_tuple, cache):
         for i in range(10):
             cache.add(make_tuple(i, time=float(i * 10)))
         pruned = cache.prune(before=45.0)
         assert pruned == 5
         assert [t.stamp.time for t in cache] == [50.0, 60.0, 70.0, 80.0, 90.0]
 
-    def test_prune_nothing(self, make_tuple):
-        cache = TupleCache()
+    def test_prune_nothing(self, make_tuple, cache):
         cache.add(make_tuple(0, time=100.0))
         assert cache.prune(before=50.0) == 0
         assert len(cache) == 1
 
-    def test_prune_everything(self, make_tuple):
-        cache = TupleCache()
+    def test_prune_everything(self, make_tuple, cache):
         for i in range(3):
             cache.add(make_tuple(i, time=float(i)))
         assert cache.prune(before=1e9) == 3
@@ -125,28 +124,26 @@ class TestPrune:
 class TestEvictionBoundaries:
     """Edge cases of the eviction contract the shard adapters lean on."""
 
-    def test_prune_boundary_is_exclusive(self, make_tuple):
+    def test_prune_boundary_is_exclusive(self, make_tuple, cache):
         """``prune(before)`` evicts *strictly* earlier stamps: a tuple at
         exactly the window edge belongs to the retained window."""
-        cache = TupleCache()
         cache.add(make_tuple(0, time=10.0))
         cache.add(make_tuple(1, time=20.0))
         assert cache.prune(before=20.0) == 1
         assert [t.seq for t in cache] == [1]
 
-    def test_prune_stops_at_first_retained_straggler(self, make_tuple):
+    def test_prune_stops_at_first_retained_straggler(self, make_tuple, cache):
         """The scan stops at the first retained head: a straggler parked
         *behind* a fresh tuple survives (documented fresh-data bias)."""
-        cache = TupleCache()
         cache.add(make_tuple(0, time=100.0))
         cache.add(make_tuple(1, time=5.0))   # straggler, out of order
         assert cache.prune(before=50.0) == 0
         assert len(cache) == 2
 
-    def test_prune_does_not_count_as_overflow_eviction(self, make_tuple):
+    def test_prune_does_not_count_as_overflow_eviction(
+            self, make_tuple, cache):
         """``evicted`` tracks memory-bound overflow only; pruning is a
         window operation and must not inflate the monitor's counter."""
-        cache = TupleCache()
         for i in range(4):
             cache.add(make_tuple(i, time=float(i)))
         assert cache.prune(before=4.0) == 4

@@ -12,11 +12,8 @@ from repro.stt.thematic import Theme
 
 @pytest.fixture
 def stamp() -> SttStamp:
-    return SttStamp(
-        time=3725.0,
-        location=Point(34.69, 135.50),
-        themes=("weather/rain",),
-    )
+    return SttStamp(time=3725.0, location=Point(34.69, 135.50),
+                    themes=("weather/rain",))
 
 
 class TestSttStamp:

@@ -13,6 +13,11 @@ from repro.stt.geo import (
 )
 
 
+@pytest.fixture
+def grid():
+    return LocalGrid(34.69, 135.50)
+
+
 class TestWebMercator:
     def test_origin_maps_to_origin(self):
         x, y = to_web_mercator(0.0, 0.0)
@@ -37,27 +42,23 @@ class TestWebMercator:
 
 
 class TestLocalGrid:
-    def test_origin_is_zero(self):
-        grid = LocalGrid(34.69, 135.50)
+    def test_origin_is_zero(self, grid):
         assert grid.to_local(34.69, 135.50) == (0.0, 0.0)
 
-    def test_round_trip_metro_scale(self):
-        grid = LocalGrid(34.69, 135.50)
+    def test_round_trip_metro_scale(self, grid):
         lat, lon = 34.75, 135.58
         east, north = grid.to_local(lat, lon)
         back = grid.to_wgs84(east, north)
         assert back[0] == pytest.approx(lat, abs=1e-9)
         assert back[1] == pytest.approx(lon, abs=1e-9)
 
-    def test_north_offset_sign(self):
-        grid = LocalGrid(34.69, 135.50)
+    def test_north_offset_sign(self, grid):
         _, north = grid.to_local(34.79, 135.50)
         assert north > 0
         _, south = grid.to_local(34.59, 135.50)
         assert south < 0
 
-    def test_absurd_offset_raises(self):
-        grid = LocalGrid(34.69, 135.50)
+    def test_absurd_offset_raises(self, grid):
         with pytest.raises(CoordinateError):
             grid.to_wgs84(0.0, 1e9)
 
@@ -89,11 +90,9 @@ class TestConvertCoordinates:
         with pytest.raises(CoordinateError, match="LocalGrid"):
             convert_coordinates(34.69, 135.50, "wgs84", "local-enu")
 
-    def test_full_triangle(self):
-        grid = LocalGrid(34.69, 135.50)
-        east, north = convert_coordinates(
-            34.70, 135.52, "wgs84", "local-enu", grid=grid
-        )
+    def test_full_triangle(self, grid):
+        east, north = convert_coordinates(34.70, 135.52, "wgs84", "local-enu",
+                                          grid=grid)
         x, y = convert_coordinates(east, north, "local-enu", "web-mercator", grid=grid)
         lat, lon = convert_coordinates(x, y, "web-mercator", "wgs84")
         assert lat == pytest.approx(34.70, abs=1e-6)

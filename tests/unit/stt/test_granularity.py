@@ -109,8 +109,7 @@ class TestSpatial:
     def test_point_is_finest(self):
         point = spatial_granularity("point")
         assert all(
-            point.rank <= g.rank for g in SPATIAL_GRANULARITIES.values()
-        )
+            point.rank <= g.rank for g in SPATIAL_GRANULARITIES.values())
         assert point.cell_meters == 0.0
 
     @pytest.mark.parametrize(

@@ -5,24 +5,19 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
 from repro.dataflow.serialize import dataflow_to_dict
+from repro.dsn.parse import parse_dsn
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.backends import live_backends
+from tests.builders import pipeline
 
 
 def canvas_document(valid=True) -> dict:
-    flow = Dataflow("cli-canvas")
-    src = flow.add_source(
-        SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="src"
-    )
     condition = "temperature > 24" if valid else "ghost > 1"
-    op = flow.add_operator(FilterSpec(condition), node_id="hot")
-    sink = flow.add_sink(node_id="out")
-    flow.connect(src, op)
-    flow.connect(op, sink)
-    return dataflow_to_dict(flow)
+    return dataflow_to_dict(pipeline(
+        "cli-canvas", ("hot", FilterSpec(condition)),
+        match=SubscriptionFilter(sensor_ids=("osaka-temp-umeda",))))
 
 
 class TestOperators:
@@ -72,8 +67,6 @@ class TestTranslate:
         assert main(["translate", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith('dsn "cli-canvas" {')
-        from repro.dsn.parse import parse_dsn
-
         parse_dsn(out)  # the printed artifact is valid DSN
 
     def test_invalid_canvas_fails(self, tmp_path, capsys):
@@ -148,8 +141,7 @@ class TestHealth:
         assert "cannot parse SLO rule" in capsys.readouterr().err
         assert live_backends() == []
 
-    def test_a_missing_canvas_closes_the_async_backend(self, tmp_path,
-                                                        capsys):
+    def test_a_missing_canvas_closes_the_async_backend(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert main(["health", missing, "--backend", "async"]) == 2
         assert "absent.json" in capsys.readouterr().err

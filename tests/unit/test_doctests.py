@@ -8,11 +8,7 @@ import repro.expr
 import repro.network.simclock
 import repro.stt.units
 
-MODULES = [
-    repro.expr,
-    repro.network.simclock,
-    repro.stt.units,
-]
+MODULES = [repro.expr, repro.network.simclock, repro.stt.units]
 
 
 @pytest.mark.parametrize("module", MODULES,

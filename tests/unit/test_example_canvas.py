@@ -5,6 +5,8 @@ import pathlib
 
 from repro.cli import main
 from repro.dataflow.serialize import dataflow_from_dict
+from repro.dsn.parse import parse_dsn
+from repro.scenario import build_stack
 
 CANVAS = pathlib.Path(__file__).parents[2] / "examples" / "canvases" \
     / "osaka-scenario.json"
@@ -23,14 +25,10 @@ class TestShippedCanvas:
     def test_cli_translates_it(self, capsys):
         assert main(["translate", str(CANVAS)]) == 0
         out = capsys.readouterr().out
-        from repro.dsn.parse import parse_dsn
-
         program = parse_dsn(out)
         assert program.name == "osaka-scenario"
 
     def test_document_deploys(self):
-        from repro.scenario import build_stack
-
         stack = build_stack()
         flow = dataflow_from_dict(json.loads(CANVAS.read_text()))
         deployment = stack.executor.deploy(flow)

@@ -1,6 +1,4 @@
-"""Unit tests for warehouse export (rows + CSV)."""
-
-import csv
+"""Unit tests for warehouse export (denormalised rows)."""
 
 from repro.warehouse.loader import EventWarehouse
 
@@ -25,35 +23,3 @@ class TestIterRows:
             warehouse.load(make_tuple(i, time=float(i)))
         ids = [row["fact_id"] for row in warehouse.iter_rows()]
         assert ids == [0, 1, 2, 3, 4]
-
-
-class TestCsvExport:
-    def test_csv_round_trip(self, make_tuple, tmp_path):
-        warehouse = EventWarehouse()
-        warehouse.load(make_tuple(0, temperature=25.5, station="umeda"))
-        warehouse.load(make_tuple(1, temperature=19.0, station="namba"))
-        path = tmp_path / "facts.csv"
-        count = warehouse.to_csv(str(path))
-        assert count == 2
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
-        assert rows[0]["m_temperature"] == "25.5"
-        assert rows[0]["a_station"] == "umeda"
-        assert rows[0]["themes"] == "weather/temperature"
-
-    def test_ragged_measures_padded(self, make_tuple, tmp_path):
-        warehouse = EventWarehouse()
-        warehouse.load(make_tuple(0))
-        warehouse.load(make_tuple(1).with_updates(extra_measure=7.0))
-        path = tmp_path / "facts.csv"
-        warehouse.to_csv(str(path))
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0]["m_extra_measure"] == ""
-        assert rows[1]["m_extra_measure"] == "7.0"
-
-    def test_empty_warehouse(self, tmp_path):
-        warehouse = EventWarehouse()
-        path = tmp_path / "facts.csv"
-        assert warehouse.to_csv(str(path)) == 0

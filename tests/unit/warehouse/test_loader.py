@@ -10,49 +10,47 @@ from repro.warehouse.dimensions import SpaceMember, TimeMember
 from repro.warehouse.loader import EventWarehouse
 
 
+@pytest.fixture
+def warehouse():
+    return EventWarehouse()
+
+
 class TestLoad:
-    def test_measures_and_attributes_split(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_measures_and_attributes_split(self, make_tuple, warehouse):
         fact = warehouse.load(make_tuple(0, temperature=25.5, station="umeda"))
         assert fact.measures == {"temperature": 25.5, "humidity": 0.6}
         assert fact.attributes == {"station": "umeda"}
         assert len(warehouse) == 1
 
-    def test_value_attribute_projection(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_value_attribute_projection(self, make_tuple, warehouse):
         fact = warehouse.load(make_tuple(0, temperature=25.5),
                               value_attribute="temperature")
         assert fact.measures == {"temperature": 25.5}
         assert "humidity" in fact.attributes
 
-    def test_missing_value_attribute_rejected(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_missing_value_attribute_rejected(self, make_tuple, warehouse):
         assert warehouse.load(make_tuple(0), value_attribute="ghost") is None
         assert warehouse.rejected == 1
         assert len(warehouse) == 0
 
-    def test_bool_is_attribute_not_measure(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_bool_is_attribute_not_measure(self, make_tuple, warehouse):
         tuple_ = make_tuple(0).with_updates(cancelled=True)
         fact = warehouse.load(tuple_)
         assert "cancelled" in fact.attributes
         assert "cancelled" not in fact.measures
 
-    def test_empty_payload_rejected(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_empty_payload_rejected(self, make_tuple, warehouse):
         empty = make_tuple(0).with_payload({})
         assert warehouse.load(empty) is None
         assert warehouse.rejected == 1
 
-    def test_none_values_skipped(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_none_values_skipped(self, make_tuple, warehouse):
         tuple_ = make_tuple(0).with_updates(extra=None)
         fact = warehouse.load(tuple_)
         assert "extra" not in fact.measures
         assert "extra" not in fact.attributes
 
-    def test_dimensions_shared_across_facts(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_dimensions_shared_across_facts(self, make_tuple, warehouse):
         a = warehouse.load(make_tuple(0, time=10.0))
         b = warehouse.load(make_tuple(1, time=20.0))
         assert a.time_key != b.time_key  # different seconds
@@ -60,13 +58,11 @@ class TestLoad:
         assert a.source_key == b.source_key
         assert a.space_key == b.space_key
 
-    def test_fact_ids_dense(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_fact_ids_dense(self, make_tuple, warehouse):
         facts = [warehouse.load(make_tuple(i, time=float(i))) for i in range(5)]
         assert [fact.fact_id for fact in facts] == [0, 1, 2, 3, 4]
 
-    def test_event_time_preserved_unaligned(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_event_time_preserved_unaligned(self, make_tuple, warehouse):
         fact = warehouse.load(make_tuple(0, time=3725.5))
         assert fact.event_time == 3725.5
 
@@ -190,8 +186,8 @@ class TestReferenceEquivalence:
         assert len({f.source_key for f in batched.facts}) == 2
         assert len({f.theme_keys for f in batched.facts}) == 2
 
-    def test_load_returns_the_last_members_outcome(self, make_tuple):
-        warehouse = EventWarehouse()
+    def test_load_returns_the_last_members_outcome(
+            self, make_tuple, warehouse):
         good, bad = make_tuple(0), make_tuple(1).with_payload({"only": None})
         # A lone tuple: its fact, or None when quarantined.
         assert warehouse.load(good) is warehouse.facts[-1]

@@ -74,17 +74,6 @@ class TestRollups:
         assert len(rows) == 1
         assert rows[0].value == 18.0
 
-    def test_rollup_space_separates_cities(self, warehouse):
-        rows = warehouse.query().rollup_space("prefecture",
-                                              measure="temperature", agg="avg")
-        assert len(rows) == 2  # Osaka cell and Tokyo cell
-
-    def test_rollup_theme(self, warehouse):
-        rows = warehouse.query().rollup_theme(measure="temperature", agg="max")
-        by_root = {row.group[0]: row.value for row in rows}
-        assert by_root["weather"] == 31.0
-        assert by_root["mobility"] == 5.0
-
     def test_unknown_aggregate_raises(self, warehouse):
         with pytest.raises(WarehouseError, match="unknown aggregate"):
             warehouse.query().rollup_time("hour", measure="temperature",
