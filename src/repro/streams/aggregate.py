@@ -168,6 +168,10 @@ class AggregationOperator(BlockingOperator):
         self._covering = _covering_granularity(self.interval)
         self._groups: dict[object, _GroupAccumulator] = {}
         self.cache = TupleCache(max_tuples=max_cache, on_evict=self._on_evict)
+        #: When set (to a list) by a sharding adapter, every emitted
+        #: group's str(group key) is appended in emission order: the
+        #: envelope entries' order keys.
+        self._key_log: "list[str] | None" = None
         #: When set (to a dict) by a sharding adapter, every emitted
         #: group's resolved accumulators are recorded by str(group key) so
         #: a split key's replicas can ship partials to the merge's
@@ -297,9 +301,9 @@ class AggregationOperator(BlockingOperator):
         Mirrors :meth:`_aggregate_group` per group (payload, nulls, stamp,
         label, seq), rescanning members only for dirty/rescan slices.  What
         a group takes from the operator or the flush is resolved once;
-        ``str(key)`` once per group, for the sort and the partial log; the
-        granule per run of first members sharing a granularity object; the
-        label per first-member source.  A clean accumulator allocates no
+        ``str(key)`` once per group, for the sort, the key log and the
+        partial log; the granule per run of first members sharing a
+        granularity object; the label per first-member source.  A clean accumulator allocates no
         set, and a ``Point`` location is its own representative point.
         """
         if self.window is not None:
@@ -316,7 +320,8 @@ class AggregationOperator(BlockingOperator):
         columns = [(attr, f"{function.lower()}_{attr}") for attr in self.attributes]
         # The function's index into [count, sum, min, max]; 4 is AVG's quotient.
         slot = ("COUNT", "SUM", "MIN", "MAX", "AVG").index(function)
-        covering, partial_log, lineage = self._covering, self._partial_log, self.lineage
+        covering, lineage = self._covering, self.lineage
+        key_log, partial_log = self._key_log, self._partial_log
         last_gran = UNSEEN
         labels: dict[str, str] = {}
         out: list[SensorTuple] = []
@@ -367,6 +372,8 @@ class AggregationOperator(BlockingOperator):
                 payload, now, location, granule,
                 first_stamp.spatial_granularity, first_stamp.themes, label, seq)
             out.append(emitted)
+            if key_log is not None:
+                key_log.append(okey)
             if partial_log is not None:
                 # Dirty slices were resolved above, so these are the exact
                 # [count, sum, min, max] this emission was computed from.

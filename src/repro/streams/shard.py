@@ -398,18 +398,23 @@ class ShardedOperatorAdapter(Operator):
         if self.elastic_keys is not None:
             self._harvest_key_loads()
         pair_log: "list | None" = None
+        key_log: "list | None" = None
         partial_log: "dict | None" = None
         if isinstance(inner, JoinOperator):
             pair_log = inner._pair_log = []
-        elif self.split_keys:
-            partial_log = inner._partial_log = {}
+        else:
+            # Aggregation: the flush logs each group's str(group key), the
+            # order key the unsharded flush sorts by.
+            key_log = inner._key_log = []
+            if self.split_keys:
+                partial_log = inner._partial_log = {}
         try:
             emitted = inner.on_timer(now)
         finally:
             if pair_log is not None:
                 inner._pair_log = None
-            if partial_log is not None:
-                inner._partial_log = None
+            else:
+                inner._key_log = inner._partial_log = None
         if pair_log is not None:
             entries = tuple(
                 (order_key_for_pair(lt, rt), out)
@@ -418,10 +423,8 @@ class ShardedOperatorAdapter(Operator):
         elif partial_log:
             # Split keys ship their raw accumulators so the merge can
             # fold replica partials back into one tuple.
-            group_by = getattr(inner, "group_by", None)
             items: list[tuple] = []
-            for t in emitted:
-                okey = str(t.get(group_by))
+            for okey, t in zip(key_log, emitted):
                 partial = partial_log.get(okey)
                 if okey in self.split_keys and partial is not None:
                     items.append((okey, t, partial))
@@ -429,10 +432,8 @@ class ShardedOperatorAdapter(Operator):
                     items.append((okey, t))
             entries = tuple(items)
         else:
-            # Aggregation: groups are whole on one shard, and the
-            # unsharded flush orders them by str(group key).
-            group_by = getattr(inner, "group_by", None)
-            entries = tuple((str(t.get(group_by)), t) for t in emitted)
+            # Groups are whole on one shard.
+            entries = tuple(zip(key_log, emitted))
         envelope = SensorTuple(
             payload={
                 SHARD_KEY: self.shard_index,

@@ -150,10 +150,15 @@ class ThemeDimension(_Interning):
 
 
 class SourceDimension(_Interning):
-    """Producing sensor / derived-stream labels."""
+    """Producing sensor / derived-stream labels; an empty label is
+    interned as ``"(unknown)"``."""
 
     def key_for(self, source: str) -> int:
         return self.intern(source or "(unknown)")
+
+    def find(self, source: str) -> "int | None":
+        """The key ``source`` resolves to, or None; interns nothing."""
+        return self._keys.get(source or "(unknown)")
 
     def member(self, key: int) -> str:
         return super().member(key)  # type: ignore[return-value]

@@ -33,6 +33,13 @@ class TestFilters:
     def test_source_filter(self, warehouse):
         assert warehouse.query().source("temp-1").count() == 12
 
+    def test_source_filter_resolves_as_the_loader_interns(self, make_tuple):
+        warehouse = EventWarehouse()
+        warehouse.load(make_tuple(0, source=""))  # interned as "(unknown)"
+        assert warehouse.query().source("").count() == 1
+        assert warehouse.query().source("(unknown)").count() == 1
+        assert warehouse.query().source("elsewhere").count() == 0
+
     def test_time_range(self, warehouse):
         assert warehouse.query().time_range(0.0, 3600.0).count() == 3
         with pytest.raises(WarehouseError):
