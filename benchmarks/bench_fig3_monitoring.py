@@ -49,8 +49,8 @@ def test_monitoring_run(benchmark):
 
     rate_series = monitor.operation_rates["monitored/monitored:keep"]
     utilization = monitor.node_utilization[victim]
-    changes = [c for c in monitor.assignment_log
-               if c.process_id.startswith("monitored:")]
+    changes = [r for r in monitor.records("reassigned")
+               if r.source.startswith("monitored:")]
 
     benchmark.extra_info.update({
         "rate_samples": len(rate_series),
@@ -63,7 +63,7 @@ def test_monitoring_run(benchmark):
     assert rate_series.maximum() > 0
     assert utilization.maximum() > 1.0      # the hog made it suffer
     assert changes                          # and the SCN reacted
-    assert changes[0].from_node == victim
+    assert changes[0].facts["from_node"] == victim
 
 
 def test_fig3_series_rows(capsys):
@@ -81,7 +81,6 @@ def test_fig3_series_rows(capsys):
             flag = " << suffering" if value > 1.0 else ""
             print(f"  t={t:7.0f}s  {value:7.1%}{flag}")
         print("== Figure 3: assignment changes ==")
-        for change in monitor.assignment_log:
-            print(f"  t={change.time:7.0f}s  {change.process_id}: "
-                  f"{change.from_node} -> {change.to_node}  ({change.reason})")
-    assert monitor.assignment_log
+        for record in monitor.records("reassigned"):
+            print(f"  t={record.time:7.0f}s  {record.source}: {record.detail}")
+    assert monitor.records("reassigned")

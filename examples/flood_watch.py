@@ -101,7 +101,7 @@ def main() -> None:
         bar = "#" * int(row.value * 40)
         print(f"  {row.group[0] / 3600.0:05.1f}h risk {row.value:4.2f} {bar}")
 
-    triggered = stack.executor.monitor.control_log
+    triggered = stack.executor.monitor.records("activate", "deactivate")
     if triggered:
         print(f"tweet stream woken {len(triggered)} time(s); "
               f"{stack.sticker.pushed} tweets visualized")

@@ -119,7 +119,7 @@ def modify_on_the_fly(handle, stack) -> None:
     before = len(stack.warehouse)
     stack.run_until(20 * 3600.0)
     print(f"events warehoused after modification: {len(stack.warehouse) - before}")
-    print("reassignments so far:", len(stack.executor.monitor.assignment_log))
+    print("reassignments so far:", len(handle.reassignments()))
     print("last log lines:")
     for record in stack.executor.monitor.logs[-5:]:
         print("  ", record)

@@ -24,8 +24,8 @@ def main() -> None:
     print(stack.executor.monitor.render_dashboard())
 
     print()
-    controls = stack.executor.monitor.control_log
-    for command in controls:
+    for record in stack.executor.monitor.records("activate", "deactivate"):
+        command = record.facts["command"]
         verb = "activated" if command.activate else "deactivated"
         hours = command.issued_at / 3600.0
         print(f"at {hours:04.1f}h the trigger {verb}: "

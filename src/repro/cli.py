@@ -96,8 +96,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     print(stack.executor.monitor.render_dashboard())
     print()
-    if stack.executor.monitor.control_log:
-        for command in stack.executor.monitor.control_log:
+    controls = stack.executor.monitor.records("activate", "deactivate")
+    if controls:
+        for record in controls:
+            command = record.facts["command"]
             verb = "activated" if command.activate else "deactivated"
             print(f"t={command.issued_at / 3600.0:05.1f}h {verb} "
                   f"{len(command.sensor_ids)} sensor stream(s)")
@@ -243,19 +245,20 @@ def _cmd_health(args: argparse.Namespace) -> int:
         )
         stack.executor.deploy(program)
         engine = stack.executor.alerts
+        logs = stack.executor.monitor.logs
         if args.watch:
             interval = max(args.cadence, 3600.0)
 
             def show() -> None:
-                print(render_health(engine))
+                print(render_health(engine, logs))
                 print()
 
             stack.clock.schedule_periodic(interval, show, start_delay=interval)
         stack.run_until(args.hours * 3600.0)
     if args.json:
-        print(json.dumps(engine.health_json(), sort_keys=True, indent=2))
+        print(json.dumps(engine.health_json(logs), sort_keys=True, indent=2))
     else:
-        print(render_health(engine))
+        print(render_health(engine, logs))
     return 0
 
 

@@ -71,12 +71,13 @@ class DeploymentHandle:
         return result
 
     def reassignments(self) -> list:
-        """The assignment-change log entries touching this deployment."""
+        """The execution log's ``reassigned`` records of this deployment's
+        processes."""
         prefix = f"{self.deployment.name}:"
         return [
-            change
-            for change in self.deployment.executor.monitor.assignment_log
-            if change.process_id.startswith(prefix)
+            record
+            for record in self.deployment.executor.monitor.records("reassigned")
+            if record.source.startswith(prefix)
         ]
 
     # -- control ---------------------------------------------------------------------

@@ -28,7 +28,7 @@ class SampleResult:
     """Per-node sample outputs plus the trigger commands issued."""
 
     outputs: dict[str, list[SensorTuple]] = field(default_factory=dict)
-    #: The throwaway monitor's control log: commands in issue order.
+    #: The throwaway monitor's trigger commands, in issue order.
     commands: list[ControlCommand] = field(default_factory=list)
 
     def at(self, node_id: str) -> list[SensorTuple]:
@@ -103,7 +103,10 @@ def replay_samples(
     clock.run_until((replay[-1].stamp.time if replay else clock.now)
                     + flushes + 60.0)
 
-    result = SampleResult(commands=list(stack.executor.monitor.control_log))
+    result = SampleResult(commands=[
+        record.facts["command"]
+        for record in stack.executor.monitor.records("activate", "deactivate")
+    ])
     for node_id, tap in taps.items():
         result.outputs[node_id] = list(deployment.collected(tap))
     for node_id in flow.sinks:  # a sink shows what its one feed's tap shows

@@ -14,8 +14,9 @@ Responsibilities, following [ref 8] and Section 3 of the paper:
    migrations off overloaded nodes; the executor applies them and the
    monitor logs "when the assignment changes".
 
-The controller is deliberately stateless between calls except for its
-migration history — all load truth lives in the topology's nodes.
+The controller is stateless between calls — all load truth lives in the
+topology's nodes, and the monitor's execution log keeps the history of
+what was placed and moved.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class ScnController:
         self.overload_threshold = overload_threshold
         self.load_weight = load_weight
         self.distance_weight = distance_weight
-        self.migrations: list[Migration] = []
-        #: Optional :class:`repro.obs.Tracer`; placement decisions are
-        #: recorded as control-plane events when set (by the executor).
-        self.tracer: "object | None" = None
 
     # -- service discovery ---------------------------------------------------
 
@@ -144,15 +141,6 @@ class ScnController:
                 decision.node_id, 0.0
             ) + demands.get(service.name, 1.0)
             locations[service.name] = [decision.node_id]
-        if self.tracer is not None:
-            for decision in placements.values():
-                self.tracer.event(
-                    "placement",
-                    service=decision.service,
-                    node=decision.node_id,
-                    score=decision.score,
-                    reason=decision.reason,
-                )
         return placements
 
     def _topological_services(self, program: DsnProgram) -> list[DsnService]:
@@ -190,18 +178,9 @@ class ScnController:
         service = DsnService(
             role=ServiceRole.OPERATOR, name=service_name, kind="recovered"
         )
-        decision = self._score_nodes(
+        return self._score_nodes(
             service, upstream_nodes, demand, projected={}, avoid=avoid
         )
-        if self.tracer is not None:
-            self.tracer.event(
-                "replacement",
-                service=decision.service,
-                node=decision.node_id,
-                score=decision.score,
-                avoided=", ".join(sorted(avoid)) if avoid else "",
-            )
-        return decision
 
     def place_shards(
         self,
@@ -262,14 +241,6 @@ class ScnController:
             projected[decision.node_id] = (
                 projected.get(decision.node_id, 0.0) + demand
             )
-            if self.tracer is not None:
-                self.tracer.event(
-                    "placement",
-                    service=decision.service,
-                    node=decision.node_id,
-                    score=decision.score,
-                    reason=decision.reason,
-                )
         return decisions
 
     def _live_nodes(self, avoid: "set[str] | None" = None) -> list:
@@ -390,7 +361,7 @@ class ScnController:
             target = max(targets, key=lambda n: n.headroom)
             if target.headroom < demand:
                 continue  # nowhere with room; migration would not help
-            migration = Migration(
+            moves.append(Migration(
                 service=victim,
                 from_node=node.node_id,
                 to_node=target.node_id,
@@ -398,7 +369,5 @@ class ScnController:
                     f"node {node.node_id!r} at {node.utilization:.0%} "
                     f"utilization (> {self.overload_threshold:.0%})"
                 ),
-            )
-            moves.append(migration)
-            self.migrations.append(migration)
+            ))
         return moves

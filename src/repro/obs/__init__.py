@@ -11,7 +11,7 @@ flush-time bookkeeping, not per-hop allocations).
 
 from __future__ import annotations
 
-from repro.obs.alerts import AlertEngine, AlertRule, AlertTransition
+from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.latency import LATENCY_BUCKETS, LatencyPlane, ProcessProbe
 from repro.obs.lineage import LineageRecord, LineageStore, tuple_key
 from repro.obs.metrics import (
@@ -29,7 +29,7 @@ from repro.obs.render import (
     slowest_sink_traces,
     trace_for_tuple,
 )
-from repro.obs.trace import CONTROL_TRACE_ID, Span, TraceContext, Tracer
+from repro.obs.trace import Span, TraceContext, Tracer
 
 
 class Observability:
@@ -64,8 +64,6 @@ class Observability:
 __all__ = [
     "AlertEngine",
     "AlertRule",
-    "AlertTransition",
-    "CONTROL_TRACE_ID",
     "LATENCY_BUCKETS",
     "LatencyPlane",
     "ProcessProbe",

@@ -28,15 +28,15 @@ Metrics a rule can target:
 Everything is driven by the virtual clock: the engine ticks at a fixed
 cadence via ``schedule_periodic`` (offset half a cadence so ticks never
 coincide with flush/emission boundaries), reads only registry instruments
-and the latency plane, and records fire/resolve transitions as
-control-plane events in the Monitor's reserved trace — so the same seed
-always produces the same alert history, byte for byte.
+and the latency plane, and records each fire/resolve transition in the
+monitor's execution log — so the same seed always produces the same
+alert history, byte for byte.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import StreamLoaderError
 from repro.obs.latency import LatencyPlane
@@ -142,20 +142,10 @@ class _RuleState:
     last_value: "float | None" = None
     window: "_HistogramWindow | None" = None
     gauge: object = None
-    transitions: int = 0
 
 
-@dataclass(frozen=True)
-class AlertTransition:
-    """One fire/resolve edge in the engine's history."""
-
-    time: float
-    event: str  # "fire" | "resolve"
-    rule: str
-    value: "float | None"
-
-    def as_list(self) -> list:
-        return [self.time, self.event, self.rule, self.value]
+#: The execution-log events of a rule's transitions.
+TRANSITIONS = ("alert-fire", "alert-resolve")
 
 
 class AlertEngine:
@@ -165,18 +155,18 @@ class AlertEngine:
         self,
         metrics: MetricsRegistry,
         plane: "LatencyPlane | None" = None,
-        tracer=None,
+        log=None,
         cadence: float = 60.0,
     ) -> None:
         if cadence <= 0:
             raise StreamLoaderError(f"alert cadence must be positive: {cadence}")
         self.metrics = metrics
         self.plane = plane
-        self.tracer = tracer
+        #: The monitor's ``log``: each transition becomes one record.
+        self.log = log
         self.cadence = cadence
         self.rules: dict[str, AlertRule] = {}
         self._state: dict[str, _RuleState] = {}
-        self.history: list[AlertTransition] = []
         #: Set by :meth:`tick`: the invariant health view at tick time
         #: (the ``repro health --json`` payload reads this, not live
         #: state, so in-flight tuples at the run cutoff can't leak in).
@@ -200,6 +190,13 @@ class AlertEngine:
         )
         state.gauge.set(0.0)
         self._state[rule.name] = state
+
+    def remove_rule(self, name: str) -> None:
+        """Stop watching rule ``name`` (its flow was torn down)."""
+        self.rules.pop(name, None)
+        state = self._state.pop(name, None)
+        if state is not None:
+            state.gauge.set(0.0)
 
     def start(self, clock, start_delay: "float | None" = None) -> None:
         """Begin ticking on the virtual clock.
@@ -265,18 +262,18 @@ class AlertEngine:
                     now: float, event: str, value: "float | None") -> None:
         state.firing = event == "fire"
         state.gauge.set(1.0 if state.firing else 0.0)
-        state.transitions += 1
-        self.history.append(AlertTransition(now, event, rule.name, value))
         self.metrics.counter(
             "alert_transitions_total",
             "Fire/resolve edges per rule",
             rule=rule.name, event=event,
         ).inc()
-        if self.tracer is not None:
-            self.tracer.event(
-                f"alert-{event}", time=now, rule=rule.name,
-                metric=rule.metric, value=value, threshold=rule.threshold,
-                scope=rule.scope,
+        if self.log is not None:
+            reading = "cold" if value is None else f"{value:g}"
+            self.log(
+                rule.name, f"alert-{event}",
+                f"{rule.describe()} (value={reading})",
+                rule=rule.name, metric=rule.metric, value=value,
+                threshold=rule.threshold,
             )
 
     # -- views -------------------------------------------------------------
@@ -307,9 +304,20 @@ class AlertEngine:
             "values": self.last_values(),
         }
 
-    def health_json(self) -> dict:
-        """The ``repro health --json`` payload: last tick snapshot plus
-        the full transition history and rule definitions."""
+    @staticmethod
+    def transitions(records) -> list[list]:
+        """``[time, "fire" | "resolve", rule, value]`` of every
+        transition among the execution-log ``records``, in order."""
+        return [
+            [record.time, record.event[len("alert-"):],
+             record.facts["rule"], record.facts["value"]]
+            for record in records if record.event in TRANSITIONS
+        ]
+
+    def health_json(self, records) -> dict:
+        """The ``repro health --json`` payload: last tick snapshot, rule
+        definitions, and the transition history read from ``records``
+        (the execution log this engine writes to)."""
         return {
             "snapshot": self.snapshot,
             "rules": {
@@ -323,5 +331,5 @@ class AlertEngine:
                 }
                 for name, rule in sorted(self.rules.items())
             },
-            "history": [t.as_list() for t in self.history],
+            "history": self.transitions(records),
         }

@@ -200,6 +200,11 @@ class LatencyPlane:
             )
         return probe
 
+    def unregister(self, keys) -> None:
+        """Drop the probes of stopped processes (a torn-down flow)."""
+        for key in keys:
+            self.probes.pop(key, None)
+
     def set_upstreams(self, key: str, upstreams) -> None:
         probe = self.probes.get(key)
         if probe is not None:

@@ -132,13 +132,13 @@ def _health_number(value: "float | None", suffix: str = "s") -> str:
     return "cold" if value is None else f"{value:.1f}{suffix}"
 
 
-def render_health(engine) -> str:
+def render_health(engine, records) -> str:
     """The ``repro health`` screen: one AlertEngine's last tick snapshot.
 
     Shows the logical (shard-invariant) per-service watermark view, the
     backpressure columns, the rules with their latest readings, and the
-    recent fire/resolve history.  Renders a placeholder until the first
-    tick has run.
+    recent fire/resolve history, read from the execution log ``records``.
+    Renders a placeholder until the first tick has run.
     """
     snapshot = engine.snapshot
     if snapshot is None:
@@ -162,12 +162,12 @@ def render_health(engine) -> str:
             f"  {name:36s} {rule.describe():32s} "
             f"now={_health_number(value, '')} [{state}]"
         )
-    if engine.history:
+    transitions = engine.transitions(records)
+    if transitions:
         lines.append("-- transitions --")
-        for transition in engine.history[-8:]:
+        for time, event, rule, value in transitions[-8:]:
             lines.append(
-                f"  t={transition.time:.0f}: {transition.event:7s} "
-                f"{transition.rule} "
-                f"(value={_health_number(transition.value, '')})"
+                f"  t={time:.0f}: {event:7s} {rule} "
+                f"(value={_health_number(value, '')})"
             )
     return "\n".join(lines)

@@ -27,9 +27,6 @@ from typing import Callable
 
 from repro.errors import StreamLoaderError
 
-#: Trace id reserved for control-plane events (placements, reassignments).
-CONTROL_TRACE_ID = 0
-
 
 @dataclass(frozen=True, slots=True)
 class TraceContext:
@@ -85,29 +82,23 @@ class Tracer:
         self.max_traces = max_traces
         #: trace id -> spans in recording order.
         self._traces: dict[int, list[Span]] = {}
-        self._next_trace = 1  # 0 is the control trace
+        self._next_trace = 1
         self._next_span = 1
         self._accumulator = 0.0
         self.traces_started = 0
         self.traces_dropped = 0
-        #: Virtual-clock source for control events recorded without a
-        #: caller-supplied time (bound by the executor to the sim clock).
-        self._now: "Callable[[], float] | None" = None
         #: Wall-clock source, bound only when the clock exposes one.
         self._wall: "Callable[[], float] | None" = None
 
     # -- wiring ------------------------------------------------------------
 
     def bind_clock(self, clock) -> None:
-        """Use ``clock.now`` for control events without an explicit time.
-
-        A clock exposing ``wall_now`` (the asyncio backend's) also
-        becomes the wall-stamp source for recorded spans.  The stamp is
+        """Stamp recorded spans with ``clock.wall_now`` when the clock
+        exposes one (the asyncio backend's does).  The stamp is
         taken inside :meth:`_record`, which is only reached with a live
         trace context — sampling=0 still costs nothing (the zero-cost
         contract of DESIGN.md §12 holds on every backend).
         """
-        self._now = lambda: clock.now
         self._wall = (
             (lambda: clock.wall_now) if hasattr(clock, "wall_now") else None
         )
@@ -130,13 +121,8 @@ class Tracer:
         self.traces_started += 1
         self._traces[trace_id] = []
         if len(self._traces) > self.max_traces:
-            # Evict the oldest *data* trace; the control trace (the
-            # placement/reassignment audit log) is never dropped.
-            for oldest in self._traces:
-                if oldest != CONTROL_TRACE_ID:
-                    del self._traces[oldest]
-                    self.traces_dropped += 1
-                    break
+            del self._traces[next(iter(self._traces))]  # the oldest
+            self.traces_dropped += 1
         span = self._record(trace_id, None, name, now, now, attrs)
         return TraceContext(trace_id=trace_id, span_id=span.span_id)
 
@@ -153,19 +139,6 @@ class Tracer:
             ctx.trace_id, ctx.span_id, name, start,
             start if end is None else end, attrs,
         )
-
-    def event(self, name: str, time: "float | None" = None, **attrs: object) -> Span:
-        """Record a control-plane event (placement, reassignment, ...).
-
-        Control events live in the dedicated trace ``CONTROL_TRACE_ID`` and
-        ignore sampling — there are few of them and they are the "when the
-        assignment changes" audit trail.
-        """
-        if time is None:
-            time = self._now() if self._now is not None else 0.0
-        if CONTROL_TRACE_ID not in self._traces:
-            self._traces[CONTROL_TRACE_ID] = []
-        return self._record(CONTROL_TRACE_ID, None, name, time, time, attrs)
 
     def _record(
         self,
@@ -199,11 +172,8 @@ class Tracer:
         return list(self._traces.get(trace_id, ()))
 
     def trace_ids(self) -> list[int]:
-        """Ids of retained data traces (control trace excluded)."""
-        return [tid for tid in self._traces if tid != CONTROL_TRACE_ID]
-
-    def control_events(self) -> list[Span]:
-        return list(self._traces.get(CONTROL_TRACE_ID, ()))
+        """Ids of retained traces, oldest first."""
+        return list(self._traces)
 
     def duration(self, trace_id: int) -> float:
         """Wall extent of a trace on the virtual clock."""

@@ -8,7 +8,7 @@ to the Web Interface to show statistics on the dataflow execution."
 
 from repro.runtime.stats import TimeSeries, RateEstimator
 from repro.runtime.process import OperatorProcess, Route
-from repro.runtime.monitor import Monitor, AssignmentChange
+from repro.runtime.monitor import LogRecord, Monitor
 from repro.runtime.executor import Executor, Deployment
 from repro.runtime.lifecycle import DeploymentState
 
@@ -18,7 +18,7 @@ __all__ = [
     "OperatorProcess",
     "Route",
     "Monitor",
-    "AssignmentChange",
+    "LogRecord",
     "Executor",
     "Deployment",
     "DeploymentState",

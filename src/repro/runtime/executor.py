@@ -212,7 +212,16 @@ class Deployment:
             binding.subscriptions.clear()
         for process in self.processes.values():
             process.stop()
-        self.executor.monitor.unwatch(self.name)
+        # A stopped process's frozen watermark would hold every lag
+        # objective in breach: its probe and this flow's rules go.
+        executor = self.executor
+        plane = executor.obs.latency if executor.obs is not None else None
+        if plane is not None:
+            plane.unregister(p.process_id for p in self.processes.values())
+        if executor.alerts is not None:
+            for rule in _slo_rules(self.program):
+                executor.alerts.remove_rule(rule.name)
+        executor.monitor.unwatch(self.name)
         self.state = DeploymentState.STOPPED
 
     def apply_control(self, command: ControlCommand) -> int:
@@ -222,7 +231,12 @@ class Deployment:
         ids select which governed sources are affected; a command naming no
         sensor bound to this deployment toggles nothing.
         """
-        self.executor.monitor.record_control(self.name, command)
+        self.executor.monitor.log(
+            self.name,
+            "activate" if command.activate else "deactivate",
+            f"{', '.join(command.sensor_ids)} ({command.reason})",
+            command=command,
+        )
         targets = set(command.sensor_ids)
         toggled = 0
         governed = {
@@ -241,6 +255,23 @@ class Deployment:
                     subscription.pause()
                 toggled += 1
         return toggled
+
+
+def _slo_rules(program):
+    """The alert rule each of ``program``'s ``slo`` clauses declares."""
+    from repro.obs.alerts import AlertRule
+
+    return [
+        AlertRule(
+            name=f"slo:{slo.flow}:{slo.metric}",
+            metric=slo.metric,
+            op=slo.op,
+            threshold=slo.threshold,
+            window=slo.window,
+            scope=slo.flow,
+        )
+        for slo in program.slos
+    ]
 
 
 def _spec(service):
@@ -291,8 +322,6 @@ class Executor:
             obs.tracer.bind_clock(netsim.clock)
             if netsim.tracer is None:
                 netsim.tracer = obs.tracer
-            if getattr(self.scn, "tracer", None) is None:
-                self.scn.tracer = obs.tracer
             if broker_network.obs is None:
                 broker_network.obs = obs
         self.warehouse = warehouse
@@ -338,11 +367,15 @@ class Executor:
         def on_dead_letter(subscription, tuple_, reason) -> None:
             if previous_dead is not None:
                 previous_dead(subscription, tuple_, reason)
-            self.monitor.record_dead_letter(
-                subscription.subscription_id,
-                subscription.node_id,
-                tuple_.source,
-                reason,
+            self.monitor.log(
+                f"subscription-{subscription.subscription_id}",
+                "dead-letter",
+                f"{tuple_.source} undeliverable to {subscription.node_id}: "
+                f"{reason}",
+                subscription=subscription.subscription_id,
+                node=subscription.node_id,
+                source=tuple_.source,
+                reason=reason,
             )
 
         self.broker_network.on_sensor_published = on_published
@@ -472,6 +505,13 @@ class Executor:
             process.enable_checkpoints(self.checkpoint_interval)
         process.placement_demand = unit.demand
         self.netsim.topology.node(node_id).update_demand(process_id, unit.demand)
+        placement = unit.placement
+        self.monitor.log(
+            process_id, "placement",
+            f"on {node_id} (score {placement.score:.3f}): {placement.reason}",
+            service=unit.key, node=node_id, score=placement.score,
+            reason=placement.reason,
+        )
         deployment.processes[unit.key] = process
         if unit.role == MERGE:
             self._form_group(deployment, deployment.plan.groups[unit.service])
@@ -554,7 +594,7 @@ class Executor:
             shard.service,
             interval=members[0].operator.interval,
             config=self.rebalance_config,
-            monitor=self.monitor,
+            log=self.monitor.log,
             combine_safe=_spec(
                 deployment.program.service(shard.service)
             ).combine_safe(),
@@ -576,7 +616,7 @@ class Executor:
                 f"deployment {program.name!r} declares SLO clauses but the "
                 "executor was built without observability"
             )
-        from repro.obs.alerts import AlertEngine, AlertRule
+        from repro.obs.alerts import AlertEngine
 
         plane = self.obs.ensure_latency()
         self.netsim.plane = plane
@@ -615,22 +655,13 @@ class Executor:
             engine = self.alerts = AlertEngine(
                 self.obs.metrics,
                 plane=plane,
-                tracer=self.obs.tracer,
+                log=self.monitor.log,
                 cadence=self.alert_cadence,
             )
             engine.start(self.netsim.clock)
             self.monitor.alerts = engine
-        for slo in program.slos:
-            engine.add_rule(
-                AlertRule(
-                    name=f"slo:{slo.flow}:{slo.metric}",
-                    metric=slo.metric,
-                    op=slo.op,
-                    threshold=slo.threshold,
-                    window=slo.window,
-                    scope=slo.flow,
-                )
-            )
+        for rule in _slo_rules(program):
+            engine.add_rule(rule)
 
     def _build_runtime(self, service, deployment: Deployment):
         """Instantiate the runtime operator (or sink) for a service."""
@@ -723,20 +754,27 @@ class Executor:
 
     # -- rebalancing -------------------------------------------------------------
 
-    @staticmethod
     def _relocate(
-        deployment: Deployment, key: str, node_id: str, score: float,
+        self, deployment: Deployment, key: str, node_id: str, score: float,
         reason: str,
     ) -> None:
         """Move unit ``key``'s process to ``node_id``: its placement
-        records the move and its subscriptions follow it."""
+        records the move, its subscriptions follow it, and the monitor
+        logs the reassignment."""
         unit = deployment.plan.units[key]
-        deployment.processes[key].move_to(node_id)
+        process = deployment.processes[key]
+        origin = process.node_id
+        process.move_to(node_id)
         unit.placement = PlacementDecision(
             service=key, node_id=node_id, score=score, reason=reason,
         )
         for subscription in unit.subscriptions:
             subscription.node_id = node_id
+        self.monitor.log(
+            process.process_id, "reassigned",
+            f"{origin} -> {node_id} ({reason})",
+            from_node=origin, to_node=node_id, reason=reason,
+        )
 
     def _rebalance(self, deployment: Deployment) -> None:
         """One SCN coordination round: migrate off overloaded/dead nodes."""
@@ -757,9 +795,6 @@ class Executor:
             self._relocate(
                 deployment, by_pid[move.service], move.to_node, 0.0,
                 move.reason,
-            )
-            self.monitor.record_assignment(
-                move.service, move.from_node, move.to_node, move.reason
             )
 
     def _evacuate_dead_nodes(self, deployment: Deployment) -> None:
@@ -825,15 +860,16 @@ class Executor:
                 )
             except PlacementError:
                 return  # nowhere to go; keep waiting for recovery
-            origin = process.node_id
-            reason = f"node {origin!r} is down"
+            self.monitor.log(
+                process.process_id, "replacement",
+                f"on {decision.node_id} (score {decision.score:.3f})",
+                service=name, node=decision.node_id, score=decision.score,
+            )
             self._relocate(
-                deployment, name, decision.node_id, decision.score, reason
+                deployment, name, decision.node_id, decision.score,
+                f"node {process.node_id!r} is down",
             )
             restored = process.restore_last_checkpoint()
-            self.monitor.record_assignment(
-                process.process_id, origin, decision.node_id, reason
-            )
             if restored:
                 checkpoint_time = process.last_checkpoint[0]
                 self.monitor.log(

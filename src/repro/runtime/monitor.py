@@ -7,8 +7,10 @@ operation and when the assignment changes"* — plus, for Figure 3, the
 flows of data of every dataflow under control.
 
 The monitor samples each deployment's processes on the virtual clock and
-keeps per-operation rate series, per-node utilization series, the
-assignment log, and trigger/control events.
+keeps per-operation rate series, per-node utilization series, and the
+execution log: one record stream, written through :meth:`Monitor.log`,
+of every placement, reassignment, key move, trigger command, dead
+letter, alert transition and node-health change.
 
 It is also the runtime's **failure detector**: every watched process emits
 a heartbeat on the sim clock, and a node whose processes all fall silent
@@ -21,14 +23,14 @@ auditable claim rather than a hope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from repro.network.netsim import NetworkSimulator
+from repro.obs.alerts import TRANSITIONS
 from repro.runtime.process import OperatorProcess
 from repro.runtime.stats import TimeSeries
-from repro.streams.base import ControlCommand
 
 
 class NodeHealth(Enum):
@@ -39,49 +41,22 @@ class NodeHealth(Enum):
     DEAD = "dead"
 
 
-@dataclass(frozen=True)
-class AssignmentChange:
-    """One entry of the "when the assignment changes" log."""
-
-    time: float
-    process_id: str
-    from_node: str
-    to_node: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class MigrationEvent:
-    """One elastic-sharding action: a key migration or hot-key split."""
-
-    time: float
-    service: str
-    key: str
-    kind: str  # "migrate" | "split" | "aborted"
-    from_shard: int
-    to_shards: tuple[int, ...]
-    reason: str
-
-
-@dataclass(frozen=True)
-class DeadLetterRecord:
-    """One tuple the broker gave up delivering (surfaced, not silent)."""
-
-    time: float
-    subscription_id: int
-    node_id: str
-    source: str
-    reason: str
+#: The elastic-sharding loop's events (DESIGN.md §13).
+KEY_MOVES = ("key-migrate", "key-split", "key-aborted")
+#: A trigger's commands, actuated by the control plane.
+CONTROLS = ("activate", "deactivate")
 
 
 @dataclass
 class LogRecord:
-    """A structured execution-log line."""
+    """One execution-log record: when, who, what, a readable detail, and
+    the structured ``facts`` readers take their fields from."""
 
     time: float
     source: str
     event: str
     detail: str = ""
+    facts: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
         detail = f" {self.detail}" if self.detail else ""
@@ -124,36 +99,27 @@ class Monitor:
         self._heartbeat_counters: dict[str, object] = {}
         self._rate_gauges: dict[str, object] = {}
         self._util_gauges: dict[str, object] = {}
-        self._dead_letter_counter = None
-        self._assignment_counter = None
-        self._control_counter = None
-        self._migration_counter = None
+        #: event -> the counter each record of it increments.
+        self._counters: dict[str, object] = {}
         if obs is not None:
-            metrics = obs.metrics
-            self._dead_letter_counter = metrics.counter(
-                "monitor_dead_letters_total",
-                "dead-lettered tuples surfaced to the monitor",
-            )
-            self._assignment_counter = metrics.counter(
-                "monitor_assignment_changes_total",
-                "process re-placements (when the assignment changes)",
-            )
-            self._control_counter = metrics.counter(
-                "monitor_control_commands_total",
-                "trigger commands actuated by the control plane",
-            )
-            self._migration_counter = metrics.counter(
-                "monitor_key_migrations_total",
-                "elastic-sharding key migrations and hot-key splits",
-            )
+            for events, name, help_text in (
+                (("dead-letter",), "monitor_dead_letters_total",
+                 "dead-lettered tuples surfaced to the monitor"),
+                (("reassigned",), "monitor_assignment_changes_total",
+                 "process re-placements (when the assignment changes)"),
+                (CONTROLS, "monitor_control_commands_total",
+                 "trigger commands actuated by the control plane"),
+                (KEY_MOVES, "monitor_key_migrations_total",
+                 "elastic-sharding key migrations and hot-key splits"),
+            ):
+                counter = obs.metrics.counter(name, help_text)
+                self._counters.update(dict.fromkeys(events, counter))
         #: (deployment, process) -> tuples/sec series.
         self.operation_rates: dict[str, TimeSeries] = {}
         #: node -> utilization series.
         self.node_utilization: dict[str, TimeSeries] = {}
-        self.assignment_log: list[AssignmentChange] = []
-        self.migration_log: list[MigrationEvent] = []
-        self.control_log: list[ControlCommand] = []
-        self.dead_letter_log: list[DeadLetterRecord] = []
+        #: The execution log: every control-plane decision and event, in
+        #: the order it happened.
         self.logs: list[LogRecord] = []
         #: Failure-detector state per node (only nodes hosting processes).
         self.node_health: dict[str, NodeHealth] = {}
@@ -201,59 +167,19 @@ class Monitor:
 
     # -- event intake ---------------------------------------------------------
 
-    def log(self, source: str, event: str, detail: str = "") -> None:
-        self.logs.append(
-            LogRecord(time=self.netsim.clock.now, source=source, event=event, detail=detail)
-        )
+    def log(self, source: str, event: str, /, detail: str = "",
+            **facts: object) -> None:
+        """Append one record to the execution log; the one write path."""
+        self.logs.append(LogRecord(
+            self.netsim.clock.now, source, event, detail, facts
+        ))
+        counter = self._counters.get(event)
+        if counter is not None:
+            counter.inc()
 
-    def record_assignment(
-        self, process_id: str, from_node: str, to_node: str, reason: str
-    ) -> None:
-        change = AssignmentChange(
-            time=self.netsim.clock.now,
-            process_id=process_id,
-            from_node=from_node,
-            to_node=to_node,
-            reason=reason,
-        )
-        self.assignment_log.append(change)
-        self.log(process_id, "reassigned", f"{from_node} -> {to_node} ({reason})")
-        if self.obs is not None:
-            self._assignment_counter.inc()
-            self.obs.tracer.event(
-                "reassignment", change.time,
-                process=process_id, **{"from": from_node, "to": to_node},
-                reason=reason,
-            )
-
-    def record_migration(
-        self,
-        service: str,
-        key: str,
-        kind: str,
-        from_shard: int,
-        to_shards: "tuple[int, ...]",
-        reason: str,
-    ) -> MigrationEvent:
-        """Log one elastic-sharding action (the migration event log)."""
-        event = MigrationEvent(
-            time=self.netsim.clock.now,
-            service=service,
-            key=key,
-            kind=kind,
-            from_shard=from_shard,
-            to_shards=tuple(to_shards),
-            reason=reason,
-        )
-        self.migration_log.append(event)
-        targets = ",".join(str(shard) for shard in event.to_shards)
-        self.log(
-            service, f"key-{kind}",
-            f"{key}: shard {from_shard} -> [{targets}] ({reason})",
-        )
-        if self._migration_counter is not None:
-            self._migration_counter.inc()
-        return event
+    def records(self, *events: str) -> list[LogRecord]:
+        """The log's records of the given events, in log order."""
+        return [record for record in self.logs if record.event in events]
 
     def heartbeat(self, process_id: str, node_id: str, time: float) -> None:
         """Liveness beat from a watched process (wired by :meth:`watch`)."""
@@ -273,37 +199,6 @@ class Monitor:
         if previous in (NodeHealth.SUSPECT, NodeHealth.DEAD):
             self.log(node_id, "node-alive", f"heartbeat from {process_id}")
         self.node_health[node_id] = NodeHealth.ALIVE
-
-    def record_dead_letter(
-        self, subscription_id: int, node_id: str, source: str, reason: str
-    ) -> None:
-        """A tuple exhausted its retry budget; keep the audit trail."""
-        record = DeadLetterRecord(
-            time=self.netsim.clock.now,
-            subscription_id=subscription_id,
-            node_id=node_id,
-            source=source,
-            reason=reason,
-        )
-        self.dead_letter_log.append(record)
-        self.log(
-            f"subscription-{subscription_id}",
-            "dead-letter",
-            f"{source} undeliverable to {node_id}: {reason}",
-        )
-        if self.obs is not None:
-            self._dead_letter_counter.inc()
-
-    def record_control(self, deployment_name: str, command: ControlCommand) -> None:
-        self.control_log.append(command)
-        if self.obs is not None:
-            self._control_counter.inc()
-        verb = "activate" if command.activate else "deactivate"
-        self.log(
-            deployment_name,
-            verb,
-            f"{', '.join(command.sensor_ids)} ({command.reason})",
-        )
 
     # -- sampling ------------------------------------------------------------------
 
@@ -448,14 +343,14 @@ class Monitor:
             },
             "suffering_nodes": self.suffering_nodes(),
             "assignments": self.current_assignments(),
-            "assignment_changes": len(self.assignment_log),
-            "key_migrations": len(self.migration_log),
-            "controls": len(self.control_log),
+            "assignment_changes": len(self.records("reassigned")),
+            "key_migrations": len(self.records(*KEY_MOVES)),
+            "controls": len(self.records(*CONTROLS)),
             "node_health": {
                 node_id: health.value
                 for node_id, health in sorted(self.node_health.items())
             },
-            "dead_letters": len(self.dead_letter_log),
+            "dead_letters": len(self.records("dead-letter")),
             "network": {
                 "messages_sent": self.netsim.stats.messages_sent,
                 "messages_delivered": self.netsim.stats.messages_delivered,
@@ -479,7 +374,7 @@ class Monitor:
         if self.alerts is not None:
             report["alerts"] = {
                 "firing": self.alerts.firing(),
-                "transitions": len(self.alerts.history),
+                "transitions": len(self.records(*TRANSITIONS)),
             }
         # Real-backend queue health; the simulator has no queues to report.
         health = getattr(self.netsim, "backend_health", None)
@@ -527,20 +422,25 @@ class Monitor:
             lines.append("-- node health --")
             for node, health in unhealthy.items():
                 lines.append(f"  {node:20s} {health.upper()}")
-        if self.assignment_log:
+        reassigned = self.records("reassigned")
+        if reassigned:
             lines.append("-- reassignments --")
-            for change in self.assignment_log[-5:]:
+            for record in reassigned[-5:]:
+                facts = record.facts
                 lines.append(
-                    f"  t={change.time:.0f}: {change.process_id} "
-                    f"{change.from_node} -> {change.to_node}"
+                    f"  t={record.time:.0f}: {record.source} "
+                    f"{facts['from_node']} -> {facts['to_node']}"
                 )
-        if self.migration_log:
+        key_moves = self.records(*KEY_MOVES)
+        if key_moves:
             lines.append("-- key migrations --")
-            for event in self.migration_log[-5:]:
-                targets = ",".join(str(shard) for shard in event.to_shards)
+            for record in key_moves[-5:]:
+                facts = record.facts
+                targets = ",".join(str(shard) for shard in facts["to_shards"])
                 lines.append(
-                    f"  t={event.time:.0f}: {event.service} {event.key} "
-                    f"shard {event.from_shard} -> [{targets}] ({event.kind})"
+                    f"  t={record.time:.0f}: {record.source} {facts['key']} "
+                    f"shard {facts['from_shard']} -> [{targets}] "
+                    f"({record.event[len('key-'):]})"
                 )
         watermarks = report.get("watermarks")
         if watermarks:

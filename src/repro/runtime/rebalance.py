@@ -288,13 +288,14 @@ class RebalanceExecutor:
     """
 
     def __init__(self, group, assignment, netsim, service: str,
-                 interval: float, monitor=None) -> None:
+                 interval: float, log=None) -> None:
         self.group = group
         self.assignment = assignment
         self.netsim = netsim
         self.service = service
         self.interval = interval
-        self.monitor = monitor
+        #: The monitor's ``log``: each action becomes one record.
+        self.log = log
         #: keys already split (never split or migrate twice).
         self.split_keys: set[tuple] = set()
         self.migrations_done = 0
@@ -328,10 +329,13 @@ class RebalanceExecutor:
 
     def _record(self, key: tuple, kind: str, from_shard: int,
                 to_shards, reason: str) -> None:
-        if self.monitor is not None:
-            self.monitor.record_migration(
-                self.service, repr(key), kind, from_shard,
-                tuple(to_shards), reason,
+        if self.log is not None:
+            targets = ",".join(str(shard) for shard in to_shards)
+            self.log(
+                self.service, f"key-{kind}",
+                f"{key!r}: shard {from_shard} -> [{targets}] ({reason})",
+                key=repr(key), from_shard=from_shard,
+                to_shards=tuple(to_shards), reason=reason,
             )
 
     def _node_up(self, process) -> bool:
@@ -408,7 +412,7 @@ class ShardRebalancer:
 
     def __init__(self, group, assignment, netsim, service: str,
                  interval: float, config: "RebalanceConfig | None" = None,
-                 monitor=None, combine_safe: bool = False) -> None:
+                 log=None, combine_safe: bool = False) -> None:
         self.config = config or RebalanceConfig()
         self.group = group
         self.combine_safe = combine_safe
@@ -417,7 +421,7 @@ class ShardRebalancer:
         )
         self.policy = RebalancePolicy(self.config)
         self.executor = RebalanceExecutor(
-            group, assignment, netsim, service, interval, monitor=monitor,
+            group, assignment, netsim, service, interval, log=log,
         )
         self.netsim = netsim
         self.interval = interval

@@ -21,6 +21,7 @@ from repro.dataflow.ops import (
 )
 from repro.network.topology import Topology
 from repro.runtime.lifecycle import DeploymentState
+from repro.runtime.monitor import KEY_MOVES
 from repro.runtime.rebalance import RebalanceConfig, RebalanceDecision
 from repro.scenario import (
     build_stack,
@@ -103,8 +104,8 @@ class TestFaultMatrix:
         stack.netsim.kill_node(victim)
         stack.run_until(1800.0)  # detector: 4 x 30s silence, checked at 30s
         assert deployment.process("work").node_id != victim
-        changes = stack.executor.monitor.assignment_log
-        assert any("down" in change.reason for change in changes)
+        changes = stack.executor.monitor.records("reassigned")
+        assert any("down" in change.facts["reason"] for change in changes)
         assert deployment.state is DeploymentState.RUNNING
         before = len(deployment.collected("out"))
         stack.run_until(2 * 3600.0)
@@ -124,8 +125,7 @@ class TestFaultMatrix:
         assert net.data_messages_retried >= 1
         assert net.data_messages_dead_lettered == 0
         # The blip was too short for the detector: nothing was re-placed.
-        changes = stack.executor.monitor.assignment_log
-        assert all("down" not in change.reason for change in changes)
+        assert stack.executor.monitor.records("reassigned") == []
         assert len(deployment.collected("out")) > 0
 
     def test_flaky_source_degrades_and_recovers(self, blocking):
@@ -198,7 +198,8 @@ class TestDeadLetterAudit:
         assert net.data_messages_dead_lettered >= 1
 
         # Broker counter == monitor audit log == per-subscription queues.
-        assert len(monitor.dead_letter_log) == net.data_messages_dead_lettered
+        records = monitor.records("dead-letter")
+        assert len(records) == net.data_messages_dead_lettered
         subscriptions = [
             subscription
             for binding in deployment.bindings.values()
@@ -217,9 +218,9 @@ class TestDeadLetterAudit:
 
         # Every audit record names the victim and a real subscription.
         known = {s.subscription_id for s in subscriptions}
-        for record in monitor.dead_letter_log:
-            assert record.subscription_id in known
-            assert record.node_id == victim
+        for record in records:
+            assert record.facts["subscription"] in known
+            assert record.facts["node"] == victim
 
         # The metrics pipeline carries the same count.
         counter = stack.obs.metrics.counter("broker_dead_letters_total")
@@ -399,9 +400,9 @@ class TestFusedFaultMatrix:
             assert deployment.process(member) is process
             assert deployment.placements[member].node_id == process.node_id
         # Exactly one assignment change for the chain, none per member.
-        down = [change for change in executor.monitor.assignment_log
-                if "down" in change.reason and change.from_node == victim]
-        changed = [change.process_id for change in down]
+        changed = [change.source
+                   for change in executor.monitor.records("reassigned")
+                   if change.facts["from_node"] == victim]
         assert changed.count(f"fused-ft:{key}") == 1
         assert not any(
             change_id.endswith(f":{member}")
@@ -521,9 +522,9 @@ class TestElasticFaultMatrix:
                                  lambda: netsim.kill_node(donor_node))
         netsim.clock.run_until(self.END)
 
-        events = executor.monitor.migration_log
-        assert [e.kind for e in events] == ["aborted"]
-        assert "node down" in events[0].reason
+        [event] = executor.monitor.records(*KEY_MOVES)
+        assert event.event == "key-aborted"
+        assert "node down" in event.facts["reason"]
         # Nothing half-applied: routing untouched, no shard disowned it.
         assert group.assignment.overrides == {}
         assert all((station,) not in m.operator.disowned
@@ -545,8 +546,8 @@ class TestElasticFaultMatrix:
                                  lambda: netsim.kill_node(recipient_node))
         netsim.clock.run_until(self.END)
 
-        events = executor.monitor.migration_log
-        assert [e.kind for e in events] == ["aborted"]
+        events = executor.monitor.records(*KEY_MOVES)
+        assert [e.event for e in events] == ["key-aborted"]
         # The donor keeps serving the key as if nothing was asked.
         assert group.assignment.owner_of((station,)) == owner
         assert group.assignment.overrides == {}
@@ -569,8 +570,8 @@ class TestElasticFaultMatrix:
                                  lambda: netsim.kill_node(donor_node))
         netsim.clock.run_until(self.END)
 
-        events = executor.monitor.migration_log
-        assert [e.kind for e in events] == ["migrate"]
+        events = executor.monitor.records(*KEY_MOVES)
+        assert [e.event for e in events] == ["key-migrate"]
         assert group.assignment.owner_of((station,)) == recipient
         # The restored donor still knows the key left: no resurrection.
         assert (station,) in group.members[owner].operator.disowned
@@ -661,10 +662,9 @@ class TestOsakaKillRecovery:
     def test_processes_replaced_off_the_dead_node(self, runs):
         _, (stack, deployment, holder) = runs
         victim = holder["victim"]
-        changes = stack.executor.monitor.assignment_log
         assert any(
-            change.from_node == victim and "down" in change.reason
-            for change in changes
+            change.facts["from_node"] == victim and "down" in change.detail
+            for change in stack.executor.monitor.records("reassigned")
         )
         for process in deployment.processes.values():
             assert stack.netsim.topology.node(process.node_id).up
@@ -681,10 +681,10 @@ class TestOsakaKillRecovery:
 
     def test_activation_unchanged_by_the_fault(self, runs):
         (b_stack, _, _), (f_stack, _, _) = runs
-        b_controls = b_stack.executor.monitor.control_log
-        f_controls = f_stack.executor.monitor.control_log
+        b_controls = b_stack.executor.monitor.records("activate")
+        f_controls = f_stack.executor.monitor.records("activate")
         assert b_controls and f_controls
-        assert b_controls[0].issued_at == f_controls[0].issued_at
+        assert b_controls[0].time == f_controls[0].time
 
     def test_sink_output_matches_modulo_loss_bound(self, runs):
         (_, b_dep, _), (f_stack, f_dep, _) = runs
@@ -706,4 +706,4 @@ class TestOsakaKillRecovery:
         shortfall = len(b_stack.warehouse) - len(f_stack.warehouse)
         assert shortfall <= f_stack.broker_network.data_messages_dead_lettered
         if shortfall > 0:
-            assert f_stack.executor.monitor.dead_letter_log
+            assert f_stack.executor.monitor.records("dead-letter")

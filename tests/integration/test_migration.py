@@ -17,59 +17,53 @@ from tests.builders import executor_stack, pipeline, reading, sensor_metadata
 
 
 @pytest.fixture
-def deployed():
+def overloaded():
+    """Live rates established, then the node hosting ``keep`` saturated
+    with an external workload; returns the stack, deployment and node."""
     stack = build_stack(rebalance_interval=120.0)
     deployment = stack.executor.deploy(pipeline(
         "migratory", ("keep", FilterSpec("temperature > -100"))))
-    stack.run_until(600.0)  # establish live rates
-    return stack, deployment
-
-
-def overload(stack, deployment) -> str:
-    """Saturate the node hosting ``keep`` with an external workload."""
+    stack.run_until(600.0)
     origin = deployment.process("keep").node_id
     stack.topology.node(origin).register_process("external-hog", demand=5000.0)
-    return origin
+    return stack, deployment, origin
+
+
+@pytest.fixture
+def migrated(overloaded):
+    overloaded[0].run_until(1800.0)
+    return overloaded
 
 
 class TestMigrationLoop:
-    def test_full_cycle(self, deployed):
-        stack, deployment = deployed
-        origin = overload(stack, deployment)
-        stack.run_until(1800.0)
-
+    def test_full_cycle(self, migrated):
+        stack, deployment, origin = migrated
         # The SCN moved the process and the monitor logged it.
         moved = deployment.process("keep").node_id
-        changes = [c for c in stack.executor.monitor.assignment_log
-                   if c.process_id == "migratory:keep"]
+        changes = [c.facts for c in stack.executor.monitor.records("reassigned")
+                   if c.source == "migratory:keep"]
         assert changes
-        assert changes[0].from_node == origin
-        assert moved == changes[-1].to_node
-        assert "utilization" in changes[0].reason
+        assert changes[0]["from_node"] == origin
+        assert moved == changes[-1]["to_node"]
+        assert "utilization" in changes[0]["reason"]
 
-    def test_stream_survives_migration(self, deployed):
-        stack, deployment = deployed
-        overload(stack, deployment)
-        stack.run_until(1800.0)
+    def test_stream_survives_migration(self, migrated):
+        stack, deployment, _ = migrated
         count_at_move = len(deployment.collected("out"))
         stack.run_until(5400.0)
         assert len(deployment.collected("out")) > count_at_move
 
-    def test_monitor_flags_suffering_node_before_move(self, deployed):
-        origin = overload(*deployed)
-        assert origin in deployed[0].executor.monitor.suffering_nodes()
+    def test_monitor_flags_suffering_node_before_move(self, overloaded):
+        stack, _, origin = overloaded
+        assert origin in stack.executor.monitor.suffering_nodes()
 
-    def test_placement_map_updated(self, deployed):
-        stack, deployment = deployed
-        overload(stack, deployment)
-        stack.run_until(1800.0)
+    def test_placement_map_updated(self, migrated):
+        _, deployment, _ = migrated
         assert deployment.placements["keep"].node_id \
             == deployment.process("keep").node_id
 
-    def test_old_node_released(self, deployed):
-        stack, deployment = deployed
-        origin = overload(stack, deployment)
-        stack.run_until(1800.0)
+    def test_old_node_released(self, migrated):
+        stack, _, origin = migrated
         assert "migratory:keep" not in stack.topology.node(origin).processes
 
 
@@ -123,6 +117,7 @@ class TestKeyHandoffPause:
         gaps = [b - a for a, b in zip(closes, closes[1:])]
         assert max(gaps) / interval <= 2.0
         assert [
-            (round(e.time, 6), e.kind) for e in executor.monitor.migration_log
-        ] == [(180.000001, "migrate"), (360.000001, "split")]
+            (round(e.time, 6), e.event)
+            for e in executor.monitor.records("key-migrate", "key-split")
+        ] == [(180.000001, "key-migrate"), (360.000001, "key-split")]
         assert len(closes) == self.EPOCHS

@@ -21,16 +21,16 @@ class TestHotRegime:
 
     def test_trigger_fired_during_warm_hours(self, run):
         stack, _ = run
-        controls = stack.executor.monitor.control_log
+        controls = stack.executor.monitor.records("activate", "deactivate")
         assert controls
         first = controls[0]
-        assert first.activate
+        assert first.event == "activate"
         # Must fire once the hot day warms up, not at midnight.
-        assert 6 * 3600.0 <= first.issued_at <= 14 * 3600.0
+        assert 6 * 3600.0 <= first.time <= 14 * 3600.0
 
     def test_gated_streams_quiet_before_activation(self, run):
         stack, deployment = run
-        activation = stack.executor.monitor.control_log[0].issued_at
+        activation = stack.executor.monitor.records("activate")[0].time
         rain_facts = stack.warehouse.query().theme("weather/rain").facts()
         assert all(fact.event_time >= activation - 1.0 for fact in rain_facts)
         traffic = deployment.collected("traffic-collector")
@@ -66,7 +66,7 @@ class TestCoolRegime:
         flow = osaka_scenario_flow(stack)
         deployment = stack.executor.deploy(flow)
         stack.run_until(18 * 3600.0)
-        assert stack.executor.monitor.control_log == []
+        assert stack.executor.monitor.records("activate") == []
         assert len(stack.warehouse) == 0
         assert stack.sticker.pushed == 0
         assert deployment.collected("traffic-collector") == []
@@ -85,8 +85,7 @@ class TestDeterminism:
             outcomes.append((
                 len(stack.warehouse),
                 stack.sticker.pushed,
-                [round(c.issued_at, 3)
-                 for c in stack.executor.monitor.control_log],
+                [str(r) for r in stack.executor.monitor.logs],
             ))
         assert outcomes[0] == outcomes[1]
 

@@ -24,11 +24,10 @@ class TestSoak:
 
     def test_trigger_cycles_daily(self, run):
         stack, _ = run
-        activations = [c for c in stack.executor.monitor.control_log
-                       if c.activate]
+        activations = stack.executor.monitor.records("activate")
         # One activation per warm day (edge-triggered, re-armed each night).
         assert len(activations) == DAYS
-        gaps = [b.issued_at - a.issued_at
+        gaps = [b.time - a.time
                 for a, b in zip(activations, activations[1:])]
         assert all(20 * 3600.0 < gap < 28 * 3600.0 for gap in gaps)
 

@@ -52,10 +52,10 @@ class TestTriggerOff:
 
         # Early morning of the next day: mean drops below 14 C.
         stack.run_until(28 * 3600.0)
-        controls = stack.executor.monitor.control_log
+        controls = stack.executor.monitor.records("activate", "deactivate")
         assert controls
-        assert not controls[0].activate  # a deactivation command
-        fired_at = controls[0].issued_at
+        assert controls[0].event == "deactivate"
+        fired_at = controls[0].time
 
         # After deactivation, no further tweets are visualized.
         pushed_at_fire = stack.sticker.pushed
@@ -71,6 +71,6 @@ class TestTriggerOff:
         deployment = warm.executor.deploy(off_flow(warm))
         warm.run_until(18 * 3600.0)
         # The hot regime's overnight minimum (~20 C) stays above 14 C.
-        assert warm.executor.monitor.control_log == []
+        assert warm.executor.monitor.records("activate", "deactivate") == []
         tweets = deployment.bindings["tweets"].subscriptions
         assert all(s.active for s in tweets)

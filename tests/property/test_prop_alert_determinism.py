@@ -36,7 +36,8 @@ def run_health(seed: int, shards: int, batch: int, threshold: float) -> str:
     )
     stack.executor.deploy(program)
     stack.run_until(2 * 3600.0)
-    return json.dumps(stack.executor.alerts.health_json(), sort_keys=True)
+    return json.dumps(stack.executor.alerts.health_json(
+        stack.executor.monitor.logs), sort_keys=True)
 
 
 @settings(max_examples=3, deadline=None)

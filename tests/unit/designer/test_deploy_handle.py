@@ -44,14 +44,13 @@ class TestReassignments:
         handle = session.deploy()
         stack.run_until(600.0)
         # A reassignment in another deployment must not leak in.
-        stack.executor.monitor.record_assignment("other-flow:x", "hub",
-                                                 "edge-0", "unrelated")
+        stack.executor.monitor.log("other-flow:x", "reassigned")
         victim = handle.deployment.process("hot").node_id
         stack.topology.node(victim).register_process("hog", demand=5000.0)
         stack.run_until(1800.0)
         own = handle.reassignments()
         assert own
-        assert all(c.process_id.startswith("handle-test:") for c in own)
+        assert all(c.source.startswith("handle-test:") for c in own)
 
     def test_empty_before_any_migration(self, stack, session):
         handle = session.deploy()

@@ -5,13 +5,10 @@ from repro.dataflow.ops import FilterSpec
 from repro.dsn.ast import DsnChannel
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
-from repro.network.netsim import NetworkSimulator
-from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
-from repro.runtime.executor import Executor
 from repro.scenario import apply_batch_hints
 from repro.sensors.base import SimulatedSensor
-from tests.builders import pipeline
+from tests.builders import executor_stack, pipeline
 from tests.unit.dsn.test_ast import small_program
 from tests.unit.pubsub.test_registry import make_metadata
 
@@ -78,16 +75,12 @@ class TestHintDerivation:
 
 class TestApplyBatchHints:
     def test_deploy_records_and_apply_configures(self):
-        topology = Topology()
-        topology.add_node("edge-0")
-        netsim = NetworkSimulator(topology=topology)
-        network = BrokerNetwork(netsim=netsim)
-        executor = Executor(netsim, network)
+        netsim, network, executor = executor_stack()
 
         fleet = [
             SimulatedSensor(
                 make_metadata(f"t{i}", "temperature", frequency=2.0,
-                              node_id="edge-0"),
+                              node_id="hub"),
                 generator=lambda now, rng: {"v": now},
             )
             for i in range(2)

@@ -153,13 +153,6 @@ class TestMigration:
         moves = scn.suggest_migrations(placements, {"bg-node-0": 950.0})
         assert moves == []
 
-    def test_migration_history_recorded(self, topo):
-        scn = ScnController(topo, overload_threshold=0.5)
-        topo.node("node-0").register_process("p:x", demand=900.0)
-        placements = {"p:x": PlacementDecision("p:x", "node-0", 0.0, "")}
-        scn.suggest_migrations(placements, {"p:x": 900.0})
-        assert len(scn.migrations) == 1
-
 
 class TestPlaceShards:
     """Shard placement: spread-first, pack fallback, hard failure modes."""

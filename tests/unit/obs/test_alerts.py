@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.cli import parse_slo_expr
+from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import StreamLoaderError
+from repro.network.netsim import NetworkSimulator
 from repro.network.simclock import SimClock
+from repro.network.topology import Topology
 from repro.obs.alerts import AlertEngine, AlertRule, _HistogramWindow
 from repro.obs.latency import LatencyPlane
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.runtime.monitor import Monitor
+from repro.scenario import (
+    build_stack, fused_pipeline_flow, sharded_aggregation_flow)
 
 
 @pytest.fixture
@@ -20,20 +26,31 @@ def plane(metrics) -> LatencyPlane:
     return LatencyPlane(metrics)
 
 
-def make_engine(metrics, plane=None, tracer=None, cadence=60.0):
-    engine = AlertEngine(metrics, plane=plane, tracer=tracer, cadence=cadence)
-    clock = SimClock()
-    engine.start(clock)
-    return engine, clock
+@pytest.fixture
+def monitor() -> Monitor:
+    return Monitor(NetworkSimulator(topology=Topology.line(1)))
 
 
-def depth_rule(metrics, **rule_options):
+def make_engine(metrics, plane=None, monitor=None):
+    """A started engine logging to ``monitor`` (default: a fresh one), on
+    the monitor's clock; returns the engine and that clock."""
+    monitor = monitor or Monitor(NetworkSimulator(topology=Topology.line(1)))
+    engine = AlertEngine(metrics, plane=plane, log=monitor.log)
+    engine.start(monitor.netsim.clock)
+    return engine, monitor.netsim.clock
+
+
+def transitions(monitor):
+    return [(r.event, r.time) for r in monitor.records(
+        "alert-fire", "alert-resolve")]
+
+
+def depth_rule(metrics, monitor=None, **rule_options):
     """A started engine with rule ``r``: gauge ``depth`` < 1.  Returns
-    the gauge, the engine and its clock; ``tracer`` goes to the engine,
+    the gauge, the engine and its clock; ``monitor`` goes to the engine,
     everything else to the rule."""
-    tracer = rule_options.pop("tracer", None)
     gauge = metrics.gauge("depth")
-    engine, clock = make_engine(metrics, tracer=tracer)
+    engine, clock = make_engine(metrics, monitor=monitor)
     engine.add_rule(AlertRule(name="r", metric="depth", op="<", threshold=1.0,
                               **rule_options))
     return gauge, engine, clock
@@ -86,9 +103,9 @@ class TestEngineLifecycle:
 
 
 class TestThresholdRules:
-    def test_gauge_rule_fires_and_resolves(self, metrics):
+    def test_gauge_rule_fires_and_resolves(self, metrics, monitor):
         gauge = metrics.gauge("queue_depth", process="agg")
-        engine, clock = make_engine(metrics)
+        engine, clock = make_engine(metrics, monitor=monitor)
         engine.add_rule(AlertRule(name="deep", metric="queue_depth",
                                   op="<", threshold=10.0))
         gauge.set(3.0)
@@ -100,8 +117,8 @@ class TestThresholdRules:
         gauge.set(2.0)
         clock.run_until(160.0)
         assert engine.firing() == []
-        assert [(t.event, t.time) for t in engine.history] == [
-            ("fire", 90.0), ("resolve", 150.0),
+        assert transitions(monitor) == [
+            ("alert-fire", 90.0), ("alert-resolve", 150.0),
         ]
 
     def test_vacuous_health_when_metric_absent(self, metrics):
@@ -135,20 +152,20 @@ class TestThresholdRules:
 
 
 class TestSustainedRules:
-    def test_transient_breach_is_ignored(self, metrics):
-        gauge, engine, clock = depth_rule(metrics, sustain=120.0)
+    def test_transient_breach_is_ignored(self, metrics, monitor):
+        gauge, engine, clock = depth_rule(metrics, monitor, sustain=120.0)
         gauge.set(5.0)
         clock.run_until(100.0)  # breached for one tick (70s < sustain)
         gauge.set(0.0)
         clock.run_until(220.0)
-        assert engine.history == []
+        assert transitions(monitor) == []
 
-    def test_persistent_breach_fires_after_sustain(self, metrics):
-        gauge, engine, clock = depth_rule(metrics, sustain=120.0)
+    def test_persistent_breach_fires_after_sustain(self, metrics, monitor):
+        gauge, engine, clock = depth_rule(metrics, monitor, sustain=120.0)
         gauge.set(5.0)
         clock.run_until(400.0)
         # breach_since=30; fires at the first tick with 120s elapsed: 150.
-        assert [(t.event, t.time) for t in engine.history] == [("fire", 150.0)]
+        assert transitions(monitor) == [("alert-fire", 150.0)]
 
 
 class TestWindowedQuantiles:
@@ -222,16 +239,14 @@ class TestPlaneMetrics:
 
 
 class TestHistoryAndViews:
-    def test_tracer_records_transitions_as_events(self, metrics):
-        tracer = Tracer(sampling=1.0)
-        gauge, engine, clock = depth_rule(metrics, tracer=tracer, scope="flow")
+    def test_tracer_records_transitions_as_events(self, metrics, monitor):
+        gauge, engine, clock = depth_rule(metrics, monitor)
         gauge.set(5.0)
         clock.run_until(40.0)
-        events = [span for span in tracer.control_events()
-                  if span.name == "alert-fire"]
-        assert len(events) == 1
-        assert events[0].attrs["rule"] == "r"
-        assert events[0].attrs["scope"] == "flow"
+        [record] = monitor.records("alert-fire")
+        assert str(record) == "[      30.0] r: alert-fire depth < 1 (value=5)"
+        assert record.facts == {"rule": "r", "metric": "depth", "value": 5.0,
+                                "threshold": 1.0}
 
     def test_snapshot_taken_at_tick_not_read_time(self, metrics, plane):
         engine, clock = make_engine(metrics, plane=plane)
@@ -245,11 +260,31 @@ class TestHistoryAndViews:
         assert snapshot["time"] == 30.0
         assert snapshot["services"]["f"]["watermark"] == 10.0
 
-    def test_health_json_shape(self, metrics):
-        gauge, engine, clock = depth_rule(metrics)
+    def test_health_json_shape(self, metrics, monitor):
+        gauge, engine, clock = depth_rule(metrics, monitor)
         gauge.set(5.0)
         clock.run_until(40.0)
-        payload = engine.health_json()
+        payload = engine.health_json(monitor.logs)
         assert payload["rules"]["r"]["threshold"] == 1.0
         assert payload["history"] == [[30.0, "fire", "r", 5.0]]
         assert payload["snapshot"]["firing"] == ["r"]
+
+
+class TestTeardown:
+    def test_torn_down_flow_leaves_no_probe_or_rule(self):
+        # A stopped flow's frozen watermark once held every lag rule in
+        # breach: both rules fired at t=2730 with lag 8968 s.
+        stack = build_stack(latency=True)
+        kept, dropped = (stack.executor.deploy(dataflow_to_dsn(
+            flow, stack.broker_network.registry,
+            slos=[parse_slo_expr("watermark_lag < 900", flow.name)]))
+            for flow in (sharded_aggregation_flow(stack),
+                         fused_pipeline_flow(stack)))
+        stack.run_until(1800.0)
+        dropped.teardown()
+        stack.run_until(3 * 3600.0)
+        engine = stack.executor.alerts
+        assert engine.last_values() == {"slo:station-averages:watermark_lag": 268.0}
+        assert engine.firing() == []
+        assert {probe.split(":")[0] for probe in stack.obs.latency.probes} == {
+            kept.name}

@@ -1,4 +1,5 @@
-"""Unit tests for the tracer: sampling, span trees, eviction, control."""
+"""Unit tests for the tracer: sampling, span trees, eviction, and the
+control events that live in the execution log, not in any trace."""
 
 import pytest
 
@@ -11,7 +12,8 @@ from repro.obs.render import (
     slowest_sink_traces,
     trace_for_tuple,
 )
-from repro.obs.trace import CONTROL_TRACE_ID, Tracer
+from repro.obs.trace import Tracer
+from repro.scenario import build_stack, fused_pipeline_flow
 
 
 @pytest.fixture
@@ -98,27 +100,29 @@ class TestEviction:
         assert tracer.trace(old.trace_id) == []
 
 
+def placements(sampling, at=0.0):
+    """The placement records of a fused pipeline deployed at ``at`` on a
+    stack tracing at ``sampling``, and the stack's tracer."""
+    stack = build_stack(observability=sampling)
+    stack.run_until(at)
+    stack.executor.deploy(fused_pipeline_flow(stack))
+    return stack.executor.monitor.records("placement"), stack.obs.tracer
+
+
 class TestControlEvents:
-    def test_events_live_in_the_control_trace(self, tracer):
-        tracer.event("placement", 5.0, service="f", node="n0")
-        events = tracer.control_events()
-        assert len(events) == 1
-        assert events[0].trace_id == CONTROL_TRACE_ID
-        assert events[0].attrs["node"] == "n0"
-        assert tracer.trace_ids() == []  # control trace is not a data trace
+    def test_events_live_in_the_control_trace(self):
+        records, tracer = placements(1.0)
+        assert [r.facts["service"] for r in records] == [
+            "keep+double+shift", "fused-out"]
+        assert tracer.find("placement") == []  # the log holds them
 
     def test_events_bypass_sampling(self):
-        tracer = Tracer(sampling=0.0)
-        tracer.event("placement", 1.0)
-        assert len(tracer.control_events()) == 1
+        records, tracer = placements(0.0)
+        assert len(records) == 2 and tracer.trace_ids() == []
 
     def test_bound_clock_supplies_event_time(self):
-        class FakeClock:
-            now = 42.0
-
-        tracer = Tracer()
-        tracer.bind_clock(FakeClock())
-        assert tracer.event("reassignment").start == 42.0
+        records, _ = placements(1.0, at=42.0)
+        assert {r.time for r in records} == {42.0}
 
 
 class TestRendering:

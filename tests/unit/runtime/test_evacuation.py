@@ -29,9 +29,9 @@ class TestEvacuation:
         victim = fail_host(stack, deployment)
         stack.run_until(600.0)  # at least one coordination round
         assert deployment.process("keep").node_id != victim
-        changes = [c for c in stack.executor.monitor.assignment_log
-                   if c.process_id == "evac:keep"]
-        assert changes and "down" in changes[0].reason
+        changes = [c for c in stack.executor.monitor.records("reassigned")
+                   if c.source == "evac:keep"]
+        assert changes and "down" in changes[0].facts["reason"]
 
     def test_stream_recovers_after_evacuation(self, deployed):
         stack, deployment = deployed

@@ -1,4 +1,4 @@
-"""Unit tests for the executor: deploy, wire, control, rebalance."""
+"""Unit tests for the executor: deploy, wire, control, re-placement."""
 
 import inspect
 
@@ -7,19 +7,12 @@ import pytest
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
 from repro.dsn.generate import dataflow_to_dsn
-from repro.dsn.scn import ScnController
 from repro.errors import DeploymentError, LifecycleError
-from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.registry import SensorMetadata
-from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.executor import Executor
 from repro.runtime.lifecycle import DeploymentState
 from repro.scenario import build_stack, osaka_scenario_flow
-from repro.schema.schema import StreamSchema
-from repro.stt.spatial import Point
-from tests.builders import pipeline
+from tests.builders import executor_stack, pipeline, sensor_metadata
 
 
 def simple_flow(name="simple") -> Dataflow:
@@ -54,13 +47,8 @@ class TestDeploy:
 
     def test_warehouse_sink_requires_warehouse(self, stack):
         bare = Executor(stack.netsim, stack.broker_network)
-        flow = Dataflow("needs-wh")
-        src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        sink = flow.add_sink("warehouse", node_id="dw")
-        flow.connect(src, sink)
         with pytest.raises(DeploymentError, match="warehouse"):
-            bare.deploy(flow)
+            bare.deploy(pipeline("needs-wh", sink="dw", sink_kind="warehouse"))
 
     def test_kernel_choice_is_not_a_deploy_option(self, stack):
         with pytest.raises(TypeError, match="columnar"):
@@ -139,7 +127,7 @@ class TestTriggerControl:
     def test_trigger_activates_when_hot(self, stack):
         deployment = stack.executor.deploy(self.trigger_flow(stack))
         stack.run_until(14 * 3600.0)
-        assert any(c.activate for c in stack.executor.monitor.control_log)
+        assert stack.executor.monitor.records("activate")
         for name in ("rain", "tweets", "traffic"):
             assert all(s.active
                        for s in deployment.bindings[name].subscriptions)
@@ -148,37 +136,8 @@ class TestTriggerControl:
         cool = build_stack(hot=False)
         deployment = cool.executor.deploy(osaka_scenario_flow(cool))
         cool.run_until(14 * 3600.0)
-        assert not cool.executor.monitor.control_log
+        assert not cool.executor.monitor.records("activate")
         assert len(cool.warehouse) == 0
-
-
-class TestRebalance:
-    def test_overload_causes_migration(self):
-        stack = build_stack(rebalance_interval=120.0)
-        deployment = stack.executor.deploy(simple_flow("hotspot"))
-        stack.run_until(600.0)  # let live rates establish
-        # A background hog overloads the node hosting the filter; the SCN
-        # must move the filter away at the next coordination round.
-        hot_node = deployment.process("hot").node_id
-        stack.topology.node(hot_node).register_process("hog", demand=5000.0)
-        stack.run_until(1200.0)
-        changes = stack.executor.monitor.assignment_log
-        assert changes
-        assert changes[0].process_id.startswith("hotspot:")
-        assert changes[0].from_node == hot_node
-        assert deployment.process("hot").node_id != hot_node or any(
-            c.process_id == "hotspot:hot" for c in changes)
-
-    def test_stream_continues_after_migration(self):
-        stack = build_stack(rebalance_interval=120.0)
-        deployment = stack.executor.deploy(simple_flow("hotspot"))
-        stack.run_until(11 * 3600.0)
-        hot_node = deployment.process("hot").node_id
-        stack.topology.node(hot_node).register_process("hog", demand=5000.0)
-        stack.run_until(12 * 3600.0)
-        count = len(deployment.collected("out"))
-        stack.run_until(15 * 3600.0)  # hot afternoon
-        assert len(deployment.collected("out")) > count
 
 
 class TestReplacementDemandAccounting:
@@ -196,25 +155,12 @@ class TestReplacementDemandAccounting:
     FREQUENCY = 16.0   # Hz -> conceptual demand 16, 4 cost-units per shard
 
     def _deploy(self):
-        netsim = NetworkSimulator(topology=Topology.star(leaf_count=3))
-        netsim.topology.node("hub").capacity = 100.0
+        topology = Topology.star(leaf_count=3)
+        topology.node("hub").capacity = 100.0
         for leaf in ("edge-0", "edge-1", "edge-2"):
-            netsim.topology.node(leaf).capacity = 10.0
-        network = BrokerNetwork(netsim=netsim)
-        executor = Executor(netsim, network,
-                            scn=ScnController(netsim.topology))
-        network.publish(SensorMetadata(
-            sensor_id="fast-temp",
-            sensor_type="temperature",
-            schema=StreamSchema.build(
-                {"temperature": "float", "station": "str"},
-                themes=("weather/temperature",),
-            ),
-            frequency=self.FREQUENCY,
-            location=Point(34.69, 135.50),
-            node_id="hub",
-        ))
-
+            topology.node(leaf).capacity = 10.0
+        netsim, _, executor = executor_stack(
+            topology, sensor_metadata("fast-temp", frequency=self.FREQUENCY))
         deployment = executor.deploy(pipeline(
             "demand-accounting", ("agg", AggregationSpec(
                 interval=600.0, attributes=("temperature",), function="AVG",

@@ -9,7 +9,6 @@ from repro.network.topology import Topology
 from repro.obs import AlertEngine, AlertRule, Observability
 from repro.runtime.monitor import Monitor, NodeHealth
 from repro.runtime.process import OperatorProcess
-from repro.streams.base import ControlCommand
 from repro.streams.filter import FilterOperator
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -61,20 +60,36 @@ class TestSampling:
         assert len(monitor.node_utilization["node-0"]) == 1
 
 
+def reassign(monitor, process_id="flow/f"):
+    monitor.log(process_id, "reassigned", "node-0 -> node-1 (overload)",
+                from_node="node-0", to_node="node-1", reason="overload")
+
+
 class TestEvents:
     def test_assignment_log(self, sim, monitor):
-        monitor.record_assignment("flow:f", "node-0", "node-1", "overload")
-        assert len(monitor.assignment_log) == 1
-        change = monitor.assignment_log[0]
-        assert change.from_node == "node-0" and change.to_node == "node-1"
-        assert any("reassigned" in str(record) for record in monitor.logs)
+        sim.clock.run_until(5.0)
+        reassign(monitor, "flow:f")
+        [record] = monitor.records("reassigned")
+        assert record.facts["to_node"] == "node-1"
+        assert str(record) == (
+            "[       5.0] flow:f: reassigned node-0 -> node-1 (overload)")
+        assert monitor.report()["assignment_changes"] == 1
 
     def test_control_log(self, sim, monitor):
-        command = ControlCommand(activate=True, sensor_ids=("rain-1",),
-                                 issued_at=0.0, reason="hot")
-        monitor.record_control("flow", command)
-        assert monitor.control_log == [command]
-        assert any("activate" in record.event for record in monitor.logs)
+        monitor.log("flow", "deactivate", "rain-1 (cold)", command="cmd")
+        [record] = monitor.records("activate", "deactivate")
+        assert record.facts == {"command": "cmd"}
+        assert monitor.report()["controls"] == 1
+
+    def test_each_event_counts_in_its_metric_family(self, sim):
+        obs = Observability(sampling=0.0)
+        monitor = Monitor(sim, obs=obs)
+        for event in ("reassigned", "key-split", "key-aborted", "activate",
+                      "dead-letter", "deployed"):
+            monitor.log("flow", event)
+        assert [obs.metrics.get(f"monitor_{name}_total").value for name in (
+            "assignment_changes", "key_migrations", "control_commands",
+            "dead_letters")] == [1, 2, 1, 1]
 
     def test_suffering_nodes(self, sim, monitor):
         sim.topology.node("node-1").register_process("hog", demand=2000.0)
@@ -98,7 +113,7 @@ class TestReport:
         monitor.start()
         process.receive(make_tuple(0))
         sim.clock.run_until(60.0)
-        monitor.record_assignment("flow/f", "node-0", "node-1", "test")
+        reassign(monitor)
         text = monitor.render_dashboard()
         assert "flow/f" in text
         assert "node-0" in text
@@ -235,7 +250,7 @@ class TestDashboardGolden:
         monitor.watch("flow", [process])
         monitor.start()
 
-        engine = AlertEngine(obs.metrics, plane=plane, tracer=obs.tracer)
+        engine = AlertEngine(obs.metrics, plane=plane, log=monitor.log)
         engine.start(sim.clock)
         monitor.alerts = engine
         engine.add_rule(AlertRule(name="slo:flow:watermark_lag",
@@ -254,8 +269,8 @@ class TestDashboardGolden:
         sim.clock.schedule_at(
             50.0, lambda: plane.note_publish("sensor-1", 50.0, 50.0))
         sim.clock.run_until(95.0)  # SUSPECT at 40, alert fires at 90
-        monitor.record_migration("flow:f", "station-1", "migrate", 0, (1,),
-                                 "hot key")
+        monitor.log("flow:f", "key-migrate", key="station-1", from_shard=0,
+                    to_shards=(1,), reason="hot key")
         return monitor.render_dashboard()
 
     def test_dashboard_matches_golden(self, sim, update_goldens):
@@ -308,9 +323,9 @@ class TestReportPlaneSections:
 
 class TestDeadLetterIntake:
     def test_record_keeps_audit_trail(self, sim, monitor):
-        monitor.record_dead_letter(7, "node-1", "rain-1", "no route")
-        assert len(monitor.dead_letter_log) == 1
-        record = monitor.dead_letter_log[0]
-        assert record.subscription_id == 7 and record.node_id == "node-1"
-        assert any(r.event == "dead-letter" for r in monitor.logs)
+        monitor.log("subscription-7", "dead-letter", subscription=7,
+                    node="node-1", source="rain-1", reason="no route")
+        [record] = monitor.records("dead-letter")
+        assert record.source == "subscription-7"
+        assert record.facts["source"] == "rain-1"
         assert monitor.report()["dead_letters"] == 1
