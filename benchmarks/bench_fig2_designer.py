@@ -3,14 +3,16 @@
 Figure 2 is the canvas: what makes it more than a drawing tool is that
 "the user interface provides different checks in order to draw only
 dataflows that can be soundly translated".  This benchmark measures the
-cost of a full validation pass (schema propagation + condition type
-checking + structural checks) as canvases grow, and regenerates the
-accept/reject matrix over a catalogue of representative good and broken
-canvases.
+cost of the consistency check (schema propagation + condition type
+checking + structural checks) over the lowered canvas as canvases grow,
+and regenerates the accept/reject matrix over a catalogue of
+representative good and broken canvases, checked both as lowered and as
+DSN text re-parsed.
 
-Expected shape: validation cost grows roughly linearly in canvas size;
-every broken canvas is rejected with an issue anchored to the offending
-node; every sound canvas is accepted.
+Expected shape: check cost grows roughly linearly in canvas size; every
+broken canvas is rejected with an issue anchored to the offending node,
+the same verdict and anchor for its DSN text; every sound canvas is
+accepted.
 """
 
 import pytest
@@ -23,7 +25,9 @@ from repro.dataflow.ops import (
     TriggerOnSpec,
     VirtualPropertySpec,
 )
-from repro.dataflow.validate import validate_dataflow
+from repro.dsn.check import check
+from repro.dsn.generate import dataflow_to_dsn
+from repro.dsn.parse import parse_dsn
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.subscription import SubscriptionFilter
@@ -62,8 +66,8 @@ def chain_canvas(length: int) -> Dataflow:
 @pytest.mark.parametrize("length", [2, 8, 32])
 def test_validation_cost_vs_canvas_size(benchmark, length):
     reg = registry()
-    flow = chain_canvas(length)
-    report = benchmark(lambda: validate_dataflow(flow, reg))
+    program = dataflow_to_dsn(chain_canvas(length), reg)
+    report = benchmark(lambda: check(program, reg))
     benchmark.extra_info["canvas_operators"] = length
     assert report.is_valid
 
@@ -171,31 +175,42 @@ def _canvas_catalogue(reg):
     return catalogue
 
 
+def _verdict(program, reg) -> "tuple[bool, str]":
+    report = check(program, reg)
+    return report.is_valid, report.errors[0].node_id if report.errors else "-"
+
+
 def test_accept_reject_matrix(capsys):
+    """The canvas as lowered and as its DSN text get one verdict."""
     reg = registry()
     rows = []
     for name, flow, expected in _canvas_catalogue(reg):
-        report = validate_dataflow(flow, reg)
-        rows.append((name, expected, report.is_valid,
-                     report.errors[0].node_id if report.errors else "-"))
-        assert report.is_valid == expected, name
+        program = dataflow_to_dsn(flow, reg)
+        verdict, anchor = _verdict(program, reg)
+        text = _verdict(parse_dsn(program.render()), reg)
+        rows.append((name, expected, verdict, anchor, text))
+        assert verdict == expected, name
+        assert text == (verdict, anchor), name
     with capsys.disabled():
         print("\n== Figure 2: consistency-check accept/reject matrix ==")
-        print(f"  {'canvas':32s} {'expected':9s} {'verdict':9s} anchored-at")
-        for name, expected, verdict, anchor in rows:
+        print(f"  {'canvas':32s} {'expected':9s} {'verdict':9s} "
+              f"{'anchored-at':12s} dsn-text")
+        for name, expected, verdict, anchor, text in rows:
             word = "accept" if verdict else "reject"
             want = "accept" if expected else "reject"
-            print(f"  {name:32s} {want:9s} {word:9s} {anchor}")
+            same = "same" if text == (verdict, anchor) else "DIFFERS"
+            print(f"  {name:32s} {want:9s} {word:9s} {anchor:12s} {same}")
 
 
 @pytest.mark.benchmark(group="fig2-validation")
 def test_catalogue_validation_throughput(benchmark):
     reg = registry()
-    canvases = [flow for _name, flow, _ok in _canvas_catalogue(reg)]
+    programs = [dataflow_to_dsn(flow, reg)
+                for _name, flow, _ok in _canvas_catalogue(reg)]
 
     def validate_all():
-        return [validate_dataflow(flow, reg) for flow in canvases]
+        return [check(program, reg) for program in programs]
 
     reports = benchmark(validate_all)
-    benchmark.extra_info["canvases"] = len(canvases)
+    benchmark.extra_info["canvases"] = len(programs)
     assert sum(1 for r in reports if r.is_valid) == 3

@@ -91,9 +91,10 @@ def main() -> None:
     flow.connect(guard, hourly)
     flow.connect(hourly, dw)
 
-    from repro import validate_dataflow
+    from repro import check, dataflow_to_dsn
 
-    report = validate_dataflow(flow, stack.broker_network.registry)
+    registry = stack.broker_network.registry
+    report = check(dataflow_to_dsn(flow, registry), registry)
     print("consistent:", report.is_valid)
     print("harmonised schema:", report.schemas["sanity"].describe())
 

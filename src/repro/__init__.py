@@ -34,10 +34,9 @@ from repro.dataflow import (
     JoinSpec,
     TriggerOnSpec,
     TriggerOffSpec,
-    validate_dataflow,
 )
 from repro.designer import DesignerSession
-from repro.dsn import dataflow_to_dsn, parse_dsn, ScnController
+from repro.dsn import check, dataflow_to_dsn, parse_dsn, ScnController
 from repro.network import NetworkSimulator, SimClock, Topology
 from repro.pubsub import (
     BrokerNetwork,
@@ -70,8 +69,8 @@ __all__ = [
     "JoinSpec",
     "TriggerOnSpec",
     "TriggerOffSpec",
-    "validate_dataflow",
     "DesignerSession",
+    "check",
     "dataflow_to_dsn",
     "parse_dsn",
     "ScnController",

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.validate import validate_dataflow
+from repro.dsn.check import check
+from repro.dsn.generate import dataflow_to_dsn
 from repro.designer.preview import replay_samples
 from repro.network.netsim import NetworkSimulator
 from repro.pubsub.broker import BrokerNetwork
@@ -53,8 +54,8 @@ class BatchEtlPipeline:
         collection_node: str,
         warehouse: "EventWarehouse | None" = None,
     ) -> None:
-        report = validate_dataflow(flow, broker_network.registry)
-        report.raise_if_invalid()
+        registry = broker_network.registry
+        check(dataflow_to_dsn(flow, registry), registry).raise_if_invalid()
         self.netsim = netsim
         self.broker_network = broker_network
         self.flow = flow

@@ -25,7 +25,7 @@ import re
 import sys
 
 from repro.dataflow.serialize import dataflow_from_dict
-from repro.dataflow.validate import validate_dataflow
+from repro.dsn.check import check
 from repro.designer.palette import OPERATOR_PALETTE
 from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import StreamLoaderError
@@ -284,21 +284,23 @@ def _registry(args: argparse.Namespace):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    flow = _load_canvas(args.canvas)
-    report = validate_dataflow(flow, _registry(args))
+    registry = _registry(args)
+    program = dataflow_to_dsn(_load_canvas(args.canvas), registry)
+    report = check(program, registry)
     for issue in report.issues:
         print(issue)
     if report.is_valid:
-        print(f"OK: {flow.name!r} is consistent "
-              f"({len(flow.node_ids)} nodes, {len(flow.data_edges)} edges)")
+        print(f"OK: {program.name!r} is consistent ({len(program.services)} "
+              f"nodes, {len(program.channels)} edges)")
         return 0
     print(f"INVALID: {len(report.errors)} error(s)")
     return 1
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    flow = _load_canvas(args.canvas)
-    program = dataflow_to_dsn(flow, _registry(args))
+    registry = _registry(args)
+    program = dataflow_to_dsn(_load_canvas(args.canvas), registry)
+    check(program, registry).raise_if_invalid()
     print(program.render(), end="")
     return 0
 

@@ -3,9 +3,10 @@
 A :class:`Dataflow` is the designer's document: source nodes bound to
 published sensors, operator nodes carrying declarative Table 1
 specifications, sink nodes (warehouse, visualization, collector), data
-edges and trigger control edges.  The validator propagates schemas and
-runs the consistency checks that guarantee "only dataflows that can be
-soundly translated in the DSN/SCN specification" reach deployment.
+edges and trigger control edges.  The consistency check that guarantees
+"only dataflows that can be soundly translated in the DSN/SCN
+specification" reach deployment runs on the lowered program
+(:mod:`repro.dsn.check`).
 """
 
 from repro.dataflow.ops import (
@@ -29,11 +30,6 @@ from repro.dataflow.graph import (
     SinkNode,
     SinkKind,
 )
-from repro.dataflow.validate import (
-    ValidationIssue,
-    ValidationReport,
-    validate_dataflow,
-)
 from repro.dataflow.serialize import dataflow_to_dict, dataflow_from_dict
 from repro.dataflow.render import to_dot, render_ascii
 
@@ -55,9 +51,6 @@ __all__ = [
     "OperatorNode",
     "SinkNode",
     "SinkKind",
-    "ValidationIssue",
-    "ValidationReport",
-    "validate_dataflow",
     "dataflow_to_dict",
     "dataflow_from_dict",
     "to_dot",

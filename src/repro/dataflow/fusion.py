@@ -24,13 +24,13 @@ triggers, sinks, and sources never join a chain.
 
 Every deployment fuses: the planner derives the chains, unless a DSN
 program pins them explicitly with ``fuse "a" -> "b";`` clauses, which
-:func:`chains_for` validates against the same link rules.
+the consistency check (:mod:`repro.dsn.check`) holds to the same link
+rules.
 """
 
 from __future__ import annotations
 
 from repro.dsn.ast import DsnProgram, ServiceRole
-from repro.errors import DsnError
 
 #: Operator kinds eligible for fusion — exactly the paper's non-blocking
 #: set.  Blocking kinds keep their own process (they need flush timers
@@ -56,7 +56,7 @@ def _fusible_services(program: DsnProgram) -> "set[str]":
     }
 
 
-def _links(program: DsnProgram) -> "dict[str, str]":
+def fusible_hops(program: DsnProgram) -> "dict[str, str]":
     """``a -> b`` pairs whose hop may be elided (see module docstring)."""
     fusible = _fusible_services(program)
     out_degree: "dict[str, int]" = {}
@@ -80,10 +80,10 @@ def _links(program: DsnProgram) -> "dict[str, str]":
 def plan_fusion(program: DsnProgram) -> "list[tuple[str, ...]]":
     """Maximal fusible chains (length >= 2), in service declaration order.
 
-    Every service appears in at most one chain; a validated program's
+    Every service appears in at most one chain; a checked program's
     dataflow is acyclic, so following the link relation terminates.
     """
-    next_of = _links(program)
+    next_of = fusible_hops(program)
     prev_of = {target: source for source, target in next_of.items()}
     chains: "list[tuple[str, ...]]" = []
     for service in program.services:
@@ -97,47 +97,12 @@ def plan_fusion(program: DsnProgram) -> "list[tuple[str, ...]]":
     return chains
 
 
-def validate_chains(
-    program: DsnProgram, chains: "list[tuple[str, ...]]"
-) -> None:
-    """Check explicit ``fuse`` hints against the planner's link rules.
-
-    Raises :class:`repro.errors.DsnError` on a chain the fused runtime
-    could not host faithfully (a blocking member, a tapped interior hop,
-    overlapping chains, ...).
-    """
-    next_of = _links(program)
-    seen: "set[str]" = set()
-    for chain in chains:
-        if len(chain) < 2:
-            raise DsnError(
-                f"fuse hint {list(chain)!r} needs at least 2 services"
-            )
-        for name in chain:
-            if name in seen:
-                raise DsnError(
-                    f"service {name!r} appears in more than one fuse hint"
-                )
-            seen.add(name)
-        for source, target in zip(chain, chain[1:]):
-            if next_of.get(source) != target:
-                raise DsnError(
-                    f"fuse hint {list(chain)!r}: {source!r} -> {target!r} "
-                    "is not a fusible hop (members must be unsharded "
-                    "non-blocking operators on a private single-in/"
-                    "single-out channel)"
-                )
-
-
 def chains_for(program: DsnProgram) -> "list[tuple[str, ...]]":
     """The chains a deployment fuses.
 
-    Explicit ``fuse`` clauses in the program pin the plan (validated
-    against the link rules); otherwise the planner derives maximal
-    chains.
+    Explicit ``fuse`` clauses in the program pin the plan (the
+    consistency check has held them to the link rules); otherwise the
+    planner derives maximal chains.
     """
     declared = [tuple(hint.members) for hint in program.fuses]
-    if declared:
-        validate_chains(program, declared)
-        return declared
-    return plan_fusion(program)
+    return declared or plan_fusion(program)

@@ -18,7 +18,6 @@ from repro.errors import DataflowError, PortError
 from repro.dataflow.ops import OperatorSpec
 from repro.network.qos import QosPolicy
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.schema.schema import StreamSchema
 
 
 class SinkKind:
@@ -35,15 +34,14 @@ class SinkKind:
 class SourceNode:
     """A canvas source: which sensor stream(s) feed this input.
 
-    ``schema`` is filled from the sensor advertisement when the source is
-    bound (designer) or validated against the registry (headless use).
-    ``initially_active`` is False for trigger-gated sources — the Osaka
-    rain/tweets/traffic streams start dormant until Trigger On fires.
+    Its schema is the one the matched sensors advertise, read from the
+    registry by the consistency check.  ``initially_active`` is False for
+    trigger-gated sources — the Osaka rain/tweets/traffic streams start
+    dormant until Trigger On fires.
     """
 
     node_id: str
     filter: SubscriptionFilter
-    schema: "StreamSchema | None" = None
     initially_active: bool = True
     label: str = ""
 
@@ -120,7 +118,6 @@ class Dataflow:
     def add_source(
         self,
         filter_: SubscriptionFilter,
-        schema: "StreamSchema | None" = None,
         node_id: str = "",
         initially_active: bool = True,
         label: str = "",
@@ -130,7 +127,6 @@ class Dataflow:
         self.sources[node_id] = SourceNode(
             node_id=node_id,
             filter=filter_,
-            schema=schema,
             initially_active=initially_active,
             label=label,
         )
@@ -297,7 +293,7 @@ class Dataflow:
         """Node ids in data-edge topological order.
 
         Raises :class:`DataflowError` on cycles — callers that want a
-        diagnostic list use the validator instead.
+        diagnostic list use the consistency check instead.
         """
         graph = self.data_graph()
         try:

@@ -67,7 +67,7 @@ class OperatorSpec:
         """Output schema given input schemas; None for control-only specs.
 
         Raises :class:`SchemaError`/:class:`DataflowError` on inconsistent
-        parameters — the validator converts those into canvas issues.
+        parameters — the consistency check turns those into canvas issues.
         """
         raise NotImplementedError
 

@@ -2,9 +2,9 @@
 
 The designer saves and loads dataflows as JSON documents; the same format
 travels alongside the DSN program so a deployed flow can be re-opened on
-the canvas.  Round-trip is exact for everything except source schemas,
-which are re-resolved from the registry at load time (schemas belong to
-the live sensors, not the document).
+the canvas.  Round-trip is exact.  Source schemas are not part of the
+document: they belong to the live sensors, and the consistency check
+reads them from the registry.
 """
 
 from __future__ import annotations

@@ -92,5 +92,5 @@ class DeploymentHandle:
         self.deployment.teardown()
 
     def replace_operator(self, service_name: str, new_spec: OperatorSpec) -> None:
-        """Modify an operator on the fly (P3) — validated before applied."""
+        """Modify an operator on the fly (P3) — checked before applied."""
         replace_operator_live(self.deployment, service_name, new_spec)

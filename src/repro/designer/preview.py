@@ -14,7 +14,8 @@ import copy
 from dataclasses import dataclass, field
 
 from repro.dataflow.graph import Dataflow
-from repro.dataflow.validate import validate_dataflow
+from repro.dsn.check import check
+from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import DataflowError
 from repro.network.topology import Topology
 from repro.pubsub.registry import SensorRegistry
@@ -63,8 +64,9 @@ def replay_samples(
     :class:`DataflowError` on a source with no batch or a sample from a
     sensor not in ``registry``.
     """
-    # Taps would connect a dangling output: check the canvas as drawn.
-    validate_dataflow(flow, registry).raise_if_invalid()
+    # Taps would connect a dangling output: check the canvas as drawn (the
+    # deploy checks the tapped copy).
+    check(dataflow_to_dsn(flow, registry), registry).raise_if_invalid()
     missing = sorted(set(flow.sources) - set(samples))
     if missing:
         raise DataflowError(f"no sample batch for source(s): {missing}")

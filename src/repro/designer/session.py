@@ -6,8 +6,8 @@ Maps one-to-one onto the interactions of demo part P1:
 - ``add_source`` / ``add_operator`` / ``add_sink`` / ``connect`` /
   ``connect_control``: draw the dataflow;
 - ``schema_pane(node)``: "the schema of data that are processed by the
-  operation" (live, from the latest validation pass);
-- ``issues()``: the canvas annotations of the consistency checks;
+  operation" (live, from the latest consistency check);
+- ``issues()``: the canvas annotations of the consistency check;
 - ``preview(...)``: step-by-step sample debugging;
 - ``translate()``: the DSN program of a consistent canvas;
 - ``deploy()``: hand the canvas to the executor and get a live handle.
@@ -21,13 +21,13 @@ from repro.errors import DataflowError
 from repro.dataflow.graph import Dataflow, SinkKind
 from repro.dataflow.ops import OperatorSpec
 from repro.dataflow.serialize import dataflow_from_dict, dataflow_to_dict
-from repro.dataflow.validate import ValidationReport, validate_dataflow
 from repro.designer.deploy import DeploymentHandle
 from repro.designer.palette import Palette
 from repro.designer.preview import (
     SampleResult, replay_samples, sample_from_sensors,
 )
 from repro.dsn.ast import DsnProgram
+from repro.dsn.check import ValidationReport, check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.network.qos import QosPolicy
 from repro.pubsub.discovery import DiscoveryService
@@ -73,12 +73,12 @@ class DesignerSession:
         node = self.flow.add_source(
             filter_, node_id=node_id, initially_active=initially_active, label=label
         )
-        self._revalidate()
+        self.validate()
         return node
 
     def add_operator(self, spec: OperatorSpec, node_id: str = "", label: str = "") -> str:
         node = self.flow.add_operator(spec, node_id=node_id, label=label)
-        self._revalidate()
+        self.validate()
         return node
 
     def add_sink(
@@ -92,45 +92,41 @@ class DesignerSession:
         node = self.flow.add_sink(
             sink_kind=sink_kind, config=config, qos=qos, node_id=node_id, label=label
         )
-        self._revalidate()
+        self.validate()
         return node
 
     def connect(self, source_id: str, target_id: str, port: int = 0) -> None:
         self.flow.connect(source_id, target_id, port)
-        self._revalidate()
+        self.validate()
 
     def connect_control(self, trigger_id: str, source_id: str) -> None:
         self.flow.connect_control(trigger_id, source_id)
-        self._revalidate()
+        self.validate()
 
     def remove_node(self, node_id: str) -> None:
         self.flow.remove_node(node_id)
-        self._revalidate()
+        self.validate()
 
     # -- feedback panes ------------------------------------------------------------
 
-    def _revalidate(self) -> ValidationReport:
-        self._report = validate_dataflow(
-            self.flow, self.executor.broker_network.registry
-        )
+    def validate(self) -> ValidationReport:
+        """Check the lowered canvas; the report annotates canvas nodes."""
+        registry = self.executor.broker_network.registry
+        self._report = check(dataflow_to_dsn(self.flow, registry), registry)
         return self._report
 
-    def validate(self) -> ValidationReport:
-        """Run the consistency checks; the report annotates canvas nodes."""
-        return self._revalidate()
-
     def issues(self) -> list[str]:
-        report = self._report or self._revalidate()
+        report = self._report or self.validate()
         return [str(issue) for issue in report.issues]
 
     @property
     def is_consistent(self) -> bool:
-        report = self._report or self._revalidate()
+        report = self._report or self.validate()
         return report.is_valid
 
     def schema_pane(self, node_id: str) -> str:
         """The bottom-pane schema display for one canvas node."""
-        report = self._report or self._revalidate()
+        report = self._report or self.validate()
         if node_id not in self.flow:
             raise DataflowError(f"no node {node_id!r} on the canvas")
         schema = report.schemas.get(node_id)
@@ -179,7 +175,7 @@ class DesignerSession:
     def load(self, document: str) -> None:
         """Replace the canvas with a saved document."""
         self.flow = dataflow_from_dict(json.loads(document))
-        self._revalidate()
+        self.validate()
 
     # -- translation & deployment (P2) ------------------------------------------------
 
@@ -189,7 +185,10 @@ class DesignerSession:
         Raises :class:`repro.errors.ValidationError` otherwise — the
         translate button is greyed out until the canvas is consistent.
         """
-        return dataflow_to_dsn(self.flow, self.executor.broker_network.registry)
+        registry = self.executor.broker_network.registry
+        program = dataflow_to_dsn(self.flow, registry)
+        check(program, registry).raise_if_invalid()
+        return program
 
     def deploy(self) -> DeploymentHandle:
         """Deploy the canvas; returns the live handle with annotations."""

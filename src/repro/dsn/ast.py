@@ -220,76 +220,6 @@ class DsnProgram:
             key=lambda channel: channel.port,
         )
 
-    def check(self) -> None:
-        """Structural sanity: channel/control endpoints must be declared."""
-        names = {service.name for service in self.services}
-        if len(names) != len(self.services):
-            raise DsnError(f"program {self.name!r} declares duplicate services")
-        for channel in self.channels:
-            for endpoint in (channel.source, channel.target):
-                if endpoint not in names:
-                    raise DsnError(
-                        f"channel references undeclared service {endpoint!r}"
-                    )
-        for control in self.controls:
-            for endpoint in (control.trigger, control.source):
-                if endpoint not in names:
-                    raise DsnError(
-                        f"control references undeclared service {endpoint!r}"
-                    )
-        sharded = set()
-        for shard in self.shards:
-            if shard.service not in names:
-                raise DsnError(
-                    f"shard references undeclared service {shard.service!r}"
-                )
-            if self.service(shard.service).role is not ServiceRole.OPERATOR:
-                raise DsnError(
-                    f"shard target {shard.service!r} is not an operator"
-                )
-            if shard.count < 1:
-                raise DsnError(
-                    f"shard count for {shard.service!r} must be >= 1, "
-                    f"got {shard.count}"
-                )
-            if shard.service in sharded:
-                raise DsnError(
-                    f"duplicate shard directive for {shard.service!r}"
-                )
-            sharded.add(shard.service)
-        fused = set()
-        for fuse in self.fuses:
-            if len(fuse.members) < 2:
-                raise DsnError(
-                    f"fuse hint {list(fuse.members)!r} needs at least 2 "
-                    "services"
-                )
-            for member in fuse.members:
-                if member not in names:
-                    raise DsnError(
-                        f"fuse references undeclared service {member!r}"
-                    )
-                if self.service(member).role is not ServiceRole.OPERATOR:
-                    raise DsnError(
-                        f"fuse member {member!r} is not an operator"
-                    )
-                if member in fused:
-                    raise DsnError(
-                        f"service {member!r} appears in more than one "
-                        "fuse hint"
-                    )
-                fused.add(member)
-        for slo in self.slos:
-            if slo.op not in ("<", "<=", ">", ">="):
-                raise DsnError(
-                    f"slo for {slo.flow!r}: unknown comparator {slo.op!r}"
-                )
-            if slo.window < 0:
-                raise DsnError(
-                    f"slo for {slo.flow!r}: window must be >= 0, "
-                    f"got {slo.window}"
-                )
-
     def render(self) -> str:
         """The canonical textual form (stable: services/edges in order)."""
         lines = [f'dsn "{self.name}" {{']

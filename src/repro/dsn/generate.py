@@ -1,16 +1,16 @@
-"""Translator: validated conceptual dataflow -> DSN program.
+"""Translator: conceptual dataflow <-> DSN program.
 
 "Once the dataflow is consistent (i.e. it can be soundly activated at
-network level), the translation is automatically invoked."  The translator
-therefore *refuses* inconsistent dataflows: it validates first and raises
-:class:`repro.errors.ValidationError` with the canvas issues.
+network level), the translation is automatically invoked."  Translation
+only lowers (and :func:`dsn_to_dataflow` only rebuilds): whether the
+program is consistent is :func:`repro.dsn.check.check`'s call, which runs
+on the lowered program, once per deploy.
 """
 
 from __future__ import annotations
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.serialize import _filter_to_dict
-from repro.dataflow.validate import validate_dataflow
 from repro.dsn.ast import (
     DsnChannel,
     DsnControl,
@@ -33,13 +33,12 @@ def dataflow_to_dsn(
     elastic: bool = False,
     slos: "list[DsnSlo] | None" = None,
 ) -> DsnProgram:
-    """Translate a (consistent) dataflow into its DSN program.
+    """Lower a dataflow into its DSN program.
 
     Args:
         flow: the conceptual dataflow.
-        registry: resolves source filters during validation (and, with
-            ``batch_delay``, supplies the declared sensor frequencies the
-            batch hints are derived from).
+        registry: with ``batch_delay``, supplies the declared sensor
+            frequencies the batch hints are derived from.
         batch_delay: target per-batch latency budget in seconds.  When
             set, each channel out of a source gets a ``batch`` hint of
             roughly ``frequency x batch_delay`` tuples (the batch a source
@@ -62,8 +61,6 @@ def dataflow_to_dsn(
             latency plane at deploy time.  ``None`` (the default) emits no
             clauses, so existing programs render unchanged.
     """
-    validate_dataflow(flow, registry).raise_if_invalid()
-
     program = DsnProgram(name=flow.name)
 
     for source in flow.sources.values():
@@ -154,8 +151,6 @@ def dataflow_to_dsn(
 
     if slos:
         program.slos = list(slos)
-
-    program.check()
     return program
 
 
@@ -164,14 +159,11 @@ def dsn_to_dataflow(program: DsnProgram) -> Dataflow:
 
     Lets the designer re-open a deployed flow on the canvas from nothing
     but its DSN text (the deployment artifact): ``dsn_to_dataflow`` ∘
-    ``dataflow_to_dsn`` reconstructs a structurally identical canvas
-    (source schemas are re-resolved from the registry at validation, as
-    with document loading).
+    ``dataflow_to_dsn`` reconstructs a structurally identical canvas.
     """
     from repro.dataflow.ops import spec_from_dict
     from repro.dataflow.serialize import _filter_from_dict
 
-    program.check()
     flow = Dataflow(program.name)
     for service in program.services:
         if service.role is ServiceRole.SOURCE:

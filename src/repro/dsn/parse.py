@@ -203,5 +203,4 @@ def parse_dsn(text: str) -> DsnProgram:
         raise DsnParseError("unterminated service block", len(lines))
     if not closed:
         raise DsnParseError("missing closing brace", len(lines))
-    program.check()
     return program

@@ -108,7 +108,6 @@ class ScnController:
         nominal demand.  Placement walks services in channel-topological
         order so upstream locations are known when a service is scored.
         """
-        program.check()
         demands = demands or {}
         placements: dict[str, PlacementDecision] = {}
         #: service name -> node(s) its output is produced on.

@@ -91,10 +91,10 @@ class DataflowError(StreamLoaderError):
 
 
 class ValidationError(DataflowError):
-    """The dataflow failed a consistency check.
+    """A program failed the consistency check (:func:`repro.dsn.check.check`).
 
-    Carries the list of individual :class:`ValidationIssue`-like messages so
-    a designer front end can annotate the offending canvas elements.
+    Carries its :class:`~repro.dsn.check.ValidationIssue` list, anchored to
+    service names, so a designer front end can annotate the canvas.
     """
 
     def __init__(self, issues) -> None:

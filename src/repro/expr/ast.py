@@ -2,7 +2,7 @@
 
 Nodes know how to pretty-print themselves (``unparse``); the parser/printer
 pair round-trips, which the property tests exploit.  Type checking against
-one or two stream schemas lives on the nodes too, so the dataflow validator
+one or two stream schemas lives on the nodes too, so the consistency check
 can reject a condition that references missing attributes or compares
 incompatible types *before* anything is deployed.
 """

@@ -2,7 +2,10 @@
 
 Deployment pipeline (Section 3 / demo part P2):
 
-1. validate + translate the conceptual dataflow (or accept a DSN program);
+1. translate the conceptual dataflow (or accept a DSN program), run the
+   one consistency check (:func:`repro.dsn.check.check`) on the program,
+   and refuse a sink or SLO clause this executor cannot host: a rejected
+   program leaves nothing behind;
 2. SCN service discovery: bind source services to published sensors;
 3. estimate per-service load and ask the SCN for a placement;
 4. build the physical plan (:mod:`repro.runtime.plan`): one unit per
@@ -36,6 +39,7 @@ from typing import Callable
 from repro.errors import DeploymentError, LifecycleError, PlacementError
 from repro.dataflow.graph import Dataflow
 from repro.dsn.ast import DsnProgram, ServiceRole
+from repro.dsn.check import check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.scn import PlacementDecision, ScnController, _filter_from_params
 from repro.network.netsim import NetworkSimulator
@@ -86,11 +90,9 @@ class Deployment:
         program: DsnProgram,
         executor: "Executor",
         plan: PhysicalPlan,
-        flow: "Dataflow | None" = None,
     ) -> None:
         self.name = name
         self.program = program
-        self.flow = flow
         self.executor = executor
         #: The physical plan this deployment instantiates.
         self.plan = plan
@@ -400,7 +402,11 @@ class Executor:
         shards: "int | dict[str, int] | None" = None,
         elastic: bool = False,
     ) -> Deployment:
-        """Translate (if needed), place, spawn, wire, and start a dataflow.
+        """Translate (if needed), check, place, spawn, wire, and start a
+        dataflow.  The check runs once, before anything is placed: an
+        unsound program raises :class:`repro.errors.ValidationError`, one
+        this executor cannot host :class:`DeploymentError`, and neither
+        leaves a trace.
 
         ``shards`` requests key-partitioned scale-out for blocking
         operators when translating a conceptual dataflow (see
@@ -419,24 +425,23 @@ class Executor:
         call, per batch, from what it observes (DESIGN.md §16) — not a
         deploy option either.
         """
+        registry = self.broker_network.registry
         if isinstance(flow_or_program, Dataflow):
-            flow = flow_or_program
             program = dataflow_to_dsn(
-                flow, self.broker_network.registry, shards=shards,
-                elastic=elastic,
+                flow_or_program, registry, shards=shards, elastic=elastic,
             )
         else:
-            flow = None
             program = flow_or_program
-            program.check()
         if program.name in self.deployments:
             existing = self.deployments[program.name]
             if existing.state is not DeploymentState.STOPPED:
                 raise DeploymentError(
                     f"a deployment named {program.name!r} is already running"
                 )
+        check(program, registry).raise_if_invalid()
+        self._admit(program)
 
-        sensor_bindings = self.scn.discover(program, self.broker_network.registry)
+        sensor_bindings = self.scn.discover(program, registry)
         demands = estimate_demands(program, sensor_bindings, self.scn)
         placements = self.scn.place(program, sensor_bindings, demands)
         plan = build_plan(program, sensor_bindings, placements, demands, self.scn)
@@ -444,7 +449,7 @@ class Executor:
         # elided interior hops are zero-distance.
         self.scn.admit_qos(program, plan.placements())
 
-        deployment = Deployment(program.name, program, self, plan, flow=flow)
+        deployment = Deployment(program.name, program, self, plan)
         for name, sensors in sensor_bindings.items():
             deployment.bindings[name] = _SourceBinding(
                 service_name=name,
@@ -488,6 +493,26 @@ class Executor:
             rebalancer.start()
         self.deployments[program.name] = deployment
         return deployment
+
+    def _admit(self, program: DsnProgram) -> None:
+        """Refuse a program needing a sink or plane this executor was
+        built without."""
+        for service in program.services_by_role(ServiceRole.SINK):
+            if service.kind == "warehouse" and self.warehouse is None:
+                raise DeploymentError(
+                    f"sink {service.name!r} needs a warehouse, but the "
+                    f"executor was built without one"
+                )
+            if service.kind == "visualization" and self.sticker is None:
+                raise DeploymentError(
+                    f"sink {service.name!r} needs a visualization feed, but "
+                    f"the executor was built without one"
+                )
+        if program.slos and self.obs is None:
+            raise DeploymentError(
+                f"deployment {program.name!r} declares SLO clauses but the "
+                "executor was built without observability"
+            )
 
     def _spawn(self, deployment: Deployment, unit: Unit) -> None:
         """Host ``unit``'s operator in a new process ``"<flow>:<key>"`` on
@@ -611,11 +636,6 @@ class Executor:
         executor-wide engine.
         """
         program = deployment.program
-        if self.obs is None:
-            raise DeploymentError(
-                f"deployment {program.name!r} declares SLO clauses but the "
-                "executor was built without observability"
-            )
         from repro.obs.alerts import AlertEngine
 
         plane = self.obs.ensure_latency()
@@ -673,11 +693,6 @@ class Executor:
         # Sinks.
         config = dict(service.params.get("config", {}))
         if service.kind == "warehouse":
-            if self.warehouse is None:
-                raise DeploymentError(
-                    f"sink {service.name!r} needs a warehouse, but the "
-                    f"executor was built without one"
-                )
             # Bound once, at deploy time: the sink calls the loader
             # directly, with no forwarding frame per row, and hands it a
             # micro-batch whole (``load`` and ``push`` take a message).
@@ -689,11 +704,6 @@ class Executor:
                 load, name=f"warehouse:{service.name}", batch_callback=load
             )
         if service.kind == "visualization":
-            if self.sticker is None:
-                raise DeploymentError(
-                    f"sink {service.name!r} needs a visualization feed, but "
-                    f"the executor was built without one"
-                )
             push = self.sticker.push
             return CallbackSink(
                 push, name=f"sticker:{service.name}", batch_callback=push

@@ -10,9 +10,12 @@ keeps streaming throughout.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 
-from repro.errors import LifecycleError, ValidationError
+from repro.dsn.ast import ServiceRole
+from repro.dsn.check import check
+from repro.errors import LifecycleError
 
 
 class DeploymentState(Enum):
@@ -29,39 +32,35 @@ def replace_operator_live(deployment, service_name: str, new_spec) -> None:
     """Swap a running operator's specification in place.
 
     The process keeps its identity, node, routes, and subscriptions; only
-    the operator logic changes.  The swapped-in spec is validated against
-    the deployment's conceptual dataflow first, so a modification that
-    would break schema consistency is rejected *before* touching the
-    runtime (the same only-sound-flows guarantee as at design time).
+    the operator logic changes.  The swapped-in spec replaces the service
+    in ``deployment.program`` only once the program so modified passes
+    the consistency check, so a modification that would break schema
+    consistency is rejected *before* touching the runtime (the same
+    only-sound-flows guarantee as at deploy time).
 
     Raises:
         LifecycleError: if the deployment is not running or the service is
-            unknown.
-        ValidationError: if the modified dataflow would be inconsistent.
+            not a running operator.
+        ValidationError: if the modified program would be inconsistent.
     """
-    from repro.dataflow.validate import validate_dataflow
-
     if deployment.state is not DeploymentState.RUNNING:
         raise LifecycleError(
             f"cannot modify deployment in state {deployment.state}"
         )
     if service_name not in deployment.processes:
         raise LifecycleError(f"no running service {service_name!r}")
-
-    # Validate against the conceptual dataflow when we have it.
-    if deployment.flow is not None:
-        if service_name not in deployment.flow.operators:
-            raise LifecycleError(
-                f"service {service_name!r} is not an operator in the flow"
-            )
-        old_spec = deployment.flow.operators[service_name].spec
-        deployment.flow.replace_operator(service_name, new_spec)
-        report = validate_dataflow(
-            deployment.flow, deployment.executor.broker_network.registry
+    program = deployment.program
+    service = program.service(service_name)
+    if service.role is not ServiceRole.OPERATOR:
+        raise LifecycleError(
+            f"service {service_name!r} is not an operator in the flow"
         )
-        if not report.is_valid:
-            deployment.flow.replace_operator(service_name, old_spec)
-            raise ValidationError(report.errors)
+    params = new_spec.to_dict()
+    swapped = replace(service, kind=params.pop("kind"), params=params)
+    services = [swapped if s is service else s for s in program.services]
+    registry = deployment.executor.broker_network.registry
+    check(replace(program, services=services), registry).raise_if_invalid()
+    program.services[:] = services
 
     process = deployment.processes[service_name]
     was_blocking = process.operator.is_blocking

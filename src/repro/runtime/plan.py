@@ -6,10 +6,11 @@ role, placement, booked demand) and *edges* (one per process route or
 source binding: producer, consumer, port, ``batch`` hint), once, before
 anything is spawned.  The executor instantiates the plan in order and
 reads everything else off it: watermark upstream sets, re-placement's
-upstream services, the logical service a probe reports under.  This
-module is the only code that turns service names into process keys
-(``a+b+c`` for a fused chain, ``svc#k`` for shard k, ``svc#merge`` for a
-sharded service's merge stage), so nothing downstream parses one.
+upstream services, the logical service a probe reports under.
+:func:`unit_keys` is the only code that turns service names into process
+keys (``a+b+c`` for a fused chain, ``svc#k`` for shard k, ``svc#merge``
+for a sharded service's merge stage), so nothing downstream parses one;
+the consistency check reads it to hold the keys unique.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.dataflow.fusion import chains_for
 from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.scn import PlacementDecision, ScnController
-from repro.errors import DeploymentError
 from repro.pubsub.registry import SensorMetadata
 from repro.streams.fused import FUSED_NAME_SEPARATOR
 
@@ -162,6 +162,31 @@ def estimate_demands(
     return demands
 
 
+def unit_keys(program: DsnProgram) -> "list[tuple[str, tuple[str, ...], str]]":
+    """``(key, hosted services, role)`` of every process ``program``
+    deploys as, in spawn order: the program's service order, a fused chain
+    at its head, a sharded service as its shards then its merge."""
+    chain_of = {name: chain for chain in chains_for(program) for name in chain}
+    shards = {shard.service: shard for shard in program.shards if shard.count > 1}
+    keys: list[tuple[str, tuple[str, ...], str]] = []
+    for service in program.services:
+        name = service.name
+        if service.role is ServiceRole.SOURCE:
+            continue
+        if name in shards:
+            keys += [(f"{name}#{index}", (name,), SHARD)
+                     for index in range(shards[name].count)]
+            keys.append((f"{name}#merge", (name,), MERGE))
+        elif name in chain_of:
+            chain = chain_of[name]
+            if name == chain[0]:
+                keys.append((FUSED_NAME_SEPARATOR.join(chain), chain, CHAIN))
+        else:
+            role = OPERATOR if service.role is ServiceRole.OPERATOR else SINK
+            keys.append((name, (name,), role))
+    return keys
+
+
 def build_plan(
     program: DsnProgram,
     bindings: dict[str, list[SensorMetadata]],
@@ -173,41 +198,31 @@ def build_plan(
 
     ``bindings`` is the SCN's source discovery, ``placements`` its
     per-service placement and ``demands`` the deploy-time estimates.  Units
-    follow the program's service order (a chain at its head, a sharded
-    service as its shards then its merge); shards are placed here, through
+    follow :func:`unit_keys`; shards are placed here, through
     :meth:`ScnController.place_shards`, with the demand every earlier unit
-    books as ``projected`` load.  Raises :class:`DeploymentError` if two
-    units would share a process key.
+    books as ``projected`` load.
     """
     chain_of = {name: chain for chain in chains_for(program) for name in chain}
     shards = {shard.service: shard for shard in program.shards if shard.count > 1}
-    declared = {service.name for service in program.services}
     plan = PhysicalPlan(sources={name: placements[name] for name in bindings})
     #: node -> demand booked by the units planned so far.
     booked: dict[str, float] = {}
+    #: sharded service -> placements of its shards not yet planned.
+    spread: dict[str, list[PlacementDecision]] = {}
 
-    def add(unit: Unit) -> None:
-        if unit.key in plan.units or (
-            unit.key in declared and unit.key not in unit.services
-        ):
-            raise DeploymentError(
-                f"process key {unit.key!r} of program {program.name!r} "
-                "is not unique"
-            )
-        plan.units[unit.key] = unit
-        if unit.role != SHARD:
-            plan.exits.update(dict.fromkeys(unit.services, unit.key))
-        node_id = unit.placement.node_id
-        booked[node_id] = booked.get(node_id, 0.0) + unit.demand
-
-    for service in program.services:
-        name = service.name
-        if service.role is ServiceRole.SOURCE:
-            continue
-        if name in shards:
+    for key, services, role in unit_keys(program):
+        name = services[0]
+        placement, demand = placements.get(name), demands.get(name, 0.0)
+        if role == CHAIN:
+            placement = PlacementDecision(key, placement.node_id,
+                                          placement.score, placement.reason)
+            # Members see the same stream, so their demands overlap rather
+            # than add: the chain books its heaviest member's.
+            demand = max(demands.get(member, 0.0) for member in services)
+        elif role in (SHARD, MERGE):
             shard = shards[name]
-            #: the conceptual demand splits across the replicas.
-            demand = demands.get(name, 0.0) / shard.count
+            demand /= shard.count  # the demand splits across the replicas
+        if role == SHARD and name not in spread:
             upstream_nodes: list[str] = []
             for channel in program.channels_into(name):
                 if channel.source in bindings:
@@ -217,38 +232,25 @@ def build_plan(
                 else:  # a fused member sits on its chain head's node
                     head = chain_of.get(channel.source, (channel.source,))[0]
                     upstream_nodes.append(placements[head].node_id)
-            decisions = scn.place_shards(
+            spread[name] = scn.place_shards(
                 name, shard.count, upstream_nodes, demand, projected=booked
             )
-            members = tuple(f"{name}#{index}" for index in range(shard.count))
-            for key, decision in zip(members, decisions):
-                add(Unit(key, (name,), SHARD, decision, demand))
-            merge = f"{name}#merge"
-            add(Unit(merge, (name,), MERGE, placements[name], demand))
-            if service.kind == "join" and len(shard.keys) >= 2:
-                keys_by_port = tuple((key,) for key in shard.keys)
+        if role == SHARD:
+            placement = spread[name].pop(0)
+        plan.units[key] = Unit(key, services, role, placement, demand)
+        if role == MERGE:
+            if program.service(name).kind == "join" and len(shard.keys) >= 2:
+                keys_by_port = tuple((attr,) for attr in shard.keys)
             else:
                 keys_by_port = (tuple(shard.keys),)
+            members = tuple(unit.key for unit in plan.units.values()
+                            if unit.role == SHARD and unit.services == services)
             plan.groups[name] = ShardPlan(
-                name, members, merge, keys_by_port, shard.elastic
+                name, members, key, keys_by_port, shard.elastic
             )
-        elif name in chain_of:
-            chain = chain_of[name]
-            if name != chain[0]:
-                continue
-            key = FUSED_NAME_SEPARATOR.join(chain)
-            head = placements[name]
-            # Members see the same stream, so their demands overlap rather
-            # than add: the chain books its heaviest member's.
-            add(Unit(
-                key, chain, CHAIN,
-                PlacementDecision(key, head.node_id, head.score, head.reason),
-                max(demands.get(member, 0.0) for member in chain),
-            ))
-        else:
-            role = OPERATOR if service.role is ServiceRole.OPERATOR else SINK
-            add(Unit(name, (name,), role, placements[name],
-                     demands.get(name, 0.0)))
+        if role != SHARD:
+            plan.exits.update(dict.fromkeys(services, key))
+        booked[placement.node_id] = booked.get(placement.node_id, 0.0) + demand
 
     # Shards feed their merge first: these routes predate every channel's.
     for group in plan.groups.values():

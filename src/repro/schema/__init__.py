@@ -5,7 +5,7 @@ sensors"*: each published sensor exposes its own schema, and the designer
 propagates schemas through every operator so the user always sees "the
 schema of data that are processed by the operation".  This package defines
 attribute types, stream schemas with STT metadata, and the schema-inference
-primitives used by the dataflow validator.
+primitives used by the consistency check.
 """
 
 from repro.schema.types import AttributeType, coerce_value, common_type, value_fits

@@ -2,7 +2,7 @@
 
 Each function computes the *output* schema of one operator kind from its
 input schema(s) and parameters, raising :class:`repro.errors.SchemaError`
-when the combination is inconsistent.  The dataflow validator calls these
+when the combination is inconsistent.  The consistency check calls these
 to propagate schemas across the canvas, which is what lets the designer
 show "the schema of data that are processed by the operation" at every
 node and reject unsound designs before translation.

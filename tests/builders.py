@@ -1,8 +1,16 @@
 """Small builders the suites share: a linear flow, a bare executor
-stack, a scripted sensor and its readings, an attached sensor."""
+stack, a scripted sensor and its readings, an attached sensor, a DSN
+program."""
+
+from typing import NamedTuple
 
 from repro.dataflow.graph import Dataflow
-from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
+from repro.dataflow.ops import OperatorSpec
+from repro.dataflow.serialize import _filter_to_dict
+from repro.dsn.ast import (
+    DsnChannel, DsnControl, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo,
+    ServiceRole,
+)
 from repro.dsn.scn import ScnController
 from repro.network.qos import QosPolicy
 from repro.network.netsim import NetworkSimulator
@@ -98,22 +106,41 @@ def attached(sensor, node: str = "n1"):
     return clock, net, seen
 
 
-def dsn_chain(*operators, match: "dict | None" = None,
-              source_kind: str = "sensor-stream") -> DsnProgram:
-    """DSN program ``p``: ``src -> operators... -> k``, each operator a
-    ``(name, kind, params)`` triple, ``src`` filtering on ``match`` (by
-    default, rain sensors)."""
+class Dormant(NamedTuple):
+    """A source that starts paused (trigger-gated)."""
+
+    filter: SubscriptionFilter
+
+
+def dsn(*parts, **nodes) -> DsnProgram:
+    """DSN program ``p``.  ``nodes`` maps a service name to a source filter
+    (``Dormant`` for a paused one), an operator spec, a ``(kind, params)``
+    operator or a sink kind; ``parts`` are ``"a > b"`` channels (``"a >
+    b:1"`` into port 1), ``"a ~ b"`` controls, services and clauses."""
     program = DsnProgram(name="p")
-    program.services.append(DsnService(
-        role=ServiceRole.SOURCE, name="src", kind=source_kind,
-        params={"filter": match or {"sensor_type": "rain"}, "active": True}))
-    for name, kind, params in operators:
-        program.services.append(DsnService(
-            role=ServiceRole.OPERATOR, name=name, kind=kind, params=params))
-    program.services.append(DsnService(
-        role=ServiceRole.SINK, name="k", kind="collector",
-        params={"config": {}}, qos=QosPolicy()))
-    names = ["src", *(name for name, _, _ in operators), "k"]
-    program.channels.extend(
-        DsnChannel(a, b, 0) for a, b in zip(names, names[1:]))
+    for name, node in nodes.items():
+        if isinstance(node, (SubscriptionFilter, Dormant)):
+            active = isinstance(node, SubscriptionFilter)
+            service = DsnService(ServiceRole.SOURCE, name, "sensor-stream", {
+                "filter": _filter_to_dict(node if active else node.filter),
+                "active": active})
+        elif isinstance(node, str):
+            service = DsnService(ServiceRole.SINK, name, node,
+                                 {"config": {}}, QosPolicy())
+        else:
+            if isinstance(node, OperatorSpec):
+                params = node.to_dict()
+                node = (params.pop("kind"), params)
+            service = DsnService(ServiceRole.OPERATOR, name, *node)
+        program.services.append(service)
+    lists = {DsnService: program.services, DsnChannel: program.channels,
+             DsnControl: program.controls, DsnShard: program.shards,
+             DsnFuse: program.fuses, DsnSlo: program.slos}
+    for part in parts:
+        if isinstance(part, str):
+            source, arrow, target = part.split()
+            target, _, port = target.partition(":")
+            part = (DsnControl(source, target) if arrow == "~"
+                    else DsnChannel(source, target, int(port or 0)))
+        lists[type(part)].append(part)
     return program

@@ -12,6 +12,7 @@ import pytest
 from repro.designer.session import DesignerSession
 from repro.dataflow.ops import FilterSpec
 from repro.dsn.parse import parse_dsn
+from repro.errors import ValidationError
 from repro.sticker.render import render_series
 
 
@@ -84,3 +85,10 @@ class TestP2Walkthrough:
         deployment = stack.executor.deploy(program)
         stack.run_until(13 * 3600.0)
         assert deployment.process("hot").operator.stats.tuples_in > 0
+
+    def test_parsed_program_text_gets_the_canvas_check(self, stack, session):
+        text = session.translate().render().replace(
+            "temperature > 24", "humidity_nope > 24")
+        with pytest.raises(ValidationError, match="humidity_nope"):
+            stack.executor.deploy(parse_dsn(text))
+        assert "p2" not in stack.executor.deployments

@@ -7,6 +7,8 @@ condition/spec references attributes present at that point), so the whole
 canvas must validate — if it does not, inference or validation is broken.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +21,14 @@ from repro.dataflow.ops import (
     ValidateSpec,
     VirtualPropertySpec,
 )
-from repro.dataflow.validate import validate_dataflow
 from repro.designer.preview import replay_samples
+from repro.dsn.check import check
+from repro.dsn.generate import dataflow_to_dsn
 from repro.network.topology import Topology
-from repro.pubsub.registry import SensorMetadata, SensorRegistry
+from repro.pubsub.registry import SensorRegistry
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.schema.schema import StreamSchema
-from repro.stt.spatial import Point
-from tests.builders import reading
+from tests.builders import reading, sensor_metadata
 
 
 def base_schema() -> StreamSchema:
@@ -86,12 +88,19 @@ def _numeric_attr(schema: StreamSchema) -> str:
     raise AssertionError("chain construction kept a numeric attribute")
 
 
+def registry() -> SensorRegistry:
+    """One sensor advertising :func:`base_schema`."""
+    registry = SensorRegistry()
+    registry.register(replace(sensor_metadata("prop-sensor"),
+                              schema=base_schema()))
+    return registry
+
+
 def canvas(steps):
     """The chain on a canvas, and the schema its sink should carry."""
     flow = Dataflow("generated")
     schema = base_schema()
-    previous = flow.add_source(SubscriptionFilter(), schema=schema,
-                               node_id="src")
+    previous = flow.add_source(SubscriptionFilter(), node_id="src")
     for index, step in enumerate(steps):
         spec = step(schema)
         node = flow.add_operator(spec, node_id=f"op-{index}")
@@ -108,7 +117,8 @@ class TestCanvasTotality:
     def test_sound_chains_always_validate(self, steps):
         flow, schema = canvas(steps)
 
-        report = validate_dataflow(flow)
+        sensors = registry()
+        report = check(dataflow_to_dsn(flow, sensors), sensors)
         assert report.is_valid, [str(issue) for issue in report.errors]
         # Inference was total: a schema exists at every canvas node.
         assert all(report.schemas[node_id] is not None
@@ -122,12 +132,6 @@ class TestCanvasTotality:
         """Every valid canvas also previews on samples without raising."""
         topology = Topology()
         topology.add_node("hub")
-        registry = SensorRegistry()
-        registry.register(SensorMetadata(
-            sensor_id="prop-sensor", sensor_type="temperature",
-            schema=base_schema(), frequency=1.0,
-            location=Point(34.69, 135.50), node_id="hub",
-        ))
         flow, schema = canvas(steps)
 
         samples = {"src": [
@@ -135,7 +139,7 @@ class TestCanvasTotality:
                     humidity=0.5, station="s")
             for i in range(6)
         ]}
-        result = replay_samples(flow, samples, registry, topology)
+        result = replay_samples(flow, samples, registry(), topology)
         # Outputs at the sink conform to the inferred schema.
         for tuple_ in result.at("out"):
             assert set(tuple_.payload) <= set(schema.names)

@@ -2,46 +2,21 @@
 
 import inspect
 
-import pytest
-
-from repro.dataflow.fusion import (
-    FUSIBLE_KINDS,
-    chains_for,
-    plan_fusion,
-    validate_chains,
-)
-from repro.dsn.ast import (
-    DsnChannel,
-    DsnFuse,
-    DsnProgram,
-    DsnService,
-    DsnShard,
-    ServiceRole,
-)
-from repro.errors import DsnError
+from repro.dataflow.fusion import FUSIBLE_KINDS, chains_for, plan_fusion
+from repro.dsn.ast import DsnFuse, DsnShard
+from repro.pubsub.subscription import SubscriptionFilter
+from tests.builders import dsn
+from tests.unit.dsn.test_check import row
 
 
-def _program(ops, channels, shards=()):
-    """Build a program: source "src" -> ops -> sink "k", plus ``channels``.
-
-    ``ops`` maps service name -> kind; ``channels`` are (source, target)
-    or (source, target, port) triples.
-    """
-    program = DsnProgram(name="p")
-    program.services.append(
-        DsnService(role=ServiceRole.SOURCE, name="src", kind="sensor-stream"))
-    for name, kind in ops.items():
-        program.services.append(
-            DsnService(role=ServiceRole.OPERATOR, name=name, kind=kind))
-    program.services.append(
-        DsnService(role=ServiceRole.SINK, name="k", kind="collector"))
-    for edge in channels:
-        port = edge[2] if len(edge) > 2 else 0
-        program.channels.append(DsnChannel(edge[0], edge[1], port))
-    for service, count in shards:
-        program.shards.append(
-            DsnShard(service=service, count=count, keys=("station",)))
-    return program
+def _program(ops, channels):
+    """Source "src" -> ``ops`` (service name -> kind) -> sink "k", joined
+    by ``channels``: (source, target) or (source, target, port) triples."""
+    return dsn(*(f"{edge[0]} > {edge[1]}:{edge[2] if len(edge) > 2 else 0}"
+                 for edge in channels),
+               src=SubscriptionFilter(),
+               **{name: (kind, {}) for name, kind in ops.items()},
+               k="collector")
 
 
 def _linear(kinds):
@@ -127,30 +102,11 @@ class TestPlanner:
 
 
 class TestValidateChains:
-    def test_valid_chain_accepted(self):
-        program, names = _linear(["filter", "transform", "validate"])
-        validate_chains(program, [tuple(names)])
-
-    def test_short_chain_rejected(self):
-        program, _ = _linear(["filter", "transform"])
-        with pytest.raises(DsnError, match="at least 2"):
-            validate_chains(program, [("op0",)])
-
-    def test_overlap_rejected(self):
-        program, _ = _linear(["filter", "transform", "validate"])
-        with pytest.raises(DsnError, match="more than one"):
-            validate_chains(program, [("op0", "op1"), ("op1", "op2")])
-
-    def test_non_fusible_hop_rejected(self):
-        program, _ = _linear(["filter", "aggregation"])
-        with pytest.raises(DsnError, match="not a fusible hop"):
-            validate_chains(program, [("op0", "op1")])
-
-    def test_skipping_a_member_rejected(self):
-        # op0 -> op2 is not a channel; the hint must follow real hops.
-        program, _ = _linear(["filter", "transform", "validate"])
-        with pytest.raises(DsnError, match="not a fusible hop"):
-            validate_chains(program, [("op0", "op2")])
+    test_valid_chain_accepted = row("fuse")
+    test_short_chain_rejected = row("fuse-short")
+    test_overlap_rejected = row("fuse-overlap")
+    test_non_fusible_hop_rejected = row("fuse-blocking-hop")
+    test_skipping_a_member_rejected = row("fuse-skipping")
 
 
 class TestChainsFor:
@@ -165,11 +121,7 @@ class TestChainsFor:
         program.fuses.append(DsnFuse(members=("op0", "op1")))
         assert chains_for(program) == [("op0", "op1")]
 
-    def test_explicit_hints_validated(self):
-        program, _ = _linear(["filter", "aggregation"])
-        program.fuses.append(DsnFuse(members=("op0", "op1")))
-        with pytest.raises(DsnError, match="not a fusible hop"):
-            chains_for(program)
+    test_explicit_hints_validated = row("fuse-blocking-hop")
 
     def test_the_plan_has_no_off_switch(self):
         assert list(inspect.signature(chains_for).parameters) == ["program"]

@@ -8,7 +8,6 @@ sources.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
@@ -20,17 +19,11 @@ from repro.designer.session import DesignerSession
 from repro.errors import DataflowError, ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
-from repro.schema.schema import StreamSchema
 from repro.sensors.osaka import OSAKA_AREA
 from repro.sensors.physical import temperature_sensor
 from repro.sensors.social import twitter_sensor
 from repro.stt.spatial import Point
-from tests.builders import reading
-
-
-@pytest.fixture
-def schema(weather_schema) -> StreamSchema:
-    return weather_schema
+from tests.builders import pipeline, reading
 
 
 @pytest.fixture
@@ -46,28 +39,17 @@ def temperatures(sensor_id: str, values, start: float = 0.0) -> list:
     ]
 
 
-def filtered(session: DesignerSession) -> None:
-    session.add_source("osaka-temp-umeda", node_id="src")
-    session.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    session.add_sink(node_id="k")
-    session.connect("src", "hot")
-    session.connect("hot", "k")
-
-
-def flow_with_schema(schema):
-    flow = Dataflow("sampled")
-    src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                          schema=schema, node_id="src")
-    hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-    sink = flow.add_sink(node_id="k")
-    flow.connect(src, hot)
-    flow.connect(hot, sink)
-    return flow
+def sampled(*operators):
+    """``src -> operators... -> k`` over the umeda temperature sensor
+    (by default through one filter, ``hot``)."""
+    return pipeline("sampled", *operators or [
+        ("hot", FilterSpec("temperature > 24"))], sink="k",
+        match=SubscriptionFilter.for_sensor("osaka-temp-umeda"))
 
 
 class TestRunSample:
     def test_per_node_outputs(self, session):
-        filtered(session)
+        session.flow = sampled()
         samples = {"src": temperatures("osaka-temp-umeda", range(20, 30))}
         result = session.preview(samples=samples)
         assert len(result.at("src")) == 10
@@ -77,17 +59,12 @@ class TestRunSample:
     def test_chained_windows_flush_through(self, session):
         # The hourly MAX sees the hourly AVG's row one flush later: the
         # preview runs until both windows have closed over the samples.
-        session.add_source("osaka-temp-umeda", node_id="src")
-        for name, function, attribute in (
-            ("avg", "AVG", "temperature"), ("max", "MAX", "avg_temperature"),
-        ):
-            session.add_operator(AggregationSpec(
-                interval=3600.0, attributes=(attribute,),
-                function=function), node_id=name)
-        session.add_sink(node_id="k")
-        session.connect("src", "avg")
-        session.connect("avg", "max")
-        session.connect("max", "k")
+        session.flow = sampled(*(
+            (name, AggregationSpec(interval=3600.0, attributes=(attribute,),
+                                   function=function))
+            for name, function, attribute in (
+                ("avg", "AVG", "temperature"),
+                ("max", "MAX", "avg_temperature"))))
         samples = {"src": temperatures("osaka-temp-umeda", [20.0, 22.0])}
         result = session.preview(samples=samples)
         assert [row["avg_temperature"] for row in result.at("avg")] == [21.0]
@@ -147,11 +124,7 @@ class TestRunSample:
         assert [t.stamp.time for t in result.at("k")] == [100.0]
 
     def test_invalid_flow_raises(self, session):
-        session.add_source("osaka-temp-umeda", node_id="src")
-        session.add_operator(FilterSpec("ghost > 1"), node_id="bad")
-        session.add_sink(node_id="k")
-        session.connect("src", "bad")
-        session.connect("bad", "k")
+        session.flow = sampled(("bad", FilterSpec("ghost > 1")))
         with pytest.raises(ValidationError):
             session.preview(
                 samples={"src": temperatures("osaka-temp-umeda", [20.0])})
@@ -169,34 +142,34 @@ class TestRunSample:
                 samples={"src": temperatures("osaka-temp-umeda", [20.0])})
 
     def test_missing_sample_batch_raises(self, session):
-        filtered(session)
+        session.flow = sampled()
         with pytest.raises(DataflowError, match="no sample batch"):
             session.preview(samples={})
 
     def test_unregistered_sample_sensor_raises(self, session):
-        filtered(session)
+        session.flow = sampled()
         with pytest.raises(DataflowError, match="ghost-sensor"):
             session.preview(
                 samples={"src": temperatures("ghost-sensor", [20.0])})
 
 
 class TestSampleFromSensors:
-    def test_probes_requested_count(self, schema):
-        flow = flow_with_schema(schema)
+    def test_probes_requested_count(self):
+        flow = sampled()
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")
         batches = sample_from_sensors(flow, {"src": sensor}, count=5, start=0.0)
         assert len(batches["src"]) == 5
         times = [t.stamp.time for t in batches["src"]]
         assert times == sorted(times)
 
-    def test_unknown_source_raises(self, schema):
-        flow = flow_with_schema(schema)
+    def test_unknown_source_raises(self):
+        flow = sampled()
         sensor = temperature_sensor("t1", Point(34.69, 135.50), "edge-0")
         with pytest.raises(DataflowError):
             sample_from_sensors(flow, {"ghost": sensor})
 
-    def test_sparse_sensor_bounded_attempts(self, schema):
-        flow = flow_with_schema(schema)
+    def test_sparse_sensor_bounded_attempts(self):
+        flow = sampled()
         sensor = twitter_sensor("tw1", OSAKA_AREA, "edge-0")
         batches = sample_from_sensors(flow, {"src": sensor}, count=3)
         assert len(batches["src"]) <= 3  # may be fewer; must terminate

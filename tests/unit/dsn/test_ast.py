@@ -3,8 +3,6 @@
 import pytest
 
 from repro.dsn.ast import (
-    DsnChannel,
-    DsnControl,
     DsnProgram,
     DsnService,
     DsnShard,
@@ -12,11 +10,14 @@ from repro.dsn.ast import (
 )
 from repro.errors import DsnError
 from repro.network.qos import QosPolicy
-from tests.builders import dsn_chain
+from repro.pubsub.subscription import SubscriptionFilter
+from tests.builders import dsn
+from tests.unit.dsn.test_check import row
 
 
 def small_program() -> DsnProgram:
-    return dsn_chain(("f", "filter", {"condition": "rain_rate > 10"}))
+    return dsn("src > f", "f > k", src=SubscriptionFilter(sensor_type="rain"),
+               f=("filter", {"condition": "rain_rate > 10"}), k="collector")
 
 
 @pytest.fixture
@@ -35,13 +36,7 @@ class TestModel:
             == ["src"]
 
     def test_channels_into_sorted_by_port(self):
-        program = DsnProgram(name="p")
-        for name in ("a", "b", "j"):
-            program.services.append(
-                DsnService(role=ServiceRole.OPERATOR, name=name, kind="filter")
-            )
-        program.channels.append(DsnChannel("b", "j", 1))
-        program.channels.append(DsnChannel("a", "j", 0))
+        program = dsn("b > j:1", "a > j:0", **dict.fromkeys("abj", ("filter",)))
         assert [c.port for c in program.channels_into("j")] == [0, 1]
 
     def test_role_parse(self):
@@ -51,24 +46,10 @@ class TestModel:
 
 
 class TestCheck:
-    def test_valid_program_passes(self):
-        small_program().check()
-
-    def test_duplicate_services_fail(self, program):
-        program.services.append(
-            DsnService(role=ServiceRole.OPERATOR, name="f", kind="filter"))
-        with pytest.raises(DsnError, match="duplicate"):
-            program.check()
-
-    def test_dangling_channel_fails(self, program):
-        program.channels.append(DsnChannel("ghost", "f", 0))
-        with pytest.raises(DsnError, match="undeclared"):
-            program.check()
-
-    def test_dangling_control_fails(self, program):
-        program.controls.append(DsnControl("ghost", "src"))
-        with pytest.raises(DsnError, match="undeclared"):
-            program.check()
+    test_valid_program_passes = row("valid")
+    test_duplicate_services_fail = row("duplicate-service")
+    test_dangling_channel_fails = row("channel-undeclared")
+    test_dangling_control_fails = row("control-undeclared")
 
 
 class TestRender:

@@ -1,34 +1,29 @@
-"""Unit tests for the ``fuse`` clause (render, parse, check)."""
+"""Unit tests for the ``fuse`` clause (render, parse; the check's rules
+are rows of ``tests/unit/dsn/test_check.py``)."""
 
 import pytest
 
 from repro.dataflow.fusion import plan_fusion
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec, TransformSpec
 from repro.dsn.ast import (
-    DsnChannel,
-    DsnFuse,
-    DsnProgram,
-    DsnService,
-    ServiceRole,
+    DsnChannel, DsnFuse, DsnProgram, DsnService, ServiceRole,
 )
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
-from repro.errors import DsnError, DsnParseError
-from repro.network.topology import Topology
-from repro.pubsub.registry import SensorRegistry
+from repro.errors import DsnParseError
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.sensors.osaka import osaka_fleet
-from tests.builders import dsn_chain
+from tests.builders import dsn, pipeline
+from tests.unit.dsn.test_check import row
 
 
 def fusible_program(*fuses) -> DsnProgram:
     """src -> f -> g -> k with a fusible operator pair, and ``fuses``
     (member tuples) declared."""
-    program = dsn_chain(("f", "filter", {"condition": "rain_rate > 10"}),
-                     ("g", "transform", {"assignments": {"x": "rain_rate * 2"}}))
-    program.fuses.extend(DsnFuse(members=members) for members in fuses)
-    return program
+    return dsn("src > f", "f > g", "g > k",
+               *(DsnFuse(members=members) for members in fuses),
+               src=SubscriptionFilter(sensor_type="rain"), k="collector",
+               f=("filter", {"condition": "rain_rate > 10"}),
+               g=("transform", {"assignments": {"x": "rain_rate * 2"}}))
 
 
 class TestRender:
@@ -54,13 +49,10 @@ class TestParse:
         assert parsed == program
 
     def test_long_chain_round_trip(self):
-        program = fusible_program()
-        program.services.append(
-            DsnService(role=ServiceRole.OPERATOR, name="h", kind="validate",
-                       params={"condition": "x >= 0"})
-        )
+        program = fusible_program(("f", "g", "h"))
+        program.services.append(DsnService(ServiceRole.OPERATOR, "h",
+                                           "validate", {"rules": ["x >= 0"]}))
         program.channels.append(DsnChannel("g", "h", 0))
-        program.fuses.append(DsnFuse(members=("f", "g", "h")))
         parsed = parse_dsn(program.render())
         assert parsed.fuses[0].members == ("f", "g", "h")
 
@@ -73,45 +65,17 @@ class TestParse:
 
 
 class TestCheck:
-    def test_undeclared_member_rejected(self):
-        program = fusible_program(("f", "ghost"))
-        with pytest.raises(DsnError, match="undeclared"):
-            program.check()
-
-    def test_non_operator_member_rejected(self):
-        program = fusible_program(("f", "k"))
-        with pytest.raises(DsnError, match="not an operator"):
-            program.check()
-
-    def test_short_chain_rejected(self):
-        program = fusible_program(("f",))
-        with pytest.raises(DsnError, match="at least 2"):
-            program.check()
-
-    def test_overlapping_hints_rejected(self):
-        program = fusible_program(("f", "g"), ("g", "f"))
-        with pytest.raises(DsnError, match="more than one"):
-            program.check()
+    test_undeclared_member_rejected = row("fuse-undeclared")
+    test_non_operator_member_rejected = row("fuse-not-operator")
+    test_short_chain_rejected = row("fuse-short")
+    test_overlapping_hints_rejected = row("fuse-overlap")
 
 
 class TestGenerate:
-    def test_translator_emits_no_hints_by_default(self):
-        registry = SensorRegistry()
-        for sensor in osaka_fleet(Topology.star(leaf_count=2)):
-            registry.register(sensor.metadata)
-
-        flow = Dataflow("flow")
-        flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                              node_id="src")
-        flow.add_operator(FilterSpec(condition="temperature > 24"),
-                          node_id="f")
-        flow.add_operator(TransformSpec(assignments={"x": "temperature * 2"}),
-                          node_id="g")
-        flow.add_sink(sink_kind="collector", node_id="k")
-        flow.connect("src", "f")
-        flow.connect("f", "g")
-        flow.connect("g", "k")
-
+    def test_translator_emits_no_hints_by_default(self, registry):
+        flow = pipeline("flow", ("f", FilterSpec("temperature > 24")),
+                        ("g", TransformSpec(assignments={
+                            "x": "temperature * 2"})), sink="k")
         plain = dataflow_to_dsn(flow, registry)
         assert plain.fuses == []
 

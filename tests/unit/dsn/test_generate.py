@@ -7,9 +7,8 @@ from repro.dataflow.ops import FilterSpec, TriggerOnSpec
 from repro.dsn.ast import ServiceRole
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
-from repro.errors import ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
-from tests.builders import pipeline
+from tests.unit.dsn.test_check import row
 
 
 def scenario_flow():
@@ -68,8 +67,4 @@ class TestTranslation:
 
 
 class TestSoundnessGate:
-    def test_invalid_flow_refused(self, registry):
-        flow = pipeline("broken", ("bad", FilterSpec("ghost > 1")),
-                        source="s", sink="k")
-        with pytest.raises(ValidationError):
-            dataflow_to_dsn(flow, registry)
+    test_invalid_flow_refused = row("unknown-attribute")

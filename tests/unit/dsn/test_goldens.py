@@ -28,6 +28,7 @@ from repro.dataflow.ops import (
 )
 from repro.dataflow.serialize import dataflow_from_dict
 from repro.dsn.ast import DsnFuse
+from repro.dsn.check import check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.network.topology import Topology
@@ -116,19 +117,9 @@ def p2_torrential_rain_flow() -> Dataflow:
 def p3_fahrenheit_feed_flow() -> Dataflow:
     """The P3 walkthrough design: plug-and-play source into a unit
     transform feeding the visualization."""
-    flow = Dataflow("p3-fahrenheit-feed")
-    temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                           node_id="temp")
-    to_f = flow.add_operator(
-        TransformSpec(
-            {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"}
-        ),
-        node_id="to-fahrenheit",
-    )
-    sticker = flow.add_sink("visualization", node_id="sticker")
-    flow.connect(temp, to_f)
-    flow.connect(to_f, sticker)
-    return flow
+    return pipeline("p3-fahrenheit-feed", ("to-fahrenheit", TransformSpec(
+        {"temperature": "convert(temperature, 'celsius', 'fahrenheit')"})),
+        source="temp", sink="sticker", sink_kind="visualization")
 
 
 def p5_sharded_stations_flow() -> Dataflow:
@@ -229,3 +220,4 @@ class TestDsnGoldens:
             pytest.skip("goldens being rewritten")
         text = (GOLDEN_DIR / f"{name}.dsn").read_text()
         assert parse_dsn(text).render() == text
+        assert check(parse_dsn(text), registry).is_valid

@@ -4,8 +4,9 @@ import pytest
 
 from repro.dsn.ast import ServiceRole
 from repro.dsn.parse import parse_dsn
-from repro.errors import DsnError, DsnParseError
+from repro.errors import DsnParseError
 from tests.unit.dsn.test_ast import small_program
+from tests.unit.dsn.test_check import row
 
 
 class TestRoundTrip:
@@ -73,15 +74,7 @@ class TestErrors:
         with pytest.raises(DsnParseError, match="after closing"):
             parse_dsn(text)
 
-    def test_undeclared_endpoint_caught_by_check(self):
-        text = (
-            'dsn "p" {\n'
-            '  service source "a" {\n  }\n'
-            '  channel "a" -> "ghost" port 0;\n'
-            "}\n"
-        )
-        with pytest.raises(DsnError):
-            parse_dsn(text)
+    test_undeclared_endpoint_caught_by_check = row("channel-undeclared")
 
 
 class TestShardClause:

@@ -1,12 +1,9 @@
 """Unit tests for DSN -> dataflow reverse translation."""
 
-import pytest
-
-from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
 from repro.dsn.generate import dataflow_to_dsn, dsn_to_dataflow
 from repro.dsn.parse import parse_dsn
-from repro.errors import DsnError
 from repro.scenario import build_stack
+from tests.unit.dsn.test_check import row
 from tests.unit.dsn.test_generate import scenario_flow
 
 
@@ -40,10 +37,4 @@ class TestReverseTranslation:
         stack.run_until(3600.0)
         assert deployment.process("trig").operator.stats.tuples_in > 0
 
-    def test_invalid_program_rejected(self):
-        program = DsnProgram(name="broken")
-        program.services.append(
-            DsnService(role=ServiceRole.SOURCE, name="s", params={}))
-        program.channels.append(DsnChannel("s", "ghost", 0))
-        with pytest.raises(DsnError):
-            dsn_to_dataflow(program)
+    test_invalid_program_rejected = row("channel-undeclared")

@@ -1,5 +1,7 @@
 """Unit tests for the SCN controller: discovery, placement, migration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dsn.ast import DsnChannel, DsnProgram, DsnService, ServiceRole
@@ -8,9 +10,10 @@ from repro.errors import PlacementError, ScnError
 from repro.network.qos import QosPolicy
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
+from repro.pubsub.subscription import SubscriptionFilter
 from repro.sensors.physical import rain_sensor, temperature_sensor
 from repro.stt.spatial import Point
-from tests.builders import dsn_chain
+from tests.builders import dsn
 
 SITE = Point(34.69, 135.50)
 
@@ -29,8 +32,8 @@ def registry(topo):
 
 
 def make_program() -> DsnProgram:
-    return dsn_chain(("f", "filter", {"condition": "temperature > 0"}),
-                     match={"sensor_ids": ["t1"]}, source_kind="")
+    return dsn("src > f", "f > k", src=SubscriptionFilter(sensor_ids=("t1",)),
+               f=("filter", {"condition": "temperature > 0"}), k="collector")
 
 
 def placed(scn, registry, program=None, **place_options):
@@ -103,11 +106,8 @@ class TestQosAdmission:
 
     def test_over_budget_rejected(self, registry, scn):
         program = make_program()
-        program.services[2] = DsnService(
-            role=ServiceRole.SINK, name="k", kind="collector",
-            params={"config": {}},
-            qos=QosPolicy(qos_class="real-time", max_latency=1e-9),
-        )
+        program.services[2] = replace(program.services[2], qos=QosPolicy(
+            qos_class="real-time", max_latency=1e-9))
         bindings = scn.discover(program, registry)
         placements = dict(scn.place(program, bindings))
         # Force the sink far from the filter so the route is non-trivial.

@@ -5,12 +5,15 @@ import pytest
 from repro.cli import DEFAULT_SLO_EXPRS, parse_slo_expr
 from repro.dsn.ast import DsnProgram, DsnSlo
 from repro.dsn.parse import parse_dsn
-from repro.errors import DsnError, DsnParseError, StreamLoaderError
-from tests.builders import dsn_chain
+from repro.errors import DsnParseError, StreamLoaderError
+from repro.pubsub.subscription import SubscriptionFilter
+from tests.builders import dsn
+from tests.unit.dsn.test_check import row
 
 
 def slo_program() -> DsnProgram:
-    return dsn_chain()
+    return dsn("src > k", src=SubscriptionFilter(sensor_type="rain"),
+               k="collector")
 
 
 @pytest.fixture
@@ -64,19 +67,8 @@ class TestParse:
 
 
 class TestCheck:
-    def test_bad_comparator_rejected(self, program):
-        program.slos.append(
-            DsnSlo(flow="p", metric="p99_latency", op="!=", threshold=5.0))
-        with pytest.raises(DsnError):
-            program.check()
-
-    def test_negative_window_rejected(self, program):
-        program.slos.append(
-            DsnSlo(flow="p", metric="p99_latency", op="<", threshold=5.0,
-                   window=-60.0)
-        )
-        with pytest.raises(DsnError):
-            program.check()
+    test_bad_comparator_rejected = row("slo-comparator")
+    test_negative_window_rejected = row("slo-window")
 
 
 class TestCliExpressions:

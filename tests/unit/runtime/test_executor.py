@@ -6,6 +6,7 @@ import pytest
 
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
+from repro.dsn.ast import DsnSlo
 from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import DeploymentError, LifecycleError
 from repro.network.topology import Topology
@@ -46,9 +47,28 @@ class TestDeploy:
         stack.executor.deploy(simple_flow())
 
     def test_warehouse_sink_requires_warehouse(self, stack):
+        """A deploy the executor cannot host is refused before anything
+        is placed, and the corrected program then deploys."""
         bare = Executor(stack.netsim, stack.broker_network)
-        with pytest.raises(DeploymentError, match="warehouse"):
-            bare.deploy(pipeline("needs-wh", sink="dw", sink_kind="warehouse"))
+        hot = ("hot", FilterSpec("temperature > 24"))
+        fixed = pipeline("needs-wh", hot)
+        slo = DsnSlo("needs-wh", "watermark_lag", "<", 900.0)
+        cases = {"warehouse": pipeline("needs-wh", hot, sink="dw",
+                                       sink_kind="warehouse"),
+                 "observability": dataflow_to_dsn(fixed, slos=[slo])}
+
+        def state():
+            return ([dict(node._demands) for node in stack.topology.nodes],
+                    [sub.subscription_id for sub
+                     in stack.broker_network.iter_subscriptions()],
+                    list(bare.monitor.logs))
+
+        for reason, rejected in cases.items():
+            before = state()
+            with pytest.raises(DeploymentError, match=reason):
+                bare.deploy(rejected)
+            assert state() == before
+            bare.deploy(fixed).teardown()
 
     def test_kernel_choice_is_not_a_deploy_option(self, stack):
         with pytest.raises(TypeError, match="columnar"):

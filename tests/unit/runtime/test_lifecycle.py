@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dataflow.ops import AggregationSpec, FilterSpec
+from repro.dsn.parse import parse_dsn
 from repro.errors import LifecycleError, ValidationError
 from repro.runtime.lifecycle import replace_operator_live
 from tests.builders import pipeline
@@ -43,12 +44,19 @@ class TestReplaceOperator:
         assert "avg_temperature" in collected[0]
 
     def test_invalid_replacement_rejected_and_rolled_back(self, stack, deployment):
-        with pytest.raises(ValidationError):
-            replace_operator_live(deployment, "hot", FilterSpec("ghost > 1"))
-        # Original spec still in place and stream still works.
-        assert deployment.flow.operators["hot"].spec.condition == "temperature > 24"
+        # A deployment from DSN text is held to the same check.
+        parsed = stack.executor.deploy(parse_dsn(
+            deployment.program.render().replace('"live-edit"', '"parsed"')))
+        for running in (deployment, parsed):
+            with pytest.raises(ValidationError, match="ghost"):
+                replace_operator_live(running, "hot", FilterSpec("ghost > 1"))
+            # Original spec still in place and stream still works.
+            assert running.program.service("hot").params["condition"] \
+                == "temperature > 24"
         stack.run_until(14 * 3600.0)
-        assert deployment.collected("out")
+        assert deployment.collected("out") and parsed.collected("out")
+        replace_operator_live(parsed, "hot", FilterSpec("temperature > 30"))
+        assert '"temperature > 30"' in parsed.program.render()
 
     def test_unknown_service_raises(self, deployment):
         with pytest.raises(LifecycleError):

@@ -18,6 +18,7 @@ import repro
 from repro.dsn.parse import parse_dsn
 from repro.errors import DeploymentError
 from repro.scenario import build_stack
+from tests.unit.dsn.test_check import row
 
 
 def source(name, sensor_type=None, active=True, sensor_ids=None):
@@ -156,23 +157,23 @@ SHAPES = {
     "sharded-join": (
         program(
             "joined",
-            source("temp", "temperature"), source("rain", "rain"),
+            source("temp", "temperature"), source("roads", "traffic"),
             operator("combine", "join", "interval = 120.0",
                      'left_prefix = "left"', 'right_prefix = "right"',
-                     'predicate = "left.station == right.ward"'),
+                     'predicate = "left.station == right.road"'),
             sink("pairs"),
             channel("temp", "combine", port=0),
-            channel("rain", "combine", port=1),
+            channel("roads", "combine", port=1),
             channel("combine", "pairs"),
-            'shard "combine" 2 by "station", "ward";',
+            'shard "combine" 2 by "station", "road";',
         ),
         [("combine#0", "shard", ("combine",), "hub"),
-         ("combine#1", "shard", ("combine",), "edge-0"),
+         ("combine#1", "shard", ("combine",), "edge-2"),
          ("combine#merge", "merge", ("combine",), "hub"),
          ("pairs", "sink", ("pairs",), "hub")],
         [("combine#0", "combine#merge", 0, 1),
          ("combine#1", "combine#merge", 0, 1),
-         ("temp", "combine", 0, 1), ("rain", "combine", 1, 1),
+         ("temp", "combine", 0, 1), ("roads", "combine", 1, 1),
          ("combine#merge", "pairs", 0, 1)],
     ),
     "trigger-governs-sources": (
@@ -259,9 +260,9 @@ class TestShapes:
 def test_join_partitions_each_port_on_its_own_key():
     deployment = deploy("sharded-join")
     assert deployment.plan.groups["combine"].keys_by_port \
-        == (("station",), ("ward",))
+        == (("station",), ("road",))
     assert deployment.shard_groups["combine"].keys_by_port \
-        == (("station",), ("ward",))
+        == (("station",), ("road",))
 
 
 def test_placements_read_through_to_the_exit_unit():
@@ -289,17 +290,7 @@ def test_a_replaced_chain_carries_its_members_placements():
         assert "down" in deployment.placements[member].reason
 
 
-def test_colliding_process_keys_are_rejected():
-    shape = program(
-        "clash",
-        source("temp", "temperature"), keep(), slim(),
-        operator("keep+slim", "filter", 'condition = "true"'), sink("out"),
-        channel("temp", "keep"), channel("keep", "slim"),
-        channel("slim", "keep+slim"), channel("keep+slim", "out"),
-        'fuse "keep" -> "slim";',
-    )
-    with pytest.raises(DeploymentError, match="not unique"):
-        build_stack().executor.deploy(shape)
+test_colliding_process_keys_are_rejected = row("key-collision")
 
 
 class TestSloShape:
