@@ -141,6 +141,8 @@ class BrokerNetwork:
         self.data_messages_sent = 0
         self.data_messages_suppressed = 0
         self.data_messages_retried = 0
+        #: Counted per *tuple*, unlike the other ``data_messages_*``
+        #: counters: a lost batch dead-letters each of its members.
         self.data_messages_dead_lettered = 0
         #: Tuples routed to subscribers — equals ``data_messages_sent``
         #: without batching; with batching, one message carries many tuples.

@@ -10,6 +10,7 @@ subscriptions rather than touching the sensors themselves, exactly the
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,7 +120,8 @@ class Subscription:
     delivered: int = 0
     suppressed: int = 0
     retries: int = 0
-    dead_letters: list[DeadLetter] = field(default_factory=list)
+    dead_letters: "deque[DeadLetter]" = field(
+        default_factory=lambda: deque(maxlen=DEAD_LETTER_CAPACITY))
     #: Messages transmitted to this subscription and not yet delivered or
     #: abandoned — the broker's backlog signal.  Maintained only while the
     #: latency plane is installed (``broker_subscription_backlog`` gauge);
@@ -136,8 +138,6 @@ class Subscription:
         """Record an undeliverable tuple (bounded queue, oldest evicted)."""
         letter = DeadLetter(tuple=tuple_, reason=reason, failed_at=failed_at)
         self.dead_letters.append(letter)
-        if len(self.dead_letters) > DEAD_LETTER_CAPACITY:
-            del self.dead_letters[0]
         return letter
 
     def deliver(self, payload: "SensorTuple | TupleBatch") -> int:

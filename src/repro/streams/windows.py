@@ -78,12 +78,14 @@ class TupleCache:
         return drained
 
     def prune(self, before: float) -> int:
-        """Evict tuples stamped strictly earlier than ``before``.
+        """Evict tuples stamped strictly earlier than ``before``, from the
+        head of the cache (arrival order) up to the first tuple that is not.
 
-        Returns the number evicted.  Assumes approximately time-ordered
-        arrival (true for a single upstream stream); stragglers older than
-        the head are still evicted correctly because the scan stops at the
-        first retained tuple, matching the paper's fresh-data orientation.
+        Returns the number evicted.  The scan stops at that first retained
+        tuple, so it is exact only for time-ordered arrival (a single
+        upstream stream).  A straggler that arrived behind a newer tuple
+        is not evicted, however old its stamp: it stays in the window
+        until every tuple ahead of it has been pruned.
         """
         pruned = 0
         on_evict = self.on_evict

@@ -76,6 +76,21 @@ def reading(sensor_id: str, seq: int, time: float, **payload) -> SensorTuple:
                        source=sensor_id, seq=seq)
 
 
+def weather_reading(seq: int = 0, temperature=20.0, humidity=0.6,
+                    station="station-1", time: "float | None" = None,
+                    lat: float = 34.69, lon: float = 135.50,
+                    themes: tuple = ("weather/temperature",),
+                    source: str = "sensor-1", **extra) -> SensorTuple:
+    """A weather reading; an attribute given as ``...`` is left out."""
+    payload = {"temperature": temperature, "humidity": humidity,
+               "station": station, **extra}
+    return SensorTuple(
+        payload={k: v for k, v in payload.items() if v is not ...},
+        stamp=SttStamp(time=float(seq) if time is None else time,
+                       location=Point(lat, lon), themes=themes),
+        source=source, seq=seq)
+
+
 def tuples_from(values, start_seq: int = 0) -> list:
     """Temperature readings of sensor ``gen``, one a second from
     ``start_seq``, cycling through stations s0..s2."""

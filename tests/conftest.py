@@ -17,7 +17,7 @@ from repro.sensors.osaka import osaka_fleet
 from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Box, GridCell, Point
-from tests.oracle.test_table1_spec import reading
+from tests.builders import weather_reading
 
 
 def pytest_addoption(parser):
@@ -140,7 +140,7 @@ def weather_schema() -> StreamSchema:
 @pytest.fixture
 def make_tuple():
     """Factory for weather tuples: make_tuple(i, temperature=..., ...)."""
-    return reading
+    return weather_reading
 
 
 @pytest.fixture

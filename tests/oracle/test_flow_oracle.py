@@ -59,7 +59,7 @@ SOUND_KINDS = ("filter", "virtual", "transform", "cull")
 POISON_KINDS = ("errtransform", "errvirtual")
 POISON_TEMPERATURE = 20.0
 
-BATCH_SIZES = (1, 3, 16, 32)
+BATCH_SIZES = (1, 2, 3, 7, 16, 32)
 SAMPLING_RATES = (None, 0.0, 0.5)
 DOWN = "target node 'hub' is down"
 
@@ -200,7 +200,6 @@ def chains_of(kinds, min_size, max_size):
 chains = chains_of(SOUND_KINDS + POISON_KINDS, 0, 5)
 clean_temperatures = st.floats(min_value=-20.0, max_value=45.0,
                                allow_nan=False, allow_infinity=False)
-clean_streams = st.lists(clean_temperatures, min_size=1, max_size=64)
 temperature_streams = st.lists(
     st.one_of(clean_temperatures, st.just(POISON_TEMPERATURE)),
     min_size=1, max_size=64,

@@ -320,6 +320,9 @@ _GAP = [_reading(None)] * 11
 # Evicting the maximum leaves it stale until the flush recomputes it.
 @example(drawn=[_reading(v) for v in (50.0, 1.0, 2.0, 3.0)],
          config=_config("MAX", max_cache=3))
+# Evicting the only reading at one place shrinks the bounding box.
+@example(drawn=[_reading(0.0), *[{**_reading(0.0), "where": 1}] * 3],
+         config=_config("COUNT", max_cache=3))
 # Accumulators rebuilt from a checkpoint, then kept running.
 @example(drawn=[_reading(0.5), _reading(2.0, flush=True, restore=True),
                 _reading(NAN), *_GAP, _reading(4.0, restore=True)],

@@ -40,29 +40,14 @@ from repro.streams.transform import TransformOperator, ValidateOperator
 from repro.streams.trigger import TriggerOffOperator, TriggerOnOperator
 from repro.streams.tuple import SensorTuple, TupleBatch
 from repro.streams.virtual import VirtualPropertyOperator
-from repro.stt.event import SttStamp
 from repro.stt.spatial import Box, Point
+from tests.builders import weather_reading
 from tests.oracle.test_flush_oracle import observed
 from tests.oracle.test_kernel_oracle import _observe
 
 
-def reading(seq: int = 0, temperature=20.0, humidity=0.6,
-            station="station-1", time: "float | None" = None,
-            lat: float = 34.69, lon: float = 135.50,
-            themes: tuple = ("weather/temperature",),
-            source: str = "sensor-1", **extra) -> SensorTuple:
-    """A weather reading; an attribute given as ``...`` is left out."""
-    payload = {"temperature": temperature, "humidity": humidity,
-               "station": station, **extra}
-    return SensorTuple(
-        payload={k: v for k, v in payload.items() if v is not ...},
-        stamp=SttStamp(time=float(seq) if time is None else time,
-                       location=Point(lat, lon), themes=themes),
-        source=source, seq=seq)
-
-
 def W(**changes) -> dict:
-    """The payload of ``reading(**changes)``."""
+    """The payload of ``weather_reading(**changes)``."""
     return {k: v for k, v in
             {"temperature": 20.0, "humidity": 0.6, "station": "station-1",
              **changes}.items() if v is not ...}
@@ -391,7 +376,7 @@ def _messages(feed, repeat: int = 1):
             continue
         fields = dict(item)
         port = fields.pop("port", 0)
-        t = reading(seq, **fields)
+        t = weather_reading(seq, **fields)
         seq += 1
         if messages and not isinstance(messages[-1], float) \
                 and messages[-1][0] == port:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import PubSubError
-from repro.pubsub.subscription import Subscription, SubscriptionFilter
+from repro.pubsub.subscription import (
+    DEAD_LETTER_CAPACITY,
+    Subscription,
+    SubscriptionFilter,
+)
 from repro.streams.tuple import TupleBatch
 from repro.stt.spatial import Box
 from repro.stt.thematic import Theme
@@ -87,3 +91,10 @@ class TestSubscriptionDelivery:
     def test_unique_ids(self):
         a, b = listening(lambda t: None), listening(lambda t: None)
         assert a.subscription_id != b.subscription_id
+
+    def test_dead_letter_queue_keeps_the_newest_in_order(self, make_tuple):
+        subscription = listening(lambda t: None)
+        for seq in range(DEAD_LETTER_CAPACITY + 5):
+            subscription.dead_letter(make_tuple(seq), "lost", float(seq))
+        assert [letter.tuple.seq for letter in subscription.dead_letters] == (
+            list(range(5, DEAD_LETTER_CAPACITY + 5)))

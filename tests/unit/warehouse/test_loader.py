@@ -15,7 +15,7 @@ from repro.stt.temporal import align_instant
 from repro.warehouse.dimensions import SpaceMember, TimeMember
 from repro.warehouse.facts import EventFact
 from repro.warehouse.loader import EventWarehouse
-from tests.oracle.test_table1_spec import reading
+from tests.builders import weather_reading
 
 
 @pytest.fixture
@@ -182,9 +182,9 @@ def _assert_matches(warehouse, reference, label):
         (hour, float(np.asarray(sums[hour]).sum())) for hour in sorted(sums)]
 
 
-#: Drawn rows' payloads, over ``reading()``'s temperature, humidity and
-#: station (``...`` leaves one out): measure and attribute name sequences
-#: that repeat, differ in order only, or quarantine the row.
+#: Drawn rows' payloads, over ``weather_reading()``'s temperature,
+#: humidity and station (``...`` leaves one out): measure and attribute
+#: name sequences that repeat, differ in order only, or quarantine the row.
 _SHAPES = [
     {},
     {"reading": math.nan},
@@ -226,8 +226,8 @@ class TestReferenceEquivalence:
         for message in messages:
             members = []
             for shape, source in message:
-                members.append(reading(seq, time=seq * 900.0, source=source,
-                                       **_SHAPES[shape]))
+                members.append(weather_reading(
+                    seq, time=seq * 900.0, source=source, **_SHAPES[shape]))
                 reference.load(members[-1], value_attribute)
                 seq += 1
             warehouse.load(members[0] if len(members) == 1
