@@ -6,11 +6,12 @@ a process-wide registry of named metric families, each instantiated per
 label set (``operator=...``, ``node=...``, ``source=...``), with a text
 exposition format for scraping/diffing and a JSON snapshot for artifacts.
 
-Instruments are deliberately plain objects — ``inc``/``set``/``observe``
-are attribute updates, cheap enough for per-tuple hot paths.  Callers that
-sit on a hot path fetch their instrument **once** (the registry
-get-or-creates) and hold the reference; the registry lookup never recurs
-per tuple.
+A count the data plane already keeps (an operator's ``tuples_in``, the
+broker's retries, the simulator's traffic, the monitor's series and log)
+is *read* at scrape time through a :class:`Reading`, never counted
+twice.  Counts no other layer keeps use ``inc``/``set``/``observe``,
+plain attribute updates whose callers fetch the instrument **once** (the
+registry get-or-creates) and hold the reference.
 
 Histograms use fixed, caller-chosen bucket boundaries (cumulative counts,
 Prometheus-style ``le`` semantics) so snapshots from different runs are
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import json
+from typing import Callable
 
 from repro.errors import StreamLoaderError
 
@@ -84,6 +86,20 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
+
+
+class Reading:
+    """A read-only counter or gauge: its value is ``read()``, the count
+    its owner keeps (never going down, for a counter), as a float."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: "Callable[[], float]") -> None:
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return float(self.read())
 
 
 class Histogram:
@@ -160,6 +176,16 @@ class MetricsRegistry:
         if instrument is None:
             instrument = instruments[key] = Gauge()
         return instrument  # type: ignore[return-value]
+
+    def reader(self, name: str, kind: str, read: "Callable[[], float]",
+               help_: str = "", **labels: str) -> Reading:
+        """Register ``read`` as the ``kind`` ("counter" or "gauge")
+        instrument of ``name`` under ``labels``, replacing any there."""
+        if kind not in ("counter", "gauge"):
+            raise StreamLoaderError(f"a reading is a counter or gauge: {kind}")
+        reading = Reading(read)
+        self._family(name, kind, help_)[_labelset(labels)] = reading
+        return reading
 
     def histogram(
         self,

@@ -21,6 +21,7 @@ is surfaced through the monitor instead of vanishing silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.errors import PubSubError, UnknownSensorError
@@ -125,7 +126,8 @@ class BrokerNetwork:
         #: ``publish`` span and the context rides the tuple from there.
         #: Assigning the ``obs`` property (also after construction — the
         #: executor attaches its bundle to a bare broker network) caches
-        #: the hot-path counter instruments.
+        #: the hot-path instruments and lets the registry read the retry
+        #: and dead-letter tallies below.
         self.obs = obs
         self._brokers: dict[str, Broker] = {}
         #: sensor_id -> matching route entries.  An entry is either a
@@ -158,14 +160,15 @@ class BrokerNetwork:
         self._obs = value
         self._published_counters: dict[str, object] = {}
         if value is None:
-            self._retry_counter = None
-            self._dead_letter_counter = None
             return
-        self._retry_counter = value.metrics.counter(
-            "broker_retries_total", "data-message redelivery attempts"
+        value.metrics.reader(
+            "broker_retries_total", "counter",
+            partial(getattr, self, "data_messages_retried"),
+            "data-message redelivery attempts",
         )
-        self._dead_letter_counter = value.metrics.counter(
-            "broker_dead_letters_total",
+        value.metrics.reader(
+            "broker_dead_letters_total", "counter",
+            partial(getattr, self, "data_messages_dead_lettered"),
             "tuples dead-lettered after retry exhaustion",
         )
         self._batch_size_histogram = value.metrics.histogram(
@@ -555,7 +558,6 @@ class BrokerNetwork:
             self.data_messages_retried += 1
             backoff = self.retry_policy.backoff(next_attempt)
             if obs is not None:
-                self._retry_counter.inc()
                 tagged = (
                     {"batch": units} if type(payload) is TupleBatch else {}
                 )
@@ -575,15 +577,13 @@ class BrokerNetwork:
             return
         for tuple_ in message_members(payload):
             self.data_messages_dead_lettered += 1
-            if obs is not None:
-                self._dead_letter_counter.inc()
-                if tuple_.trace is not None:
-                    obs.tracer.span(
-                        tuple_.trace, "dead-letter", now,
-                        subscription=subscription.subscription_id,
-                        to=subscription.node_id,
-                        reason=reason,
-                    )
+            if obs is not None and tuple_.trace is not None:
+                obs.tracer.span(
+                    tuple_.trace, "dead-letter", now,
+                    subscription=subscription.subscription_id,
+                    to=subscription.node_id,
+                    reason=reason,
+                )
             subscription.dead_letter(tuple_, reason, failed_at=now)
             if self.on_dead_letter is not None:
                 self.on_dead_letter(subscription, tuple_, reason)

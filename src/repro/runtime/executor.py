@@ -526,6 +526,20 @@ class Executor:
         process = OperatorProcess(
             process_id, operator, node_id, self.netsim, obs=self.obs
         )
+        if self.obs is not None:
+            # The registry reads each hosted operator's own count; a fused
+            # chain's members keep the process labels they carry unfused.
+            hosted = (
+                zip(unit.services, operator.members)
+                if unit.role == CHAIN else ((unit.key, operator),)
+            )
+            for key, hosted_operator in hosted:
+                self.obs.metrics.reader(
+                    "process_tuples_total", "counter",
+                    partial(getattr, hosted_operator.stats, "tuples_in"),
+                    "tuples received by an operator process",
+                    process=f"{deployment.name}:{key}",
+                )
         if operator.checkpointable:
             process.enable_checkpoints(self.checkpoint_interval)
         process.placement_demand = unit.demand
@@ -562,13 +576,7 @@ class Executor:
                 if self.obs is not None:
                     operator.lineage = self.obs.lineage
                 members.append(operator)
-            fused = FusedOperator(members, name=unit.key)
-            if self.obs is not None:
-                fused.bind_obs(
-                    self.obs.metrics,
-                    [f"{program.name}:{name}" for name in unit.services],
-                )
-            return fused
+            return FusedOperator(members, name=unit.key)
         service = program.service(unit.service)
         if unit.role in (SHARD, MERGE):
             members = deployment.plan.groups[service.name].members

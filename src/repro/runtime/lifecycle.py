@@ -65,6 +65,9 @@ def replace_operator_live(deployment, service_name: str, new_spec) -> None:
     process = deployment.processes[service_name]
     was_blocking = process.operator.is_blocking
     new_operator = new_spec.build_operator()
+    # The service's counts outlive its logic: the rate, the load and the
+    # metrics registry read this one stats object.
+    new_operator.stats = process.operator.stats
     if new_spec.kind in ("trigger-on", "trigger-off"):
         new_operator.control = deployment.apply_control
 

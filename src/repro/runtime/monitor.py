@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from repro.network.netsim import NetworkSimulator
@@ -87,9 +88,9 @@ class Monitor:
         #: Missed-beat thresholds, in heartbeat intervals.
         self.suspect_after = suspect_after
         self.dead_after = dead_after
-        #: Observability bundle; when set, every series this monitor keeps
-        #: is also published through the metrics registry, and
-        #: heartbeat/dead-letter/assignment events become counters.
+        #: Observability bundle; when set, the metrics registry reads every
+        #: series this monitor keeps, the traffic counts and the execution
+        #: log's event counts, and heartbeats become counters.
         self.obs = obs
         #: Retention cap applied to every TimeSeries this monitor creates.
         self.max_series_points = max_series_points
@@ -97,10 +98,6 @@ class Monitor:
         #: surfaces firing rules on the dashboard.
         self.alerts = None
         self._heartbeat_counters: dict[str, object] = {}
-        self._rate_gauges: dict[str, object] = {}
-        self._util_gauges: dict[str, object] = {}
-        #: event -> the counter each record of it increments.
-        self._counters: dict[str, object] = {}
         if obs is not None:
             for events, name, help_text in (
                 (("dead-letter",), "monitor_dead_letters_total",
@@ -112,8 +109,29 @@ class Monitor:
                 (KEY_MOVES, "monitor_key_migrations_total",
                  "elastic-sharding key migrations and hot-key splits"),
             ):
-                counter = obs.metrics.counter(name, help_text)
-                self._counters.update(dict.fromkeys(events, counter))
+                obs.metrics.reader(
+                    name, "counter",
+                    lambda events=events: len(self.records(*events)),
+                    help_text,
+                )
+            for name, help_text in (
+                ("messages_sent", "messages handed to the simulator"),
+                ("messages_delivered", "messages delivered"),
+                ("messages_dropped", "messages lost in the network"),
+                ("tuples_sent", "payload tuples handed to the simulator "
+                                "(batches unrolled)"),
+                ("tuples_delivered",
+                 "payload tuples delivered (batches unrolled)"),
+            ):
+                obs.metrics.reader(
+                    f"network_{name}", "gauge",
+                    lambda name=name: getattr(self.netsim.stats, name),
+                    help_text,
+                )
+            obs.metrics.reader(
+                "network_link_bytes", "gauge", netsim.total_link_bytes,
+                "total bytes moved across all links",
+            )
         #: (deployment, process) -> tuples/sec series.
         self.operation_rates: dict[str, TimeSeries] = {}
         #: node -> utilization series.
@@ -173,9 +191,6 @@ class Monitor:
         self.logs.append(LogRecord(
             self.netsim.clock.now, source, event, detail, facts
         ))
-        counter = self._counters.get(event)
-        if counter is not None:
-            counter.inc()
 
     def records(self, *events: str) -> list[LogRecord]:
         """The log's records of the given events, in log order."""
@@ -216,58 +231,32 @@ class Monitor:
                 key = f"{deployment}/{process.process_id}"
                 series = self.operation_rates.get(key)
                 if series is None:
-                    series = self.operation_rates[key] = TimeSeries(
-                        name=key, max_points=self.max_series_points
+                    series = self.operation_rates[key] = self._series(
+                        key, "operation_tuples_per_second",
+                        "tuples each operation handles per second",
+                        process=key,
                     )
                 series.record(now, process.rate.rate)
-                if obs is not None:
-                    gauge = self._rate_gauges.get(key)
-                    if gauge is None:
-                        gauge = self._rate_gauges[key] = obs.metrics.gauge(
-                            "operation_tuples_per_second",
-                            "tuples each operation handles per second",
-                            process=key,
-                        )
-                    gauge.set(process.rate.rate)
         for node in self.netsim.topology.nodes:
             series = self.node_utilization.get(node.node_id)
             if series is None:
-                series = self.node_utilization[node.node_id] = TimeSeries(
-                    name=node.node_id, max_points=self.max_series_points
+                series = self.node_utilization[node.node_id] = self._series(
+                    node.node_id, "node_utilization",
+                    "fraction of a node's capacity in use",
+                    node=node.node_id,
                 )
             series.record(now, node.utilization)
-            if obs is not None:
-                gauge = self._util_gauges.get(node.node_id)
-                if gauge is None:
-                    gauge = self._util_gauges[node.node_id] = obs.metrics.gauge(
-                        "node_utilization",
-                        "fraction of a node's capacity in use",
-                        node=node.node_id,
-                    )
-                gauge.set(node.utilization)
-        if obs is not None:
-            stats = self.netsim.stats
-            metrics = obs.metrics
-            metrics.gauge(
-                "network_messages_sent", "messages handed to the simulator"
-            ).set(stats.messages_sent)
-            metrics.gauge(
-                "network_messages_delivered", "messages delivered"
-            ).set(stats.messages_delivered)
-            metrics.gauge(
-                "network_messages_dropped", "messages lost in the network"
-            ).set(stats.messages_dropped)
-            metrics.gauge(
-                "network_tuples_sent",
-                "payload tuples handed to the simulator (batches unrolled)",
-            ).set(stats.tuples_sent)
-            metrics.gauge(
-                "network_tuples_delivered",
-                "payload tuples delivered (batches unrolled)",
-            ).set(stats.tuples_delivered)
-            metrics.gauge(
-                "network_link_bytes", "total bytes moved across all links"
-            ).set(self.netsim.total_link_bytes())
+
+    def _series(self, name: str, metric: str, help_text: str,
+                **labels: str) -> TimeSeries:
+        """A new series; the metrics registry reads its last point."""
+        series = TimeSeries(name=name, max_points=self.max_series_points)
+        if self.obs is not None:
+            self.obs.metrics.reader(
+                metric, "gauge", partial(getattr, series, "last"), help_text,
+                **labels,
+            )
+        return series
 
     # -- failure detection -----------------------------------------------------------
 

@@ -89,22 +89,11 @@ class OperatorProcess:
         #: Observability bundle (``repro.obs.Observability``); spans are
         #: recorded only for tuples already carrying a trace context.
         self.obs = obs
-        self._tuples_counter = None
         #: Latency-plane probe (``repro.obs.latency.ProcessProbe``);
         #: installed by the executor only when the plane exists, so the
         #: per-tuple cost of an absent SLO plane is one ``is None`` check
         #: inside the existing ``obs is not None`` branch.
         self._probe = None
-        if obs is not None and not getattr(operator, "owns_tuple_metrics", False):
-            # A fused chain reports ``process_tuples_total`` under its
-            # *member* process labels (``FusedOperator.bind_obs``), not a
-            # collapsed ``a+b+c`` label — per-operator counts must
-            # survive the process renaming.
-            self._tuples_counter = obs.metrics.counter(
-                "process_tuples_total",
-                "tuples received by an operator process",
-                process=process_id,
-            )
         self.routes: list[Route] = []
         self.rate = RateEstimator()
         #: Deploy-time demand estimate (cost-units/s) the placement was
@@ -288,8 +277,6 @@ class OperatorProcess:
             emitted = operator.on_tuple(payload, port=port)
         obs = self.obs
         if obs is not None:
-            if self._tuples_counter is not None:
-                self._tuples_counter.inc(count)
             probe = self._probe
             if probe is not None:
                 low, high = message_stamp_span(payload)

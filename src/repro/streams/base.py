@@ -45,7 +45,9 @@ class ControlCommand:
 
 @dataclass
 class OperatorStats:
-    """Per-operator counters the monitor reads."""
+    """Per-operator counts, which never go down: a process keeps one
+    stats object for life (a restore catches it up, a swap hands it on),
+    and the monitor, the rebalancer and the metrics registry read it."""
 
     tuples_in: int = 0
     tuples_out: int = 0
@@ -163,6 +165,8 @@ class Operator:
 
         Tuples absorbed after the snapshot was taken are discarded — this
         is exactly the at-most-once recovery bound the runtime documents.
+        The counts are not state and never rewind: a fresh operator
+        resumes from the snapshot's, a live one keeps its own.
 
         Raises:
             CheckpointError: if ``state`` is not a checkpoint of a
@@ -172,7 +176,9 @@ class Operator:
             raise CheckpointError(
                 f"{self.name}: malformed checkpoint {state!r}"
             )
-        self.stats = OperatorStats(**state["stats"])
+        stats = self.stats
+        for name, value in OperatorStats(**state["stats"]).snapshot().items():
+            setattr(stats, name, max(value, getattr(stats, name)))
 
     def describe(self) -> str:
         """One-line summary, shown in the designer and in DSN comments."""

@@ -18,10 +18,11 @@ Member semantics are preserved exactly:
 - error quarantine stays per member — a tuple that fails inside member
   *k* is counted in member *k*'s ``stats.errors`` and dropped there,
   never reaching member *k+1*;
-- with observability bound (:meth:`FusedOperator.bind_obs`), the
-  per-member ``process_tuples_total`` counters keep their *member*
-  process labels, so the metrics output is indistinguishable from an
-  unfused run even though only one process exists.
+- the metrics registry reads each member's ``stats.tuples_in`` as
+  ``process_tuples_total`` under the *member* process label (the
+  executor registers the readings), so the metrics output is
+  indistinguishable from an unfused run even though only one process
+  exists.
 
 A chain has two kernels and picks between them per message from what it
 observes, never from a switch.  The row kernel (``_process``: one tuple
@@ -35,7 +36,7 @@ emits a :class:`~repro.streams.columnar.LazyRows` view — rows
 re-materialize to :class:`SensorTuple` only when a consumer reads them
 (the hosting process forwarding to blocking/sink/sharded routes), never
 between members and never for output nobody consumes.  Per-member
-stats, counters, and error quarantine are those of the row kernel,
+stats and error quarantine are those of the row kernel,
 which the operator-level kernel oracle and the deployed flow oracle
 pin.
 """
@@ -65,12 +66,6 @@ class FusedOperator(NonBlockingOperator):
     truth.
     """
 
-    #: The hosting process must not register its own
-    #: ``process_tuples_total`` counter: the fused chain reports per
-    #: *member* labels through :meth:`bind_obs` instead, so a fused run
-    #: and an unfused run expose identical counter families.
-    owns_tuple_metrics = True
-
     def __init__(self, members: "Sequence[Operator]", name: str = "") -> None:
         if len(members) < 2:
             raise StreamLoaderError(
@@ -92,37 +87,12 @@ class FusedOperator(NonBlockingOperator):
         #: The whole chain's work is charged to the hosting node in one
         #: ``account_work`` call, so the fused cost is the members' sum.
         self.cost_per_tuple = sum(m.cost_per_tuple for m in self.members)
-        self._member_counters: "list[object] | None" = None
         self._columnar_steps = [
             getattr(m, "columnar_step", None) for m in self.members
         ]
         self._columnar_capable = all(
             step is not None for step in self._columnar_steps
         )
-
-    # -- observability -----------------------------------------------------
-
-    def bind_obs(self, metrics, member_process_ids: "Sequence[str]") -> None:
-        """Register per-member ``process_tuples_total`` counters.
-
-        ``member_process_ids`` are the process ids the members *would*
-        have carried unfused (``"<program>:<service>"``); labelling the
-        counters with them keeps the metrics output identical to an
-        unfused run of the same flow.
-        """
-        if len(member_process_ids) != len(self.members):
-            raise StreamLoaderError(
-                f"{self.name}: {len(member_process_ids)} process ids for "
-                f"{len(self.members)} members"
-            )
-        self._member_counters = [
-            metrics.counter(
-                "process_tuples_total",
-                "tuples received by an operator process",
-                process=process_id,
-            )
-            for process_id in member_process_ids
-        ]
 
     # -- data path ---------------------------------------------------------
 
@@ -133,12 +103,9 @@ class FusedOperator(NonBlockingOperator):
         # exists to remove.  The ``on_tuple`` bookkeeping is reproduced
         # inline — per-member tuples_in/out counts and per-member error
         # quarantine stay identical to an unfused run.
-        counters = self._member_counters
         out = [tuple_]
-        for index, member in enumerate(self.members):
+        for member in self.members:
             count = len(out)
-            if counters is not None:
-                counters[index].inc(count)
             stats = member.stats
             stats.tuples_in += count
             if count == 1:
@@ -184,17 +151,13 @@ class FusedOperator(NonBlockingOperator):
 
     def _process_columnar(self, col: ColumnarBatch) -> "Sequence[SensorTuple]":
         # Member-major where ``_process`` is tuple-major, with the same
-        # per-member totals: counter + tuples_in before the step, errors
-        # and tuples_out after, early exit on an empty selection.
-        counters = self._member_counters
+        # per-member totals: tuples_in before the step, errors and
+        # tuples_out after, early exit on an empty selection.
         sel: "Sequence[int]" = range(col.count)
-        for index, member in enumerate(self.members):
-            count = len(sel)
-            if counters is not None:
-                counters[index].inc(count)
+        for member, step in zip(self.members, self._columnar_steps):
             stats = member.stats
-            stats.tuples_in += count
-            sel, errors = self._columnar_steps[index](col, sel)
+            stats.tuples_in += len(sel)
+            sel, errors = step(col, sel)
             if errors:
                 stats.errors += errors
             stats.tuples_out += len(sel)

@@ -22,7 +22,9 @@ from repro.dataflow.ops import (
 from repro.network.topology import Topology
 from repro.runtime.lifecycle import DeploymentState
 from repro.runtime.monitor import KEY_MOVES
-from repro.runtime.rebalance import RebalanceConfig, RebalanceDecision
+from repro.runtime.rebalance import (
+    RebalanceConfig, RebalanceDecision, ShardLoadMonitor,
+)
 from repro.scenario import (
     build_stack,
     osaka_scenario_flow,
@@ -279,6 +281,10 @@ class TestShardFaultMatrix:
 
     def test_kill_one_shard_recovers_only_its_groups(self, baseline):
         netsim, deployment = self._deploy()
+        loads = ShardLoadMonitor(deployment.shard_groups["station-avg"])
+        epochs = []
+        netsim.clock.schedule_periodic(
+            30.0, lambda: epochs.append(loads.sample()))
         netsim.clock.run_until(self.KILL_AT)
         index, victim, siblings = self._victim_shard(deployment)
         victim_node = victim.node_id
@@ -297,6 +303,8 @@ class TestShardFaultMatrix:
         # The documented loss/perturbation bound: the victim's groups in
         # windows overlapping the outage.
         assert_converged(by_key(deployment), baseline, in_outage(self, index))
+        # The restore did not rewind the victim's count: no load < 0.
+        assert min(map(min, epochs)) >= 0
 
     def test_kill_merge_stage_restores_pending_epochs(self, baseline):
         netsim, deployment = self._deploy()

@@ -107,15 +107,20 @@ class TestEndToEndTracing:
 
 
 class TestMetricsIntegration:
-    def test_monitor_series_flow_into_the_registry(self, obs):
+    def test_monitor_series_flow_into_the_registry(self, observed_stack, obs):
         snap = obs.metrics.snapshot()
         rates = {
             s["labels"]["process"]: s["value"]
             for s in snap["operation_tuples_per_second"]["series"]
         }
         assert any(rate > 0 for rate in rates.values())
-        assert snap["network_messages_delivered"]["series"][0]["value"] > 0
         assert snap["monitor_heartbeats_total"]["series"]
+        # The exposition agrees with the dashboard: both read the network.
+        network = observed_stack[0].executor.monitor.report()["network"]
+        del network["mean_delay"]
+        assert network["messages_delivered"] > 0
+        assert {name: obs.metrics.get(f"network_{name}").value
+                for name in network} == network
 
     def test_broker_publish_counters_by_source(self, obs):
         snap = obs.metrics.snapshot()

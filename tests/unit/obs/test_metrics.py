@@ -178,3 +178,18 @@ class TestRegistry:
         assert snap["c"]["series"][0] == {"labels": {"node": "n0"},
                                           "value": 1.0}
         assert snap["h"]["series"][0]["count"] == 1
+
+    def test_reading_reads_its_owner_at_scrape_time(self, reg):
+        owner = {"count": 0}
+        reading = reg.reader("seen_total", "counter", lambda: owner["count"],
+                             "tuples seen", node="n0")
+        owner["count"] = 229
+        assert 'seen_total{node="n0"} 229\n' in reg.expose()
+        assert reg.snapshot()["seen_total"]["series"][0]["value"] == 229.0
+        assert reg.values("seen_total") == [({"node": "n0"}, 229.0)]
+        assert reg.get("seen_total", node="n0") is reading
+        assert repr(reading.value) == "229.0"
+        with pytest.raises(StreamLoaderError):
+            reg.reader("seen_total", "gauge", lambda: 0)
+        with pytest.raises(StreamLoaderError):
+            reg.reader("other", "histogram", lambda: 0)

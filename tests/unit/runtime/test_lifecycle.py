@@ -20,10 +20,15 @@ class TestReplaceOperator:
         stack.run_until(13 * 3600.0)
         before = len(deployment.collected("out"))
         assert before > 0
+        stats = deployment.process("hot").operator.stats
+        seen = stats.tuples_in
         # Tighten the filter to something nothing passes.
         replace_operator_live(deployment, "hot", FilterSpec("temperature > 99"))
         stack.run_until(15 * 3600.0)
         assert len(deployment.collected("out")) == before
+        # The service's counts continue across the swap.
+        assert deployment.process("hot").operator.stats is stats
+        assert stats.tuples_in > seen
 
     def test_process_keeps_node_and_routes(self, stack, deployment):
         node_before = deployment.process("hot").node_id

@@ -2,14 +2,17 @@
 
 import pytest
 
+from tests.builders import executor_stack, pipeline, sensor_metadata
+from repro.dataflow.ops import FilterSpec, TransformSpec
 from repro.errors import CheckpointError, StreamLoaderError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import Observability
 from repro.streams.aggregate import AggregationOperator
 from repro.streams.cull import CullTimeOperator
 from repro.streams.filter import FilterOperator
 from repro.streams.fused import FUSED_NAME_SEPARATOR, FusedOperator
 from repro.streams.join import JoinOperator
 from repro.streams.transform import TransformOperator
+from repro.streams.tuple import TupleBatch
 from repro.streams.virtual import VirtualPropertyOperator
 
 
@@ -160,47 +163,45 @@ class TestMetricsLabels:
     dashboard keyed on operator names.
     """
 
-    def test_counters_keep_member_labels(self, make_tuple, fused):
-        metrics = MetricsRegistry()
-        fused.bind_obs(metrics, ["prog:keep", "prog:ident"])
-        fused.on_tuple(make_tuple(0, temperature=26.0))
-        fused.on_tuple(make_tuple(1, temperature=20.0))
+    @staticmethod
+    def deployed():
+        """The chain deployed with observability: its process, registry."""
+        obs = Observability(sampling=0.0)
+        _, _, executor = executor_stack(None, sensor_metadata("s"), obs=obs)
+        deployment = executor.deploy(pipeline(
+            "prog", ("keep", FilterSpec("temperature > 24")),
+            ("ident", TransformSpec({"double": "temperature * 2"}))))
+        process = deployment.processes[f"keep{FUSED_NAME_SEPARATOR}ident"]
+        return process, obs.metrics
+
+    def test_counters_keep_member_labels(self, make_tuple):
+        process, metrics = self.deployed()
+        process.receive(make_tuple(0, temperature=26.0))
+        process.receive(make_tuple(1, temperature=20.0))
         head = metrics.get("process_tuples_total", process="prog:keep")
         tail = metrics.get("process_tuples_total", process="prog:ident")
         assert head is not None and head.value == 2
         assert tail is not None and tail.value == 1
 
-    def test_no_fused_label_is_registered(self, make_tuple, fused):
-        metrics = MetricsRegistry()
-        fused.bind_obs(metrics, ["prog:keep", "prog:ident"])
-        fused.on_batch([make_tuple(0, temperature=26.0)])
+    def test_no_fused_label_is_registered(self, make_tuple):
+        process, metrics = self.deployed()
+        process.receive(TupleBatch.of([make_tuple(0, temperature=26.0)]))
         fused_label = f"prog:keep{FUSED_NAME_SEPARATOR}ident"
         assert metrics.get("process_tuples_total", process=fused_label) is None
-        assert FUSED_NAME_SEPARATOR not in metrics.expose().replace(
-            "process_tuples_total", "")
+        assert [labels["process"] for labels, _ in metrics.values(
+            "process_tuples_total")] == ["prog:ident", "prog:keep", "prog:out"]
 
     def test_batch_counts_match_tuple_counts(self, make_tuple):
         tuples = [make_tuple(i, temperature=20.0 + i) for i in range(8)]
         for feed in ("tuple", "batch"):
-            fused = _chain()
-            metrics = MetricsRegistry()
-            fused.bind_obs(metrics, ["prog:keep", "prog:ident"])
+            process, metrics = self.deployed()
             if feed == "tuple":
                 for tuple_ in tuples:
-                    fused.on_tuple(tuple_)
+                    process.receive(tuple_)
             else:
-                fused.on_batch(list(tuples))
+                process.receive(TupleBatch.of(tuples))
             head = metrics.get("process_tuples_total", process="prog:keep")
             tail = metrics.get("process_tuples_total", process="prog:ident")
             assert head.value == 8
             assert tail.value == sum(
                 1 for t in tuples if t["temperature"] > 24)
-
-    def test_bind_obs_arity_checked(self, fused):
-        with pytest.raises(StreamLoaderError, match="process ids"):
-            fused.bind_obs(MetricsRegistry(), ["prog:keep"])
-
-    def test_owns_tuple_metrics_flag(self):
-        # The hosting OperatorProcess keys off this attribute to skip its
-        # own counter registration.
-        assert FusedOperator.owns_tuple_metrics is True
