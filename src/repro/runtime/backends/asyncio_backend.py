@@ -20,12 +20,16 @@ and time advances one deadline ("epoch") at a time —
 2. fire every callback scheduled at exactly that instant — timers and
    deliveries alike — in the simulator's (time, sequence) order,
 3. post what those callbacks submitted up to the first full mailbox, one
-   task wake per process (the driver posts the rest, waiting for room),
+   task wake per process (the driver posts the rest, waiting for room);
+   but a *lone delivery* — the epoch's only message, to a process that is
+   idle (parked, mailbox empty) — has nothing to run beside, so whoever
+   ran the epoch handles it in place and posts what that submitted,
 4. **barrier**: the next epoch waits until nothing is in flight; the host
    task that empties it runs that epoch itself (the *relay*), so a woken
-   process costs one loop turn — the driver (``run_until``) wakes only to
-   pace, wait for room, reap, stop or raise.  An epoch that submitted
-   nothing skips 3 and 4 and never touches the event loop.
+   process costs one loop turn and a lone delivery none — the driver
+   (``run_until``) wakes only to pace, wait for room, reap, stop or
+   raise.  An epoch that leaves nothing posted skips 4 and never touches
+   the event loop.
 
 Inside an epoch, the woken processes run concurrently in whatever order
 the event loop schedules them — that is the genuinely asynchronous (and
@@ -497,6 +501,19 @@ class AsyncBackend(ExecutionBackend):
                 return delay
             self._executed += clock._run_epoch(
                 deadline, self._budget - self._executed)
+            staged = self._staged_mail
+            if len(staged) == 1:
+                host, (payload, port) = staged[0]
+                if host.parked is not None and host.alive:
+                    # A lone delivery to an idle host (parked, so its
+                    # mailbox is empty) has nothing to run beside: handle
+                    # it here, with no wake and no loop turn.
+                    staged.clear()
+                    host.high_water = host.high_water or 1
+                    try:
+                        host.receive(payload, port)
+                    except Exception as exc:  # as in _host_loop
+                        self._failure = self._failure or exc
             if self._staged_mail:
                 self._tail = self._post()
         return 0.0
@@ -576,6 +593,8 @@ class AsyncBackend(ExecutionBackend):
                 asyncio.gather(*pending, return_exceptions=True)
             )
         self._loop.close()
+        for host in self._hosts.values():
+            host.process.__dict__.pop("receive", None)  # as _unhost does
         self._hosts.clear()
         self._staged_mail.clear()
         self.closed = True

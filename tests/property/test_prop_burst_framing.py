@@ -24,7 +24,7 @@ from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, JoinSpec
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
-from repro.runtime.backends import AsyncBackend, SimBackend
+from repro.runtime.backends import backend_from_name
 from repro.runtime.sharding import ShardGroup
 from repro.scenario import build_stack
 from repro.streams.shard import ShardMergeOperator
@@ -136,12 +136,9 @@ def _run(backend_name: str, flow: Dataflow, shards, streams: dict,
     topology.add_node("hub")
     topology.add_node("lost")
     topology.add_link("hub", "lost")
-    if backend_name == "async":
-        backend = AsyncBackend(topology=topology, max_wall=MAX_WALL_SECONDS)
-    else:
-        backend = SimBackend(topology=topology)
-    stack = build_stack(attach_fleet=False, backend=backend)
-    with stack:
+    backend = backend_from_name(backend_name, topology=topology,
+                                max_wall=MAX_WALL_SECONDS)
+    with build_stack(attach_fleet=False, backend=backend) as stack:
         network = stack.broker_network
         for sensor_id, (sensor_type, _) in streams.items():
             network.publish(_metadata(sensor_id, sensor_type, "hub"))

@@ -32,11 +32,9 @@ class TestBackendRegistry:
     def test_names_resolve(self):
         sim = backend_from_name("sim", topology=Topology.star(leaf_count=2))
         assert sim.name == "sim"
-        asy = backend_from_name("async", topology=Topology.star(leaf_count=2))
-        try:
+        with backend_from_name("async", topology=Topology.star(
+                leaf_count=2)) as asy:
             assert asy.name == "async"
-        finally:
-            asy.close()
 
     def test_unknown_name_rejected(self):
         with pytest.raises(StreamLoaderError, match="unknown backend"):
@@ -112,6 +110,15 @@ class TestAsyncBackendLifecycle:
         with pytest.raises(SimulationError, match="closed"):
             backend.run_until(1.0)
 
+    def test_close_unshadows_every_hosted_process(self):
+        backend = async_backend()
+        process = _FakeProcess()
+        backend.host_process(process)
+        backend.close()
+        process.receive("after close")  # handled, not staged
+        assert process.received == ["after close"]
+        assert not backend._staged_mail
+
     def test_wall_clock_exposed(self):
         with async_backend() as backend:
             first = backend.clock.wall_now
@@ -139,7 +146,7 @@ class TestAsyncBackendLifecycle:
 class _FakeProcess:
     """The surface AsyncBackend hosts: the receive pair plus identity."""
 
-    def __init__(self, node_id="edge-1", on_receive=None):
+    def __init__(self, node_id="edge-1", on_receive=lambda _: None):
         self.process_id = "fake"
         self.node_id = node_id
         self.received = []
@@ -147,8 +154,7 @@ class _FakeProcess:
 
     def receive(self, tuple_, port=0):
         self.received.append(tuple_)
-        if self._on_receive is not None:
-            self._on_receive(tuple_)
+        self._on_receive(tuple_)
 
 
 def _send_at(backend, process, when, count):
@@ -159,6 +165,34 @@ def _send_at(backend, process, when, count):
             backend.transport.send(
                 "edge-0", process.node_id, i, 10.0, process.receive)
     backend.clock.schedule_at(when, burst)
+
+
+def _record_calls(owner, name, note=lambda *args: None):
+    """Append ``note(*args)`` to the returned list on each later call of
+    ``owner.<name>``."""
+    calls, method = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(note(*args))
+        return method(*args, **kwargs)
+
+    setattr(owner, name, recording)
+    return calls
+
+
+def _call_soons(count):
+    """Loop callbacks scheduled by a run in which one instant mails
+    ``count`` messages to one parked process."""
+    with async_backend() as backend:
+        process = _FakeProcess()
+        backend.host_process(process)
+        backend.run_until(0.5)  # the host task starts and parks
+        _send_at(backend, process, 1.0, count)
+        scheduled = _record_calls(backend._loop, "call_soon")
+        backend.run_until(2.0)
+        assert process.received == list(range(count))
+        assert backend._hosts[id(process)].high_water == count
+        return len(scheduled)
 
 
 class TestMailbox:
@@ -173,25 +207,54 @@ class TestMailbox:
         assert not live_backends()
 
     def test_same_instant_burst_costs_one_wake(self):
-        def callbacks_for(count):
-            with async_backend() as backend:
-                process = _FakeProcess()
+        assert _call_soons(2) == _call_soons(64)
+
+    def test_lone_delivery_is_handled_in_place_without_a_wake(self):
+        assert _call_soons(1) == _call_soons(0)
+
+    def test_lone_delivery_raising_reaches_run_until_as_on_the_sim(self):
+        for backend in (SimBackend(topology=Topology.star(leaf_count=2)),
+                        async_backend()):
+            with backend:
+                process = _FakeProcess(on_receive=lambda _: 1 / 0)
                 backend.host_process(process)
-                backend.run_until(0.5)  # the host task starts and parks
-                _send_at(backend, process, 1.0, count)
-                scheduled = []
-                call_soon = backend._loop.call_soon
+                _send_at(backend, process, 1.0, 1)
+                with pytest.raises(ZeroDivisionError):
+                    backend.run_until(2.0)
 
-                def counting(callback, *args, **kwargs):
-                    scheduled.append(callback)
-                    return call_soon(callback, *args, **kwargs)
+    def test_lone_delivery_killing_its_own_node_matches_the_sim(self):
+        def received(backend):
+            with backend:
+                process = _FakeProcess(on_receive=lambda _: (
+                    len(process.received) == 3
+                    and backend.kill_node("edge-1")))
+                backend.host_process(process)
+                for n in range(5):
+                    _send_at(backend, process, 1.0 + n, 1)
+                backend.run_until(9.0)
+                return process.received
 
-                backend._loop.call_soon = counting
-                backend.run_until(2.0)
-                assert process.received == list(range(count))
-                return len(scheduled)
+        sim = SimBackend(topology=Topology.star(leaf_count=2))
+        assert received(async_backend()) == received(sim) == [0, 0, 0]
 
-        assert callbacks_for(1) == callbacks_for(64)
+    def test_lone_delivery_leaves_its_handlers_unposted_tail_to_the_driver(
+            self):
+        # The forwarder handles its lone message in place and mails two
+        # into a 1-slot mailbox: the driver, not a host, waits for room.
+        with async_backend(mailbox_capacity=1) as backend:
+            target = _FakeProcess("hub")
+            forwarder = _FakeProcess(on_receive=lambda n: (
+                target.receive((n, 0)), target.receive((n, 1))))
+            for process in (target, forwarder):
+                backend.host_process(process)
+            posters = _record_calls(backend, "_post_tail", lambda *_: (
+                asyncio.current_task(backend._loop)))
+            _send_at(backend, forwarder, 1.0, 1)
+            backend.run_until(2.0)
+            assert target.received == [(0, 0), (0, 1)]
+            assert backend.backpressure_stalls == 1
+            hosts = {host.task for host in backend._hosts.values()}
+            assert posters and not hosts & set(posters)
 
     def test_full_mailbox_poster_owns_its_unposted_tail(self):
         # The driver posts 2 of 10 and waits for room; the process then
@@ -232,31 +295,37 @@ class TestRelay:
             backend.host_process(process)
         return processes
 
+    @staticmethod
+    def _relay_from(backend, when, process, message=0):
+        """Mail a bystander, then ``process``, at ``when`` (a lone item would
+        be handled in place): ``process``, woken last, relays next."""
+        bystander = _FakeProcess("hub")
+        backend.host_process(bystander)
+        backend.clock.schedule_at(when, bystander.receive, message)
+        backend.clock.schedule_at(when, process.receive, message)
+
+    def _turns(self, count, per_epoch):
+        """Loop turns of ``count`` epochs that each mail ``per_epoch``
+        messages to the process the epoch before did not wake."""
+        with async_backend() as backend:
+            pair = self._hosted(backend, "edge-1", "hub")
+            backend.run_until(0.5)  # the host tasks start and park
+            for i in range(count):
+                _send_at(backend, pair[i % 2], 1.0 + i, per_epoch)
+            turns = _record_calls(backend._loop, "_run_once")
+            backend.run_until(1.0 + count)
+            assert sum(len(p.received) for p in pair) == count * per_epoch
+            return len(turns)
+
     def test_chain_costs_one_loop_turn_per_woken_process(self):
-        # N single-message epochs, each for the process the previous one
-        # did not wake: one loop turn per woken task, and no turn for the
-        # driver between epochs (a driver-only clock pays 2N).
-        def turns(count):
-            with async_backend() as backend:
-                pair = self._hosted(backend, "edge-1", "hub")
-                backend.run_until(0.5)  # the host tasks start and park
-                for i in range(count):
-                    _send_at(backend, pair[i % 2], 1.0 + i, 1)
-                loop = backend._loop
-                run_once = loop._run_once
-                iterations = []
-
-                def counting():
-                    iterations.append(None)
-                    return run_once()
-
-                loop._run_once = counting
-                backend.run_until(1.0 + count)
-                assert sum(len(p.received) for p in pair) == count
-                return len(iterations)
-
+        # One loop turn per woken task, and no turn for the driver between
+        # epochs (a driver-only clock pays 2N).
         chain = 20
-        assert turns(chain) - turns(0) <= chain + 2
+        assert self._turns(chain, 2) - self._turns(0, 2) <= chain + 2
+
+    def test_chain_of_lone_deliveries_costs_no_loop_turn(self):
+        # Each is handled where its epoch ran (one turn per epoch before).
+        assert self._turns(20, 1) - self._turns(0, 1) <= 2
 
     def test_relayed_epoch_leaves_its_unposted_tail_to_the_driver(self):
         # The relayed epoch posts one of three messages into a 1-slot
@@ -264,17 +333,11 @@ class TestRelay:
         # them up would wait for room in its own mailbox and wedge.
         with async_backend(mailbox_capacity=1) as backend:
             first, second = self._hosted(backend, "edge-1", "hub")
-            _send_at(backend, first, 1.0, 1)
+            self._relay_from(backend, 1.0, first)
             _send_at(backend, second, 2.0, 3)
-            relayed = []
-            on_epoch = backend.clock._run_epoch
-
-            def noting(deadline, budget):
-                relayed.append(asyncio.current_task(backend._loop)
-                               is backend._hosts[id(first)].task)
-                return on_epoch(deadline, budget)
-
-            backend.clock._run_epoch = noting
+            relayed = _record_calls(backend.clock, "_run_epoch", lambda *_: (
+                asyncio.current_task(backend._loop)
+                is backend._hosts[id(first)].task))
             backend.run_until(3.0)
             assert relayed[-1]  # the burst's delivery ran in a host
             assert second.received == [0, 1, 2]
@@ -297,7 +360,7 @@ class TestRelay:
             for forwarder in forwarders:
                 backend.host_process(forwarder)
             ran_in = []
-            clock.schedule_at(1.0, relay.receive, "wake")
+            self._relay_from(backend, 1.0, relay, "wake")
             clock.schedule_at(
                 2.0, lambda: ran_in.append(asyncio.current_task(loop)))
             for process, message in ((forwarders[0], "go"),
@@ -311,15 +374,14 @@ class TestRelay:
 
     def test_host_revived_in_its_own_relay_hands_over_to_its_new_task(self):
         with async_backend() as backend:
-            loop = backend._loop
+            loop, clock = backend._loop, backend.clock
             handled_by = []
             process = _FakeProcess("edge-1", on_receive=lambda message: (
                 handled_by.append((message, asyncio.current_task(loop)))))
             backend.host_process(process)
             host = backend._hosts[id(process)]
             first_task = host.task
-            clock = backend.clock
-            clock.schedule_at(1.0, process.receive, "first")
+            self._relay_from(backend, 1.0, process, "first")
             # The epoch the process's own task relays kills and revives its
             # node, then mails it: the old task must leave that to the new.
             clock.schedule_at(2.0, backend.kill_node, "edge-1")
@@ -334,7 +396,7 @@ class TestRelay:
         with async_backend() as backend:
             process, = self._hosted(backend, "edge-1")
             process._on_receive = lambda _: backend._quiet.cancel()
-            _send_at(backend, process, 1.0, 1)
+            self._relay_from(backend, 1.0, process)
             later = []
             backend.clock.schedule_at(2.0, later.append, "epoch")
             with pytest.raises(asyncio.CancelledError):
@@ -350,7 +412,7 @@ class TestRelay:
                 ran_in.append(asyncio.current_task(backend._loop))
                 raise RuntimeError("boom")
 
-            _send_at(backend, process, 1.0, 1)
+            self._relay_from(backend, 1.0, process)
             backend.clock.schedule_at(2.0, boom)
             with pytest.raises(RuntimeError, match="boom"):
                 backend.run_until(3.0)
@@ -366,7 +428,7 @@ class TestRelay:
                 ran_in.add(asyncio.current_task(backend._loop))
                 backend.clock.schedule(0.0, reschedule)
 
-            _send_at(backend, process, 1.0, 1)
+            self._relay_from(backend, 1.0, process)
             backend.clock.schedule_at(2.0, reschedule)
             with pytest.raises(SimulationError, match="events"):
                 backend.run_until(3.0, max_events=1000)
@@ -379,21 +441,14 @@ class TestRelay:
             pair = self._hosted(backend, "edge-1", "edge-2")
             loop = backend._loop
             hosts = {backend._hosts[id(p)] for p in pair}
-            # Two deliveries a virtual microsecond apart (the second is due
-            # on the wall as soon as the first is handled) every 0.5 virtual
-            # seconds (25 ms apart on the wall: the driver sleeps).
-            for i in range(8):
+            # Two two-message deliveries a virtual microsecond apart (the
+            # second is due on the wall as soon as the first is handled)
+            # every 0.5 virtual seconds (25 ms on the wall: the driver sleeps).
+            for i in range(4):
                 _send_at(backend, pair[i % 2], 1.0 + 0.5 * (i // 2)
-                         + 1e-6 * (i % 2), 1)
-            starts = []
-            run_epoch = backend.clock._run_epoch
-
-            def noting(deadline, budget):
-                starts.append((deadline, loop.time(),
-                               asyncio.current_task(loop)))
-                return run_epoch(deadline, budget)
-
-            backend.clock._run_epoch = noting
+                         + 1e-6 * (i % 2), 2)
+            starts = _record_calls(backend.clock, "_run_epoch", lambda t, _: (
+                t, loop.time(), asyncio.current_task(loop)))
             backend.run_until(4.0)
             assert sum(len(p.received) for p in pair) == 8
             for deadline, wall, _ in starts:
@@ -446,8 +501,7 @@ class TestRouteLateBinding:
 
 class TestBackendSurfacing:
     def test_monitor_reports_mailbox_health_on_async_only(self):
-        stack = build_stack(backend="async", attach_fleet=False)
-        with stack:
+        with build_stack(backend="async", attach_fleet=False) as stack:
             process = _FakeProcess()
             stack.backend.host_process(process)
             _send_at(stack.backend, process, 1.0, 5)
@@ -459,8 +513,7 @@ class TestBackendSurfacing:
         assert "backend_health" not in sim.executor.monitor.report()
 
     def test_monitor_report_names_the_backend(self):
-        stack = build_stack(backend="async", attach_fleet=False)
-        with stack:
+        with build_stack(backend="async", attach_fleet=False) as stack:
             report = stack.executor.monitor.report()
         assert report["backend"] == "async"
         assert "[async]" in stack.executor.monitor.render_dashboard()
@@ -474,17 +527,13 @@ class TestBackendSurfacing:
 
     def test_spans_carry_wall_stamps_only_on_async(self):
         for backend, expect_wall in (("sim", False), ("async", True)):
-            stack = build_stack(backend=backend, attach_fleet=False,
-                                observability=True)
-            with stack:
+            with build_stack(backend=backend, attach_fleet=False,
+                             observability=True) as stack:
                 tracer = stack.obs.tracer
                 ctx = tracer.start_trace("publish", stack.clock.now)
                 spans = tracer.trace(ctx.trace_id)
                 assert spans
-                if expect_wall:
-                    assert spans[0].wall is not None
-                else:
-                    assert spans[0].wall is None
+                assert (spans[0].wall is not None) is expect_wall
 
     def test_executor_defaults_to_sim_backend(self):
         stack = build_stack(attach_fleet=False)
