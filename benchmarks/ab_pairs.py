@@ -12,11 +12,20 @@ slow phase every 20-60 s, and only interleaved runs see the same phases.
 
 Every run is printed as it finishes (stderr); the summary (stdout) gives,
 per workload and end-to-end metric, both medians, both quartile pairs,
-the pairs B won out of the pairs run (a tie is a win for neither side)
-and the operations that failed on either side.  Whether that amounts to a
-gain is the reader's call, by the rule in the choosing-metrics guide: B
-wins at least nine tenths of the pairs *and* the medians differ by more
-than A's interquartile range.
+the pairs B won out of the pairs run (a tie is a win for neither side),
+the operations that failed on either side, and a no-regression verdict
+against the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of A's
+median):
+
+- ``ok``: every B run beats every A run, or B's median is no worse than
+  A's by more than the bound;
+- ``unresolved``: A's interquartile range is wider than the bound, so the
+  runs cannot tell a regression of that size from noise;
+- ``worse``: B's median is worse than A's by more than the bound.
+
+Whether the runs amount to a gain is the reader's call: B wins at least
+nine tenths of the pairs *and* the medians differ by more than A's
+interquartile range.
 
 Imports nothing from ``repro`` or the harness: it only starts processes.
 """
@@ -53,6 +62,22 @@ def quartiles(values: "list[float]") -> "tuple[float, float]":
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def verdict(a: "list[float]", b: "list[float]", bound: float,
+            higher: bool) -> str:
+    """``ok``, ``worse`` or ``unresolved``: B's runs against A's under
+    a relative regression ``bound``."""
+    if (min(b) > max(a)) if higher else (max(b) < min(a)):
+        return "ok"
+    med_a = statistics.median(a)
+    a1, a3 = quartiles(a)
+    if not med_a:
+        return "ok" if statistics.median(b) == med_a else "unresolved"
+    if (a3 - a1) / abs(med_a) > bound:
+        return "unresolved"
+    loss = (statistics.median(b) - med_a) / abs(med_a)
+    return "worse" if (-loss if higher else loss) > bound else "ok"
 
 
 def main(argv=None) -> int:
@@ -109,7 +134,8 @@ def main(argv=None) -> int:
         print(f"\n{workload}  failed A={failed[workload]['A']} "
               f"B={failed[workload]['B']}")
         print(f"  {'metric':18s} {'A median':>11s} {'A q1..q3':>23s} "
-              f"{'B median':>11s} {'B q1..q3':>23s} {'B/A':>6s} {'B wins':>7s}")
+              f"{'B median':>11s} {'B q1..q3':>23s} {'B/A':>6s} {'B wins':>7s} "
+              f"verdict")
         for metric in metrics:
             a = values[workload, metric["name"]]["A"]
             b = values[workload, metric["name"]]["B"]
@@ -121,7 +147,8 @@ def main(argv=None) -> int:
             print(f"  {metric['name']:18s} {med_a:11.6g} "
                   f"{a1:11.6g}..{a3:<10.6g} {med_b:11.6g} "
                   f"{b1:11.6g}..{b3:<10.6g} {ratio} "
-                  f"{wins:3d}/{args.pairs:<3d}")
+                  f"{wins:3d}/{args.pairs:<3d} "
+                  f"{verdict(a, b, metric['bound'], higher)}")
     return 1 if any(n for by_side in failed.values()
                     for n in by_side.values()) else 0
 

@@ -29,22 +29,12 @@ from repro.dsn.check import check
 from repro.designer.palette import OPERATOR_PALETTE
 from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import StreamLoaderError
+from repro.pubsub.subscription import BatchingPolicy
 from repro.scenario import (
     build_stack,
     osaka_scenario_flow,
     sharded_aggregation_flow,
 )
-
-
-def _batching_from(args: argparse.Namespace):
-    """--batch/--max-delay -> a BatchingPolicy (or None for batch=1)."""
-    batch = getattr(args, "batch", 1)
-    if batch <= 1:
-        return None
-    from repro.sensors.base import BatchingPolicy
-
-    return BatchingPolicy(max_batch=batch,
-                          max_delay=getattr(args, "max_delay", 1.0))
 
 
 def _shards_from(args: argparse.Namespace):
@@ -76,6 +66,21 @@ def _apply_rebalance(args: argparse.Namespace, stack) -> bool:
     return True
 
 
+def _deploy(args: argparse.Namespace, stack, flow, slos=None):
+    """Lower ``flow`` under the run flags, then deploy the program.
+
+    ``--batch N --max-delay S`` write ``batch N within S`` on every
+    channel out of a source, ``--shards``/``--rebalance`` the shard
+    clauses, and ``slos`` the objectives.
+    """
+    program = dataflow_to_dsn(
+        flow, stack.broker_network.registry,
+        batching=BatchingPolicy(args.batch, args.max_delay),
+        shards=_shards_from(args), elastic=_apply_rebalance(args, stack),
+        slos=slos)
+    return stack.executor.deploy(program)
+
+
 def _backend_from(args: argparse.Namespace) -> dict:
     """``--backend``/``--time-scale`` -> build_stack keyword arguments."""
     return {
@@ -86,12 +91,9 @@ def _backend_from(args: argparse.Namespace) -> dict:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     stack = build_stack(hot=not args.cool, extended=args.extended,
-                        seed=args.seed, batching=_batching_from(args),
-                        **_backend_from(args))
+                        seed=args.seed, **_backend_from(args))
     with stack:
-        flow = osaka_scenario_flow(stack)
-        deployment = stack.executor.deploy(flow, shards=_shards_from(args),
-                                           elastic=_apply_rebalance(args, stack))
+        deployment = _deploy(args, stack, osaka_scenario_flow(stack))
         stack.run_until(args.hours * 3600.0)
 
     print(stack.executor.monitor.render_dashboard())
@@ -131,14 +133,10 @@ def _observed_run(args: argparse.Namespace):
         extended=getattr(args, "extended", False),
         seed=getattr(args, "seed", 7),
         observability=args.sampling,
-        batching=_batching_from(args),
         **_backend_from(args),
     )
     with stack:
-        deployment = stack.executor.deploy(
-            _named_flow(args, stack), shards=_shards_from(args),
-            elastic=_apply_rebalance(args, stack),
-        )
+        deployment = _deploy(args, stack, _named_flow(args, stack))
         stack.run_until(args.hours * 3600.0)
     return stack, deployment
 
@@ -228,7 +226,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
         extended=args.extended,
         seed=args.seed,
         observability=args.sampling if args.sampling > 0 else None,
-        batching=_batching_from(args),
         latency=True,
         alert_cadence=args.cadence,
         **_backend_from(args),
@@ -236,14 +233,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
     with stack:
         flow = _named_flow(args, stack)
         exprs = args.slo or list(DEFAULT_SLO_EXPRS)
-        program = dataflow_to_dsn(
-            flow,
-            stack.broker_network.registry,
-            shards=_shards_from(args),
-            elastic=_apply_rebalance(args, stack),
-            slos=[parse_slo_expr(expr, flow.name) for expr in exprs],
-        )
-        stack.executor.deploy(program)
+        _deploy(args, stack, flow,
+                slos=[parse_slo_expr(expr, flow.name) for expr in exprs])
         engine = stack.executor.alerts
         logs = stack.executor.monitor.logs
         if args.watch:
@@ -323,11 +314,12 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="attach the full sensor roster")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--batch", type=int, default=1, metavar="N",
-                        help="micro-batch up to N tuples per source "
-                             "message (default 1: no batching)")
+                        help="translate with 'batch N' on every source "
+                             "channel: up to N tuples per source message "
+                             "(default 1: no batching)")
     parser.add_argument("--max-delay", type=float, default=1.0, metavar="S",
-                        help="flush a partial batch after S virtual "
-                             "seconds (default 1.0)")
+                        help="translate with 'within S': flush a partial "
+                             "batch after S virtual seconds (default 1.0)")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="split each partitionable blocking operator "
                              "into N key-hashed shards (default 1: off)")

@@ -16,7 +16,7 @@ activation edges), each with JSON-valued parameters::
       service sink "dw" kind "warehouse" {
         qos class "best-effort" segment 65536;
       }
-      channel "temp" -> "trig" port 0;
+      channel "temp" -> "trig" port 0 batch 32 within 60.0;
       control "trig" -> "rain";
     }
 
@@ -32,6 +32,7 @@ from enum import Enum
 
 from repro.errors import DsnError
 from repro.network.qos import QosPolicy
+from repro.pubsub.subscription import BatchingPolicy
 
 
 class ServiceRole(Enum):
@@ -83,23 +84,34 @@ class DsnService:
 class DsnChannel:
     """A data channel between two services (into an input port).
 
-    ``batch`` is the micro-batch hint: how many tuples the channel's
-    source should coalesce per message (1 = no batching).  The translator
-    derives it from declared sensor frequencies; the executor applies it
-    to the deployed sources.
+    ``batch N within S`` is how the channel's source micro-batches: up
+    to ``batch`` readings per message (1 = no batching), a partial batch
+    flushed ``within`` virtual seconds of its first reading.  Only a
+    channel out of a source batches; the executor hands the policy to
+    the subscriptions it binds (:attr:`batching`).
     """
 
     source: str
     target: str
     port: int = 0
     batch: int = 1
+    within: float = 1.0
+
+    @property
+    def batching(self) -> "BatchingPolicy | None":
+        """The declared policy, or None when the channel does not batch."""
+        if self.batch == 1:
+            return None
+        return BatchingPolicy(self.batch, self.within)
 
     def render(self) -> str:
         line = f'  channel "{self.source}" -> "{self.target}" port {self.port}'
-        if self.batch != 1:
-            # Only rendered when set, so batch-free programs (and their
-            # golden files) keep the historical textual form.
+        # Defaults are not rendered, so batch-free programs (and their
+        # golden files) keep the historical textual form.
+        if self.batch != 1 or self.within != 1.0:
             line += f" batch {self.batch}"
+        if self.within != 1.0:
+            line += f" within {self.within}"
         return line + ";"
 
 

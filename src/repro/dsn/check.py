@@ -17,7 +17,8 @@ D   declarations: unique service names; channels, controls, shards and
     fuse hints name declared services, shards and fuse hints operators; a
     shard count is >= 1, one clause per service; a fuse hint has >= 2
     members, each in one hint, on fusible hops; an slo clause has a known
-    comparator and a window >= 0;
+    comparator and a window >= 0; a channel's ``batch N within S`` has
+    N >= 1 and S > 0, and N > 1 only out of a source;
 C1  structure: data channels form a DAG;
 C2  ports: every operator input port is fed exactly once, and no channel
     enters a port that does not exist;
@@ -179,6 +180,19 @@ def _declarations(program: DsnProgram, report: ValidationReport) -> bool:
                                      "(members must be unsharded non-blocking "
                                      "operators on a private single-in/"
                                      "single-out channel)")
+    for channel in program.channels:
+        hop = f"channel {channel.source!r} -> {channel.target!r}"
+        if channel.batch < 1:
+            report.error(channel.source, f"{hop}: batch must be >= 1, got "
+                                         f"{channel.batch}")
+        elif channel.batch != 1 and roles.get(
+                channel.source, ServiceRole.SOURCE) is not ServiceRole.SOURCE:
+            report.error(channel.source, f"{hop}: batch {channel.batch} out "
+                                         "of a service that is not a source; "
+                                         "only sources micro-batch")
+        if channel.within <= 0:
+            report.error(channel.source, f"{hop}: batch flush bound must be "
+                                         f"> 0 s, got {channel.within}")
     for slo in program.slos:
         if slo.op not in ("<", "<=", ">", ">="):
             report.error(program.name, f"slo for {slo.flow!r}: unknown "

@@ -9,6 +9,8 @@ on the lowered program, once per deploy.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.dataflow.graph import Dataflow
 from repro.dataflow.serialize import _filter_to_dict
 from repro.dsn.ast import (
@@ -22,13 +24,13 @@ from repro.dsn.ast import (
 )
 from repro.errors import DataflowError
 from repro.pubsub.registry import SensorRegistry
+from repro.pubsub.subscription import BatchingPolicy
 
 
 def dataflow_to_dsn(
     flow: Dataflow,
     registry: "SensorRegistry | None" = None,
-    batch_delay: "float | None" = None,
-    max_batch: int = 32,
+    batching: "BatchingPolicy | None" = None,
     shards: "int | dict[str, int] | None" = None,
     elastic: bool = False,
     slos: "list[DsnSlo] | None" = None,
@@ -37,15 +39,11 @@ def dataflow_to_dsn(
 
     Args:
         flow: the conceptual dataflow.
-        registry: with ``batch_delay``, supplies the declared sensor
-            frequencies the batch hints are derived from.
-        batch_delay: target per-batch latency budget in seconds.  When
-            set, each channel out of a source gets a ``batch`` hint of
-            roughly ``frequency x batch_delay`` tuples (the batch a source
-            fills within the budget at its advertised rate), clamped to
-            [1, ``max_batch``].  ``None`` (the default) emits no hints, so
-            existing programs render unchanged.
-        max_batch: upper clamp for derived batch hints.
+        registry: not read: the lowering needs no sensor facts (the
+            check reads them).  Kept for positional callers.
+        batching: the micro-batch policy written on every channel out of
+            a source (``batch N within S``).  ``None`` (the default)
+            writes none, so existing programs render unchanged.
         shards: scale-out directives for blocking operators.  An int
             applies to every *shardable* operator (one with partition
             keys — grouped aggregation, equi-join); operators that cannot
@@ -97,26 +95,12 @@ def dataflow_to_dsn(
             )
         )
 
-    batch_hints: dict[str, int] = {}
-    if batch_delay is not None and registry is not None:
-        for source in flow.sources.values():
-            rate = sum(
-                metadata.frequency
-                for metadata in registry.all()
-                if source.filter.matches(metadata)
-            )
-            hint = int(round(rate * batch_delay))
-            batch_hints[source.node_id] = max(1, min(max_batch, hint))
-
     for edge in flow.data_edges:
-        program.channels.append(
-            DsnChannel(
-                source=edge.source_id,
-                target=edge.target_id,
-                port=edge.port,
-                batch=batch_hints.get(edge.source_id, 1),
-            )
-        )
+        channel = DsnChannel(edge.source_id, edge.target_id, edge.port)
+        if batching is not None and edge.source_id in flow.sources:
+            channel = replace(channel, batch=batching.max_batch,
+                              within=batching.max_delay)
+        program.channels.append(channel)
     for edge in flow.control_edges:
         program.controls.append(
             DsnControl(trigger=edge.trigger_id, source=edge.source_id)

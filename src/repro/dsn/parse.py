@@ -25,6 +25,9 @@ from repro.dsn.ast import (
 )
 from repro.network.qos import QosPolicy
 
+#: A decimal number; a malformed one fails the clause's match, so it is
+#: reported as a parse error rather than raised by ``float``.
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _HEADER_RE = re.compile(r'^dsn\s+"((?:[^"\\]|\\.)*)"\s*\{$')
 _SERVICE_RE = re.compile(
     r'^service\s+(source|operator|sink)\s+"((?:[^"\\]|\\.)*)"'
@@ -33,11 +36,11 @@ _SERVICE_RE = re.compile(
 _PARAM_RE = re.compile(r"^param\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+);$")
 _QOS_RE = re.compile(
     r'^qos\s+class\s+"((?:[^"\\]|\\.)*)"\s+segment\s+(\d+)'
-    r"(?:\s+priority\s+(-?\d+))?(?:\s+max_latency\s+([0-9.eE+-]+))?;$"
+    r"(?:\s+priority\s+(-?\d+))?(?:\s+max_latency\s+(" + _NUMBER + "))?;$"
 )
 _CHANNEL_RE = re.compile(
     r'^channel\s+"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"\s+port\s+(\d+)'
-    r"(?:\s+batch\s+(\d+))?;$"
+    r"(?:\s+batch\s+(\d+)(?:\s+within\s+(" + _NUMBER + "))?)?;$"
 )
 _CONTROL_RE = re.compile(
     r'^control\s+"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)";$'
@@ -53,7 +56,7 @@ _FUSE_RE = re.compile(
 )
 _SLO_RE = re.compile(
     r'^slo\s+"((?:[^"\\]|\\.)*)"\s+([A-Za-z_][A-Za-z0-9_]*)'
-    r"\s+(<=|<|>=|>)\s+([0-9.eE+-]+)\s+over\s+([0-9.eE+-]+);$"
+    rf"\s+(<=|<|>=|>)\s+({_NUMBER})\s+over\s+({_NUMBER});$"
 )
 
 
@@ -145,6 +148,7 @@ def parse_dsn(text: str) -> DsnProgram:
                     target=_unescape(match.group(2)),
                     port=int(match.group(3)),
                     batch=int(match.group(4) or 1),
+                    within=float(match.group(5) or 1.0),
                 )
             )
             continue

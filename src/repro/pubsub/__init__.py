@@ -14,12 +14,15 @@ resumed — the hook the Trigger operators' control plane uses.
 """
 
 from repro.pubsub.registry import SensorMetadata, SensorRegistry
-from repro.pubsub.subscription import Subscription, SubscriptionFilter
+from repro.pubsub.subscription import (
+    BatchingPolicy, Subscription, SubscriptionFilter,
+)
 from repro.pubsub.broker import BrokerNetwork, Broker
 from repro.pubsub.discovery import DiscoveryService
 from repro.pubsub.stamping import backfill_stamp
 
 __all__ = [
+    "BatchingPolicy",
     "SensorMetadata",
     "SensorRegistry",
     "Subscription",

@@ -29,7 +29,9 @@ from repro.network.netsim import NetworkSimulator
 from repro.obs.lineage import tuple_key
 from repro.pubsub.partition import ShardRouter
 from repro.pubsub.registry import SensorMetadata, SensorRegistry
-from repro.pubsub.subscription import Subscription, SubscriptionFilter
+from repro.pubsub.subscription import (
+    BatchingPolicy, Subscription, SubscriptionFilter,
+)
 from repro.streams.tuple import (
     SensorTuple,
     TupleBatch,
@@ -253,9 +255,12 @@ class BrokerNetwork:
         node_id: str,
         filter_: SubscriptionFilter,
         callback: Callable[[SensorTuple], None],
+        batch: "BatchingPolicy | None" = None,
     ) -> Subscription:
-        """Create an active subscription homed on ``node_id``."""
-        subscription = Subscription(filter=filter_, callback=callback, node_id=node_id)
+        """Create an active subscription homed on ``node_id``; ``batch`` is
+        the micro-batch policy its channel declares."""
+        subscription = Subscription(filter=filter_, callback=callback,
+                                    node_id=node_id, batch=batch)
         self.broker(node_id).add_subscription(subscription)
         # Incremental: match only the new subscription against registered
         # sensors instead of rebuilding every route (O(sensors) instead of
@@ -273,6 +278,7 @@ class BrokerNetwork:
         keys: "tuple[str, ...]",
         batch_callbacks: "list | None" = None,
         assignment=None,
+        batch: "BatchingPolicy | None" = None,
     ) -> ShardRouter:
         """Create N member subscriptions routed through one ShardRouter.
 
@@ -281,7 +287,8 @@ class BrokerNetwork:
         routing tables carry the *router*: per published tuple exactly one
         member — the shard owning the tuple's key — receives it.
         ``assignment`` threads the elastic routing overlay through to the
-        router (None for static shard groups).
+        router (None for static shard groups).  Every member carries the
+        channel's ``batch`` policy.
         """
         if len(node_ids) != len(callbacks):
             raise PubSubError(
@@ -291,7 +298,8 @@ class BrokerNetwork:
         members: list[Subscription] = []
         for index, (node_id, callback) in enumerate(zip(node_ids, callbacks)):
             subscription = Subscription(
-                filter=filter_, callback=callback, node_id=node_id
+                filter=filter_, callback=callback, node_id=node_id,
+                batch=batch,
             )
             if batch_callbacks is not None:
                 subscription.batch_callback = batch_callbacks[index]
@@ -343,6 +351,22 @@ class BrokerNetwork:
             else:
                 out.append(entry)
         return out
+
+    def batching_for(self, sensor_id: str) -> "BatchingPolicy | None":
+        """How ``sensor_id`` publishes now: the largest batch and the
+        tightest flush bound over the batched routes it has, or None (one
+        message per reading).  Read off the routes, so late joins,
+        teardowns and further deployments need no bookkeeping."""
+        found = None
+        for entry in self._routes.get(sensor_id, ()):
+            policy = entry.batch
+            if policy is None or policy.max_batch == 1 or policy == found:
+                continue
+            found = policy if found is None else BatchingPolicy(
+                max(found.max_batch, policy.max_batch),
+                min(found.max_delay, policy.max_delay),
+            )
+        return found
 
     def _rebuild_routes_for(self, sensor_id: str) -> None:
         metadata = self.registry.get(sensor_id)

@@ -50,6 +50,11 @@ class ShardRouter:
         """Members share one filter; expose it for route (re)building."""
         return self.members[0].filter
 
+    @property
+    def batch(self):
+        """Members share one batching policy, as they share the filter."""
+        return self.members[0].batch
+
     def member_for(self, tuple_: SensorTuple) -> Subscription:
         return self.members[
             shard_index(tuple_, self.keys, len(self.members), self.assignment)

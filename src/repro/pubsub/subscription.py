@@ -84,6 +84,31 @@ class SubscriptionFilter:
         return cls(sensor_ids=(sensor_id,))
 
 
+@dataclass(frozen=True)
+class BatchingPolicy:
+    """How a source micro-batches for one subscription (DSN ``batch N
+    within S``).
+
+    Readings buffer at the sensor and flush as one
+    :meth:`~repro.pubsub.broker.BrokerNetwork.publish_batch` when either
+    ``max_batch`` tuples have accumulated or ``max_delay`` virtual seconds
+    have passed since the first buffered reading, whichever comes first.
+    ``max_batch=1`` disables buffering: every reading goes straight
+    through ``publish_data``.
+    """
+
+    max_batch: int = 1
+    max_delay: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise PubSubError(f"max_batch must be >= 1: {self.max_batch}")
+        if self.max_batch > 1 and self.max_delay <= 0:
+            raise PubSubError(
+                f"max_delay must be positive when batching: {self.max_delay}"
+            )
+
+
 @dataclass
 class Subscription:
     """An active interest in matching sensor streams.
@@ -93,6 +118,9 @@ class Subscription:
         callback: invoked with each delivered :class:`SensorTuple`.
         node_id: network node where the subscriber runs (delivery target).
         active: paused subscriptions match but do not receive data.
+        batch: the micro-batch policy its channel declares (None: one
+            message per reading); the sensors it matches publish under
+            :meth:`~repro.pubsub.broker.BrokerNetwork.batching_for`.
         subscription_id: unique, assigned at construction.
         retries: redelivery attempts the broker made on this subscription's
             behalf.
@@ -115,6 +143,7 @@ class Subscription:
     #: broker's routing tables directly — the router does, and picks one
     #: member per tuple by key hash.
     router: "object | None" = None
+    batch: "BatchingPolicy | None" = None
     active: bool = True
     subscription_id: int = field(default_factory=lambda: next(_subscription_ids))
     delivered: int = 0

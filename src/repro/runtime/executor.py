@@ -104,10 +104,6 @@ class Deployment:
         self.shard_groups: dict[str, ShardGroup] = {}
         self.bindings: dict[str, _SourceBinding] = {}
         self.collectors: dict[str, ListSink] = {}
-        #: source service -> micro-batch hint (max over its channels'
-        #: declared ``batch``).  The scenario layer applies these to the
-        #: matched sensors (the executor does not own sensor objects).
-        self.batch_hints: dict[str, int] = {}
         #: conceptual service name -> its elastic-sharding control loop
         #: (only services deployed with ``shard ... elastic``).
         self.rebalancers: dict[str, object] = {}
@@ -464,11 +460,6 @@ class Executor:
                       or deployment.processes[edge.consumer])
             if edge.producer in plan.sources:
                 self._bind_source(deployment, edge, target)
-                if edge.batch > 1:
-                    deployment.batch_hints[edge.producer] = max(
-                        deployment.batch_hints.get(edge.producer, 1),
-                        edge.batch,
-                    )
             else:
                 deployment.processes[edge.producer].add_route(
                     target, port=edge.port,
@@ -733,7 +724,8 @@ class Executor:
         :class:`~repro.pubsub.partition.ShardRouter` so the broker hashes
         each published tuple to exactly one member.  Each subscription is
         recorded on the source's binding and on the unit it feeds, which
-        it follows when that unit moves.
+        it follows when that unit moves, and carries the channel's batching
+        policy, which the bound sensors publish under.
         """
         service = deployment.program.service(edge.producer)
         filter_ = _filter_from_params(service.params)
@@ -754,11 +746,13 @@ class Executor:
                 keys=target.keys_for_port(port),
                 batch_callbacks=callbacks,
                 assignment=target.assignment,
+                batch=edge.batch,
             ).members
             keys = deployment.plan.groups[edge.consumer].members
         else:
             subscription = self.broker_network.subscribe(
                 node_id=target.node_id, filter_=filter_, callback=callbacks[0],
+                batch=edge.batch,
             )
             subscription.batch_callback = subscription.callback
             subscriptions, keys = [subscription], (edge.consumer,)

@@ -3,7 +3,7 @@
 :func:`build_plan` lowers a checked program, plus the SCN's discovery and
 placement decisions, into *units* (one per process: key, hosted services,
 role, placement, booked demand) and *edges* (one per process route or
-source binding: producer, consumer, port, ``batch`` hint), once, before
+source binding: producer, consumer, port, batching policy), once, before
 anything is spawned.  The executor instantiates the plan in order and
 reads everything else off it: watermark upstream sets, re-placement's
 upstream services, the logical service a probe reports under.
@@ -21,6 +21,7 @@ from repro.dataflow.fusion import chains_for
 from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.scn import PlacementDecision, ScnController
 from repro.pubsub.registry import SensorMetadata
+from repro.pubsub.subscription import BatchingPolicy
 from repro.streams.fused import FUSED_NAME_SEPARATOR
 
 #: Unit roles.
@@ -59,12 +60,12 @@ class Unit:
 class Edge:
     """One process route, or one source binding (``producer`` is a source
     service), into a unit or a shard group (``consumer`` is the sharded
-    service)."""
+    service).  ``batch`` is the source channel's micro-batch policy."""
 
     producer: str
     consumer: str
     port: int = 0
-    batch: int = 1
+    batch: "BatchingPolicy | None" = None
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,6 @@ def build_plan(
             source if source in plan.sources else plan.exits[source],
             target if target in plan.groups else plan.exits[target],
             channel.port,
-            channel.batch,
+            channel.batching,
         ))
     return plan

@@ -23,8 +23,8 @@ from repro.runtime.backends import (
     ExecutionBackend,
     backend_from_name,
 )
-from repro.runtime.executor import Deployment, Executor
-from repro.sensors.base import BatchingPolicy, SimulatedSensor
+from repro.runtime.executor import Executor
+from repro.sensors.base import SimulatedSensor
 from repro.sensors.osaka import osaka_fleet
 from repro.sticker.feed import StickerFeed
 from repro.warehouse.loader import EventWarehouse
@@ -81,7 +81,6 @@ def build_stack(
     rebalance_interval: float = 300.0,
     replicas: int = 1,
     observability: "Observability | bool | float | None" = None,
-    batching: "BatchingPolicy | int | None" = None,
     latency: bool = False,
     alert_cadence: float = 60.0,
     backend: "str | ExecutionBackend" = "sim",
@@ -101,10 +100,6 @@ def build_stack(
             float for a bundle with that trace sampling rate, an
             :class:`~repro.obs.Observability` to bring your own, or
             None/False to run without metrics/tracing/lineage.
-        batching: micro-batch policy for every fleet sensor — a
-            :class:`~repro.sensors.base.BatchingPolicy`, an int ``n`` as
-            shorthand for ``BatchingPolicy(max_batch=n, max_delay=1.0)``,
-            or None for tuple-at-a-time emission (today's behaviour).
         latency: install the latency/watermark plane up front (``repro
             health`` uses this); implies a default observability bundle
             (sampling 0.0 — no tracing) when none was requested.
@@ -157,11 +152,6 @@ def build_stack(
     )
     fleet = osaka_fleet(topology, hot=hot, extended=extended, seed=seed,
                         replicas=replicas)
-    if isinstance(batching, int) and not isinstance(batching, bool):
-        batching = BatchingPolicy(max_batch=batching, max_delay=1.0)
-    if batching is not None:
-        for sensor in fleet:
-            sensor.batching = batching
     if attach_fleet:
         for sensor in fleet:
             sensor.attach(broker_network, netsim.clock)
@@ -176,37 +166,6 @@ def build_stack(
         obs=obs,
         backend=backend_obj,
     )
-
-
-def apply_batch_hints(
-    deployment: Deployment,
-    fleet: "list[SimulatedSensor]",
-    max_delay: float = 1.0,
-) -> int:
-    """Apply a deployment's DSN batch hints to the matched sensors.
-
-    The SCN/DSN layer declares per-channel ``batch`` hints (derived from
-    advertised sensor frequencies by the translator); the executor records
-    them per source service at deploy time, and this helper closes the
-    loop by configuring the actual sensor objects — which the executor
-    never owns — to flush at that size.  Returns the number of sensors
-    reconfigured.
-    """
-    configured = 0
-    by_id = {sensor.sensor_id: sensor for sensor in fleet}
-    for service_name, batch in deployment.batch_hints.items():
-        binding = deployment.bindings.get(service_name)
-        if binding is None or batch <= 1:
-            continue
-        for sensor_id in binding.sensor_ids:
-            sensor = by_id.get(sensor_id)
-            if sensor is None:
-                continue
-            sensor.set_batching(
-                BatchingPolicy(max_batch=batch, max_delay=max_delay)
-            )
-            configured += 1
-    return configured
 
 
 def sharded_aggregation_flow(

@@ -9,7 +9,7 @@ layer and emits stamped tuples on the shared virtual clock at its
 advertised frequency.
 """
 
-from repro.sensors.base import BatchingPolicy, SimulatedSensor, ValueGenerator
+from repro.sensors.base import SimulatedSensor, ValueGenerator
 from repro.sensors.physical import (
     temperature_sensor,
     humidity_sensor,
@@ -28,7 +28,6 @@ from repro.sensors.osaka import osaka_fleet, OSAKA_AREA, OSAKA_CENTER
 from repro.sensors.faults import FlakySensor, MalformedPayloadSensor
 
 __all__ = [
-    "BatchingPolicy",
     "SimulatedSensor",
     "ValueGenerator",
     "temperature_sensor",

@@ -11,7 +11,6 @@ reproducible regardless of attachment order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -21,30 +20,6 @@ from repro.network.simclock import ScheduledEvent, SimClock
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.registry import SensorMetadata
 from repro.pubsub.stamping import backfill_stamp
-
-
-@dataclass(frozen=True)
-class BatchingPolicy:
-    """Adaptive micro-batch flushing for a source.
-
-    Readings buffer at the sensor and flush as one
-    :meth:`~repro.pubsub.broker.BrokerNetwork.publish_batch` when either
-    ``max_batch`` tuples have accumulated or ``max_delay`` virtual seconds
-    have passed since the first buffered reading — whichever comes first.
-    ``max_batch=1`` disables buffering entirely: every reading goes
-    straight through ``publish_data``, byte-for-byte today's behaviour.
-    """
-
-    max_batch: int = 1
-    max_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise PubSubError(f"max_batch must be >= 1: {self.max_batch}")
-        if self.max_batch > 1 and self.max_delay <= 0:
-            raise PubSubError(
-                f"max_delay must be positive when batching: {self.max_delay}"
-            )
 
 
 class ValueGenerator(Protocol):
@@ -74,7 +49,6 @@ class SimulatedSensor:
         metadata: SensorMetadata,
         generator: ValueGenerator,
         seed: int = 7,
-        batching: "BatchingPolicy | None" = None,
     ) -> None:
         self.metadata = metadata
         self.generator = generator
@@ -83,7 +57,6 @@ class SimulatedSensor:
         self.emitted = 0
         self.skipped = 0
         self.batches_flushed = 0
-        self.batching = batching if batching is not None else BatchingPolicy()
         self._buffer: list = []
         self._flush_event: "ScheduledEvent | None" = None
         self._cancel: "Callable[[], None] | None" = None
@@ -125,13 +98,9 @@ class SimulatedSensor:
         self._network = None
         self._clock = None
 
-    def set_batching(self, batching: "BatchingPolicy | None") -> None:
-        """Change the flush policy; any buffered readings flush first."""
-        self.flush()
-        self.batching = batching if batching is not None else BatchingPolicy()
-
     def _emit(self, now: float) -> None:
-        assert self._network is not None
+        network = self._network
+        assert network is not None
         payload = self.generator(now, self.rng)
         if payload is None:
             self.skipped += 1
@@ -143,19 +112,25 @@ class SimulatedSensor:
             seq=self.emitted,
         )
         self.emitted += 1
-        max_batch = self.batching.max_batch
-        if max_batch <= 1:
-            self._network.publish_data(self.sensor_id, tuple_)
+        # The deployed programs decide the batch, per emission: the
+        # channels routing this sensor now (``batch N within S``).
+        policy = network.batching_for(self.sensor_id)
+        if policy is None:
+            if self._buffer:
+                # Batching stopped: what is buffered goes out first, so
+                # no reading is overtaken.
+                self.flush()
+            network.publish_data(self.sensor_id, tuple_)
             return
         # Adaptive flusher: hold the reading back until the batch fills or
         # the delay budget for its first buffered sibling expires.
         self._buffer.append(tuple_)
-        if len(self._buffer) >= max_batch:
+        if len(self._buffer) >= policy.max_batch:
             self.flush()
         elif len(self._buffer) == 1:
             assert self._clock is not None
             self._flush_event = self._clock.schedule(
-                self.batching.max_delay, self.flush
+                policy.max_delay, self.flush
             )
 
     def flush(self) -> int:

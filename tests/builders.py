@@ -111,12 +111,12 @@ def script_readings(netsim, network, sensor_id: str, end: float,
                               lambda seq=seq: publish(seq))
 
 
-def attached(sensor, node: str = "n1"):
+def attached(sensor, node: str = "n1", batch=None):
     """Attach ``sensor`` to a fresh in-process broker on its own clock;
     returns the clock, the broker and what a catch-all subscriber on
-    ``node`` collects."""
+    ``node`` (its channel declaring ``batch``) collects."""
     clock, net, seen = SimClock(), BrokerNetwork(), []
-    net.subscribe(node, SubscriptionFilter(), seen.append)
+    net.subscribe(node, SubscriptionFilter(), seen.append, batch=batch)
     sensor.attach(net, clock)
     return clock, net, seen
 

@@ -4,9 +4,9 @@ The simulator's whole value rests on reproducibility: two runs of the
 same scenario with the same seed must agree on *every* observable — the
 metrics registry snapshot, the set of retained trace ids, and the exact
 sink order — even with every PR-5 knob engaged at once (shards=4,
-batch=32, trace sampling=0.5).  Any wall-clock or unseeded-``random``
-leakage in the sharded merge plane, the batcher, or the samplers shows up
-here as a diff.
+``batch 32 within 60`` on every source channel, trace sampling=0.5).
+Any wall-clock or unseeded-``random`` leakage in the sharded merge
+plane, the batcher, or the samplers shows up here as a diff.
 
 Three scenarios are audited: the paper's Section 3 flow (where a blanket
 shard request is a documented no-op — nothing there has a partition key),
@@ -23,9 +23,10 @@ import json
 
 import pytest
 
+from repro.dsn.generate import dataflow_to_dsn
+from repro.pubsub.subscription import BatchingPolicy
 from repro.runtime.rebalance import RebalanceConfig
 from repro.scenario import (
-    apply_batch_hints,
     build_stack,
     fused_pipeline_flow,
     osaka_scenario_flow,
@@ -33,7 +34,8 @@ from repro.scenario import (
 )
 
 SHARDS = 4
-BATCH = 32
+#: ``within 60`` coalesces; under ``within 1`` every batch holds one reading.
+BATCHING = BatchingPolicy(32, 60.0)
 SAMPLING = 0.5
 HOURS = 6.0
 
@@ -65,14 +67,17 @@ def _observables(stack, deployment, sink_names):
     }
 
 
-def _run(flow_builder, sink_names, shards, elastic=False):
-    stack = build_stack(hot=True, seed=7, observability=SAMPLING,
-                        batching=BATCH)
+def _deploy(flow_builder, shards=None, elastic=False):
+    stack = build_stack(hot=True, seed=7, observability=SAMPLING)
     if elastic:
         stack.executor.rebalance_config = AGGRESSIVE
-    flow = flow_builder(stack)
-    deployment = stack.executor.deploy(flow, shards=shards, elastic=elastic)
-    apply_batch_hints(deployment, stack.fleet)
+    return stack, stack.executor.deploy(dataflow_to_dsn(
+        flow_builder(stack), batching=BATCHING, shards=shards,
+        elastic=elastic))
+
+
+def _run(flow_builder, sink_names, shards, elastic=False):
+    stack, deployment = _deploy(flow_builder, shards, elastic)
     stack.run_until(HOURS * 3600.0)
     return _observables(stack, deployment, sink_names)
 
@@ -97,10 +102,7 @@ class TestDeterminismAudit:
 
     def test_sharded_run_actually_sharded(self):
         """Guard: the audited sharded run exercises the merge plane."""
-        stack = build_stack(hot=True, seed=7, observability=SAMPLING,
-                            batching=BATCH)
-        deployment = stack.executor.deploy(sharded_aggregation_flow(stack),
-                                           shards=SHARDS)
+        stack, deployment = _deploy(sharded_aggregation_flow, SHARDS)
         stack.run_until(3600.0)
         assert "station-avg" in deployment.shard_groups
         group = deployment.shard_groups["station-avg"]
@@ -117,9 +119,7 @@ class TestDeterminismAudit:
 
     def test_fused_run_actually_fused(self):
         """Guard: the fused audit case really collapses the chain."""
-        stack = build_stack(hot=True, seed=7, observability=SAMPLING,
-                            batching=BATCH)
-        deployment = stack.executor.deploy(fused_pipeline_flow(stack))
+        stack, deployment = _deploy(fused_pipeline_flow)
         stack.run_until(3600.0)
         assert {key: unit.services
                 for key, unit in deployment.plan.units.items()
@@ -127,3 +127,11 @@ class TestDeterminismAudit:
             "keep+double+shift": ("keep", "double", "shift")
         }
         assert deployment.collected("fused-out")
+
+    def test_batched_run_actually_batches(self):
+        """Guard: the audited flush bound coalesces — some published
+        batch holds more than one reading (the 0.5 Hz tweets)."""
+        stack, _ = _deploy(osaka_scenario_flow, SHARDS)
+        stack.run_until(3600.0)
+        sizes = stack.obs.metrics.get("broker_batch_size")
+        assert sizes.sum > sizes.count

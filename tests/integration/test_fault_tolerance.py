@@ -501,13 +501,23 @@ class TestElasticFaultMatrix:
                     return f"st-{station}", owner, recipient
         pytest.skip("placement packed every shard with the merge stage")
 
-    def _force_migration(self, netsim, deployment, station, owner, recipient):
+    def _migrate_and_kill(self, victim: str, at: float):
+        """Force one key migration, kill the ``victim`` shard's node
+        ("owner" or "recipient") at ``at``, and run to the end."""
+        netsim, executor, deployment = self._deploy()
+        netsim.clock.run_until(self.BOUNDARY - 60.0)
+        station, owner, recipient = self._movable_station(deployment)
+        group = deployment.shard_groups["station-avg"]
+        node = group.members[owner if victim == "owner" else recipient].node_id
         rebalancer = deployment.rebalancers["station-avg"]
         netsim.clock.schedule_at(
             self.BOUNDARY - 30.0,
             lambda: rebalancer.executor.schedule(RebalanceDecision(
                 "migrate", (station,), owner, recipient)),
         )
+        netsim.clock.schedule_at(at, lambda: netsim.kill_node(node))
+        netsim.clock.run_until(self.END)
+        return executor, deployment, group, station, owner, recipient, node
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -520,15 +530,8 @@ class TestElasticFaultMatrix:
         assert_converged(faulted, baseline, in_outage(self, affected_shard))
 
     def test_donor_killed_before_handoff_aborts(self, baseline):
-        netsim, executor, deployment = self._deploy()
-        netsim.clock.run_until(self.BOUNDARY - 60.0)
-        station, owner, recipient = self._movable_station(deployment)
-        group = deployment.shard_groups["station-avg"]
-        donor_node = group.members[owner].node_id
-        self._force_migration(netsim, deployment, station, owner, recipient)
-        netsim.clock.schedule_at(self.BOUNDARY - 1.0,
-                                 lambda: netsim.kill_node(donor_node))
-        netsim.clock.run_until(self.END)
+        executor, deployment, group, station, owner, _, donor_node = (
+            self._migrate_and_kill("owner", self.BOUNDARY - 1.0))
 
         [event] = executor.monitor.records(*KEY_MOVES)
         assert event.event == "key-aborted"
@@ -544,15 +547,8 @@ class TestElasticFaultMatrix:
         self._assert_converged(by_key(deployment), baseline, owner)
 
     def test_recipient_killed_before_restore_aborts(self, baseline):
-        netsim, executor, deployment = self._deploy()
-        netsim.clock.run_until(self.BOUNDARY - 60.0)
-        station, owner, recipient = self._movable_station(deployment)
-        group = deployment.shard_groups["station-avg"]
-        recipient_node = group.members[recipient].node_id
-        self._force_migration(netsim, deployment, station, owner, recipient)
-        netsim.clock.schedule_at(self.BOUNDARY - 1.0,
-                                 lambda: netsim.kill_node(recipient_node))
-        netsim.clock.run_until(self.END)
+        executor, deployment, group, station, owner, recipient, _ = (
+            self._migrate_and_kill("recipient", self.BOUNDARY - 1.0))
 
         events = executor.monitor.records(*KEY_MOVES)
         assert [e.event for e in events] == ["key-aborted"]
@@ -567,16 +563,9 @@ class TestElasticFaultMatrix:
         its post-handoff checkpoint carries the disowned marker, and the
         moved key — now living on the recipient — rides out the outage
         without losing a single window."""
-        netsim, executor, deployment = self._deploy()
-        netsim.clock.run_until(self.BOUNDARY - 60.0)
-        station, owner, recipient = self._movable_station(deployment)
-        group = deployment.shard_groups["station-avg"]
-        donor_node = group.members[owner].node_id
-        self._force_migration(netsim, deployment, station, owner, recipient)
         # The handoff runs at BOUNDARY + 1e-6; the kill lands just after.
-        netsim.clock.schedule_at(self.BOUNDARY + 1e-3,
-                                 lambda: netsim.kill_node(donor_node))
-        netsim.clock.run_until(self.END)
+        executor, deployment, group, station, owner, recipient, _ = (
+            self._migrate_and_kill("owner", self.BOUNDARY + 1e-3))
 
         events = executor.monitor.records(*KEY_MOVES)
         assert [e.event for e in events] == ["key-migrate"]

@@ -26,7 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 
+from repro.dsn.generate import dataflow_to_dsn
 from repro.network.topology import Topology
+from repro.pubsub.subscription import BatchingPolicy
 from repro.runtime.backends import AsyncBackend, SimBackend
 from repro.scenario import (
     build_stack,
@@ -122,13 +124,13 @@ def run_config(backend_name: str, flow_name: str, batch: int, shards: int,
         backend = AsyncBackend(topology=topology, max_wall=MAX_WALL_SECONDS)
     else:
         backend = SimBackend(topology=topology)
-    stack = build_stack(hot=True, seed=seed, backend=backend,
-                        batching=batch if batch > 1 else None)
+    stack = build_stack(hot=True, seed=seed, backend=backend)
     with stack:
         flow = (osaka_scenario_flow if flow_name == "osaka"
                 else sharded_aggregation_flow)(stack)
-        deployment = stack.executor.deploy(
-            flow, shards=shards if shards > 1 else None)
+        deployment = stack.executor.deploy(dataflow_to_dsn(
+            flow, batching=BatchingPolicy(batch),
+            shards=shards if shards > 1 else None))
         horizon = HORIZONS[flow_name] if hours is None else hours * 3600.0
         stack.run_until(horizon)
         snapshot = {

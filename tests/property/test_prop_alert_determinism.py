@@ -17,17 +17,19 @@ from hypothesis import strategies as st
 
 from repro.dsn.ast import DsnSlo
 from repro.dsn.generate import dataflow_to_dsn
+from repro.pubsub.subscription import BatchingPolicy
 from repro.scenario import build_stack, sharded_aggregation_flow
 
 CONFIGS = ((1, 1), (1, 32), (4, 1), (4, 32))  # (shards, batch)
 
 
 def run_health(seed: int, shards: int, batch: int, threshold: float) -> str:
-    stack = build_stack(seed=seed, batching=batch, latency=True)
+    stack = build_stack(seed=seed, latency=True)
     flow = sharded_aggregation_flow(stack)
     program = dataflow_to_dsn(
         flow,
         stack.broker_network.registry,
+        batching=BatchingPolicy(batch),
         shards=shards if shards > 1 else None,
         slos=[
             DsnSlo(flow=flow.name, metric="watermark_lag", op="<",

@@ -17,9 +17,11 @@ out-of-order stamp streams.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dsn.ast import DsnSlo
 from repro.dsn.generate import dataflow_to_dsn
 from repro.obs.latency import LatencyPlane
 from repro.obs.metrics import MetricsRegistry
+from repro.pubsub.subscription import BatchingPolicy
 from repro.scenario import build_stack, sharded_aggregation_flow
 
 
@@ -31,17 +33,14 @@ from repro.scenario import build_stack, sharded_aggregation_flow
     cadence=st.sampled_from((60.0, 150.0, 300.0)),
 )
 def test_watermarks_never_regress(seed, shards, batch, cadence):
-    stack = build_stack(seed=seed, batching=batch, latency=True)
+    stack = build_stack(seed=seed, latency=True)
     flow = sharded_aggregation_flow(stack)
-    program = dataflow_to_dsn(flow, stack.broker_network.registry,
-                              shards=shards if shards > 1 else None, slos=[])
-    # No SLO clauses: install the plane exactly the way the executor
-    # would, by asking for one health objective.
-    from repro.dsn.ast import DsnSlo
-
-    program.slos.append(
-        DsnSlo(flow=flow.name, metric="watermark_lag", op="<", threshold=1e9))
-    stack.executor.deploy(program)
+    # The plane is installed the way the executor does it: by asking for
+    # one health objective.
+    stack.executor.deploy(dataflow_to_dsn(
+        flow, batching=BatchingPolicy(batch),
+        shards=shards if shards > 1 else None,
+        slos=[DsnSlo(flow.name, "watermark_lag", "<", 1e9)]))
     plane = stack.obs.latency
 
     last: dict[str, float] = {}

@@ -1,12 +1,11 @@
-"""Unit tests: channel ``batch`` hints — AST, parse, derivation, apply."""
+"""Channel ``batch N within S``: syntax, translation, and the deployed
+program deciding how the sensors it binds publish."""
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
 from repro.dsn.ast import DsnChannel
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
-from repro.pubsub.broker import BrokerNetwork
-from repro.scenario import apply_batch_hints
+from repro.pubsub.subscription import BatchingPolicy, SubscriptionFilter
 from repro.sensors.base import SimulatedSensor
 from tests.builders import executor_stack, pipeline
 from tests.unit.dsn.test_ast import small_program
@@ -21,11 +20,13 @@ class TestChannelSyntax:
     def test_batch_renders_and_round_trips(self):
         program = small_program()
         program.channels[0] = DsnChannel("src", "f", 0, batch=16)
+        program.channels[1] = DsnChannel("f", "out", 0, batch=1, within=0.5)
         text = program.render()
         assert 'channel "src" -> "f" port 0 batch 16;' in text
+        assert 'channel "f" -> "out" port 0 batch 1 within 0.5;' in text
         parsed = parse_dsn(text)
-        assert parsed.channels[0].batch == 16
-        assert parsed.channels[1].batch == 1
+        assert [(c.batch, c.within) for c in parsed.channels] == [
+            (16, 1.0), (1, 0.5)]
         assert parsed.render() == text
 
     def test_batch_free_program_text_is_stable(self):
@@ -35,71 +36,80 @@ class TestChannelSyntax:
         assert parse_dsn(program.render()).render() == program.render()
 
 
-def _temperature_flow() -> Dataflow:
-    return pipeline("hints", ("keep", FilterSpec("v > 0")), source="temp")
-
-
-def _registry_with(frequencies: "list[float]"):
-    network = BrokerNetwork()
-    for index, frequency in enumerate(frequencies):
-        network.publish(make_metadata(f"t{index}", "temperature",
-                                      frequency=frequency,
-                                      node_id="edge-0"))
-    return network.registry
+def _temperature_flow(name="hints"):
+    return pipeline(name, ("keep", FilterSpec("v > 0")), source="temp")
 
 
 class TestHintDerivation:
-    def test_hint_is_rate_times_delay(self):
-        # Two 2 Hz sensors on the filter: 4 tuples/s x 4 s budget = 16.
-        program = dataflow_to_dsn(_temperature_flow(),
-                                  _registry_with([2.0, 2.0]), batch_delay=4.0)
-        assert program.channels[0].batch == 16
-        # Operator-to-operator channels carry no hint.
-        assert program.channels[1].batch == 1
-
-    def test_hint_clamped_to_max_batch(self):
-        program = dataflow_to_dsn(_temperature_flow(), _registry_with([100.0]),
-                                  batch_delay=10.0, max_batch=32)
-        assert program.channels[0].batch == 32
-
-    def test_slow_sensor_never_hints_below_one(self):
-        program = dataflow_to_dsn(_temperature_flow(),
-                                  _registry_with([1.0 / 3600.0]),
-                                  batch_delay=1.0)
-        assert program.channels[0].batch == 1
-
     def test_no_delay_no_hints(self):
-        program = dataflow_to_dsn(_temperature_flow(), _registry_with([2.0]))
+        program = dataflow_to_dsn(_temperature_flow())
         assert all(channel.batch == 1 for channel in program.channels)
 
+    def test_batching_lands_on_source_channels_only(self):
+        program = dataflow_to_dsn(_temperature_flow(),
+                                  batching=BatchingPolicy(16, 60.0))
+        assert [(c.batch, c.within) for c in program.channels] == [
+            (16, 60.0), (1, 1.0)]
 
-class TestApplyBatchHints:
-    def test_deploy_records_and_apply_configures(self):
-        netsim, network, executor = executor_stack()
 
-        fleet = [
-            SimulatedSensor(
-                make_metadata(f"t{i}", "temperature", frequency=2.0,
-                              node_id="hub"),
-                generator=lambda now, rng: {"v": now},
-            )
-            for i in range(2)
-        ]
-        for sensor in fleet:
-            sensor.attach(network, netsim.clock)
+def _rig():
+    """An executor over ``hub``, a 1 Hz sensor ``t0`` on it, and the
+    messages a plain subscriber receives (the seqs of each, in order)."""
+    netsim, network, executor = executor_stack()
+    _attach(network, netsim.clock, "t0")
+    messages = []
+    tap = network.subscribe("hub", SubscriptionFilter(),
+                            lambda reading: messages.append([reading.seq]))
+    tap.batch_callback = lambda batch: messages.append([t.seq for t in batch])
+    return netsim.clock, network, executor, messages
 
-        program = dataflow_to_dsn(_temperature_flow(), network.registry,
-                                  batch_delay=2.0)
-        deployment = executor.deploy(program)
-        assert deployment.batch_hints == {"temp": 8}
 
-        configured = apply_batch_hints(deployment, fleet, max_delay=2.0)
-        assert configured == 2
-        for sensor in fleet:
-            assert sensor.batching.max_batch == 8
-            assert sensor.batching.max_delay == 2.0
+def _attach(network, clock, sensor_id):
+    SimulatedSensor(make_metadata(sensor_id, frequency=1.0, node_id="hub"),
+                    generator=lambda now, rng: {"v": now}).attach(network, clock)
 
-        # The configured sensors now move fewer, larger messages.
-        netsim.clock.run_until(8.5)
-        assert network.data_tuples_sent > 0
-        assert network.data_messages_sent < network.data_tuples_sent
+
+def _deploy(executor, batch, name="hints", within=100.0):
+    return executor.deploy(dataflow_to_dsn(
+        _temperature_flow(name), batching=BatchingPolicy(batch, within)))
+
+
+class TestDeployed:
+    def test_a_bound_sensor_publishes_n_tuple_messages(self):
+        clock, _, executor, messages = _rig()
+        _deploy(executor, 4)
+        clock.run_until(8.5)
+        assert messages == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_a_sensor_that_joins_later_batches_too(self):
+        clock, network, executor, messages = _rig()
+        _deploy(executor, 4)
+        clock.run_until(0.5)
+        _attach(network, clock, "t1")
+        clock.run_until(8.7)
+        assert network.batching_for("t1") == BatchingPolicy(4, 100.0)
+        assert [len(message) for message in messages] == [4, 4, 4, 4]
+
+    def test_teardown_publishes_per_tuple_losing_nothing(self):
+        clock, network, executor, messages = _rig()
+        deployment = _deploy(executor, 4)
+        clock.run_until(6.5)
+        deployment.teardown()
+        assert network.batching_for("t0") is None
+        clock.run_until(8.5)
+        # The two readings buffered at teardown go out first, as one
+        # message; then one message per reading.
+        assert messages == [[0, 1, 2, 3], [4, 5], [6], [7]]
+
+    def test_two_deployments_take_the_larger_batch_until_one_goes(self):
+        clock, network, executor, messages = _rig()
+        _deploy(executor, 4, name="four")
+        eight = _deploy(executor, 8, name="eight", within=200.0)
+        # The largest batch, flushed by the tightest bound.
+        assert network.batching_for("t0") == BatchingPolicy(8, 100.0)
+        clock.run_until(8.5)
+        eight.teardown()
+        clock.run_until(16.5)
+        assert messages == [list(range(8)), list(range(8, 12)),
+                            list(range(12, 16))]
+        assert network.batching_for("t0") == BatchingPolicy(4, 100.0)

@@ -21,7 +21,8 @@ from repro.dataflow.ops import (
 )
 from repro.designer.session import DesignerSession
 from repro.dsn.ast import (
-    DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo, ServiceRole,
+    DsnChannel, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo,
+    ServiceRole,
 )
 from repro.dsn.check import check
 from repro.dsn.parse import parse_dsn
@@ -114,6 +115,13 @@ ROWS = {
                           "unknown comparator '!='"),
     "slo-window": Row(linear(DsnSlo("p", "p99_latency", "<", 5.0, -60.0)),
                       "p", "window must be >= 0"),
+    "batch-zero": Row(linear(DsnChannel("src", "f", batch=0),
+                             drop=("src > f",)), "src", "batch must be >= 1"),
+    "batch-within": Row(linear(DsnChannel("src", "f", batch=32, within=0.0),
+                               drop=("src > f",)), "src", "bound must be > 0"),
+    "batch-not-source": Row(linear(DsnChannel("f", "g", batch=16),
+                                   drop=("f > g",)), "f",
+                            "only sources micro-batch"),
     # K: process keys.
     "key-collision": Row(linear("g > f+g", "f+g > k", DsnFuse(("f", "g")),
                                 drop=("g > k",),

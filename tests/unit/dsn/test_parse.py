@@ -59,6 +59,10 @@ class TestErrors:
         with pytest.raises(DsnParseError, match="JSON"):
             parse_dsn(text)
 
+    def test_malformed_number(self):
+        with pytest.raises(DsnParseError, match="unexpected statement"):
+            parse_dsn('dsn "p" {\n  slo "p" p99_latency < 5 over 1e-;\n}\n')
+
     def test_unknown_statement(self):
         text = 'dsn "p" {\n  teleport "a" -> "b";\n}\n'
         with pytest.raises(DsnParseError, match="unexpected statement"):

@@ -82,13 +82,13 @@ SHAPES = {
                      'property_name = "double_temp"',
                      'spec = "temperature * 2"'),
             slim(), sink("out"),
-            channel("temp", "keep"), channel("keep", "double"),
-            channel("double", "slim"), channel("slim", "out", batch=8),
+            channel("temp", "keep", batch=8), channel("keep", "double"),
+            channel("double", "slim"), channel("slim", "out"),
         ),
         [("keep+double+slim", "chain", ("keep", "double", "slim"), "hub"),
          ("out", "sink", ("out",), "hub")],
-        [("temp", "keep+double+slim", 0, 1),
-         ("keep+double+slim", "out", 0, 8)],
+        [("temp", "keep+double+slim", 0, 8),
+         ("keep+double+slim", "out", 0, 1)],
     ),
     # The side branch lands on edge-0 first, so the shards spread past it:
     # placement sees the demand of every unit planned before them.
@@ -212,7 +212,8 @@ def unit_table(plan):
 
 
 def edge_table(plan):
-    return [(e.producer, e.consumer, e.port, e.batch) for e in plan.edges]
+    return [(e.producer, e.consumer, e.port,
+             e.batch.max_batch if e.batch else 1) for e in plan.edges]
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
@@ -237,7 +238,7 @@ class TestShapes:
         for edge in plan.edges:
             if edge.producer in plan.sources:
                 group = plan.groups.get(edge.consumer)
-                bound += [(edge.producer, key) for key in
+                bound += [(edge.producer, key, edge.batch) for key in
                           (group.members if group else (edge.consumer,))]
                 continue
             target = (deployment.shard_groups.get(edge.consumer)
@@ -250,11 +251,12 @@ class TestShapes:
         owner = {id(subscription): key for key, unit in plan.units.items()
                  for subscription in unit.subscriptions}
         created = sorted(
-            (subscription.subscription_id, name, owner[id(subscription)])
+            (subscription.subscription_id, name, owner[id(subscription)],
+             subscription.batch)
             for name, binding in deployment.bindings.items()
             for subscription in binding.subscriptions
         )
-        assert [(name, key) for _, name, key in created] == bound
+        assert [row[1:] for row in created] == bound
 
 
 def test_join_partitions_each_port_on_its_own_key():

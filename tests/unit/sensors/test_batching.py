@@ -1,33 +1,20 @@
-"""Unit tests: the sensor-side adaptive micro-batch flusher."""
+"""Unit tests: the sensor-side adaptive micro-batch flusher, driven by
+the policies its routes carry (``BrokerNetwork.batching_for``)."""
 
 import pytest
 
 from repro.errors import PubSubError
-from repro.network.simclock import SimClock
-from repro.pubsub.broker import BrokerNetwork
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.sensors.base import BatchingPolicy, SimulatedSensor
+from repro.pubsub.subscription import BatchingPolicy
+from repro.sensors.base import SimulatedSensor
+from tests.builders import attached
 from tests.unit.pubsub.test_registry import make_metadata
 
 
-@pytest.fixture
-def rig():
-    """(network, clock, delivered tuples) for an in-process broker."""
-    network = BrokerNetwork()
-    clock = SimClock()
-    seen = []
-    network.subscribe("edge-0", SubscriptionFilter(sensor_type="temperature"),
-                      seen.append)
-    return network, clock, seen
-
-
-def make_sensor(frequency=1.0, batching=None) -> SimulatedSensor:
-    return SimulatedSensor(
-        make_metadata("t1", "temperature", frequency=frequency,
-                      node_id="edge-0"),
-        generator=lambda now, rng: {"v": now},
-        batching=batching,
-    )
+def run(batch=None):
+    """A 1 Hz sensor whose one route declares ``batch``."""
+    sensor = SimulatedSensor(make_metadata("t1", frequency=1.0),
+                             generator=lambda now, rng: {"v": now})
+    return (sensor, *attached(sensor, batch=batch))
 
 
 class TestPolicy:
@@ -45,10 +32,9 @@ class TestPolicy:
 
 
 class TestUnbatchedPassthrough:
-    def test_each_reading_published_immediately(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor()
-        sensor.attach(network, clock)
+    def test_each_reading_published_immediately(self):
+        sensor, clock, network, seen = run(BatchingPolicy(1, 60.0))
+        assert network.batching_for("t1") is None  # batch 1 is unbatched
         clock.run_until(3.5)
         assert len(seen) == 3
         assert sensor.batches_flushed == 0
@@ -56,11 +42,8 @@ class TestUnbatchedPassthrough:
 
 
 class TestFlushOnFill:
-    def test_flushes_when_batch_fills(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=3,
-                                                     max_delay=100.0))
-        sensor.attach(network, clock)
+    def test_flushes_when_batch_fills(self):
+        sensor, clock, network, seen = run(BatchingPolicy(3, 100.0))
         clock.run_until(2.5)
         assert seen == []  # two readings buffered, batch not full
         clock.run_until(3.5)
@@ -70,21 +53,15 @@ class TestFlushOnFill:
         assert network.data_messages_sent == 1
         assert network.data_tuples_sent == 3
 
-    def test_order_preserved_across_flushes(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=2,
-                                                     max_delay=100.0))
-        sensor.attach(network, clock)
+    def test_order_preserved_across_flushes(self):
+        _, clock, _, seen = run(BatchingPolicy(2, 100.0))
         clock.run_until(6.5)
         assert [t.seq for t in seen] == [0, 1, 2, 3, 4, 5]
 
 
 class TestFlushOnDelay:
-    def test_partial_batch_flushes_after_max_delay(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=100,
-                                                     max_delay=2.5))
-        sensor.attach(network, clock)
+    def test_partial_batch_flushes_after_max_delay(self):
+        sensor, clock, _, seen = run(BatchingPolicy(100, 2.5))
         # Readings at t=1, 2, 3; the t=1 reading's delay budget expires at
         # t=3.5, flushing everything buffered by then.
         clock.run_until(3.4)
@@ -93,11 +70,8 @@ class TestFlushOnDelay:
         assert [t.seq for t in seen] == [0, 1, 2]
         assert sensor.batches_flushed == 1
 
-    def test_delay_timer_rearms_per_batch(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=100,
-                                                     max_delay=1.5))
-        sensor.attach(network, clock)
+    def test_delay_timer_rearms_per_batch(self):
+        sensor, clock, _, seen = run(BatchingPolicy(100, 1.5))
         clock.run_until(10.0)
         # Each flush restarts the window on the next buffered reading.
         assert sensor.batches_flushed >= 2
@@ -105,11 +79,8 @@ class TestFlushOnDelay:
 
 
 class TestLifecycle:
-    def test_detach_flushes_buffered_readings(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=100,
-                                                     max_delay=100.0))
-        sensor.attach(network, clock)
+    def test_detach_flushes_buffered_readings(self):
+        sensor, clock, _, seen = run(BatchingPolicy(100, 100.0))
         clock.run_until(2.5)
         assert seen == []
         sensor.detach()
@@ -117,21 +88,7 @@ class TestLifecycle:
         clock.run()  # the cancelled flush timer must not fire
         assert len(seen) == 2
 
-    def test_set_batching_flushes_first(self, rig):
-        network, clock, seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=100,
-                                                     max_delay=100.0))
-        sensor.attach(network, clock)
-        clock.run_until(2.5)
-        sensor.set_batching(None)
-        assert len(seen) == 2  # buffered readings were not lost
-        clock.run_until(3.5)
-        assert len(seen) == 3  # and emission is per-tuple again
-        assert sensor.batching.max_batch == 1
-
-    def test_flush_on_empty_buffer_is_a_no_op(self, rig):
-        network, clock, _seen = rig
-        sensor = make_sensor(batching=BatchingPolicy(max_batch=4))
-        sensor.attach(network, clock)
+    def test_flush_on_empty_buffer_is_a_no_op(self):
+        sensor, *_ = run(BatchingPolicy(4))
         assert sensor.flush() == 0
         assert sensor.batches_flushed == 0

@@ -102,6 +102,18 @@ class TestScenario:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestBatchFlags:
+    @pytest.mark.parametrize("flags, coalesced", [
+        (["--batch", "32", "--max-delay", "60"], True), (["--batch", "1"], False)])
+    def test_batch_flags_reach_the_program(self, flags, coalesced, capsys):
+        assert main(["metrics", "--hours", "1", "--sampling", "0", "--json",
+                     *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        [sizes] = payload["broker_batch_size"]["series"]
+        # Published batches holding more than one reading.
+        assert (sizes["count"] > sizes["buckets"]["1"]) is coalesced
+
+
 class TestHealth:
     def test_health_screen(self, capsys):
         assert main(["health", "stations", "--hours", "2"]) == 0
