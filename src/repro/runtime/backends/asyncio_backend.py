@@ -19,19 +19,19 @@ and time advances one deadline ("epoch") at a time —
    (``time_scale`` virtual seconds per wall second; ``None`` free-runs),
 2. fire every callback scheduled at exactly that instant — timers and
    deliveries alike — in the simulator's (time, sequence) order,
-3. post what those callbacks submitted up to the first full mailbox, one
-   task wake per process (the driver posts the rest, waiting for room);
-   but a *lone delivery* — the epoch's only message, to a process that is
-   idle (parked, mailbox empty) — has nothing to run beside, so whoever
-   ran the epoch handles it in place and posts what that submitted,
+3. hand over what those callbacks submitted: one item each for distinct
+   idle processes (parked, or the one running the epoch) needs no mailbox
+   and no wake, so whoever ran the epoch handles them in place, in order;
+   a same-host burst is posted up to the first full mailbox, one task
+   wake per process (the driver posts the rest, waiting for room),
 4. **barrier**: the next epoch waits until nothing is in flight; the host
    task that empties it runs that epoch itself (the *relay*), so a woken
-   process costs one loop turn and a lone delivery none — the driver
-   (``run_until``) wakes only to pace, wait for room, reap, stop or
-   raise.  An epoch that leaves nothing posted skips 4 and never touches
-   the event loop.
+   process costs one loop turn and mail handled in place none — the
+   driver (``run_until``) wakes only to pace, wait for room, reap, stop
+   or raise.  An epoch that leaves nothing posted skips 4 and never
+   touches the event loop.
 
-Inside an epoch, the woken processes run concurrently in whatever order
+The processes a same-host burst woke run concurrently in whatever order
 the event loop schedules them — that is the genuinely asynchronous (and
 nondeterministic) part.  Across epochs, ``clock.now`` reports logical
 deadlines, so emission stamps, window contents, flush instants, retry
@@ -401,17 +401,17 @@ class AsyncBackend(ExecutionBackend):
 
     # -- mailboxes / quiescence accounting -----------------------------------
 
-    def _handled(self, count: int = 1) -> None:
+    def _handled(self, count: int, me: "asyncio.Task | None" = None) -> None:
         """``count`` posted messages left flight; at zero, relay the barrier:
-        run the next epochs here, with it detached (a ``_kill_host`` in them
-        must not release it), and wake the driver only for its jobs."""
+        run the next epochs here, in ``me``, with it detached (a ``_kill_host``
+        in them must not release it); wake the driver only for its jobs."""
         self._inflight -= count
         quiet = self._quiet
         if self._inflight or quiet is None or quiet.cancelled():
             return  # (cancelled: the driver ran out of wall budget)
         self._quiet = None
         try:
-            self._epochs()
+            self._epochs(me)
         except Exception as exc:
             self._failure = self._failure or exc
         if self._inflight and not (self._tail or self._reap or self._failure):
@@ -474,7 +474,7 @@ class AsyncBackend(ExecutionBackend):
                 except Exception as exc:  # the sim raises it from run_until
                     self._failure = self._failure or exc
                 finally:
-                    self._handled()
+                    self._handled(1, me)
                 if host.task is not me:
                     return  # killed (and maybe revived) in an epoch it relayed
             host.parked = parked = self._loop.create_future()
@@ -482,12 +482,11 @@ class AsyncBackend(ExecutionBackend):
 
     # -- the epoch driver ----------------------------------------------------
 
-    def _epochs(self) -> "float | None":
-        """The driver's and the relay's one epoch loop: run epochs until mail
-        is in flight or ``_advance`` has a job; return the wall seconds until
-        the next epoch is due (0: not waiting on the clock), or None past the
-        horizon.  The tail of a post that met a full mailbox (so mail is in
-        flight) is the driver's to post."""
+    def _epochs(self, me: "asyncio.Task | None" = None) -> "float | None":
+        """The driver's (``me`` None) and the relay's (task ``me``) epoch
+        loop: run epochs until mail is in flight or ``_advance`` has a job;
+        return the wall seconds until the next epoch is due (0: not waiting),
+        or None past the horizon.  A post's unposted tail is the driver's."""
         clock = self.clock
         while not (self._inflight or self._reap or self._failure):
             if (self.max_wall is not None
@@ -501,21 +500,24 @@ class AsyncBackend(ExecutionBackend):
                 return delay
             self._executed += clock._run_epoch(
                 deadline, self._budget - self._executed)
-            staged = self._staged_mail
-            if len(staged) == 1:
-                host, (payload, port) = staged[0]
-                if host.parked is not None and host.alive:
-                    # A lone delivery to an idle host (parked, so its
-                    # mailbox is empty) has nothing to run beside: handle
-                    # it here, with no wake and no loop turn.
-                    staged.clear()
-                    host.high_water = host.high_water or 1
-                    try:
-                        host.receive(payload, port)
-                    except Exception as exc:  # as in _host_loop
-                        self._failure = self._failure or exc
-            if self._staged_mail:
-                self._tail = self._post()
+            if staged := self._staged_mail:
+                hosts = set()
+                for host, _ in staged:
+                    if (host in hosts or not host.alive
+                            or host.parked is None and host.task is not me):
+                        break  # a same-host burst, or a host not idle
+                    hosts.add(host)
+                else:  # one item per idle host: handle them here, no wake
+                    self._staged_mail = []
+                    for host, (payload, port) in staged:
+                        if host.alive:  # else an earlier handler killed it
+                            host.high_water = host.high_water or 1
+                            try:
+                                host.receive(payload, port)
+                            except Exception as exc:  # as in _host_loop
+                                self._failure = self._failure or exc
+                if self._staged_mail:
+                    self._tail = self._post()
         return 0.0
 
     def _pace_delay(self, deadline: float) -> float:

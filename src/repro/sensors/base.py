@@ -56,7 +56,6 @@ class SimulatedSensor:
         self.rng = np.random.default_rng(_seed_for(metadata.sensor_id, seed))
         self.emitted = 0
         self.skipped = 0
-        self.batches_flushed = 0
         self._buffer: list = []
         self._flush_event: "ScheduledEvent | None" = None
         self._cancel: "Callable[[], None] | None" = None
@@ -142,7 +141,6 @@ class SimulatedSensor:
             return 0
         batch = self._buffer
         self._buffer = []
-        self.batches_flushed += 1
         assert self._network is not None
         self._network.publish_batch(self.sensor_id, batch)
         return len(batch)

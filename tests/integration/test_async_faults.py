@@ -40,9 +40,9 @@ def blocking_flow() -> Dataflow:
         source="temp")
 
 
-def async_stack(leaf_count: int = 4, **kwargs):
+def async_stack(leaf_count: int = 4, max_wall: float = MAX_WALL, **kwargs):
     backend = AsyncBackend(topology=Topology.star(leaf_count=leaf_count),
-                           max_wall=MAX_WALL, **kwargs)
+                           max_wall=max_wall, **kwargs)
     return build_stack(hot=True, seed=11, backend=backend), backend
 
 
@@ -134,6 +134,7 @@ class TestKillInsideARelayedEpoch:
         for backend_name in ("sim", "async"):
             stack, backend = _stack_on(backend_name)
             with stack:
+                attach_burst_stations(stack)  # ``work`` is woken, so relays
                 deployment = stack.executor.deploy(blocking_flow())
                 work = deployment.process("work")
                 node = deployment.process(victim).node_id
@@ -288,31 +289,25 @@ class TestPacingAndTimerSkew:
     """``time_scale`` slows wall execution without skewing logical timers."""
 
     def test_paced_run_matches_free_run_and_takes_wall_time(self):
-        horizon = 600.0
-        stack, _ = async_stack()
-        with stack:
-            deployment = stack.executor.deploy(blocking_flow())
-            stack.run_until(horizon)
-            free = sink_rows(deployment)
+        def run(**options):
+            stack, _ = async_stack(**options)
+            with stack:
+                deployment = stack.executor.deploy(blocking_flow())
+                start = time.monotonic()
+                stack.run_until(600.0)
+                return time.monotonic() - start, sink_rows(deployment)
 
+        _, free = run()
         # 600 virtual seconds at 1200 virtual-seconds-per-wall-second:
         # at least ~0.5s of wall pacing, and the identical sink output —
         # flush timers fire at their logical instants regardless of the
         # wall schedule (no timer skew under pacing).
-        stack2, _ = async_stack(time_scale=1200.0)
-        with stack2:
-            deployment2 = stack2.executor.deploy(blocking_flow())
-            start = time.monotonic()
-            stack2.run_until(horizon)
-            elapsed = time.monotonic() - start
-            paced = sink_rows(deployment2)
+        elapsed, paced = run(time_scale=1200.0)
         assert elapsed >= 0.4
         assert sorted(free, key=repr) == sorted(paced, key=repr)
 
     def test_wall_budget_trips_on_wedged_run(self):
-        backend = AsyncBackend(topology=Topology.star(leaf_count=4),
-                               max_wall=0.0)
-        stack = build_stack(hot=True, seed=11, backend=backend)
+        stack, _ = async_stack(max_wall=0.0)
         with stack:
             stack.executor.deploy(blocking_flow())
             # Any epoch over a zero wall budget must raise, not hang.

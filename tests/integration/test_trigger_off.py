@@ -55,7 +55,6 @@ class TestTriggerOff:
         controls = stack.executor.monitor.records("activate", "deactivate")
         assert controls
         assert controls[0].event == "deactivate"
-        fired_at = controls[0].time
 
         # After deactivation, no further tweets are visualized.
         pushed_at_fire = stack.sticker.pushed

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+from functools import partial
+from itertools import product
 
 import pytest
 
@@ -146,11 +148,14 @@ class TestAsyncBackendLifecycle:
 class _FakeProcess:
     """The surface AsyncBackend hosts: the receive pair plus identity."""
 
-    def __init__(self, node_id="edge-1", on_receive=lambda _: None):
+    def __init__(self, node_id="edge-1", on_receive=lambda _: None,
+                 backend=None):
         self.process_id = "fake"
         self.node_id = node_id
         self.received = []
         self._on_receive = on_receive
+        if backend is not None:
+            backend.host_process(self)
 
     def receive(self, tuple_, port=0):
         self.received.append(tuple_)
@@ -180,19 +185,26 @@ def _record_calls(owner, name, note=lambda *args: None):
     return calls
 
 
-def _call_soons(count):
-    """Loop callbacks scheduled by a run in which one instant mails
-    ``count`` messages to one parked process."""
+def _loop_calls(name, epochs, per_epoch, hosts=1):
+    """Calls of the event loop's ``name`` while ``epochs`` epochs each mail
+    ``per_epoch`` messages to ``hosts`` of three parked processes in turn."""
     with async_backend() as backend:
-        process = _FakeProcess()
-        backend.host_process(process)
-        backend.run_until(0.5)  # the host task starts and parks
-        _send_at(backend, process, 1.0, count)
-        scheduled = _record_calls(backend._loop, "call_soon")
-        backend.run_until(2.0)
-        assert process.received == list(range(count))
-        assert backend._hosts[id(process)].high_water == count
-        return len(scheduled)
+        processes = [_FakeProcess(backend=backend) for _ in range(3)]
+        backend.run_until(0.5)  # the host tasks start and park
+        times = [0, 0, 0]  # epochs that mail each process
+        for i, j in product(range(epochs), range(hosts)):
+            times[(i + j) % 3] += 1
+            _send_at(backend, processes[(i + j) % 3], 1.0 + i, per_epoch)
+        calls = _record_calls(backend._loop, name)
+        backend.run_until(1.0 + epochs)
+        for host, n in zip(backend._hosts.values(), times):
+            assert host.process.received == list(range(per_epoch)) * n
+            assert host.high_water == (per_epoch if n else 0)
+        return len(calls)
+
+
+_call_soons = partial(_loop_calls, "call_soon", 1)
+_turns = partial(_loop_calls, "_run_once")
 
 
 class TestMailbox:
@@ -210,43 +222,54 @@ class TestMailbox:
         assert _call_soons(2) == _call_soons(64)
 
     def test_lone_delivery_is_handled_in_place_without_a_wake(self):
-        assert _call_soons(1) == _call_soons(0)
+        # So is one item each for three idle hosts.
+        assert _call_soons(1) == _call_soons(1, hosts=3) == _call_soons(0)
 
     def test_lone_delivery_raising_reaches_run_until_as_on_the_sim(self):
-        for backend in (SimBackend(topology=Topology.star(leaf_count=2)),
-                        async_backend()):
-            with backend:
-                process = _FakeProcess(on_receive=lambda _: 1 / 0)
-                backend.host_process(process)
-                _send_at(backend, process, 1.0, 1)
+        # An idle host mailed in the same epoch still handles its item.
+        for name, mailed in product(("sim", "async"), (1, 2)):
+            with backend_from_name(name, Topology.star(leaf_count=2),
+                                   max_wall=10.0) as backend:
+                pair = [_FakeProcess(on_receive=lambda _: 1 / 0),
+                        _FakeProcess()]
+                for process in pair[:mailed]:
+                    backend.host_process(process)
+                    _send_at(backend, process, 1.0, 1)
                 with pytest.raises(ZeroDivisionError):
                     backend.run_until(2.0)
+                backend.run_until(2.0)  # the sim stopped at the raise
+                assert [len(p.received) for p in pair] == [1, mailed - 1]
 
     def test_lone_delivery_killing_its_own_node_matches_the_sim(self):
-        def received(backend):
+        # It also kills (or kills and revives) the node of a second idle
+        # host mailed after it.
+        def received(backend, revive):
             with backend:
                 process = _FakeProcess(on_receive=lambda _: (
                     len(process.received) == 3
-                    and backend.kill_node("edge-1")))
-                backend.host_process(process)
-                for n in range(5):
-                    _send_at(backend, process, 1.0 + n, 1)
+                    and [backend.kill_node("edge-1"),
+                         revive and backend.revive_node("edge-1")]))
+                for target in (process, second := _FakeProcess()):
+                    backend.host_process(target)
+                    for n in range(5):
+                        _send_at(backend, target, 1.0 + n, 1)
                 backend.run_until(9.0)
-                return process.received
+                return process.received, second.received
 
-        sim = SimBackend(topology=Topology.star(leaf_count=2))
-        assert received(async_backend()) == received(sim) == [0, 0, 0]
+        for revive, (first, second) in ((False, (3, 2)), (True, (5, 5))):
+            sim = SimBackend(topology=Topology.star(leaf_count=2))
+            assert received(async_backend(), revive) == received(
+                sim, revive) == ([0] * first, [0] * second)
 
     def test_lone_delivery_leaves_its_handlers_unposted_tail_to_the_driver(
             self):
         # The forwarder handles its lone message in place and mails two
         # into a 1-slot mailbox: the driver, not a host, waits for room.
         with async_backend(mailbox_capacity=1) as backend:
-            target = _FakeProcess("hub")
+            target = _FakeProcess("hub", backend=backend)
             forwarder = _FakeProcess(on_receive=lambda n: (
-                target.receive((n, 0)), target.receive((n, 1))))
-            for process in (target, forwarder):
-                backend.host_process(process)
+                target.receive((n, 0)), target.receive((n, 1))),
+                backend=backend)
             posters = _record_calls(backend, "_post_tail", lambda *_: (
                 asyncio.current_task(backend._loop)))
             _send_at(backend, forwarder, 1.0, 1)
@@ -262,8 +285,7 @@ class TestMailbox:
         # up the driver's remainder it would wait for room in its own
         # mailbox and the run would wedge (here: trip the wall budget).
         with async_backend(mailbox_capacity=2) as backend:
-            process = _FakeProcess()
-            backend.host_process(process)
+            process = _FakeProcess(backend=backend)
             _send_at(backend, process, 1.0, 10)
             backend.run_until(2.0)
             assert process.received == list(range(10))
@@ -275,8 +297,8 @@ class TestMailbox:
             # Handling the first message kills the process's own node
             # while the driver is suspended posting the second.
             process = _FakeProcess(
-                on_receive=lambda _: backend.kill_node("edge-1"))
-            backend.host_process(process)
+                on_receive=lambda _: backend.kill_node("edge-1"),
+                backend=backend)
             _send_at(backend, process, 1.0, 3)
             backend.run_until(2.0)
             assert process.received == [0]
@@ -290,42 +312,27 @@ class TestRelay:
 
     @staticmethod
     def _hosted(backend, *nodes):
-        processes = [_FakeProcess(node) for node in nodes]
-        for process in processes:
-            backend.host_process(process)
-        return processes
+        return [_FakeProcess(node, backend=backend) for node in nodes]
 
     @staticmethod
     def _relay_from(backend, when, process, message=0):
-        """Mail a bystander, then ``process``, at ``when`` (a lone item would
-        be handled in place): ``process``, woken last, relays next."""
-        bystander = _FakeProcess("hub")
-        backend.host_process(bystander)
-        backend.clock.schedule_at(when, bystander.receive, message)
-        backend.clock.schedule_at(when, process.receive, message)
-
-    def _turns(self, count, per_epoch):
-        """Loop turns of ``count`` epochs that each mail ``per_epoch``
-        messages to the process the epoch before did not wake."""
-        with async_backend() as backend:
-            pair = self._hosted(backend, "edge-1", "hub")
-            backend.run_until(0.5)  # the host tasks start and park
-            for i in range(count):
-                _send_at(backend, pair[i % 2], 1.0 + i, per_epoch)
-            turns = _record_calls(backend._loop, "_run_once")
-            backend.run_until(1.0 + count)
-            assert sum(len(p.received) for p in pair) == count * per_epoch
-            return len(turns)
+        """Mail a bystander twice, then ``process``, at ``when`` (so no item
+        is handled in place): ``process``, woken last, relays next."""
+        bystander = _FakeProcess("hub", backend=backend)
+        for receive in (bystander.receive, bystander.receive, process.receive):
+            backend.clock.schedule_at(when, receive, message)
 
     def test_chain_costs_one_loop_turn_per_woken_process(self):
         # One loop turn per woken task, and no turn for the driver between
         # epochs (a driver-only clock pays 2N).
         chain = 20
-        assert self._turns(chain, 2) - self._turns(0, 2) <= chain + 2
+        assert _turns(chain, 2) - _turns(0, 2) <= chain + 2
 
     def test_chain_of_lone_deliveries_costs_no_loop_turn(self):
-        # Each is handled where its epoch ran (one turn per epoch before).
-        assert self._turns(20, 1) - self._turns(0, 1) <= 2
+        # Each is handled where its epoch ran (one turn per epoch before),
+        # and so is each epoch that mails two idle hosts one item each.
+        for hosts in (1, 2):
+            assert _turns(20, 1, hosts) - _turns(0, 1, hosts) <= 2
 
     def test_relayed_epoch_leaves_its_unposted_tail_to_the_driver(self):
         # The relayed epoch posts one of three messages into a 1-slot
@@ -342,7 +349,7 @@ class TestRelay:
             assert relayed[-1]  # the burst's delivery ran in a host
             assert second.received == [0, 1, 2]
             assert backend._hosts[id(second)].high_water == 1
-            assert backend.backpressure_stalls == 2
+            assert backend.backpressure_stalls == 1 + 2  # setup's, then ours
 
     def test_relayed_tail_is_first_in_line_for_room(self):
         # A relayed epoch wakes two forwarders, fills a 1-slot mailbox and
@@ -354,11 +361,9 @@ class TestRelay:
             relay, target = self._hosted(backend, "edge-1", "hub")
             forwarders = [
                 _FakeProcess("edge-0", on_receive=lambda _, name=name: (
-                    target.receive(name)))
+                    target.receive(name)), backend=backend)
                 for name in ("first", "second")
             ]
-            for forwarder in forwarders:
-                backend.host_process(forwarder)
             ran_in = []
             self._relay_from(backend, 1.0, relay, "wake")
             clock.schedule_at(
@@ -370,18 +375,21 @@ class TestRelay:
             backend.run_until(3.0)
             assert ran_in == [backend._hosts[id(relay)].task]
             assert target.received == ["tail-0", "tail-1", "first", "second"]
-            assert backend.backpressure_stalls == 3
+            assert backend.backpressure_stalls == 1 + 3  # setup's, then ours
 
     def test_host_revived_in_its_own_relay_hands_over_to_its_new_task(self):
         with async_backend() as backend:
             loop, clock = backend._loop, backend.clock
             handled_by = []
-            process = _FakeProcess("edge-1", on_receive=lambda message: (
-                handled_by.append((message, asyncio.current_task(loop)))))
-            backend.host_process(process)
+            process, idle = (_FakeProcess(node, on_receive=lambda message: (
+                handled_by.append((message, asyncio.current_task(loop)))),
+                backend=backend) for node in ("edge-1", "edge-0"))
             host = backend._hosts[id(process)]
             first_task = host.task
             self._relay_from(backend, 1.0, process, "first")
+            # It handles its own item and an idle host's in place.
+            for target in (idle, process):
+                clock.schedule_at(1.5, target.receive, "in place")
             # The epoch the process's own task relays kills and revives its
             # node, then mails it: the old task must leave that to the new.
             clock.schedule_at(2.0, backend.kill_node, "edge-1")
@@ -389,7 +397,9 @@ class TestRelay:
             clock.schedule_at(2.0, process.receive, "second")
             backend.run_until(3.0)
             assert host.task is not first_task
-            assert handled_by == [("first", first_task), ("second", host.task)]
+            assert handled_by == [("first", first_task),
+                                  *[("in place", first_task)] * 2,
+                                  ("second", host.task)]
 
     def test_barrier_the_driver_abandoned_is_not_relayed(self):
         # What wait_for does to the driver when the wall budget runs out.
@@ -502,8 +512,7 @@ class TestRouteLateBinding:
 class TestBackendSurfacing:
     def test_monitor_reports_mailbox_health_on_async_only(self):
         with build_stack(backend="async", attach_fleet=False) as stack:
-            process = _FakeProcess()
-            stack.backend.host_process(process)
+            process = _FakeProcess(backend=stack.backend)
             _send_at(stack.backend, process, 1.0, 5)
             stack.run_until(2.0)
             health = stack.executor.monitor.report()["backend_health"]

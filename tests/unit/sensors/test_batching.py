@@ -37,7 +37,6 @@ class TestUnbatchedPassthrough:
         assert network.batching_for("t1") is None  # batch 1 is unbatched
         clock.run_until(3.5)
         assert len(seen) == 3
-        assert sensor.batches_flushed == 0
         assert network.data_messages_sent == 3
 
 
@@ -48,7 +47,6 @@ class TestFlushOnFill:
         assert seen == []  # two readings buffered, batch not full
         clock.run_until(3.5)
         assert len(seen) == 3
-        assert sensor.batches_flushed == 1
         # One network-level fan-out for three tuples.
         assert network.data_messages_sent == 1
         assert network.data_tuples_sent == 3
@@ -61,20 +59,20 @@ class TestFlushOnFill:
 
 class TestFlushOnDelay:
     def test_partial_batch_flushes_after_max_delay(self):
-        sensor, clock, _, seen = run(BatchingPolicy(100, 2.5))
+        _, clock, network, seen = run(BatchingPolicy(100, 2.5))
         # Readings at t=1, 2, 3; the t=1 reading's delay budget expires at
         # t=3.5, flushing everything buffered by then.
         clock.run_until(3.4)
         assert seen == []
         clock.run_until(3.6)
         assert [t.seq for t in seen] == [0, 1, 2]
-        assert sensor.batches_flushed == 1
+        assert network.data_messages_sent == 1
 
     def test_delay_timer_rearms_per_batch(self):
-        sensor, clock, _, seen = run(BatchingPolicy(100, 1.5))
+        _, clock, network, seen = run(BatchingPolicy(100, 1.5))
         clock.run_until(10.0)
         # Each flush restarts the window on the next buffered reading.
-        assert sensor.batches_flushed >= 2
+        assert network.data_messages_sent >= 2
         assert [t.seq for t in seen] == sorted(t.seq for t in seen)
 
 
@@ -89,6 +87,6 @@ class TestLifecycle:
         assert len(seen) == 2
 
     def test_flush_on_empty_buffer_is_a_no_op(self):
-        sensor, *_ = run(BatchingPolicy(4))
+        sensor, _, network, _ = run(BatchingPolicy(4))
         assert sensor.flush() == 0
-        assert sensor.batches_flushed == 0
+        assert network.data_messages_sent == 0
