@@ -23,8 +23,8 @@ import pytest
 
 from repro.baselines.batch_etl import BatchEtlPipeline
 from repro.baselines.centralized import CentralizedScnController
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
@@ -32,8 +32,8 @@ from repro.scenario import build_stack
 HOURS = 6.0
 
 
-def per_station_flow(stack) -> Dataflow:
-    flow = Dataflow("per-station")
+def per_station_flow(stack) -> DsnProgram:
+    flow = DsnProgram("per-station")
     for index, metadata in enumerate(
         stack.broker_network.registry.by_type("temperature")
     ):
@@ -67,7 +67,7 @@ def run_centralized():
 
 def run_batch():
     stack = build_stack(topology=Topology.star(leaf_count=3), hot=False)
-    flow = Dataflow("batch")
+    flow = DsnProgram("batch")
     src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                           node_id="src")
     hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")

@@ -4,10 +4,10 @@ Figure 2 is the canvas: what makes it more than a drawing tool is that
 "the user interface provides different checks in order to draw only
 dataflows that can be soundly translated".  This benchmark measures the
 cost of the consistency check (schema propagation + condition type
-checking + structural checks) over the lowered canvas as canvases grow,
-and regenerates the accept/reject matrix over a catalogue of
-representative good and broken canvases, checked both as lowered and as
-DSN text re-parsed.
+checking + structural checks) over the canvas as canvases grow, and
+regenerates the accept/reject matrix over a catalogue of representative
+good and broken canvases, checked both as drawn and as their DSN text
+re-parsed.
 
 Expected shape: check cost grows roughly linearly in canvas size; every
 broken canvas is rejected with an issue anchored to the offending node,
@@ -17,7 +17,6 @@ accepted.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
@@ -25,8 +24,8 @@ from repro.dataflow.ops import (
     TriggerOnSpec,
     VirtualPropertySpec,
 )
+from repro.dsn.ast import DsnProgram
 from repro.dsn.check import check
-from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
@@ -41,9 +40,9 @@ def registry():
     return net.registry
 
 
-def chain_canvas(length: int) -> Dataflow:
+def chain_canvas(length: int) -> DsnProgram:
     """A source -> N alternating operators -> sink chain."""
-    flow = Dataflow(f"chain-{length}")
+    flow = DsnProgram(f"chain-{length}")
     previous = flow.add_source(
         SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="src"
     )
@@ -66,7 +65,7 @@ def chain_canvas(length: int) -> Dataflow:
 @pytest.mark.parametrize("length", [2, 8, 32])
 def test_validation_cost_vs_canvas_size(benchmark, length):
     reg = registry()
-    program = dataflow_to_dsn(chain_canvas(length), reg)
+    program = chain_canvas(length)
     report = benchmark(lambda: check(program, reg))
     benchmark.extra_info["canvas_operators"] = length
     assert report.is_valid
@@ -77,7 +76,7 @@ def _canvas_catalogue(reg):
     catalogue = []
 
     def sound_linear():
-        flow = Dataflow("sound-linear")
+        flow = DsnProgram("sound-linear")
         src = flow.add_source(
             SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="s"
         )
@@ -88,7 +87,7 @@ def _canvas_catalogue(reg):
         return flow
 
     def sound_join():
-        flow = Dataflow("sound-join")
+        flow = DsnProgram("sound-join")
         a = flow.add_source(
             SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="a"
         )
@@ -106,7 +105,7 @@ def _canvas_catalogue(reg):
         return flow
 
     def sound_trigger():
-        flow = Dataflow("sound-trigger")
+        flow = DsnProgram("sound-trigger")
         temp = flow.add_source(
             SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="t"
         )
@@ -141,7 +140,7 @@ def _canvas_catalogue(reg):
         return flow
 
     def bad_no_sensor():
-        flow = Dataflow("bad-no-sensor")
+        flow = DsnProgram("bad-no-sensor")
         src = flow.add_source(SubscriptionFilter(sensor_ids=("ghost",)),
                               node_id="s")
         sink = flow.add_sink(node_id="k")
@@ -150,7 +149,7 @@ def _canvas_catalogue(reg):
 
     def bad_uncontrolled_trigger():
         flow = sound_trigger()
-        flow.control_edges.clear()
+        flow.controls.clear()
         return flow
 
     def bad_aggregate_text():
@@ -181,11 +180,10 @@ def _verdict(program, reg) -> "tuple[bool, str]":
 
 
 def test_accept_reject_matrix(capsys):
-    """The canvas as lowered and as its DSN text get one verdict."""
+    """The canvas as drawn and as its DSN text get one verdict."""
     reg = registry()
     rows = []
-    for name, flow, expected in _canvas_catalogue(reg):
-        program = dataflow_to_dsn(flow, reg)
+    for name, program, expected in _canvas_catalogue(reg):
         verdict, anchor = _verdict(program, reg)
         text = _verdict(parse_dsn(program.render()), reg)
         rows.append((name, expected, verdict, anchor, text))
@@ -205,8 +203,7 @@ def test_accept_reject_matrix(capsys):
 @pytest.mark.benchmark(group="fig2-validation")
 def test_catalogue_validation_throughput(benchmark):
     reg = registry()
-    programs = [dataflow_to_dsn(flow, reg)
-                for _name, flow, _ok in _canvas_catalogue(reg)]
+    programs = [program for _name, program, _ok in _canvas_catalogue(reg)]
 
     def validate_all():
         return [check(program, reg) for program in programs]

@@ -14,15 +14,15 @@ assignment-change log with its reason.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 
 
 def monitored_run():
     stack = build_stack(rebalance_interval=300.0)
-    flow = Dataflow("monitored")
+    flow = DsnProgram("monitored")
     src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                           node_id="src")
     keep = flow.add_operator(FilterSpec("temperature > -100"), node_id="keep")

@@ -1,9 +1,9 @@
 """Experiment P2 — translation and deployment cost vs dataflow size.
 
 Demo part P2 shows "translation in the DSN/SCN language and deployment at
-network level".  This benchmark measures both steps — dataflow -> DSN text
-(validate + generate + render) and DSN -> running processes (discovery +
-placement + QoS admission + wiring) — as the dataflow grows.
+network level".  This benchmark measures both steps — canvas -> DSN text
+(check + render) and DSN -> running processes (discovery + placement +
+QoS admission + wiring) — as the dataflow grows.
 
 Expected shape: both costs grow roughly linearly with the number of
 canvas nodes; deployment dominates translation (it touches the network
@@ -13,18 +13,18 @@ realistic canvas sizes, consistent with a demo driven from a web GUI.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec, VirtualPropertySpec
-from repro.dsn.generate import dataflow_to_dsn
+from repro.dsn.ast import DsnProgram
+from repro.dsn.check import check
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 
 SIZES = [1, 4, 16]
 
 
-def wide_flow(width: int) -> Dataflow:
+def wide_flow(width: int) -> DsnProgram:
     """``width`` independent source -> filter -> enrich -> sink chains."""
-    flow = Dataflow(f"wide-{width}")
+    flow = DsnProgram(f"wide-{width}")
     sensor_ids = ["osaka-temp-umeda", "osaka-temp-namba",
                   "osaka-temp-tennoji", "osaka-temp-yodogawa"]
     for index in range(width):
@@ -48,13 +48,16 @@ def wide_flow(width: int) -> Dataflow:
 @pytest.mark.benchmark(group="p2-translate")
 @pytest.mark.parametrize("width", SIZES)
 def test_translation_cost(benchmark, width):
-    stack = build_stack()
-    flow = wide_flow(width)
-    program = benchmark(
-        lambda: dataflow_to_dsn(flow, stack.broker_network.registry)
-    )
+    registry = build_stack().broker_network.registry
+    program = wide_flow(width)
+
+    def translate():
+        check(program, registry).raise_if_invalid()
+        return program.render()
+
+    text = benchmark(translate)
     benchmark.extra_info["canvas_nodes"] = 4 * width
-    benchmark.extra_info["dsn_lines"] = program.render().count("\n")
+    benchmark.extra_info["dsn_lines"] = text.count("\n")
     assert len(program.services) == 4 * width
 
 

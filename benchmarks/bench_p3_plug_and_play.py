@@ -16,8 +16,8 @@ swapped process.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 from repro.sensors.physical import temperature_sensor
@@ -26,7 +26,7 @@ from repro.stt.spatial import Point
 
 def deployed_stack():
     stack = build_stack()
-    flow = Dataflow("p3")
+    flow = DsnProgram("p3")
     src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                           node_id="src")
     keep = flow.add_operator(FilterSpec("temperature > -100"), node_id="keep")

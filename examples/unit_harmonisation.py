@@ -15,7 +15,7 @@ Run:  python examples/unit_harmonisation.py
 
 from repro import (
     AggregationSpec,
-    Dataflow,
+    DsnProgram,
     TransformSpec,
     ValidateSpec,
     build_stack,
@@ -58,7 +58,7 @@ def main() -> None:
     foreign = fahrenheit_station("us-station-1", "edge-0")
     foreign.attach(stack.broker_network, stack.clock)
 
-    flow = Dataflow("harmonise")
+    flow = DsnProgram("harmonise")
     src = flow.add_source(SubscriptionFilter(sensor_type="intl-weather"),
                           node_id="us-feed")
     to_si = flow.add_operator(
@@ -91,10 +91,9 @@ def main() -> None:
     flow.connect(guard, hourly)
     flow.connect(hourly, dw)
 
-    from repro import check, dataflow_to_dsn
+    from repro import check
 
-    registry = stack.broker_network.registry
-    report = check(dataflow_to_dsn(flow, registry), registry)
+    report = check(flow, stack.broker_network.registry)
     print("consistent:", report.is_valid)
     print("harmonised schema:", report.schemas["sanity"].describe())
 

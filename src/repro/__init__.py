@@ -23,7 +23,6 @@ Quickstart::
 
 from repro.scenario import Stack, build_stack, osaka_scenario_flow
 from repro.dataflow import (
-    Dataflow,
     FilterSpec,
     TransformSpec,
     ValidateSpec,
@@ -36,7 +35,7 @@ from repro.dataflow import (
     TriggerOffSpec,
 )
 from repro.designer import DesignerSession
-from repro.dsn import check, dataflow_to_dsn, parse_dsn, ScnController
+from repro.dsn import DsnProgram, check, dataflow_to_dsn, parse_dsn, ScnController
 from repro.network import NetworkSimulator, SimClock, Topology
 from repro.pubsub import (
     BrokerNetwork,
@@ -58,7 +57,7 @@ __all__ = [
     "Stack",
     "build_stack",
     "osaka_scenario_flow",
-    "Dataflow",
+    "DsnProgram",
     "FilterSpec",
     "TransformSpec",
     "ValidateSpec",

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataflow.graph import Dataflow
+from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.check import check
-from repro.dsn.generate import dataflow_to_dsn
 from repro.designer.preview import replay_samples
 from repro.network.netsim import NetworkSimulator
 from repro.pubsub.broker import BrokerNetwork
@@ -50,12 +49,11 @@ class BatchEtlPipeline:
         self,
         netsim: NetworkSimulator,
         broker_network: BrokerNetwork,
-        flow: Dataflow,
+        flow: DsnProgram,
         collection_node: str,
         warehouse: "EventWarehouse | None" = None,
     ) -> None:
-        registry = broker_network.registry
-        check(dataflow_to_dsn(flow, registry), registry).raise_if_invalid()
+        check(flow, broker_network.registry).raise_if_invalid()
         self.netsim = netsim
         self.broker_network = broker_network
         self.flow = flow
@@ -63,7 +61,7 @@ class BatchEtlPipeline:
         # Explicit None check: an empty EventWarehouse is falsy (len 0).
         self.warehouse = warehouse if warehouse is not None else EventWarehouse()
         self._raw: dict[str, list[SensorTuple]] = {
-            source_id: [] for source_id in flow.sources
+            source.name: [] for source in flow.services_by_role(ServiceRole.SOURCE)
         }
         self._subscriptions = []
         self._arrival: dict[int, float] = {}
@@ -76,11 +74,11 @@ class BatchEtlPipeline:
         Note what is *not* here: no trigger gating, no filters — offline
         ETL ships everything because it cannot know yet what matters.
         """
-        for source_id, source in self.flow.sources.items():
+        for source in self.flow.services_by_role(ServiceRole.SOURCE):
             subscription = self.broker_network.subscribe(
                 node_id=self.collection_node,
-                filter_=source.filter,
-                callback=lambda t, sid=source_id: self._collect(sid, t),
+                filter_=source.filter(),
+                callback=lambda t, sid=source.name: self._collect(sid, t),
             )
             self._subscriptions.append(subscription)
 
@@ -106,9 +104,9 @@ class BatchEtlPipeline:
             self.netsim.topology,
         )
         loaded = 0
-        for sink_id, sink in self.flow.sinks.items():
-            for tuple_ in result.at(sink_id):
-                if sink.sink_kind == "warehouse":
+        for sink in self.flow.services_by_role(ServiceRole.SINK):
+            for tuple_ in result.at(sink.name):
+                if sink.kind == "warehouse":
                     if self.warehouse.load(tuple_) is not None:
                         loaded += 1
         staleness = [

@@ -67,15 +67,14 @@ def _apply_rebalance(args: argparse.Namespace, stack) -> bool:
 
 
 def _deploy(args: argparse.Namespace, stack, flow, slos=None):
-    """Lower ``flow`` under the run flags, then deploy the program.
+    """Deploy ``flow`` with the run flags' deployment clauses.
 
     ``--batch N --max-delay S`` write ``batch N within S`` on every
     channel out of a source, ``--shards``/``--rebalance`` the shard
     clauses, and ``slos`` the objectives.
     """
     program = dataflow_to_dsn(
-        flow, stack.broker_network.registry,
-        batching=BatchingPolicy(args.batch, args.max_delay),
+        flow, batching=BatchingPolicy(args.batch, args.max_delay),
         shards=_shards_from(args), elastic=_apply_rebalance(args, stack),
         slos=slos)
     return stack.executor.deploy(program)
@@ -275,9 +274,8 @@ def _registry(args: argparse.Namespace):
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    program = dataflow_to_dsn(_load_canvas(args.canvas), registry)
-    report = check(program, registry)
+    program = _load_canvas(args.canvas)
+    report = check(program, _registry(args))
     for issue in report.issues:
         print(issue)
     if report.is_valid:
@@ -289,9 +287,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    registry = _registry(args)
-    program = dataflow_to_dsn(_load_canvas(args.canvas), registry)
-    check(program, registry).raise_if_invalid()
+    program = _load_canvas(args.canvas)
+    check(program, _registry(args)).raise_if_invalid()
     print(program.render(), end="")
     return 0
 

@@ -1,12 +1,13 @@
 """Conceptual dataflow model — the canvas behind Figure 2.
 
-A :class:`Dataflow` is the designer's document: source nodes bound to
-published sensors, operator nodes carrying declarative Table 1
-specifications, sink nodes (warehouse, visualization, collector), data
-edges and trigger control edges.  The consistency check that guarantees
-"only dataflows that can be soundly translated in the DSN/SCN
-specification" reach deployment runs on the lowered program
-(:mod:`repro.dsn.check`).
+The designer's document is the DSN program itself
+(:class:`repro.dsn.ast.DsnProgram`, also bound here as ``Dataflow``):
+source services bound to published sensors, operator services carrying
+the declarative Table 1 specifications of this package, sink services
+(warehouse, visualization, collector), data channels and trigger
+controls.  The consistency check that guarantees "only dataflows that can
+be soundly translated in the DSN/SCN specification" reach deployment
+reads it (:mod:`repro.dsn.check`).
 """
 
 from repro.dataflow.ops import (
@@ -23,15 +24,12 @@ from repro.dataflow.ops import (
     TriggerOffSpec,
     spec_from_dict,
 )
-from repro.dataflow.graph import (
-    Dataflow,
-    SourceNode,
-    OperatorNode,
-    SinkNode,
-    SinkKind,
-)
 from repro.dataflow.serialize import dataflow_to_dict, dataflow_from_dict
 from repro.dataflow.render import to_dot, render_ascii
+from repro.dsn.ast import DsnProgram, SinkKind
+
+#: A second name for the canvas document, bound to the same class.
+Dataflow = DsnProgram
 
 __all__ = [
     "OperatorSpec",
@@ -47,9 +45,6 @@ __all__ = [
     "TriggerOffSpec",
     "spec_from_dict",
     "Dataflow",
-    "SourceNode",
-    "OperatorNode",
-    "SinkNode",
     "SinkKind",
     "dataflow_to_dict",
     "dataflow_from_dict",

@@ -9,7 +9,9 @@ document and the DSN program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from repro.errors import DataflowError, SchemaError
 from repro.expr.compile import compile_expression
@@ -109,6 +111,19 @@ class OperatorSpec:
             raise DataflowError(
                 f"{self.kind} takes {self.input_count} input(s), got {len(inputs)}"
             )
+
+
+def _require_positive(spec: OperatorSpec, *names: str) -> None:
+    """Refuse a time or rate parameter that is not a finite positive
+    number; an unset (``None``) ``window`` is left alone."""
+    for name in names:
+        value = getattr(spec, name)
+        if name == "window" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, Real) \
+                or not 0 < value < math.inf:
+            raise DataflowError(f"{spec.kind} {name} must be a finite "
+                                f"positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -250,6 +265,9 @@ class CullTimeSpec(OperatorSpec):
 
     kind = "cull-time"
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "rate")
+
     def infer_schema(self, inputs: "list[StreamSchema]") -> StreamSchema:
         self._check_inputs(inputs)
         if self.end < self.start:
@@ -276,6 +294,9 @@ class CullSpaceSpec(OperatorSpec):
     corner2: tuple[float, float]
 
     kind = "cull-space"
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "rate")
 
     def infer_schema(self, inputs: "list[StreamSchema]") -> StreamSchema:
         self._check_inputs(inputs)
@@ -314,6 +335,7 @@ class AggregationSpec(OperatorSpec):
     kind = "aggregation"
 
     def __post_init__(self) -> None:
+        _require_positive(self, "interval", "window")
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "function", self.function.upper())
         if self.function not in AGGREGATION_FUNCTIONS:
@@ -377,6 +399,9 @@ class JoinSpec(OperatorSpec):
     kind = "join"
     input_count = 2
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "interval")
+
     def infer_schema(self, inputs: "list[StreamSchema]") -> StreamSchema:
         self._check_inputs(inputs)
         left, right = inputs
@@ -425,6 +450,7 @@ class _TriggerSpecBase(OperatorSpec):
     has_output = False
 
     def __post_init__(self) -> None:
+        _require_positive(self, "interval", "window")
         object.__setattr__(self, "targets", tuple(self.targets))
         if not self.targets:
             raise DataflowError("trigger needs at least one target")
@@ -491,14 +517,22 @@ _SPEC_CLASSES: dict[str, type] = {
 }
 
 
-def spec_from_dict(data: dict) -> OperatorSpec:
-    """Rebuild a spec from its :meth:`OperatorSpec.to_dict` form."""
-    payload = dict(data)
-    kind = payload.pop("kind", None)
+def spec_class(kind: str) -> type:
+    """The spec class of operator ``kind`` (its ports and whether it has a
+    data output are class attributes); raises :class:`DataflowError` for
+    an unknown kind."""
     cls = _SPEC_CLASSES.get(kind)
     if cls is None:
         known = ", ".join(sorted(_SPEC_CLASSES))
         raise DataflowError(f"unknown operator kind {kind!r}; known: {known}")
+    return cls
+
+
+def spec_from_dict(data: dict) -> OperatorSpec:
+    """Rebuild a spec from its :meth:`OperatorSpec.to_dict` form."""
+    payload = dict(data)
+    kind = payload.pop("kind", None)
+    cls = spec_class(kind)
     if kind == "transform" and payload.get("project") is not None:
         payload["project"] = tuple(payload["project"])
     if kind == "validate":

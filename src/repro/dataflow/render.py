@@ -8,95 +8,98 @@ operator descriptions so the rendering *is* the dataflow, not a sketch.
 
 from __future__ import annotations
 
-from repro.dataflow.graph import Dataflow
+import networkx as nx
+
+from repro.dsn.ast import DsnProgram, ServiceRole
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(flow: Dataflow) -> str:
+def _dormant(service) -> bool:
+    return not service.params.get("active", True)
+
+
+def to_dot(flow: DsnProgram) -> str:
     """Graphviz DOT of the canvas.
 
     Sources are houses, operators boxes, sinks cylinders; control edges
     are dashed red.
     """
     lines = [f'digraph "{_dot_escape(flow.name)}" {{', "  rankdir=LR;"]
-    for node_id, source in flow.sources.items():
-        state = "" if source.initially_active else "\\n(dormant)"
-        label = _dot_escape(f"{node_id}{state}")
-        lines.append(
-            f'  "{_dot_escape(node_id)}" [shape=house, label="{label}"];'
-        )
-    for node_id, node in flow.operators.items():
-        label = _dot_escape(f"{node_id}\\n{node.spec.kind}")
-        lines.append(
-            f'  "{_dot_escape(node_id)}" [shape=box, label="{label}"];'
-        )
-    for node_id, sink in flow.sinks.items():
-        label = _dot_escape(f"{node_id}\\n[{sink.sink_kind}]")
-        lines.append(
-            f'  "{_dot_escape(node_id)}" [shape=cylinder, label="{label}"];'
-        )
-    for edge in flow.data_edges:
+    for service in flow.services:
+        node_id = service.name
+        if service.role is ServiceRole.SOURCE:
+            shape = "house"
+            label = node_id + ("\\n(dormant)" if _dormant(service) else "")
+        elif service.role is ServiceRole.OPERATOR:
+            shape, label = "box", f"{node_id}\\n{service.kind}"
+        else:
+            shape, label = "cylinder", f"{node_id}\\n[{service.kind}]"
+        lines.append(f'  "{_dot_escape(node_id)}" [shape={shape}, '
+                     f'label="{_dot_escape(label)}"];')
+    for edge in flow.channels:
         port = f' [label="port {edge.port}"]' if edge.port else ""
         lines.append(
-            f'  "{_dot_escape(edge.source_id)}" -> '
-            f'"{_dot_escape(edge.target_id)}"{port};'
+            f'  "{_dot_escape(edge.source)}" -> '
+            f'"{_dot_escape(edge.target)}"{port};'
         )
-    for edge in flow.control_edges:
+    for edge in flow.controls:
         lines.append(
-            f'  "{_dot_escape(edge.trigger_id)}" -> '
-            f'"{_dot_escape(edge.source_id)}" '
+            f'  "{_dot_escape(edge.trigger)}" -> '
+            f'"{_dot_escape(edge.source)}" '
             f"[style=dashed, color=red, label=\"control\"];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def render_ascii(flow: Dataflow) -> str:
+def render_ascii(flow: DsnProgram) -> str:
     """A terminal rendering: nodes in topological layers, edge list below.
 
     >>> print(render_ascii(flow))          # doctest: +SKIP
     """
+    graph = flow.data_graph()
     try:
-        order = flow.topological_order()
-    except Exception:
-        order = flow.node_ids
+        order = list(nx.topological_sort(graph))
+    except nx.NetworkXUnfeasible:
+        order = list(graph)
 
     # Assign layers: sources at 0, each node one past its deepest input.
     layers: dict[str, int] = {}
     for node_id in order:
-        inputs = flow.inputs_of(node_id)
+        inputs = flow.channels_into(node_id)
         if not inputs:
             layers[node_id] = 0
         else:
             layers[node_id] = 1 + max(
-                layers.get(edge.source_id, 0) for edge in inputs
+                layers.get(edge.source, 0) for edge in inputs
             )
     by_layer: dict[int, list[str]] = {}
     for node_id, layer in layers.items():
         by_layer.setdefault(layer, []).append(node_id)
 
     def decorate(node_id: str) -> str:
-        if node_id in flow.sources:
-            marker = "(src)" if flow.sources[node_id].initially_active else "(src, dormant)"
+        service = flow.service(node_id)
+        if service.role is ServiceRole.SOURCE:
+            marker = "(src, dormant)" if _dormant(service) else "(src)"
             return f"{node_id} {marker}"
-        if node_id in flow.operators:
-            return f"{node_id} [{flow.operators[node_id].spec.kind}]"
-        return f"{node_id} <{flow.sinks[node_id].sink_kind}>"
+        if service.role is ServiceRole.OPERATOR:
+            return f"{node_id} [{service.kind}]"
+        return f"{node_id} <{service.kind}>"
 
     lines = [f"dataflow {flow.name!r}"]
     for layer in sorted(by_layer):
         entries = "   ".join(decorate(n) for n in sorted(by_layer[layer]))
         lines.append(f"  layer {layer}: {entries}")
-    if flow.data_edges:
+    if flow.channels:
         lines.append("  data edges:")
-        for edge in flow.data_edges:
+        for edge in flow.channels:
             port = f" (port {edge.port})" if edge.port else ""
-            lines.append(f"    {edge.source_id} --> {edge.target_id}{port}")
-    if flow.control_edges:
+            lines.append(f"    {edge.source} --> {edge.target}{port}")
+    if flow.controls:
         lines.append("  control edges:")
-        for edge in flow.control_edges:
-            lines.append(f"    {edge.trigger_id} ~~> {edge.source_id}")
+        for edge in flow.controls:
+            lines.append(f"    {edge.trigger} ~~> {edge.source}")
     return "\n".join(lines)

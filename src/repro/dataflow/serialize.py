@@ -1,57 +1,18 @@
 """Canvas document (de)serialization.
 
-The designer saves and loads dataflows as JSON documents; the same format
-travels alongside the DSN program so a deployed flow can be re-opened on
-the canvas.  Round-trip is exact.  Source schemas are not part of the
-document: they belong to the live sensors, and the consistency check
-reads them from the registry.
+The designer saves and loads its canvas, a :class:`~repro.dsn.ast.DsnProgram`,
+as a JSON document; the same format travels alongside the DSN text so a
+deployed flow can be re-opened on the canvas.  Round-trip is exact.
+Source schemas are not part of the document: they belong to the live
+sensors, and the consistency check reads them from the registry.
 """
 
 from __future__ import annotations
 
 from repro.errors import DataflowError
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import spec_from_dict
+from repro.dsn.ast import DsnProgram, ServiceRole, filter_from_dict
 from repro.network.qos import QosPolicy
-from repro.pubsub.subscription import SubscriptionFilter
-from repro.stt.spatial import Box
-from repro.stt.thematic import Theme
-
-
-def _filter_to_dict(filter_: SubscriptionFilter) -> dict:
-    data: dict = {}
-    if filter_.sensor_ids:
-        data["sensor_ids"] = list(filter_.sensor_ids)
-    if filter_.sensor_type:
-        data["sensor_type"] = filter_.sensor_type
-    if filter_.theme is not None:
-        data["theme"] = filter_.theme.path
-    if filter_.area is not None:
-        area = filter_.area
-        data["area"] = [area.south, area.west, area.north, area.east]
-    if filter_.min_frequency > 0.0:
-        data["min_frequency"] = filter_.min_frequency
-    if filter_.max_frequency != float("inf"):
-        data["max_frequency"] = filter_.max_frequency
-    return data
-
-
-def _filter_from_dict(data: dict) -> SubscriptionFilter:
-    kwargs: dict = {}
-    if "sensor_ids" in data:
-        kwargs["sensor_ids"] = tuple(data["sensor_ids"])
-    if "sensor_type" in data:
-        kwargs["sensor_type"] = data["sensor_type"]
-    if "theme" in data:
-        kwargs["theme"] = Theme(data["theme"])
-    if "area" in data:
-        south, west, north, east = data["area"]
-        kwargs["area"] = Box(south=south, west=west, north=north, east=east)
-    if "min_frequency" in data:
-        kwargs["min_frequency"] = data["min_frequency"]
-    if "max_frequency" in data:
-        kwargs["max_frequency"] = data["max_frequency"]
-    return SubscriptionFilter(**kwargs)
 
 
 def _qos_to_dict(qos: QosPolicy) -> dict:
@@ -73,72 +34,64 @@ def _qos_from_dict(data: dict) -> QosPolicy:
     )
 
 
-def dataflow_to_dict(flow: Dataflow) -> dict:
+def dataflow_to_dict(program: DsnProgram) -> dict:
     """Serialize a canvas to a JSON-compatible dict."""
+    role = program.services_by_role
     return {
-        "name": flow.name,
+        "name": program.name,
         "sources": [
             {
-                "node_id": source.node_id,
-                "filter": _filter_to_dict(source.filter),
-                "initially_active": source.initially_active,
-                "label": source.label,
+                "node_id": source.name,
+                "filter": dict(source.params.get("filter", {})),
+                "initially_active": source.params.get("active", True),
             }
-            for source in flow.sources.values()
+            for source in role(ServiceRole.SOURCE)
         ],
         "operators": [
-            {
-                "node_id": node.node_id,
-                "spec": node.spec.to_dict(),
-                "label": node.label,
-            }
-            for node in flow.operators.values()
+            {"node_id": node.name, "spec": {"kind": node.kind, **node.params}}
+            for node in role(ServiceRole.OPERATOR)
         ],
         "sinks": [
             {
-                "node_id": sink.node_id,
-                "sink_kind": sink.sink_kind,
-                "config": dict(sink.config),
-                "qos": _qos_to_dict(sink.qos),
-                "label": sink.label,
+                "node_id": sink.name,
+                "sink_kind": sink.kind,
+                "config": dict(sink.params.get("config", {})),
+                "qos": _qos_to_dict(sink.qos or QosPolicy()),
             }
-            for sink in flow.sinks.values()
+            for sink in role(ServiceRole.SINK)
         ],
         "data_edges": [
-            {"source": edge.source_id, "target": edge.target_id, "port": edge.port}
-            for edge in flow.data_edges
+            {"source": edge.source, "target": edge.target, "port": edge.port}
+            for edge in program.channels
         ],
         "control_edges": [
-            {"trigger": edge.trigger_id, "source": edge.source_id}
-            for edge in flow.control_edges
+            {"trigger": edge.trigger, "source": edge.source}
+            for edge in program.controls
         ],
     }
 
 
-def dataflow_from_dict(data: dict) -> Dataflow:
-    """Rebuild a canvas from :func:`dataflow_to_dict` output."""
+def dataflow_from_dict(data: dict) -> DsnProgram:
+    """Rebuild a canvas from :func:`dataflow_to_dict` output (a node's
+    ``label``, written by older versions, is ignored).  Raises
+    :class:`DataflowError` on a malformed document."""
     try:
-        flow = Dataflow(data.get("name", "dataflow"))
+        flow = DsnProgram(data.get("name", "dataflow"))
         for source in data.get("sources", []):
             flow.add_source(
-                _filter_from_dict(source["filter"]),
+                filter_from_dict(source["filter"]),
                 node_id=source["node_id"],
                 initially_active=source.get("initially_active", True),
-                label=source.get("label", ""),
             )
         for node in data.get("operators", []):
-            flow.add_operator(
-                spec_from_dict(node["spec"]),
-                node_id=node["node_id"],
-                label=node.get("label", ""),
-            )
+            flow.add_operator(spec_from_dict(node["spec"]),
+                              node_id=node["node_id"])
         for sink in data.get("sinks", []):
             flow.add_sink(
                 sink_kind=sink.get("sink_kind", "collector"),
                 config=sink.get("config", {}),
                 qos=_qos_from_dict(sink.get("qos", {})),
                 node_id=sink["node_id"],
-                label=sink.get("label", ""),
             )
         for edge in data.get("data_edges", []):
             flow.connect(edge["source"], edge["target"], edge.get("port", 0))
@@ -146,4 +99,6 @@ def dataflow_from_dict(data: dict) -> Dataflow:
             flow.connect_control(edge["trigger"], edge["source"])
     except KeyError as exc:
         raise DataflowError(f"malformed dataflow document: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataflowError(f"malformed dataflow document: {exc}") from exc
     return flow

@@ -10,10 +10,9 @@ exactly as deployed.  The offline batch baseline replays through it too.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from repro.dataflow.graph import Dataflow
+from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.check import check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.errors import DataflowError
@@ -49,7 +48,7 @@ def _copy_topology(topology: Topology) -> Topology:
 
 
 def replay_samples(
-    flow: Dataflow,
+    flow: DsnProgram,
     samples: dict[str, list[SensorTuple]],
     registry: SensorRegistry,
     topology: Topology,
@@ -66,8 +65,9 @@ def replay_samples(
     """
     # Taps would connect a dangling output: check the canvas as drawn (the
     # deploy checks the tapped copy).
-    check(dataflow_to_dsn(flow, registry), registry).raise_if_invalid()
-    missing = sorted(set(flow.sources) - set(samples))
+    check(flow, registry).raise_if_invalid()
+    sources = [s.name for s in flow.services_by_role(ServiceRole.SOURCE)]
+    missing = sorted(set(sources) - set(samples))
     if missing:
         raise DataflowError(f"no sample batch for source(s): {missing}")
     replay = sorted({id(t): t for batch in samples.values() for t in batch}
@@ -79,14 +79,12 @@ def replay_samples(
     stack = build_stack(topology=_copy_topology(topology), attach_fleet=False)
     for metadata in registry.all():
         stack.broker_network.publish(metadata)
-    # Taps on a copy of the canvas (adding them touches only its sinks and
-    # data edges).
-    tapped = copy.copy(flow)
-    tapped.sinks, tapped.data_edges = dict(flow.sinks), list(flow.data_edges)
-    taps = {node_id: f"tap:{node_id}" for node_id in flow.sources}
-    for node_id, node in flow.operators.items():
-        if node.spec.has_output:  # triggers are control-only
-            taps[node_id] = f"tap:{node_id}"
+    # Taps on a copy of the canvas.
+    tapped = dataflow_to_dsn(flow)
+    taps = {node_id: f"tap:{node_id}" for node_id in sources}
+    for node in flow.services_by_role(ServiceRole.OPERATOR):
+        if node.spec().has_output:  # triggers are control-only
+            taps[node.name] = f"tap:{node.name}"
     for node_id, tap in taps.items():
         tapped.add_sink(node_id=tap)
         tapped.connect(node_id, tap)
@@ -111,14 +109,15 @@ def replay_samples(
     ])
     for node_id, tap in taps.items():
         result.outputs[node_id] = list(deployment.collected(tap))
-    for node_id in flow.sinks:  # a sink shows what its one feed's tap shows
-        feed = flow.inputs_of(node_id)[0].source_id
-        result.outputs[node_id] = list(result.outputs[feed])
+    for sink in flow.services_by_role(ServiceRole.SINK):
+        # A sink shows what its one feed's tap shows.
+        feed = flow.channels_into(sink.name)[0].source
+        result.outputs[sink.name] = list(result.outputs[feed])
     return result
 
 
 def sample_from_sensors(
-    flow: Dataflow,
+    flow: DsnProgram,
     sensors: dict[str, object],
     count: int = 5,
     start: float = 0.0,
@@ -131,8 +130,9 @@ def sample_from_sensors(
     perturbing the live stream.
     """
     batches: dict[str, list[SensorTuple]] = {}
+    sources = {s.name for s in flow.services_by_role(ServiceRole.SOURCE)}
     for source_id, sensor in sensors.items():
-        if source_id not in flow.sources:
+        if source_id not in sources:
             raise DataflowError(f"no source node {source_id!r} in the flow")
         batch: list[SensorTuple] = []
         now = start

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 
 from repro.errors import DataflowError
-from repro.dataflow.graph import Dataflow, SinkKind
 from repro.dataflow.ops import OperatorSpec
 from repro.dataflow.serialize import dataflow_from_dict, dataflow_to_dict
 from repro.designer.deploy import DeploymentHandle
@@ -26,7 +25,7 @@ from repro.designer.palette import Palette
 from repro.designer.preview import (
     SampleResult, replay_samples, sample_from_sensors,
 )
-from repro.dsn.ast import DsnProgram
+from repro.dsn.ast import DsnProgram, SinkKind
 from repro.dsn.check import ValidationReport, check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.network.qos import QosPolicy
@@ -44,7 +43,7 @@ class DesignerSession:
 
     def __init__(self, executor: Executor, name: str = "dataflow") -> None:
         self.executor = executor
-        self.flow = Dataflow(name)
+        self.flow = DsnProgram(name)
         self.palette = Palette(executor.broker_network.registry)
         self._report: "ValidationReport | None" = None
 
@@ -62,7 +61,6 @@ class DesignerSession:
         filter_: "SubscriptionFilter | str",
         node_id: str = "",
         initially_active: bool = True,
-        label: str = "",
     ) -> str:
         """Drop a source on the canvas.
 
@@ -71,13 +69,13 @@ class DesignerSession:
         if isinstance(filter_, str):
             filter_ = SubscriptionFilter.for_sensor(filter_)
         node = self.flow.add_source(
-            filter_, node_id=node_id, initially_active=initially_active, label=label
+            filter_, node_id=node_id, initially_active=initially_active
         )
         self.validate()
         return node
 
-    def add_operator(self, spec: OperatorSpec, node_id: str = "", label: str = "") -> str:
-        node = self.flow.add_operator(spec, node_id=node_id, label=label)
+    def add_operator(self, spec: OperatorSpec, node_id: str = "") -> str:
+        node = self.flow.add_operator(spec, node_id=node_id)
         self.validate()
         return node
 
@@ -87,10 +85,9 @@ class DesignerSession:
         config: "dict | None" = None,
         qos: "QosPolicy | None" = None,
         node_id: str = "",
-        label: str = "",
     ) -> str:
         node = self.flow.add_sink(
-            sink_kind=sink_kind, config=config, qos=qos, node_id=node_id, label=label
+            sink_kind=sink_kind, config=config, qos=qos, node_id=node_id
         )
         self.validate()
         return node
@@ -110,9 +107,9 @@ class DesignerSession:
     # -- feedback panes ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check the lowered canvas; the report annotates canvas nodes."""
+        """Check the canvas; the report annotates canvas nodes."""
         registry = self.executor.broker_network.registry
-        self._report = check(dataflow_to_dsn(self.flow, registry), registry)
+        self._report = check(self.flow, registry)
         return self._report
 
     def issues(self) -> list[str]:
@@ -180,14 +177,13 @@ class DesignerSession:
     # -- translation & deployment (P2) ------------------------------------------------
 
     def translate(self) -> DsnProgram:
-        """The DSN program of the (consistent) canvas.
+        """A copy of the (consistent) canvas, to render as DSN text.
 
         Raises :class:`repro.errors.ValidationError` otherwise — the
         translate button is greyed out until the canvas is consistent.
         """
-        registry = self.executor.broker_network.registry
-        program = dataflow_to_dsn(self.flow, registry)
-        check(program, registry).raise_if_invalid()
+        program = dataflow_to_dsn(self.flow)
+        check(program, self.executor.broker_network.registry).raise_if_invalid()
         return program
 
     def deploy(self) -> DeploymentHandle:

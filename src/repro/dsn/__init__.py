@@ -9,17 +9,17 @@ network platform ... interprets the DSN description and dynamically
 coordinates the network configurations, such as data flows, segmentations,
 and QoS parameters."*
 
-Here DSN is a textual program lowered from a conceptual dataflow
-(:mod:`generate`), parsed back into a program model (:mod:`parse`,
-round-trip tested), held to the consistency rules by one check
-(:mod:`check`), and interpreted by the :class:`repro.dsn.scn.ScnController`,
-which performs service discovery against the pub-sub registry, workload-
-aware placement onto the simulated network, QoS admission, and live
-migration when nodes overload.
+Here the DSN program model (:mod:`ast`) is what the designer draws on the
+canvas.  It renders to text and parses back (:mod:`parse`, round-trip
+tested), takes deployment clauses on a copy (:mod:`generate`), is held to
+the consistency rules by one check (:mod:`check`), and is interpreted by
+the :class:`repro.dsn.scn.ScnController`, which performs service discovery
+against the pub-sub registry, workload-aware placement onto the simulated
+network, QoS admission, and live migration when nodes overload.
 """
 
 from repro.dsn.ast import DsnProgram, DsnService, DsnChannel, DsnControl, ServiceRole
-from repro.dsn.generate import dataflow_to_dsn, dsn_to_dataflow
+from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
 from repro.dsn.scn import ScnController, PlacementDecision, Migration
 from repro.dsn.check import ValidationIssue, ValidationReport, check
@@ -31,7 +31,6 @@ __all__ = [
     "DsnControl",
     "ServiceRole",
     "dataflow_to_dsn",
-    "dsn_to_dataflow",
     "parse_dsn",
     "check",
     "ValidationIssue",

@@ -9,7 +9,7 @@ issues are anchored to service names, which are the canvas node ids, and
 its report carries the schema each service emits.  A program with no
 *error* deploys; *warnings* flag legal but suspicious designs.
 :meth:`repro.runtime.executor.Executor.deploy` runs it once per program,
-lowered from a canvas or parsed from text, before anything is placed.
+drawn on the canvas or parsed from text, before anything is placed.
 
 Rules:
 
@@ -46,10 +46,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.dataflow.fusion import fusible_hops
-from repro.dataflow.graph import SinkKind
-from repro.dataflow.ops import spec_from_dict
-from repro.dataflow.serialize import _filter_from_dict
-from repro.dsn.ast import DsnProgram, ServiceRole
+from repro.dsn.ast import TRIGGER_KINDS, DsnProgram, ServiceRole, SinkKind
 from repro.errors import (
     DataflowError, ExpressionError, SchemaError, StreamLoaderError,
     ValidationError,
@@ -59,8 +56,6 @@ from repro.schema.schema import StreamSchema
 
 ERROR = "error"
 WARNING = "warning"
-
-_TRIGGERS = ("trigger-on", "trigger-off")
 
 
 @dataclass(frozen=True)
@@ -211,8 +206,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
     specs = {}
     for service in program.services_by_role(ServiceRole.OPERATOR):
         try:
-            specs[service.name] = spec_from_dict(
-                {"kind": service.kind, **service.params})
+            specs[service.name] = service.spec()
         except (StreamLoaderError, KeyError, TypeError) as exc:
             report.error(service.name, f"{service.kind}: {exc}")
     inputs = {service.name: [] for service in program.services}
@@ -223,9 +217,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
     governed = {control.source for control in program.controls}
 
     # C1: acyclicity.
-    graph = nx.DiGraph()
-    graph.add_nodes_from(inputs)
-    graph.add_edges_from((c.source, c.target) for c in program.channels)
+    graph = program.data_graph()
     if not nx.is_directed_acyclic_graph(graph):
         cycle = nx.find_cycle(graph)
         path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
@@ -234,7 +226,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
 
     if not sources:
         report.error(program.name, "dataflow has no sources")
-    if not sinks and not any(s.kind in _TRIGGERS for s in program.services):
+    if not sinks and not any(s.kind in TRIGGER_KINDS for s in program.services):
         report.warning(program.name,
                        "dataflow has no sinks; results go nowhere")
 
@@ -269,7 +261,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
         if outputs[name]:
             report.error(name, "sink has no output to connect")
     for control in program.controls:
-        if program.service(control.trigger).kind not in _TRIGGERS:
+        if program.service(control.trigger).kind not in TRIGGER_KINDS:
             report.error(control.trigger,
                          f"{control.trigger!r} is not a trigger node")
         if control.source not in sources:
@@ -280,8 +272,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
     schemas = report.schemas
     filters = {}
     for name, service in sources.items():
-        filters[name] = match = _filter_from_dict(
-            service.params.get("filter", {}))
+        filters[name] = match = service.filter()
         sensors = [m for m in registry.all() if match.matches(m)]
         schemas[name] = sensors[0].schema if sensors else None
         if not sensors:
@@ -324,7 +315,7 @@ def _dataflow(program: DsnProgram, registry: SensorRegistry,
 
     # C6: trigger control edges.
     for name, spec in specs.items():
-        if spec.kind not in _TRIGGERS:
+        if spec.kind not in TRIGGER_KINDS:
             continue
         governs = [control.source for control in program.controls
                    if control.trigger == name and control.source in sources]

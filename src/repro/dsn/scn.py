@@ -27,7 +27,6 @@ from repro.errors import PlacementError, ScnError
 from repro.dsn.ast import DsnProgram, DsnService, ServiceRole
 from repro.network.topology import Topology
 from repro.pubsub.registry import SensorMetadata, SensorRegistry
-from repro.pubsub.subscription import SubscriptionFilter
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,6 @@ class Migration:
     from_node: str
     to_node: str
     reason: str
-
-
-def _filter_from_params(params: dict) -> SubscriptionFilter:
-    from repro.dataflow.serialize import _filter_from_dict
-
-    return _filter_from_dict(params.get("filter", {}))
 
 
 class ScnController:
@@ -79,7 +72,7 @@ class ScnController:
         """Resolve each source service to its concrete sensors."""
         bindings: dict[str, list[SensorMetadata]] = {}
         for service in program.services_by_role(ServiceRole.SOURCE):
-            filter_ = _filter_from_params(service.params)
+            filter_ = service.filter()
             matches = [
                 metadata
                 for metadata in registry.all()
@@ -145,13 +138,8 @@ class ScnController:
     def _topological_services(self, program: DsnProgram) -> list[DsnService]:
         import networkx as nx
 
-        graph = nx.DiGraph()
-        for service in program.services:
-            graph.add_node(service.name)
-        for channel in program.channels:
-            graph.add_edge(channel.source, channel.target)
         try:
-            order = list(nx.topological_sort(graph))
+            order = list(nx.topological_sort(program.data_graph()))
         except nx.NetworkXUnfeasible:
             raise ScnError(
                 f"program {program.name!r} has cyclic channels"

@@ -2,8 +2,8 @@
 
 Deployment pipeline (Section 3 / demo part P2):
 
-1. translate the conceptual dataflow (or accept a DSN program), run the
-   one consistency check (:func:`repro.dsn.check.check`) on the program,
+1. copy the program (drawn or parsed) with the requested shard clauses,
+   run the one consistency check (:func:`repro.dsn.check.check`) on it,
    and refuse a sink or SLO clause this executor cannot host: a rejected
    program leaves nothing behind;
 2. SCN service discovery: bind source services to published sensors;
@@ -37,11 +37,10 @@ from functools import partial
 from typing import Callable
 
 from repro.errors import DeploymentError, LifecycleError, PlacementError
-from repro.dataflow.graph import Dataflow
 from repro.dsn.ast import DsnProgram, ServiceRole
 from repro.dsn.check import check
 from repro.dsn.generate import dataflow_to_dsn
-from repro.dsn.scn import PlacementDecision, ScnController, _filter_from_params
+from repro.dsn.scn import PlacementDecision, ScnController
 from repro.network.netsim import NetworkSimulator
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.registry import SensorMetadata
@@ -272,13 +271,6 @@ def _slo_rules(program):
     ]
 
 
-def _spec(service):
-    """The operator specification a DSN operator service declares."""
-    from repro.dataflow.ops import spec_from_dict
-
-    return spec_from_dict({"kind": service.kind, **service.params})
-
-
 class Executor:
     """Coordinates deployments over one network + pub-sub + SCN stack."""
 
@@ -394,23 +386,22 @@ class Executor:
 
     def deploy(
         self,
-        flow_or_program: "Dataflow | DsnProgram",
+        program: DsnProgram,
         shards: "int | dict[str, int] | None" = None,
         elastic: bool = False,
     ) -> Deployment:
-        """Translate (if needed), check, place, spawn, wire, and start a
-        dataflow.  The check runs once, before anything is placed: an
-        unsound program raises :class:`repro.errors.ValidationError`, one
-        this executor cannot host :class:`DeploymentError`, and neither
-        leaves a trace.
+        """Check, place, spawn, wire, and start a program (drawn on the
+        canvas or parsed from text).  The check runs once, before anything
+        is placed: an unsound program raises
+        :class:`repro.errors.ValidationError`, one this executor cannot host
+        :class:`DeploymentError`, and neither leaves a trace.
 
-        ``shards`` requests key-partitioned scale-out for blocking
-        operators when translating a conceptual dataflow (see
-        :func:`repro.dsn.generate.dataflow_to_dsn`); ``elastic`` marks
-        those shard clauses elastic, attaching the load-feedback
-        rebalance loop (``--rebalance``).  A DSN program passed directly
-        already carries its ``shard`` clauses, so both are only honoured
-        for :class:`Dataflow` input.
+        The deployment keeps its own copy of ``program``
+        (:func:`repro.dsn.generate.dataflow_to_dsn`), so a later edit of
+        the canvas does not reach it.  ``shards`` adds key-partitioned
+        scale-out clauses for blocking operators to that copy; ``elastic``
+        marks them elastic, attaching the load-feedback rebalance loop
+        (``--rebalance``).
 
         Every deployment runs the operator-fusion planner
         (:func:`repro.dataflow.fusion.chains_for`): maximal chains of
@@ -422,12 +413,7 @@ class Executor:
         deploy option either.
         """
         registry = self.broker_network.registry
-        if isinstance(flow_or_program, Dataflow):
-            program = dataflow_to_dsn(
-                flow_or_program, registry, shards=shards, elastic=elastic,
-            )
-        else:
-            program = flow_or_program
+        program = dataflow_to_dsn(program, shards=shards, elastic=elastic)
         if program.name in self.deployments:
             existing = self.deployments[program.name]
             if existing.state is not DeploymentState.STOPPED:
@@ -450,7 +436,7 @@ class Executor:
             deployment.bindings[name] = _SourceBinding(
                 service_name=name,
                 sensors=sensors,
-                filter=_filter_from_params(program.service(name).params),
+                filter=program.service(name).filter(),
                 initial_count=len(sensors),
             )
         for unit in plan.units.values():
@@ -574,7 +560,7 @@ class Executor:
             count = len(members)
             if unit.role == SHARD:
                 return ShardedOperatorAdapter(
-                    _spec(service).build_operator(),
+                    service.spec().build_operator(),
                     shard_index=members.index(unit.key), shard_count=count,
                 )
             mode = "aggregate" if service.kind == "aggregation" else "join"
@@ -619,9 +605,8 @@ class Executor:
             interval=members[0].operator.interval,
             config=self.rebalance_config,
             log=self.monitor.log,
-            combine_safe=_spec(
-                deployment.program.service(shard.service)
-            ).combine_safe(),
+            combine_safe=deployment.program.service(
+                shard.service).spec().combine_safe(),
         )
 
     def _install_slo_plane(self, deployment: Deployment) -> None:
@@ -685,7 +670,7 @@ class Executor:
     def _build_runtime(self, service, deployment: Deployment):
         """Instantiate the runtime operator (or sink) for a service."""
         if service.role is ServiceRole.OPERATOR:
-            operator = _spec(service).build_operator()
+            operator = service.spec().build_operator()
             if service.kind in ("trigger-on", "trigger-off"):
                 operator.control = deployment.apply_control
             return operator
@@ -728,7 +713,7 @@ class Executor:
         policy, which the bound sensors publish under.
         """
         service = deployment.program.service(edge.producer)
-        filter_ = _filter_from_params(service.params)
+        filter_ = service.filter()
         port = edge.port
         group = isinstance(target, ShardGroup)
         members = target.members if group else [target]

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec, TriggerOnSpec
+from repro.dsn.ast import DsnProgram
 from repro.dsn.scn import ScnController
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
@@ -172,7 +172,7 @@ def sharded_aggregation_flow(
     stack: Stack,
     interval: float = 300.0,
     function: str = "AVG",
-) -> Dataflow:
+) -> DsnProgram:
     """A scale-out scenario: per-station temperature averages.
 
     The simplest flow that exercises key-partitioned sharding: every
@@ -185,7 +185,7 @@ def sharded_aggregation_flow(
     re-establishes the unsharded flush order downstream.
     """
     del stack  # symmetry with osaka_scenario_flow; the flow needs no fleet info
-    flow = Dataflow("station-averages")
+    flow = DsnProgram("station-averages")
     temp = flow.add_source(
         SubscriptionFilter(sensor_type="temperature"), node_id="temperature"
     )
@@ -204,7 +204,7 @@ def sharded_aggregation_flow(
     return flow
 
 
-def fused_pipeline_flow(stack: Stack) -> Dataflow:
+def fused_pipeline_flow(stack: Stack) -> DsnProgram:
     """A fusion scenario: a 3-op non-blocking chain over temperatures.
 
     The simplest flow that exercises operator fusion: keep -> double ->
@@ -217,7 +217,7 @@ def fused_pipeline_flow(stack: Stack) -> Dataflow:
     del stack  # symmetry with osaka_scenario_flow; no fleet info needed
     from repro.dataflow.ops import TransformSpec, VirtualPropertySpec
 
-    flow = Dataflow("fused-pipeline")
+    flow = DsnProgram("fused-pipeline")
     temp = flow.add_source(
         SubscriptionFilter(sensor_type="temperature"), node_id="temperature"
     )
@@ -246,8 +246,8 @@ def osaka_scenario_flow(
     rain_threshold_mmh: float = 10.0,
     check_interval: float = 300.0,
     window: float = 3600.0,
-) -> Dataflow:
-    """The Section 3 scenario as a conceptual dataflow.
+) -> DsnProgram:
+    """The Section 3 scenario, drawn as a DSN program.
 
     "Acquiring the data about torrential rain, tweets and traffic only when
     the temperature identified in the last hour is above 25 °C": a Trigger
@@ -262,7 +262,7 @@ def osaka_scenario_flow(
         if sensor.metadata.sensor_type in gated_types
     )
 
-    flow = Dataflow("osaka-scenario")
+    flow = DsnProgram("osaka-scenario")
     temp = flow.add_source(
         SubscriptionFilter(sensor_type="temperature"), node_id="temperature"
     )

@@ -4,15 +4,12 @@ program."""
 
 from typing import NamedTuple
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import OperatorSpec
-from repro.dataflow.serialize import _filter_to_dict
 from repro.dsn.ast import (
     DsnChannel, DsnControl, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo,
     ServiceRole,
 )
 from repro.dsn.scn import ScnController
-from repro.network.qos import QosPolicy
 from repro.network.netsim import NetworkSimulator
 from repro.network.simclock import SimClock
 from repro.network.topology import Topology
@@ -30,11 +27,11 @@ SITE = Point(34.69, 135.50)
 
 def pipeline(name: str, *operators, sensor_type: str = "temperature",
              match: "SubscriptionFilter | None" = None, source: str = "src",
-             sink: str = "out", sink_kind: str = "collector") -> Dataflow:
+             sink: str = "out", sink_kind: str = "collector") -> DsnProgram:
     """``source -> operators... -> sink``; each operator is a
     ``(node_id, spec)`` pair, and the source subscribes to ``match`` (by
     default, every sensor of ``sensor_type``)."""
-    flow = Dataflow(name)
+    flow = DsnProgram(name)
     upstream = flow.add_source(
         match or SubscriptionFilter(sensor_type=sensor_type), node_id=source)
     for node_id, spec in operators:
@@ -127,27 +124,24 @@ class Dormant(NamedTuple):
     filter: SubscriptionFilter
 
 
-def dsn(*parts, **nodes) -> DsnProgram:
-    """DSN program ``p``.  ``nodes`` maps a service name to a source filter
+def dsn(*parts, name: str = "p", **nodes) -> DsnProgram:
+    """DSN program ``name``.  ``nodes`` maps a service name to a source filter
     (``Dormant`` for a paused one), an operator spec, a ``(kind, params)``
     operator or a sink kind; ``parts`` are ``"a > b"`` channels (``"a >
     b:1"`` into port 1), ``"a ~ b"`` controls, services and clauses."""
-    program = DsnProgram(name="p")
-    for name, node in nodes.items():
-        if isinstance(node, (SubscriptionFilter, Dormant)):
-            active = isinstance(node, SubscriptionFilter)
-            service = DsnService(ServiceRole.SOURCE, name, "sensor-stream", {
-                "filter": _filter_to_dict(node if active else node.filter),
-                "active": active})
+    program = DsnProgram(name)
+    for node_id, node in nodes.items():
+        if isinstance(node, SubscriptionFilter):
+            program.add_source(node, node_id)
+        elif isinstance(node, Dormant):
+            program.add_source(node.filter, node_id, initially_active=False)
         elif isinstance(node, str):
-            service = DsnService(ServiceRole.SINK, name, node,
-                                 {"config": {}}, QosPolicy())
-        else:
-            if isinstance(node, OperatorSpec):
-                params = node.to_dict()
-                node = (params.pop("kind"), params)
-            service = DsnService(ServiceRole.OPERATOR, name, *node)
-        program.services.append(service)
+            program.add_sink(node, node_id=node_id)
+        elif isinstance(node, OperatorSpec):
+            program.add_operator(node, node_id)
+        else:  # (kind, params), possibly ones no spec accepts
+            program.services.append(
+                DsnService(ServiceRole.OPERATOR, node_id, *node))
     lists = {DsnService: program.services, DsnChannel: program.channels,
              DsnControl: program.controls, DsnShard: program.shards,
              DsnFuse: program.fuses, DsnSlo: program.slos}

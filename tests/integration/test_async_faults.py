@@ -18,8 +18,8 @@ import time
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec
+from repro.dsn.ast import DsnProgram
 from repro.errors import SimulationError
 from repro.network.topology import Topology
 from repro.runtime.backends import AsyncBackend
@@ -33,7 +33,7 @@ from tests.builders import pipeline
 MAX_WALL = 60.0
 
 
-def blocking_flow() -> Dataflow:
+def blocking_flow() -> DsnProgram:
     """temperature -> 600s AVG window -> collector (checkpointable)."""
     return pipeline("chaos", ("work", AggregationSpec(
         interval=600.0, attributes=("temperature",), function="AVG")),

@@ -12,13 +12,13 @@ duplicated).
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
     TransformSpec,
     VirtualPropertySpec,
 )
+from repro.dsn.ast import DsnProgram
 from repro.network.topology import Topology
 from repro.runtime.lifecycle import DeploymentState
 from repro.runtime.monitor import KEY_MOVES
@@ -44,7 +44,7 @@ from tests.builders import (
 BLOCKING_IDS = ["non-blocking", "blocking"]
 
 
-def simple_flow(blocking: bool) -> Dataflow:
+def simple_flow(blocking: bool) -> DsnProgram:
     """temperature -> (filter | windowed aggregation) -> collector."""
     work = AggregationSpec(interval=600.0, attributes=("temperature",),
                            function="AVG") if blocking \

@@ -8,17 +8,17 @@ lifecycles.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.scenario import build_stack
 from tests.builders import pipeline
 
 
-def flow_a() -> Dataflow:
+def flow_a() -> DsnProgram:
     return pipeline("flow-a", ("hot", FilterSpec("temperature > 24")))
 
 
-def flow_b() -> Dataflow:
+def flow_b() -> DsnProgram:
     return pipeline("flow-b", ("hourly", AggregationSpec(
         interval=3600.0, attributes=("rain_rate",), function="MAX",
         group_by="station")), sensor_type="rain")

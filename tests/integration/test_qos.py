@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.dsn.scn import PlacementDecision, ScnController
 from repro.errors import ScnError
 from repro.network.netsim import NetworkSimulator
@@ -15,8 +15,8 @@ from repro.sensors.physical import temperature_sensor
 from repro.stt.spatial import Point
 
 
-def qos_flow(max_latency: float) -> Dataflow:
-    flow = Dataflow("qos-flow")
+def qos_flow(max_latency: float) -> DsnProgram:
+    flow = DsnProgram("qos-flow")
     src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                           node_id="src")
     keep = flow.add_operator(FilterSpec("temperature > -100"), node_id="keep")

@@ -10,13 +10,13 @@ same thing.
 """
 
 from repro.baselines.batch_etl import BatchEtlPipeline
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
     TransformSpec,
     VirtualPropertySpec,
 )
+from repro.dsn.ast import DsnProgram
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 from tests.builders import pipeline
@@ -25,7 +25,7 @@ HOURS = 5.0
 UMEDA = SubscriptionFilter(sensor_ids=("osaka-temp-umeda",))
 
 
-def pipeline_flow(sink_kind: str) -> Dataflow:
+def pipeline_flow(sink_kind: str) -> DsnProgram:
     return pipeline(
         f"equiv-{sink_kind}",
         ("enrich", VirtualPropertySpec("temp_f", "temperature * 1.8 + 32")),
@@ -34,7 +34,7 @@ def pipeline_flow(sink_kind: str) -> Dataflow:
         match=UMEDA, sink_kind=sink_kind)
 
 
-def hourly_flow(sink_kind: str) -> Dataflow:
+def hourly_flow(sink_kind: str) -> DsnProgram:
     return pipeline(
         f"hourly-{sink_kind}", ("hourly", AggregationSpec(
             interval=3600.0, attributes=("temperature",), function="AVG")),

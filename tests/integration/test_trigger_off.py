@@ -7,8 +7,8 @@ paying for the tweet firehose once the heat emergency has passed.
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import TriggerOffSpec
+from repro.dsn.ast import DsnProgram
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.scenario import build_stack
 
@@ -19,12 +19,12 @@ def stack():
     return build_stack(hot=False)
 
 
-def off_flow(stack) -> Dataflow:
+def off_flow(stack) -> DsnProgram:
     tweet_ids = tuple(
         sensor.sensor_id for sensor in stack.fleet
         if sensor.metadata.sensor_type == "twitter"
     )
-    flow = Dataflow("wind-down")
+    flow = DsnProgram("wind-down")
     temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                            node_id="temp")
     tweets = flow.add_source(SubscriptionFilter(sensor_type="twitter"),

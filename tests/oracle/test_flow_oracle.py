@@ -30,7 +30,6 @@ import inspect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     CullTimeSpec,
@@ -50,7 +49,7 @@ from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
 from repro.warehouse.loader import EventWarehouse
-from tests.builders import executor_stack, pipeline, sensor_metadata
+from tests.builders import dsn, executor_stack, pipeline, sensor_metadata
 
 #: Kinds whose specs only reference attributes every stage preserves.
 SOUND_KINDS = ("filter", "virtual", "transform", "cull")
@@ -243,28 +242,16 @@ def test_no_row_reaching_a_sink_has_an_instance_dict():
     grouped aggregate's merge, and out of a join — none carries an
     instance dict, on itself or on its stamp."""
     _, netsim, network, executor = _stack()
-    flow = Dataflow("row-shape")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src")
-    flow.add_operator(spec("virtual", 0, 0), node_id="op0")
-    flow.add_operator(spec("transform", 0, 1), node_id="op1")
-    flow.add_operator(AggregationSpec(
-        interval=7.0, attributes=("temperature",), function="AVG",
-        group_by="humidity"), node_id="agg")
-    flow.add_operator(JoinSpec(
-        interval=7.0, predicate="left.humidity == right.humidity"),
-        node_id="join")
-    for name in ("raw", "rows", "groups", "pairs"):
-        flow.add_sink("collector", node_id=name)
-    flow.connect(source, "raw")
-    flow.connect(source, "op0")
-    flow.connect("op0", "op1")
-    flow.connect("op1", "rows")
-    flow.connect("op1", "agg")
-    flow.connect("agg", "groups")
-    flow.connect("op1", "join", port=0)
-    flow.connect(source, "join", port=1)
-    flow.connect("join", "pairs")
+    flow = dsn(
+        "src > raw", "src > op0", "op0 > op1", "op1 > rows", "op1 > agg",
+        "agg > groups", "op1 > join:0", "src > join:1", "join > pairs",
+        name="row-shape", src=SubscriptionFilter(sensor_type="temperature"),
+        op0=spec("virtual", 0, 0), op1=spec("transform", 0, 1),
+        agg=AggregationSpec(interval=7.0, attributes=("temperature",),
+                            function="AVG", group_by="humidity"),
+        join=JoinSpec(interval=7.0,
+                      predicate="left.humidity == right.humidity"),
+        **dict.fromkeys(("raw", "rows", "groups", "pairs"), "collector"))
     deployment = executor.deploy(flow, shards={"agg": 2})
     assert "op0" + FUSED_NAME_SEPARATOR + "op1" in deployment.plan.units
     assert "agg" in deployment.plan.groups
@@ -316,22 +303,14 @@ def previewed_flow(chain, interval, threshold):
     AVG flushing every ``interval`` s when one is given; a ``threshold``
     adds a dormant source on the same sensor, woken by a trigger on the
     5 s mean temperature crossing it, into ``gated-out``."""
-    flow = Dataflow("preview-oracle")
-    upstream = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                               node_id="src")
     stages = [spec(kind, param, index)
               for index, (kind, param) in enumerate(chain)]
     if interval is not None:
         stages.append(AggregationSpec(
             interval=interval, attributes=("temperature",), function="AVG",
             group_by="humidity"))
-    for index, stage in enumerate(stages):
-        name = f"op{index}"
-        flow.add_operator(stage, node_id=name)
-        flow.connect(upstream, name)
-        upstream = name
-    flow.add_sink("collector", node_id="out")
-    flow.connect(upstream, "out")
+    flow = pipeline("preview-oracle", *(
+        (f"op{index}", stage) for index, stage in enumerate(stages)))
     if threshold is not None:
         flow.add_source(SubscriptionFilter.for_sensor("prop-sensor"),
                         node_id="gated", initially_active=False)

@@ -28,7 +28,6 @@ def run_health(seed: int, shards: int, batch: int, threshold: float) -> str:
     flow = sharded_aggregation_flow(stack)
     program = dataflow_to_dsn(
         flow,
-        stack.broker_network.registry,
         batching=BatchingPolicy(batch),
         shards=shards if shards > 1 else None,
         slos=[

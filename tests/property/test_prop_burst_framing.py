@@ -20,8 +20,8 @@ run.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, JoinSpec
+from repro.dsn.ast import DsnProgram
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.backends import backend_from_name
@@ -30,7 +30,7 @@ from repro.scenario import build_stack
 from repro.streams.shard import ShardMergeOperator
 from repro.streams.tuple import TupleBatch
 
-from tests.builders import pipeline
+from tests.builders import dsn, pipeline
 from tests.parity._compare import (
     MAX_WALL_SECONDS,
     audit_multiset,
@@ -54,23 +54,16 @@ HORIZON = 24.5
 SNAPSHOT_AT = 10.6
 
 
-def _aggregation_flow(function: str) -> Dataflow:
+def _aggregation_flow(function: str) -> DsnProgram:
     """temperature -> grouped aggregate -> two sinks (two routes)."""
-    flow = Dataflow("burst-agg")
-    source = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="src")
-    agg = flow.add_operator(
-        AggregationSpec(interval=INTERVAL, attributes=("value",),
-                        function=function, group_by="station"),
-        node_id="agg",
-    )
-    flow.connect(source, agg)
-    for name in ("out", "copy"):
-        flow.connect(agg, flow.add_sink("collector", node_id=name))
-    return flow
+    return dsn("src > agg", "agg > out", "agg > copy", name="burst-agg",
+               src=SubscriptionFilter(sensor_type="temperature"),
+               agg=AggregationSpec(interval=INTERVAL, attributes=("value",),
+                                   function=function, group_by="station"),
+               out="collector", copy="collector")
 
 
-def _chain_flow(function: str) -> Dataflow:
+def _chain_flow(function: str) -> DsnProgram:
     """temperature -> grouped aggregate -> grouped COUNT -> sink; sharding
     the COUNT makes the first aggregate's route a shard group."""
     return pipeline(
@@ -82,22 +75,14 @@ def _chain_flow(function: str) -> Dataflow:
             function="COUNT", group_by="station")))
 
 
-def _join_flow() -> Dataflow:
-    flow = Dataflow("burst-join")
-    left = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="left")
-    right = flow.add_source(
-        SubscriptionFilter(sensor_type="humidity"), node_id="right")
-    join = flow.add_operator(
-        JoinSpec(interval=INTERVAL,
-                 predicate="left.station == right.station"),
-        node_id="join",
-    )
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(left, join, port=0)
-    flow.connect(right, join, port=1)
-    flow.connect(join, sink)
-    return flow
+def _join_flow() -> DsnProgram:
+    return dsn("left > join:0", "right > join:1", "join > out",
+               name="burst-join",
+               left=SubscriptionFilter(sensor_type="temperature"),
+               right=SubscriptionFilter(sensor_type="humidity"),
+               join=JoinSpec(interval=INTERVAL,
+                             predicate="left.station == right.station"),
+               out="collector")
 
 
 def _instrument(deployment, netsim, one_by_one: bool) -> list:
@@ -128,7 +113,7 @@ def _instrument(deployment, netsim, one_by_one: bool) -> list:
     return records
 
 
-def _run(backend_name: str, flow: Dataflow, shards, streams: dict,
+def _run(backend_name: str, flow: DsnProgram, shards, streams: dict,
          one_by_one: bool) -> dict:
     """Deploy ``flow``, replay ``streams`` as lone publishes at their
     stamp instants; return observables + framing log."""

@@ -12,7 +12,6 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     CullTimeSpec,
@@ -23,12 +22,11 @@ from repro.dataflow.ops import (
 )
 from repro.designer.preview import replay_samples
 from repro.dsn.check import check
-from repro.dsn.generate import dataflow_to_dsn
 from repro.network.topology import Topology
 from repro.pubsub.registry import SensorRegistry
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.schema.schema import StreamSchema
-from tests.builders import reading, sensor_metadata
+from tests.builders import pipeline, reading, sensor_metadata
 
 
 def base_schema() -> StreamSchema:
@@ -98,17 +96,11 @@ def registry() -> SensorRegistry:
 
 def canvas(steps):
     """The chain on a canvas, and the schema its sink should carry."""
-    flow = Dataflow("generated")
-    schema = base_schema()
-    previous = flow.add_source(SubscriptionFilter(), node_id="src")
+    schema, operators = base_schema(), []
     for index, step in enumerate(steps):
-        spec = step(schema)
-        node = flow.add_operator(spec, node_id=f"op-{index}")
-        flow.connect(previous, node)
-        schema = spec.infer_schema([schema])
-        previous = node
-    flow.connect(previous, flow.add_sink(node_id="out"))
-    return flow, schema
+        operators.append((f"op-{index}", step(schema)))
+        schema = operators[-1][1].infer_schema([schema])
+    return pipeline("generated", *operators, match=SubscriptionFilter()), schema
 
 
 class TestCanvasTotality:
@@ -118,11 +110,11 @@ class TestCanvasTotality:
         flow, schema = canvas(steps)
 
         sensors = registry()
-        report = check(dataflow_to_dsn(flow, sensors), sensors)
+        report = check(flow, sensors)
         assert report.is_valid, [str(issue) for issue in report.errors]
         # Inference was total: a schema exists at every canvas node.
-        assert all(report.schemas[node_id] is not None
-                   for node_id in flow.node_ids)
+        assert all(report.schemas[service.name] is not None
+                   for service in flow.services)
         # And the sink's schema equals the chain's composition.
         assert report.schemas["out"].names == schema.names
 

@@ -20,14 +20,13 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, JoinSpec
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import BrokerNetwork
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.streams.shard import ShardedOperatorAdapter, partition_index
-from tests.builders import executor_stack, pipeline, reading, sensor_metadata
+from tests.builders import dsn, executor_stack, pipeline, reading, sensor_metadata
 
 SHARD_COUNTS = (1, 2, 4)
 BATCH_SIZES = (1, 16)
@@ -106,19 +105,13 @@ def _run_join(left_stream, right_stream, shard_count, batch_size,
         None, _metadata("prop-temp", "temperature", "hub"),
         _metadata("prop-hum", "humidity", "hub"))
 
-    flow = Dataflow("shard-join-parity")
-    left = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                           node_id="left")
-    right = flow.add_source(SubscriptionFilter(sensor_type="humidity"),
-                            node_id="right")
-    join = flow.add_operator(
-        JoinSpec(interval=7.0, predicate="left.station == right.station"),
-        node_id="join",
-    )
-    sink = flow.add_sink("collector", node_id="out")
-    flow.connect(left, join, port=0)
-    flow.connect(right, join, port=1)
-    flow.connect(join, sink)
+    flow = dsn("left > join:0", "right > join:1", "join > out",
+               name="shard-join-parity",
+               left=SubscriptionFilter(sensor_type="temperature"),
+               right=SubscriptionFilter(sensor_type="humidity"),
+               join=JoinSpec(interval=7.0,
+                             predicate="left.station == right.station"),
+               out="collector")
     deployment = executor.deploy(
         flow, shards={"join": shard_count} if shard_count > 1 else None)
 

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.baselines.batch_etl import BatchEtlPipeline
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.errors import ValidationError
 from repro.pubsub.subscription import SubscriptionFilter
 
 
-def batch_flow() -> Dataflow:
-    flow = Dataflow("batch")
+def batch_flow() -> DsnProgram:
+    flow = DsnProgram("batch")
     src = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                           node_id="src")
     hot = flow.add_operator(FilterSpec("temperature > 24"), node_id="hot")

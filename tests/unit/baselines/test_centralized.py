@@ -3,8 +3,8 @@
 import pytest
 
 from repro.baselines.centralized import CentralizedScnController
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import FilterSpec
+from repro.dsn.ast import DsnProgram
 from repro.errors import UnknownNodeError
 from repro.network.topology import Topology
 from repro.pubsub.subscription import SubscriptionFilter
@@ -68,7 +68,7 @@ class TestCentralizedController:
         # filter per station, so the SCN can push each filter to the edge
         # node that manages its sensor.
         def per_region_flow(stack):
-            result = Dataflow("per-region")
+            result = DsnProgram("per-region")
             for index, metadata in enumerate(
                 stack.broker_network.registry.by_type("temperature")
             ):

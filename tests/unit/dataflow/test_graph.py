@@ -1,16 +1,18 @@
-"""Unit tests for the conceptual dataflow graph."""
+"""Unit tests for the canvas edit calls on the DSN program."""
 
+import networkx as nx
 import pytest
 
-from repro.errors import DataflowError, PortError
-from repro.dataflow.graph import Dataflow, SinkKind
+from repro.errors import DataflowError, DsnError, PortError
 from repro.dataflow.ops import AggregationSpec, FilterSpec, JoinSpec, TriggerOnSpec
+from repro.dsn.ast import DsnFuse, DsnProgram, DsnShard
 from repro.pubsub.subscription import SubscriptionFilter
+from tests.unit.dsn.test_goldens import golden
 
 
 @pytest.fixture
-def flow() -> Dataflow:
-    return Dataflow("test-flow")
+def flow() -> DsnProgram:
+    return DsnProgram("test-flow")
 
 
 def add_source(flow, node_id="", **kwargs):
@@ -31,10 +33,12 @@ def src(flow):
 class TestNodes:
     def test_auto_ids_unique(self, flow):
         a, b = add_source(flow), add_source(flow)
-        assert a != b
+        sink, op = flow.add_sink(), flow.add_operator(FilterSpec("true"))
+        c = add_source(flow)  # one counter; each node ends its role's group
+        assert [s.name for s in flow.services] == [a, b, c, op, sink] == [
+            "source-1", "source-2", "source-5", "filter-4", "sink-3"]
 
-    def test_explicit_id(self, flow):
-        assert add_source(flow, node_id="temp") == "temp"
+    test_explicit_id = golden("p2-torrential-rain")
 
     def test_duplicate_id_raises(self, flow):
         add_source(flow, node_id="x")
@@ -43,28 +47,19 @@ class TestNodes:
 
     def test_contains_and_node(self, flow, src):
         assert src in flow
-        assert flow.node(src).node_id == src
-        with pytest.raises(DataflowError):
-            flow.node("ghost")
+        assert flow.service(src).name == src
+        with pytest.raises(DsnError):
+            flow.service("ghost")
 
     def test_bad_sink_kind_raises(self, flow):
         with pytest.raises(DataflowError, match="unknown sink kind"):
             flow.add_sink("database")
 
-    def test_sink_kinds(self, flow):
-        for kind in SinkKind.ALL:
-            flow.add_sink(kind)
+    test_sink_kinds = golden()
 
 
 class TestDataEdges:
-    def test_connect_chain(self, flow, src):
-        op = flow.add_operator(FilterSpec("temperature > 0"))
-        sink = flow.add_sink()
-        flow.connect(src, op)
-        flow.connect(op, sink)
-        assert len(flow.data_edges) == 2
-        assert flow.inputs_of(op)[0].source_id == src
-        assert flow.outputs_of(op)[0].target_id == sink
+    test_connect_chain = golden("p7-fused-pipeline")
 
     def test_source_cannot_receive(self, flow):
         a, b = add_source(flow), add_source(flow)
@@ -88,12 +83,7 @@ class TestDataEdges:
         with pytest.raises(PortError, match="ports 0..0"):
             flow.connect(src, op, port=1)
 
-    def test_join_accepts_two_ports(self, flow):
-        a, b = add_source(flow), add_source(flow)
-        join = flow.add_operator(JoinSpec(interval=60.0, predicate="true"))
-        flow.connect(a, join, port=0)
-        flow.connect(b, join, port=1)
-        assert len(flow.inputs_of(join)) == 2
+    test_join_accepts_two_ports = golden("p1-apparent-temperature")
 
     def test_port_double_connect_raises(self, flow):
         a, b = add_source(flow), add_source(flow)
@@ -106,16 +96,13 @@ class TestDataEdges:
         op = flow.add_operator(FilterSpec("true"))
         flow.connect(src, op)
         flow.disconnect(src, op)
-        assert flow.data_edges == []
+        assert flow.channels == []
         with pytest.raises(DataflowError):
             flow.disconnect(src, op)
 
 
 class TestControlEdges:
-    def test_trigger_to_source(self, flow, src):
-        trig = add_trigger(flow)
-        flow.connect_control(trig, src)
-        assert flow.controlled_sources(trig) == [src]
+    test_trigger_to_source = golden("p2-torrential-rain")
 
     def test_non_trigger_cannot_control(self, flow, src):
         op = flow.add_operator(FilterSpec("true"))
@@ -141,9 +128,10 @@ class TestEditing:
         sink = flow.add_sink()
         flow.connect(src, op)
         flow.connect(op, sink)
+        flow.shards, flow.fuses = [DsnShard(op, 2)], [DsnFuse((op, "g"))]
         flow.remove_node(op)
         assert op not in flow
-        assert flow.data_edges == []
+        assert flow.channels == flow.shards == flow.fuses == []
 
     def test_remove_unknown_raises(self, flow):
         with pytest.raises(DataflowError):
@@ -155,8 +143,8 @@ class TestEditing:
         flow.connect(src, op)
         flow.connect(op, sink)
         flow.replace_operator(op, FilterSpec("temperature > 10"))
-        assert flow.operators[op].spec.condition == "temperature > 10"
-        assert len(flow.data_edges) == 2
+        assert flow.service(op).spec().condition == "temperature > 10"
+        assert len(flow.channels) == 2
 
     def test_replace_with_different_arity_raises(self, flow):
         op = flow.add_operator(FilterSpec("true"))
@@ -175,5 +163,5 @@ class TestTopology:
         flow.connect(src, a)
         flow.connect(a, b)
         flow.connect(b, sink)
-        order = flow.topological_order()
+        order = list(nx.topological_sort(flow.data_graph()))
         assert order.index(src) < order.index(a) < order.index(b) < order.index(sink)

@@ -2,40 +2,25 @@
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
-from repro.dataflow.ops import FilterSpec, JoinSpec, TriggerOnSpec
 from repro.dataflow.render import render_ascii, to_dot
-from repro.pubsub.subscription import SubscriptionFilter
+from repro.dsn.ast import DsnProgram
+from tests.unit.dsn.test_goldens import (
+    p1_apparent_temperature_flow, p2_torrential_rain_flow,
+)
 
 
 @pytest.fixture
-def flow() -> Dataflow:
-    flow = Dataflow("render-me")
-    temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
-                           node_id="temp")
-    rain = flow.add_source(SubscriptionFilter(sensor_type="rain"),
-                           node_id="rain", initially_active=False)
-    trig = flow.add_operator(
-        TriggerOnSpec(interval=300.0, condition="avg_temperature > 25",
-                      targets=("r1",)),
-        node_id="trig",
-    )
-    filt = flow.add_operator(FilterSpec("rain_rate > 10"), node_id="filt")
-    sink = flow.add_sink("warehouse", node_id="dw")
-    flow.connect(temp, trig)
-    flow.connect(rain, filt)
-    flow.connect(filt, sink)
-    flow.connect_control(trig, rain)
-    return flow
+def flow() -> DsnProgram:
+    return p2_torrential_rain_flow()
 
 
 class TestDot:
     def test_all_nodes_and_edges_present(self, flow):
         dot = to_dot(flow)
-        for node_id in ("temp", "rain", "trig", "filt", "dw"):
+        for node_id in ("temp", "rain", "hot-hour", "torrential", "dw"):
             assert f'"{node_id}"' in dot
-        assert '"rain" -> "filt"' in dot
-        assert '"trig" -> "rain"' in dot and "dashed" in dot
+        assert '"rain" -> "torrential"' in dot
+        assert '"hot-hour" -> "rain"' in dot and "dashed" in dot
 
     def test_shapes_by_role(self, flow):
         dot = to_dot(flow)
@@ -47,20 +32,11 @@ class TestDot:
         assert "(dormant)" in to_dot(flow)
 
     def test_quotes_escaped(self):
-        flow = Dataflow('with "quotes"')
+        flow = DsnProgram('with "quotes"')
         assert 'digraph "with \\"quotes\\""' in to_dot(flow)
 
     def test_port_labels_on_joins(self):
-        flow = Dataflow("join-render")
-        a = flow.add_source(SubscriptionFilter(), node_id="a")
-        b = flow.add_source(SubscriptionFilter(), node_id="b")
-        join = flow.add_operator(JoinSpec(interval=60.0, predicate="true"),
-                                 node_id="j")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(a, join, port=0)
-        flow.connect(b, join, port=1)
-        flow.connect(join, sink)
-        assert 'label="port 1"' in to_dot(flow)
+        assert 'label="port 1"' in to_dot(p1_apparent_temperature_flow())
 
 
 class TestAscii:
@@ -69,14 +45,14 @@ class TestAscii:
         assert text.index("layer 0") < text.index("layer 1")
         assert "temp (src)" in text
         assert "rain (src, dormant)" in text
-        assert "trig [trigger-on]" in text
+        assert "hot-hour [trigger-on]" in text
         assert "dw <warehouse>" in text
 
     def test_edges_listed(self, flow):
         text = render_ascii(flow)
-        assert "rain --> filt" in text
-        assert "trig ~~> rain" in text
+        assert "rain --> torrential" in text
+        assert "hot-hour ~~> rain" in text
 
     def test_empty_flow(self):
-        text = render_ascii(Dataflow("empty"))
+        text = render_ascii(DsnProgram("empty"))
         assert "empty" in text

@@ -23,7 +23,8 @@ from repro.sensors.osaka import OSAKA_AREA
 from repro.sensors.physical import temperature_sensor
 from repro.sensors.social import twitter_sensor
 from repro.stt.spatial import Point
-from tests.builders import pipeline, reading
+from tests.builders import Dormant, dsn, pipeline, reading
+from tests.unit.dsn.test_check import by_id
 
 
 @pytest.fixture
@@ -71,16 +72,10 @@ class TestRunSample:
         assert [row["max_avg_temperature"] for row in result.at("k")] == [21.0]
 
     def test_join_preview(self, session):
-        session.add_source("osaka-temp-umeda", node_id="a")
-        session.add_source("osaka-temp-namba", node_id="b")
-        session.add_operator(
-            JoinSpec(interval=60.0, predicate="left.station == right.station"),
-            node_id="j",
-        )
-        session.add_sink(node_id="k")
-        session.connect("a", "j", port=0)
-        session.connect("b", "j", port=1)
-        session.connect("j", "k")
+        session.flow = dsn(
+            "a > j:0", "b > j:1", "j > k", name="sampled", k="collector",
+            a=by_id("osaka-temp-umeda"), b=by_id("osaka-temp-namba"),
+            j=JoinSpec(interval=60.0, predicate="left.station == right.station"))
         samples = {
             "a": [reading("osaka-temp-umeda", 0, 0.0, temperature=20.0,
                           station="umeda")],
@@ -95,18 +90,12 @@ class TestRunSample:
         assert len(result.at("j")) == 1
 
     def test_trigger_dry_run_commands(self, session):
-        session.add_source("osaka-temp-umeda", node_id="temp")
-        session.add_source("osaka-rain-umeda", node_id="src",
-                           initially_active=False)
-        session.add_operator(
-            TriggerOnSpec(interval=60.0, condition="avg_temperature > 25",
-                          targets=("osaka-rain-umeda",)),
-            node_id="trig",
-        )
-        session.add_sink(node_id="k")
-        session.connect("temp", "trig")
-        session.connect("src", "k")
-        session.connect_control("trig", "src")
+        session.flow = dsn(
+            "temp > trig", "src > k", "trig ~ src", name="sampled",
+            temp=by_id("osaka-temp-umeda"),
+            src=Dormant(by_id("osaka-rain-umeda")), k="collector",
+            trig=TriggerOnSpec(interval=60.0, condition="avg_temperature > 25",
+                               targets=("osaka-rain-umeda",)))
         samples = {
             "temp": temperatures("osaka-temp-umeda", [30.0]),
             "src": [
@@ -132,11 +121,9 @@ class TestRunSample:
     def test_dangling_operator_raises(self, session):
         # The preview's taps would give the filter an output; the canvas
         # as drawn has none, so it is invalid.
-        session.add_source("osaka-temp-umeda", node_id="src")
-        session.add_operator(FilterSpec("temperature > 24"), node_id="hot")
-        session.add_sink(node_id="k")
-        session.connect("src", "hot")
-        session.connect("src", "k")
+        session.flow = dsn("src > hot", "src > k", name="sampled",
+                           src=by_id("osaka-temp-umeda"),
+                           hot=FilterSpec("temperature > 24"), k="collector")
         with pytest.raises(ValidationError, match="hot"):
             session.preview(
                 samples={"src": temperatures("osaka-temp-umeda", [20.0])})

@@ -4,18 +4,19 @@ import json
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import CullSpaceSpec, JoinSpec, TriggerOnSpec
 from repro.dataflow.serialize import dataflow_from_dict, dataflow_to_dict
+from repro.dsn.ast import DsnProgram
 from repro.errors import DataflowError
 from repro.network.qos import QosPolicy
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.stt.spatial import Box
 from repro.stt.thematic import Theme
+from tests.builders import pipeline
 
 
-def rich_flow() -> Dataflow:
-    flow = Dataflow("rich")
+def rich_flow() -> DsnProgram:
+    flow = DsnProgram("rich")
     a = flow.add_source(
         SubscriptionFilter(
             sensor_type="temperature",
@@ -24,7 +25,7 @@ def rich_flow() -> Dataflow:
             min_frequency=0.001,
             max_frequency=1.0,
         ),
-        node_id="a", label="temps",
+        node_id="a",
     )
     b = flow.add_source(SubscriptionFilter(sensor_ids=("rain-1", "rain-2")),
                         node_id="b", initially_active=False)
@@ -71,14 +72,14 @@ class TestRoundTrip:
 
     def test_structure_preserved(self):
         rebuilt = dataflow_from_dict(dataflow_to_dict(rich_flow()))
-        assert set(rebuilt.sources) == {"a", "b"}
-        assert set(rebuilt.operators) == {"trig", "cull", "join"}
-        assert len(rebuilt.data_edges) == 5
-        assert len(rebuilt.control_edges) == 1
+        assert [s.name for s in rebuilt.services] == [
+            "a", "b", "trig", "cull", "join", "dw"]
+        assert len(rebuilt.channels) == 5
+        assert len(rebuilt.controls) == 1
 
     def test_filter_fields_preserved(self):
         rebuilt = dataflow_from_dict(dataflow_to_dict(rich_flow()))
-        filter_ = rebuilt.sources["a"].filter
+        filter_ = rebuilt.service("a").filter()
         assert filter_.sensor_type == "temperature"
         assert filter_.theme == Theme("weather")
         assert filter_.area.south == 34.5
@@ -86,34 +87,38 @@ class TestRoundTrip:
 
     def test_qos_preserved(self):
         rebuilt = dataflow_from_dict(dataflow_to_dict(rich_flow()))
-        qos = rebuilt.sinks["dw"].qos
+        qos = rebuilt.service("dw").qos
         assert qos.qos_class.value == "reliable"
         assert qos.segment_bytes == 1024
         assert qos.priority == 2
         assert qos.max_latency == 0.5
 
     def test_infinite_latency_serialised_as_null(self):
-        flow = Dataflow("plain")
-        src = flow.add_source(SubscriptionFilter(), node_id="s")
-        sink = flow.add_sink(node_id="k")
-        flow.connect(src, sink)
-        document = dataflow_to_dict(flow)
+        document = dataflow_to_dict(pipeline("plain", sink="k"))
         assert document["sinks"][0]["qos"]["max_latency"] is None
         rebuilt = dataflow_from_dict(document)
-        assert rebuilt.sinks["k"].qos.max_latency == float("inf")
+        assert rebuilt.service("k").qos.max_latency == float("inf")
 
     def test_initially_active_preserved(self):
         rebuilt = dataflow_from_dict(dataflow_to_dict(rich_flow()))
-        assert rebuilt.sources["a"].initially_active
-        assert not rebuilt.sources["b"].initially_active
+        assert rebuilt.service("a").params["active"]
+        assert not rebuilt.service("b").params["active"]
 
 
 class TestMalformed:
     def test_missing_key_raises(self):
-        with pytest.raises(DataflowError, match="malformed"):
-            dataflow_from_dict({"name": "x", "sources": [{"filter": {}}]})
+        """A missing key, or a field of the wrong shape or type."""
+        source = {"node_id": "s", "filter": {}}
+        for document in (
+            {"name": "x", "sources": [{"filter": {}}]},
+            {"sources": [{"node_id": "s", "filter": {"area": [1, 2]}}]},
+            {"sources": [source], "sinks": [{"node_id": "k"}],
+             "data_edges": [{"source": "s", "target": "k", "port": "x"}]},
+        ):
+            with pytest.raises(DataflowError, match="malformed"):
+                dataflow_from_dict(document)
 
     def test_empty_document_gives_empty_flow(self):
         flow = dataflow_from_dict({})
         assert flow.name == "dataflow"
-        assert not flow.node_ids
+        assert not flow.services

@@ -6,7 +6,6 @@ Which canvases the check rejects, warns about or accepts is the table in
 
 from repro.dataflow.ops import AggregationSpec, FilterSpec
 from repro.dsn.check import check
-from repro.dsn.generate import dataflow_to_dsn
 from repro.pubsub.subscription import SubscriptionFilter
 from tests.builders import pipeline
 from tests.unit.dsn.test_check import row
@@ -17,7 +16,7 @@ def checked(registry, *operators):
     sensor."""
     flow = pipeline("canvas", *operators, sink="k", match=SubscriptionFilter(
         sensor_ids=("osaka-temp-umeda",)))
-    return check(dataflow_to_dsn(flow, registry), registry)
+    return check(flow, registry)
 
 
 class TestHappyPath:

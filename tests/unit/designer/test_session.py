@@ -35,7 +35,8 @@ class TestDiscovery:
 class TestCanvasEditing:
     def test_source_by_bare_id(self, session):
         src = session.add_source("osaka-temp-umeda")
-        assert session.flow.sources[src].filter.sensor_ids == ("osaka-temp-umeda",)
+        assert session.flow.service(src).filter().sensor_ids == (
+            "osaka-temp-umeda",)
 
     def test_incremental_validation_feedback(self, session):
         src = session.add_source("osaka-temp-umeda")
@@ -119,10 +120,15 @@ class TestTranslateDeploy:
     def test_handle_controls(self, session, stack):
         self.build_valid(session)
         handle = session.deploy()
+        deployed = handle.deployment.program.render()
+        session.remove_node("out")  # the deployment keeps its own copy
+        assert handle.deployment.program.render() == deployed
+        drawn = session.flow.render()
         stack.run_until(3600.0)
         handle.pause()
         assert handle.state.value == "paused"
         handle.resume()
         handle.replace_operator("hot", FilterSpec("temperature > 30"))
+        assert session.flow.render() == drawn
         handle.teardown()
         assert handle.state.value == "stopped"

@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.dsn.ast import (
-    DsnProgram,
-    DsnService,
-    DsnShard,
-    ServiceRole,
-)
+from repro.dsn.ast import DsnProgram, DsnService, ServiceRole
 from repro.errors import DsnError
 from repro.network.qos import QosPolicy
 from repro.pubsub.subscription import SubscriptionFilter
 from tests.builders import dsn
 from tests.unit.dsn.test_check import row
+from tests.unit.dsn.test_goldens import golden
 
 
 def small_program() -> DsnProgram:
@@ -53,22 +49,11 @@ class TestCheck:
 
 
 class TestRender:
-    def test_render_contains_all_statements(self):
-        text = small_program().render()
-        assert 'dsn "p" {' in text
-        assert 'service source "src" kind "sensor-stream"' in text
-        assert 'param condition = "rain_rate > 10";' in text
-        assert 'channel "src" -> "f" port 0;' in text
-        assert text.rstrip().endswith("}")
-
-    def test_render_is_deterministic(self):
-        assert small_program().render() == small_program().render()
-
-    def test_params_sorted(self):
-        service = DsnService(role=ServiceRole.OPERATOR, name="x", kind="k",
-                             params={"zeta": 1, "alpha": 2})
-        text = service.render()
-        assert text.index("alpha") < text.index("zeta")
+    # The goldens pin each statement's form, params sorted by key (field
+    # order differs), and ``shard ... by ...`` with and without ``elastic``.
+    test_render_contains_all_statements = golden("p2-torrential-rain")
+    test_render_is_deterministic = golden()
+    test_params_sorted = golden("p1-apparent-temperature")
 
     def test_qos_rendered(self):
         service = DsnService(
@@ -79,12 +64,5 @@ class TestRender:
         text = service.render()
         assert 'qos class "real-time" segment 512 priority 1 max_latency 0.25;' in text
 
-    def test_shard_rendered(self, program):
-        program.shards.append(
-            DsnShard(service="f", count=4, keys=("station",)))
-        assert 'shard "f" 4 by "station";' in program.render()
-
-    def test_elastic_shard_rendered(self, program):
-        program.shards.append(
-            DsnShard(service="f", count=4, keys=("station",), elastic=True))
-        assert 'shard "f" 4 by "station" elastic;' in program.render()
+    test_shard_rendered = golden("p5-sharded-stations")
+    test_elastic_shard_rendered = golden("p6-elastic-stations")

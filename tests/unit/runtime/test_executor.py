@@ -4,19 +4,19 @@ import inspect
 
 import pytest
 
-from repro.dataflow.graph import Dataflow
 from repro.dataflow.ops import AggregationSpec, FilterSpec
-from repro.dsn.ast import DsnSlo
+from repro.dsn.ast import DsnProgram, DsnSlo
 from repro.dsn.generate import dataflow_to_dsn
-from repro.errors import DeploymentError, LifecycleError
+from repro.dsn.parse import parse_dsn
+from repro.errors import DeploymentError, LifecycleError, ValidationError
 from repro.network.topology import Topology
 from repro.runtime.executor import Executor
 from repro.runtime.lifecycle import DeploymentState
-from repro.scenario import build_stack, osaka_scenario_flow
+from repro.scenario import build_stack, osaka_scenario_flow, sharded_aggregation_flow
 from tests.builders import executor_stack, pipeline, sensor_metadata
 
 
-def simple_flow(name="simple") -> Dataflow:
+def simple_flow(name="simple") -> DsnProgram:
     return pipeline(name, ("hot", FilterSpec("temperature > 24")))
 
 
@@ -78,6 +78,19 @@ class TestDeploy:
         # Fused or not is the plan's call (planner or explicit clauses).
         assert "fuse" not in inspect.signature(stack.executor.deploy).parameters
         assert "fuse" not in inspect.signature(dataflow_to_dsn).parameters
+
+    def test_shards_apply_to_a_parsed_program(self, stack):
+        program = parse_dsn(sharded_aggregation_flow(stack).render())
+        deployment = stack.executor.deploy(program, shards={"station-avg": 3})
+        assert len(deployment.shard_groups["station-avg"].members) == 3
+        assert not program.shards  # written on the deployment's own copy
+        # A malformed operator is left to the check, which reports it.
+        deployment.teardown()
+        text = program.render()
+        for bad in (text.replace("interval = 300.0", "interval = NaN"),
+                    text.replace('param attributes = ["temperature"];', "")):
+            with pytest.raises(ValidationError, match="station-avg"):
+                stack.executor.deploy(parse_dsn(bad), shards=3)
 
     def test_collected_unknown_sink_raises(self, deployment):
         with pytest.raises(DeploymentError):

@@ -50,8 +50,9 @@ class TestReplaceOperator:
 
     def test_invalid_replacement_rejected_and_rolled_back(self, stack, deployment):
         # A deployment from DSN text is held to the same check.
-        parsed = stack.executor.deploy(parse_dsn(
-            deployment.program.render().replace('"live-edit"', '"parsed"')))
+        text = deployment.program.render().replace('"live-edit"', '"parsed"')
+        program = parse_dsn(text)
+        parsed = stack.executor.deploy(program)
         for running in (deployment, parsed):
             with pytest.raises(ValidationError, match="ghost"):
                 replace_operator_live(running, "hot", FilterSpec("ghost > 1"))
@@ -62,6 +63,7 @@ class TestReplaceOperator:
         assert deployment.collected("out") and parsed.collected("out")
         replace_operator_live(parsed, "hot", FilterSpec("temperature > 30"))
         assert '"temperature > 30"' in parsed.program.render()
+        assert program.render() == text  # the deployment swapped its own copy
 
     def test_unknown_service_raises(self, deployment):
         with pytest.raises(LifecycleError):

@@ -7,16 +7,16 @@ import pytest
 from repro.cli import build_parser, main
 from repro.dataflow.ops import FilterSpec
 from repro.dataflow.serialize import dataflow_to_dict
-from repro.dsn.parse import parse_dsn
 from repro.pubsub.subscription import SubscriptionFilter
 from repro.runtime.backends import live_backends
 from tests.builders import pipeline
+from tests.unit import test_example_canvas as shipped
 
 
-def canvas_document(valid=True) -> dict:
-    condition = "temperature > 24" if valid else "ghost > 1"
+def invalid_canvas() -> dict:
+    """A canvas document whose filter reads an attribute no sensor has."""
     return dataflow_to_dict(pipeline(
-        "cli-canvas", ("hot", FilterSpec(condition)),
+        "cli-canvas", ("hot", FilterSpec("ghost > 1")),
         match=SubscriptionFilter(sensor_ids=("osaka-temp-umeda",))))
 
 
@@ -41,15 +41,11 @@ class TestSensors:
 
 
 class TestValidate:
-    def test_valid_canvas(self, tmp_path, capsys):
-        path = tmp_path / "canvas.json"
-        path.write_text(json.dumps(canvas_document(valid=True)))
-        assert main(["validate", str(path)]) == 0
-        assert "OK" in capsys.readouterr().out
+    test_valid_canvas = shipped.TestShippedCanvas.test_cli_validates_it
 
     def test_invalid_canvas(self, tmp_path, capsys):
         path = tmp_path / "canvas.json"
-        path.write_text(json.dumps(canvas_document(valid=False)))
+        path.write_text(json.dumps(invalid_canvas()))
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out
@@ -61,17 +57,12 @@ class TestValidate:
 
 
 class TestTranslate:
-    def test_prints_dsn(self, tmp_path, capsys):
-        path = tmp_path / "canvas.json"
-        path.write_text(json.dumps(canvas_document(valid=True)))
-        assert main(["translate", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith('dsn "cli-canvas" {')
-        parse_dsn(out)  # the printed artifact is valid DSN
+    # The shipped canvas's translation is printed exactly as its golden.
+    test_prints_dsn = shipped.TestShippedCanvas.test_cli_translates_it
 
     def test_invalid_canvas_fails(self, tmp_path, capsys):
         path = tmp_path / "canvas.json"
-        path.write_text(json.dumps(canvas_document(valid=False)))
+        path.write_text(json.dumps(invalid_canvas()))
         assert main(["translate", str(path)]) == 1
 
 

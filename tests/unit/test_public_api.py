@@ -15,7 +15,7 @@ class TestPublicApi:
         stack = repro.build_stack(attach_fleet=False)
         assert isinstance(stack, repro.Stack)
         flow = repro.osaka_scenario_flow(stack)
-        assert isinstance(flow, repro.Dataflow)
+        assert isinstance(flow, repro.DsnProgram)
 
     def test_every_table1_spec_exported(self):
         specs = [
