@@ -32,13 +32,14 @@ def to_dot(flow: DsnProgram) -> str:
         node_id = service.name
         if service.role is ServiceRole.SOURCE:
             shape = "house"
-            label = node_id + ("\\n(dormant)" if _dormant(service) else "")
+            label = (node_id, "(dormant)") if _dormant(service) else (node_id,)
         elif service.role is ServiceRole.OPERATOR:
-            shape, label = "box", f"{node_id}\\n{service.kind}"
+            shape, label = "box", (node_id, service.kind)
         else:
-            shape, label = "cylinder", f"{node_id}\\n[{service.kind}]"
+            shape, label = "cylinder", (node_id, f"[{service.kind}]")
+        label = "\\n".join(map(_dot_escape, label))  # DOT's line break
         lines.append(f'  "{_dot_escape(node_id)}" [shape={shape}, '
-                     f'label="{_dot_escape(label)}"];')
+                     f'label="{label}"];')
     for edge in flow.channels:
         port = f' [label="port {edge.port}"]' if edge.port else ""
         lines.append(
@@ -58,7 +59,16 @@ def to_dot(flow: DsnProgram) -> str:
 def render_ascii(flow: DsnProgram) -> str:
     """A terminal rendering: nodes in topological layers, edge list below.
 
-    >>> print(render_ascii(flow))          # doctest: +SKIP
+    >>> from repro.pubsub.subscription import SubscriptionFilter
+    >>> flow = DsnProgram("demo")
+    >>> flow.connect(flow.add_source(SubscriptionFilter(sensor_type="rain")),
+    ...              flow.add_sink("collector"))
+    >>> print(render_ascii(flow))
+    dataflow 'demo'
+      layer 0: source-1 (src)
+      layer 1: sink-2 <collector>
+      data edges:
+        source-1 --> sink-2
     """
     graph = flow.data_graph()
     try:

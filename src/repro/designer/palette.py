@@ -85,17 +85,3 @@ class Palette:
             f"unknown organisation criterion {organise_by!r}; "
             f"use type/location/rate/node"
         )
-
-    def describe_sensor(self, metadata: SensorMetadata) -> dict:
-        """The tooltip card the palette shows for one sensor."""
-        return {
-            "sensor_id": metadata.sensor_id,
-            "type": metadata.sensor_type,
-            "physical": metadata.physical,
-            "schema": metadata.schema.describe(),
-            "frequency_hz": metadata.frequency,
-            "period_s": metadata.period,
-            "themes": [str(theme) for theme in metadata.themes],
-            "node": metadata.node_id,
-            "description": metadata.description,
-        }

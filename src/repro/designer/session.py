@@ -38,7 +38,10 @@ from repro.runtime.executor import Executor
 class DesignerSession:
     """One user's canvas bound to a live StreamLoader stack.
 
-    >>> session = DesignerSession(executor, name="my-flow")  # doctest: +SKIP
+    >>> from repro.scenario import build_stack
+    >>> session = DesignerSession(build_stack().executor, name="my-flow")
+    >>> session.add_source("osaka-temp-umeda")
+    'source-1'
     """
 
     def __init__(self, executor: Executor, name: str = "dataflow") -> None:
@@ -98,10 +101,6 @@ class DesignerSession:
 
     def connect_control(self, trigger_id: str, source_id: str) -> None:
         self.flow.connect_control(trigger_id, source_id)
-        self.validate()
-
-    def remove_node(self, node_id: str) -> None:
-        self.flow.remove_node(node_id)
         self.validate()
 
     # -- feedback panes ------------------------------------------------------------

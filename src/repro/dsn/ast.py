@@ -292,8 +292,11 @@ class DsnProgram:
 
     >>> flow = DsnProgram("demo")
     >>> src = flow.add_source(SubscriptionFilter(sensor_type="temperature"))
-    >>> op = flow.add_operator(FilterSpec("temperature > 24"))  # doctest: +SKIP
-    >>> flow.connect(src, op)                                   # doctest: +SKIP
+    >>> from repro.dataflow.ops import FilterSpec
+    >>> op = flow.add_operator(FilterSpec("temperature > 24"))
+    >>> flow.connect(src, op)
+    >>> op
+    'filter-2'
     """
 
     name: str
@@ -386,19 +389,6 @@ class DsnProgram:
         return self._add(DsnService(ServiceRole.SINK, node_id, sink_kind,
                                     {"config": dict(config or {})},
                                     qos or QosPolicy()))
-
-    def remove_node(self, node_id: str) -> None:
-        """Remove a node and every edge and clause naming it (P3:
-        on-the-fly edits)."""
-        if node_id not in self:
-            raise DataflowError(f"no node {node_id!r} in dataflow {self.name!r}")
-        self.services = [s for s in self.services if s.name != node_id]
-        self.channels = [c for c in self.channels
-                         if node_id not in (c.source, c.target)]
-        self.controls = [c for c in self.controls
-                         if node_id not in (c.trigger, c.source)]
-        self.shards = [s for s in self.shards if s.service != node_id]
-        self.fuses = [f for f in self.fuses if node_id not in f.members]
 
     def replace_operator(self, node_id: str, spec) -> None:
         """Swap an operator's spec in place, keeping its edges (P3)."""

@@ -36,7 +36,7 @@ Two kernel shapes cover the operator family:
 
 Non-vectorizable nodes — today only qualified references (``left.temp``),
 which never occur in the single-input operator family — fall back to a
-per-row kernel that drives the PR 2 scalar closure over a column row
+per-row kernel that drives the compiled scalar closure over a column row
 view.  The fallback raises the *real* compiled-path errors, so the
 taxonomy and messages stay bit-identical; only the loop moves here.
 Every kernel carries a ``vectorized`` attribute saying which path it is.

@@ -65,31 +65,6 @@ class Link:
         """Canonical (sorted) endpoint pair identifying the link."""
         return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
 
-    def transfer_delay(self, size_bytes: float) -> float:
-        """Propagation + transmission delay for a message of given size."""
-        if size_bytes < 0:
-            raise NetworkError(f"message size must be non-negative: {size_bytes}")
-        return self.latency + size_bytes / self.bandwidth
-
-    def account(self, size_bytes: float) -> None:
-        """Record a transfer over this link."""
-        # Hot path (one call per link per message): mutate the instance
-        # dict directly to skip the routing-change __setattr__ probe —
-        # counters never affect routing.
-        state = self.__dict__
-        state["bytes_transferred"] += size_bytes if size_bytes > 0.0 else 0.0
-        state["messages_transferred"] += 1
-
-    def connects(self, node_id: str) -> bool:
-        return node_id in (self.a, self.b)
-
-    def other_end(self, node_id: str) -> str:
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise NetworkError(f"node {node_id!r} is not an endpoint of {self.key}")
-
     def fail(self) -> None:
         self.up = False
 

@@ -57,8 +57,11 @@ class NetworkSimulator:
     >>> topo = Topology.line(3)
     >>> sim = NetworkSimulator(topology=topo)
     >>> inbox = []
-    >>> sim.send("node-0", "node-2", {"v": 1}, 100, inbox.append)
-    >>> sim.clock.run()   # doctest: +SKIP
+    >>> message = sim.send("node-0", "node-2", {"v": 1}, 100, inbox.append)
+    >>> sim.clock.run()
+    1
+    >>> inbox
+    [{'v': 1}]
     """
 
     #: Which execution backend this transport belongs to.  The monitor
@@ -298,9 +301,3 @@ class NetworkSimulator:
         """Total bytes moved across all links (the in-network-vs-central
         ablation metric)."""
         return sum(link.bytes_transferred for link in self.topology.links)
-
-    def reset_traffic_stats(self) -> None:
-        self.stats = _TrafficStats()
-        for link in self.topology.links:
-            link.bytes_transferred = 0.0
-            link.messages_transferred = 0

@@ -1,10 +1,10 @@
 """Network topology: the graph of nodes and links, with routing.
 
 Routing uses latency-weighted shortest paths over *live* nodes and links.
-Routes are memoized behind a **generation counter**: any change that can
-affect routing — adding nodes or links, a node or link going down or
-coming back (including ``netsim.kill_node``/``revive_node``), a latency
-change — bumps the generation and drops every cached route.  The
+Routes are memoized: any change that can affect routing — adding nodes or
+links, a node or link going down or coming back (including
+``netsim.kill_node``/``revive_node``), a latency change — drops every
+cached route.  The
 uncached computation stays available as :meth:`Topology.route_uncached`,
 the oracle the route-cache property tests compare against.
 """
@@ -45,21 +45,14 @@ class Topology:
         self._graph = nx.Graph()
         self._nodes: dict[str, NetworkNode] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._generation = 0
         #: (source, target) -> tuple path, or the UnreachableError message.
         self._route_cache: dict[tuple[str, str], "tuple[str, ...] | str"] = {}
         self._info_cache: dict[tuple[str, str], RouteInfo] = {}
 
     # -- cache invalidation --------------------------------------------------
 
-    @property
-    def generation(self) -> int:
-        """Monotonic counter of routing-relevant topology changes."""
-        return self._generation
-
     def invalidate_routes(self) -> None:
-        """Bump the generation and drop all memoized routes."""
-        self._generation += 1
+        """Drop all memoized routes."""
         self._route_cache.clear()
         self._info_cache.clear()
 
@@ -121,10 +114,6 @@ class Topology:
     def live_nodes(self) -> list[NetworkNode]:
         return [node for node in self._nodes.values() if node.up]
 
-    def neighbors(self, node_id: str) -> list[str]:
-        self.node(node_id)
-        return sorted(self._graph.neighbors(node_id))
-
     def __contains__(self, node_id: object) -> bool:
         return node_id in self._nodes
 
@@ -170,7 +159,7 @@ class Topology:
         """Memoized :meth:`route_uncached` (same result, same errors).
 
         Cache entries — both paths and "no live route" outcomes — live
-        until the next routing-relevant change bumps the generation.
+        until the next routing-relevant change.
         Down-endpoint errors are rechecked per call (cheap, and the
         liveness hooks mean cached entries never describe a topology
         where either endpoint is down anyway).
@@ -217,12 +206,6 @@ class Topology:
         self._info_cache[key] = info
         return info
 
-    def path_latency(self, path: list[str]) -> float:
-        """Sum of link latencies along a node path."""
-        return sum(
-            self.link(a, b).latency for a, b in zip(path, path[1:])
-        )
-
     def route_latency(self, source: str, target: str) -> float:
         info = self.route_info(source, target)
         return sum(link.latency for link in info.links)
@@ -245,35 +228,6 @@ class Topology:
             leaf = f"edge-{index}"
             topo.add_node(leaf, capacity=capacity, region=f"region-{index}")
             topo.add_link(center_id, leaf, latency=latency, bandwidth=bandwidth)
-        return topo
-
-    @classmethod
-    def grid(
-        cls,
-        rows: int = 3,
-        cols: int = 3,
-        capacity: float = 1000.0,
-        latency: float = 0.002,
-        bandwidth: float = 10_000_000.0,
-    ) -> "Topology":
-        """A rows x cols mesh (each node linked to right and down
-        neighbours) — the multi-path topology for rerouting experiments."""
-        if rows < 1 or cols < 1:
-            raise NetworkError("grid topology needs positive dimensions")
-        topo = cls()
-        for r in range(rows):
-            for c in range(cols):
-                topo.add_node(
-                    f"grid-{r}-{c}", capacity=capacity, region=f"row-{r}"
-                )
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    topo.add_link(f"grid-{r}-{c}", f"grid-{r}-{c + 1}",
-                                  latency=latency, bandwidth=bandwidth)
-                if r + 1 < rows:
-                    topo.add_link(f"grid-{r}-{c}", f"grid-{r + 1}-{c}",
-                                  latency=latency, bandwidth=bandwidth)
         return topo
 
     @classmethod

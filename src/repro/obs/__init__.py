@@ -47,7 +47,7 @@ class Observability:
         #: The latency/watermark/SLO plane — None until installed.  The
         #: executor installs it when SLO rules are declared; everything
         #: on the hot path gates on the resulting ``is None`` checks, so
-        #: an absent plane costs nothing (the PR 3 zero-cost contract).
+        #: an absent plane costs nothing.
         self.latency: "LatencyPlane | None" = None
 
     @property

@@ -1,6 +1,6 @@
 """Event-time latency, watermarks, and backpressure: the SLO plane.
 
-PR 3 gave the repo counters ("how many tuples") and traces ("how slow was
+Metrics give counters ("how many tuples") and traces ("how slow was
 this one tuple"); this module answers the operational question in
 between: *is the pipeline keeping up, and against what promise?*
 
@@ -44,7 +44,7 @@ simulator per-route in-flight messages (``network_route_inflight``).
 Zero-cost contract: nothing in this module runs unless a
 :class:`LatencyPlane` is installed (``Observability.ensure_latency()``,
 done by the executor only when SLO rules are declared or the caller opts
-in).  Hot paths gate on a cached ``is None`` check, exactly like PR 3's
+in).  Hot paths gate on a cached ``is None`` check, exactly like the
 ``tuple_.trace is None`` contract.
 """
 

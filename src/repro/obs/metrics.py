@@ -84,9 +84,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Reading:
     """A read-only counter or gauge: its value is ``read()``, the count

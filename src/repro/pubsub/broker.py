@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.errors import PubSubError, UnknownSensorError
+from repro.errors import PubSubError
 from repro.network.netsim import NetworkSimulator
 from repro.obs.lineage import tuple_key
 from repro.pubsub.partition import ShardRouter
@@ -197,10 +197,6 @@ class BrokerNetwork:
             )
         return self._brokers[node_id]
 
-    @property
-    def brokers(self) -> list[Broker]:
-        return list(self._brokers.values())
-
     def iter_subscriptions(self):
         """Every subscription across all brokers, in broker/insertion
         order (the latency plane's backlog sweep)."""
@@ -334,23 +330,6 @@ class BrokerNetwork:
                 matches.remove(subscription)
             except ValueError:
                 pass
-
-    def subscriptions_for(self, sensor_id: str) -> list[Subscription]:
-        """The subscriptions a sensor's data is currently routed to.
-
-        Router entries are expanded to their member subscriptions — the
-        callers of this API reason about subscriptions, not routing
-        furniture.
-        """
-        if sensor_id not in self.registry:
-            raise UnknownSensorError(f"unknown sensor {sensor_id!r}")
-        out: list[Subscription] = []
-        for entry in self._routes.get(sensor_id, ()):
-            if isinstance(entry, ShardRouter):
-                out.extend(entry.members)
-            else:
-                out.append(entry)
-        return out
 
     def batching_for(self, sensor_id: str) -> "BatchingPolicy | None":
         """How ``sensor_id`` publishes now: the largest batch and the

@@ -60,10 +60,6 @@ class DiscoveryService:
             results.append(metadata)
         return sorted(results, key=lambda m: m.sensor_id)
 
-    def types(self) -> list[str]:
-        """All sensor types currently published."""
-        return sorted({m.sensor_type for m in self.registry.all()})
-
     def themes(self) -> list[Theme]:
         """All root themes represented in the fleet."""
         roots = {theme.root for m in self.registry.all() for theme in m.themes}

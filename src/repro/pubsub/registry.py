@@ -101,6 +101,3 @@ class SensorRegistry:
 
     def by_type(self, sensor_type: str) -> list[SensorMetadata]:
         return [m for m in self._sensors.values() if m.sensor_type == sensor_type]
-
-    def by_node(self, node_id: str) -> list[SensorMetadata]:
-        return [m for m in self._sensors.values() if m.node_id == node_id]

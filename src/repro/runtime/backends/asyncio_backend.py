@@ -39,7 +39,7 @@ backoff times and QoS drop decisions are identical to the simulator's.
 The parity suite exploits exactly this split: sink *multisets* match the
 sim byte for byte while sink *order* may not.
 
-Known caveat (DESIGN.md §17): deliveries fire in sequence order with
+Known caveat (DESIGN.md §8): deliveries fire in sequence order with
 same-instant timers, but a *process* handles a delivered message only
 after all of that instant's callbacks ran (the simulator handles it
 inline), so a flush timer at the same float instant as a delivery runs
@@ -112,7 +112,7 @@ class AsyncClock(SimClock):
         """Wall-clock seconds since this clock was created (monotonic).
 
         The tracer binds this as its wall source, so spans carry real
-        timestamps next to their virtual ones (DESIGN.md §17).
+        timestamps next to their virtual ones (DESIGN.md §8).
         """
         return _wall.monotonic() - self._wall_epoch
 

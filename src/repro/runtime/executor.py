@@ -409,7 +409,7 @@ class Executor:
         are hosted in one process each, eliding the interior hops.  A
         program's explicit ``fuse`` clauses pin the plan.  Whether a
         fused chain runs a batch on its column kernels is the chain's
-        call, per batch, from what it observes (DESIGN.md §16) — not a
+        call, per batch, from what it observes (DESIGN.md §10) — not a
         deploy option either.
         """
         registry = self.broker_network.registry
@@ -643,7 +643,7 @@ class Executor:
                 sorted(processes[up].process_id for up in feeds),
             )
 
-        # The elastic control loops (PR 6) can read per-shard watermark
+        # The elastic control loops can read per-shard watermark
         # lag as a tie-breaking rebalance input.
         for service_name, rebalancer in deployment.rebalancers.items():
             group = deployment.shard_groups[service_name]

@@ -308,7 +308,7 @@ class Monitor:
         return sorted(
             node.node_id
             for node in self.netsim.topology.nodes
-            if node.utilization > threshold
+            if node.is_overloaded(threshold)
         )
 
     def current_assignments(self) -> dict[str, str]:

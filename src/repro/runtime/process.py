@@ -70,8 +70,8 @@ class Route:
 class OperatorProcess:
     """A deployed operator (or sink) running on a node.
 
-    >>> process = OperatorProcess("filter-1", operator, "edge-0", netsim)
-    ... # doctest: +SKIP
+    The executor spawns one per unit of the physical plan, as
+    ``OperatorProcess(process_id, operator, node_id, netsim)``.
     """
 
     def __init__(

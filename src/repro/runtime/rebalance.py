@@ -136,14 +136,6 @@ class ShardLoadMonitor:
             )
         return [float(lag) for lag in lags]
 
-    def imbalance(self) -> float:
-        """Max/mean windowed load (1.0 = balanced, 0 traffic = 1.0)."""
-        loads = self.epoch_loads()
-        total = sum(loads)
-        if total <= 0:
-            return 1.0
-        return max(loads) * len(loads) / total
-
     def hot_keys(self, shard: int) -> "list[tuple[tuple, int]]":
         """A shard's key loads, heaviest first (deterministic ties)."""
         loads = self.group.members[shard].operator.key_loads
@@ -283,7 +275,7 @@ class RebalanceExecutor:
        disowned-set, the recipient's the adopted state).
 
     If either node is down at the boundary the action aborts (recorded as
-    ``aborted``) — the PR 1 recovery path owns that window, and the
+    ``aborted``) — node-death recovery owns that window, and the
     policy will simply decide again after its cooldown.
     """
 

@@ -204,42 +204,6 @@ def sharded_aggregation_flow(
     return flow
 
 
-def fused_pipeline_flow(stack: Stack) -> DsnProgram:
-    """A fusion scenario: a 3-op non-blocking chain over temperatures.
-
-    The simplest flow that exercises operator fusion: keep -> double ->
-    shift is a maximal linear chain of non-blocking operators, so the
-    planner collapses it into one ``keep+double+shift`` process.  Each
-    member still reports its own stats and counters, and the sink
-    receives what the three operators applied on each tuple in turn
-    would emit (``tests/oracle/test_flow_oracle.py``).
-    """
-    del stack  # symmetry with osaka_scenario_flow; no fleet info needed
-    from repro.dataflow.ops import TransformSpec, VirtualPropertySpec
-
-    flow = DsnProgram("fused-pipeline")
-    temp = flow.add_source(
-        SubscriptionFilter(sensor_type="temperature"), node_id="temperature"
-    )
-    keep = flow.add_operator(
-        FilterSpec("temperature > -100"), node_id="keep"
-    )
-    double = flow.add_operator(
-        VirtualPropertySpec("double_temp", "temperature * 2"),
-        node_id="double",
-    )
-    shift = flow.add_operator(
-        TransformSpec(assignments={"temperature": "temperature + 1"}),
-        node_id="shift",
-    )
-    sink = flow.add_sink("collector", node_id="fused-out")
-    flow.connect(temp, keep)
-    flow.connect(keep, double)
-    flow.connect(double, shift)
-    flow.connect(shift, sink)
-    return flow
-
-
 def osaka_scenario_flow(
     stack: Stack,
     temperature_threshold: float = 25.0,

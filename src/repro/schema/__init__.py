@@ -8,26 +8,22 @@ attribute types, stream schemas with STT metadata, and the schema-inference
 primitives used by the consistency check.
 """
 
-from repro.schema.types import AttributeType, coerce_value, common_type, value_fits
+from repro.schema.types import AttributeType, common_type
 from repro.schema.schema import Attribute, StreamSchema
 from repro.schema.infer import (
     aggregate_schema,
     join_schema,
-    project_schema,
     rename_schema,
     with_virtual_property,
 )
 
 __all__ = [
     "AttributeType",
-    "coerce_value",
     "common_type",
-    "value_fits",
     "Attribute",
     "StreamSchema",
     "aggregate_schema",
     "join_schema",
-    "project_schema",
     "rename_schema",
     "with_virtual_property",
 ]

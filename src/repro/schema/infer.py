@@ -25,11 +25,6 @@ from repro.stt.granularity import (
 AGGREGATION_FUNCTIONS = ("COUNT", "AVG", "SUM", "MIN", "MAX")
 
 
-def project_schema(schema: StreamSchema, names: "list[str]") -> StreamSchema:
-    """Schema after projecting onto ``names`` (order given by the list)."""
-    return schema.project(names)
-
-
 def rename_schema(schema: StreamSchema, mapping: dict[str, str]) -> StreamSchema:
     """Schema after renaming attributes per ``mapping``."""
     for old in mapping:

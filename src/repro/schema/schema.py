@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.errors import SchemaError, TypeMismatchError
-from repro.schema.types import AttributeType, value_fits, widens_to
+from repro.errors import SchemaError
+from repro.schema.types import AttributeType
 from repro.stt.granularity import (
     SpatialGranularity,
     TemporalGranularity,
@@ -56,15 +56,6 @@ class Attribute:
                 f"attribute {self.name!r}: unit {self.unit!r} requires a "
                 f"numeric type, got {self.type.value}"
             )
-
-    def accepts(self, value: object) -> bool:
-        if value is None:
-            return self.nullable
-        return value_fits(value, self.type) or (
-            isinstance(value, bool) is False
-            and isinstance(value, int)
-            and self.type is AttributeType.FLOAT
-        )
 
     def renamed(self, name: str) -> "Attribute":
         return replace(self, name=_check_name(name))
@@ -169,59 +160,12 @@ class StreamSchema:
 
     # -- validation --------------------------------------------------------------
 
-    def validate_payload(self, payload: dict) -> None:
-        """Raise unless ``payload`` is a valid tuple body for this schema.
-
-        Extra keys are rejected (a tuple must match its stream's schema —
-        the designer relies on this to keep the schema pane truthful).
-        """
-        for attr in self.attributes:
-            if attr.name not in payload:
-                if not attr.nullable:
-                    raise TypeMismatchError(
-                        f"missing non-nullable attribute {attr.name!r}"
-                    )
-                continue
-            value = payload[attr.name]
-            if value is None:
-                if not attr.nullable:
-                    raise TypeMismatchError(f"null in non-nullable {attr.name!r}")
-                continue
-            if not value_fits(value, attr.type) and not (
-                attr.type is AttributeType.FLOAT
-                and isinstance(value, int)
-                and not isinstance(value, bool)
-            ):
-                raise TypeMismatchError(
-                    f"attribute {attr.name!r}: value {value!r} does not fit "
-                    f"type {attr.type.value}"
-                )
-        extra = set(payload) - set(self.names)
-        if extra:
-            raise TypeMismatchError(
-                f"payload has attributes not in the schema: {sorted(extra)}"
-            )
-
-    def accepts_payload(self, payload: dict) -> bool:
-        try:
-            self.validate_payload(payload)
-        except TypeMismatchError:
-            return False
-        return True
-
     # -- derivation -----------------------------------------------------------
 
     def with_attribute(self, attr: Attribute) -> "StreamSchema":
         if attr.name in self:
             raise SchemaError(f"attribute {attr.name!r} already in schema")
         return replace(self, attributes=self.attributes + (attr,))
-
-    def without_attribute(self, name: str) -> "StreamSchema":
-        self.attribute(name)  # raises if absent
-        return replace(
-            self,
-            attributes=tuple(a for a in self.attributes if a.name != name),
-        )
 
     def project(self, names: "list[str] | tuple[str, ...]") -> "StreamSchema":
         kept = tuple(self.attribute(name) for name in names)
@@ -233,31 +177,6 @@ class StreamSchema:
             for attr in self.attributes
         )
         return replace(self, attributes=new_attrs)
-
-    def prefixed(self, prefix: str) -> "StreamSchema":
-        """All attributes renamed ``prefix_name`` — join disambiguation."""
-        return self.renamed({name: f"{prefix}_{name}" for name in self.names})
-
-    def coarsened(
-        self,
-        temporal: "str | TemporalGranularity | None" = None,
-        spatial: "str | SpatialGranularity | None" = None,
-    ) -> "StreamSchema":
-        schema = self
-        if temporal is not None:
-            schema = replace(schema, temporal_granularity=temporal_granularity(temporal))
-        if spatial is not None:
-            schema = replace(schema, spatial_granularity=spatial_granularity(spatial))
-        return schema
-
-    def compatible_with(self, other: "StreamSchema") -> bool:
-        """Structural compatibility: same names, pairwise-widening types."""
-        if self.names != other.names:
-            return False
-        return all(
-            widens_to(mine.type, theirs.type) or widens_to(theirs.type, mine.type)
-            for mine, theirs in zip(self.attributes, other.attributes)
-        )
 
     def describe(self) -> str:
         """Human-readable one-liner, as shown in the designer schema pane."""

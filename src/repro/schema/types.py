@@ -89,50 +89,6 @@ def common_type(a: AttributeType, b: AttributeType) -> AttributeType:
     raise TypeMismatchError(f"no common type between {a.value} and {b.value}")
 
 
-def value_fits(value: object, attr_type: AttributeType) -> bool:
-    """True when a runtime value is a valid instance of ``attr_type``.
-
-    ``None`` never fits — nullability is a property of the attribute, not of
-    the type — and booleans do *not* fit INT/FLOAT despite being ``int``
-    subclasses in Python.
-    """
-    if value is None:
-        return False
-    if attr_type is AttributeType.BOOL:
-        return isinstance(value, bool)
-    if attr_type is AttributeType.INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if attr_type is AttributeType.FLOAT:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if attr_type is AttributeType.STRING:
-        return isinstance(value, str)
-    if attr_type is AttributeType.TIMESTAMP:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if attr_type is AttributeType.GEO:
-        from repro.stt.spatial import Box, GridCell, Point
-
-        return isinstance(value, (Point, Box, GridCell))
-    return False  # pragma: no cover - exhaustive over the enum
-
-
-def coerce_value(value: object, attr_type: AttributeType) -> object:
-    """Coerce ``value`` to ``attr_type`` under the implicit widening rules.
-
-    Raises :class:`TypeMismatchError` for values that neither fit nor widen.
-    """
-    if value_fits(value, attr_type):
-        if attr_type is AttributeType.FLOAT and isinstance(value, int):
-            return float(value)
-        return value
-    if attr_type is AttributeType.INT and isinstance(value, bool):
-        return int(value)
-    if attr_type is AttributeType.FLOAT and isinstance(value, bool):
-        return float(value)
-    raise TypeMismatchError(
-        f"value {value!r} ({type(value).__name__}) does not fit type {attr_type.value}"
-    )
-
-
 def infer_type(value: object) -> AttributeType:
     """The tightest :class:`AttributeType` for a Python value."""
     if isinstance(value, bool):

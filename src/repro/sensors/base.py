@@ -40,8 +40,8 @@ def _seed_for(sensor_id: str, base_seed: int) -> int:
 class SimulatedSensor:
     """A sensor that lives on the virtual clock.
 
-    >>> sensor = SimulatedSensor(metadata, generator)   # doctest: +SKIP
-    >>> sensor.attach(broker_network, clock)            # doctest: +SKIP
+    Built as ``SimulatedSensor(metadata, generator)``; ``attach(broker_network,
+    clock)`` publishes it and starts its emissions.
     """
 
     def __init__(

@@ -41,21 +41,15 @@ class FlakySensor(SimulatedSensor):
         self.outages = 0
         self._flap_network: "BrokerNetwork | None" = None
         self._flap_clock: "SimClock | None" = None
-        self._stopped = False
 
     def attach(self, network: BrokerNetwork, clock: SimClock) -> None:
         super().attach(network, clock)
         self._flap_network = network
         self._flap_clock = clock
-        self._stopped = False
         clock.schedule(self.up_duration, self._go_down)
 
-    def stop_flapping(self) -> None:
-        """Freeze the flap cycle (leaves the sensor in its current state)."""
-        self._stopped = True
-
     def _go_down(self) -> None:
-        if self._stopped or not self.attached:
+        if not self.attached:
             return
         assert self._flap_clock is not None
         self.outages += 1
@@ -63,8 +57,6 @@ class FlakySensor(SimulatedSensor):
         self._flap_clock.schedule(self.down_duration, self._go_up)
 
     def _go_up(self) -> None:
-        if self._stopped:
-            return
         assert self._flap_network is not None and self._flap_clock is not None
         super().attach(self._flap_network, self._flap_clock)
         self._flap_clock.schedule(self.up_duration, self._go_down)

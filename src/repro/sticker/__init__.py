@@ -8,6 +8,6 @@ the data a map front end would draw.
 """
 
 from repro.sticker.feed import StickerFeed, TrendPoint
-from repro.sticker.render import render_map, render_series
+from repro.sticker.render import render_series
 
-__all__ = ["StickerFeed", "TrendPoint", "render_map", "render_series"]
+__all__ = ["StickerFeed", "TrendPoint", "render_series"]

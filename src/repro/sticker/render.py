@@ -35,29 +35,3 @@ def render_series(
         label = f"{value:10.2f}" if value == value else "       nan"
         lines.append(f"  t={point.bucket_start:>10.0f} {label} {bar}")
     return "\n".join(lines)
-
-
-def render_map(feed: StickerFeed, theme: str, bucket_start: "float | None" = None) -> str:
-    """An ASCII heat map of one theme's counts over the binned cells."""
-    bins = [b for b in feed.bins() if b.theme == theme]
-    if bucket_start is not None:
-        bins = [b for b in bins if b.bucket_start == bucket_start]
-    if not bins:
-        return f"(no cells for theme {theme!r})"
-    rows = sorted({b.row for b in bins})
-    cols = sorted({b.col for b in bins})
-    peak = max(b.count for b in bins) or 1
-    by_cell: dict[tuple[int, int], int] = {}
-    for b in bins:
-        by_cell[(b.row, b.col)] = by_cell.get((b.row, b.col), 0) + b.count
-    lines = [f"map {theme!r} (peak={peak})"]
-    # Northern rows first, like a map.
-    for row in reversed(rows):
-        cells = []
-        for col in cols:
-            count = by_cell.get((row, col), 0)
-            shade = _SHADES[min(len(_SHADES) - 1, int(count / peak * (len(_SHADES) - 1)))]
-            cells.append(shade)
-        lines.append(f"  {row:>6} |{''.join(cells)}|")
-    lines.append(f"         cols {cols[0]}..{cols[-1]}")
-    return "\n".join(lines)

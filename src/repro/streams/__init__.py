@@ -27,7 +27,6 @@ from repro.streams.tuple import (
     SensorTuple,
     TupleBatch,
     estimate_batch_size_bytes,
-    estimate_size_bytes,
 )
 from repro.streams.base import (
     Operator,
@@ -44,13 +43,12 @@ from repro.streams.aggregate import AggregationOperator
 from repro.streams.join import JoinOperator
 from repro.streams.trigger import TriggerOnOperator, TriggerOffOperator
 from repro.streams.windows import TupleCache
-from repro.streams.sink import ListSink, CallbackSink, CountingSink
+from repro.streams.sink import ListSink, CallbackSink
 
 __all__ = [
     "SensorTuple",
     "TupleBatch",
     "estimate_batch_size_bytes",
-    "estimate_size_bytes",
     "Operator",
     "NonBlockingOperator",
     "BlockingOperator",
@@ -69,5 +67,4 @@ __all__ = [
     "TupleCache",
     "ListSink",
     "CallbackSink",
-    "CountingSink",
 ]

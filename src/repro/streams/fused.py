@@ -57,8 +57,8 @@ FUSED_NAME_SEPARATOR = "+"
 class FusedOperator(NonBlockingOperator):
     """A linear chain of non-blocking operators run as one operator.
 
-    >>> fused = FusedOperator([FilterOperator(cond), TransformOperator(t)])
-    ... # doctest: +SKIP
+    Built from its members in chain order, e.g.
+    ``FusedOperator([FilterOperator(cond), TransformOperator(t)])``.
 
     The wrapper's own stats count the chain as a whole (tuples entering
     the head, tuples leaving the tail) — that is what the hosting

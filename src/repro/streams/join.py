@@ -18,7 +18,7 @@ Flush strategy.  When the predicate's top-level ``and``-chain holds an
 equi-conjunct between the two sides (``left.a == right.b``), the flush
 **hash-partitions** the right window on those attributes and probes it per
 left tuple — O(|L| + |R| + matches), not the O(|L| x |R|) nested loop
-(DESIGN.md §9 argues each rule):
+(DESIGN.md §10 states each rule):
 
 - *The bucket is the proof.*  Keys are plain scalars (str/int/float/bool/
   None) whose hash equality is the evaluator's ``==``, so on a candidate

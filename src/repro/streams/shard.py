@@ -7,7 +7,7 @@ processes, each holding the slice of the key space a deterministic hash
 partitioner assigns to it, plus one downstream **merge** stage that
 re-establishes the unsharded flush order before the consumer.  The
 conceptual dataflow the user designs is untouched — only the deployed
-DSN/SCN plan fans out (DESIGN.md §12).
+DSN/SCN plan fans out (DESIGN.md §10).
 
 Three pieces live here:
 
@@ -29,7 +29,7 @@ Three pieces live here:
   punctuation has passed it, re-sorts the union of entries by order key
   and renumbers ``seq`` exactly as the unsharded operator would have.
 
-PR 6 adds the *elastic* overlay (DESIGN.md §13): a mutable
+The *elastic* overlay (DESIGN.md §10) is a mutable
 :class:`ShardAssignment` consulted ahead of the hash partitioner so a
 rebalancer can migrate individual keys between shards or split one hot
 key round-robin across replica shards.  Split replicas emit **partial**
@@ -200,7 +200,7 @@ def order_key_for_pair(lt: SensorTuple, rt: SensorTuple) -> tuple:
     Unsharded join flushes are left-major in *arrival* order; arrival
     order equals ``(stamp.time, source, seq)`` order whenever upstream
     delivery is time-monotone (true on the zero-latency parity
-    topologies; the known limits are documented in DESIGN.md §12).
+    topologies; the known limits are documented in DESIGN.md §10).
     """
     return (
         (lt.stamp.time, lt.source, lt.seq),
@@ -504,7 +504,7 @@ def _combine_split_entries(run: "list[tuple]") -> tuple:
     member — whose source/stamp already match the unsharded emission.
     Partial sums fold in shard order, so AVG/SUM equal the unsharded
     float accumulation only when the values are exactly representable
-    (the combine-safety caveat documented in DESIGN.md §13).
+    (the combine-safety caveat documented in DESIGN.md §10).
     """
     base_key, base_tuple, _ = min(run, key=lambda entry: entry[2]["first"])
     folded: dict[str, list] = {}
@@ -573,7 +573,7 @@ class ShardMergeOperator(Operator):
     reached T: per-shard envelope times are strictly monotone, so a dead
     shard's gap closes as soon as its post-recovery punctuation arrives
     (surviving shards are never held up beyond the failed window —
-    at-most-once, exactly the PR 1 recovery bound).  Envelopes for
+    at-most-once, exactly the checkpoint recovery bound).  Envelopes for
     already-closed epochs (a recovered shard replaying a flush the merge
     has moved past) are dropped, never duplicated.
 
@@ -606,7 +606,7 @@ class ShardMergeOperator(Operator):
         return True
 
     def bind_obs(self, metrics, service: str) -> None:
-        """Cache per-shard instruments from the PR 3 registry."""
+        """Cache per-shard instruments from the metrics registry."""
         self._skew_histogram = metrics.histogram(
             "shard_flush_skew_ratio",
             "Max/mean entries per shard at epoch close (1.0 = balanced)",

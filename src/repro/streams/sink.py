@@ -71,26 +71,3 @@ class CallbackSink(NonBlockingOperator):
             for tuple_ in tuples:
                 callback(tuple_)
         return []
-
-
-class CountingSink(NonBlockingOperator):
-    """Count tuples without retaining them (throughput benchmarks)."""
-
-    cost_per_tuple = 0.1
-    span_name = "sink"
-
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name or "counting-sink")
-        self.count = 0
-
-    def _process(self, tuple_: SensorTuple, port: int) -> list[SensorTuple]:
-        self.count += 1
-        return []
-
-    def _process_batch(self, tuples, port: int) -> list[SensorTuple]:
-        self.count += len(tuples)
-        return []
-
-    def reset(self) -> None:
-        super().reset()
-        self.count = 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
-from repro.stt.event import Event, SttStamp
+from repro.stt.event import SttStamp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceContext
@@ -87,26 +87,12 @@ class SensorTuple:
         _set_trace(clone, trace)
         return clone
 
-    def with_payload(self, payload: Mapping[str, object]) -> "SensorTuple":
-        return self._clone(
-            MappingProxyType(dict(payload)),
-            self.stamp, self.source, self.seq, self.trace,
-        )
-
     def with_owned_payload(self, payload: "dict[str, object]") -> "SensorTuple":
-        """Like :meth:`with_payload` for a dict the caller just built and
-        transfers ownership of — skips the defensive copy.  The caller
-        must not mutate ``payload`` afterwards."""
+        """This tuple carrying ``payload``, a dict the caller just built and
+        transfers ownership of (no defensive copy).  The caller must not
+        mutate ``payload`` afterwards."""
         return self._clone(
             MappingProxyType(payload),
-            self.stamp, self.source, self.seq, self.trace,
-        )
-
-    def with_updates(self, **updates: object) -> "SensorTuple":
-        merged = dict(self.payload)
-        merged.update(updates)
-        return self._clone(
-            MappingProxyType(merged),
             self.stamp, self.source, self.seq, self.trace,
         )
 
@@ -115,21 +101,6 @@ class SensorTuple:
 
     def with_trace(self, trace: "TraceContext | None") -> "SensorTuple":
         return self._clone(self.payload, self.stamp, self.source, self.seq, trace)
-
-    def relabelled(self, source: str) -> "SensorTuple":
-        return self._clone(self.payload, self.stamp, source, self.seq, self.trace)
-
-    def to_event(self, value_attribute: "str | None" = None) -> Event:
-        """Project this tuple to an STT :class:`Event` for warehousing.
-
-        With ``value_attribute`` the event value is that single attribute;
-        otherwise the whole payload dict is the value.
-        """
-        if value_attribute is not None:
-            value: object = self.payload[value_attribute]
-        else:
-            value = dict(self.payload)
-        return Event(value=value, stamp=self.stamp, source=self.source)
 
 
 # A frozen slotted instance is assembled through its slot descriptors:
@@ -174,7 +145,7 @@ class TupleBatch:
     tuple-by-tuple or in batches (the ``batched ≡ unbatched`` parity
     property).  Batches are routed once, charged to links once, and
     delivered by a single scheduled event — that amortization is the whole
-    point (see DESIGN.md §11).
+    point (see DESIGN.md §3).
     """
 
     tuples: tuple[SensorTuple, ...]
@@ -296,19 +267,6 @@ def _members_size_bytes(tuples: "Sequence[SensorTuple]") -> int:
             else:
                 size += 16
     return size
-
-
-def estimate_size_bytes(tuple_: SensorTuple) -> int:
-    """Approximate wire size of a tuple, for link traffic accounting.
-
-    Deliberately simple and deterministic — relative sizes between
-    streams are what the placement ablation measures.  A pure function of
-    the payload, recomputed per call: a tuple is sized about once per
-    message it travels in, so a per-tuple memo would cost a slot on every
-    tuple and save little.  The one memo is per message, on
-    :class:`TupleBatch`.
-    """
-    return _members_size_bytes((tuple_,))
 
 
 def estimate_batch_size_bytes(batch: "TupleBatch | Sequence[SensorTuple]") -> int:

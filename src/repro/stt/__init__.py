@@ -29,8 +29,8 @@ from repro.stt.spatial import (
 )
 from repro.stt.thematic import Theme, ThemeTaxonomy, DEFAULT_TAXONOMY
 from repro.stt.units import Unit, UnitRegistry, DEFAULT_UNITS, convert
-from repro.stt.geo import CoordinateSystem, to_web_mercator, from_web_mercator, haversine_m
-from repro.stt.event import SttStamp, Event
+from repro.stt.geo import haversine_m
+from repro.stt.event import SttStamp
 
 __all__ = [
     "TemporalGranularity",
@@ -58,10 +58,6 @@ __all__ = [
     "UnitRegistry",
     "DEFAULT_UNITS",
     "convert",
-    "CoordinateSystem",
-    "to_web_mercator",
-    "from_web_mercator",
     "haversine_m",
     "SttStamp",
-    "Event",
 ]

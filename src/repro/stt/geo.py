@@ -1,103 +1,15 @@
-"""Geographic coordinate conversions.
+"""Great-circle distance between WGS84 points.
 
-The paper's Transform operators include changing "geographical coordinates
-(from one standard to another one)".  We implement the conversions a sensor
-fleet actually needs: WGS84 lat/lon <-> Web-Mercator meters (the standard of
-web maps), WGS84 <-> a local tangent-plane grid (meters east/north of a
-reference point, the common representation of municipal sensor networks),
-and great-circle distance.
+Proximity filters and the ``distance`` expression function measure in
+meters on the sphere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-
-from repro.errors import CoordinateError
 
 #: WGS84 spherical-approximation Earth radius in meters.
 EARTH_RADIUS_M = 6_378_137.0
-
-#: Latitude limit of the Web-Mercator projection.
-WEB_MERCATOR_MAX_LAT = 85.05112878
-
-
-class CoordinateSystem(Enum):
-    """Coordinate reference systems supported by the Transform operator."""
-
-    WGS84 = "wgs84"
-    WEB_MERCATOR = "web-mercator"
-    LOCAL_ENU = "local-enu"
-
-    @classmethod
-    def parse(cls, name: "str | CoordinateSystem") -> "CoordinateSystem":
-        if isinstance(name, CoordinateSystem):
-            return name
-        key = name.strip().lower().replace("_", "-")
-        for system in cls:
-            if system.value == key:
-                return system
-        known = ", ".join(s.value for s in cls)
-        raise CoordinateError(f"unknown coordinate system {name!r}; known: {known}")
-
-
-def to_web_mercator(lat: float, lon: float) -> tuple[float, float]:
-    """WGS84 degrees -> Web-Mercator meters ``(x, y)``."""
-    if not (-WEB_MERCATOR_MAX_LAT <= lat <= WEB_MERCATOR_MAX_LAT):
-        raise CoordinateError(
-            f"latitude {lat} outside Web-Mercator domain "
-            f"[-{WEB_MERCATOR_MAX_LAT}, {WEB_MERCATOR_MAX_LAT}]"
-        )
-    if not (-180.0 <= lon <= 180.0):
-        raise CoordinateError(f"longitude {lon} out of range [-180, 180]")
-    x = math.radians(lon) * EARTH_RADIUS_M
-    y = math.log(math.tan(math.pi / 4.0 + math.radians(lat) / 2.0)) * EARTH_RADIUS_M
-    return x, y
-
-
-def from_web_mercator(x: float, y: float) -> tuple[float, float]:
-    """Web-Mercator meters -> WGS84 degrees ``(lat, lon)``."""
-    lon = math.degrees(x / EARTH_RADIUS_M)
-    lat = math.degrees(2.0 * math.atan(math.exp(y / EARTH_RADIUS_M)) - math.pi / 2.0)
-    if not (-180.0 <= lon <= 180.0):
-        raise CoordinateError(f"x={x} maps outside the longitude domain")
-    return lat, lon
-
-
-@dataclass(frozen=True)
-class LocalGrid:
-    """A local east-north tangent plane anchored at a reference point.
-
-    Municipal sensor feeds often report meter offsets from a city datum;
-    this grid converts such offsets to and from WGS84 using the equirect-
-    angular approximation (sub-meter accurate over a metropolitan area).
-    """
-
-    origin_lat: float
-    origin_lon: float
-
-    def to_local(self, lat: float, lon: float) -> tuple[float, float]:
-        """WGS84 degrees -> meters ``(east, north)`` of the origin."""
-        east = (
-            math.radians(lon - self.origin_lon)
-            * EARTH_RADIUS_M
-            * math.cos(math.radians(self.origin_lat))
-        )
-        north = math.radians(lat - self.origin_lat) * EARTH_RADIUS_M
-        return east, north
-
-    def to_wgs84(self, east: float, north: float) -> tuple[float, float]:
-        """Meters east/north of the origin -> WGS84 degrees ``(lat, lon)``."""
-        lat = self.origin_lat + math.degrees(north / EARTH_RADIUS_M)
-        lon = self.origin_lon + math.degrees(
-            east / (EARTH_RADIUS_M * math.cos(math.radians(self.origin_lat)))
-        )
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise CoordinateError(
-                f"local offset ({east}, {north}) maps outside the WGS84 domain"
-            )
-        return lat, lon
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -110,40 +22,3 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
         + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     )
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
-
-
-def convert_coordinates(
-    lat_or_x: float,
-    lon_or_y: float,
-    source: "str | CoordinateSystem",
-    target: "str | CoordinateSystem",
-    grid: "LocalGrid | None" = None,
-) -> tuple[float, float]:
-    """Convert a coordinate pair between reference systems.
-
-    ``LOCAL_ENU`` conversions require a :class:`LocalGrid` anchor.
-    """
-    src = CoordinateSystem.parse(source)
-    dst = CoordinateSystem.parse(target)
-    if src is dst:
-        return lat_or_x, lon_or_y
-    if (src is CoordinateSystem.LOCAL_ENU or dst is CoordinateSystem.LOCAL_ENU) and (
-        grid is None
-    ):
-        raise CoordinateError("local-enu conversions require a LocalGrid anchor")
-
-    # Normalise to WGS84 first.
-    if src is CoordinateSystem.WGS84:
-        lat, lon = lat_or_x, lon_or_y
-    elif src is CoordinateSystem.WEB_MERCATOR:
-        lat, lon = from_web_mercator(lat_or_x, lon_or_y)
-    else:
-        assert grid is not None
-        lat, lon = grid.to_wgs84(lat_or_x, lon_or_y)
-
-    if dst is CoordinateSystem.WGS84:
-        return lat, lon
-    if dst is CoordinateSystem.WEB_MERCATOR:
-        return to_web_mercator(lat, lon)
-    assert grid is not None
-    return grid.to_local(lat, lon)

@@ -40,9 +40,6 @@ class TemporalGranularity:
     regular: bool
     rank: int
 
-    def is_finer_than(self, other: "TemporalGranularity") -> bool:
-        return self.rank < other.rank
-
     def is_coarser_than(self, other: "TemporalGranularity") -> bool:
         return self.rank > other.rank
 
@@ -66,9 +63,6 @@ class SpatialGranularity:
     name: str
     cell_meters: float
     rank: int
-
-    def is_finer_than(self, other: "SpatialGranularity") -> bool:
-        return self.rank < other.rank
 
     def is_coarser_than(self, other: "SpatialGranularity") -> bool:
         return self.rank > other.rank
@@ -185,21 +179,3 @@ def common_spatial(*grans: "str | SpatialGranularity") -> SpatialGranularity:
         raise GranularityError("common_spatial requires at least one granularity")
     resolved = [spatial_granularity(g) for g in grans]
     return max(resolved, key=lambda g: g.rank)
-
-
-def temporal_conversion_factor(
-    finer: "str | TemporalGranularity", coarser: "str | TemporalGranularity"
-) -> float:
-    """How many ``finer`` granules (nominally) fit in one ``coarser`` granule.
-
-    Raises :class:`GranularityError` if ``finer`` is actually coarser than
-    ``coarser``.  For irregular granularities the nominal sizes are used;
-    exact calendar alignment is done by :func:`repro.stt.temporal.align_instant`.
-    """
-    f = temporal_granularity(finer)
-    c = temporal_granularity(coarser)
-    if f.rank > c.rank:
-        raise GranularityError(
-            f"cannot convert from {f.name} to finer granularity {c.name}"
-        )
-    return c.seconds / f.seconds

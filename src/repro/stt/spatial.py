@@ -83,14 +83,6 @@ class Box:
     def center(self) -> Point:
         return Point((self.south + self.north) / 2.0, (self.west + self.east) / 2.0)
 
-    def intersects(self, other: "Box") -> bool:
-        return (
-            self.south <= other.north
-            and other.south <= self.north
-            and self.west <= other.east
-            and other.west <= self.east
-        )
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -181,36 +173,6 @@ def grid_cell_for(point: Point, granularity: "str | SpatialGranularity") -> Grid
     gran = spatial_granularity(granularity)
     row, col = cell_index(point.lat, point.lon, gran)
     return GridCell(gran, row, col)
-
-
-def coarsen(
-    obj: SpatialObject, granularity: "str | SpatialGranularity"
-) -> SpatialObject:
-    """Re-represent a spatial object at a coarser granularity.
-
-    Points map to the containing grid cell; cells map to the containing
-    coarser cell (via their center); boxes map to the cell containing their
-    center.  Coarsening to ``point`` is only an identity for points.
-    """
-    gran = spatial_granularity(granularity)
-    if gran.cell_meters <= 0:
-        if isinstance(obj, Point):
-            return obj
-        raise GranularityError(
-            f"cannot coarsen {type(obj).__name__} to 'point' granularity"
-        )
-    if isinstance(obj, Point):
-        return grid_cell_for(obj, gran)
-    if isinstance(obj, GridCell):
-        if obj.granularity.rank > gran.rank:
-            raise GranularityError(
-                f"cannot coarsen {obj.granularity.name} cell to finer "
-                f"granularity {gran.name}"
-            )
-        return grid_cell_for(obj.center(), gran)
-    if isinstance(obj, Box):
-        return grid_cell_for(obj.center(), gran)
-    raise CoordinateError(f"unsupported spatial object {type(obj).__name__}")
 
 
 def representative_point(obj: SpatialObject) -> Point:

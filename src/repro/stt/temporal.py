@@ -52,24 +52,6 @@ class Instant:
         end = _granule_end(start, self.granularity)
         return Granule(self.granularity, start, end)
 
-    def coarsened(self, to: "str | TemporalGranularity") -> "Instant":
-        """This instant re-stamped at a coarser granularity."""
-        target = temporal_granularity(to)
-        if target.rank < self.granularity.rank:
-            raise GranularityError(
-                f"cannot coarsen {self.granularity.name} instant to finer "
-                f"granularity {target.name}"
-            )
-        return Instant(align_instant(self.seconds, target), target)
-
-    def same_granule(self, other: "Instant") -> bool:
-        """True when both instants fall in the same granule of the coarser
-        of the two granularities."""
-        coarser = max(self.granularity, other.granularity, key=lambda g: g.rank)
-        return align_instant(self.seconds, coarser) == align_instant(
-            other.seconds, coarser
-        )
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -91,16 +73,6 @@ class Interval:
     def contains(self, t: "float | Instant") -> bool:
         seconds = t.seconds if isinstance(t, Instant) else t
         return self.start <= seconds < self.end
-
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        if lo >= hi:
-            return None
-        return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -165,23 +137,3 @@ def _granule_end(start: float, gran: TemporalGranularity) -> float:
     if gran.name == "year":
         return start + _SECONDS_PER_YEAR
     return start + gran.seconds
-
-
-def granule_index(seconds: float, granularity: "str | TemporalGranularity") -> int:
-    """Dense integer index of the granule containing ``seconds``.
-
-    Two instants share a granule iff their indices are equal; useful as a
-    grouping key in windowed operators.
-    """
-    gran = temporal_granularity(granularity)
-    if gran.name == "month":
-        year, offset = _year_and_offset(seconds)
-        month = 0
-        for index, month_start in enumerate(_MONTH_STARTS):
-            if month_start <= offset:
-                month = index
-        return year * 12 + month
-    if gran.name == "year":
-        year, _ = _year_and_offset(seconds)
-        return year
-    return int(seconds // gran.seconds)

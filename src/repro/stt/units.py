@@ -84,18 +84,6 @@ class UnitRegistry:
             )
         return dst.from_base(src.to_base(value))
 
-    def compatible(self, source: "str | Unit", target: "str | Unit") -> bool:
-        try:
-            return self.resolve(source).dimension == self.resolve(target).dimension
-        except UnitError:
-            return False
-
-    def units_of(self, dimension: str) -> list[Unit]:
-        return sorted(
-            (u for u in self._units.values() if u.dimension == dimension),
-            key=lambda u: u.name,
-        )
-
     @classmethod
     def standard(cls) -> "UnitRegistry":
         """Registry with the units the paper's sensor types need."""

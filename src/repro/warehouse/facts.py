@@ -1,6 +1,6 @@
 """Fact records of the event warehouse, and the columns that store them.
 
-The fact table is columnar (DESIGN.md §9.1): a list of
+The fact table is columnar (DESIGN.md §11): a list of
 :class:`FactSegment` runs, each one list per key field and one per
 measure or attribute name.  :class:`EventFact` is the value a reader gets;
 it is built from the columns when something reads a fact, never stored.

@@ -30,10 +30,11 @@ class EventWarehouse:
     continues across ``load`` calls while the names hold.  ``facts`` is a
     read-only view that builds each :class:`EventFact` as it is read.
 
+    ``load`` takes one tuple or a whole batch.
+
     >>> warehouse = EventWarehouse()
-    >>> warehouse.load(some_tuple)          # doctest: +SKIP
-    >>> warehouse.load(some_batch)          # doctest: +SKIP
-    >>> warehouse.query().count()           # doctest: +SKIP
+    >>> warehouse.query().count()
+    0
     """
 
     def __init__(self) -> None:
@@ -166,32 +167,6 @@ class EventWarehouse:
     def query(self) -> WarehouseQuery:
         """Start a fluent query over the loaded facts."""
         return WarehouseQuery(self)
-
-    def iter_rows(self):
-        """Denormalised fact rows (dimension members joined back in).
-
-        Yields dicts with the event time, granularity names, cell indices,
-        source, themes, and the measure/attribute payload — the export
-        format for downstream analysis tools — read off the columns.
-        """
-        for segment in self.segments:
-            for offset, time_key in enumerate(segment.time_keys):
-                time_member = self.time_dim.member(time_key)
-                space_member = self.space_dim.member(segment.space_keys[offset])
-                yield {
-                    "fact_id": segment.start + offset,
-                    "event_time": segment.event_times[offset],
-                    "time_granularity": time_member.granularity,
-                    "granule_start": time_member.start,
-                    "space_granularity": space_member.granularity,
-                    "cell_row": space_member.row,
-                    "cell_col": space_member.col,
-                    "source": self.source_dim.member(segment.source_keys[offset]),
-                    "themes": [self.theme_dim.member(k)
-                               for k in segment.theme_keys[offset]],
-                    "measures": segment.measures_at(offset),
-                    "attributes": segment.attributes_at(offset),
-                }
 
     def __len__(self) -> int:
         return self.loaded

@@ -34,11 +34,9 @@ class WarehouseQuery:
     table, taken when the query starts; filters read the columns, and only
     :meth:`facts` builds :class:`EventFact` values.
 
-    >>> (warehouse.query()
-    ...     .theme("weather/rain")
-    ...     .time_range(0.0, 86400.0)
-    ...     .rollup_time("hour", measure="rain_rate", agg="avg"))
-    ... # doctest: +SKIP
+    For example, the hourly mean rain rate of the rain-themed facts is
+    ``warehouse.query().theme("weather/rain").rollup_time("hour",
+    measure="rain_rate", agg="avg")``.
     """
 
     def __init__(self, warehouse) -> None:
@@ -77,23 +75,11 @@ class WarehouseQuery:
         return self._where(attrgetter("source_keys"),
                            lambda source_key: source_key == key)
 
-    def time_range(self, start: float, end: float) -> "WarehouseQuery":
-        if end < start:
-            raise WarehouseError(f"time range end ({end}) precedes start ({start})")
-        return self._where(attrgetter("event_times"),
-                           lambda time: start <= time < end)
-
     def area(self, box: Box) -> "WarehouseQuery":
         dim = self._warehouse.space_dim
         return self._where(
             attrgetter("space_keys"),
             lambda space_key: box.contains(dim.cell(space_key).center()))
-
-    def where_measure(
-        self, name: str, minimum: float = float("-inf"), maximum: float = float("inf")
-    ) -> "WarehouseQuery":
-        return self._where(lambda segment: segment.measure_column(name),
-                           lambda value: minimum <= value <= maximum)
 
     # -- terminals --------------------------------------------------------------
 
@@ -103,14 +89,6 @@ class WarehouseQuery:
     def facts(self) -> list[EventFact]:
         return [segment.fact(i) for segment, offsets in self._selection
                 for i in offsets]
-
-    def measure_values(self, name: str) -> np.ndarray:
-        values: list[float] = []
-        for segment, offsets in self._selection:
-            column = segment.measure_column(name)
-            if column is not None:
-                values.extend(column[i] for i in offsets)
-        return np.asarray(values, dtype=float)
 
     # -- roll-ups ----------------------------------------------------------------
 

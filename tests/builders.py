@@ -4,7 +4,9 @@ program."""
 
 from typing import NamedTuple
 
-from repro.dataflow.ops import OperatorSpec
+from repro.dataflow.ops import (
+    FilterSpec, OperatorSpec, TransformSpec, VirtualPropertySpec,
+)
 from repro.dsn.ast import (
     DsnChannel, DsnControl, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo,
     ServiceRole,
@@ -39,6 +41,17 @@ def pipeline(name: str, *operators, sensor_type: str = "temperature",
         upstream = node_id
     flow.connect(upstream, flow.add_sink(sink_kind, node_id=sink))
     return flow
+
+
+def fused_pipeline(stack=None) -> DsnProgram:
+    """``temperature -> keep -> double -> shift -> fused-out``: a maximal
+    non-blocking chain, fused into one ``keep+double+shift`` process.
+    ``stack`` is unused; it keeps the scenario flow builders' signature."""
+    return pipeline(
+        "fused-pipeline", ("keep", FilterSpec("temperature > -100")),
+        ("double", VirtualPropertySpec("double_temp", "temperature * 2")),
+        ("shift", TransformSpec({"temperature": "temperature + 1"})),
+        source="temperature", sink="fused-out")
 
 
 def sensor_metadata(sensor_id: str, sensor_type: str = "temperature",

@@ -40,13 +40,9 @@ def pytest_addoption(parser):
 
 @pytest.fixture(autouse=True)
 def _hard_timeout(request):
-    """Per-test wall-clock budget, enforced with an interval timer.
-
-    Hand-rolled because the environment has no pytest-timeout plugin;
-    SIGALRM only fires on the main thread, which is where pytest runs
-    tests — including the asyncio backend, whose event loop blocks the
-    main thread in ``run_until_complete``.
-    """
+    """Per-test wall-clock budget, enforced with an interval timer (no
+    pytest-timeout plugin is assumed).  SIGALRM fires on the main thread,
+    where pytest runs tests and the asyncio backend's loop blocks."""
     limit = request.config.getoption("--hard-timeout")
     if not limit or limit <= 0:
         yield
@@ -67,10 +63,8 @@ def _hard_timeout(request):
 
 def backend_flake_failures() -> "list[str]":
     """Why the current test must fail the flake guard (empty: it passes).
-
-    Closes whatever leaked and drains the loops' error reports, so the
-    *next* test starts clean either way.
-    """
+    Closes what leaked and drains the loops' error reports, so the next
+    test starts clean either way."""
     failures = []
     leaked = live_backends()
     if leaked:
@@ -87,14 +81,9 @@ def backend_flake_failures() -> "list[str]":
 
 @pytest.fixture(autouse=True)
 def _async_backend_flake_guard():
-    """Fail any test that leaks a live AsyncBackend (tasks, event loop) or
-    whose event loop swallowed an error.
-
-    Leaked loops are the classic source of cross-test flakes: a pending
-    task from test A fires during test B.  A swallowed error is a task
-    that died without anyone awaiting it ("Task exception was never
-    retrieved"): the run it belonged to wedges or silently loses work.
-    """
+    """Fail any test that leaks a live AsyncBackend (a pending task of test
+    A fires during test B) or whose loop swallowed an error (a task died
+    unawaited, so its run wedged or silently lost work)."""
     yield
     failures = backend_flake_failures()
     if failures:
@@ -145,13 +134,11 @@ def make_tuple():
 
 @pytest.fixture
 def mixed_stream() -> "list[SensorTuple]":
-    """A stream exercising every branch a sink's per-tuple path has.
-
-    Point, Box and GridCell locations; one, several and no themes; bool,
-    None, str, int, float and float-subclass payload values; readings with
-    and without the ``reading`` attribute, an all-None and an empty
-    payload; and one moving sensor that reports 10^4 distinct locations.
-    """
+    """A stream exercising every branch a sink's per-tuple path has: Point,
+    Box and GridCell locations; one, several and no themes; bool, None,
+    str, int, float and float-subclass values; readings with and without
+    ``reading``, an all-None and an empty payload; and one moving sensor
+    that reports 10^4 distinct locations."""
     import numpy as np
 
     locations = [

@@ -1,14 +1,10 @@
-"""Chaos tests for the asyncio backend.
+"""Chaos tests for the asyncio backend (DESIGN.md §8).
 
-The fault matrix the simulator's fault-tolerance suite runs — node
-kills, mid-window kills, shard kills — exercised against *real* asyncio
-tasks: killing a node cancels its hosted tasks mid-flight, recovery
-restarts them, and the checkpoint/restore + shard-merge protocols must
-close exactly as they do on the oracle.  Plus the two async-only
-behaviours the simulator cannot express: bounded-queue backpressure
-(a full mailbox stalls the producer coroutine instead of dropping) and
-wall-clock pacing (``time_scale`` slows the run without skewing any
-logical timer).
+The simulator's fault matrix (node, mid-window and shard kills) against
+real tasks: a kill cancels hosted tasks mid-flight, recovery restarts
+them, and checkpoint/restore and the shard merge close as on the oracle.
+Plus what only asyncio has: backpressure (a full mailbox stalls the
+producer, never drops) and pacing (``time_scale`` skews no timer).
 """
 
 from __future__ import annotations

@@ -1,22 +1,14 @@
 """Determinism audit: same seed, same knobs -> byte-identical runs.
 
-The simulator's whole value rests on reproducibility: two runs of the
-same scenario with the same seed must agree on *every* observable — the
-metrics registry snapshot, the set of retained trace ids, and the exact
-sink order — even with every PR-5 knob engaged at once (shards=4,
-``batch 32 within 60`` on every source channel, trace sampling=0.5).
-Any wall-clock or unseeded-``random`` leakage in the sharded merge
-plane, the batcher, or the samplers shows up here as a diff.
-
-Three scenarios are audited: the paper's Section 3 flow (where a blanket
-shard request is a documented no-op — nothing there has a partition key),
-the sharded per-station aggregation flow that actually exercises the
-partitioner, envelopes, and merge stage, and the same sharded flow with
-the elastic rebalance loop engaged on a hair-trigger policy.  The whole
-execution log is an audited observable (every placement, key move,
-command and transition, line by line), so a wall-clock or
-unseeded-``random`` leak in the control loop (monitor sampling, policy
-tie-breaks, barrier scheduling) shows up as a diff.
+Two runs of one scenario with one seed must agree on every observable —
+the metrics snapshot, the retained trace ids, the exact sink order and
+the whole execution log, line by line — with shards=4, ``batch 32 within
+60`` on every source channel and trace sampling 0.5 engaged at once.
+Audited: the Section 3 flow (where a blanket shard request is a no-op),
+the sharded per-station aggregation, and that flow with the elastic loop
+on a hair-trigger policy.  A wall-clock or unseeded-``random`` leak in
+the merge plane, the batcher, the samplers or the control loop shows up
+as a diff.
 """
 
 import json
@@ -27,11 +19,9 @@ from repro.dsn.generate import dataflow_to_dsn
 from repro.pubsub.subscription import BatchingPolicy
 from repro.runtime.rebalance import RebalanceConfig
 from repro.scenario import (
-    build_stack,
-    fused_pipeline_flow,
-    osaka_scenario_flow,
-    sharded_aggregation_flow,
+    build_stack, osaka_scenario_flow, sharded_aggregation_flow,
 )
+from tests.builders import fused_pipeline
 
 SHARDS = 4
 #: ``within 60`` coalesces; under ``within 1`` every batch holds one reading.
@@ -89,7 +79,7 @@ class TestDeterminismAudit:
             (osaka_scenario_flow, ("traffic-collector",), SHARDS, False),
             (sharded_aggregation_flow, ("averages",), SHARDS, False),
             (sharded_aggregation_flow, ("averages",), SHARDS, True),
-            (fused_pipeline_flow, ("fused-out",), None, False),
+            (fused_pipeline, ("fused-out",), None, False),
         ],
         ids=["osaka-blanket-noop", "stations-sharded", "stations-elastic",
              "fused-chain"],
@@ -119,7 +109,7 @@ class TestDeterminismAudit:
 
     def test_fused_run_actually_fused(self):
         """Guard: the fused audit case really collapses the chain."""
-        stack, deployment = _deploy(fused_pipeline_flow)
+        stack, deployment = _deploy(fused_pipeline)
         stack.run_until(3600.0)
         assert {key: unit.services
                 for key, unit in deployment.plan.units.items()

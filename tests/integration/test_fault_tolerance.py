@@ -1,22 +1,16 @@
-"""Integration tests for the fault-tolerant runtime.
+"""Integration tests for the fault-tolerant runtime (DESIGN.md §13).
 
 A fault matrix — {node kill, broker drop-burst, flaky source, mid-window
-kill} x {non-blocking flow, blocking flow} — plus the acceptance scenario:
-killing a node mid-run of the Osaka scenario re-places its processes on
-survivors, restores blocking-operator state from the last checkpoint, and
-leaves the post-recovery sink output equal to a no-fault run of the same
-seed modulo the documented loss bound (tuples emitted while the victim was
-down may be dead-lettered; nothing is lost silently and nothing is
-duplicated).
+kill} x {non-blocking, blocking flow} — plus the Osaka acceptance run: a
+node killed mid-run has its processes re-placed and restored, and the
+sink equals a no-fault run of the same seed within the loss bound
+(nothing lost silently, nothing duplicated).
 """
 
 import pytest
 
 from repro.dataflow.ops import (
-    AggregationSpec,
-    FilterSpec,
-    TransformSpec,
-    VirtualPropertySpec,
+    AggregationSpec, FilterSpec, TransformSpec, VirtualPropertySpec,
 )
 from repro.dsn.ast import DsnProgram
 from repro.network.topology import Topology
@@ -26,19 +20,14 @@ from repro.runtime.rebalance import (
     RebalanceConfig, RebalanceDecision, ShardLoadMonitor,
 )
 from repro.scenario import (
-    build_stack,
-    osaka_scenario_flow,
-    sharded_aggregation_flow,
+    build_stack, osaka_scenario_flow, sharded_aggregation_flow,
 )
 from repro.sensors.faults import FlakySensor
 from repro.sensors.physical import temperature_sensor
 from repro.streams.shard import partition_index
 from repro.stt.spatial import Point
 from tests.builders import (
-    executor_stack,
-    pipeline,
-    script_readings,
-    sensor_metadata,
+    executor_stack, pipeline, script_readings, sensor_metadata,
 )
 
 BLOCKING_IDS = ["non-blocking", "blocking"]
@@ -174,14 +163,10 @@ class TestFaultMatrix:
 
 @pytest.mark.parametrize("blocking", [False, True], ids=BLOCKING_IDS)
 class TestDeadLetterAudit:
-    """Every retry exhaustion is audited exactly once, everywhere.
-
-    An outage long enough to exhaust the retry budget (0.5+1+2 s) but
-    shorter than the failure detector's patience produces dead letters;
-    the broker counter, the subscriptions' queues, the monitor's audit
-    log, and the metrics registry must all agree — one record per
-    exhausted tuple, no duplicates, nothing silent.
-    """
+    """Every retry exhaustion is audited exactly once, everywhere: an
+    outage longer than the retry budget (0.5+1+2 s) but shorter than the
+    detector's patience leaves one record per exhausted tuple in the
+    broker counter, the queues, the execution log and the metrics."""
 
     def test_exhaustions_produce_exactly_one_record_each(self, blocking):
         stack = build_stack(hot=True, seed=11, observability=0.0)
@@ -230,17 +215,14 @@ class TestDeadLetterAudit:
 
 
 class TestShardFaultMatrix:
-    """Fault matrix rows for the sharded merge plane (DESIGN.md §12):
+    """Fault matrix rows for the sharded merge plane (DESIGN.md §10):
     {kill one shard mid-window, kill the merge stage, kill during a
     rebalance round} over a 4-way sharded grouped aggregation.
 
-    A dedicated stack (one scripted sensor, star topology — killing a
-    leaf cannot partition the survivors) keeps the input schedule
-    identical between the faulted run and its no-fault baseline, so
-    recovery semantics can be pinned exactly: sibling shards' groups are
-    byte-identical everywhere, and only the victim shard's groups — only
-    in windows overlapping the outage — may be missing or perturbed.
-    Nothing is ever duplicated.
+    One scripted sensor on a star (a dead leaf partitions nothing) keeps
+    the input identical to the no-fault baseline: sibling shards' groups
+    are byte-identical, only the victim's groups in windows overlapping
+    the outage may differ, and nothing is duplicated.
     """
 
     SHARDS = 4
@@ -350,14 +332,10 @@ class TestShardFaultMatrix:
 
 
 class TestFusedFaultMatrix:
-    """Fault matrix row for the fused data plane (DESIGN.md §14): kill
-    the node hosting a fused chain mid-run.  The chain is one process,
-    so recovery must re-place it as *one unit* — a single assignment
-    change for the ``a+b+c`` process, never per-member moves — and the
-    stream must replay cleanly: the faulted sink is a subset of the
-    no-fault baseline, missing only tuples published inside the outage
-    window.
-    """
+    """Kill the node hosting a fused chain mid-run (DESIGN.md §10): the
+    chain is re-placed as one unit (one assignment change for ``a+b+c``)
+    and the faulted sink is the no-fault one minus tuples published
+    inside the outage."""
 
     CHAIN = ("keep", "double", "bump")
     KILL_AT = 630.0
@@ -448,13 +426,11 @@ class TestElasticFaultMatrix:
     restore, kill the donor right after the handoff, kill the merge
     during a hot-key split} over a 4-way elastic grouped aggregation.
 
-    The same scripted-sensor discipline as :class:`TestShardFaultMatrix`
-    keeps the input schedule identical across runs, so the handoff
-    protocol's crash-safety claims can be pinned exactly: an action with
-    a dead participant aborts (recorded, never half-applied); an action
-    that committed survives the donor's death because both ends were
-    checkpointed at the barrier; and in every case nothing is duplicated
-    and only outage-window groups of the dead shard may be missing.
+    With :class:`TestShardFaultMatrix`'s scripted input: an action with a
+    dead participant aborts (recorded, never half-applied), a committed
+    one survives the donor's death (both ends checkpointed at the
+    barrier), nothing is duplicated, and only outage-window groups of the
+    dead shard may be missing.
     """
 
     SHARDS = 4
@@ -540,7 +516,7 @@ class TestElasticFaultMatrix:
         assert group.assignment.overrides == {}
         assert all((station,) not in m.operator.disowned
                    for m in group.members)
-        # The PR 1 path recovered the donor; output converged.
+        # Node-death recovery restored the donor; output converged.
         assert group.members[owner].node_id != donor_node
         assert group.members[owner].restores >= 1
         assert deployment.state is DeploymentState.RUNNING

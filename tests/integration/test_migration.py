@@ -1,11 +1,8 @@
-"""Integration test: workload-aware migration under overload.
+"""Integration test: workload-aware migration under overload (Figure 3).
 
-Figure 3's monitor shows "which node is in charge of executing an
-operation and when the assignment changes" — this test drives the whole
-loop: overload -> SCN decision -> process move -> monitor log -> stream
-continuity.  A second loop moves a *key* rather than a process: a forced
-migration and split of a sharded aggregation's hot key must not hold the
-sink's window closes back by more than one interval.
+Overload -> SCN decision -> process move -> monitor log -> stream
+continuity.  A forced migration and split of a sharded aggregation's hot
+key holds the sink's window closes back by at most one interval.
 """
 
 import pytest

@@ -1,9 +1,7 @@
-"""Integration test: several dataflows under control at once.
+"""Integration test: several dataflows under control at once (Figure 3).
 
-Figure 3 shows "the flows of data that are monitored for this and other
-dataflows that are under control" — one executor hosts many deployments
-sharing the same network, sensors, and monitor, with independent
-lifecycles.
+One executor hosts many deployments sharing the network, sensors and
+monitor, with independent lifecycles.
 """
 
 import pytest

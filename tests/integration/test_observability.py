@@ -1,21 +1,16 @@
 """Integration tests: end-to-end tracing, lineage, and metrics.
 
-The acceptance path of the observability subsystem: run the Osaka
-scenario with tracing at 1.0, and verify that the slowest sink-reaching
-trace renders a complete span tree (source -> broker -> operator(s) ->
-sink) with per-hop virtual-clock durations, that lineage resolves sink
-tuples to exact source tuple ids, and that the metrics registry carries
-the monitor's series.
+The Osaka scenario at sampling 1.0: the slowest sink-reaching trace
+renders a complete span tree with per-hop virtual durations, lineage
+resolves sink tuples to exact source tuple ids, and the metrics registry
+carries the monitor's series.
 """
 
 import pytest
 
 from repro.dataflow.ops import AggregationSpec
 from repro.obs.render import (
-    render_trace,
-    sink_trace_ids,
-    slowest_sink_traces,
-    trace_for_tuple,
+    render_trace, sink_trace_ids, slowest_sink_traces, trace_for_tuple,
 )
 from repro.scenario import build_stack, osaka_scenario_flow
 from tests.builders import pipeline

@@ -39,12 +39,9 @@ class TestQosAdmission:
 
     @staticmethod
     def _spread_stack():
-        """A stack whose SCN spreads the flow across the line's ends.
-
-        QoS admission only bites when a sink channel actually crosses
-        links, so the test controller pins the filter to node-0 and the
-        sink to node-3 (3 hops x 50 ms).
-        """
+        """A stack whose SCN pins the filter to node-0 and the sink to
+        node-3 (3 hops x 50 ms), so the sink channel crosses links and QoS
+        admission bites."""
         class SpreadingScn(ScnController):
             def _score_nodes(self, service, upstream, demand, projected):
                 node = "node-3" if service.name == "out" else "node-0"

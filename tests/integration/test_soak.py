@@ -1,9 +1,8 @@
 """Soak test: two virtual days of continuous operation.
 
-Long-running behaviours that short tests cannot see: caches must stay
-bounded, the trigger must cycle with the diurnal temperature (re-arming
-each night), monitor series must keep growing linearly, and the clock's
-event heap must not accumulate garbage.
+Caches stay bounded, the trigger cycles with the diurnal temperature
+(re-arming each night), monitor series grow linearly, and the clock's
+event heap accumulates no garbage.
 """
 
 import pytest
@@ -53,9 +52,8 @@ class TestSoak:
 
     def test_warehouse_grows_on_both_days(self, run):
         stack, _ = run
-        day1 = stack.warehouse.query().time_range(0.0, 86400.0).count()
-        day2 = stack.warehouse.query().time_range(86400.0, 2 * 86400.0).count()
-        assert day1 > 0 and day2 > 0
+        days = {fact.event_time // 86400.0 for fact in stack.warehouse.facts}
+        assert {0.0, 1.0} <= days
 
     def test_no_errors_quarantined(self, run):
         stack, deployment = run

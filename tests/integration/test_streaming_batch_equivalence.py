@@ -1,20 +1,14 @@
 """Integration property: streaming and batch produce the same results.
 
-StreamLoader's on-line execution and the offline batch baseline are
-*semantically* equivalent — the same tuples come out, only the
-cost/staleness profile differs.  The batch replays through the deployed
-plan, so this holds for blocking operators too: an hourly window closes
-at the same instants in both.  This is the correctness backbone of the
-A1 ablation: the configurations being compared really do compute the
-same thing.
+The on-line execution and the offline batch baseline emit the same tuples
+and differ only in cost and staleness; the batch replays through the
+deployed plan, so an hourly window closes at the same instants in both.
+The A1 ablation rests on this: its configurations compute the same thing.
 """
 
 from repro.baselines.batch_etl import BatchEtlPipeline
 from repro.dataflow.ops import (
-    AggregationSpec,
-    FilterSpec,
-    TransformSpec,
-    VirtualPropertySpec,
+    AggregationSpec, FilterSpec, TransformSpec, VirtualPropertySpec,
 )
 from repro.dsn.ast import DsnProgram
 from repro.pubsub.subscription import SubscriptionFilter

@@ -1,8 +1,6 @@
-"""Integration test: Trigger Off deactivates running acquisition.
-
-Table 1's ⊕OFF is the mirror of the scenario's ⊕ON: a stream that is
-initially active is *stopped* when the condition verifies — e.g. stop
-paying for the tweet firehose once the heat emergency has passed.
+"""Integration test: Trigger Off deactivates running acquisition — the
+mirror of the scenario's Trigger On: an initially active stream (say, the
+tweet firehose) is stopped once the condition verifies.
 """
 
 import pytest

@@ -11,10 +11,7 @@ source."
 import pytest
 
 from repro.dataflow.ops import (
-    AggregationSpec,
-    FilterSpec,
-    JoinSpec,
-    VirtualPropertySpec,
+    AggregationSpec, FilterSpec, JoinSpec, VirtualPropertySpec,
 )
 from repro.designer.preview import sample_from_sensors
 from repro.designer.session import DesignerSession

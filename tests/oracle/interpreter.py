@@ -1,13 +1,10 @@
 """The expression oracle: a plain tree-walking interpreter.
 
-The runtime evaluates conditions only through generated code
-(:mod:`repro.expr.compile`).  This walker is the reference it is held
-to: one ``isinstance`` dispatch per node, no folding, no specialisation,
-every rule of the language spelled out once.  Only tests import it.
-
-``interpret(expr, values, **qualified)`` returns the value the
-expression has, or raises the :class:`ExpressionError` subclass (and
-message) malformed input must raise.
+The reference that generated code (:mod:`repro.expr.compile`) is held
+to: one ``isinstance`` dispatch per node, no folding, every rule of the
+language spelled out once.  ``interpret(expr, values, **qualified)``
+returns the expression's value or raises the :class:`ExpressionError`
+subclass (and message) malformed input must raise.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
 """The expression oracle: generated code ≡ tree walker on random ASTs.
 
-The central correctness property of :mod:`repro.expr.compile`: for every
-tree the parser can produce and every payload, ``evaluate`` (the
-generated code, constant folding included) and the reference interpreter
-(:mod:`tests.oracle.interpreter`) agree on the *outcome* — either the
-same value, or the same :class:`ExpressionError` subclass with the same
-message.
+For every tree the parser can produce and every payload, ``evaluate``
+(generated code, folding included) and :mod:`tests.oracle.interpreter`
+agree on the outcome: the same value, or the same
+:class:`ExpressionError` subclass with the same message.
 """
 
 import ast

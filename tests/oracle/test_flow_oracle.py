@@ -1,28 +1,17 @@
 """The flow oracle: a deployed chain reports what its operators would.
 
-The paper applies each non-blocking operator "directly on each tuple".
-That is the reference here, in plain Python: fresh member operators, each
-reading pushed through ``on_tuple`` in chain order.  The system under
-test is the same chain deployed the one way every deployment runs —
-the planner fuses any run of two or more members into one process, and
-batches take the column kernels from ``MIN_COLUMNAR_ROWS`` rows up — fed
-the same readings through the broker.  No flag is turned between the
-two: for a random chain (0–5 members, including members that quarantine
-rows at runtime), reading stream, publish size, trace sampling rate and
-optional mid-stream hub failure, the deployment must report
-
-- the reference's sink contents: seq, source and payload items in order;
-- each member's ``OperatorStats`` and checkpoint;
-- each member's ``process_tuples_total`` (the tuples it received);
-- one dead-letter record per reading published after the hub failed.
-
-Everything runs on one node at one virtual instant (all delivery local,
-zero latency), so arrival order is publish order.
-
-The designer's preview is held to the same plan: for a drawn chain, an
-optional blocking operator and an optional trigger-gated source, the
-rows the preview shows at each sink are the rows an untapped (fused)
-deployment of the canvas collects when fed the same samples.
+The reference is fresh member operators, each reading pushed through
+``on_tuple`` in chain order (the paper's "directly on each tuple").  The
+system under test is the same chain deployed the one way every deployment
+runs (fused, column kernels from ``MIN_COLUMNAR_ROWS`` rows up), fed
+through the broker on one node at one virtual instant, so arrival order
+is publish order.  For a random chain (0–5 members, some quarantining
+rows), stream, publish size, sampling rate and optional hub failure, the
+deployment must report the reference's sink contents, each member's stats,
+checkpoint and ``process_tuples_total``, and one dead letter per reading
+published after the failure (DESIGN.md §10).  The designer's preview is
+held to the same plan: each sink shows what an untapped deployment
+collects from the same samples.
 """
 
 import inspect
@@ -31,13 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.ops import (
-    AggregationSpec,
-    CullTimeSpec,
-    FilterSpec,
-    JoinSpec,
-    TransformSpec,
-    TriggerOnSpec,
-    VirtualPropertySpec,
+    AggregationSpec, CullTimeSpec, FilterSpec, JoinSpec, TransformSpec,
+    TriggerOnSpec, VirtualPropertySpec,
 )
 from repro.designer.preview import replay_samples
 from repro.obs import Observability
@@ -131,13 +115,10 @@ def _stack(obs=None):
 
 
 def deployed(chain, temperatures, batch_size, sampling, fail_at):
-    """Deploy the chain on one node and drive it at one virtual instant.
-
-    ``batch_size`` 1 publishes every reading on its own, anything larger
-    in runs of that many.  ``sampling`` ``None`` attaches no
-    observability at all.  ``fail_at`` fails the hub before the first
-    publication starting at or after that many readings.
-    """
+    """Deploy the chain on one node and drive it at one virtual instant,
+    publishing in runs of ``batch_size``.  ``sampling`` ``None`` attaches
+    no observability; ``fail_at`` fails the hub before the first
+    publication starting at or after that many readings."""
     obs = None if sampling is None else Observability(sampling=sampling)
     topology, netsim, network, executor = _stack(obs)
     dead_letters: list = []
@@ -207,11 +188,9 @@ temperature_streams = st.lists(
 
 def assert_reports_the_reference(chain, temperatures, batch_size,
                                  sampling=None, fail=False):
-    """Deploy ``chain`` and hold everything it reports to ``reference``.
-
-    ``fail`` fails the hub before the publication that reaches half of
-    the readings.
-    """
+    """Deploy ``chain`` and hold everything it reports to ``reference``;
+    ``fail`` fails the hub before the publication reaching half the
+    readings."""
     fail_at = max(1, len(temperatures) // 2) if fail else None
     actual = deployed(chain, temperatures, batch_size, sampling, fail_at)
 

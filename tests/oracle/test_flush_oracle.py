@@ -1,21 +1,17 @@
 """The flush oracle: a blocking operator's kernel against its reference.
 
-Join and Aggregation produce everything they produce at a flush, and each
-flush has two bodies: a kernel over the whole window (bucket-proved
-equi-conjuncts dropped, stamp-, schema- and label-derived values resolved
-once per run) and a reference that re-derives everything per pair or per
-group — ``JoinOperator._nested_loop_flush`` and
-``AggregationOperator._aggregate_group``.  No switch selects between
-them, so the oracle needs none: hand the *same window* to both and
-everything observable must agree — payload item order, floats with
-``==`` (NaN where the other side has NaN), stamps, labels, seqs, the pair and partial logs, lineage parents,
-counted errors.
-
-The last section pins the mechanism with exact counts (DESIGN.md §9): how
-often the predicate runs, that no payload is copied, that a clean group
-derives nothing it could share.
+Join and Aggregation flush through a kernel over the whole window and
+have a reference that re-derives everything per pair or per group
+(``JoinOperator._nested_loop_flush``,
+``AggregationOperator._aggregate_group``).  Handed the same window, both
+must agree on everything observable: payload item order, floats by
+``==`` (NaN for NaN), stamps, labels, seqs, the pair and partial logs,
+lineage parents and counted errors.  The last section pins the mechanism
+with exact counts (DESIGN.md §10): predicate calls, no payload copies,
+nothing derived twice in a clean group.
 """
 
+from dataclasses import replace
 import math
 
 import pytest
@@ -466,7 +462,7 @@ def test_clean_groups_from_one_source_share_what_they_can(monkeypatch):
     op = AggregationOperator(
         interval=64.0, attributes=["v"], function="AVG", group_by="k")
     window = _harness_window("temp", [f"k-{i % 640:04d}" for i in range(STATIONS)])
-    one_source = [t.relabelled("ktemp-00") for t in window[:32]] * 20
+    one_source = [replace(t, source="ktemp-00") for t in window[:32]] * 20
     op.on_batch([
         t.with_owned_payload({"v": 1.0, "k": f"k-{i:04d}"})
         for i, t in enumerate(one_source)

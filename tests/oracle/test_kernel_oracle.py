@@ -1,16 +1,10 @@
-"""The kernel oracle: two kernels per operator, one answer.
+"""The kernel oracle: two kernels per operator, one answer (DESIGN.md §10).
 
-A non-blocking operator has a row kernel (``_process``: one tuple in, a
-list out — the paper's "applied on each tuple" and the reference) and,
-where it pays, a column kernel (``columnar_step``).  Which one runs is
-picked per message from batch length and schema uniformity, so the
-oracle needs no switch: feed the *same rows* in different shapes and
-every shape must report the same thing.  No deployment, no flag — only
-operators and messages.
-
-The structural half pins the rule itself (DESIGN.md §11 "Two kernels,
-one loop"): an operator with a column kernel has no row loop of its own,
-and a fused chain has nothing to switch its column kernels off with.
+The same rows fed as different message shapes (tuple by tuple, batches
+that take the column kernel) report the same thing; no deployment, no
+flag.  The structural half pins the rule itself: an operator with a
+column kernel has no row loop of its own, and a fused chain has nothing
+to switch its column kernels off with.
 """
 
 import pytest
@@ -112,13 +106,10 @@ def _row(seq: int, temperature, **extra) -> SensorTuple:
 
 
 def _observe(members, rows, run: "int | None"):
-    """Feed ``rows`` through a fresh chain of ``members()``, ``run`` at
-    a time.
-
-    ``None`` is the reference: one ``on_tuple`` per row.  Returns what the
-    chain emitted, in order and with payload item order, the wrapper's
-    and every member's stats, and the cull counters.
-    """
+    """Feed ``rows`` through a fresh chain of ``members()``, ``run`` at a
+    time (``None``, the reference: one ``on_tuple`` per row).  Returns the
+    emitted rows with payload item order, the wrapper's and every
+    member's stats, and the cull counters."""
     fused = FusedOperator(members())
     assert fused._columnar_capable
     out: list = []

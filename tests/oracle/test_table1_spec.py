@@ -7,18 +7,14 @@ leaves (payloads; keys starting with ``@`` read the stamp or the label
 instead) and how many readings it quarantines.  A trigger row lists the
 control commands it issues instead, as ``(activate, targets)``.
 
-Every row runs through every shape the runtime has for its operator and
-every shape must agree with the first, the reference:
-
-- ``on_tuple`` per reading (the row kernel) — checked against the row;
-- ``on_batch``, each run of readings on one port as one message;
-- for a non-blocking operator, a two-member fused chain fed one reading
-  at a time, and the same chain fed one uniform batch of at least
-  ``MIN_COLUMNAR_ROWS`` readings (the row's readings repeated to reach
-  it), which takes the column kernel where the operator has one;
-- for a blocking operator with a partition key (a grouped aggregation,
-  an equi-join), two ``ShardedOperatorAdapter`` replicas and the
-  ``ShardMergeOperator`` that folds their flushes back together.
+Every row runs through every shape the runtime has for its operator, and
+each must agree with the first, the reference: ``on_tuple`` per reading
+(the row kernel, checked against the row); ``on_batch``, each run of
+readings on one port as one message; for a non-blocking operator, a
+two-member fused chain fed one reading at a time and one uniform batch of
+at least ``MIN_COLUMNAR_ROWS`` readings (the column kernel, where there
+is one); for a blocking operator with a partition key, two
+``ShardedOperatorAdapter`` replicas and their ``ShardMergeOperator``.
 """
 
 from dataclasses import dataclass
@@ -32,9 +28,7 @@ from repro.streams.cull import CullSpaceOperator, CullTimeOperator
 from repro.streams.filter import FilterOperator
 from repro.streams.join import JoinOperator
 from repro.streams.shard import (
-    ShardedOperatorAdapter,
-    ShardMergeOperator,
-    shard_index,
+    ShardedOperatorAdapter, ShardMergeOperator, shard_index,
 )
 from repro.streams.transform import TransformOperator, ValidateOperator
 from repro.streams.trigger import TriggerOffOperator, TriggerOnOperator

@@ -1,24 +1,12 @@
-"""Wall-clock-tolerant comparison helpers for cross-backend parity.
+"""Comparison helpers for cross-backend parity (DESIGN.md §8).
 
-The asyncio backend promises the simulator's *logical* behaviour — same
-tuples through the same operators at the same virtual instants — but not
-the simulator's *sequencing* of same-instant work: inside one virtual
-instant, deliveries and operator dispatch run concurrently across tasks.
-So these helpers compare
-
-- sink contents as **multisets** (order-free, duplicates still count),
-- per-service throughput as **totals** (tuples in/out per service),
-- the dead-letter audit as **(source, reason) multisets** (``failed_at``
-  is compared too — retry exhaustion instants are logical times and must
-  match — but wall stamps never are),
-
-and every run is **timeout-bounded**: the async backend gets a hard wall
-budget (:data:`MAX_WALL_SECONDS`) so a deadlocked queue fails the test
-instead of hanging the suite.
-
-Floats are canonicalised to 9 decimals before hashing: equal logical
-computations must agree to far more than that, while the helper stays
-robust to repr-level noise.
+The asyncio backend keeps the simulator's logical behaviour but not its
+order inside one virtual instant, so sinks compare as **multisets**,
+per-service throughput as **totals** and the dead-letter audit as
+**(source, reason) multisets** plus ``failed_at`` (a logical time; wall
+stamps never compare).  Async runs get a hard wall budget
+(:data:`MAX_WALL_SECONDS`), so a deadlock fails instead of hanging, and
+floats are canonicalised to 9 decimals before hashing.
 """
 
 from __future__ import annotations
@@ -31,9 +19,7 @@ from repro.network.topology import Topology
 from repro.pubsub.subscription import BatchingPolicy
 from repro.runtime.backends import AsyncBackend, SimBackend
 from repro.scenario import (
-    build_stack,
-    osaka_scenario_flow,
-    sharded_aggregation_flow,
+    build_stack, osaka_scenario_flow, sharded_aggregation_flow,
 )
 
 #: Hard wall-clock budget (seconds) for one async scenario run.  The sim
@@ -79,12 +65,8 @@ def warehouse_multiset(warehouse) -> Counter:
 
 
 def sticker_snapshot(sticker):
-    """The sticker feed's bins as an order-free comparable mapping.
-
-    Counts and sums are order-independent accumulations, so two runs
-    that pushed the same multiset of tuples produce equal snapshots
-    regardless of push order.
-    """
+    """The sticker feed's bins as an order-free mapping: equal for two
+    runs that pushed the same multiset of tuples in any order."""
     bins = {}
     for key, point in sticker._bins.items():
         bins[(point.bucket_start, point.row, point.col, point.theme)] = (
@@ -114,11 +96,7 @@ def audit_multiset(deployment) -> Counter:
 def run_config(backend_name: str, flow_name: str, batch: int, shards: int,
                seed: int = 7, hours: "float | None" = None):
     """Run one scenario configuration on one backend; return a snapshot.
-
-    The async backend runs under :data:`MAX_WALL_SECONDS` so a wedged
-    event loop raises instead of hanging; both backends are closed before
-    returning (the conftest flake guard would fail the test otherwise).
-    """
+    Both backends are closed before returning, as the flake guard asks."""
     topology = Topology.star(leaf_count=4)
     if backend_name == "async":
         backend = AsyncBackend(topology=topology, max_wall=MAX_WALL_SECONDS)

@@ -1,18 +1,13 @@
-"""The simulator-oracle parity suite.
+"""The simulator-oracle parity suite (DESIGN.md §8).
 
-Every configuration of {scenario} x {batch} x {shards} runs once on the
-deterministic simulator and once on the asyncio backend, each deployed
-with the plan every deployment takes (the fusion planner's), and
-the two runs must agree on everything logical: sink payload multisets,
-per-service throughput totals, the dead-letter audit, and the network's
-tuple accounting.  Order within a virtual instant is explicitly NOT
-compared (that is the asynchronous part); see ``_compare`` for the
-tolerance model.
-
-The osaka scenario exercises the trigger-gated acquisition path (the
-trigger fires at ~7.9h, so the 9h horizon covers the pause/resume
-control round-trip); the stations scenario exercises windowed
-aggregation, and — at ``shards=4`` — the shard/merge epoch protocol.
+Every {scenario} x {batch} x {shards} configuration runs on both
+backends with the plan every deployment takes, and the runs agree on
+sink multisets, per-service totals, the dead-letter audit and network
+tuple counts; order inside a virtual instant is not compared
+(``_compare`` holds the tolerance model).  The Osaka scenario's 9 h
+horizon covers the trigger's pause/resume round trip (it fires at
+~7.9 h); the stations scenario covers windowed aggregation and, at
+``shards=4``, the shard/merge epoch protocol.
 """
 
 from __future__ import annotations
@@ -39,13 +34,9 @@ def test_async_matches_sim(flow, batch, shards):
 
 
 def test_parity_runs_produce_output():
-    """Guard against vacuous parity: the compared runs carry real data.
-
-    If a future change silenced the scenarios (trigger never fires,
-    windows never close), the matrix above would pass trivially; this
-    pins that both scenarios actually deliver tuples to their sinks at
-    the parity horizons.
-    """
+    """Guard against vacuous parity: both scenarios deliver tuples to
+    their sinks at the parity horizons (the trigger fires, windows
+    close)."""
     osaka = run_config("sim", "osaka", 1, 1)
     assert sum(osaka["warehouse"].values()) > 0
     assert osaka["sticker"][0] > 0

@@ -1,18 +1,11 @@
-"""Property-based tests: aggregation ingest is one kernel, however fed.
+"""Property: aggregation ingest is one kernel, however fed (DESIGN.md §10).
 
-``AggregationOperator`` folds tuples into per-group running accumulators
-through a single kernel over a run of tuples; ``on_tuple`` is that kernel
-on a run of one.  For a random stream, cut into ``on_batch`` chunks of any
-size, everything observable — emitted payloads (floats compared with
-``==``: accumulation order is arrival order), stamps, seqs, the
-checkpoint, the accumulators themselves — must equal the same operator
-fed tuple-at-a-time.  That includes a ``max_cache`` smaller than one
-chunk, where evictions (which subtract from the sums the kernel adds to)
-fall *inside* a batch, and attributes holding a non-numeric value, which
-the kernel hands to the rescan path.
-
-``restore`` and ``adopt_partition`` replay through the same kernel, so
-the accumulators they rebuild equal a fresh replay of the same tuples.
+A random stream cut into ``on_batch`` chunks of any size reports what the
+operator fed tuple at a time reports — payloads (floats by ``==``),
+stamps, seqs, checkpoint, accumulators — also when ``max_cache`` is
+smaller than a chunk (evictions inside a batch) and for non-numeric
+values (the rescan path).  ``restore`` and ``adopt_partition`` replay
+through the same kernel.
 """
 
 from hypothesis import given, settings

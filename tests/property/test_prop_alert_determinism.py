@@ -1,13 +1,9 @@
-"""Property-based tests: the alert history is a deployment invariant.
+"""Property: the alert history is a deployment invariant (DESIGN.md §12).
 
-ISSUE 8's acceptance bar: for the same seed, the sequence of alert
-fire/resolve transitions — and the entire ``repro health --json``
-payload — must be byte-identical across shard counts {1, 4} and sensor
-batch sizes {1, 32}.  Sharding moves *where* aggregation state lives and
-batching moves *when* tuples travel, but neither may move what the
-operator observes at epoch boundaries; since the alert engine ticks at
-fixed virtual instants offset from those boundaries and reads only
-logical (shard-grouped) state, its history must not change either.
+For one seed, the alert fire/resolve sequence and the whole ``repro
+health --json`` payload are byte-identical across shard counts {1, 4}
+and sensor batch sizes {1, 32}: the engine ticks at fixed instants
+offset from flush boundaries and reads only shard-grouped state.
 """
 
 import json

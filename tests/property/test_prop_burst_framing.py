@@ -1,20 +1,12 @@
-"""Property-based tests: born together, sent together.
+"""Property: born together, sent together (DESIGN.md §9).
 
-DESIGN.md §11's framing rule: whatever one process call emits — a timer
-flush, or the emissions of one ``receive`` — travels as **one message per
-route** when it holds more than one tuple, and as a bare tuple when it
-holds one; a shard-group route gets one sub-batch per owning member, in
-arrival order.  The rule may change how many messages cross the network,
-never what flows: for random grouped-aggregation and join flows fed
-*lone* tuples, every observable equals the same flow driven with each
-output forwarded one by one (``_forward(emitted, False)``, the framing
-batch 1 had before the rule).
-
-Runs on both backends with the parity suite's comparison helpers; the
-topology is one live node (delivery is local and zero-latency, the
-discipline of the batch- and shard-parity suites) plus a dead one whose
-subscriber makes the broker's retry and dead-letter path part of every
-run.
+Framing one process call's emissions as one message per route may change
+how many messages cross the network, never what flows: for random
+grouped-aggregation and join flows fed lone tuples, every observable
+equals the same flow with each output forwarded alone
+(``_forward(emitted, False)``).  Both backends, compared with the parity
+helpers, on one live node plus a dead one whose subscriber puts the
+broker's retry and dead-letter path in every run.
 """
 
 from hypothesis import example, given, settings
@@ -32,16 +24,10 @@ from repro.streams.tuple import TupleBatch
 
 from tests.builders import dsn, pipeline
 from tests.parity._compare import (
-    MAX_WALL_SECONDS,
-    audit_multiset,
-    service_totals,
-    sink_multiset,
+    MAX_WALL_SECONDS, audit_multiset, service_totals, sink_multiset,
 )
 from tests.property.test_prop_shard_parity import (
-    _metadata,
-    _reading,
-    functions,
-    readings,
+    _metadata, _reading, functions, readings,
 )
 
 BACKENDS = ("sim", "async")

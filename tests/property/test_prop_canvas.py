@@ -1,10 +1,8 @@
-"""Property-based tests: schema inference is total on valid canvases.
+"""Property: schema inference is total on valid canvases.
 
-DESIGN.md's promise: arbitrary well-formed operator chains validate, and
-schema propagation produces a schema at every node.  The strategy builds
-random chains whose steps are constructed to be *individually* sound (each
-condition/spec references attributes present at that point), so the whole
-canvas must validate — if it does not, inference or validation is broken.
+Random operator chains whose every step is sound where it stands (each
+condition names attributes present there) must validate, with a schema
+at every node.
 """
 
 from dataclasses import replace
@@ -13,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.ops import (
-    AggregationSpec,
-    CullTimeSpec,
-    FilterSpec,
-    TransformSpec,
-    ValidateSpec,
+    AggregationSpec, CullTimeSpec, FilterSpec, TransformSpec, ValidateSpec,
     VirtualPropertySpec,
 )
 from repro.designer.preview import replay_samples

@@ -1,12 +1,9 @@
-"""Property-based tests for blocking-operator checkpoint/restore.
+"""Property: blocking-operator checkpoint/restore (DESIGN.md §9).
 
-The recovery contract, stated as properties over arbitrary tuple batches:
-
-- **round trip** — restoring a snapshot into any (dirtied) operator makes
-  its next flush identical to an operator that only ever saw the
-  snapshot-time tuples;
-- **loss bound** — tuples absorbed after the snapshot never appear in the
-  restored operator's output (at-most-once, nothing resurrects twice).
+Over arbitrary tuple batches, restoring a snapshot into any (dirtied)
+operator makes its next flush equal that of an operator that only saw the
+snapshot-time tuples, and tuples absorbed after the snapshot never
+appear in the restored output (at-most-once).
 """
 
 import numpy as np

@@ -1,16 +1,10 @@
-"""Property-based tests: columnar execution is semantically invisible.
+"""Property: columnar execution is invisible (DESIGN.md §10).
 
-DESIGN.md §16: a fused chain of 2–5 columnar-capable members (some
-quarantining rows at runtime), fed batches of 3, 16 or 32 — below
-``MIN_COLUMNAR_ROWS`` a batch takes the row loop — reports what the
-chain applied on each tuple reports, payload item order included: the
-flow oracle's columnar slice.
-
-The representation itself round-trips: transposing any uniform-schema
-batch (:class:`ColumnarBatch`) and materializing it back yields the
-*same tuple objects*, including rows whose values would make every
-expression in the operator family fail; materializing a selection
-equals subsetting the rows.
+A fused chain of 2–5 columnar members (some quarantining rows), fed
+batches of 3, 16 or 32, reports what the chain applied per tuple
+reports, payload item order included.  Transposing a uniform batch into
+a :class:`ColumnarBatch` and back yields the same tuple objects, and
+materializing a selection equals subsetting the rows.
 """
 
 from hypothesis import given, settings
@@ -21,10 +15,7 @@ from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
 from tests.oracle.test_flow_oracle import (
-    POISON_KINDS,
-    SOUND_KINDS,
-    assert_reports_the_reference,
-    chains_of,
+    POISON_KINDS, SOUND_KINDS, assert_reports_the_reference, chains_of,
     temperature_streams,
 )
 

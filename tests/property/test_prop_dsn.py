@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsn.ast import (
-    DsnChannel,
-    DsnControl,
-    DsnProgram,
-    DsnService,
-    ServiceRole,
+    DsnChannel, DsnControl, DsnProgram, DsnService, ServiceRole,
 )
 from repro.dsn.parse import parse_dsn
 from repro.network.qos import QosPolicy

@@ -1,8 +1,6 @@
-"""Property-based tests for the expression language.
-
-The central property: ``parse(unparse(tree)) == tree`` for arbitrary trees,
-i.e. the pretty-printer and parser are inverse on the AST.  Plus evaluator
-consistency properties on randomly generated arithmetic/boolean trees.
+"""Property-based tests for the expression language: ``parse(unparse(tree))
+== tree`` for arbitrary trees, and evaluator consistency on random
+arithmetic/boolean trees.
 """
 
 from hypothesis import assume, given, settings
@@ -78,12 +76,8 @@ class TestRoundTrip:
     @given(trees(), st.integers(min_value=-100, max_value=100))
     @settings(max_examples=300)
     def test_eval_survives_round_trip(self, tree, binding):
-        """eval(parse(render(ast))) == eval(ast) for any evaluable tree.
-
-        Syntactic identity (above) is necessary but not sufficient: this
-        pins that rendering never changes *meaning* — precedence,
-        associativity, literal formatting — for trees that evaluate at all.
-        """
+        """eval(parse(render(ast))) == eval(ast) for any evaluable tree:
+        rendering never changes precedence, associativity or literals."""
         values: dict = {}
         qualified: dict[str, dict] = {}
         for qualifier, name in tree.attributes():

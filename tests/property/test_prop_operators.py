@@ -1,5 +1,6 @@
 """Property-based tests for the Table 1 operator algebra."""
 
+from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,8 +167,9 @@ class TestJoinProperties:
     @given(batches, batches)
     @settings(max_examples=30)
     def test_join_size_bounded_by_product(self, left, right):
-        events = [(port, tup.with_updates(seqmod=tup.seq % 2))
-                  for port, tup in sides(left, right)]
+        events = [
+            (port, replace(tup, payload={**tup.payload, "seqmod": tup.seq % 2}))
+            for port, tup in sides(left, right)]
         out = joined("left.seqmod == right.seqmod", events)
         assert len(out) <= len(left) * len(right)
 

@@ -1,22 +1,13 @@
-"""Property-based tests: elastic rebalancing is semantically invisible.
+"""Property: elastic rebalancing is semantically invisible (DESIGN.md §10).
 
-DESIGN.md §13's promise, as a property: live key migration — and hot-key
-splitting, for combine-safe operators — changes *where* a key's window
-state accumulates, never *what* flows downstream.  For random streams
-(uniform and 80%-hot-key skewed), random shard counts, and migrations
+For random uniform and 80%-hot-key streams, shard counts and migrations
 forced at random epoch boundaries, an elastic deployment's sink output
-must be byte-identical to the same-count static deployment: payloads,
-sources, seq numbers, and virtual times.
-
-Splits fold per-replica partial sums in shard order rather than arrival
-order, so the split properties draw integer-valued floats: every partial
-sum is exact and the fold is bit-equal to straight accumulation.  (The
-non-split migration properties take arbitrary floats — a migrated slice
-re-accumulates in original arrival order, which is exact always.)
-
-All runs drive a single-node topology at fixed virtual times, the same
-discipline as the shard-parity suite; the control loop's *policy* is
-disabled (infinite imbalance ratio) so only the forced actions fire.
+(payloads, sources, seqs, virtual times) is byte-identical to the same
+count's static one.  A split folds partial sums in shard order, so split
+properties draw integer-valued floats; a migrated slice re-accumulates in
+arrival order, so migrations take any float.  One node at fixed virtual
+times, as in the shard-parity suite; the policy is off (infinite
+imbalance ratio), so only the forced actions fire.
 """
 
 from hypothesis import given, settings
@@ -110,12 +101,10 @@ def _run_static(tuples, shard_count: int):
 
 def _force_migration(netsim, deployment, epoch: int, station: str,
                      recipient_seed: int):
-    """At mid-epoch ``epoch``, ask for a handoff at the next boundary.
-
-    The donor is resolved *in the callback* (an earlier forced action may
-    already have moved the key); self-moves and split keys are skipped,
-    exactly as the executor's own guards would.
-    """
+    """At mid-epoch ``epoch``, ask for a handoff at the next boundary.  The
+    donor is resolved in the callback (an earlier action may have moved
+    the key); self-moves and split keys are skipped, as the executor's
+    guards would."""
     rebalancer = deployment.rebalancers["agg"]
     assignment = deployment.shard_groups["agg"].assignment
     key = (station,)

@@ -1,15 +1,10 @@
-"""Cached ≡ uncached routing across random mutation sequences.
+"""Cached ≡ uncached routing across random mutations (DESIGN.md §8).
 
-The route cache (:mod:`repro.network.topology`) is keyed by a generation
-counter that every topology mutation bumps — node liveness flips, link
-liveness/latency/bandwidth changes, node/link additions.  The property:
-after *any* interleaving of mutations and route queries, ``route()`` (the
-cached path) and ``route_uncached()`` (fresh shortest-path computation)
-agree for every node pair — same path, or the same unreachable verdict —
-and ``route_latency()`` is the fresh path's ``path_latency()``.
-
-Queries are issued *between* mutations on purpose: that populates the
-cache so later mutations exercise invalidation, not just a cold cache.
+After any interleaving of topology mutations and route queries,
+``route()`` and ``route_uncached()`` agree for every pair (same path or
+same unreachable verdict), and ``route_latency()`` sums the fresh path's
+latencies.  Queries fall between mutations, so later mutations exercise
+invalidation, not a cold cache.
 """
 
 from hypothesis import given, settings
@@ -71,8 +66,9 @@ def assert_all_pairs_agree(topo: Topology) -> None:
             assert cached == fresh, (
                 f"{source}->{target}: cached {cached} != fresh {fresh}")
             if fresh[0] is not None:
-                assert topo.route_latency(source, target) == (
-                    topo.path_latency(list(fresh[0])))
+                path = fresh[0]
+                assert topo.route_latency(source, target) == sum(
+                    topo.link(a, b).latency for a, b in zip(path, path[1:]))
 
 
 class TestRouteCacheParity:

@@ -34,20 +34,6 @@ class TestSchemaInvariants:
         for name in names:
             assert projected.type_of(name) is schema.type_of(name)
 
-    @given(schemas())
-    def test_prefix_then_strip_recovers_names(self, schema):
-        prefixed = schema.prefixed("x")
-        stripped = [name[2:] for name in prefixed.names]
-        assert tuple(stripped) == schema.names
-
-    @given(schemas())
-    def test_payload_from_schema_validates(self, schema):
-        sample_values = {AttributeType.BOOL: True, AttributeType.INT: 1,
-                         AttributeType.FLOAT: 1.5, AttributeType.STRING: "x"}
-        payload = {
-            attr.name: sample_values[attr.type] for attr in schema.attributes}
-        schema.validate_payload(payload)
-
 
 class TestJoinSchemaProperties:
     @given(schemas(), schemas())

@@ -1,18 +1,11 @@
-"""Property-based tests: sharded blocking operators are semantically invisible.
+"""Property: sharded blocking operators are invisible (DESIGN.md §10).
 
-DESIGN.md's §12 promise: splitting a blocking operator into N key-hashed
-shard replicas changes *where* its groups accumulate, never *what* flows
-downstream.  For random key distributions and shard counts — composed with
-micro-batching both on and off — a sharded deployment must leave every
-observable identical to the unsharded one: sink contents (payloads,
-sources, seq numbers, virtual times), per-group aggregates, and retry
-dead-letter audit records.  Shard checkpoints must additionally round-trip
-through restore into a fresh replica.
-
-All runs drive a single-node topology at fixed virtual times (delivery is
-local and zero-latency), the same discipline as the batch-parity suite:
-the merge stage's ordering guarantee is exact when envelope arrival order
-is monotone in the order key, which local delivery guarantees.
+For random key distributions and shard counts, with micro-batching on
+and off, a sharded deployment leaves sink contents (payloads, sources,
+seqs, virtual times), per-group aggregates and dead-letter records equal
+to the unsharded one's, and shard checkpoints round-trip into a fresh
+replica.  One node at fixed virtual times: local delivery keeps envelope
+arrival monotone in the order key, where the merge is exact.
 """
 
 from collections import Counter

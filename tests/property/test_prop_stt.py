@@ -5,21 +5,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stt.geo import LocalGrid, from_web_mercator, haversine_m, to_web_mercator
+from repro.stt.geo import haversine_m
 from repro.stt.granularity import (
-    SPATIAL_GRANULARITIES,
-    TEMPORAL_GRANULARITIES,
-    common_temporal,
+    SPATIAL_GRANULARITIES, TEMPORAL_GRANULARITIES, common_temporal,
     temporal_granularity,
 )
 from repro.stt.spatial import (
-    METERS_PER_DEG_LAT,
-    GridCell,
-    Point,
-    cell_index,
-    grid_cell_for,
+    METERS_PER_DEG_LAT, GridCell, Point, cell_index, grid_cell_for,
 )
-from repro.stt.temporal import align_instant, granule_index
+from repro.stt.temporal import align_instant
 from repro.stt.units import DEFAULT_UNITS
 
 granularities = st.sampled_from(sorted(TEMPORAL_GRANULARITIES))
@@ -42,12 +36,6 @@ class TestTemporalAlignment:
         slack = {"month": 31 * 86400.0, "year": 365 * 86400.0}
         limit = slack.get(gran, temporal_granularity(gran).seconds)
         assert t - aligned <= limit + 1e-6
-
-    @given(times, times, granularities)
-    def test_same_index_iff_same_aligned_start(self, t1, t2, gran):
-        same_index = granule_index(t1, gran) == granule_index(t2, gran)
-        same_start = align_instant(t1, gran) == align_instant(t2, gran)
-        assert same_index == same_start
 
     @given(times, granularities, granularities)
     def test_coarser_alignment_is_no_later_for_nested(self, t, g1, g2):
@@ -142,21 +130,6 @@ class TestSpatialGrid:
 
 
 class TestGeoRoundTrips:
-    @given(lats, lons)
-    def test_web_mercator_round_trip(self, lat, lon):
-        x, y = to_web_mercator(lat, lon)
-        back_lat, back_lon = from_web_mercator(x, y)
-        assert math.isclose(back_lat, lat, abs_tol=1e-9)
-        assert math.isclose(back_lon, lon, abs_tol=1e-9)
-
-    @given(lats, lons, st.floats(min_value=-2e4, max_value=2e4),
-           st.floats(min_value=-2e4, max_value=2e4))
-    def test_local_grid_round_trip(self, olat, olon, east, north):
-        grid = LocalGrid(olat, olon)
-        lat, lon = grid.to_wgs84(east, north)
-        back = grid.to_local(lat, lon)
-        assert math.isclose(back[0], east, abs_tol=1e-6)
-        assert math.isclose(back[1], north, abs_tol=1e-6)
 
     @given(lats, lons, lats, lons)
     def test_haversine_symmetric_and_nonnegative(self, lat1, lon1, lat2, lon2):

@@ -1,17 +1,9 @@
-"""Property-based tests: watermark monotonicity.
+"""Property: watermarks never regress (DESIGN.md §12).
 
-The latency plane's central claim (DESIGN.md §15): a process's low
-watermark never regresses as the simulation advances.  Non-blocking
-commits are a running max of stamp times, blocking commits follow the
-virtual clock at flush instants, and the propagated watermark is a min
-over those monotone inputs — so monotonicity must hold for any mix of
-operator kinds, shard counts, batch sizes, and observation cadences.
-
-The property drives the full stack (sensors -> broker -> sharded
-aggregation -> merge -> sink) and samples every process's watermark at a
-randomized cadence, asserting each new reading is >= the previous one.
-A probe-level property covers the raw commit rules against arbitrary
-out-of-order stamp streams.
+The full stack (sensors -> broker -> sharded aggregation -> merge ->
+sink) is sampled at a random cadence for any mix of operator kinds,
+shard counts and batch sizes, and each reading is >= the previous one.
+A probe-level property drives the commit rules with out-of-order stamps.
 """
 
 from hypothesis import given, settings

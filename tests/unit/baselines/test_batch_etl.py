@@ -56,7 +56,7 @@ class TestBatchPipeline:
 
     def test_invalid_flow_rejected(self, stack):
         flow = batch_flow()
-        flow.remove_node("dw")
+        flow.services = [s for s in flow.services if s.name != "dw"]
         with pytest.raises(ValidationError):
             BatchEtlPipeline(stack.netsim, stack.broker_network, flow,
                              collection_node="hub")

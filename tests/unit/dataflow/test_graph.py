@@ -123,19 +123,6 @@ class TestControlEdges:
 
 
 class TestEditing:
-    def test_remove_node_cleans_edges(self, flow, src):
-        op = flow.add_operator(FilterSpec("true"))
-        sink = flow.add_sink()
-        flow.connect(src, op)
-        flow.connect(op, sink)
-        flow.shards, flow.fuses = [DsnShard(op, 2)], [DsnFuse((op, "g"))]
-        flow.remove_node(op)
-        assert op not in flow
-        assert flow.channels == flow.shards == flow.fuses == []
-
-    def test_remove_unknown_raises(self, flow):
-        with pytest.raises(DataflowError):
-            flow.remove_node("ghost")
 
     def test_replace_operator_keeps_edges(self, flow, src):
         op = flow.add_operator(FilterSpec("temperature > 0"))

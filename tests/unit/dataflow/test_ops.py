@@ -4,18 +4,9 @@ import pytest
 
 from repro.errors import DataflowError, SchemaError, TypeMismatchError
 from repro.dataflow.ops import (
-    AggregationSpec,
-    CullSpaceSpec,
-    CullTimeSpec,
-    FilterSpec,
-    JoinSpec,
-    TransformSpec,
-    TriggerOffSpec,
-    TriggerOnSpec,
-    ValidateSpec,
-    VirtualPropertySpec,
-    spec_from_dict,
-    statistics_schema,
+    AggregationSpec, CullSpaceSpec, CullTimeSpec, FilterSpec, JoinSpec,
+    TransformSpec, TriggerOffSpec, TriggerOnSpec, ValidateSpec,
+    VirtualPropertySpec, spec_from_dict, statistics_schema,
 )
 from repro.schema.types import AttributeType
 

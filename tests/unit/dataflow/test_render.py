@@ -29,7 +29,9 @@ class TestDot:
         assert "shape=cylinder" in dot
 
     def test_dormant_sources_marked(self, flow):
-        assert "(dormant)" in to_dot(flow)
+        dot = to_dot(flow)
+        assert "(dormant)" in dot
+        assert 'label="rain\\n(dormant)"' in dot  # one DOT line break
 
     def test_quotes_escaped(self):
         flow = DsnProgram('with "quotes"')

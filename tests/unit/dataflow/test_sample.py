@@ -1,18 +1,13 @@
-"""Unit tests for sample-based step-by-step debugging.
-
-The preview deploys the canvas on a throwaway simulator and replays the
-samples at their stamp times, so every expectation here is what the
-deployed plan does: windows flush per interval and triggers gate their
-sources.
+"""Unit tests for sample-based step-by-step debugging: the preview
+deploys the canvas on a throwaway simulator and replays the samples at
+their stamp times, so windows flush per interval and triggers gate their
+sources, as in the deployed plan.
 """
 
 import pytest
 
 from repro.dataflow.ops import (
-    AggregationSpec,
-    FilterSpec,
-    JoinSpec,
-    TriggerOnSpec,
+    AggregationSpec, FilterSpec, JoinSpec, TriggerOnSpec,
 )
 from repro.designer.preview import sample_from_sensors
 from repro.designer.session import DesignerSession

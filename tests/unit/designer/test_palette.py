@@ -49,11 +49,3 @@ class TestSourcePalette:
     def test_unknown_criterion_raises(self, palette):
         with pytest.raises(ValueError, match="unknown organisation"):
             palette.sources(organise_by="vibe")
-
-    def test_sensor_card(self, palette):
-        metadata = palette.discovery.registry.get("osaka-temp-umeda")
-        card = palette.describe_sensor(metadata)
-        assert card["type"] == "temperature"
-        assert card["period_s"] == 60.0
-        assert "weather/temperature" in card["themes"]
-        assert "temperature:float[celsius]" in card["schema"]

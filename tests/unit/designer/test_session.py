@@ -61,11 +61,6 @@ class TestCanvasEditing:
         with pytest.raises(DataflowError):
             session.schema_pane("ghost")
 
-    def test_remove_node(self, session):
-        src = session.add_source("osaka-temp-umeda")
-        session.remove_node(src)
-        assert src not in session.flow
-
 
 class TestPreview:
     def test_preview_with_probed_sensors(self, session, stack):
@@ -121,7 +116,7 @@ class TestTranslateDeploy:
         self.build_valid(session)
         handle = session.deploy()
         deployed = handle.deployment.program.render()
-        session.remove_node("out")  # the deployment keeps its own copy
+        session.add_sink("collector")  # the deployment keeps its own copy
         assert handle.deployment.program.render() == deployed
         drawn = session.flow.render()
         stack.run_until(3600.0)

@@ -1,11 +1,10 @@
-"""The consistency check's rules, as one table.
+"""The consistency check's rules, as one table (DESIGN.md §13).
 
 A row is a program (a standard shape with one edit), the service its
-first finding is anchored to, the text that finding carries, and its
-level: an ``error`` rejects the program, a ``warning`` lets it through
-flagged, and an ``accept`` row is valid with no issue carrying the text
-(any issue at all, for empty text).  Older suites keep their test names
-as ``test_x = row("name")`` lines.
+first finding is anchored to, that finding's text, and its level: an
+``error`` rejects the program, a ``warning`` flags it, an ``accept`` row
+is valid with no issue carrying the text (none at all, for empty text).
+Older suites keep their test names as ``test_x = row("name")`` lines.
 """
 
 from dataclasses import replace
@@ -21,8 +20,7 @@ from repro.dataflow.ops import (
 )
 from repro.designer.session import DesignerSession
 from repro.dsn.ast import (
-    DsnChannel, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo,
-    ServiceRole,
+    DsnChannel, DsnFuse, DsnProgram, DsnService, DsnShard, DsnSlo, ServiceRole,
 )
 from repro.dsn.check import check
 from repro.dsn.parse import parse_dsn

@@ -1,9 +1,7 @@
-"""What the canvas calls declare on a DSN program.
-
-The P2 canvas, drawn through them, renders byte-for-byte as its golden
-``goldens/p2-torrential-rain.dsn``: one service per node with its role,
-kind, activation and operator params; a channel per data edge; a control
-per control edge.  The golden parses back to the same text.
+"""What the canvas calls declare on a DSN program: the P2 canvas, drawn
+through them, renders byte-for-byte as ``goldens/p2-torrential-rain.dsn``
+(a service per node, a channel per data edge, a control per control
+edge), and the golden parses back to the same text.
 """
 
 from tests.unit.dsn.test_check import row

@@ -1,12 +1,6 @@
-"""Golden tests for DSN translation.
-
-Each test translates a representative conceptual dataflow — the shipped
-Osaka canvas plus three walkthrough-style flows — to its DSN program text
-and compares it byte-for-byte against a snapshot under ``goldens/``.  Any
-translator change that alters the emitted program shows up as a readable
-diff here.
-
-To accept an intentional change::
+"""Golden tests for DSN translation: the shipped Osaka canvas and the
+walkthrough, sharded, elastic and fused designs render byte-for-byte as
+their snapshots under ``goldens/``.  Accept an intentional change with::
 
     pytest tests/unit/dsn/test_goldens.py --update-goldens
 """
@@ -18,11 +12,7 @@ import pytest
 
 from repro.dataflow.fusion import plan_fusion
 from repro.dataflow.ops import (
-    AggregationSpec,
-    FilterSpec,
-    JoinSpec,
-    TransformSpec,
-    TriggerOnSpec,
+    AggregationSpec, FilterSpec, JoinSpec, TransformSpec, TriggerOnSpec,
     VirtualPropertySpec,
 )
 from repro.dataflow.serialize import dataflow_from_dict
@@ -122,7 +112,7 @@ def p3_fahrenheit_feed_flow() -> DsnProgram:
 
 
 def p5_sharded_stations_flow() -> DsnProgram:
-    """PR-5 scale-out design: an equi-join and a grouped aggregation,
+    """The scale-out design: an equi-join and a grouped aggregation,
     both split into key-hashed shard replicas via the ``shard`` clause."""
     flow = DsnProgram("p5-sharded-stations")
     temp = flow.add_source(SubscriptionFilter(sensor_type="temperature"),
@@ -149,7 +139,7 @@ def p5_sharded_stations_flow() -> DsnProgram:
 
 
 def p6_elastic_stations_flow() -> DsnProgram:
-    """PR-6 elastic design: a grouped aggregation sharded with the
+    """The elastic design: a grouped aggregation sharded with the
     ``elastic`` clause, attaching the load-feedback rebalance loop."""
     return pipeline("p6-elastic-stations", ("station-avg", AggregationSpec(
         interval=600.0, attributes=("temperature",), function="AVG",
@@ -157,7 +147,7 @@ def p6_elastic_stations_flow() -> DsnProgram:
 
 
 def p7_fused_pipeline_flow() -> DsnProgram:
-    """PR-7 fusion design: a 4-op non-blocking chain pinned into one
+    """The fusion design: a 4-op non-blocking chain pinned into one
     process via the ``fuse`` clause."""
     return pipeline(
         "p7-fused-pipeline", ("hot", FilterSpec("temperature > 24")),

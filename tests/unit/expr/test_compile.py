@@ -1,9 +1,8 @@
-"""Unit tests for the AST-to-closure lowering (:mod:`repro.expr.compile`).
+"""Unit tests for the lowering (:mod:`repro.expr.compile`).
 
-The expression oracle (``tests/oracle/test_expr_oracle.py``) pins
-generated code ≡ tree walker on random trees; these tests pin the
-*specific* behaviours the lowering promises: constant folding, error
-taxonomy and messages, short-circuit order, and the compile-once contract.
+The expression oracle pins generated code ≡ tree walker on random trees;
+these pin constant folding, the error taxonomy and messages,
+short-circuit order and the compile-once contract.
 """
 
 import pytest

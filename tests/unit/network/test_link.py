@@ -23,37 +23,7 @@ class TestConstruction:
         assert Link("b", "a").key == Link("a", "b").key == ("a", "b")
 
 
-class TestDelays:
-    def test_delay_is_latency_plus_transmission(self):
-        link = Link("a", "b", latency=0.01, bandwidth=1000.0)
-        assert link.transfer_delay(500.0) == pytest.approx(0.01 + 0.5)
-
-    def test_zero_size(self):
-        link = Link("a", "b", latency=0.01)
-        assert link.transfer_delay(0.0) == 0.01
-
-    def test_negative_size_raises(self):
-        with pytest.raises(NetworkError):
-            Link("a", "b").transfer_delay(-1.0)
-
-
-class TestAccounting:
-    def test_bytes_and_messages(self):
-        link = Link("a", "b")
-        link.account(100.0)
-        link.account(250.0)
-        assert link.bytes_transferred == 350.0
-        assert link.messages_transferred == 2
-
-
 class TestEndpoints:
-    def test_connects_and_other_end(self):
-        link = Link("a", "b")
-        assert link.connects("a") and link.connects("b")
-        assert not link.connects("c")
-        assert link.other_end("a") == "b"
-        with pytest.raises(NetworkError):
-            link.other_end("c")
 
     def test_fail_recover(self):
         link = Link("a", "b")

@@ -134,10 +134,3 @@ class TestStats:
         sim.send("node-0", "node-2", "x", 0.0, lambda _p: None)
         sim.clock.run()
         assert sim.stats.mean_delay == pytest.approx(0.015)  # (0.01 + 0.02)/2
-
-    def test_reset(self, sim):
-        sim.send("node-0", "node-2", "x", 100.0, lambda _p: None)
-        sim.clock.run()
-        sim.reset_traffic_stats()
-        assert sim.stats.messages_sent == 0
-        assert sim.total_link_bytes() == 0.0

@@ -63,6 +63,7 @@ class TestLoadAccounting:
         node = NetworkNode("n1", capacity=10.0)
         node.register_process("p1", demand=11.0)
         assert node.is_overloaded()
+        assert not node.is_overloaded(threshold=1.2)
         assert node.utilization > 1.0
         assert node.headroom == 0.0
 

@@ -6,9 +6,7 @@ from repro.network.netsim import NetworkSimulator
 from repro.network.qos import QosPolicy
 from repro.network.topology import Topology
 from repro.streams.tuple import (
-    SensorTuple,
-    TupleBatch,
-    estimate_batch_size_bytes,
+    SensorTuple, TupleBatch, estimate_batch_size_bytes,
 )
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point

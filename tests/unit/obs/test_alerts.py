@@ -12,8 +12,8 @@ from repro.obs.alerts import AlertEngine, AlertRule, _HistogramWindow
 from repro.obs.latency import LatencyPlane
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.runtime.monitor import Monitor
-from repro.scenario import (
-    build_stack, fused_pipeline_flow, sharded_aggregation_flow)
+from repro.scenario import build_stack, sharded_aggregation_flow
+from tests.builders import fused_pipeline
 
 
 @pytest.fixture
@@ -278,7 +278,7 @@ class TestTeardown:
         kept, dropped = (stack.executor.deploy(dataflow_to_dsn(
             flow, slos=[parse_slo_expr("watermark_lag < 900", flow.name)]))
             for flow in (sharded_aggregation_flow(stack),
-                         fused_pipeline_flow(stack)))
+                         fused_pipeline()))
         stack.run_until(1800.0)
         dropped.teardown()
         stack.run_until(3 * 3600.0)

@@ -5,12 +5,7 @@ import json
 import pytest
 
 from repro.errors import StreamLoaderError
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 @pytest.fixture
@@ -35,8 +30,8 @@ class TestGauge:
     def test_set_inc_dec(self):
         g = Gauge()
         g.set(10.0)
+        g.inc(-5.0)
         g.inc(2.0)
-        g.dec(5.0)
         assert g.value == 7.0
 
 

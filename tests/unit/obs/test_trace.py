@@ -6,14 +6,12 @@ import pytest
 from repro.errors import StreamLoaderError
 from repro.obs.lineage import LineageStore
 from repro.obs.render import (
-    format_duration,
-    render_trace,
-    render_trace_tree,
-    slowest_sink_traces,
+    format_duration, render_trace, render_trace_tree, slowest_sink_traces,
     trace_for_tuple,
 )
 from repro.obs.trace import Tracer
-from repro.scenario import build_stack, fused_pipeline_flow
+from repro.scenario import build_stack
+from tests.builders import fused_pipeline
 
 
 @pytest.fixture
@@ -105,7 +103,7 @@ def placements(sampling, at=0.0):
     stack tracing at ``sampling``, and the stack's tracer."""
     stack = build_stack(observability=sampling)
     stack.run_until(at)
-    stack.executor.deploy(fused_pipeline_flow(stack))
+    stack.executor.deploy(fused_pipeline())
     return stack.executor.monitor.records("placement"), stack.obs.tracer
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PubSubError, UnknownSensorError
+from repro.errors import PubSubError
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.pubsub.broker import Broker, BrokerNetwork, RetryPolicy
@@ -46,9 +46,9 @@ class TestPublish:
     def test_unpublish_removes_routes(self, net):
         metadata = advertise(net)
         net.subscribe("edge-0", SubscriptionFilter(), lambda t: None)
+        assert net._routes["temp-1"]
         net.unpublish("temp-1")
-        with pytest.raises(UnknownSensorError):
-            net.subscriptions_for("temp-1")
+        assert "temp-1" not in net._routes
 
     def test_publish_callbacks(self, local_broker_net):
         events = []

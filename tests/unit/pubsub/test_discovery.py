@@ -86,6 +86,5 @@ class TestOrganisation:
         assert total == len(discovery.registry)
 
     def test_types_and_themes(self, discovery):
-        assert "temperature" in discovery.types()
         roots = {t.path for t in discovery.themes()}
         assert {"weather", "mobility", "social"} <= roots

@@ -77,4 +77,3 @@ class TestRegistry:
         registry.register(make_metadata("b", "rain", node_id="n1"))
         registry.register(make_metadata("c", "temperature", node_id="n2"))
         assert {m.sensor_id for m in registry.by_type("temperature")} == {"a", "c"}
-        assert {m.sensor_id for m in registry.by_node("n1")} == {"a", "b"}

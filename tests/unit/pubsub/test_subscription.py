@@ -4,9 +4,7 @@ import pytest
 
 from repro.errors import PubSubError
 from repro.pubsub.subscription import (
-    DEAD_LETTER_CAPACITY,
-    Subscription,
-    SubscriptionFilter,
+    DEAD_LETTER_CAPACITY, Subscription, SubscriptionFilter,
 )
 from repro.streams.tuple import TupleBatch
 from repro.stt.spatial import Box

@@ -12,10 +12,7 @@ from repro.errors import SimulationError, StreamLoaderError
 from repro.network.netsim import NetworkSimulator
 from repro.network.topology import Topology
 from repro.runtime.backends import (
-    AsyncBackend,
-    ExecutionBackend,
-    SimBackend,
-    backend_from_name,
+    AsyncBackend, ExecutionBackend, SimBackend, backend_from_name,
     live_backends,
 )
 from repro.runtime.process import OperatorProcess

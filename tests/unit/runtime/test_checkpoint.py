@@ -1,9 +1,6 @@
-"""Unit tests for operator checkpoint/restore and the process hooks.
-
-The recovery contract is at-most-once: a restored operator re-sees exactly
-the tuples captured at snapshot time; whatever it absorbed afterwards is
-lost.  These tests pin that bound at the operator level and the periodic
-snapshot machinery at the process level.
+"""Unit tests for operator checkpoint/restore and the process hooks: a
+restored operator re-sees exactly the snapshot's tuples (at-most-once),
+and processes snapshot periodically.
 """
 
 import pytest

@@ -174,16 +174,10 @@ class TestTriggerControl:
 
 
 class TestReplacementDemandAccounting:
-    """Regression: re-placing shard processes must book their deploy-time
-    demand, not the live rate estimate.
-
-    A process displaced before the monitor's first rate sample reads
-    ``rate.rate == 0.0``; booking that zero let every displaced sibling
-    look weightless, so ``replace_service`` packed them all onto the same
-    least-loaded node and double-booked its capacity for every later
-    placement decision.  The fix floors the booking at the deploy-time
-    ``placement_demand`` estimate.
-    """
+    """Re-placed shard processes book their deploy-time demand: one
+    displaced before the first rate sample reads ``rate.rate == 0.0``,
+    and booking that zero would pack every displaced sibling onto the
+    least-loaded node (DESIGN.md §13, placement by workload)."""
 
     FREQUENCY = 16.0   # Hz -> conceptual demand 16, 4 cost-units per shard
 

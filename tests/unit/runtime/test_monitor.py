@@ -231,14 +231,9 @@ class TestFailureDetection:
 
 
 class TestDashboardGolden:
-    """Byte-for-byte snapshot of the full monitoring screen.
-
-    The rendered state exercises every section at once: operation and
-    utilization rows, one SUSPECT node, one key-migration event, the
-    watermark table, and one firing alert.  Everything runs on the
-    virtual clock, so the text is deterministic.  Accept an intentional
-    change with ``pytest ... --update-goldens``.
-    """
+    """Byte-for-byte snapshot of the full monitoring screen, every section
+    at once (operation and utilization rows, a SUSPECT node, a key move,
+    watermarks, a firing alert).  Refresh with ``--update-goldens``."""
 
     def build_dashboard_text(self, sim) -> str:
         obs = Observability(sampling=0.0)

@@ -2,9 +2,7 @@
 
 Each table lists the units in spawn order as (key, role, hosted
 services, node) and the edges in wiring order as (producer, consumer,
-port, batch).  The tables were read off deployments made before the plan
-existed (process keys and spawn order, each process's routes, the
-subscriptions in creation order, the probes' watermark upstreams), so
+port, batch), as read off deployments made before the plan existed, so
 they pin that planning moved nothing.  The star topology's hub is one
 hop from every edge node.
 """

@@ -4,20 +4,13 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.schema.infer import (
-    aggregate_schema,
-    join_schema,
-    project_schema,
-    rename_schema,
-    with_virtual_property,
+    aggregate_schema, join_schema, rename_schema, with_virtual_property,
 )
 from repro.schema.schema import StreamSchema
 from repro.schema.types import AttributeType
 
 
 class TestProjectRename:
-    def test_project(self, weather_schema):
-        result = project_schema(weather_schema, ["temperature"])
-        assert result.names == ("temperature",)
 
     def test_rename_collision_raises(self, weather_schema):
         with pytest.raises(SchemaError, match="collides"):

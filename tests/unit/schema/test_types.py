@@ -1,15 +1,10 @@
-"""Unit tests for attribute types and coercion."""
+"""Unit tests for attribute types."""
 
 import pytest
 
 from repro.errors import TypeMismatchError
 from repro.schema.types import (
-    AttributeType,
-    coerce_value,
-    common_type,
-    infer_type,
-    value_fits,
-    widens_to,
+    AttributeType, common_type, infer_type, widens_to,
 )
 from repro.stt.spatial import Point
 
@@ -64,46 +59,6 @@ class TestCommonType:
     def test_incompatible_raises(self):
         with pytest.raises(TypeMismatchError):
             common_type(AttributeType.STRING, AttributeType.INT)
-
-
-class TestValueFits:
-    def test_bool_not_int(self):
-        # Python bools are ints, but the type system keeps them apart.
-        assert value_fits(True, AttributeType.BOOL)
-        assert not value_fits(True, AttributeType.INT)
-        assert not value_fits(True, AttributeType.FLOAT)
-
-    def test_int_fits_float(self):
-        assert value_fits(3, AttributeType.FLOAT)
-
-    def test_float_not_int(self):
-        assert not value_fits(3.5, AttributeType.INT)
-
-    def test_none_never_fits(self):
-        for member in AttributeType:
-            assert not value_fits(None, member)
-
-    def test_geo(self):
-        assert value_fits(Point(0, 0), AttributeType.GEO)
-        assert not value_fits("not a point", AttributeType.GEO)
-
-    def test_timestamp_numeric(self):
-        assert value_fits(1234.5, AttributeType.TIMESTAMP)
-        assert not value_fits("2016-03-15", AttributeType.TIMESTAMP)
-
-
-class TestCoerce:
-    def test_int_to_float_converts(self):
-        result = coerce_value(3, AttributeType.FLOAT)
-        assert result == 3.0 and isinstance(result, float)
-
-    def test_bool_widens_explicitly(self):
-        assert coerce_value(True, AttributeType.INT) == 1
-        assert coerce_value(False, AttributeType.FLOAT) == 0.0
-
-    def test_bad_coercion_raises(self):
-        with pytest.raises(TypeMismatchError):
-            coerce_value("text", AttributeType.FLOAT)
 
 
 class TestInferType:

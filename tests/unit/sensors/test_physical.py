@@ -5,12 +5,8 @@ import pytest
 
 from repro.errors import PubSubError
 from repro.sensors.physical import (
-    humidity_sensor,
-    pressure_sensor,
-    rain_sensor,
-    sea_level_sensor,
-    temperature_sensor,
-    wind_sensor,
+    humidity_sensor, pressure_sensor, rain_sensor, sea_level_sensor,
+    temperature_sensor, wind_sensor,
 )
 from repro.stt.spatial import Point
 from tests.builders import attached

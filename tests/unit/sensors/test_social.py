@@ -4,9 +4,7 @@ import numpy as np
 
 from repro.sensors.osaka import OSAKA_AREA
 from repro.sensors.social import (
-    flight_schedule_sensor,
-    traffic_sensor,
-    train_schedule_sensor,
+    flight_schedule_sensor, traffic_sensor, train_schedule_sensor,
     twitter_sensor,
 )
 from repro.stt.spatial import Point

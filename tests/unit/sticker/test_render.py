@@ -1,7 +1,7 @@
 """Unit tests for Sticker ASCII renderings."""
 
 from repro.sticker.feed import StickerFeed
-from repro.sticker.render import render_map, render_series
+from repro.sticker.render import render_series
 
 
 class TestRenderSeries:
@@ -29,23 +29,3 @@ class TestRenderSeries:
         feed.push(make_tuple(0))
         assert "no numeric data" in render_series(feed, "weather",
                                                   attribute="ghost")
-
-
-class TestRenderMap:
-    def test_map_has_rows(self, make_tuple):
-        feed = StickerFeed(cell_granularity="city")
-        feed.push(make_tuple(0, lat=34.60, lon=135.40))
-        feed.push(make_tuple(1, lat=35.68, lon=139.65))
-        text = render_map(feed, "weather/temperature")
-        assert "map" in text
-        assert "|" in text
-
-    def test_empty_map(self):
-        feed = StickerFeed()
-        assert "no cells" in render_map(feed, "weather")
-
-    def test_bucket_filter(self, make_tuple):
-        feed = StickerFeed(bucket_seconds=3600.0)
-        feed.push(make_tuple(0, time=100.0))
-        assert "no cells" in render_map(feed, "weather/temperature",
-                                        bucket_start=7200.0)

@@ -1,12 +1,9 @@
 """Incremental aggregation accumulators vs the rescan reference.
 
-``AggregationOperator`` maintains per-group running count/sum/min/max and
-a running bounding box; these tests pin its flush against
-``_aggregate_group`` (the rescan-every-flush reference) over the same
-window, and pin that the accumulators are rebuilt faithfully across
-``checkpoint()``/``restore()``.  ``tests/oracle/test_flush_oracle.py``
-drives the same comparison over generated windows; the cases here are
-hand-picked windows run through its check.
+Hand-picked windows run through the flush oracle's check: the flush of
+the running count/sum/min/max and bounding box equals
+``_aggregate_group`` (the rescan reference), and ``checkpoint()`` /
+``restore()`` rebuild the accumulators faithfully.
 """
 
 import pytest
@@ -16,9 +13,7 @@ from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp
 from repro.stt.spatial import Point
 from tests.oracle.test_flush_oracle import (
-    _config,
-    _reading,
-    check_aggregate_flush,
+    _config, _reading, check_aggregate_flush,
 )
 
 FUNCTIONS = ["COUNT", "AVG", "SUM", "MIN", "MAX"]

@@ -1,17 +1,15 @@
 """Unit tests: on_batch dispatch for the operators no oracle drives.
 
-That a batch reports what N calls of the per-tuple path would — error
-quarantine, cull counters, stats — is held by the kernel oracle
-(fused chains), the flow oracle (deployed chains, lone operators
-included), the flush oracle (join) and the aggregate ingest property.
-What stays here is the port check, the trigger's window and the sinks.
+The kernel, flow and flush oracles and the aggregate ingest property hold
+that a batch reports what N per-tuple calls would; what stays here is the
+port check, the trigger's window and the sinks.
 """
 
 import pytest
 
 from repro.errors import StreamLoaderError
 from repro.streams.filter import FilterOperator
-from repro.streams.sink import CallbackSink, CountingSink, ListSink
+from repro.streams.sink import CallbackSink, ListSink
 from repro.streams.trigger import TriggerOnOperator
 
 
@@ -45,11 +43,6 @@ class TestSinks:
         batch = batch_of(make_tuple, [1.0, 2.0, 3.0])
         sink.on_batch(batch)
         assert sink.received == batch
-
-    def test_counting_sink(self, make_tuple):
-        sink = CountingSink()
-        sink.on_batch(batch_of(make_tuple, [1.0, 2.0]))
-        assert sink.count == 2
 
     def test_callback_sink_stays_per_tuple(self, make_tuple):
         seen = []

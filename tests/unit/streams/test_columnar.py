@@ -1,18 +1,13 @@
 """Unit tests for the columnar tier: batches, kernels, lazy boundary."""
 
+from dataclasses import replace
 import pytest
 
 from repro.expr.compile import compile_expression
 from repro.expr.vectorize import (
-    _fallback_values,
-    predicate_kernel,
-    values_kernel,
+    _fallback_values, predicate_kernel, values_kernel,
 )
-from repro.streams.columnar import (
-    MIN_COLUMNAR_ROWS,
-    ColumnarBatch,
-    LazyRows,
-)
+from repro.streams.columnar import MIN_COLUMNAR_ROWS, ColumnarBatch, LazyRows
 from repro.streams.filter import FilterOperator
 from repro.streams.fused import FusedOperator
 from repro.streams.transform import TransformOperator
@@ -42,7 +37,7 @@ class TestColumnarBatch:
 
     def test_empty_and_heterogeneous_are_not_columnar(self, make_tuple):
         assert ColumnarBatch.from_tuples([]) is None
-        mixed = [make_tuple(0), make_tuple(1).with_updates(extra=1)]
+        mixed = [make_tuple(0), make_tuple(1, extra=1)]
         assert ColumnarBatch.from_tuples(mixed) is None
 
     def test_same_keys_different_order_is_not_columnar(self):
@@ -233,7 +228,7 @@ class TestFusedColumnarGate:
 
     def test_heterogeneous_batches_fall_back_to_rows(self):
         ts = _tuples(6)
-        ts[3] = ts[3].with_updates(extra=1)
+        ts[3] = replace(ts[3], payload={**ts[3].payload, "extra": 1})
         fused = self._chain()
         out = fused.on_batch(TupleBatch.of(ts), 0)
         assert isinstance(out, list)
@@ -260,7 +255,7 @@ class TestEnvelopeCache:
 
     def test_negative_result_is_cached_too(self, make_tuple):
         batch = TupleBatch.of(
-            [make_tuple(0), make_tuple(1).with_updates(extra=1)])
+            [make_tuple(0), make_tuple(1, extra=1)])
         assert batch.columnar() is None
         assert batch._cols is not None  # the sentinel, not a retry
         assert batch.columnar() is None

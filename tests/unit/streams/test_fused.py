@@ -155,13 +155,8 @@ class TestLifecycle:
 
 
 class TestMetricsLabels:
-    """Per-operator counters must survive the fused process renaming.
-
-    Regression guard: a fused process is named ``a+b`` but its metrics
-    must keep reporting the *member* labels ``prog:a`` / ``prog:b`` —
-    collapsing them into one ``prog:a+b`` series would break every
-    dashboard keyed on operator names.
-    """
+    """A fused process is named ``a+b``, but its metrics keep the member
+    labels ``prog:a`` / ``prog:b``, never one ``prog:a+b`` series."""
 
     @staticmethod
     def deployed():

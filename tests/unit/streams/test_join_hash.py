@@ -1,9 +1,8 @@
 """Hash-join flush vs the nested-loop reference (:mod:`repro.streams.join`).
 
 Hand-picked windows for the flush oracle's join check: the hash path
-equals the nested loop whenever it engages, and falls back to it whenever
-its hash==eq assumptions don't hold (missing key attributes, non-scalar
-key values, non-equi predicates).
+equals the nested loop where it engages, and falls back to it where its
+assumptions fail (missing or non-scalar keys, non-equi predicates).
 """
 
 import math

@@ -11,15 +11,8 @@ from repro.streams.aggregate import AggregationOperator
 from repro.streams.filter import FilterOperator
 from repro.streams.join import JoinOperator
 from repro.streams.shard import (
-    ENTRIES_KEY,
-    EPOCH_KEY,
-    SHARD_KEY,
-    ShardAssignment,
-    ShardMergeOperator,
-    ShardedOperatorAdapter,
-    partition_index,
-    shard_index,
-    split_by_shard,
+    ENTRIES_KEY, EPOCH_KEY, SHARD_KEY, ShardAssignment, ShardMergeOperator,
+    ShardedOperatorAdapter, partition_index, shard_index, split_by_shard,
 )
 from repro.streams.tuple import SensorTuple
 from repro.stt.event import SttStamp

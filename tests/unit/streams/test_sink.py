@@ -1,6 +1,6 @@
 """Unit tests for sinks."""
 
-from repro.streams.sink import CallbackSink, CountingSink, ListSink
+from repro.streams.sink import CallbackSink, ListSink
 from repro.streams.tuple import TupleBatch
 
 
@@ -50,17 +50,3 @@ class TestCallbackSink:
         assert type(whole[1]) is TupleBatch
         assert [t.seq for t in lone] == [9]
         assert sink.stats.tuples_in == 11
-
-
-class TestCountingSink:
-    def test_counts_without_retaining(self, make_tuple):
-        sink = CountingSink()
-        for i in range(100):
-            sink.on_tuple(make_tuple(i))
-        assert sink.count == 100
-
-    def test_reset(self, make_tuple):
-        sink = CountingSink()
-        sink.on_tuple(make_tuple(0))
-        sink.reset()
-        assert sink.count == 0

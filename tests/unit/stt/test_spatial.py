@@ -4,13 +4,7 @@ import pytest
 
 from repro.errors import CoordinateError, GranularityError
 from repro.stt.spatial import (
-    Box,
-    GridCell,
-    Point,
-    coarsen,
-    grid_cell_for,
-    representative_point,
-    within,
+    Box, GridCell, Point, grid_cell_for, representative_point, within,
 )
 
 
@@ -56,13 +50,6 @@ class TestBox:
         box = Box(south=34.0, west=135.0, north=36.0, east=137.0)
         assert box.center() == Point(35.0, 136.0)
 
-    def test_intersects(self):
-        a = Box(south=0, west=0, north=10, east=10)
-        b = Box(south=5, west=5, north=15, east=15)
-        c = Box(south=11, west=11, north=12, east=12)
-        assert a.intersects(b) and b.intersects(a)
-        assert not a.intersects(c)
-
 
 class TestGrid:
     def test_cell_contains_its_point(self):
@@ -91,33 +78,6 @@ class TestGrid:
     def test_cell_center_is_inside_bounds(self):
         cell = grid_cell_for(Point(34.69, 135.50), "district")
         assert cell.bounds().contains(cell.center())
-
-
-class TestCoarsen:
-    def test_point_coarsens_to_containing_cell(self):
-        point = Point(34.69, 135.50)
-        cell = coarsen(point, "city")
-        assert isinstance(cell, GridCell)
-        assert cell.bounds().contains(point)
-
-    def test_cell_coarsens_to_coarser_cell(self):
-        fine = grid_cell_for(Point(34.69, 135.50), "district")
-        coarse = coarsen(fine, "prefecture")
-        assert coarse.granularity.name == "prefecture"
-
-    def test_cell_cannot_coarsen_to_finer(self):
-        coarse = grid_cell_for(Point(34.69, 135.50), "prefecture")
-        with pytest.raises(GranularityError):
-            coarsen(coarse, "district")
-
-    def test_point_to_point_is_identity(self):
-        point = Point(1.0, 2.0)
-        assert coarsen(point, "point") is point
-
-    def test_box_to_point_raises(self):
-        box = Box(south=0, west=0, north=1, east=1)
-        with pytest.raises(GranularityError):
-            coarsen(box, "point")
 
 
 class TestHelpers:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import GranularityError
-from repro.stt.temporal import (
-    Instant,
-    Interval,
-    align_instant,
-    granule_index,
-)
+from repro.stt.temporal import Instant, Interval, align_instant
 
 _DAY = 86400.0
 
@@ -48,24 +43,6 @@ class TestAlignment:
                 assert align_instant(t, gran) <= t
 
 
-class TestGranuleIndex:
-    def test_same_granule_same_index(self):
-        assert granule_index(3601.0, "hour") == granule_index(3700.0, "hour")
-
-    def test_adjacent_granules_differ(self):
-        assert granule_index(3599.0, "hour") != granule_index(3600.0, "hour")
-
-    def test_month_index_increases_across_boundary(self):
-        jan_31 = 31 * _DAY
-        assert granule_index(jan_31, "month") == granule_index(jan_31 + 10, "month")
-        assert granule_index(jan_31 - 10, "month") < granule_index(jan_31, "month")
-
-    def test_year_index(self):
-        year = 365 * _DAY
-        assert granule_index(0.0, "year") == 0
-        assert granule_index(year + 1.0, "year") == 1
-
-
 class TestInstant:
     def test_granule_bounds_contain_instant(self):
         instant = Instant(3725.0, "hour")
@@ -73,23 +50,6 @@ class TestInstant:
         assert granule.start == 3600.0
         assert granule.end == 7200.0
         assert granule.contains(instant)
-
-    def test_coarsen_aligns(self):
-        instant = Instant(3725.0, "second")
-        coarse = instant.coarsened("hour")
-        assert coarse.seconds == 3600.0
-        assert coarse.granularity.name == "hour"
-
-    def test_coarsen_to_finer_raises(self):
-        with pytest.raises(GranularityError):
-            Instant(3725.0, "hour").coarsened("second")
-
-    def test_same_granule_uses_coarser_of_the_two(self):
-        fine = Instant(3605.0, "second")
-        coarse = Instant(3900.0, "hour")
-        assert fine.same_granule(coarse)
-        other_hour = Instant(7300.0, "hour")
-        assert not fine.same_granule(other_hour)
 
 
 class TestInterval:
@@ -111,12 +71,3 @@ class TestInterval:
         interval = Interval(10.0, 10.0)
         assert interval.length == 0.0
         assert not interval.contains(10.0)
-
-    def test_overlaps(self):
-        assert Interval(0, 10).overlaps(Interval(5, 15))
-        assert not Interval(0, 10).overlaps(Interval(10, 20))  # half-open
-
-    def test_intersection(self):
-        result = Interval(0, 10).intersection(Interval(5, 15))
-        assert result == Interval(5, 10)
-        assert Interval(0, 10).intersection(Interval(20, 30)) is None

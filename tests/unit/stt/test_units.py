@@ -46,14 +46,6 @@ class TestConversions:
 
 
 class TestRegistry:
-    def test_compatible(self):
-        assert DEFAULT_UNITS.compatible("meter", "mile")
-        assert not DEFAULT_UNITS.compatible("meter", "kelvin")
-        assert not DEFAULT_UNITS.compatible("meter", "nonsense")
-
-    def test_units_of_dimension(self):
-        lengths = [unit.name for unit in DEFAULT_UNITS.units_of("length")]
-        assert "meter" in lengths and "yard" in lengths
 
     def test_duplicate_registration_raises(self):
         registry = UnitRegistry()

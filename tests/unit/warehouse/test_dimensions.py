@@ -6,10 +6,7 @@ from repro.errors import WarehouseError
 from repro.stt.spatial import Point
 from repro.stt.thematic import Theme
 from repro.warehouse.dimensions import (
-    SourceDimension,
-    SpaceDimension,
-    ThemeDimension,
-    TimeDimension,
+    SourceDimension, SpaceDimension, ThemeDimension, TimeDimension,
 )
 
 

@@ -40,30 +40,9 @@ class TestFilters:
         assert warehouse.query().source("(unknown)").count() == 1
         assert warehouse.query().source("elsewhere").count() == 0
 
-    def test_time_range(self, warehouse):
-        assert warehouse.query().time_range(0.0, 3600.0).count() == 3
-        with pytest.raises(WarehouseError):
-            warehouse.query().time_range(10.0, 0.0)
-
     def test_area_filter(self, warehouse):
         osaka = Box(south=34.5, west=135.3, north=34.9, east=135.7)
         assert warehouse.query().area(osaka).count() == 12
-
-    def test_where_measure(self, warehouse):
-        hot = warehouse.query().where_measure("temperature", minimum=28.0)
-        assert hot.count() == 4  # 28, 29, 30, 31
-
-    def test_chaining(self, warehouse):
-        count = (warehouse.query()
-                 .theme("weather")
-                 .time_range(0.0, 7200.0)
-                 .where_measure("temperature", maximum=22.0)
-                 .count())
-        assert count == 3  # 20, 21, 22 at t=0, 1800, 3600
-
-    def test_measure_values(self, warehouse):
-        values = warehouse.query().theme("weather").measure_values("temperature")
-        assert values.min() == 20.0 and values.max() == 31.0
 
 
 class TestRollups:
